@@ -20,7 +20,7 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, build_A1_A2_star, build_block_algebra, determine_unit
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, cyc_rank
+from .exactlin import CycArray, accumulate_products, cyc_rank, gather
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, double_cosets, stabilizer_Kg)
 from .projective import (ProjectiveRep, multiplicity_law_check, projective_rep_from_action,
@@ -196,46 +196,19 @@ def _tensor_product_of_columns(mul2: CycArray, mul1: CycArray, F: np.ndarray) ->
     if mul1.order != n:
         raise CotwistError("tensor legs have different cyclotomic orders")
     supports = [np.nonzero(F[:, i])[0] for i in range(z)]
-    a_of = [s // m for s in supports]
-    b_of = [s % m for s in supports]
-
-    out = np.zeros((z, z, m, m, n), dtype=np.int64)
-    st2 = mul2.single_term()
-    st1 = mul1.single_term()
-    if st2 is not None and st1 is not None:
-        E2, N2 = st2
-        E1, N1 = st1
-        x1 = np.arange(m)[None, None, :, None]
-        x2 = np.arange(m)[None, None, None, :]
-        for i in range(z):
-            av, bv = a_of[i], b_of[i]
-            for j in range(z):
-                cv, dv = a_of[j], b_of[j]
-                e2 = E2[np.ix_(av, cv)]          # (K, K, m)
-                e1 = E1[np.ix_(bv, dv)]
-                k3 = (e2[:, :, :, None] + e1[:, :, None, :]) % n
-                val = N2[np.ix_(av, cv)][:, :, :, None] * N1[np.ix_(bv, dv)][:, :, None, :]
-                np.add.at(out[i, j], (x1, x2, k3), val)
-    else:
-        C2 = mul2.counts
-        C1 = mul1.counts
-        for i in range(z):
-            av, bv = a_of[i], b_of[i]
-            for j in range(z):
-                cv, dv = a_of[j], b_of[j]
-                blk2 = C2[np.ix_(av, cv)]        # (K, K, m, n)
-                blk1 = C1[np.ix_(bv, dv)]
-                for k1 in range(n):
-                    s2 = blk2[..., k1]
-                    if not s2.any():
-                        continue
-                    for k2 in range(n):
-                        s1 = blk1[..., k2]
-                        if not s1.any():
-                            continue
-                        out[i, j, :, :, (k1 + k2) % n] += np.einsum("tux,tuy->xy", s2, s1)
-    return CycArray(n, mul2.scale * mul1.scale,
-                    out.reshape(z, z, m * m, n))
+    terms2, terms1 = mul2.terms(), mul1.terms()
+    x1, x2 = np.ogrid[:m, :m]
+    pairs = x1 * m + x2
+    out = np.zeros((z, z, m * m, n), dtype=np.int64)
+    for i in range(z):
+        av, bv = np.divmod(supports[i], m)
+        for j in range(z):
+            cv, dv = np.divmod(supports[j], m)
+            # [k, l, x1, x2] = mul2[a_k, c_l, x1] * mul1[b_k, d_l, x2]
+            accumulate_products(out[i, j], pairs,
+                                gather(terms2, av[:, None, None, None], cv[None, :, None, None], x1),
+                                gather(terms1, bv[:, None, None, None], dv[None, :, None, None], x2))
+    return CycArray(n, mul2.scale * mul1.scale, out)
 
 
 def f_g_map(G: FiniteGroup, H: Subgroup, t: TwistData, Z: DoubleCoset, g: int,
@@ -338,40 +311,18 @@ def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, orbit_id: np.ndar
     n = mul2.order
     r = len(reps)
     members = [np.nonzero(orbit_id == i)[0] for i in range(r)]
-    h1r = reps // m
-    h2r = reps % m
+    terms2, terms1 = mul2.terms(), mul1.terms()
+    x1, x2 = np.ogrid[:m, :m]
+    orbit_of = orbit_id.reshape(m, m)  # [x1, x2] -> orbit of the pair
     counts = np.zeros((r, r, r, n), dtype=np.int64)
-    st2 = mul2.single_term()
-    st1 = mul1.single_term()
-    x1 = np.arange(m)[None, :, None]
-    x2 = np.arange(m)[None, None, :]
     for i in range(r):
-        h1, h2 = int(h1r[i]), int(h2r[i])
+        h1, h2 = divmod(int(reps[i]), m)
         for j in range(r):
-            y1 = members[j] // m
-            y2 = members[j] % m
-            buf = np.zeros((m, m, n), dtype=np.int64)
-            if st2 is not None and st1 is not None:
-                E2, N2 = st2
-                E1, N1 = st1
-                e2 = E2[h1, y1, :]               # (K, m)
-                e1 = E1[h2, y2, :]
-                k3 = (e2[:, :, None] + e1[:, None, :]) % n
-                val = N2[h1, y1, :][:, :, None] * N1[h2, y2, :][:, None, :]
-                np.add.at(buf, (x1, x2, k3), val)
-            else:
-                blk2 = mul2.counts[h1, y1]       # (K, m, n)
-                blk1 = mul1.counts[h2, y2]
-                for k1 in range(n):
-                    s2 = blk2[..., k1]
-                    if not s2.any():
-                        continue
-                    for k2 in range(n):
-                        s1 = blk1[..., k2]
-                        if not s1.any():
-                            continue
-                        buf[:, :, (k1 + k2) % n] += np.einsum("tx,ty->xy", s2, s1)
-            np.add.at(counts[i, j], orbit_id, buf.reshape(m * m, n))
+            y1, y2 = np.divmod(members[j], m)
+            # [k, x1, x2] = mul2[h1, y1_k, x1] * mul1[h2, y2_k, x2]
+            accumulate_products(counts[i, j], orbit_of,
+                                gather(terms2, h1, y1[:, None, None], x1),
+                                gather(terms1, h2, y2[:, None, None], x2))
     return CycArray(n, mul2.scale * mul1.scale, counts)
 
 
@@ -411,7 +362,9 @@ def predicted_spectrum(Z: DoubleCoset, g: int, V1: ProjectiveRep, V2: Projective
 
     Pulls the two projective representations back to K_g, tensors their
     cocycles, splits the resulting twisted group algebra, and scales every
-    block dimension by |H|/|K_g| (asserted integral).
+    block dimension by |H|/|K_g| (asserted integral).  Returns (dims, W,
+    spectrum): W is the tensor representation on K_g and spectrum the split
+    of its twisted group algebra.
     """
     if g not in set(int(x) for x in Z.elements):
         raise CotwistError(f"representative {g} is not in the double coset")
@@ -422,8 +375,8 @@ def predicted_spectrum(Z: DoubleCoset, g: int, V1: ProjectiveRep, V2: Projective
             f"|K_g| = {Kg.order} does not divide |H| = {h_size} (bad stabilizer)")
     c_w, W = pullback_and_tensor_cocycle(V1, V2, g, Kg)
     alg = twisted_group_algebra(Kg, c_w, tol)
-    dims = wedderburn_dims_retrying(alg, seed, tol).dims
-    return sorted(ratio * d for d in dims), W, alg
+    spectrum = wedderburn_dims_retrying(alg, seed, tol)
+    return sorted(ratio * d for d in spectrum.dims), W, spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +440,10 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
     Ug = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, H)
     dims_invariant = wedderburn_dims_retrying(Ug, seed, tol).dims
 
-    dims_predicted, W, twisted = predicted_spectrum(Z, g, ctx.V1, ctx.V2, Kg, seed, tol)
+    dims_predicted, W, spec_w = predicted_spectrum(Z, g, ctx.V1, ctx.V2, Kg, seed, tol)
 
     if not trace_vanishing_check(W, H):
         failures.append(f"{tag}: trace vanishing law fails for the tensor representation")
-    spec_w = wedderburn_dims_retrying(twisted, seed, tol)
     mult_ok, _ = multiplicity_law_check(W, spec_w, H.order)
     if not mult_ok:
         failures.append(f"{tag}: multiplicity law (|H|/|K_g|) * d fails")
@@ -616,34 +568,39 @@ def full_report(config: Config, jobs: int = 1, global_only: bool = False) -> Rep
         "coset_size_total": 0,
         "block_square_total": 0,
     }
+    ctx = None
     if not global_only:
-        if global_ok:
-            ctx = prepare_instance(instance, config.seed, config.tol)
-            zs = double_cosets(G, H)
-
-            def run_one(z):
-                try:
-                    return _coset_pipeline(ctx, z)
-                except CotwistError as exc:
-                    return None, [f"coset {z.representative}: {exc}"]
-
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(run_one, zs))
-            else:
-                results = [run_one(z) for z in zs]
-            for spectrum, errs in results:
-                if spectrum is not None:
-                    cosets.append(spectrum)
-                failures.extend(errs)
-            totals["coset_size_total"] = int(sum(c.size for c in cosets))
-            totals["block_square_total"] = int(
-                sum(sum(d * d for d in c.dims_direct) for c in cosets))
-            if totals["coset_size_total"] != G.order:
-                failures.append(
-                    f"double cosets sum to {totals['coset_size_total']} != |G| = {G.order}")
-        else:
+        if not global_ok:
             failures.append("coset analysis skipped: global checks failed")
+        else:
+            try:
+                ctx = prepare_instance(instance, config.seed, config.tol)
+            except CotwistError as exc:
+                failures.append(f"instance preparation failed: {exc}; coset analysis skipped")
+    if ctx is not None:
+        zs = double_cosets(G, H)
+
+        def run_one(z):
+            try:
+                return _coset_pipeline(ctx, z)
+            except CotwistError as exc:
+                return None, [f"coset {z.representative}: {exc}"]
+
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(run_one, zs))
+        else:
+            results = [run_one(z) for z in zs]
+        for spectrum, errs in results:
+            if spectrum is not None:
+                cosets.append(spectrum)
+            failures.extend(errs)
+        totals["coset_size_total"] = int(sum(c.size for c in cosets))
+        totals["block_square_total"] = int(
+            sum(sum(d * d for d in c.dims_direct) for c in cosets))
+        if totals["coset_size_total"] != G.order:
+            failures.append(
+                f"double cosets sum to {totals['coset_size_total']} != |G| = {G.order}")
     return Report(instance=instance.description, seed=int(config.seed),
                   tol=float(config.tol), global_checks=checks, cosets=cosets,
                   failures=failures, totals=totals)

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, cyc_rank, cyc_solve, cyc_tensordot
+from .exactlin import (CycArray, accumulate_products, cyc_rank, cyc_solve, cyc_tensordot,
+                       gather)
 from .groups import DoubleCoset, FiniteGroup
 from .scalars import Cyclotomic
 from .twist import TwistData
@@ -47,14 +48,6 @@ class SCAlgebra:
     @property
     def is_exact(self) -> bool:
         return isinstance(self.mul, CycArray)
-
-    def product(self, u, v):
-        """Product of two coefficient vectors in this algebra's basis."""
-        if self.is_exact and isinstance(u, CycArray) and isinstance(v, CycArray):
-            t1 = cyc_tensordot(u, self.mul, axes=([0], [0]))
-            return cyc_tensordot(v, t1, axes=([0], [0]))
-        mul = self.mul_complex()
-        return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), mul)
 
     def mul_complex(self) -> np.ndarray:
         if self.is_exact:
@@ -231,40 +224,14 @@ def dual_product_delta(t: TwistData, a: int, b: int) -> CycArray:
     G, elems, loc = _h_embedding(t)
     mulG = G.mul.astype(np.int64)
     invG = G.inv.astype(np.int64)
-    m = t.size
-    n = t.order
-    xs = np.arange(G.order)
-    out = np.zeros((G.order, n), dtype=np.int64)
-    st_j = t.J.single_term()
-    st_i = t.Jinv.single_term()
-    for s in range(m):
-        for tt in range(m):
-            v1 = mulG[invG[elems[s]], a]
-            v2 = mulG[invG[elems[tt]], b]
-            c_loc = loc[mulG[invG[xs], v1]]
-            d_loc = loc[mulG[invG[xs], v2]]
-            mask = (c_loc >= 0) & (d_loc >= 0)
-            if not mask.any():
-                continue
-            cm = c_loc[mask]
-            dm = d_loc[mask]
-            xm = xs[mask]
-            if st_j is not None and st_i is not None:
-                ej, nj = st_j
-                ei, ni = st_i
-                if ni[s, tt] == 0:
-                    continue
-                k = (ei[s, tt] + ej[cm, dm]) % n
-                out[xm, k] += ni[s, tt] * nj[cm, dm]
-            else:
-                for i in range(n):
-                    wi = t.Jinv.counts[s, tt, i]
-                    if wi == 0:
-                        continue
-                    for j in range(n):
-                        vals = t.J.counts[cm, dm, j]
-                        out[xm, (i + j) % n] += wi * vals
-    return CycArray(n, t.J.scale * t.Jinv.scale, out)
+    xinv = invG[None, :]
+    c_loc = loc[mulG[xinv, mulG[invG[elems], a][:, None]]]  # [s, x] -> x^-1 s^-1 a
+    d_loc = loc[mulG[xinv, mulG[invG[elems], b][:, None]]]  # [t, x] -> x^-1 t^-1 b
+    s, tt, x = np.nonzero((c_loc[:, None, :] >= 0) & (d_loc[None, :, :] >= 0))
+    out = np.zeros((G.order, t.order), dtype=np.int64)
+    accumulate_products(out, x, gather(t.Jinv.terms(), s, tt),
+                        gather(t.J.terms(), c_loc[s, x], d_loc[tt, x]))
+    return CycArray(t.order, t.J.scale * t.Jinv.scale, out)
 
 
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
@@ -277,18 +244,13 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     ambient counit (all-ones on the coset).
     """
     t.require_verified()
-    G, elems, loc_h = _h_embedding(t)
+    G, elems, _ = _h_embedding(t)
     mulG = G.mul.astype(np.int64)
     z = coset.elements.astype(np.int64)
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
     loc_z[z] = np.arange(nz)
     m = t.size
-    n = t.order
-    counts = np.zeros((nz, nz, nz, n), dtype=np.int64)
-    x3 = np.arange(nz)[:, None, None]
-    st_j = t.J.single_term()
-    st_i = t.Jinv.single_term()
     hg = elems.astype(np.int64)
     # shift table: shifts[s, x, c] = coset-local index of (h_s x h_c)
     shifts = np.empty((m, nz, m), dtype=np.int64)
@@ -296,31 +258,16 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
         shifts[s] = loc_z[mulG[np.ix_(mulG[hg[s], z], hg)]]
     if np.any(shifts < 0):
         raise AuditError("double coset is not closed under H-translations")
+    counts = np.zeros((nz, nz, nz, t.order), dtype=np.int64)
+    x = np.arange(nz)[:, None, None]
+    jinv_terms = t.Jinv.terms()
+    j_terms = gather(t.J.terms(), None)             # [x, c, d] -> J[c, d]
     for s in range(m):
-        a_loc = shifts[s]                         # [x, c] -> s x c
         for tt in range(m):
-            b_loc = shifts[tt]                    # [x, d] -> t x d
-            if st_j is not None and st_i is not None:
-                ej, nj = st_j
-                ei, ni = st_i
-                if ni[s, tt] == 0:
-                    continue
-                k3 = ((ei[s, tt] + ej) % n)[None, :, :]
-                counts[a_loc[:, :, None], b_loc[:, None, :], x3, k3] += ni[s, tt] * nj[None, :, :]
-            else:
-                for i in range(n):
-                    wi = t.Jinv.counts[s, tt, i]
-                    if wi == 0:
-                        continue
-                    for j in range(n):
-                        vals = t.J.counts[:, :, j]
-                        if not vals.any():
-                            continue
-                        counts[a_loc[:, :, None], b_loc[:, None, :], x3, (i + j) % n] += (
-                            wi * vals[None, :, :]
-                        )
-    mul = CycArray(n, t.J.scale * t.Jinv.scale, counts)
-    unit = determine_unit(mul, _all_ones(nz, n))
+            target = (shifts[s][:, :, None] * nz + shifts[tt][:, None, :]) * nz + x
+            accumulate_products(counts, target, gather(jinv_terms, s, tt), j_terms)
+    mul = CycArray(t.order, t.J.scale * t.Jinv.scale, counts)
+    unit = determine_unit(mul, _all_ones(nz, t.order))
     return SCAlgebra(mul, unit, labels=z.copy(), name=f"block[{coset.representative}]")
 
 
@@ -340,7 +287,7 @@ def a2_to_a1op_iso(t: TwistData, A1: SCAlgebra, A2: SCAlgebra,
     (M(delta_x .2 delta_y) = M(delta_y) .1 M(delta_x)), and intertwines the
     translation actions (M rho2(h) = rho1(h) M).  Any failure raises.
     """
-    from .twist import q_element_and_antipode_check
+    from .twist import _antipode_element
 
     t.require_verified()
     group = t.group
@@ -349,19 +296,9 @@ def a2_to_a1op_iso(t: TwistData, A1: SCAlgebra, A2: SCAlgebra,
     mul = group.mul.astype(np.int64)
     inv = group.inv.astype(np.int64)
 
-    Q, anti_ok = q_element_and_antipode_check(t)
+    _, Qinv, anti_ok = _antipode_element(t)
     if not anti_ok:
         raise AuditError("antipode identity failed; anti-isomorphism unavailable")
-    entries = Q.to_object()
-    L = np.empty((m, m), dtype=object)
-    for x in range(m):
-        for b in range(m):
-            L[x, b] = entries[mul[x, inv[b]]]
-    unit_vec = [Cyclotomic.one(n) if x == 0 else Cyclotomic.zero(n) for x in range(m)]
-    qinv = cyc_solve(L, unit_vec)
-    if qinv is None:
-        raise CotwistError("antipode element is not invertible")
-    Qinv = CycArray.from_cyclotomics(qinv, n)
 
     M = CycArray.zeros((m, m), n)
     M.scale = Qinv.scale

@@ -1,16 +1,21 @@
 """Exact bulk arithmetic and linear algebra over cyclotomic fields.
 
-Two layers live here:
-
 * ``CycArray`` - an exact array of cyclotomic numbers sharing one order N and
   one rational scale.  The value at a cell is ``scale * sum_k counts[..., k] *
-  zeta_N^k`` with integer counts, so bulk products and contractions become
-  integer numpy work (exponent arithmetic mod N) instead of per-entry object
-  arithmetic.  Canonicalization multiplies the counts by the integer reduction
-  matrix of Phi_N, which makes equality and zero tests exact.
+  zeta_N^k`` with integer counts.  Canonicalization multiplies the counts by
+  the integer reduction matrix of Phi_N, which makes equality and zero tests
+  exact.
+
+* One product kernel, :func:`accumulate_products`.  ``CycArray.terms`` lists
+  each cell's nonzero counts as ``(exps, nums)`` with a trailing axis of T
+  terms (T = 1 for single roots of unity, at most N in general).  Every
+  cell-by-cell product of two count arrays in the package - group-algebra
+  products, twist audits, dual-algebra structure constants - gathers two such
+  term lists and lets the kernel add the exponent-shifted products into a
+  target count array, at a cost of T_a * T_b per cell pair.
 
 * Row-reduction utilities over object arrays of ``Cyclotomic`` scalars, used
-  for exact ranks, nullspaces и unique solves at modest sizes.
+  for exact ranks, nullspaces and unique solves at modest sizes.
 """
 
 from __future__ import annotations
@@ -115,14 +120,18 @@ class CycArray:
     def is_zero(self) -> bool:
         return bool(np.all(self.zero_mask()))
 
-    def single_term(self):
-        """Return (exponents, numerators) if every cell has <= 1 nonzero count."""
-        nz = np.count_nonzero(self.counts, axis=-1)
-        if np.any(nz > 1):
-            return None
-        exps = np.argmax(self.counts != 0, axis=-1)
-        nums = np.take_along_axis(self.counts, exps[..., None], axis=-1)[..., 0]
-        return exps, nums
+    def terms(self):
+        """Per-cell term lists ``(exps, nums)``, zero-padded to a common length.
+
+        Both arrays have this array's cell shape plus a trailing axis of T
+        terms, T being the largest number of nonzero counts in any cell (at
+        least 1): cell value = scale * sum_t nums[..., t] * zeta^exps[..., t].
+        Padding terms have ``nums == 0``.
+        """
+        nonzero = self.counts != 0
+        width = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
+        exps = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
+        return exps, np.take_along_axis(self.counts, exps, axis=-1)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -153,20 +162,6 @@ class CycArray:
 
     def scale_by(self, q) -> "CycArray":
         return CycArray(self.order, self.scale * Fraction(q), self.counts)
-
-    def mul_cyclotomic(self, value: Cyclotomic) -> "CycArray":
-        """Multiply every cell by one exact cyclotomic value."""
-        if value.order != self.order:
-            raise ValueError("order mismatch")
-        den = 1
-        for c in value.coeffs:
-            den = math.lcm(den, c.denominator)
-        out = np.zeros_like(self.counts)
-        n = self.order
-        for k, c in enumerate(value.coeffs):
-            if c:
-                out += np.roll(self.counts, k, axis=-1) * (c.numerator * (den // c.denominator))
-        return CycArray(n, self.scale / den, out)
 
     def conj(self) -> "CycArray":
         """Complex conjugation: exponent k -> -k mod N."""
@@ -231,41 +226,63 @@ def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
     return CycArray(n, a.scale * b.scale, res)
 
 
+def gather(terms, *index):
+    """Index the cells of a term list ``(exps, nums)``; the term axis stays last."""
+    exps, nums = terms
+    return exps[index], nums[index]
+
+
+#: term pairs the product kernel materializes at once; bounds its scratch memory
+KERNEL_CHUNK = 1 << 17
+
+
+def accumulate_products(out: np.ndarray, target, a, b) -> None:
+    """Add the products of two gathered term lists into a count array.
+
+    ``out`` is a C-contiguous integer count array whose last axis holds the N
+    exponent slots; its other axes are addressed by the flat cell index
+    ``target``.  ``a`` and ``b`` are ``(exps, nums)`` term lists whose cell
+    shapes broadcast against ``target``.  For every cell and every pair of a
+    term of ``a`` and a term of ``b``, nums_a * nums_b is added to cell
+    ``target`` at exponent exps_a + exps_b mod N; repeated targets add up.
+    Work proceeds in slices of the leading cell axis of about
+    ``KERNEL_CHUNK`` term pairs each.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("accumulate_products needs a C-contiguous target array")
+    n = out.shape[-1]
+    flat = out.reshape(-1)
+    (ea, na), (eb, nb) = a, b
+    cells = np.broadcast_shapes(np.shape(target), ea.shape[:-1], eb.shape[:-1]) or (1,)
+    target = np.broadcast_to(target, cells)
+    ea, na = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (ea, na))
+    eb, nb = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (eb, nb))
+    per_row = math.prod(cells[1:]) * ea.shape[-1] * eb.shape[-1]
+    step = max(1, KERNEL_CHUNK // max(1, per_row))
+    for lo in range(0, cells[0], step):
+        rows = slice(lo, lo + step)
+        exps = (ea[rows, ..., :, None] + eb[rows, ..., None, :]) % n
+        nums = na[rows, ..., :, None] * nb[rows, ..., None, :]
+        slots = target[rows, ..., None, None] * n + exps
+        np.add.at(flat, slots.ravel(), nums.ravel())
+
+
 def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     """Product of two group-algebra elements given as CycArray vectors.
 
     ``u`` and ``v`` are indexed by group elements; ``mul_table[a, b]`` is the
-    index of the product element.  Both single-term and general entries are
-    handled exactly.
+    index of the product element.  Only the supports of ``u`` and ``v`` are
+    paired.
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
-    n = u.order
-    m = mul_table.shape[0]
-    su, sv = u.single_term(), v.single_term()
-    out = np.zeros((m, n), dtype=np.int64)
-    if su is not None and sv is not None:
-        ue, un = su
-        ve, vn = sv
-        mask_u = un != 0
-        mask_v = vn != 0
-        ia = np.nonzero(mask_u)[0]
-        ib = np.nonzero(mask_v)[0]
-        if ia.size and ib.size:
-            tgt = mul_table[np.ix_(ia, ib)].ravel()
-            exps = ((ue[ia][:, None] + ve[ib][None, :]) % n).ravel()
-            vals = (un[ia][:, None] * vn[ib][None, :]).ravel()
-            np.add.at(out, (tgt, exps), vals)
-    else:
-        rolled = [np.roll(v.counts, k, axis=-1) for k in range(n)]
-        for a in range(m):
-            ua = u.counts[a]
-            targets = mul_table[a]
-            for i in range(n):
-                ci = ua[i]
-                if ci:
-                    np.add.at(out, targets, rolled[i] * ci)
-    return CycArray(n, u.scale * v.scale, out)
+    ia = np.nonzero(u.counts.any(axis=-1))[0]
+    ib = np.nonzero(v.counts.any(axis=-1))[0]
+    out = np.zeros((mul_table.shape[0], u.order), dtype=np.int64)
+    accumulate_products(out, mul_table[np.ix_(ia, ib)],
+                        gather(u.take(ia).terms(), slice(None), None),
+                        gather(v.take(ib).terms(), None))
+    return CycArray(u.order, u.scale * v.scale, out)
 
 
 def ga_identity(size: int, order: int, identity_index: int = 0) -> CycArray:

@@ -82,13 +82,6 @@ class FiniteGroup:
                 return False
         return True
 
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != 0:
-            x = self.mul[x, g]
-            k += 1
-        return k
-
     def conjugate(self, g: int, h: int) -> int:
         """g^-1 h g."""
         return self.mul[self.mul[self.inv[g], h], g]

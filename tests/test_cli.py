@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cotwist.cli import InputError, main, parse_gamma
+from cotwist.errors import CotwistError
 from cotwist.exactlin import CycArray
 from cotwist.groups import build_elementary_abelian_symplectic
 from cotwist.twist import TwistData, save_twist_file, symplectic_twist
@@ -121,6 +122,27 @@ def test_corrupted_twist_spectrum_skips_cosets(tmp_path, capsys):
     report = json.loads(stdout)
     assert report["cosets"] == []
     assert any("skipped" in line for line in report["failures"])
+
+
+def test_failed_preparation_exits_1_with_report(monkeypatch, tmp_path, capsys):
+    """A numeric failure while preparing the cosets is a failed check, not bad input."""
+    import cotwist.correspondence as correspondence
+
+    def exhausted(*args, **kwargs):
+        raise CotwistError("still failing after 10 seeds: no clean split")
+
+    monkeypatch.setattr(correspondence, "prepare_instance", exhausted)
+    out = tmp_path / "report.json"
+    rc, _, stderr = run_cli(
+        ["spectrum", "--p", "3", "--gamma", "1,0,0,2", "--out", str(out)], capsys)
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert report["cosets"] == []
+    assert all(report["global_checks"].values())
+    assert report["failures"] == [
+        "instance preparation failed: still failing after 10 seeds: no clean split; "
+        "coset analysis skipped"]
+    assert "instance preparation failed" in stderr
 
 
 # ---------------------------------------------------------------------------

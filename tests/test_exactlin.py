@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cotwist import exactlin
 from cotwist.errors import CotwistError
-from cotwist.exactlin import (CycArray, cyc_nullspace, cyc_rank, cyc_solve,
-                              cyc_tensordot, ga_identity, ga_mul,
+from cotwist.exactlin import (CycArray, accumulate_products, cyc_nullspace, cyc_rank,
+                              cyc_solve, cyc_tensordot, ga_identity, ga_mul, gather,
                               invert_in_group_algebra, rref_cyclotomic)
 from cotwist.scalars import Cyclotomic, euler_phi
 
@@ -90,14 +91,76 @@ def test_single_term_detection():
     counts[0, 0, 1] = 2
     counts[1, 1, 2] = -1
     arr = CycArray(3, Fraction(1), counts)
-    st = arr.single_term()
-    assert st is not None
-    exps, nums = st
-    assert exps[0, 0] == 1 and nums[0, 0] == 2
-    assert exps[1, 1] == 2 and nums[1, 1] == -1
+    exps, nums = arr.terms()
+    assert exps.shape == nums.shape == (2, 2, 1)
+    assert exps[0, 0, 0] == 1 and nums[0, 0, 0] == 2
+    assert exps[1, 1, 0] == 2 and nums[1, 1, 0] == -1
+    assert nums[0, 1, 0] == 0  # an empty cell is one zero padding term
     counts[0, 1, 0] = 1
     counts[0, 1, 1] = 1
-    assert CycArray(3, Fraction(1), counts).single_term() is None
+    exps, nums = CycArray(3, Fraction(1), counts).terms()
+    assert exps.shape == (2, 2, 2)
+    assert list(exps[0, 1]) == [0, 1] and list(nums[0, 1]) == [1, 1]
+    assert list(nums[1, 1]) == [-1, 0]  # padded with a zero term
+
+
+# -- the product kernel ---------------------------------------------------------
+
+
+def _single_terms(rng, shape, order, scale):
+    exps = rng.integers(0, order, size=shape)
+    arr = CycArray.from_exponents(order, exps, scale)
+    arr.counts *= rng.integers(-3, 4, size=(*shape, 1))
+    return arr
+
+
+@pytest.mark.parametrize("chunk", [exactlin.KERNEL_CHUNK, 1])  # 1: one cell row per slice
+@pytest.mark.parametrize("kind", ["single x single", "single x multi", "multi x multi"])
+def test_accumulate_products_matches_cyclotomic_mul(kind, chunk, monkeypatch):
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    rng = np.random.default_rng(47)
+    shape, order = (4, 3), 5
+    a = (_single_terms(rng, shape, order, Fraction(1, 2)) if kind != "multi x multi"
+         else rand_cycarray(rng, shape, order))
+    b = (_single_terms(rng, shape, order, Fraction(2, 3)) if kind == "single x single"
+         else rand_cycarray(rng, shape, order))
+    b = b.scale_by(Fraction(3, 7))  # unequal scales on the two factors
+    assert a.scale != b.scale
+    assert (a.terms()[0].shape[-1] == 1) == (kind != "multi x multi")
+    assert (b.terms()[0].shape[-1] == 1) == (kind == "single x single")
+
+    out = np.zeros((*shape, order), dtype=np.int64)
+    cells = np.arange(12).reshape(shape)
+    accumulate_products(out, cells, a.terms(), b.terms())
+    prod = CycArray(order, a.scale * b.scale, out).to_object()
+    oa, ob = a.to_object(), b.to_object()
+    for idx in np.ndindex(*shape):
+        assert prod[idx] == oa[idx] * ob[idx]
+
+    # repeated targets add up: every cell of row i lands on cell i
+    rows = np.zeros((shape[0], order), dtype=np.int64)
+    accumulate_products(rows, np.arange(shape[0])[:, None], a.terms(), b.terms())
+    summed = CycArray(order, a.scale * b.scale, rows).to_object()
+    for i in range(shape[0]):
+        acc = Cyclotomic.zero(order)
+        for j in range(shape[1]):
+            acc = acc + oa[i, j] * ob[i, j]
+        assert summed[i] == acc
+
+
+def test_accumulate_products_broadcasts_gathered_cells():
+    # outer product of two vectors through broadcast gathers
+    rng = np.random.default_rng(53)
+    a = rand_cycarray(rng, (3,), 4)
+    b = _single_terms(rng, (2,), 4, Fraction(1, 5))
+    out = np.zeros((3, 2, 4), dtype=np.int64)
+    accumulate_products(out, np.arange(6).reshape(3, 2),
+                        gather(a.terms(), slice(None), None), gather(b.terms(), None))
+    prod = CycArray(4, a.scale * b.scale, out).to_object()
+    oa, ob = a.to_object(), b.to_object()
+    for i in range(3):
+        for j in range(2):
+            assert prod[i, j] == oa[i] * ob[j]
 
 
 # -- rank / solve / nullspace -------------------------------------------------

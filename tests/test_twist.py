@@ -27,10 +27,9 @@ def test_symplectic_twist_entries(p3_pair, p3_twist):
     H, sigma = p3_pair
     t = p3_twist
     assert t.verified
-    st = t.J.single_term()
-    assert st is not None
-    exps, nums = st
-    assert np.array_equal(exps, sigma.exponents)
+    exps, nums = t.J.terms()
+    assert exps.shape == (9, 9, 1)  # one root of unity per cell
+    assert np.array_equal(exps[..., 0], sigma.exponents)
     assert np.all(nums == 1)
     assert t.J.scale == Fraction(1, 9)
 
@@ -70,10 +69,49 @@ def test_corrupted_twist_names_cocycle_axiom(p3_pair, p3_twist):
     t, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad, 3)
     assert not t.verified and not audit.ok
     assert "2-cocycle equation" in audit.failed
+    assert audit.failed == [name for name in AXIOM_NAMES if name != "invertibility"]
     with pytest.raises(AuditError):
         make_twist(Subgroup(H, np.arange(9)), Jbad, 3)
     with pytest.raises(CotwistError):
         t.require_verified()
+
+
+def _perturbed(J: CycArray, changes) -> CycArray:
+    out = J.copy()
+    for (a, b), delta in changes.items():
+        out.counts[a, b, 0] += delta
+    return out
+
+
+@pytest.mark.parametrize("changes, failing", [
+    # a zero-sum rectangle keeps both counits; the cocycle and both
+    # coassociativity audits (run at x = e only) must still fail
+    ({(1, 2): 1, (3, 4): 1, (1, 4): -1, (3, 2): -1},
+     ["2-cocycle equation", "coassociativity of the first deformed coproduct",
+      "coassociativity of the second deformed coproduct"]),
+    # zero row sum, nonzero column sums: only the left-leg counit breaks
+    ({(1, 2): 1, (1, 3): -1},
+     ["2-cocycle equation", "counit (left leg)",
+      "coassociativity of the first deformed coproduct",
+      "coassociativity of the second deformed coproduct"]),
+    ({(2, 1): 1, (3, 1): -1},
+     ["2-cocycle equation", "counit (right leg)",
+      "coassociativity of the first deformed coproduct",
+      "coassociativity of the second deformed coproduct"]),
+])
+def test_corrupted_twist_names_each_failing_axiom(p3_pair, p3_twist, changes, failing):
+    H, _ = p3_pair
+    t, audit = assemble_twist(Subgroup(H, np.arange(9)), _perturbed(p3_twist.J, changes), 3)
+    assert not t.verified
+    assert audit.failed == failing
+
+
+def test_counit_corruption_fails_only_the_counits(p3_pair, p3_twist):
+    """2J satisfies the cocycle equation and coassociativity but not the counits."""
+    H, _ = p3_pair
+    t, audit = assemble_twist(Subgroup(H, np.arange(9)), p3_twist.J.scale_by(2), 3)
+    assert not t.verified
+    assert audit.failed == ["counit (left leg)", "counit (right leg)"]
 
 
 def test_triangular_minimal(p3_twist):
@@ -182,7 +220,7 @@ def test_gauge_transformed_twist_still_valid(p3_pair, p3_twist):
     jp = ga_mul(ga_mul(uu, t.J.reshape(m * m), t.pair_mul), diag, t.pair_mul)
     t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m), n)
     assert t2.verified
-    assert t2.J.single_term() is None, "gauge transform should be multi-term"
+    assert t2.J.terms()[0].shape[-1] > 1, "gauge transform should be multi-term"
     tri = triangular_structure(t2)
     assert tri.minimal
     _, ok = q_element_and_antipode_check(t2)
