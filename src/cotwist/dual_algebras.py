@@ -12,9 +12,7 @@ H-level duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .errors import AuditError, CotwistError
 from .exactlin import (CycArray, accumulate_products, cyc_rank, cyc_solve, cyc_tensordot,
                        gather)
 from .groups import DoubleCoset, FiniteGroup
-from .scalars import Cyclotomic
 from .twist import TwistData
 
 
@@ -136,22 +133,16 @@ def determine_unit(mul: CycArray, candidate: CycArray) -> CycArray:
     right = cyc_tensordot(candidate, mul, axes=([0], [1]))
     if left.eq(ident) and right.eq(ident):
         return candidate
-    # solve u . mul = identity on both sides
-    obj = mul.to_object()
-    rows = []
-    rhs = []
-    zero = Cyclotomic.zero(mul.order)
-    one = Cyclotomic.one(mul.order)
-    for j in range(n):
-        for k in range(n):
-            rows.append([obj[i, j, k] for i in range(n)])
-            rhs.append(one if j == k else zero)
-            rows.append([obj[j, i, k] for i in range(n)])
-            rhs.append(one if j == k else zero)
-    sol = cyc_solve(np.array(rows, dtype=object), np.array(rhs, dtype=object))
+    # solve u . mul = identity on both sides: the rows (j, k) of
+    # sum_i u_i mul[i, j, k], then those of sum_i u_i mul[j, i, k]
+    c = mul.counts
+    system = np.concatenate([c.transpose(1, 2, 0, 3), c.transpose(0, 2, 1, 3)])
+    rhs = np.concatenate([ident.counts, ident.counts])
+    sol = cyc_solve(CycArray(mul.order, mul.scale, system.reshape(2 * n * n, n, mul.order)),
+                    CycArray(mul.order, ident.scale, rhs.reshape(2 * n * n, mul.order)))
     if sol is None:
         raise CotwistError("algebra has no unit in this basis")
-    return CycArray.from_cyclotomics(sol, mul.order)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +295,7 @@ def a2_to_a1op_iso(t: TwistData, A1: SCAlgebra, A2: SCAlgebra,
     M.scale = Qinv.scale
     for x in range(m):
         M.counts[:, x, :] = Qinv.counts[mul[x], :]  # M[h, x] = Qinv[x h]
-    if cyc_rank(M.to_object()) != m:
+    if cyc_rank(M) != m:
         raise AuditError("anti-isomorphism matrix is singular")
 
     lhs = cyc_tensordot(A2.mul, M, axes=([2], [1]))          # [x, y, h]

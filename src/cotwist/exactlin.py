@@ -14,8 +14,11 @@
   term lists and lets the kernel add the exponent-shifted products into a
   target count array, at a cost of T_a * T_b per cell pair.
 
-* Row-reduction utilities over object arrays of ``Cyclotomic`` scalars, used
-  for exact ranks, nullspaces and unique solves at modest sizes.
+* Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
+  :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
+  :func:`cyc_solve` (a ``CycArray``, or None).  Inside, the nonzero rows are
+  row-reduced as an object array of ``Cyclotomic`` scalars, which suits
+  modest sizes.
 """
 
 from __future__ import annotations
@@ -81,11 +84,16 @@ class CycArray:
                 den = math.lcm(den, c.denominator)
         counts = np.zeros((flat.size, order), dtype=np.int64)
         phi = euler_phi(order)
-        for i, v in enumerate(flat):
-            for k in range(phi):
-                c = v.coeffs[k]
-                if c:
-                    counts[i, k] = c.numerator * (den // c.denominator)
+        try:
+            for i, v in enumerate(flat):
+                for k in range(phi):
+                    c = v.coeffs[k]
+                    if c:
+                        counts[i, k] = c.numerator * (den // c.denominator)
+        except OverflowError:
+            raise CotwistError(
+                f"exact values over the common denominator {den} overflow int64 counts"
+            ) from None
         return cls(order, Fraction(1, den), counts.reshape(*arr.shape, order))
 
     # -- shape plumbing ------------------------------------------------------
@@ -119,6 +127,14 @@ class CycArray:
 
     def is_zero(self) -> bool:
         return bool(np.all(self.zero_mask()))
+
+    def reduced(self) -> "CycArray":
+        """The same values on canonical counts that share no common factor."""
+        canon = self.canonical()
+        g = int(np.gcd.reduce(canon.ravel())) or 1
+        counts = np.zeros_like(self.counts)
+        counts[..., :canon.shape[-1]] = canon // g
+        return CycArray(self.order, self.scale * g, counts)
 
     def terms(self):
         """Per-cell term lists ``(exps, nums)``, zero-padded to a common length.
@@ -201,10 +217,21 @@ class CycArray:
 
 
 def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
-    """Exact tensordot: integer contraction plus exponent convolution mod N."""
+    """Exact tensordot: integer contraction plus exponent convolution mod N.
+
+    Raises CotwistError when the int64 result counts could overflow: each is
+    a sum of at most (contracted length) * N products of two counts.
+    """
     if a.order != b.order:
         raise ValueError("order mismatch")
     n = a.order
+    if isinstance(axes, int):
+        contracted = a.shape[len(a.shape) - axes:]
+    else:
+        contracted = [a.shape[ax] for ax in np.atleast_1d(axes[0])]
+    largest = [int(np.abs(x.counts).max(initial=0)) for x in (a, b)]
+    if largest[0] * largest[1] * math.prod(contracted) * n >= 1 << 63:
+        raise CotwistError("exact contraction would overflow int64 counts")
     res = None
     for i in range(n):
         ai = a.counts[..., i]
@@ -292,19 +319,18 @@ def ga_identity(size: int, order: int, identity_index: int = 0) -> CycArray:
 
 
 # ---------------------------------------------------------------------------
-# exact row reduction over object arrays of Cyclotomic
-
-
-def _as_object_matrix(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError("need a 2-d matrix")
-    return arr
+# exact linear algebra on CycArray matrices
 
 
 def rref_cyclotomic(mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Q(zeta_N); returns (matrix, pivot columns)."""
-    a = _as_object_matrix(mat).copy()
+    """Reduced row echelon form of an object matrix of Cyclotomic.
+
+    Returns (matrix, pivot columns).  The elimination behind :func:`cyc_rank`,
+    :func:`cyc_nullspace` and :func:`cyc_solve`.
+    """
+    a = np.array(mat, dtype=object)
+    if a.ndim != 2:
+        raise ValueError("need a 2-d matrix")
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -333,45 +359,44 @@ def rref_cyclotomic(mat) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def cyc_rank(mat) -> int:
+def _rref(mat: CycArray) -> tuple[np.ndarray, list[int]]:
+    """:func:`rref_cyclotomic` of a CycArray matrix, zero rows dropped first."""
+    if len(mat.shape) != 2:
+        raise ValueError("need a 2-d matrix")
+    nonzero = np.nonzero(~mat.zero_mask().all(axis=1))[0]
+    return rref_cyclotomic(mat.take(nonzero).to_object())
+
+
+def cyc_rank(mat: CycArray) -> int:
     """Exact rank over the cyclotomic field."""
-    _, pivots = rref_cyclotomic(mat)
-    return len(pivots)
+    return len(_rref(mat)[1])
 
 
-def cyc_nullspace(mat) -> list[np.ndarray]:
-    """Exact right nullspace basis vectors (object arrays of Cyclotomic)."""
-    a = _as_object_matrix(mat)
-    rows, cols = a.shape
-    red, pivots = rref_cyclotomic(a)
-    order = a[0, 0].order if cols and rows else 1
+def cyc_nullspace(mat: CycArray) -> CycArray:
+    """Reduced basis of the exact right nullspace, as rows ``(k, cols)``.
+
+    Row i is 1 at the i-th free column of the echelon form, 0 at the other
+    free columns and 0 beyond its free column, so the basis is the unique one
+    of its subspace in this form.
+    """
+    cols = mat.shape[1]
+    red, pivots = _rref(mat)
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = np.array([Cyclotomic.zero(order) for _ in range(cols)], dtype=object)
-        vec[fc] = Cyclotomic.one(order)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r, fc]
-        basis.append(vec)
-    return basis
+    coeffs = CycArray.from_cyclotomics(red[:len(pivots)][:, free], mat.order)
+    counts = np.zeros((len(free), cols, mat.order), dtype=np.int64)
+    counts[np.arange(len(free)), free, 0] = coeffs.scale.denominator  # 1 on scale 1/den
+    counts[:, pivots] = -coeffs.counts.transpose(1, 0, 2)
+    return CycArray(mat.order, coeffs.scale, counts)
 
 
-def cyc_solve(mat, rhs) -> np.ndarray | None:
-    """Unique exact solution of ``mat @ x = rhs`` or None if none/ambiguous."""
-    a = _as_object_matrix(mat)
-    rows, cols = a.shape
-    rhs = np.asarray(rhs, dtype=object).reshape(rows, 1)
-    aug = np.concatenate([a, rhs], axis=1)
-    red, pivots = rref_cyclotomic(aug)
-    if cols in pivots:
-        return None  # inconsistent
-    if len(pivots) < cols:
-        return None  # underdetermined
-    order = a[0, 0].order
-    x = np.array([Cyclotomic.zero(order) for _ in range(cols)], dtype=object)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, cols]
-    return x
+def cyc_solve(mat: CycArray, rhs: CycArray) -> CycArray | None:
+    """Unique exact solution of ``mat @ x = rhs``, or None if none/ambiguous."""
+    rows, cols = mat.shape
+    ca, cb, scale = mat._aligned(rhs.reshape(rows, 1))
+    red, pivots = _rref(CycArray(mat.order, scale, np.concatenate([ca, cb], axis=1)))
+    if pivots != list(range(cols)):
+        return None  # inconsistent or underdetermined
+    return CycArray.from_cyclotomics(red[:cols, cols], mat.order)
 
 
 def invert_in_group_algebra(vec: CycArray, mul_table: np.ndarray) -> CycArray:
@@ -381,18 +406,8 @@ def invert_in_group_algebra(vec: CycArray, mul_table: np.ndarray) -> CycArray:
     and solves ``L u = e`` by exact Gaussian elimination.
     """
     m = mul_table.shape[0]
-    inv_idx = np.empty(m, dtype=np.int64)
-    for b in range(m):
-        col = np.nonzero(mul_table[b] == 0)[0]
-        inv_idx[b] = col[0]
-    entries = vec.to_object()
-    L = np.empty((m, m), dtype=object)
-    for x in range(m):
-        for b in range(m):
-            L[x, b] = entries[mul_table[x, inv_idx[b]]]
-    order = vec.order
-    e = [Cyclotomic.one(order) if x == 0 else Cyclotomic.zero(order) for x in range(m)]
-    sol = cyc_solve(L, e)
+    inv_idx = np.argmax(mul_table == 0, axis=1)  # b -> b^-1
+    sol = cyc_solve(vec.take(mul_table[:, inv_idx]), ga_identity(m, vec.order))
     if sol is None:
         raise CotwistError("group-algebra element is not invertible")
-    return CycArray.from_cyclotomics(sol, order)
+    return sol

@@ -16,7 +16,6 @@ import numpy as np
 from .dual_algebras import SCAlgebra
 from .errors import CotwistError, SeedRetryError
 from .exactlin import CycArray, cyc_nullspace, cyc_tensordot
-from .scalars import Cyclotomic, euler_phi
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -33,10 +32,6 @@ class WedderburnSpectrum:
     dims: list[int]
     idempotent_residual: float
     idempotents: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def total_square(self) -> int:
-        return sum(d * d for d in self.dims)
 
 
 def derived_seed(seed: int, attempt: int) -> int:
@@ -115,57 +110,33 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 # center
 
 
-def _exact_center_basis(mul: CycArray) -> list[np.ndarray]:
-    """Exact nullspace of the commutator system, grown from a generator set.
+def _exact_center_basis(mul: CycArray) -> CycArray:
+    """Reduced basis of the center as CycArray rows ``(r, n)``, in one narrowing pass.
 
-    Solving against a subset S of basis elements yields a superspace of the
-    center (the commutant of the subalgebra S generates); every candidate
-    basis vector is then verified to commute with the whole basis exactly,
-    and S is enlarged until verification passes, so the returned basis spans
-    exactly the nullspace of the full commutator system.
+    Starts from the identity basis of the whole space and cuts it down one
+    basis element e_j at a time: the commutator slice [., e_j] contracted
+    with the current basis B gives an (n x dim B) system, whose reduced
+    nullspace N replaces B by N B.  Each B keeps the reduced form of
+    :func:`cyc_nullspace` (row i is 1 at its last nonzero column, which is 0
+    in every other row), which is unique for the subspace: N has that form
+    and B is the identity on those columns.  So the result equals the reduced
+    nullspace of the full commutator system.  It is checked once, exactly,
+    against the full product; a failure raises CotwistError.
     """
     n = mul.shape[0]
     # D[i, j, k] = mul[i,j,k] - mul[j,i,k]
     diff = CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
-    size = 4
-    while True:
-        js = list(range(min(size, n)))
-        rows = diff.counts[:, js, :, :].transpose(1, 2, 0, 3).reshape(len(js) * n, n, -1)
-        canon = CycArray(mul.order, mul.scale, rows).canonical()
-        flat = canon.reshape(canon.shape[0], -1)
-        keep = np.any(flat, axis=1)
-        flat = np.unique(flat[keep], axis=0)
-        if flat.shape[0] == 0:
-            # commutative (so far as S sees): candidate = whole space
-            basis = []
-            for i in range(n):
-                v = np.array([Cyclotomic.zero(mul.order) for _ in range(n)], dtype=object)
-                v[i] = Cyclotomic.one(mul.order)
-                basis.append(v)
-        else:
-            # rebuild object rows only for the deduplicated system
-            uniq = np.empty((flat.shape[0], n), dtype=object)
-            phi = euler_phi(mul.order)
-            per = flat.reshape(flat.shape[0], n, phi)
-            for r in range(flat.shape[0]):
-                for c in range(n):
-                    uniq[r, c] = Cyclotomic(
-                        mul.order, tuple(mul.scale * int(x) for x in per[r, c])
-                    )
-            basis = cyc_nullspace(uniq)
-        ok = True
-        for v in basis:
-            vc = CycArray.from_cyclotomics(v, mul.order)
-            left = cyc_tensordot(vc, mul, axes=([0], [0]))
-            right = cyc_tensordot(vc, mul, axes=([0], [1]))
-            if not left.eq(right):
-                ok = False
-                break
-        if ok:
-            return basis
-        if size >= n:
-            raise CotwistError("center verification failed against the full system")
-        size *= 2
+    basis = CycArray.zeros((n, n), mul.order)
+    basis.counts[np.arange(n), np.arange(n), 0] = 1
+    for j in range(n):
+        system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
+        # reduced() keeps the counts from compounding the scales of the products
+        basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
+    left = cyc_tensordot(basis, mul, axes=([1], [0]))
+    right = cyc_tensordot(basis, mul, axes=([1], [1]))
+    if not left.eq(right):
+        raise CotwistError("center verification failed against the full product")
+    return basis
 
 
 def _float_center_basis(mul: np.ndarray, tol: float) -> np.ndarray:
@@ -194,11 +165,7 @@ def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
     numerically guarded SVD for float algebras.
     """
     if A.is_exact:
-        basis = _exact_center_basis(A.mul)
-        rows = np.zeros((len(basis), A.dim), dtype=complex)
-        for k, v in enumerate(basis):
-            rows[k] = CycArray.from_cyclotomics(v, A.mul.order).embed()
-        return rows
+        return _exact_center_basis(A.mul).embed()
     return _float_center_basis(np.asarray(A.mul), tol)
 
 

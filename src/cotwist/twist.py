@@ -365,7 +365,7 @@ def triangular_structure(t: TwistData) -> TriangularStructure:
     r21_flat = _swap_legs(r_flat.reshape(m, m), m)
     if not ga_mul(r21_flat, r_flat, pair).eq(ga_identity(m * m, t.order)):
         raise AuditError("triangularity failed: R_21 R != 1 x 1")
-    rank = cyc_rank(r_flat.reshape(m, m).to_object())
+    rank = cyc_rank(r_flat.reshape(m, m))
     return TriangularStructure(R=r_flat.reshape(m, m), rank=rank, minimal=(rank == m))
 
 

@@ -1,16 +1,19 @@
 """Command-line front end: exit codes, report channels, config resolution."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cotwist
 from cotwist.cli import InputError, main, parse_gamma
 from cotwist.errors import CotwistError
-from cotwist.exactlin import CycArray
+from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
 from cotwist.groups import build_elementary_abelian_symplectic
 from cotwist.twist import TwistData, save_twist_file, symplectic_twist
 
@@ -22,10 +25,11 @@ def run_cli(argv, capsys):
     return rc, captured.out, captured.err
 
 
-def write_table_instance(tmp_path, corrupt=False):
-    """Write group/twist files for G = H = (Z/3)^2 with its symplectic twist."""
+def write_table_instance(tmp_path, corrupt=False, twist=None):
+    """Write group/twist files for G = H = (Z/3)^2 with its symplectic twist
+    (or with ``twist``)."""
     h_group, sigma = build_elementary_abelian_symplectic(3, 1)
-    t = symplectic_twist(h_group, sigma)
+    t = twist or symplectic_twist(h_group, sigma)
     if corrupt:
         counts = t.J.counts.copy()
         counts[1, 2, 0] += 1
@@ -113,6 +117,37 @@ def test_corrupted_twist_exits_1_and_names_axiom(tmp_path, capsys):
     assert report["global_checks"]["twist_axioms"] is False
     assert any("2-cocycle" in line for line in report["failures"])
     assert "2-cocycle" in stderr
+
+
+def test_uncertifiable_inverse_exits_1_with_report(tmp_path, capsys):
+    """An inverse whose exact counts overflow int64 is an uncertified check.
+
+    The gauge-transformed twist J' = (u x u) J Delta0(u)^-1 with 1/7 added to
+    J'[e, e] has an inverse whose common denominator is beyond int64 counts.
+    """
+    h_group, sigma = build_elementary_abelian_symplectic(3, 1)
+    t = symplectic_twist(h_group, sigma)
+    m = 9
+    u = CycArray.zeros((m,), 3)
+    u.counts[0, 0], u.counts[0, 1], u.counts[1, 1] = 1, -1, 1  # (1 - zeta) e + zeta g
+    uinv = invert_in_group_algebra(u, h_group.mul.astype(np.int64))
+    diag = CycArray.zeros((m * m,), 3)
+    diag.counts[np.arange(m) * m + np.arange(m)] = uinv.counts
+    diag.scale = uinv.scale
+    uu = cyc_tensordot(u, u, axes=0).reshape(m * m)
+    gauged = ga_mul(ga_mul(uu, t.J.reshape(m * m), t.pair_mul), diag, t.pair_mul)
+    bump = CycArray.zeros((m, m), 3)
+    bump.counts[0, 0, 0] = 1
+    J = gauged.reshape(m, m) + bump.scale_by(Fraction(1, 7))
+    cfg_file = write_table_instance(
+        tmp_path, twist=TwistData(subgroup=t.subgroup, order=3, J=J))
+    out = tmp_path / "report.json"
+    rc, _, stderr = run_cli(
+        ["verify", "--config", str(cfg_file), "--out", str(out)], capsys)
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert "twist axiom failed: invertibility" in report["failures"]
+    assert "invertibility" in stderr
 
 
 def test_corrupted_twist_spectrum_skips_cosets(tmp_path, capsys):
@@ -290,9 +325,13 @@ def test_parse_gamma_empty_blocks_ignored():
 
 
 def test_subprocess_entry_point(tmp_path):
+    # the child imports the same cotwist as this process, installed or not
+    src = str(Path(cotwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cotwist.cli", "example", "--out", "-"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["totals"]["group_order"] == 27

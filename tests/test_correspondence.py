@@ -297,6 +297,43 @@ def test_trivial_subgroup_table_instance(tmp_path):
         assert c.size == 1 and c.k_size == 1
 
 
+def _wreath_table(h_mul):
+    """(H x H) x| C_2 on indices s*|H|^2 + a*|H| + b: (a, b, s)(c, d, t) =
+    (a + c', b + d', s + t), with (c', d') = (d, c) when s = 1."""
+    m = h_mul.shape[0]
+    s, rest = np.divmod(np.arange(2 * m * m), m * m)
+    a, b = np.divmod(rest, m)
+    swapped = s[:, None] == 1
+    c = np.where(swapped, b[None, :], a[None, :])
+    d = np.where(swapped, a[None, :], b[None, :])
+    return (s[:, None] ^ s[None, :]) * m * m + h_mul[a[:, None], c] * m + h_mul[b[:, None], d]
+
+
+def test_wreath_table_instance_swap_coset(tmp_path):
+    """(Z/3)^2 wr C_2 with H the first factor, which is not normal.
+
+    The swap coset H s H has |K_s| = 1 < |H| and all three routes give [9]
+    (|H|/|K_s| = 9); the other nine double cosets are cosets of H.
+    """
+    from cotwist import build_elementary_abelian_symplectic, symplectic_twist
+
+    h_group, sigma = build_elementary_abelian_symplectic(3, 1)
+    twist = symplectic_twist(h_group, sigma)
+    G = FiniteGroup(_wreath_table(h_group.mul.astype(np.int64)), name="(Z/3)^2 wr C2")
+    gf, tf = tmp_path / "group.txt", tmp_path / "twist.txt"
+    G.to_file(gf)
+    save_twist_file(tf, twist)
+    rep = full_report(Config(TableConstruction(str(gf), [9 * a for a in range(9)], str(tf))))
+    assert rep.ok, rep.failures
+    swap = [c for c in rep.cosets if c.rep == 81]
+    assert len(swap) == 1 and swap[0].size == 81 and swap[0].k_size == 1
+    assert swap[0].dims_direct == swap[0].dims_invariant == swap[0].dims_predicted == [9]
+    others = [c for c in rep.cosets if c.rep != 81]
+    assert len(others) == 9
+    for c in others:
+        assert c.k_size == 9 and c.dims_direct == [1] * 9
+
+
 def test_build_instance_rejects_unknown_construction():
     with pytest.raises(CotwistError):
         build_instance(Config(construction=object()))

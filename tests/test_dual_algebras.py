@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from cotwist.dual_algebras import (a2_to_a1op_iso, build_A1_A2_star,
-                                   build_block_algebra, dual_product_delta)
-from cotwist.errors import AuditError
+                                   build_block_algebra, determine_unit, dual_product_delta)
+from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray
 from cotwist.groups import double_cosets
 from cotwist.scalars import Cyclotomic
@@ -153,6 +153,26 @@ def test_block_algebras_unital_associative(p3_diag_bundle):
     for z in zs:
         blk = build_block_algebra(inst.t, z)
         assert algebra_audit(blk)
+
+
+def test_determine_unit_solves_when_candidate_fails(p3_duals):
+    """A wrong candidate falls back to the exact linear solve for the unit."""
+    A1 = p3_duals[0]
+    wrong = CycArray.zeros((9,), 3)
+    wrong.counts[0, 0] = 1
+    assert determine_unit(A1.mul, wrong).eq(A1.unit)
+
+    # C[Z/3] in its group basis: the unit is e, and the all-ones candidate fails
+    table = (np.arange(3)[:, None] + np.arange(3)[None, :]) % 3
+    mul = CycArray.zeros((3, 3, 3), 3)
+    mul.counts[np.arange(3)[:, None], np.arange(3)[None, :], table, 0] = 1
+    e = CycArray.zeros((3,), 3)
+    e.counts[0, 0] = 1
+    assert determine_unit(mul, CycArray.from_exponents(3, np.zeros(3, dtype=np.int64))).eq(e)
+
+    # with no unit at all, the solve finds none
+    with pytest.raises(CotwistError, match="no unit"):
+        determine_unit(CycArray.zeros((3, 3, 3), 3), e)
 
 
 def test_a2_to_a1op_iso(p3_twist, p3_duals):

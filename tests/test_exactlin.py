@@ -173,23 +173,23 @@ def _float_rank(arr: CycArray) -> int:
 def test_rank_known_matrices():
     ident = CycArray.zeros((4, 4), 3)
     ident.counts[np.arange(4), np.arange(4), 0] = 1
-    assert cyc_rank(ident.to_object()) == 4
+    assert cyc_rank(ident) == 4
 
     # DFT-style matrix over Q(zeta_3): full rank 3
     exps = np.outer(np.arange(3), np.arange(3)) % 3
     dft = CycArray.from_exponents(3, exps)
-    assert cyc_rank(dft.to_object()) == 3
+    assert cyc_rank(dft) == 3
 
     # rank-1 outer product zeta^(i+j)
     outer = CycArray.from_exponents(3, (np.arange(3)[:, None] + np.arange(3)[None, :]) % 3)
-    assert cyc_rank(outer.to_object()) == 1
+    assert cyc_rank(outer) == 1
 
 
 def test_rank_matches_float_oracle_random():
     rng = np.random.default_rng(29)
     for _ in range(10):
         a = rand_cycarray(rng, (4, 5), 3, span=1)
-        assert cyc_rank(a.to_object()) == _float_rank(a)
+        assert cyc_rank(a) == _float_rank(a)
 
 
 def test_rank_catches_exact_cancellation_floats_might_miss():
@@ -199,14 +199,14 @@ def test_rank_catches_exact_cancellation_floats_might_miss():
     counts[:2, :, 0] = base
     counts[2, :, 0] = base[0] + base[1]
     arr = CycArray(3, Fraction(1), counts)
-    assert cyc_rank(arr.to_object()) == 2
+    assert cyc_rank(arr) == 2
 
 
 def test_rref_pivots_reproduce_rows():
     rng = np.random.default_rng(31)
     a = rand_cycarray(rng, (3, 4), 3, span=1)
     reduced, pivots = rref_cyclotomic(a.to_object())
-    assert len(pivots) == cyc_rank(a.to_object())
+    assert len(pivots) == cyc_rank(a)
     for r, c in enumerate(pivots):
         assert reduced[r, c] == Cyclotomic.one(3)
 
@@ -216,31 +216,67 @@ def test_solve_and_nullspace():
     a = rand_cycarray(rng, (3, 3), 3, span=1)
     while _float_rank(a) < 3:
         a = rand_cycarray(rng, (3, 3), 3, span=1)
-    obj = a.to_object()
-    rhs = np.array([Cyclotomic.one(3), Cyclotomic.zero(3), Cyclotomic.zeta(3)],
-                   dtype=object)
-    sol = cyc_solve(obj, rhs)
-    assert sol is not None
-    for i in range(3):
-        acc = Cyclotomic.zero(3)
-        for j in range(3):
-            acc = acc + obj[i, j] * sol[j]
-        assert acc == rhs[i]
-    assert cyc_nullspace(obj) == []
+    rhs = CycArray.from_cyclotomics([Cyclotomic.one(3), Cyclotomic.zero(3), Cyclotomic.zeta(3)])
+    sol = cyc_solve(a, rhs)
+    assert isinstance(sol, CycArray) and sol.shape == (3,)
+    assert cyc_tensordot(a, sol, axes=([1], [0])).eq(rhs)
+    assert cyc_nullspace(a).shape == (0, 3)
 
-    # singular system: nullspace vector annihilates the matrix
-    sing = np.empty((2, 2), dtype=object)
+    # singular system: the nullspace row annihilates the matrix and is reduced
     z = Cyclotomic.zeta(3)
-    sing[0] = [Cyclotomic.one(3), z]
-    sing[1] = [z, z * z]
+    sing = CycArray.from_cyclotomics([[Cyclotomic.one(3), z], [z, z * z]])
     null = cyc_nullspace(sing)
-    assert len(null) == 1
-    v = null[0]
-    for i in range(2):
-        acc = Cyclotomic.zero(3)
-        for j in range(2):
-            acc = acc + sing[i, j] * v[j]
-        assert acc == Cyclotomic.zero(3)
+    assert null.shape == (1, 2)
+    assert cyc_tensordot(sing, null, axes=([1], [1])).is_zero()
+    assert null.entry(0, 1) == Cyclotomic.one(3)
+    assert null.entry(0, 0) == -z
+    assert cyc_solve(sing, rhs.take([0, 1])) is None
+
+
+def _identity(n, order):
+    ident = CycArray.zeros((n, n), order)
+    ident.counts[np.arange(n), np.arange(n), 0] = 1
+    return ident
+
+
+def test_nullspace_of_zero_rows_is_identity():
+    zero = CycArray.zeros((4, 3), 5)
+    null = cyc_nullspace(zero)
+    assert null.eq(_identity(3, 5))
+    assert cyc_rank(zero) == 0
+
+
+def test_nullspace_reduced_form_is_unique():
+    """Two spanning sets of one subspace give the same reduced nullspace basis."""
+    rng = np.random.default_rng(47)
+    a = rand_cycarray(rng, (2, 5), 3, span=1)
+    mix = rand_cycarray(rng, (2, 2), 3, span=1)
+    while _float_rank(a) < 2 or _float_rank(mix) < 2:
+        a = rand_cycarray(rng, (2, 5), 3, span=1)
+        mix = rand_cycarray(rng, (2, 2), 3, span=1)
+    b = cyc_tensordot(mix, a, axes=([1], [0]))
+    assert cyc_nullspace(a).eq(cyc_nullspace(b))
+    assert cyc_nullspace(a).shape == (3, 5)
+
+
+def test_tensordot_overflow_guard():
+    big = CycArray.zeros((2, 2), 3)
+    big.counts[..., 0] = 1 << 40
+    with pytest.raises(CotwistError, match="int64"):
+        cyc_tensordot(big, big, axes=([1], [0]))
+    with pytest.raises(CotwistError, match="int64"):
+        cyc_tensordot(big, big, axes=0)
+    # just under the bound: 2^40 * 2^20 * 2 (contracted) * 3 (order) < 2^63
+    small = CycArray.zeros((2, 2), 3)
+    small.counts[..., 0] = 1 << 20
+    prod = cyc_tensordot(big, small, axes=([1], [0]))
+    assert int(prod.counts[0, 0, 0]) == 2 * (1 << 60)
+
+
+def test_from_cyclotomics_overflow_is_named():
+    huge = Cyclotomic(3, (Fraction(1, 3 ** 40), Fraction(1, 7 ** 20)))
+    with pytest.raises(CotwistError, match="int64"):
+        CycArray.from_cyclotomics([huge, huge])
 
 
 # -- group algebra helpers ----------------------------------------------------

@@ -11,9 +11,9 @@ from cotwist.errors import CotwistError, SeedRetryError
 from cotwist.exactlin import CycArray
 from cotwist.groups import Subgroup, double_cosets
 from cotwist.projective import twisted_group_algebra
-from cotwist.semisimple import (algebra_audit, center_basis, derived_seed,
-                                split_simple_retrying, wedderburn_dims_retrying,
-                                with_seed_retries)
+from cotwist.semisimple import (_exact_center_basis, algebra_audit, center_basis,
+                                derived_seed, split_simple_retrying,
+                                wedderburn_dims_retrying, with_seed_retries)
 
 
 def float_algebra(mul, unit_vec):
@@ -122,6 +122,29 @@ def test_exact_center_of_block(p3_diag_bundle):
     cb = center_basis(blk)
     assert cb.shape[0] == 1
     assert wedderburn_dims_retrying(blk, seed=0).dims == [3]
+
+
+def test_exact_center_of_s3_is_class_sums():
+    """C[S3] as an exact algebra: a center that is neither full nor 1-dim.
+
+    The reduced basis is the class sums, each 1 at its class's last element:
+    {e}, the three transpositions, the two 3-cycles.
+    """
+    table = s3_mul()
+    counts = np.zeros((6, 6, 6, 3), dtype=np.int64)
+    a, b = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    counts[a, b, table, 0] = 1
+    unit = CycArray.zeros((6,), 3)
+    unit.counts[0, 0] = 1
+    A = SCAlgebra(CycArray(3, Fraction(1), counts), unit, name="C[S3]")
+    classes = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
+    expected = CycArray.zeros((3, 6), 3)
+    expected.counts[..., 0] = classes
+    basis = _exact_center_basis(A.mul)
+    assert basis.shape == (3, 6)
+    assert basis.eq(expected)
+    assert np.array_equal(center_basis(A), classes.astype(complex))
+    assert wedderburn_dims_retrying(A, seed=0).dims == [1, 1, 2]
 
 
 def test_wedderburn_exact_input(p3_diag_bundle):
