@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditError, CotwistError
-from .exactlin import (CycArray, accumulate_products, cyc_rank, cyc_solve, cyc_tensordot,
-                       gather)
+from .errors import AuditError
+from .exactlin import CycArray, accumulate_products, cyc_rank, cyc_tensordot, gather
 from .groups import DoubleCoset, FiniteGroup
 from .twist import TwistData
 
@@ -120,29 +119,20 @@ def _all_ones(n: int, order: int) -> CycArray:
     return out
 
 
-def determine_unit(mul: CycArray, candidate: CycArray) -> CycArray:
-    """Verify a candidate unit exactly, solving for one only if it fails.
+def determine_unit(mul: CycArray, candidate: CycArray, name: str) -> CycArray:
+    """Verify exactly that ``candidate`` is the unit of the algebra ``name``.
 
-    The expected unit of each dual algebra is the counit (the all-ones
-    vector); verifying the candidate guards against convention slips, and the
-    linear solve recovers the true unit if a convention ever drifts.
+    Every dual algebra here is the dual of a counital coalgebra, whose unit
+    is the counit: the all-ones vector on the delta basis once the twist's
+    counit axioms hold (``require_verified``).  Returns the candidate, or
+    raises AuditError naming the algebra.
     """
-    n = mul.shape[0]
-    ident = _identity_matrix(n, mul.order)
+    ident = _identity_matrix(mul.shape[0], mul.order)
     left = cyc_tensordot(candidate, mul, axes=([0], [0]))
     right = cyc_tensordot(candidate, mul, axes=([0], [1]))
-    if left.eq(ident) and right.eq(ident):
-        return candidate
-    # solve u . mul = identity on both sides: the rows (j, k) of
-    # sum_i u_i mul[i, j, k], then those of sum_i u_i mul[j, i, k]
-    c = mul.counts
-    system = np.concatenate([c.transpose(1, 2, 0, 3), c.transpose(0, 2, 1, 3)])
-    rhs = np.concatenate([ident.counts, ident.counts])
-    sol = cyc_solve(CycArray(mul.order, mul.scale, system.reshape(2 * n * n, n, mul.order)),
-                    CycArray(mul.order, ident.scale, rhs.reshape(2 * n * n, mul.order)))
-    if sol is None:
-        raise CotwistError("algebra has no unit in this basis")
-    return sol
+    if not (left.eq(ident) and right.eq(ident)):
+        raise AuditError(f"{name}: the counit is not a two-sided unit")
+    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +168,8 @@ def build_A1_A2_star(t: TwistData):
     A1_mul = CycArray(n, t.J.scale, mul1)
     A2_mul = CycArray(n, t.Jinv.scale, mul2)
 
-    unit1 = determine_unit(A1_mul, _all_ones(m, n))
-    unit2 = determine_unit(A2_mul, _all_ones(m, n))
+    unit1 = determine_unit(A1_mul, _all_ones(m, n), "A1*")
+    unit2 = determine_unit(A2_mul, _all_ones(m, n), "A2*")
     A1 = SCAlgebra(A1_mul, unit1, labels=np.arange(m), name="A1*")
     A2 = SCAlgebra(A2_mul, unit2, labels=np.arange(m), name="A2*")
 
@@ -258,8 +248,9 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
             target = (shifts[s][:, :, None] * nz + shifts[tt][:, None, :]) * nz + x
             accumulate_products(counts, target, gather(jinv_terms, s, tt), j_terms)
     mul = CycArray(t.order, t.J.scale * t.Jinv.scale, counts)
-    unit = determine_unit(mul, _all_ones(nz, t.order))
-    return SCAlgebra(mul, unit, labels=z.copy(), name=f"block[{coset.representative}]")
+    name = f"block[{coset.representative}]"
+    return SCAlgebra(mul, determine_unit(mul, _all_ones(nz, t.order), name),
+                     labels=z.copy(), name=name)
 
 
 # ---------------------------------------------------------------------------

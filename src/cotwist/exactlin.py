@@ -16,9 +16,11 @@
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
-  :func:`cyc_solve` (a ``CycArray``, or None).  Inside, the nonzero rows are
-  row-reduced as an object array of ``Cyclotomic`` scalars, which suits
-  modest sizes.
+  :func:`cyc_solve` (a ``CycArray``, or None).  Inside, each entry is
+  expanded to its phi(N) x phi(N) multiplication matrix over Q and the
+  integer matrix is row-reduced fraction-free (Bareiss-style updates on
+  Python integers, each row divided by its content), so no cyclotomic or
+  rational scalar is formed; results are read back as integer counts.
 """
 
 from __future__ import annotations
@@ -322,49 +324,77 @@ def ga_identity(size: int, order: int, identity_index: int = 0) -> CycArray:
 # exact linear algebra on CycArray matrices
 
 
-def rref_cyclotomic(mat) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an object matrix of Cyclotomic.
-
-    Returns (matrix, pivot columns).  The elimination behind :func:`cyc_rank`,
-    :func:`cyc_nullspace` and :func:`cyc_solve`.
-    """
-    a = np.array(mat, dtype=object)
-    if a.ndim != 2:
-        raise ValueError("need a 2-d matrix")
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if not a[i, c].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[[r, pivot_row]] = a[[pivot_row, r]]
-        inv = a[r, c].inverse()
-        for j in range(c, cols):
-            a[r, j] = a[r, j] * inv
-        for i in range(rows):
-            if i != r and not a[i, c].is_zero:
-                f = a[i, c]
-                for j in range(c, cols):
-                    a[i, j] = a[i, j] - f * a[r, j]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def _rref(mat: CycArray) -> tuple[np.ndarray, list[int]]:
-    """:func:`rref_cyclotomic` of a CycArray matrix, zero rows dropped first."""
+    """Fraction-free Gauss-Jordan on the rational expansion of a CycArray matrix.
+
+    Each entry x becomes its phi(N) x phi(N) multiplication matrix on the
+    canonical basis, ``block[j, k]`` = coefficient j of x * zeta^k, so the
+    matrix becomes an integer matrix over Q.  Its zero rows are dropped, and
+    at each pivot every other row with a nonzero entry in the pivot column is
+    updated in one step (``piv * row - entry * pivot_row``) and divided by its
+    content; rows that vanish are dropped.  Returns the reduced integer rows
+    and the pivot columns over Q(zeta_N).  Row i*phi + j is a nonzero multiple
+    of row j of the block row i of the reduced echelon form, whose pivots come
+    in whole blocks of phi (the expansion of the reduced echelon form over
+    Q(zeta_N) is the one over Q).
+    """
     if len(mat.shape) != 2:
         raise ValueError("need a 2-d matrix")
-    nonzero = np.nonzero(~mat.zero_mask().all(axis=1))[0]
-    return rref_cyclotomic(mat.take(nonzero).to_object())
+    n, phi = mat.order, euler_phi(mat.order)
+    rows, cols = mat.shape
+    # shift[s, k, j]: coefficient j of zeta^(s + k), the block of a count at s
+    shift = _reduction_table(n)[np.add.outer(np.arange(n), np.arange(phi)) % n]
+    a = np.tensordot(mat.counts.astype(object), shift, axes=1)
+    a = a.transpose(0, 3, 1, 2).reshape(rows * phi, cols * phi)
+    a = a[(a != 0).any(axis=1)]
+    a //= np.gcd.reduce(a, axis=1)[:, None]
+    pivots: list[int] = []
+    for c in range(cols * phi):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        if others.size:
+            rows_new = a[r, c] * a[others] - a[others, c:c + 1] * a[r]
+            content = np.gcd.reduce(rows_new, axis=1)
+            kept = content != 0
+            a[others[kept]] = rows_new[kept] // content[kept, None]
+            if not kept.all():
+                a = np.delete(a, others[~kept], axis=0)  # dependent rows, all below r
+        pivots.append(c)
+    blocks = [p // phi for p in pivots[::phi]]
+    assert pivots == [b * phi + j for b in blocks for j in range(phi)], pivots
+    return a, blocks
+
+
+def _reduced_entries(a: np.ndarray, pivots: list[int], columns, order: int) -> CycArray:
+    """Entries (i, c) of the reduced echelon form for c in ``columns``, exactly.
+
+    Canonical coefficient j of entry (i, c) is ``a[i*phi + j, c*phi]`` over
+    the row's pivot ``a[i*phi + j, pivots[i]*phi + j]`` (every row of ``a`` is
+    a pivot row).  The counts share the lowest common denominator;
+    CotwistError is raised if one overflows int64.
+    """
+    phi = euler_phi(order)
+    piv = np.array([p * phi + j for p in pivots for j in range(phi)], dtype=np.int64)
+    den = a[np.arange(piv.size), piv][:, None]
+    num = a[:, np.asarray(columns, dtype=np.int64) * phi]
+    g = np.gcd(num, den) * np.where(den < 0, -1, 1)
+    num, den = num // g, den // g
+    common = math.lcm(*den.ravel())
+    canon = (num * (common // den)).reshape(len(pivots), phi, len(columns)).transpose(0, 2, 1)
+    if canon.size and int(np.abs(canon).max()) >= 1 << 63:
+        raise CotwistError(
+            f"exact values over the common denominator {common} overflow int64 counts")
+    counts = np.zeros((*canon.shape[:2], order), dtype=np.int64)
+    counts[..., :phi] = canon
+    return CycArray(order, Fraction(1, common), counts)
 
 
 def cyc_rank(mat: CycArray) -> int:
@@ -382,7 +412,7 @@ def cyc_nullspace(mat: CycArray) -> CycArray:
     cols = mat.shape[1]
     red, pivots = _rref(mat)
     free = [c for c in range(cols) if c not in pivots]
-    coeffs = CycArray.from_cyclotomics(red[:len(pivots)][:, free], mat.order)
+    coeffs = _reduced_entries(red, pivots, free, mat.order)
     counts = np.zeros((len(free), cols, mat.order), dtype=np.int64)
     counts[np.arange(len(free)), free, 0] = coeffs.scale.denominator  # 1 on scale 1/den
     counts[:, pivots] = -coeffs.counts.transpose(1, 0, 2)
@@ -396,7 +426,7 @@ def cyc_solve(mat: CycArray, rhs: CycArray) -> CycArray | None:
     red, pivots = _rref(CycArray(mat.order, scale, np.concatenate([ca, cb], axis=1)))
     if pivots != list(range(cols)):
         return None  # inconsistent or underdetermined
-    return CycArray.from_cyclotomics(red[:cols, cols], mat.order)
+    return _reduced_entries(red, pivots, [cols], mat.order).reshape(cols)
 
 
 def invert_in_group_algebra(vec: CycArray, mul_table: np.ndarray) -> CycArray:

@@ -7,13 +7,12 @@ capped at 10**4 so tables stay materializable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CotwistError
-from .scalars import Cyclotomic
+from .errors import AuditError, CotwistError
 
 MAX_GROUP_ORDER = 10_000
 
@@ -135,10 +134,6 @@ class Subgroup:
         return int(self.elements.size)
 
     @cached_property
-    def parent_to_local(self) -> dict[int, int]:
-        return {int(g): i for i, g in enumerate(self.elements)}
-
-    @cached_property
     def as_group(self) -> FiniteGroup:
         """The subgroup's own Cayley table on local indices 0..|H|-1."""
         lookup = np.full(self.parent.order, -1, dtype=np.int32)
@@ -148,9 +143,6 @@ class Subgroup:
         if self.parent.labels is not None:
             labels = [self.parent.labels[int(g)] for g in self.elements]
         return FiniteGroup(table, labels=labels, name=self.parent.name + "|sub")
-
-    def contains(self, g) -> np.ndarray:
-        return np.isin(g, self.elements)
 
 
 @dataclass
@@ -172,18 +164,6 @@ class Bicharacter:
     group: FiniteGroup
     order: int
     exponents: np.ndarray
-
-    def value(self, a: int, b: int) -> Cyclotomic:
-        return Cyclotomic.zeta(self.order, int(self.exponents[a, b]))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        n = self.group.order
-        out = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = self.value(a, b)
-        return out
 
     def verify(self) -> None:
         """Exact multiplicativity, skew-symmetry and nondegeneracy checks."""
@@ -379,3 +359,18 @@ def stabilizer_Kg(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     conj = G.mul[G.mul[g, H.elements], G.inv[g]]
     inter = np.intersect1d(H.elements, conj)
     return Subgroup(G, inter)
+
+
+def stabilizer_local_indices(H: Subgroup, Kg: Subgroup, g: int):
+    """H-local indices of each a in K_g and of g^-1 a g, as two arrays.
+
+    Raises AuditError when some a or g^-1 a g is not in H (K_g is not the
+    stabilizer of g).
+    """
+    lookup = np.full(H.parent.order, -1, dtype=np.int64)
+    lookup[H.elements] = np.arange(H.order)
+    a_loc = lookup[Kg.elements]
+    conj_loc = lookup[H.parent.conjugate(g, Kg.elements)]
+    if np.any(a_loc < 0) or np.any(conj_loc < 0):
+        raise AuditError("stabilizer element leaves H under conjugation")
+    return a_loc, conj_loc

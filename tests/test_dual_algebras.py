@@ -10,7 +10,7 @@ import pytest
 
 from cotwist.dual_algebras import (a2_to_a1op_iso, build_A1_A2_star,
                                    build_block_algebra, determine_unit, dual_product_delta)
-from cotwist.errors import AuditError, CotwistError
+from cotwist.errors import AuditError
 from cotwist.exactlin import CycArray
 from cotwist.groups import double_cosets
 from cotwist.scalars import Cyclotomic
@@ -155,24 +155,21 @@ def test_block_algebras_unital_associative(p3_diag_bundle):
         assert algebra_audit(blk)
 
 
-def test_determine_unit_solves_when_candidate_fails(p3_duals):
-    """A wrong candidate falls back to the exact linear solve for the unit."""
+def test_determine_unit_rejects_wrong_candidate(p3_duals):
+    """The all-ones counit passes; any other candidate raises, naming the algebra."""
     A1 = p3_duals[0]
+    assert determine_unit(A1.mul, A1.unit, "A1*") is A1.unit
     wrong = CycArray.zeros((9,), 3)
     wrong.counts[0, 0] = 1
-    assert determine_unit(A1.mul, wrong).eq(A1.unit)
+    with pytest.raises(AuditError, match=r"A1\*"):
+        determine_unit(A1.mul, wrong, "A1*")
 
-    # C[Z/3] in its group basis: the unit is e, and the all-ones candidate fails
+    # C[Z/3] in its group basis: the unit is e, so the all-ones candidate fails
     table = (np.arange(3)[:, None] + np.arange(3)[None, :]) % 3
     mul = CycArray.zeros((3, 3, 3), 3)
     mul.counts[np.arange(3)[:, None], np.arange(3)[None, :], table, 0] = 1
-    e = CycArray.zeros((3,), 3)
-    e.counts[0, 0] = 1
-    assert determine_unit(mul, CycArray.from_exponents(3, np.zeros(3, dtype=np.int64))).eq(e)
-
-    # with no unit at all, the solve finds none
-    with pytest.raises(CotwistError, match="no unit"):
-        determine_unit(CycArray.zeros((3, 3, 3), 3), e)
+    with pytest.raises(AuditError, match=r"C\[Z/3\]"):
+        determine_unit(mul, CycArray.from_exponents(3, np.zeros(3, dtype=np.int64)), "C[Z/3]")
 
 
 def test_a2_to_a1op_iso(p3_twist, p3_duals):

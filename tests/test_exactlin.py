@@ -10,7 +10,7 @@ from cotwist import exactlin
 from cotwist.errors import CotwistError
 from cotwist.exactlin import (CycArray, accumulate_products, cyc_nullspace, cyc_rank,
                               cyc_solve, cyc_tensordot, ga_identity, ga_mul, gather,
-                              invert_in_group_algebra, rref_cyclotomic)
+                              invert_in_group_algebra)
 from cotwist.scalars import Cyclotomic, euler_phi
 
 
@@ -202,13 +202,65 @@ def test_rank_catches_exact_cancellation_floats_might_miss():
     assert cyc_rank(arr) == 2
 
 
-def test_rref_pivots_reproduce_rows():
-    rng = np.random.default_rng(31)
-    a = rand_cycarray(rng, (3, 4), 3, span=1)
-    reduced, pivots = rref_cyclotomic(a.to_object())
-    assert len(pivots) == cyc_rank(a)
-    for r, c in enumerate(pivots):
-        assert reduced[r, c] == Cyclotomic.one(3)
+def _low_rank_system(rng, order):
+    """A random matrix over Q(zeta_order), a product of two random factors
+    through a random inner dimension, so its rank is often below full."""
+    rows, cols, inner = (int(x) for x in rng.integers(1, 6, size=3))
+    left = rand_cycarray(rng, (rows, inner), order, span=1)
+    right = rand_cycarray(rng, (inner, cols), order, span=1)
+    return cyc_tensordot(left, right, axes=([1], [0]))
+
+
+def _assert_reduced_rows(basis: CycArray):
+    """Row i is 1 at its last nonzero column f_i (increasing in i) and every
+    other row is 0 there: the unique reduced basis of the row space."""
+    canon = basis.canonical()
+    nonzero = canon.any(axis=-1)
+    last = [int(np.flatnonzero(row)[-1]) for row in nonzero]
+    assert last == sorted(set(last))
+    one = CycArray.zeros((1,), basis.order)
+    one.counts[0, 0] = 1
+    for i, f in enumerate(last):
+        assert basis.take([i]).take([f], axis=1).reshape(1).eq(one)
+        assert not np.delete(nonzero[:, f], i).any()
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6, 7, 9, 12])
+def test_rank_nullspace_solve_exact_identities(order):
+    rng = np.random.default_rng(100 + order)
+    for _ in range(8):
+        mat = _low_rank_system(rng, order)
+        rows, cols = mat.shape
+        rank = cyc_rank(mat)
+        null = cyc_nullspace(mat)
+        assert null.shape == (cols - rank, cols)  # rank + nullity = columns
+        assert cyc_tensordot(mat, null, axes=([1], [1])).is_zero()
+        _assert_reduced_rows(null)
+
+        x0 = rand_cycarray(rng, (cols,), order)
+        rhs = cyc_tensordot(mat, x0, axes=([1], [0]))
+        sol = cyc_solve(mat, rhs)
+        if rank < cols:
+            assert sol is None  # underdetermined
+            continue
+        assert cyc_tensordot(mat, sol, axes=([1], [0])).eq(rhs)
+        assert sol.eq(x0)
+        left_null = cyc_nullspace(mat.transpose((1, 0)))
+        if left_null.shape[0]:
+            # y . rhs = 0 for a left null vector y; adding e_i with y_i != 0
+            # leaves the column space
+            i = int(np.flatnonzero(~left_null.take([0]).zero_mask())[0])
+            bump = CycArray.zeros((rows,), order)
+            bump.counts[i, 0] = 1
+            assert cyc_solve(mat, rhs + bump) is None
+
+
+def test_solve_overflow_is_named():
+    """A solution whose counts over the common denominator pass int64 raises."""
+    diag = CycArray.zeros((3, 3), 3)
+    diag.counts[np.arange(3), np.arange(3), 0] = [3 ** 30, 5 ** 20, 7 ** 15]
+    with pytest.raises(CotwistError, match="int64"):
+        cyc_solve(diag, ga_identity(3, 3) + ga_identity(3, 3, 1) + ga_identity(3, 3, 2))
 
 
 def test_solve_and_nullspace():
