@@ -301,19 +301,18 @@ def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, orbit_id: np.ndar
     m = mul2.shape[0]
     n = mul2.order
     r = len(reps)
-    members = [np.nonzero(orbit_id == i)[0] for i in range(r)]
+    members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [j, k]: orbit j
+    y1, y2 = (y[:, :, None, None] for y in np.divmod(members, m))
     terms2, terms1 = mul2.terms(), mul1.terms()
     x1, x2 = np.ogrid[:m, :m]
-    orbit_of = orbit_id.reshape(m, m)  # [x1, x2] -> orbit of the pair
+    # [j, x1, x2] -> cell (j, orbit of the pair (x1, x2)) of a row of counts
+    target = np.arange(r)[:, None, None, None] * r + orbit_id.reshape(m, m)
     counts = np.zeros((r, r, r, n), dtype=np.int64)
     for i in range(r):
         h1, h2 = divmod(int(reps[i]), m)
-        for j in range(r):
-            y1, y2 = np.divmod(members[j], m)
-            # [k, x1, x2] = mul2[h1, y1_k, x1] * mul1[h2, y2_k, x2]
-            accumulate_products(counts[i, j], orbit_of,
-                                gather(terms2, h1, y1[:, None, None], x1),
-                                gather(terms1, h2, y2[:, None, None], x2))
+        # [j, k, x1, x2] = mul2[h1, y1_jk, x1] * mul1[h2, y2_jk, x2]
+        accumulate_products(counts[i], target, gather(terms2, h1, y1, x1),
+                            gather(terms1, h2, y2, x2))
     return CycArray(n, mul2.scale * mul1.scale, counts)
 
 

@@ -70,14 +70,10 @@ class GroupAction:
     perms: np.ndarray
     name: str = ""
 
-    def apply(self, h: int, vec):
-        if isinstance(vec, CycArray):
-            counts = np.zeros_like(vec.counts)
-            counts[self.perms[h]] = vec.counts
-            return CycArray(vec.order, vec.scale, counts)
-        out = np.zeros_like(vec)
-        out[self.perms[h]] = vec
-        return out
+    def apply(self, h: int, vec: CycArray) -> CycArray:
+        counts = np.zeros_like(vec.counts)
+        counts[self.perms[h]] = vec.counts
+        return CycArray(vec.order, vec.scale, counts)
 
     def verify(self, algebra: SCAlgebra) -> None:
         """Assert: group action, by algebra automorphisms, acting freely."""
@@ -95,15 +91,10 @@ class GroupAction:
         for h in range(1, m):
             if np.any(self.perms[h] == ident):
                 raise AuditError("action is not free")
-        mul = algebra.mul
-        mc = mul.canonical() if algebra.is_exact else mul
+        mc = algebra.mul.canonical()
         for h in range(m):
             p = self.perms[h]
-            if algebra.is_exact:
-                ok = np.array_equal(mc[np.ix_(p, p, p)], mc)
-            else:
-                ok = np.allclose(mc[np.ix_(p, p, p)], mc, atol=1e-10)
-            if not ok:
+            if not np.array_equal(mc[np.ix_(p, p, p)], mc):
                 raise AuditError(f"basis permutation of element {h} is not an automorphism")
 
 

@@ -1,4 +1,4 @@
-"""Drinfeld twists on group algebras: construction, inversion, exact audits.
+"""Drinfeld twists on group algebras: construction and exact audits.
 
 A twist for a finite group H is an invertible element J of C[H] x C[H]
 satisfying the 2-cocycle equation
@@ -9,6 +9,10 @@ and the counit normalization (eps x id)(J) = (id x eps)(J) = 1, where
 Delta0(x) = x x x is the unmodified coproduct.  Everything in this module is
 exact: coefficients are cyclotomic numbers and every identity is checked
 with zero tolerance.
+
+J^-1 is either supplied (the symplectic twist brings its closed form, the
+conjugate of J) or solved for exactly in C[H x H]; either way the axiom
+audit certifies it by one exact product.
 
 The deformed coproducts Delta1(x) = (x x x) J and Delta2(x) = J^-1 (x x x)
 are the coalgebra structures whose dual algebras downstream modules build.
@@ -43,8 +47,8 @@ class TwistData:
 
     ``J`` and ``Jinv`` are (|H|, |H|) exact cyclotomic arrays over H-local
     indices (row = left tensor leg, column = right leg).  ``verified`` is set
-    only after :func:`verify_twist_axioms` passes; downstream constructions
-    refuse unverified twists.
+    only after :func:`verify_twist_axioms` passes, which also certifies
+    ``Jinv``; downstream constructions refuse unverified twists.
     """
 
     subgroup: Subgroup
@@ -135,12 +139,27 @@ def _swap_legs(flat: CycArray, m: int) -> CycArray:
 
 
 def symplectic_twist(H: FiniteGroup, sigma: Bicharacter) -> TwistData:
-    """Minimal twist J_{ab} = sigma(a, b) / |H| from a symplectic bicharacter."""
+    """Minimal twist J_{ab} = sigma(a, b) / |H| from a symplectic bicharacter.
+
+    Its inverse is known in closed form (Movshev 1993) and is supplied, not
+    solved for: J^-1 = |H|^-1 sum_ab sigma(a, b)^-1 a x b, the conjugate of
+    J.  With H written additively, bilinearity gives sigma(a, b) /
+    sigma(u - a, v - b) = sigma(u, v)^-1 sigma(u, b) sigma(a, v), so the
+    (u, v) coefficient of J conj(J) is
+
+        |H|^-2 sigma(u, v)^-1 (sum_b sigma(u, b)) (sum_a sigma(a, v))
+            = delta_{u,0} delta_{v,0},
+
+    because sigma is nondegenerate: sum_b sigma(u, b) is |H| for u = 0 and
+    0 otherwise, and likewise sum_a sigma(a, v).  The axiom audit still
+    certifies the inverse by its exact product.
+    """
     sigma.verify()
     m = H.order
     J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, m))
-    sub = Subgroup(H, np.arange(m))
-    return make_twist(sub, J, sigma.order)
+    t = TwistData(subgroup=Subgroup(H, np.arange(m)), order=sigma.order, J=J,
+                  Jinv=J.conj())
+    return _accepted(t, verify_twist_axioms(t))
 
 
 def assemble_twist(subgroup: Subgroup, J, order: int | None = None):
@@ -158,9 +177,7 @@ def assemble_twist(subgroup: Subgroup, J, order: int | None = None):
     if J.shape != (m, m):
         raise CotwistError(f"twist matrix shape {J.shape} != ({m}, {m})")
     t = TwistData(subgroup=subgroup, order=order, J=J)
-    audit = verify_twist_axioms(t)
-    t.verified = audit.ok
-    return t, audit
+    return t, verify_twist_axioms(t)
 
 
 def make_twist(subgroup: Subgroup, J, order: int | None = None) -> TwistData:
@@ -170,97 +187,13 @@ def make_twist(subgroup: Subgroup, J, order: int | None = None) -> TwistData:
     is computed exactly and all twist axioms are audited; any failure raises
     ``AuditError`` naming the failing axioms.
     """
-    t, audit = assemble_twist(subgroup, J, order)
+    return _accepted(*assemble_twist(subgroup, J, order))
+
+
+def _accepted(t: TwistData, audit: TwistAudit) -> TwistData:
     if not audit.ok:
         raise AuditError(f"twist axioms failed: {', '.join(audit.failed)}")
     return t
-
-
-# ---------------------------------------------------------------------------
-# inversion
-
-
-def _vector_label_structure(group: FiniteGroup):
-    """Detect elementary-abelian vector labels compatible with the table.
-
-    Returns (p, label_matrix) when the group's labels are vectors over Z/pZ
-    in lexicographic order and the Cayley table is exactly vector addition
-    mod p; otherwise None.  The check is exhaustive, so the fast inversion
-    path below cannot be applied to a group it does not fit.
-    """
-    if group.labels is None or group.order == 1:
-        return None
-    try:
-        vecs = np.array([list(map(int, lab)) for lab in group.labels], dtype=np.int64)
-    except (TypeError, ValueError):
-        return None
-    if vecs.ndim != 2 or vecs.min() < 0:
-        return None
-    p = int(vecs.max()) + 1
-    if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
-        return None
-    d = vecs.shape[1]
-    if group.order != p**d:
-        return None
-    powers = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    if not np.array_equal(vecs @ powers, np.arange(group.order)):
-        return None
-    summed = ((vecs[:, None, :] + vecs[None, :, :]) % p).reshape(-1, d)
-    if not np.array_equal((summed @ powers).reshape(group.order, group.order), group.mul):
-        return None
-    return p, vecs
-
-
-def invert_twist(J: CycArray | np.ndarray, group: FiniteGroup, order: int | None = None) -> CycArray:
-    """Exact inverse of J in C[H] x C[H].
-
-    For elementary abelian H with vector labels (and cyclotomic order a
-    multiple of p) the inverse is computed through the exact character
-    transform of C[H x H], which diagonalizes the product; otherwise the
-    left-regular representation of C[H x H] is materialized and the unit is
-    solved for by exact Gaussian elimination.  Either way the result is
-    certified by an exact multiplication check before it is returned.
-    """
-    if not isinstance(J, CycArray):
-        J = CycArray.from_cyclotomics(J, order)
-    m = group.order
-    flat = J.reshape(m * m)
-    pair = _pair_table(group.mul)
-    structure = _vector_label_structure(group)
-    if structure is not None and J.order % structure[0] == 0:
-        inv_flat = _invert_by_characters(flat, structure, J.order)
-    else:
-        inv_flat = invert_in_group_algebra(flat, pair)
-    if not ga_mul(flat, inv_flat, pair).eq(ga_identity(m * m, J.order)):
-        raise CotwistError("twist inversion failed the exact product check")
-    return inv_flat.reshape(m, m)
-
-
-def _invert_by_characters(flat: CycArray, structure, order: int) -> CycArray:
-    p, vecs = structure
-    m = vecs.shape[0]
-    shift = order // p
-    dots = (vecs @ vecs.T) % p  # character exponents on H
-    a1, a2 = np.divmod(np.arange(m * m), m)
-    dk = (dots[np.ix_(a1, a1)] + dots[np.ix_(a2, a2)]) % p  # on H x H
-    size = m * m
-    chars = (shift * dk[..., None], np.ones((1, 1, 1), dtype=np.int64))  # [r, c] = chi_r(c)
-    rows = np.arange(size)
-
-    hat = np.zeros((size, order), dtype=np.int64)  # hat[r] = sum_c J[c] chi_r(c)
-    accumulate_products(hat, rows[:, None], gather(flat.terms(), None), chars)
-    hat_entries = CycArray(order, flat.scale, hat).to_object()
-    inv_entries = []
-    for v in hat_entries:
-        if v.is_zero:
-            raise CotwistError("twist is singular (a character value vanishes)")
-        inv_entries.append(v.inverse())
-    ghat = CycArray.from_cyclotomics(inv_entries, order)
-
-    out = np.zeros((size, order), dtype=np.int64)  # out[c] = sum_r ghat[r] chi_r(c)^-1
-    accumulate_products(out, rows[None, :], gather(ghat.terms(), slice(None), None),
-                        (-chars[0], chars[1]))
-    return CycArray(order, ghat.scale / size, out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +234,14 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     """Exact audit of the twist axioms; returns a named pass/fail report.
 
     Checks, in order: the 2-cocycle equation, both counit normalizations,
-    invertibility (exact product against the unit of C[H x H]), and
-    coassociativity of both deformed coproducts.  Never raises on a failed
-    check.
+    invertibility, and coassociativity of both deformed coproducts.  Never
+    raises on a failed check.
+
+    The inverse is the supplied ``t.Jinv`` or, when there is none, the
+    solution K of J K = 1 x 1 in C[H x H]; a failed solve (singular, or
+    counts overflowing int64) leaves none.  Either way invertibility is the one
+    exact check J . J^-1 = 1 x 1.  ``t.Jinv`` is kept only if that check
+    passes, and ``t.verified`` is set to the audit's outcome.
 
     Coassociativity is checked at x = e only, which is equivalent to checking
     it at every x in H.  Since Delta1(xa) = (x x x) Delta1(a),
@@ -328,21 +266,23 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     audit.record("counit (left leg)", _counit_ok(t.J, axis=0))
     audit.record("counit (right leg)", _counit_ok(t.J, axis=1))
 
+    flat = t.J.reshape(m * m)
     jinv = t.Jinv
     if jinv is None:
         try:
-            jinv = t.Jinv = invert_twist(t.J, group)  # certified by its product check
-        except CotwistError:
-            jinv = None
-        audit.record("invertibility", jinv is not None)
-    else:
-        prod = ga_mul(t.J.reshape(m * m), jinv.reshape(m * m), t.pair_mul)
-        audit.record("invertibility", prod.eq(ga_identity(m * m, t.order)))
+            jinv = invert_in_group_algebra(flat, t.pair_mul).reshape(m, m)
+        except CotwistError:  # singular, or counts overflowing int64
+            pass
+    unit = ga_identity(m * m, t.order)
+    invertible = jinv is not None and ga_mul(flat, jinv.reshape(m * m), t.pair_mul).eq(unit)
+    t.Jinv = jinv if invertible else None
+    audit.record("invertibility", invertible)
 
     audit.record("coassociativity of the first deformed coproduct",
                  _sides_agree(t.J, left_shift))
     audit.record("coassociativity of the second deformed coproduct",
-                 jinv is not None and _sides_agree(jinv, right_shift))
+                 invertible and _sides_agree(t.Jinv, right_shift))
+    t.verified = audit.ok
     return audit
 
 

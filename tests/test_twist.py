@@ -50,16 +50,33 @@ def test_jinv_is_exact_two_sided_inverse(p3_twist):
     assert ga_mul(jinv, j, t.pair_mul).eq(e)
 
 
-def test_fourier_and_general_inversion_agree(p3_pair, p3_twist):
-    """Same twist built on an unlabeled clone exercises the generic solver."""
+def test_closed_form_inverse_equals_general_solve(p3_pair, p3_twist):
+    """The supplied inverse conj(J) is the one the general solve finds.
+
+    The same J on an unlabeled clone of H (as a table group reads) comes with
+    no inverse, so the audit solves for it in C[H x H].
+    """
     from cotwist.groups import FiniteGroup
 
     H, sigma = p3_pair
-    bare = FiniteGroup(H.mul.copy())  # no vector labels -> no Fourier shortcut
+    assert p3_twist.Jinv.eq(p3_twist.J.conj())
+    bare = FiniteGroup(H.mul.copy())
     J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, 9))
     t2, audit = assemble_twist(Subgroup(bare, np.arange(9)), J, 3)
     assert audit.ok
     assert t2.Jinv.eq(p3_twist.Jinv)
+
+
+def test_wrong_supplied_inverse_fails_by_name(p3_pair, p3_twist):
+    """A supplied J^-1 is checked like a solved one, and dropped when wrong."""
+    H, _ = p3_pair
+    J = p3_twist.J
+    t = TwistData(subgroup=Subgroup(H, np.arange(9)), order=3, J=J,
+                  Jinv=J.conj().scale_by(2))
+    audit = verify_twist_axioms(t)
+    assert audit.failed == ["invertibility",
+                            "coassociativity of the second deformed coproduct"]
+    assert not t.verified and t.Jinv is None
 
 
 def test_corrupted_twist_names_cocycle_axiom(p3_pair, p3_twist):
