@@ -49,18 +49,25 @@ class ProjectiveRep:
         return self.T.shape[0]
 
     def validate(self, tol: float = COMPOSITE_TOL) -> None:
-        """Assert the defining relation, gauge, and cocycle identity."""
-        mul = self.group.as_group.mul
-        if not np.array_equal(self.T[0], np.eye(self.dim)):
-            raise AuditError("T[identity] is not the identity matrix")
+        """Assert the gauge, the cocycle, and the defining relation.
+
+        The relation T[a] T[b] = c(a,b) T[ab] is the O(k^2 n^3) check; it runs
+        after the cheaper ones of :meth:`_validate_cocycle`.
+        """
+        self._validate_cocycle(tol)
         prods = np.einsum("aij,bjk->abik", self.T, self.T)
-        target = self.c[:, :, None, None] * self.T[mul]
+        target = self.c[:, :, None, None] * self.T[self.group.as_group.mul]
         if np.max(np.abs(prods - target)) > tol * self.dim:
             raise AuditError("T matrices do not satisfy the cocycle relation")
+
+    def _validate_cocycle(self, tol: float) -> None:
+        """Assert T[e] = I, bounded moduli |c| and the cocycle identity (O(k^3))."""
+        if not np.array_equal(self.T[0], np.eye(self.dim)):
+            raise AuditError("T[identity] is not the identity matrix")
         moduli = np.abs(self.c)
         if moduli.min() <= tol or moduli.max() >= 1.0 / tol:
             raise AuditError("cocycle has vanishing or diverging values")
-        if not cocycle_identity_holds(mul, self.c, COCYCLE_TOL):
+        if not cocycle_identity_holds(self.group.as_group.mul, self.c, COCYCLE_TOL):
             raise AuditError("cocycle identity fails")
 
 
@@ -158,9 +165,21 @@ def pullback_and_tensor_cocycle(V1: ProjectiveRep, V2: ProjectiveRep, g: int,
                                 Kg: Subgroup):
     """Pull V1 back along a -> g^-1 a g, tensor with V2, restrict to Kg.
 
-    Returns (c_W, W) with T_W[a] = T_{V2}[a] (x) T_{V1}[g^-1 a g] and
-    c_W(a, b) = c_2(a, b) c_1(g^-1 a g, g^-1 b g), for a, b in Kg (indices
-    local to Kg).  Raises AuditError if some g^-1 a g leaves H.
+    Returns (c_W, W) with T_W[a] = T_{V2}[a] (x) T_{V1}[a'] and
+    c_W(a, b) = c_2(a, b) c_1(a', b'), where a' = g^-1 a g, for a, b in Kg
+    (indices local to Kg).  Raises AuditError if some a' leaves H.
+
+    V1 and V2 must have passed :meth:`ProjectiveRep.validate`, as every rep
+    from :func:`projective_rep_from_action` has.  W then inherits its product
+    law: a -> a' is a homomorphism K_g -> H, so (ab)' = a'b', and by the
+    mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
+
+        T_W[a] T_W[b] = T_2[a] T_2[b] (x) T_1[a'] T_1[b']
+                      = c_2(a, b) c_1(a', b') T_2[ab] (x) T_1[(ab)']
+                      = c_W(a, b) T_W[ab].
+
+    So W is checked only for T_W[e] = I, its moduli and the cocycle identity
+    (O(k^3)); the O(k^2 n^3) product, with n = |H|, is not formed again.
     """
     a_loc, conj_loc = stabilizer_local_indices(V1.group, Kg, g)
     k = Kg.order
@@ -170,7 +189,7 @@ def pullback_and_tensor_cocycle(V1: ProjectiveRep, V2: ProjectiveRep, g: int,
         T[i] = np.kron(V2.T[a_loc[i]], V1.T[conj_loc[i]])
     c = V2.c[np.ix_(a_loc, a_loc)] * V1.c[np.ix_(conj_loc, conj_loc)]
     W = ProjectiveRep(group=Kg, dim=n, T=T, c=c)
-    W.validate()
+    W._validate_cocycle(COMPOSITE_TOL)
     return c, W
 
 

@@ -122,13 +122,18 @@ def _exact_center_basis(mul: CycArray) -> CycArray:
     and B is the identity on those columns.  So the result equals the reduced
     nullspace of the full commutator system.  It is checked once, exactly,
     against the full product; a failure raises CotwistError.
+
+    A basis element that commutes with everything (its column D[:, j] is
+    exactly zero) gives a zero system, whose nullspace is the identity, so it
+    is skipped without a solve: a commutative algebra takes none at all.
     """
     n = mul.shape[0]
     # D[i, j, k] = mul[i,j,k] - mul[j,i,k]
     diff = CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
+    central = diff.zero_mask().all(axis=(0, 2))
     basis = CycArray.zeros((n, n), mul.order)
     basis.counts[np.arange(n), np.arange(n), 0] = 1
-    for j in range(n):
+    for j in np.flatnonzero(~central):
         system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
         # reduced() keeps the counts from compounding the scales of the products
         basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
@@ -140,10 +145,14 @@ def _exact_center_basis(mul: CycArray) -> CycArray:
 
 
 def _float_center_basis(mul: np.ndarray, tol: float) -> np.ndarray:
-    """SVD nullspace of the commutator system for float algebras."""
+    """SVD nullspace of the commutator system for float algebras.
+
+    Only the right singular vectors are used, so the thin SVD suffices: the
+    full left factor of the (n^2, n) system would be an (n^2, n^2) matrix.
+    """
     n = mul.shape[0]
     system = (mul - mul.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(n * n, n)
-    _, s, vh = np.linalg.svd(system)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     # threshold against the size of the structure constants, not of the
     # commutator system itself -- the latter vanishes for commutative algebras
     scale = max(1.0, float(np.max(np.abs(mul))))
@@ -236,6 +245,14 @@ def wedderburn_dims(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpe
     idempotents), and d_i = round(sqrt(trace L_{e_i})).  Asserts
     |d_i - sqrt(trace)| < 0.01 and sum d_i^2 = dim.  Raises SeedRetryError
     when eigenvalues fail to separate cleanly for this seed.
+
+    The idempotents are e_i = V[:, S_i] (V^-1 unit)[S_i] for eigenvector
+    matrix V and cluster S_i.  Their residual, the largest of
+    |e_a e_b - delta_ab e_a| over a <= b and |sum e_a - unit|, comes from one
+    batch of all products: L[a] = sum_i e_a[i] mul[i] (one tensordot), then
+    (e_a e_b)_k = sum_j e_b[j] L[a, j, k].  That is O(r n^3 + r^2 n^2) with
+    r n^2 scratch, never more than mul itself; the same L gives the traces
+    trace L_{e_a} = sum_j L[a, j, j].
     """
     n = A.dim
     center = center_basis(A, tol)
@@ -262,25 +279,20 @@ def wedderburn_dims(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpe
         vinv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError as exc:
         raise SeedRetryError(f"eigenvector matrix not invertible: {exc}") from exc
-    idems = np.zeros((r, n), dtype=complex)
-    for i in range(r):
-        sel = labels == i
-        idems[i] = (vecs[:, sel] @ vinv[sel, :]) @ unit
+    w = vinv @ unit
+    idems = np.stack([vecs[:, labels == i] @ w[labels == i] for i in range(r)])
 
-    residual = 0.0
-    for i in range(r):
-        ei_ei = np.einsum("i,j,ijk->k", idems[i], idems[i], mul)
-        residual = max(residual, float(np.max(np.abs(ei_ei - idems[i]))))
-        for j in range(i + 1, r):
-            cross = np.einsum("i,j,ijk->k", idems[i], idems[j], mul)
-            residual = max(residual, float(np.max(np.abs(cross))))
-    residual = max(residual, float(np.max(np.abs(idems.sum(axis=0) - unit))))
+    left = np.tensordot(idems, mul, axes=([1], [0]))    # [a, j, k] = (e_a basis_j)_k
+    prods = idems @ left                                 # [a, b, k] = (e_a e_b)_k
+    prods[np.arange(r), np.arange(r)] -= idems
+    upper = np.triu_indices(r)
+    residual = max(float(np.max(np.abs(prods[upper]))),
+                   float(np.max(np.abs(idems.sum(axis=0) - unit))))
     if not np.isfinite(residual) or residual > max(tol, 1e-10) * n:
         raise SeedRetryError(f"central idempotent residual too large: {residual:g}")
 
     dims = []
-    for i in range(r):
-        tr = np.einsum("i,ijj->", idems[i], mul)
+    for tr in np.einsum("ajj->a", left):
         if abs(tr.imag) > 1e-6 or tr.real < 0:
             raise CotwistError(f"block trace {tr} is not a nonnegative real")
         d_float = float(np.sqrt(tr.real))

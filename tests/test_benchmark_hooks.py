@@ -1,13 +1,15 @@
-"""The names the benchmark in ``perfbench/`` relies on still exist.
+"""What the benchmark in ``perfbench/`` relies on still holds.
 
 ``perfbench/spans.py`` wraps named package functions in spans, and
-``perfbench/run.py`` calls the CLI with fixed arguments.  Renaming or
-deleting either target would otherwise only show when the benchmark runs.
-Both files are only read; nothing is written under ``perfbench/``.
+``perfbench/run.py`` calls the CLI with fixed arguments and gates every
+report byte for byte against ``perfbench/reference``.  A renamed target or
+a changed report would otherwise only show when the benchmark runs.  The
+files there are only read; nothing is written under ``perfbench/``.
 """
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -18,14 +20,19 @@ from cotwist import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def spans(monkeypatch):
+def _load(monkeypatch, name: str):
+    """A module of ``perfbench/``, loaded without writing bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    return _load(monkeypatch, "spans")
 
 
 def _run_workloads() -> dict:
@@ -60,3 +67,24 @@ def test_parser_accepts_benchmark_arguments():
         parsed = cli.make_parser().parse_args(
             args + ["--seed", "7", "--out", "report.json", "--jobs", "1"])
         assert (parsed.seed, parsed.out, parsed.jobs) == (7, "report.json", 1), name
+
+
+@pytest.mark.parametrize("name", sorted(_run_workloads()))
+def test_workload_report_matches_reference(name, monkeypatch, tmp_path):
+    """Each workload's report at seed 0 is the stored reference, byte for byte.
+
+    This is the benchmark's own gate: the table workload's files are written
+    by ``perfbench/wreath.py`` and their paths pinned to their base names.
+    """
+    args = list(_run_workloads()[name])
+    pinned = {}
+    if args[-1] == "--config":
+        wreath = _load(monkeypatch, "wreath")
+        args.append(str(wreath.write_instance(tmp_path)))
+        pinned = {str(tmp_path / f): f for f in (wreath.GROUP_FILE, wreath.TWIST_FILE)}
+    out = tmp_path / "report.json"
+    assert cli.main(args + ["--seed", "0", "--out", str(out), "--jobs", "1"]) == 0
+    report = out.read_text()
+    for actual, base in pinned.items():
+        report = report.replace(json.dumps(actual), json.dumps(base))
+    assert report == (PERFBENCH / "reference" / f"{name}.json").read_text()

@@ -9,8 +9,8 @@ import pytest
 from cotwist.dual_algebras import GroupAction
 from cotwist.errors import AuditError, CotwistError
 from cotwist.groups import Subgroup, double_cosets, stabilizer_Kg
-from cotwist.projective import (ProjectiveRep, action_matrix, cocycle_identity_holds,
-                                multiplicity_law_check,
+from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
+                                cocycle_identity_holds, multiplicity_law_check,
                                 one_dim_block_forces_plain_spectrum,
                                 projective_rep_from_action,
                                 pullback_and_tensor_cocycle, regular_trace_law_holds,
@@ -158,6 +158,8 @@ def test_pullback_at_identity_gives_plain_spectrum(p3_pair, p3_reps):
 
 
 def test_pullback_on_nontrivial_coset(p3_diag_bundle):
+    """W's full validate(), product law included, on a |K_g| = 9 coset: the
+    law pullback_and_tensor_cocycle derives from V1 and V2 does hold."""
     inst, ctx, zs = p3_diag_bundle
     g = zs[1].representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
@@ -198,6 +200,33 @@ def test_projective_rep_validate_catches_broken_cocycle(p3_reps):
                            c=V1.c * np.exp(0.001j))
     with pytest.raises(AuditError):
         broken.validate()
+
+
+def test_projective_rep_validate_catches_corrupted_matrix(p3_reps):
+    """One T[a] perturbed, c left as it is: the gauge, the moduli and the
+    cocycle identity cannot see it, the product law fails it by name.  W
+    inherits its product law from V1 and V2 through this check."""
+    V1, _ = p3_reps
+    T = V1.T.copy()
+    T[4, 0, 0] += 1e-3
+    broken = ProjectiveRep(group=V1.group, dim=V1.dim, T=T, c=V1.c.copy())
+    broken._validate_cocycle(COMPOSITE_TOL)
+    with pytest.raises(AuditError, match="cocycle relation"):
+        broken.validate()
+
+
+def test_pullback_checks_the_tensor_cocycle(p3_pair, p3_reps):
+    """W keeps its own cocycle checks: a broken c_1 shows in c_W by name."""
+    H, _ = p3_pair
+    V1, V2 = p3_reps
+    K = Subgroup(H, np.arange(9))
+    for value, message in ((V1.c[4, 5] * 1j, "cocycle identity fails"),
+                           (0.0, "vanishing or diverging")):
+        c = V1.c.copy()
+        c[4, 5] = value
+        broken = ProjectiveRep(group=V1.group, dim=V1.dim, T=V1.T, c=c)
+        with pytest.raises(AuditError, match=message):
+            pullback_and_tensor_cocycle(broken, V2, 0, K)
 
 
 def test_trivial_group_projective():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cotwist import semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
 from cotwist.errors import CotwistError, SeedRetryError
-from cotwist.exactlin import CycArray
+from cotwist.exactlin import CycArray, cyc_nullspace
 from cotwist.groups import Subgroup, double_cosets
 from cotwist.projective import twisted_group_algebra
 from cotwist.semisimple import (_exact_center_basis, algebra_audit, center_basis,
@@ -63,6 +64,27 @@ def s3_mul():
     return mul
 
 
+def exact_group_algebra(table, order):
+    """C[K] for a Cayley table, as an exact algebra over Q(zeta_order)."""
+    k = table.shape[0]
+    counts = np.zeros((k, k, k, order), dtype=np.int64)
+    a, b = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    counts[a, b, table, 0] = 1
+    unit = CycArray.zeros((k,), order)
+    unit.counts[0, 0] = 1
+    return SCAlgebra(CycArray(order, Fraction(1), counts), unit, name="C[K]")
+
+
+def direct_sum_m1_m2():
+    """M_1 + M_2 as a block-diagonal float structure-constant algebra."""
+    a1 = matrix_units_algebra(1)
+    a2 = matrix_units_algebra(2)
+    mul = np.zeros((5, 5, 5), dtype=complex)
+    mul[:1, :1, :1] = a1.mul
+    mul[1:, 1:, 1:] = a2.mul
+    return float_algebra(mul, np.concatenate([a1.unit, a2.unit]))
+
+
 def test_matrix_algebra_dims():
     for n in (1, 2, 3):
         A = matrix_units_algebra(n)
@@ -84,16 +106,42 @@ def test_s3_group_algebra_dims():
 
 
 def test_direct_sum_dims():
-    """M_1 + M_2 as a block-diagonal structure-constant algebra."""
-    a1 = matrix_units_algebra(1)
-    a2 = matrix_units_algebra(2)
-    d1, d2 = 1, 4
-    mul = np.zeros((d1 + d2, d1 + d2, d1 + d2), dtype=complex)
-    mul[:d1, :d1, :d1] = a1.mul
-    mul[d1:, d1:, d1:] = a2.mul
-    unit = np.concatenate([a1.unit, a2.unit])
-    A = float_algebra(mul, unit)
-    assert wedderburn_dims_retrying(A, seed=0).dims == [1, 2]
+    assert wedderburn_dims_retrying(direct_sum_m1_m2(), seed=0).dims == [1, 2]
+
+
+def loop_residual(A, idems):
+    """max(|e_a e_b - delta_ab e_a| over a <= b, |sum e_a - unit|), pair by pair."""
+    mul, unit = A.mul_complex(), A.unit_complex()
+    worst = float(np.max(np.abs(idems.sum(axis=0) - unit)))
+    for a in range(len(idems)):
+        for b in range(a, len(idems)):
+            prod = np.einsum("i,j,ijk->k", idems[a], idems[b], mul)
+            worst = max(worst, float(np.max(np.abs(prod - (a == b) * idems[a]))))
+    return worst
+
+
+def perturbed_m1_m2():
+    """M_1 + M_2 with 1e-10 noise on the products across the two blocks.
+
+    The residual is then ~3e-10 and largest at the cross term e_0 e_1, so a
+    residual that missed the pairs a < b would differ from the loop's.
+    """
+    A = direct_sum_m1_m2()
+    noise = 1e-10 * np.random.default_rng(1).standard_normal(A.mul.shape)
+    noise[1:, 1:] = 0
+    noise[0, 0] = 0
+    return float_algebra(A.mul + noise, A.unit)
+
+
+@pytest.mark.parametrize("make", [lambda: exact_group_algebra(s3_mul(), 3), direct_sum_m1_m2,
+                                  perturbed_m1_m2],
+                         ids=["exact C[S3]", "float M2+C", "float M2+C perturbed"])
+def test_idempotent_residual_matches_pairwise_loop(make):
+    """The batched residual is the pairwise one, on non-commutative algebras."""
+    A = make()
+    spec = wedderburn_dims_retrying(A, seed=0)
+    assert spec.dims == ([1, 1, 2] if A.is_exact else [1, 2])
+    assert abs(loop_residual(A, spec.idempotents) - spec.idempotent_residual) < 1e-12
 
 
 def test_sum_of_squares_matches_dim():
@@ -124,27 +172,46 @@ def test_exact_center_of_block(p3_diag_bundle):
     assert wedderburn_dims_retrying(blk, seed=0).dims == [3]
 
 
-def test_exact_center_of_s3_is_class_sums():
+@pytest.fixture
+def nullspace_calls(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return cyc_nullspace(mat)
+
+    monkeypatch.setattr(semisimple, "cyc_nullspace", counting)
+    return calls
+
+
+def test_exact_center_of_s3_is_class_sums(nullspace_calls):
     """C[S3] as an exact algebra: a center that is neither full nor 1-dim.
 
     The reduced basis is the class sums, each 1 at its class's last element:
-    {e}, the three transpositions, the two 3-cycles.
+    {e}, the three transpositions, the two 3-cycles.  Only e commutes with
+    everything, so the narrowing solves once for each of the other five.
     """
     table = s3_mul()
-    counts = np.zeros((6, 6, 6, 3), dtype=np.int64)
-    a, b = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
-    counts[a, b, table, 0] = 1
-    unit = CycArray.zeros((6,), 3)
-    unit.counts[0, 0] = 1
-    A = SCAlgebra(CycArray(3, Fraction(1), counts), unit, name="C[S3]")
+    A = exact_group_algebra(table, 3)
     classes = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
     expected = CycArray.zeros((3, 6), 3)
     expected.counts[..., 0] = classes
     basis = _exact_center_basis(A.mul)
+    noncentral = int(np.count_nonzero(np.any(table != table.T, axis=0)))
+    assert noncentral == 5
+    assert len(nullspace_calls) == noncentral
     assert basis.shape == (3, 6)
     assert basis.eq(expected)
     assert np.array_equal(center_basis(A), classes.astype(complex))
     assert wedderburn_dims_retrying(A, seed=0).dims == [1, 1, 2]
+
+
+def test_exact_center_of_commutative_algebra_takes_no_solve(nullspace_calls):
+    """Every commutator column of C[Z/5] is zero: no solve, identity basis."""
+    identity = CycArray.zeros((5, 5), 5)
+    identity.counts[np.arange(5), np.arange(5), 0] = 1
+    assert _exact_center_basis(exact_group_algebra(cyclic_table(5), 5).mul).eq(identity)
+    assert nullspace_calls == []
 
 
 def test_wedderburn_exact_input(p3_diag_bundle):
