@@ -23,7 +23,6 @@ from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup,
 from .projective import (ProjectiveRep, multiplicity_law_check,
                          projective_rep_from_action, pullback_and_tensor_cocycle,
                          skolem_noether, trace_vanishing_check, twisted_group_algebra)
-from .scalars import Cyclotomic
 from .semisimple import (WedderburnSpectrum, split_simple_retrying,
                          wedderburn_dims_retrying)
 from .twist import (TriangularStructure, TwistAudit, TwistData, assemble_twist,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditError", "Bicharacter", "Config", "CosetSpectrum", "CotwistError",
-    "CycArray", "Cyclotomic", "DoubleCoset", "FiniteGroup", "GroupAction",
+    "CycArray", "DoubleCoset", "FiniteGroup", "GroupAction",
     "ProjectiveRep", "Report", "SCAlgebra", "SeedRetryError", "Subgroup",
     "SymplecticConstruction", "TableConstruction", "TriangularStructure",
     "TwistAudit", "TwistData", "WedderburnSpectrum", "a2_to_a1op_iso",

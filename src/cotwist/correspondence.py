@@ -109,8 +109,7 @@ def build_instance(config: Config) -> Instance:
     elif isinstance(c, TableConstruction):
         G = FiniteGroup.from_file(c.group_file)
         H = Subgroup(G, np.asarray(c.subgroup, dtype=np.int64))
-        order, matrix = load_twist_matrix(c.twist_file)
-        t, audit = assemble_twist(H, matrix, order)
+        t, audit = assemble_twist(H, load_twist_matrix(c.twist_file))
     else:
         raise CotwistError(f"unknown construction {type(c).__name__}")
     return Instance(G=G, H=H, t=t, audit=audit, description=c.describe())

@@ -1,10 +1,12 @@
 """Exact bulk arithmetic and linear algebra over cyclotomic fields.
 
-* ``CycArray`` - an exact array of cyclotomic numbers sharing one order N and
-  one rational scale.  The value at a cell is ``scale * sum_k counts[..., k] *
-  zeta_N^k`` with integer counts.  Canonicalization multiplies the counts by
-  the integer reduction matrix of Phi_N, which makes equality and zero tests
-  exact.
+* ``CycArray`` - the package's one exact representation of cyclotomic
+  numbers: an array of them sharing one order N and one rational scale.  The
+  value at a cell is ``scale * sum_k counts[..., k] * zeta_N^k`` with integer
+  counts.  Canonicalization multiplies the counts by the integer reduction
+  matrix of Phi_N (``cotwist.scalars``), which makes equality and zero tests
+  exact.  Twist files are read straight into one and written from its
+  canonical counts (``cotwist.twist``).
 
 * One product kernel, :func:`accumulate_products`.  ``CycArray.terms`` lists
   each cell's nonzero counts as ``(exps, nums)`` with a trailing axis of T
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CotwistError
-from .scalars import Cyclotomic, _reduction_table, euler_phi, zeta_embeddings
+from .scalars import _reduction_table, euler_phi, zeta_embeddings
 
 
 def _scale_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -67,36 +69,6 @@ class CycArray:
         counts = np.zeros((*exponents.shape, order), dtype=np.int64)
         np.put_along_axis(counts, exponents[..., None], 1, axis=-1)
         return cls(order, Fraction(scale), counts)
-
-    @classmethod
-    def from_cyclotomics(cls, grid, order: int | None = None) -> "CycArray":
-        """Encode an array/list of Cyclotomic values exactly (common order)."""
-        arr = np.asarray(grid, dtype=object)
-        flat = arr.reshape(-1)
-        if order is None:
-            orders = {v.order for v in flat}
-            if len(orders) > 1:
-                raise ValueError(f"mixed orders {sorted(orders)}; rescale first")
-            order = orders.pop() if orders else 1
-        den = 1
-        for v in flat:
-            if v.order != order:
-                raise ValueError("entry order mismatch; rescale first")
-            for c in v.coeffs:
-                den = math.lcm(den, c.denominator)
-        counts = np.zeros((flat.size, order), dtype=np.int64)
-        phi = euler_phi(order)
-        try:
-            for i, v in enumerate(flat):
-                for k in range(phi):
-                    c = v.coeffs[k]
-                    if c:
-                        counts[i, k] = c.numerator * (den // c.denominator)
-        except OverflowError:
-            raise CotwistError(
-                f"exact values over the common denominator {den} overflow int64 counts"
-            ) from None
-        return cls(order, Fraction(1, den), counts.reshape(*arr.shape, order))
 
     # -- shape plumbing ------------------------------------------------------
 
@@ -190,27 +162,6 @@ class CycArray:
         ca, cb, _ = self._aligned(other)
         red = _reduction_table(self.order)
         return bool(np.array_equal(ca @ red, cb @ red))
-
-    # -- conversions --------------------------------------------------------------
-
-    def entry(self, *index) -> Cyclotomic:
-        vec = self.counts[index]
-        phi = euler_phi(self.order)
-        red = _reduction_table(self.order)
-        canon = vec @ red
-        return Cyclotomic(self.order, tuple(self.scale * int(canon[k]) for k in range(phi)))
-
-    def to_object(self) -> np.ndarray:
-        """Materialize as an object array of Cyclotomic (small arrays only)."""
-        red = _reduction_table(self.order)
-        canon = self.counts @ red
-        phi = euler_phi(self.order)
-        flat = canon.reshape(-1, phi)
-        out = np.empty(flat.shape[0], dtype=object)
-        s = self.scale
-        for i in range(flat.shape[0]):
-            out[i] = Cyclotomic(self.order, tuple(s * int(c) for c in flat[i]))
-        return out.reshape(self.shape)
 
     def embed(self) -> np.ndarray:
         """Complex float array of the values."""

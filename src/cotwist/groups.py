@@ -94,13 +94,14 @@ class FiniteGroup:
             tokens = fh.read().split()
         if not tokens:
             raise CotwistError(f"empty Cayley table file {path}")
-        n = int(tokens[0])
-        body = tokens[1:]
-        if len(body) != n * n:
-            raise CotwistError(
-                f"Cayley file {path}: expected {n * n} entries, got {len(body)}"
-            )
-        mul = np.array([int(t) for t in body], dtype=np.int64).reshape(n, n)
+        try:
+            values = [int(t) for t in tokens]
+            n, body = values[0], values[1:]
+            if n < 1 or len(body) != n * n:
+                raise ValueError(f"expected {n} rows of {n} entries, got {len(body)} entries")
+            mul = np.array(body, dtype=np.int64).reshape(n, n)
+        except (ValueError, OverflowError) as exc:
+            raise CotwistError(f"Cayley file {path}: {exc}") from None
         return cls(mul, name=str(path))
 
     def to_file(self, path) -> None:
@@ -121,6 +122,9 @@ class Subgroup:
         self.elements = np.unique(np.asarray(self.elements, dtype=np.int32))
         if self.elements.size == 0 or self.elements[0] != 0:
             raise CotwistError("subgroup must contain the identity (index 0)")
+        if self.elements[-1] >= self.parent.order:
+            raise CotwistError(f"subgroup index {self.elements[-1]} is out of range "
+                               f"for a group of order {self.parent.order}")
         closed = np.isin(
             self.parent.mul[np.ix_(self.elements, self.elements)], self.elements
         )

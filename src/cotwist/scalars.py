@@ -1,12 +1,11 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""The cyclotomic field Q(zeta_N): its reduction table and the text form of values.
 
-A value is stored canonically as a polynomial in zeta_N = exp(2*pi*i/N)
-with rational coefficients, reduced modulo the N-th cyclotomic polynomial,
-so the stored degree is < euler_phi(N).  Canonical forms are unique: two
-values of the same order are equal iff their coefficient tuples are equal.
-
-Rational numbers are stdlib ``fractions.Fraction`` (arbitrary precision,
-gcd-reduced, positive denominator), re-exported here as ``Rational``.
+Exact values live in :class:`cotwist.exactlin.CycArray`, as integer counts
+on the powers zeta_N^k over one rational scale.  This module supplies what
+that representation needs: ``euler_phi``, the table that reduces each power
+x^j modulo the N-th cyclotomic polynomial Phi_N to its unique canonical
+coefficients on 1, zeta, ..., zeta^(phi(N)-1), the complex values of the
+roots, and the literal grammar of twist files.
 
 Text form for one value: semicolon-separated terms ``a/b*E(N)^k`` with
 integer a, positive integer b, integer exponent k; ``0`` denotes zero.
@@ -14,16 +13,11 @@ integer a, positive integer b, integer exponent k; ``0`` denotes zero.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import CotwistError
-
-Rational = Fraction
 
 #: largest cyclotomic order the cached tables will accept
 MAX_ORDER = 10_000
@@ -97,269 +91,9 @@ def _reduction_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _conj_table(n: int) -> np.ndarray:
-    # Image of the basis power zeta^k (k < phi) under zeta -> zeta^(n-1).
-    phi = euler_phi(n)
-    red = _reduction_table(n)
-    rows = np.zeros((phi, phi), dtype=np.int64)
-    for k in range(phi):
-        rows[k] = red[(k * (n - 1)) % n]
-    return rows
-
-
-@lru_cache(maxsize=None)
 def zeta_embeddings(n: int) -> np.ndarray:
     """Complex values exp(2*pi*i*k/n) for k = 0..n-1."""
     return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class Cyclotomic:
-    """One exact element of Q(zeta_N) in canonical reduced form."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        self.order = order
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != euler_phi(order):
-            raise ValueError(
-                f"need {euler_phi(order)} coefficients for order {order}, "
-                f"got {len(self.coeffs)}"
-            )
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int = 1) -> "Cyclotomic":
-        return cls(order, (_ZERO,) * euler_phi(order))
-
-    @classmethod
-    def one(cls, order: int = 1) -> "Cyclotomic":
-        return cls.from_rational(_ONE, order)
-
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> "Cyclotomic":
-        c = [_ZERO] * euler_phi(order)
-        c[0] = Fraction(value)
-        return cls(order, c)
-
-    @classmethod
-    def zeta(cls, order: int, power: int = 1, coeff=1) -> "Cyclotomic":
-        """coeff * zeta_order^power, reduced to canonical form."""
-        row = _reduction_table(order)[power % order]
-        q = Fraction(coeff)
-        return cls(order, tuple(q * int(r) for r in row))
-
-    # -- basic predicates -------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise CotwistError(f"{self} is not rational")
-        return self.coeffs[0]
-
-    # -- arithmetic -------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise ValueError(
-                    f"order mismatch {self.order} vs {other.order}; "
-                    "rescale explicitly first"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(other, self.order)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = self.order
-        acc = [_ZERO] * n
-        bc = o.coeffs
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(bc):
-                    if bj:
-                        acc[(i + j) % n] += ai * bj
-        red = _reduction_table(n)
-        phi = len(self.coeffs)
-        out = [_ZERO] * phi
-        for j, aj in enumerate(acc):
-            if aj:
-                row = red[j]
-                for k in range(phi):
-                    r = row[k]
-                    if r:
-                        out[k] += aj * int(r)
-        return Cyclotomic(n, out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclid algorithm mod Phi_N."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                inv_lead = 1 / r1[0]
-                coeffs = [c * inv_lead for c in s1]
-                coeffs += [_ZERO] * (len(self.coeffs) - len(coeffs))
-                return Cyclotomic(self.order, coeffs[: len(self.coeffs)])
-            q, r = _polydivmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub_frac(s0, _polymul_frac(q, s1))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugate (zeta -> zeta^(N-1))."""
-        table = _conj_table(self.order)
-        phi = len(self.coeffs)
-        out = [_ZERO] * phi
-        for k, ck in enumerate(self.coeffs):
-            if ck:
-                row = table[k]
-                for i in range(phi):
-                    r = row[i]
-                    if r:
-                        out[i] += ck * int(r)
-        return Cyclotomic(self.order, out)
-
-    # -- comparisons, embedding, rescaling --------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(other, self.order)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        if other.order == self.order:
-            return self.coeffs == other.coeffs
-        m = math.lcm(self.order, other.order)
-        return self.rescale_order(m).coeffs == other.rescale_order(m).coeffs
-
-    __hash__ = None  # value equality spans orders; hashing is deliberately off
-
-    def rescale_order(self, m: int) -> "Cyclotomic":
-        """Re-express in Q(zeta_m) for a multiple m of the current order."""
-        if m % self.order:
-            raise ValueError(f"{m} is not a multiple of order {self.order}")
-        if m == self.order:
-            return self
-        step = m // self.order
-        red = _reduction_table(m)
-        phi = euler_phi(m)
-        out = [_ZERO] * phi
-        for k, ck in enumerate(self.coeffs):
-            if ck:
-                row = red[(k * step) % m]
-                for i in range(phi):
-                    r = row[i]
-                    if r:
-                        out[i] += ck * int(r)
-        return Cyclotomic(m, out)
-
-    def embed(self) -> complex:
-        """Numerical value as a complex float."""
-        z = zeta_embeddings(self.order)
-        return complex(sum(float(c) * z[k] for k, c in enumerate(self.coeffs) if c))
-
-    # -- text form ---------------------------------------------------------
-
-    def literal(self) -> str:
-        terms = [
-            f"{c.numerator}/{c.denominator}*E({self.order})^{k}"
-            for k, c in enumerate(self.coeffs)
-            if c
-        ]
-        return ";".join(terms) if terms else "0"
-
-    def __repr__(self) -> str:
-        return self.literal()
-
-
-def _polydivmod_frac(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    out = [_ZERO] * max(len(num) - dn, 1)
-    inv_lead = 1 / den[-1]
-    for shift in range(len(num) - dn - 1, -1, -1):
-        q = num[shift + dn] * inv_lead
-        out[shift] = q
-        if q:
-            for i, d in enumerate(den):
-                num[shift + i] -= q * d
-    return out, num[:dn]
-
-
-def _polymul_frac(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _polysub_frac(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 _TERM_RE = re.compile(
@@ -367,18 +101,17 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_cyclotomic(text: str, order: int | None = None) -> Cyclotomic:
-    """Parse the literal format ``a/b*E(N)^k;...`` (``0`` for zero).
+def parse_cyclotomic(text: str, order: int) -> tuple[Fraction, ...]:
+    """Canonical coefficients of the literal ``a/b*E(N)^k;...`` (``0`` for zero).
 
-    If ``order`` is given, every term must use that N and the result is
-    returned at that order; otherwise the order is taken from the terms.
+    Every term must use N = ``order``; the phi(order) coefficients are those
+    of the sum on 1, zeta, ..., zeta^(phi-1).  Raises ValueError on a
+    malformed literal.
     """
-    text = text.strip()
-    if text == "0":
-        if order is None:
-            raise ValueError("bare 0 needs an explicit order")
-        return Cyclotomic.zero(order)
-    total = None
+    red = _reduction_table(order)
+    coeffs = [Fraction(0)] * red.shape[1]
+    if text.strip() == "0":
+        return tuple(coeffs)
     for piece in text.split(";"):
         m = _TERM_RE.match(piece)
         if not m:
@@ -386,13 +119,16 @@ def parse_cyclotomic(text: str, order: int | None = None) -> Cyclotomic:
         num, den, n, k = (int(g) for g in m.groups())
         if den <= 0:
             raise ValueError(f"denominator must be positive in {piece!r}")
-        if order is not None and n != order:
-            raise ValueError(f"term order {n} != expected {order}")
-        term = Cyclotomic.zeta(n, k, Fraction(num, den))
-        total = term if total is None else total + term
-    return total
+        if n != order:
+            raise ValueError(f"term order {n} != expected {order} in {piece!r}")
+        for i, r in enumerate(red[k % order]):
+            if r:
+                coeffs[i] += Fraction(num, den) * int(r)
+    return tuple(coeffs)
 
 
-def format_cyclotomic(value: Cyclotomic) -> str:
-    """Inverse of :func:`parse_cyclotomic` on canonical forms."""
-    return value.literal()
+def format_cyclotomic(coeffs, order: int) -> str:
+    """The literal of canonical coefficients; inverse of :func:`parse_cyclotomic`."""
+    terms = [f"{c.numerator}/{c.denominator}*E({order})^{k}"
+             for k, c in enumerate(coeffs) if c]
+    return ";".join(terms) if terms else "0"

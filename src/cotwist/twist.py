@@ -39,6 +39,7 @@ from .exactlin import (
     invert_in_group_algebra,
 )
 from .groups import Bicharacter, FiniteGroup, Subgroup
+from .scalars import format_cyclotomic, parse_cyclotomic
 
 
 @dataclass
@@ -70,14 +71,6 @@ class TwistData:
     def pair_mul(self) -> np.ndarray:
         """Cayley table of H x H on flat indices h1 * |H| + h2."""
         return _pair_table(self.group.mul)
-
-    def J_entries(self) -> np.ndarray:
-        return self.J.to_object()
-
-    def Jinv_entries(self) -> np.ndarray:
-        if self.Jinv is None:
-            raise CotwistError("twist inverse has not been computed")
-        return self.Jinv.to_object()
 
     def require_verified(self) -> None:
         if not self.verified:
@@ -162,32 +155,29 @@ def symplectic_twist(H: FiniteGroup, sigma: Bicharacter) -> TwistData:
     return _accepted(t, verify_twist_axioms(t))
 
 
-def assemble_twist(subgroup: Subgroup, J, order: int | None = None):
+def assemble_twist(subgroup: Subgroup, J: CycArray):
     """Build a TwistData and audit it, without raising on axiom failure.
 
     Returns (t, audit); ``t.verified`` mirrors ``audit.ok``.  Inversion
     failure (a singular candidate) is folded into the audit rather than
     raised, so callers can report exactly which axioms broke.
     """
-    if not isinstance(J, CycArray):
-        J = CycArray.from_cyclotomics(J, order)
-    if order is None:
-        order = J.order
     m = subgroup.order
     if J.shape != (m, m):
         raise CotwistError(f"twist matrix shape {J.shape} != ({m}, {m})")
-    t = TwistData(subgroup=subgroup, order=order, J=J)
+    t = TwistData(subgroup=subgroup, order=J.order, J=J)
     return t, verify_twist_axioms(t)
 
 
-def make_twist(subgroup: Subgroup, J, order: int | None = None) -> TwistData:
-    """Build a verified TwistData from a raw coefficient matrix.
+def make_twist(subgroup: Subgroup, J: CycArray) -> TwistData:
+    """Build a verified TwistData from an exact (|H|, |H|) coefficient matrix.
 
-    ``J`` may be a CycArray or an object matrix of Cyclotomic.  The inverse
-    is computed exactly and all twist axioms are audited; any failure raises
-    ``AuditError`` naming the failing axioms.
+    ``J`` is indexed by the local indices of ``subgroup`` (row = left leg)
+    and its order N is the twist's.  The inverse is computed exactly and all
+    twist axioms are audited; any failure raises ``AuditError`` naming the
+    failing axioms.
     """
-    return _accepted(*assemble_twist(subgroup, J, order))
+    return _accepted(*assemble_twist(subgroup, J))
 
 
 def _accepted(t: TwistData, audit: TwistAudit) -> TwistData:
@@ -362,31 +352,48 @@ def square_dimension_check(t: TwistData) -> int:
 
 
 def save_twist_file(path, t: TwistData) -> None:
-    """Write ``N dim`` header then dim^2 cyclotomic literals row-major."""
-    entries = t.J_entries()
+    """Write ``N dim`` header then dim^2 cyclotomic literals row-major.
+
+    Each literal lists the nonzero canonical coefficients of its cell
+    (``J.canonical()`` times ``J.scale``), so equal twists give equal files.
+    """
+    canon = t.J.canonical()
     m = t.size
     with open(path, "w") as fh:
         fh.write(f"{t.order} {m}\n")
         for a in range(m):
             for b in range(m):
-                fh.write(entries[a, b].literal() + "\n")
+                coeffs = [t.J.scale * int(c) for c in canon[a, b]]
+                fh.write(format_cyclotomic(coeffs, t.order) + "\n")
 
 
-def load_twist_matrix(path) -> tuple[int, np.ndarray]:
-    """Read a twist file; returns (order, object matrix of Cyclotomic)."""
-    from .scalars import parse_cyclotomic
+def load_twist_matrix(path) -> CycArray:
+    """Read a twist file into one exact (dim, dim) CycArray of order N.
 
+    The counts are the canonical coefficients of the literals over their
+    lowest common denominator, the scale is one over it.  A malformed
+    header or literal, a term of another order than the header's, or counts
+    that overflow int64 raise CotwistError naming the file.
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise CotwistError(f"twist file {path}: bad header")
-        order, dim = int(header[0]), int(header[1])
         body = fh.read().split()
-    if len(body) != dim * dim:
-        raise CotwistError(
-            f"twist file {path}: expected {dim * dim} entries, got {len(body)}"
-        )
-    out = np.empty((dim, dim), dtype=object)
-    for k, token in enumerate(body):
-        out[k // dim, k % dim] = parse_cyclotomic(token, order)
-    return order, out
+    if len(header) != 2:
+        raise CotwistError(f"twist file {path}: bad header")
+    try:
+        order, dim = int(header[0]), int(header[1])
+        if order < 1 or dim < 1:
+            raise ValueError(f"header needs a positive order and dimension, got {header}")
+        if len(body) != dim * dim:
+            raise ValueError(f"expected {dim * dim} entries, got {len(body)}")
+        cells = [parse_cyclotomic(token, order) for token in body]
+    except ValueError as exc:
+        raise CotwistError(f"twist file {path}: {exc}") from None
+    den = math.lcm(*(c.denominator for cell in cells for c in cell))
+    canon = [[c.numerator * (den // c.denominator) for c in cell] for cell in cells]
+    if max(abs(x) for cell in canon for x in cell) >= 1 << 63:
+        raise CotwistError(f"twist file {path}: exact values over the common "
+                           f"denominator {den} overflow int64 counts")
+    counts = np.zeros((dim * dim, order), dtype=np.int64)
+    counts[:, :len(canon[0])] = canon
+    return CycArray(order, Fraction(1, den), counts.reshape(dim, dim, order))

@@ -30,6 +30,7 @@ from cotwist.projective import (multiplicity_law_check,
 from cotwist.twist import (TwistData, make_twist, q_element_and_antipode_check,
                            save_twist_file, symplectic_twist,
                            triangular_structure, verify_twist_axioms)
+from intermediate_instance import write_instance as write_intermediate_instance
 
 UNIPOTENT = [[[1, 1], [0, 1]]]
 DIAG_12 = [[[1, 0], [0, 2]]]
@@ -50,6 +51,8 @@ CRITERIA = {
        "representative changes leave dims unchanged",
     8: "trivial twist on H={e} gives all-1 spectra; corrupted twist fails "
        "verify with exit 1 naming the 2-cocycle axiom",
+    9: "intermediate stabilizers: (Z/3)^3 x| C3 table instance, |K_g| = 3 on "
+       "two cosets with [3, 3, 3] on all three routes and ratio 3",
 }
 RESULTS: dict = {}
 
@@ -322,7 +325,7 @@ def test_criterion_8_degenerate_paths(tmp_path):
     c2.to_file(group_file)
     J = CycArray.zeros((1, 1), 1)
     J.counts[0, 0, 0] = 1
-    save_twist_file(trivial_file, make_twist(Subgroup(c2, np.array([0])), J, 1))
+    save_twist_file(trivial_file, make_twist(Subgroup(c2, np.array([0])), J))
     report = full_report(Config(TableConstruction(
         str(group_file), [0], str(trivial_file))))
     assert report.ok, report.failures
@@ -352,3 +355,30 @@ def test_criterion_8_degenerate_paths(tmp_path):
     assert written["global_checks"]["twist_axioms"] is False
     assert any("2-cocycle" in line for line in written["failures"])
     return "trivial twist all-1; corrupted twist exit 1 naming 2-cocycle"
+
+
+# ---------------------------------------------------------------------------
+# criterion 9: stabilizers strictly between {e} and H
+
+
+@criterion(9)
+def test_criterion_9_intermediate_stabilizers(tmp_path):
+    config = write_intermediate_instance(tmp_path)
+    report = full_report(config)
+    assert report.ok, report.failures
+    assert report.totals["group_order"] == 81
+    assert len(report.cosets) == 5
+    inst = build_instance(config)
+    ctx = prepare_instance(inst, seed=0)
+    cosets = {Z.representative: Z for Z in double_cosets(inst.G, inst.H)}
+    spectra = {c.rep: c for c in report.cosets}
+    for g in (27, 54):  # gamma and gamma^2
+        c = spectra[g]
+        assert c.k_size == 3
+        assert c.dims_direct == c.dims_invariant == c.dims_predicted == [3, 3, 3]
+        Kg = stabilizer_Kg(inst.G, inst.H, g)
+        _, W, spec = predicted_spectrum(cosets[g], g, ctx.V1, ctx.V2, Kg, ctx.seed, ctx.tol)
+        ok, mults = multiplicity_law_check(W, spec, inst.H.order, tol=1e-6)
+        assert ok and len(mults) == 3
+        assert all(abs(m - 3 * d) <= 1e-6 for m, d in zip(mults, spec.dims))
+    return "5 cosets; reps 27 and 54: |K_g| = 3, [3, 3, 3], ratio 3"

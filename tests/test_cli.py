@@ -200,6 +200,31 @@ def test_input_errors_exit_2(argv, capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("target, old, new, message", [
+    ("twist.txt", "\n1/9*E(3)^1\n", "\nnonsense\n", "bad cyclotomic term 'nonsense'"),
+    ("twist.txt", "\n1/9*E(3)^1\n", "\n0;1/9*E(3)^1\n", "bad cyclotomic term '0'"),
+    ("twist.txt", "\n1/9*E(3)^1\n", "\n1/9*E(5)^1\n", "term order 5 != expected 3"),
+    ("twist.txt", "3 9", "3 nine", "invalid literal for int() with base 10: 'nine'"),
+    ("group.txt", "0 1 2", "0 one 2", "invalid literal for int() with base 10: 'one'"),
+    ("group.txt", "0 1 2", f"0 {1 << 64} 2", "too large"),
+    ("group.txt", "9\n", "-9\n", "expected -9 rows of -9 entries, got 81 entries"),
+    ("config.json", "8]", "8, 9]", "subgroup index 9 is out of range for a group of order 9"),
+], ids=["literal", "bare-zero-joined", "term-order", "twist-header", "cayley-token",
+        "cayley-int64", "cayley-order", "subgroup-index"])
+def test_malformed_table_instance_exits_2(tmp_path, capsys, target, old, new, message):
+    cfg_file = write_table_instance(tmp_path)
+    path = tmp_path / target
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    rc, stdout, stderr = run_cli(["verify", "--config", str(cfg_file)], capsys)
+    assert rc == 2
+    assert stdout == ""
+    assert message in stderr
+    if target != "config.json":
+        assert str(path) in stderr  # the message names the file
+
+
 def test_bad_json_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -188,7 +188,7 @@ def test_gauge_twist_multi_term_full_pipeline(p3_pair):
     from cotwist.groups import build_semidirect
 
     G, Hs = build_semidirect(H, 3, [[[1, 0], [0, 2]]])
-    t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m), n).rehome(Hs)
+    t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m)).rehome(Hs)
     assert t2.J.terms()[0].shape[-1] > 1
 
     inst_cfg = Config(SymplecticConstruction(p=3, n=1, gamma_generators=[[[1, 0], [0, 2]]]))
@@ -249,7 +249,7 @@ def test_corrupted_twist_report(tmp_path, p3_pair):
     t = symplectic_twist(H, sigma)
     Jbad = t.J.copy()
     Jbad.counts[1, 2, 0] += 1
-    tb, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad, 3)
+    tb, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad)
     assert not audit.ok
     gf, tf = tmp_path / "g.txt", tmp_path / "t.txt"
     H.to_file(gf)
@@ -273,7 +273,7 @@ def test_nonminimal_twist_refused(p3_pair):
         gf = Path(d) / "g.txt"
         tf = Path(d) / "t.txt"
         H.to_file(gf)
-        t = make_twist(Subgroup(H, np.arange(9)), J, 3)
+        t = make_twist(Subgroup(H, np.arange(9)), J)
         save_twist_file(tf, t)
         rep = full_report(Config(TableConstruction(str(gf), list(range(9)), str(tf))))
     assert not rep.ok and rep.cosets == []
@@ -287,7 +287,7 @@ def test_trivial_subgroup_table_instance(tmp_path):
     c2.to_file(gf)
     J = CycArray.zeros((1, 1), 1)
     J.counts[0, 0, 0] = 1
-    t = make_twist(Subgroup(c2, np.array([0])), J, 1)
+    t = make_twist(Subgroup(c2, np.array([0])), J)
     save_twist_file(tf, t)
     rep = full_report(Config(TableConstruction(str(gf), [0], str(tf))))
     assert rep.ok, rep.failures

@@ -1,8 +1,8 @@
 """Dual algebras of the two deformed coproducts, their actions, blocks, iso.
 
-The product oracles here recompute structure constants with plain Cyclotomic
-object loops straight from the defining formulas, independently of the
-vectorized builders.
+The product oracles here recompute structure constants with the reference
+arithmetic of ``cyc_reference`` in plain loops, straight from the defining
+formulas, independently of the vectorized builders.
 """
 
 import numpy as np
@@ -13,38 +13,38 @@ from cotwist.dual_algebras import (a2_to_a1op_iso, build_A1_A2_star,
 from cotwist.errors import AuditError
 from cotwist.exactlin import CycArray
 from cotwist.groups import double_cosets
-from cotwist.scalars import Cyclotomic
 from cotwist.semisimple import algebra_audit
+from cyc_reference import add, equal, mul, values, zero
 
 
 def test_a1_product_object_loop_oracle(p3_twist, p3_duals):
     t = p3_twist
     A1 = p3_duals[0]
-    J = t.J_entries()
-    mul = t.group.mul
+    J = values(t.J)
+    table = t.group.mul
     inv = t.group.inv
-    got = A1.mul.to_object()
+    got = values(A1.mul)
     rng = np.random.default_rng(1)
     for _ in range(12):
         h, hp = int(rng.integers(9)), int(rng.integers(9))
         for x in range(9):
-            want = J[mul[inv[x], h], mul[inv[x], hp]]
-            assert got[h, hp, x] == want
+            want = J[table[inv[x], h], table[inv[x], hp]]
+            assert equal(got[h, hp, x], want)
 
 
 def test_a2_product_object_loop_oracle(p3_twist, p3_duals):
     t = p3_twist
     A2 = p3_duals[1]
-    Jinv = t.Jinv_entries()
-    mul = t.group.mul
+    Jinv = values(t.Jinv)
+    table = t.group.mul
     inv = t.group.inv
-    got = A2.mul.to_object()
+    got = values(A2.mul)
     rng = np.random.default_rng(2)
     for _ in range(12):
         h, hp = int(rng.integers(9)), int(rng.integers(9))
         for x in range(9):
-            want = Jinv[mul[h, inv[x]], mul[hp, inv[x]]]
-            assert got[h, hp, x] == want
+            want = Jinv[table[h, inv[x]], table[hp, inv[x]]]
+            assert equal(got[h, hp, x], want)
 
 
 def test_duals_are_unital_associative(p3_duals):
@@ -176,22 +176,22 @@ def test_a2_to_a1op_iso(p3_twist, p3_duals):
     A1, A2, rho1, rho2 = p3_duals
     M = a2_to_a1op_iso(p3_twist, A1, A2, rho1, rho2)
     # audits run inside; spot-check the product reversal once more by hand
-    obj_m = M.to_object()
-    a1 = A1.mul.to_object()
-    a2 = A2.mul.to_object()
+    obj_m = values(M)
+    a1 = values(A1.mul)
+    a2 = values(A2.mul)
     rng = np.random.default_rng(6)
     for _ in range(4):
         x, y = int(rng.integers(9)), int(rng.integers(9))
         # M(delta_x .2 delta_y) coefficient at h
         for h in range(9):
-            lhs = Cyclotomic.zero(3)
+            lhs = zero(3)
             for w in range(9):
-                lhs = lhs + a2[x, y, w] * obj_m[h, w]
-            rhs = Cyclotomic.zero(3)
+                lhs = add(lhs, mul(a2[x, y, w], obj_m[h, w]))
+            rhs = zero(3)
             for u in range(9):
                 for v in range(9):
-                    rhs = rhs + obj_m[u, y] * obj_m[v, x] * a1[u, v, h]
-            assert lhs == rhs
+                    rhs = add(rhs, mul(mul(obj_m[u, y], obj_m[v, x]), a1[u, v, h]))
+            assert equal(lhs, rhs)
 
 
 def test_iso_rejects_wrong_candidate(p3_twist, p3_duals):

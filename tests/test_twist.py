@@ -62,7 +62,7 @@ def test_closed_form_inverse_equals_general_solve(p3_pair, p3_twist):
     assert p3_twist.Jinv.eq(p3_twist.J.conj())
     bare = FiniteGroup(H.mul.copy())
     J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, 9))
-    t2, audit = assemble_twist(Subgroup(bare, np.arange(9)), J, 3)
+    t2, audit = assemble_twist(Subgroup(bare, np.arange(9)), J)
     assert audit.ok
     assert t2.Jinv.eq(p3_twist.Jinv)
 
@@ -83,12 +83,12 @@ def test_corrupted_twist_names_cocycle_axiom(p3_pair, p3_twist):
     H, _ = p3_pair
     Jbad = p3_twist.J.copy()
     Jbad.counts[1, 2, 0] += 1
-    t, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad, 3)
+    t, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad)
     assert not t.verified and not audit.ok
     assert "2-cocycle equation" in audit.failed
     assert audit.failed == [name for name in AXIOM_NAMES if name != "invertibility"]
     with pytest.raises(AuditError):
-        make_twist(Subgroup(H, np.arange(9)), Jbad, 3)
+        make_twist(Subgroup(H, np.arange(9)), Jbad)
     with pytest.raises(CotwistError):
         t.require_verified()
 
@@ -118,7 +118,7 @@ def _perturbed(J: CycArray, changes) -> CycArray:
 ])
 def test_corrupted_twist_names_each_failing_axiom(p3_pair, p3_twist, changes, failing):
     H, _ = p3_pair
-    t, audit = assemble_twist(Subgroup(H, np.arange(9)), _perturbed(p3_twist.J, changes), 3)
+    t, audit = assemble_twist(Subgroup(H, np.arange(9)), _perturbed(p3_twist.J, changes))
     assert not t.verified
     assert audit.failed == failing
 
@@ -126,7 +126,7 @@ def test_corrupted_twist_names_each_failing_axiom(p3_pair, p3_twist, changes, fa
 def test_counit_corruption_fails_only_the_counits(p3_pair, p3_twist):
     """2J satisfies the cocycle equation and coassociativity but not the counits."""
     H, _ = p3_pair
-    t, audit = assemble_twist(Subgroup(H, np.arange(9)), p3_twist.J.scale_by(2), 3)
+    t, audit = assemble_twist(Subgroup(H, np.arange(9)), p3_twist.J.scale_by(2))
     assert not t.verified
     assert audit.failed == ["counit (left leg)", "counit (right leg)"]
 
@@ -141,7 +141,7 @@ def test_trivial_twist_is_valid_but_not_minimal(p3_pair):
     H, _ = p3_pair
     J = CycArray.zeros((9, 9), 3)
     J.counts[0, 0, 0] = 1  # J = e (x) e
-    t = make_twist(Subgroup(H, np.arange(9)), J, 3)
+    t = make_twist(Subgroup(H, np.arange(9)), J)
     assert t.verified
     tri = triangular_structure(t)
     assert tri.rank == 1 and not tri.minimal
@@ -172,7 +172,7 @@ def test_square_dimension_rejects_nonsquare():
     c3 = FiniteGroup((np.arange(3)[:, None] + np.arange(3)[None, :]) % 3)
     J = CycArray.zeros((3, 3), 1)
     J.counts[0, 0, 0] = 1
-    t = make_twist(Subgroup(c3, np.arange(3)), J, 1)
+    t = make_twist(Subgroup(c3, np.arange(3)), J)
     with pytest.raises(CotwistError):
         square_dimension_check(t)
 
@@ -192,25 +192,55 @@ def test_rehome(p3_twist, p3_pair):
 def test_twist_file_round_trip(tmp_path, p3_twist):
     path = tmp_path / "twist.txt"
     save_twist_file(path, p3_twist)
-    order, matrix = load_twist_matrix(path)
-    assert order == 3
+    J = load_twist_matrix(path)
+    assert J.order == 3
     H, _ = build_elementary_abelian_symplectic(3, 1)
-    t2, audit = assemble_twist(Subgroup(H, np.arange(9)), matrix, order)
+    t2, audit = assemble_twist(Subgroup(H, np.arange(9)), J)
     assert audit.ok
     assert t2.J.eq(p3_twist.J)
+    # the same counts and scale as the twist that was written
+    assert J.scale == p3_twist.J.scale
+    assert np.array_equal(J.counts, p3_twist.J.reduced().counts)
+
+
+def test_twist_file_golden_lines(tmp_path, p3_pair, p3_twist):
+    """The file format, pinned: J_ab = zeta^sigma(a,b) / 9 and a zero cell."""
+    _, sigma = p3_pair
+    literal = {0: "1/9*E(3)^0", 1: "1/9*E(3)^1", 2: "-1/9*E(3)^0;-1/9*E(3)^1"}
+    path = tmp_path / "twist.txt"
+    save_twist_file(path, p3_twist)
+    lines = path.read_text().splitlines()
+    assert lines == ["3 9"] + [literal[int(e)] for e in sigma.exponents.ravel()]
+
+    J = CycArray.zeros((9, 9), 3)
+    J.counts[0, 0, 0] = 1  # J = e (x) e: every other cell is zero
+    save_twist_file(path, make_twist(Subgroup(p3_pair[0], np.arange(9)), J))
+    assert path.read_text().splitlines() == ["3 9", "1/1*E(3)^0"] + ["0"] * 80
+
+
+def test_twist_file_loads_noncanonical_literals(tmp_path):
+    """Reducible exponents and repeated terms load to canonical counts over
+    the lowest common denominator of the canonical coefficients."""
+    path = tmp_path / "twist.txt"
+    path.write_text("3 2\n1/1*E(3)^2\n1/2*E(3)^1;1/2*E(3)^1\n"
+                    "-1/3*E(3)^-1;0/5*E(3)^0\n0\n")
+    J = load_twist_matrix(path)
+    assert J.order == 3 and J.scale == Fraction(1, 3)
+    assert J.counts.tolist() == [[[-3, -3, 0], [0, 3, 0]], [[1, 1, 0], [0, 0, 0]]]
 
 
 def test_twist_file_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("3\n0\n")  # header lacks the dimension
-    with pytest.raises(CotwistError):
-        load_twist_matrix(bad)
-    bad.write_text("3 2\n0 0 0\n")  # wrong entry count
-    with pytest.raises(CotwistError):
-        load_twist_matrix(bad)
-    bad.write_text("3 1\nnonsense\n")  # unparseable literal
-    with pytest.raises((CotwistError, ValueError)):
-        load_twist_matrix(bad)
+    for text in ("3\n0\n",                     # header lacks the dimension
+                 "3 2\n0 0 0\n",                # wrong entry count
+                 "3 1\nnonsense\n",             # unparseable literal
+                 "3 1\n0;1/1*E(3)^0\n",         # bare 0 joined to a term
+                 "3 1\n1/1*E(5)^0\n",           # term order != header order
+                 "x 1\n0\n",                    # non-integer header
+                 "3 0\n"):                      # empty matrix
+        bad.write_text(text)
+        with pytest.raises(CotwistError, match="twist file"):
+            load_twist_matrix(bad)
 
 
 def test_gauge_transformed_twist_still_valid(p3_pair, p3_twist):
@@ -235,7 +265,7 @@ def test_gauge_transformed_twist_still_valid(p3_pair, p3_twist):
     diag.counts[np.arange(m) * m + np.arange(m)] = uinv.counts
     diag.scale = uinv.scale
     jp = ga_mul(ga_mul(uu, t.J.reshape(m * m), t.pair_mul), diag, t.pair_mul)
-    t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m), n)
+    t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m))
     assert t2.verified
     assert t2.J.terms()[0].shape[-1] > 1, "gauge transform should be multi-term"
     tri = triangular_structure(t2)
