@@ -20,7 +20,7 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, build_A1_A2_star, build_block_algebra, determine_unit
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, accumulate_products, cyc_rank, gather
+from .exactlin import CycArray, ProductCounts, accumulate_products, cyc_rank, gather
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, double_cosets, stabilizer_Kg, stabilizer_local_indices)
 from .projective import (ProjectiveRep, multiplicity_law_check, projective_rep_from_action,
@@ -187,20 +187,19 @@ def _tensor_product_of_columns(mul2: CycArray, mul1: CycArray, F: np.ndarray) ->
     n = mul2.order
     if mul1.order != n:
         raise CotwistError("tensor legs have different cyclotomic orders")
-    supports = [np.nonzero(F[:, i])[0] for i in range(z)]
+    supports = [np.divmod(np.nonzero(F[:, i])[0], m) for i in range(z)]
     terms2, terms1 = mul2.terms(), mul1.terms()
     x1, x2 = np.ogrid[:m, :m]
-    pairs = x1 * m + x2
-    out = np.zeros((z, z, m * m, n), dtype=np.int64)
+    out = ProductCounts((z, z, m, m), n)
     for i in range(z):
-        av, bv = np.divmod(supports[i], m)
+        av, bv = (y[:, None, None, None] for y in supports[i])
         for j in range(z):
-            cv, dv = np.divmod(supports[j], m)
+            cv, dv = (y[None, :, None, None] for y in supports[j])
             # [k, l, x1, x2] = mul2[a_k, c_l, x1] * mul1[b_k, d_l, x2]
-            accumulate_products(out[i, j], pairs,
-                                gather(terms2, av[:, None, None, None], cv[None, :, None, None], x1),
-                                gather(terms1, bv[:, None, None, None], dv[None, :, None, None], x2))
-    return CycArray(n, mul2.scale * mul1.scale, out)
+            cell = ((i * z + j) * m + x1) * m
+            accumulate_products(out, out.piece(gather(terms2, av, cv, x1), cell),
+                                out.piece(gather(terms1, bv, dv, x2), x2))
+    return out.fold(mul2.scale * mul1.scale).reshape(z, z, m * m)
 
 
 def f_g_map(G: FiniteGroup, H: Subgroup, t: TwistData, Z: DoubleCoset, g: int,
@@ -295,7 +294,9 @@ def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, orbit_id: np.ndar
 
     For orbit representatives q_i the product o_i o_j equals the orbit
     symmetrization of delta_{q_i} * o_j; freeness makes the reduction to the
-    orbit basis a plain sum of coefficients over each orbit.
+    orbit basis a plain sum of coefficients over each orbit.  Each
+    delta_{q_i} * o_j is added on the pair basis (x1, x2), whose cell offset
+    splits between the two legs, and then summed over the orbit members.
     """
     m = mul2.shape[0]
     n = mul2.order
@@ -304,14 +305,15 @@ def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, orbit_id: np.ndar
     y1, y2 = (y[:, :, None, None] for y in np.divmod(members, m))
     terms2, terms1 = mul2.terms(), mul1.terms()
     x1, x2 = np.ogrid[:m, :m]
-    # [j, x1, x2] -> cell (j, orbit of the pair (x1, x2)) of a row of counts
-    target = np.arange(r)[:, None, None, None] * r + orbit_id.reshape(m, m)
-    counts = np.zeros((r, r, r, n), dtype=np.int64)
+    j = np.arange(r)[:, None, None, None]
+    counts = np.empty((r, r, r, n), dtype=np.int64)
     for i in range(r):
         h1, h2 = divmod(int(reps[i]), m)
-        # [j, k, x1, x2] = mul2[h1, y1_jk, x1] * mul1[h2, y2_jk, x2]
-        accumulate_products(counts[i], target, gather(terms2, h1, y1, x1),
-                            gather(terms1, h2, y2, x2))
+        # [j, k, x1, x2] = mul2[h1, y1_jk, x1] * mul1[h2, y2_jk, x2] at pair cell (j, x1, x2)
+        pairs = ProductCounts((r, m, m), n)
+        accumulate_products(pairs, pairs.piece(gather(terms2, h1, y1, x1), (j * m + x1) * m),
+                            pairs.piece(gather(terms1, h2, y2, x2), x2))
+        counts[i] = pairs.fold(1).counts.reshape(r, m * m, n)[:, members].sum(axis=2)
     return CycArray(n, mul2.scale * mul1.scale, counts)
 
 
@@ -516,7 +518,7 @@ def _global_checks(instance: Instance):
         if not tri.minimal:
             failures.append(
                 f"twist is not minimal: rank {tri.rank} != |H| = {m}")
-    except AuditError as exc:
+    except CotwistError as exc:
         failures.append(f"triangularity failed: {exc}")
     try:
         _, q_ok = q_element_and_antipode_check(t)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError
-from .exactlin import CycArray, accumulate_products, cyc_rank, cyc_tensordot, gather
+from .exactlin import (CycArray, ProductCounts, accumulate_products, cyc_rank, cyc_tensordot,
+                       gather)
 from .groups import DoubleCoset, FiniteGroup
 from .twist import TwistData
 
@@ -200,20 +201,25 @@ def dual_product_delta(t: TwistData, a: int, b: int) -> CycArray:
     c_loc = loc[mulG[xinv, mulG[invG[elems], a][:, None]]]  # [s, x] -> x^-1 s^-1 a
     d_loc = loc[mulG[xinv, mulG[invG[elems], b][:, None]]]  # [t, x] -> x^-1 t^-1 b
     s, tt, x = np.nonzero((c_loc[:, None, :] >= 0) & (d_loc[None, :, :] >= 0))
-    out = np.zeros((G.order, t.order), dtype=np.int64)
-    accumulate_products(out, x, gather(t.Jinv.terms(), s, tt),
-                        gather(t.J.terms(), c_loc[s, x], d_loc[tt, x]))
-    return CycArray(t.order, t.J.scale * t.Jinv.scale, out)
+    out = ProductCounts((G.order,), t.order)
+    accumulate_products(out, out.piece(gather(t.Jinv.terms(), s, tt), x),
+                        out.piece(gather(t.J.terms(), c_loc[s, x], d_loc[tt, x])))
+    return out.fold(t.J.scale * t.Jinv.scale)
 
 
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     """The block of the ambient dual algebra supported on one double coset.
 
     Basis {delta_a : a in H g H}; the product is the ambient dual product,
-    which this block is closed under.  Built by enumerating (s, t, c, d) in
-    H^4 against every basis point x of the coset: the pair (s x c, t x d)
-    receives Jinv[s, t] J[c, d].  The unit is the verified restriction of the
-    ambient counit (all-ones on the coset).
+    which this block is closed under.  For every basis point x of the coset
+    and every (s, t, c, d) in H^4 the pair (s x c, t x d) receives
+    Jinv[s, t] J[c, d] at x.  That is one kernel call per x, |Z| in all: its
+    slot is the sum of a Jinv-side piece over [s, t, c] (the cell offset of
+    s x c and x plus Jinv's exponents) and a J-side piece over [t, c, d] (the
+    cell offset of t x d plus J's exponents), so the scratch beyond the
+    counts is |H|^3 * T cells per call and no |H|^4 target is formed.  The
+    unit is the verified restriction of the ambient counit (all-ones on the
+    coset).
     """
     t.require_verified()
     G, elems, _ = _h_embedding(t)
@@ -222,23 +228,20 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
     loc_z[z] = np.arange(nz)
-    m = t.size
     hg = elems.astype(np.int64)
-    # shift table: shifts[s, x, c] = coset-local index of (h_s x h_c)
-    shifts = np.empty((m, nz, m), dtype=np.int64)
-    for s in range(m):
-        shifts[s] = loc_z[mulG[np.ix_(mulG[hg[s], z], hg)]]
+    # shifts[x, s, c] = coset-local index of (h_s x h_c)
+    shifts = loc_z[mulG[mulG[np.ix_(hg, z)].T[:, :, None], hg[None, None, :]]]
     if np.any(shifts < 0):
         raise AuditError("double coset is not closed under H-translations")
-    counts = np.zeros((nz, nz, nz, t.order), dtype=np.int64)
-    x = np.arange(nz)[:, None, None]
-    jinv_terms = t.Jinv.terms()
-    j_terms = gather(t.J.terms(), None)             # [x, c, d] -> J[c, d]
-    for s in range(m):
-        for tt in range(m):
-            target = (shifts[s][:, :, None] * nz + shifts[tt][:, None, :]) * nz + x
-            accumulate_products(counts, target, gather(jinv_terms, s, tt), j_terms)
-    mul = CycArray(t.order, t.J.scale * t.Jinv.scale, counts)
+    out = ProductCounts((nz, nz, nz), t.order)
+    # cells [s, t, c, d]: Jinv[s, t] on the left side, J[c, d] on the right
+    jinv_terms = gather(t.Jinv.terms(), slice(None), slice(None), None, None)
+    j_terms = gather(t.J.terms(), None, None)
+    for x in range(nz):
+        left = out.piece(jinv_terms, (shifts[x] * nz * nz + x)[:, None, :, None])
+        right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
+        accumulate_products(out, left, right)
+    mul = out.fold(t.J.scale * t.Jinv.scale)
     name = f"block[{coset.representative}]"
     return SCAlgebra(mul, determine_unit(mul, _all_ones(nz, t.order), name),
                      labels=z.copy(), name=name)

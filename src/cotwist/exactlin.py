@@ -13,8 +13,14 @@
   terms (T = 1 for single roots of unity, at most N in general).  Every
   cell-by-cell product of two count arrays in the package - group-algebra
   products, twist audits, dual-algebra structure constants - gathers two such
-  term lists and lets the kernel add the exponent-shifted products into a
-  target count array, at a cost of T_a * T_b per cell pair.
+  term lists and adds their products into a :class:`ProductCounts`, at a cost
+  of T_a * T_b term pairs per cell pair.  Its exponent axis is 2N wide, so an
+  exponent sum needs no reduction mod N; it is folded once per array.  Each
+  side turns its term list into a slot piece (cell offset * 2N + exponent)
+  over only the cells it depends on, once per call; the slot of a term pair
+  is the broadcast sum of the two pieces.  A term pair then costs one add,
+  one multiply and its ``np.add.at``.  The array's overflow bound, summed
+  over the calls that fill it, raises CotwistError before a count can wrap.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -131,13 +137,11 @@ class CycArray:
         if other.scale == self.scale:
             return self.counts, other.counts, self.scale
         g = _scale_gcd(abs(self.scale), abs(other.scale))
-        fa = self.scale / g
-        fb = other.scale / g
-        return (
-            self.counts * int(fa),
-            other.counts * int(fb),
-            g,
-        )
+        fa, fb = int(self.scale / g), int(other.scale / g)
+        for counts, f in ((self.counts, fa), (other.counts, fb)):
+            if int(np.abs(counts).max(initial=0)) * abs(f) >= 1 << 63:
+                raise CotwistError("a common scale would overflow int64 counts")
+        return self.counts * fa, other.counts * fb, g
 
     def __add__(self, other: "CycArray") -> "CycArray":
         ca, cb, s = self._aligned(other)
@@ -213,56 +217,100 @@ def gather(terms, *index):
 
 
 #: term pairs the product kernel materializes at once; bounds its scratch memory
-KERNEL_CHUNK = 1 << 17
+KERNEL_CHUNK = 1 << 15
 
 
-def accumulate_products(out: np.ndarray, target, a, b) -> None:
-    """Add the products of two gathered term lists into a count array.
+class ProductCounts:
+    """Integer counts that exact products are added into, on a 2N-wide exponent axis.
 
-    ``out`` is a C-contiguous integer count array whose last axis holds the N
-    exponent slots; its other axes are addressed by the flat cell index
-    ``target``.  ``a`` and ``b`` are ``(exps, nums)`` term lists whose cell
-    shapes broadcast against ``target``.  For every cell and every pair of a
-    term of ``a`` and a term of ``b``, nums_a * nums_b is added to cell
-    ``target`` at exponent exps_a + exps_b mod N; repeated targets add up.
-    Work proceeds in slices of the leading cell axis of about
-    ``KERNEL_CHUNK`` term pairs each.
+    The exponent sum of two terms lies in [0, 2N - 2], so it addresses a slot
+    of the 2N-wide axis directly and no product is reduced mod N; :meth:`fold`
+    adds the upper half onto the lower one once.  ``bound`` is the sum, over
+    the kernel calls so far, of max |nums_a| * max |nums_b| * term pairs: no
+    count, folded or not, can exceed it in absolute value.
     """
-    if not out.flags.c_contiguous:
-        raise ValueError("accumulate_products needs a C-contiguous target array")
-    n = out.shape[-1]
-    flat = out.reshape(-1)
-    (ea, na), (eb, nb) = a, b
-    cells = np.broadcast_shapes(np.shape(target), ea.shape[:-1], eb.shape[:-1]) or (1,)
-    target = np.broadcast_to(target, cells)
-    ea, na = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (ea, na))
-    eb, nb = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (eb, nb))
-    per_row = math.prod(cells[1:]) * ea.shape[-1] * eb.shape[-1]
-    step = max(1, KERNEL_CHUNK // max(1, per_row))
+
+    def __init__(self, shape, order: int):
+        self.order = order
+        self.counts = np.zeros((*shape, 2 * order), dtype=np.int64)
+        self.bound = 0
+
+    def piece(self, terms, cells=0):
+        """Slot piece of a gathered term list: flat cell offset * 2N + exponent.
+
+        ``cells`` is this side's part of the flat cell index of the counts;
+        its shape broadcasts against the term list's cell shape.
+        """
+        exps, nums = terms
+        return np.asarray(cells, dtype=np.int64)[..., None] * (2 * self.order) + exps, nums
+
+    def fold(self, scale) -> CycArray:
+        n = self.order
+        return CycArray(n, scale, self.counts[..., :n] + self.counts[..., n:])
+
+
+def accumulate_products(out: ProductCounts, a, b) -> None:
+    """Add the products of two slot-piece term lists into ``out``.
+
+    ``a`` and ``b`` are ``(slots, nums)`` pairs from :meth:`ProductCounts.piece`
+    with a trailing axis of terms, whose cell shapes broadcast together.  For
+    every cell and every pair of a term of ``a`` and a term of ``b``,
+    nums_a * nums_b is added at the flat slot slots_a + slots_b of
+    ``out.counts``; repeated slots add up.  A term pair costs one broadcast
+    add, one multiply and its share of ``np.add.at``.  Work proceeds in slices
+    of the leading cell axis of about ``KERNEL_CHUNK`` term pairs each.
+    Raises CotwistError, before any count changes, when ``out.bound`` would
+    reach 2**63.
+    """
+    (sa, na), (sb, nb) = a, b
+    cells = np.broadcast_shapes(sa.shape[:-1], sb.shape[:-1]) or (1,)
+    pairs = math.prod(cells) * na.shape[-1] * nb.shape[-1]
+    largest = [int(np.abs(x).max(initial=0)) for x in (na, nb)]
+    if out.bound + largest[0] * largest[1] * pairs >= 1 << 63:
+        raise CotwistError("exact products would overflow int64 counts")
+    out.bound += largest[0] * largest[1] * pairs
+    sa, na = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (sa, na))
+    sb, nb = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (sb, nb))
+    flat = out.counts.reshape(-1)
+    step = max(1, KERNEL_CHUNK * cells[0] // max(1, pairs))
     for lo in range(0, cells[0], step):
         rows = slice(lo, lo + step)
-        exps = (ea[rows, ..., :, None] + eb[rows, ..., None, :]) % n
+        slots = sa[rows, ..., :, None] + sb[rows, ..., None, :]
         nums = na[rows, ..., :, None] * nb[rows, ..., None, :]
-        slots = target[rows, ..., None, None] * n + exps
         np.add.at(flat, slots.ravel(), nums.ravel())
 
 
 def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     """Product of two group-algebra elements given as CycArray vectors.
 
-    ``u`` and ``v`` are indexed by group elements; ``mul_table[a, b]`` is the
-    index of the product element.  Only the supports of ``u`` and ``v`` are
-    paired.
+    ``u`` and ``v`` are indexed by the elements of a group K with Cayley
+    table ``mul_table``, or, as (|K|, |K|) arrays, by the pairs of K x K,
+    whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  Only the
+    supports are paired, except that two pair elements whose supports would
+    pair more than |K|^3 times are multiplied over all of K^4 with slot pieces
+    over [a1, a2, b1] and [a2, b1, b2], so no |K|^4 table is formed.
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
-    ia = np.nonzero(u.counts.any(axis=-1))[0]
-    ib = np.nonzero(v.counts.any(axis=-1))[0]
-    out = np.zeros((mul_table.shape[0], u.order), dtype=np.int64)
-    accumulate_products(out, mul_table[np.ix_(ia, ib)],
-                        gather(u.take(ia).terms(), slice(None), None),
-                        gather(v.take(ib).terms(), None))
-    return CycArray(u.order, u.scale * v.scale, out)
+    m = mul_table.shape[0]
+    out = ProductCounts(u.shape, u.order)
+    mul = np.asarray(mul_table, dtype=np.int64)
+    if len(u.shape) == 2 and u.counts.any(axis=-1).sum() * v.counts.any(axis=-1).sum() > m ** 3:
+        a1, a2, b1, b2 = np.ogrid[:m, :m, :m, :m]
+        accumulate_products(out, out.piece(gather(u.terms(), a1, a2), mul[a1, b1] * m),
+                            out.piece(gather(v.terms(), b1, b2), mul[a2, b2]))
+        return out.fold(u.scale * v.scale)
+    ia = np.flatnonzero(u.counts.any(axis=-1))
+    ib = np.flatnonzero(v.counts.any(axis=-1))
+    if len(u.shape) == 2:
+        (a1, a2), (b1, b2) = np.divmod(ia, m), np.divmod(ib, m)
+        target = mul[np.ix_(a1, b1)] * m + mul[np.ix_(a2, b2)]
+    else:
+        target = mul[np.ix_(ia, ib)]
+    flat_terms = [x.reshape(-1).take(i) for x, i in ((u, ia), (v, ib))]
+    accumulate_products(out, out.piece(gather(flat_terms[0].terms(), slice(None), None), target),
+                        out.piece(gather(flat_terms[1].terms(), None)))
+    return out.fold(u.scale * v.scale)
 
 
 def ga_identity(size: int, order: int, identity_index: int = 0) -> CycArray:

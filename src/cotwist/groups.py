@@ -24,12 +24,15 @@ class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
     def __init__(self, mul: np.ndarray, labels=None, name: str = ""):
-        mul = np.asarray(mul)
+        mul = np.asarray(mul, dtype=np.int64)
         n = mul.shape[0]
         if mul.shape != (n, n):
             raise ValueError("multiplication table must be square")
         if n > MAX_GROUP_ORDER:
             raise CotwistError(f"group order {n} exceeds cap {MAX_GROUP_ORDER}")
+        bad = mul[(mul < 0) | (mul >= n)]
+        if bad.size:
+            raise CotwistError(f"table entry {bad[0]} is out of range for a group of order {n}")
         self.order = n
         self.mul = mul.astype(np.int32)
         self.labels = labels
@@ -38,8 +41,6 @@ class FiniteGroup:
 
     def _build_inverses(self) -> np.ndarray:
         n = self.order
-        if np.any(self.mul < 0) or np.any(self.mul >= n):
-            raise CotwistError("table entries out of range")
         if not np.array_equal(self.mul[0], np.arange(n)) or not np.array_equal(
             self.mul[:, 0], np.arange(n)
         ):
@@ -102,7 +103,10 @@ class FiniteGroup:
             mul = np.array(body, dtype=np.int64).reshape(n, n)
         except (ValueError, OverflowError) as exc:
             raise CotwistError(f"Cayley file {path}: {exc}") from None
-        return cls(mul, name=str(path))
+        try:
+            return cls(mul, name=str(path))
+        except CotwistError as exc:
+            raise CotwistError(f"Cayley file {path}: {exc}") from None
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:
@@ -119,12 +123,13 @@ class Subgroup:
     elements: np.ndarray
 
     def __post_init__(self):
-        self.elements = np.unique(np.asarray(self.elements, dtype=np.int32))
-        if self.elements.size == 0 or self.elements[0] != 0:
+        elements = np.unique(np.asarray(self.elements, dtype=np.int64))
+        if elements.size == 0 or elements[0] != 0:
             raise CotwistError("subgroup must contain the identity (index 0)")
-        if self.elements[-1] >= self.parent.order:
-            raise CotwistError(f"subgroup index {self.elements[-1]} is out of range "
+        if elements[-1] >= self.parent.order:
+            raise CotwistError(f"subgroup index {elements[-1]} is out of range "
                                f"for a group of order {self.parent.order}")
+        self.elements = elements.astype(np.int32)
         closed = np.isin(
             self.parent.mul[np.ix_(self.elements, self.elements)], self.elements
         )

@@ -56,6 +56,30 @@ def p3_diag_report():
 
 
 @pytest.fixture(scope="session")
+def p3_gauge_diag_bundle(p3_pair):
+    """Like ``p3_diag_bundle``, with the gauge-conjugated twist
+    (u x u) J Delta0(u)^-1, u = (1 - zeta) e + zeta g, whose cells have two terms."""
+    from cotwist.correspondence import Instance
+    from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
+    from cotwist.groups import Subgroup, build_semidirect
+    from cotwist.twist import TwistAudit, make_twist
+
+    H, sigma = p3_pair
+    t0 = symplectic_twist(H, sigma)
+    m, mul = 9, H.mul.astype(np.int64)
+    u = CycArray.zeros((m,), 3)
+    u.counts[0, 0], u.counts[0, 1], u.counts[1, 1] = 1, -1, 1
+    uinv = invert_in_group_algebra(u, mul)
+    diag = CycArray.zeros((m, m), 3)
+    diag.counts[np.arange(m), np.arange(m)] = uinv.counts
+    J = ga_mul(ga_mul(cyc_tensordot(u, u, axes=0), t0.J, mul), diag.scale_by(uinv.scale), mul)
+    G, Hs = build_semidirect(H, 3, DIAG_12)
+    t = make_twist(Subgroup(H, np.arange(m)), J).rehome(Hs)
+    inst = Instance(G=G, H=Hs, t=t, audit=TwistAudit(), description={})
+    return inst, prepare_instance(inst, seed=0), double_cosets(G, Hs)
+
+
+@pytest.fixture(scope="session")
 def p5_diag_bundle():
     inst = build_instance(make_config(5, DIAG_12))
     ctx = prepare_instance(inst, seed=0)

@@ -150,6 +150,38 @@ def test_uncertifiable_inverse_exits_1_with_report(tmp_path, capsys):
     assert "invertibility" in stderr
 
 
+def test_overflowing_axiom_check_exits_1_with_report(tmp_path, capsys):
+    """A valid twist whose counts near 2**32 would overflow an exact product.
+
+    The gauge-transformed twist J' = (u x u) J Delta0(u)^-1 with
+    u = (255 e + g) / 256 satisfies every axiom, but over its common
+    denominator its counts reach ~2**32, so the 2-cocycle products cannot be
+    formed in int64: the check is recorded as failed, not left to wrap.
+    """
+    h_group, sigma = build_elementary_abelian_symplectic(3, 1)
+    t = symplectic_twist(h_group, sigma)
+    m = 9
+    mul = h_group.mul.astype(np.int64)
+    u = CycArray.zeros((m,), 3)
+    u.counts[0, 0], u.counts[1, 0] = 255, 1
+    u = u.scale_by(Fraction(1, 256))
+    uinv = invert_in_group_algebra(u, mul)
+    diag = CycArray.zeros((m, m), 3)
+    diag.counts[np.arange(m), np.arange(m)] = uinv.counts
+    diag = diag.scale_by(uinv.scale)
+    J = ga_mul(ga_mul(cyc_tensordot(u, u, axes=0), t.J, mul), diag, mul).reduced()
+    assert 1 << 31 < int(np.abs(J.counts).max()) < 1 << 32
+    cfg_file = write_table_instance(
+        tmp_path, twist=TwistData(subgroup=t.subgroup, order=3, J=J))
+    out = tmp_path / "report.json"
+    rc, _, stderr = run_cli(
+        ["verify", "--config", str(cfg_file), "--out", str(out)], capsys)
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert "twist axiom failed: 2-cocycle equation" in report["failures"]
+    assert "2-cocycle equation" in stderr
+
+
 def test_corrupted_twist_spectrum_skips_cosets(tmp_path, capsys):
     cfg_file = write_table_instance(tmp_path, corrupt=True)
     rc, stdout, _ = run_cli(["spectrum", "--config", str(cfg_file)], capsys)
@@ -208,9 +240,13 @@ def test_input_errors_exit_2(argv, capsys):
     ("group.txt", "0 1 2", "0 one 2", "invalid literal for int() with base 10: 'one'"),
     ("group.txt", "0 1 2", f"0 {1 << 64} 2", "too large"),
     ("group.txt", "9\n", "-9\n", "expected -9 rows of -9 entries, got 81 entries"),
+    ("group.txt", "0 1 2", f"0 {(1 << 32) + 1} 2",
+     "table entry 4294967297 is out of range for a group of order 9"),
     ("config.json", "8]", "8, 9]", "subgroup index 9 is out of range for a group of order 9"),
+    ("config.json", "8]", "8, 4294967296]",
+     "subgroup index 4294967296 is out of range for a group of order 9"),
 ], ids=["literal", "bare-zero-joined", "term-order", "twist-header", "cayley-token",
-        "cayley-int64", "cayley-order", "subgroup-index"])
+        "cayley-int64", "cayley-order", "cayley-int32", "subgroup-index", "subgroup-int32"])
 def test_malformed_table_instance_exits_2(tmp_path, capsys, target, old, new, message):
     cfg_file = write_table_instance(tmp_path)
     path = tmp_path / target

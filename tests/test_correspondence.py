@@ -9,14 +9,15 @@ from cotwist.correspondence import (Config, SymplecticConstruction, TableConstru
                                     build_instance, coset_report, f_g_map, full_report,
                                     image_matches_invariants, invariant_algebra_Ug,
                                     pair_orbits, pair_translation_perms,
-                                    predicted_spectrum, prepare_instance,
+                                    predicted_spectrum,
                                     render_json, render_table, report_to_dict)
 from cotwist.dual_algebras import build_A1_A2_star, build_block_algebra
 from cotwist.errors import AuditError, CotwistError
-from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
-from cotwist.groups import (FiniteGroup, Subgroup, double_cosets, stabilizer_Kg)
+from cotwist.exactlin import CycArray
+from cotwist.groups import (FiniteGroup, Subgroup, stabilizer_Kg)
 from cotwist.semisimple import wedderburn_dims_retrying
 from cotwist.twist import assemble_twist, make_twist, save_twist_file
+from cyc_reference import add, equal, mul, values, zero
 
 
 def test_f_matrix_shape_and_supports(p3_diag_bundle):
@@ -107,6 +108,33 @@ def test_invariant_algebra_float_oracle(p3_diag_bundle):
         assert np.max(np.abs(prod - expanded)) < 1e-9
 
 
+@pytest.mark.parametrize("bundle", ["p3_diag_bundle", "p3_gauge_diag_bundle"])
+def test_invariant_algebra_reference_formula(bundle, request):
+    """U_g[i, j, l] is the coefficient of the pair rep_l in o_i o_j, the product
+    of two orbit sums in A2* (x) A1*, summed in the reference arithmetic from
+    A2*[h, h', x] = Jinv[h x^-1, h' x^-1] and A1*[h, h', x] = J[x^-1 h, x^-1 h']."""
+    inst, ctx, zs = request.getfixturevalue(bundle)
+    g = zs[1].representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    orbit_id, reps = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g))
+    got = values(invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H).mul)
+    t = inst.t
+    J, Jinv = values(t.J), values(t.Jinv)
+    table, inv, m = t.group.mul, t.group.inv, inst.H.order
+    orbits = [np.divmod(np.flatnonzero(orbit_id == k), m) for k in range(len(reps))]
+    for i, (p1, p2) in enumerate(orbits):
+        for j, (q1, q2) in enumerate(orbits):
+            for l, rep in enumerate(reps):
+                u1, u2 = divmod(int(rep), m)
+                want = zero(t.order)
+                for a1, a2 in zip(p1, p2):
+                    for b1, b2 in zip(q1, q2):
+                        left = Jinv[table[a1, inv[u1]], table[b1, inv[u1]]]
+                        right = J[table[inv[u2], a2], table[inv[u2], b2]]
+                        want = add(want, mul(left, right))
+                assert equal(got[i, j, l], want), (i, j, l)
+
+
 def test_invariant_dimension_and_unit(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     from cotwist.semisimple import algebra_audit
@@ -165,46 +193,22 @@ def test_coset_report_standalone(p3_diag_bundle):
     assert spec.dims_direct == [3] and spec.identities_ok
 
 
-def test_gauge_twist_multi_term_full_pipeline(p3_pair):
+def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
     """A gauge-conjugated twist has multi-term coefficients and must produce
     the identical spectra through every route, exercising the generic
     (non-single-term) batching paths end to end."""
-    H, sigma = p3_pair
-    from cotwist.twist import symplectic_twist
+    from cotwist.correspondence import _coset_pipeline
 
-    t0 = symplectic_twist(H, sigma)
-    m, n = 9, 3
-    u = CycArray.zeros((m,), n)
-    u.counts[0, 0] = 1
-    u.counts[0, 1] = -1
-    u.counts[1, 1] = 1
-    uinv = invert_in_group_algebra(u, H.mul.astype(np.int64))
-    uu = cyc_tensordot(u, u, axes=0).reshape(m * m)
-    diag = CycArray.zeros((m * m,), n)
-    diag.counts[np.arange(m) * m + np.arange(m)] = uinv.counts
-    diag.scale = uinv.scale
-    jp = ga_mul(ga_mul(uu, t0.J.reshape(m * m), t0.pair_mul), diag, t0.pair_mul)
-
-    from cotwist.groups import build_semidirect
-
-    G, Hs = build_semidirect(H, 3, [[[1, 0], [0, 2]]])
-    t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m)).rehome(Hs)
-    assert t2.J.terms()[0].shape[-1] > 1
-
-    inst_cfg = Config(SymplecticConstruction(p=3, n=1, gamma_generators=[[[1, 0], [0, 2]]]))
-    from cotwist.correspondence import Instance, _coset_pipeline
-    from cotwist.twist import TwistAudit
-
-    inst = Instance(G=G, H=Hs, t=t2, audit=TwistAudit(), description={})
-    ctx = prepare_instance(inst, seed=0)
-    zs = double_cosets(G, Hs)
+    inst, ctx, zs = p3_gauge_diag_bundle
+    assert inst.t.J.terms()[0].shape[-1] > 1
     expected = [[1] * 9, [3]]
     for z, want in zip(zs, expected):
         spectrum, errs = _coset_pipeline(ctx, z)
         assert not errs, errs
         assert spectrum.dims_direct == want
         # F_g audits across the multi-term paths
-        F, audit = f_g_map(G, Hs, t2, z, z.representative, duals=(ctx.A1s, ctx.A2s))
+        F, audit = f_g_map(inst.G, inst.H, inst.t, z, z.representative,
+                           duals=(ctx.A1s, ctx.A2s))
         assert audit.ok
 
 

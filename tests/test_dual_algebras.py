@@ -137,6 +137,32 @@ def test_block_algebra_matches_single_pair_routine(p3_diag_bundle):
         assert leak.is_zero()
 
 
+@pytest.mark.parametrize("bundle", ["p3_diag_bundle", "p3_gauge_diag_bundle"])
+def test_block_algebra_reference_formula(bundle, request):
+    """Every cell of a block against sum_{s,t} Jinv[s,t] J[x^-1 s^-1 a, x^-1 t^-1 b],
+    summed in the reference arithmetic (the gauge twist has two-term cells)."""
+    inst, _, zs = request.getfixturevalue(bundle)
+    t, G = inst.t, inst.G
+    z = zs[1]
+    J, Jinv = values(t.J), values(t.Jinv)
+    loc = {int(h): i for i, h in enumerate(inst.H.elements)}
+    got = values(build_block_algebra(t, z).mul)
+    for ia, a in enumerate(z.elements):
+        for ib, b in enumerate(z.elements):
+            for ix, x in enumerate(z.elements):
+                xinv = G.inv[x]
+                want = zero(t.order)
+                for s, hs in enumerate(inst.H.elements):
+                    c = loc.get(int(G.mul[xinv, G.mul[G.inv[hs], a]]))
+                    if c is None:
+                        continue
+                    for tt, ht in enumerate(inst.H.elements):
+                        d = loc.get(int(G.mul[xinv, G.mul[G.inv[ht], b]]))
+                        if d is not None:
+                            want = add(want, mul(Jinv[s, tt], J[c, d]))
+                assert equal(got[ia, ib, ix], want), (a, b, x)
+
+
 def test_cross_coset_products_vanish(p3_diag_bundle):
     inst, _, zs = p3_diag_bundle
     t = inst.t

@@ -8,8 +8,8 @@ import pytest
 
 from cotwist import exactlin
 from cotwist.errors import CotwistError
-from cotwist.exactlin import (CycArray, accumulate_products, cyc_nullspace, cyc_rank,
-                              cyc_solve, cyc_tensordot, ga_identity, ga_mul, gather,
+from cotwist.exactlin import (CycArray, ProductCounts, accumulate_products, cyc_nullspace,
+                              cyc_rank, cyc_solve, cyc_tensordot, ga_identity, ga_mul, gather,
                               invert_in_group_algebra)
 from cotwist.scalars import euler_phi
 from cotwist.twist import load_twist_matrix
@@ -115,7 +115,7 @@ def _single_terms(rng, shape, order, scale):
     return arr
 
 
-@pytest.mark.parametrize("chunk", [exactlin.KERNEL_CHUNK, 1])  # 1: one cell row per slice
+@pytest.mark.parametrize("chunk", [1 << 17, 1])  # 1 << 17: all cells in one slice; 1: a row each
 @pytest.mark.parametrize("kind", ["single x single", "single x multi", "multi x multi"])
 def test_accumulate_products_matches_cyclotomic_mul(kind, chunk, monkeypatch):
     monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
@@ -130,18 +130,19 @@ def test_accumulate_products_matches_cyclotomic_mul(kind, chunk, monkeypatch):
     assert (a.terms()[0].shape[-1] == 1) == (kind != "multi x multi")
     assert (b.terms()[0].shape[-1] == 1) == (kind == "single x single")
 
-    out = np.zeros((*shape, order), dtype=np.int64)
+    out = ProductCounts(shape, order)
     cells = np.arange(12).reshape(shape)
-    accumulate_products(out, cells, a.terms(), b.terms())
-    prod = values(CycArray(order, a.scale * b.scale, out))
+    accumulate_products(out, out.piece(a.terms(), cells), out.piece(b.terms()))
+    prod = values(out.fold(a.scale * b.scale))
     oa, ob = values(a), values(b)
     for idx in np.ndindex(*shape):
         assert equal(prod[idx], mul(oa[idx], ob[idx]))
 
-    # repeated targets add up: every cell of row i lands on cell i
-    rows = np.zeros((shape[0], order), dtype=np.int64)
-    accumulate_products(rows, np.arange(shape[0])[:, None], a.terms(), b.terms())
-    summed = values(CycArray(order, a.scale * b.scale, rows))
+    # repeated slots add up: every cell of row i lands on cell i
+    rows = ProductCounts((shape[0],), order)
+    accumulate_products(rows, rows.piece(a.terms(), np.arange(shape[0])[:, None]),
+                        rows.piece(b.terms()))
+    summed = values(rows.fold(a.scale * b.scale))
     for i in range(shape[0]):
         acc = zero(order)
         for j in range(shape[1]):
@@ -154,14 +155,81 @@ def test_accumulate_products_broadcasts_gathered_cells():
     rng = np.random.default_rng(53)
     a = rand_cycarray(rng, (3,), 4)
     b = _single_terms(rng, (2,), 4, Fraction(1, 5))
-    out = np.zeros((3, 2, 4), dtype=np.int64)
-    accumulate_products(out, np.arange(6).reshape(3, 2),
-                        gather(a.terms(), slice(None), None), gather(b.terms(), None))
-    prod = values(CycArray(4, a.scale * b.scale, out))
+    out = ProductCounts((3, 2), 4)
+    accumulate_products(out,
+                        out.piece(gather(a.terms(), slice(None), None), np.arange(3)[:, None] * 2),
+                        out.piece(gather(b.terms(), None), np.arange(2)))
+    prod = values(out.fold(a.scale * b.scale))
     oa, ob = values(a), values(b)
     for i in range(3):
         for j in range(2):
             assert equal(prod[i, j], mul(oa[i], ob[j]))
+
+
+@pytest.mark.parametrize("chunk", [1 << 17, 1])
+def test_accumulate_products_exponent_sums_wrap(chunk, monkeypatch):
+    """Order 7: exponent sums up to 6 + 6 = 12 >= N, negative numerators."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    order = 7
+    a = CycArray(order, Fraction(1, 3), np.zeros((2, order), dtype=np.int64))
+    b = CycArray(order, Fraction(1, 2), np.zeros((2, order), dtype=np.int64))
+    a.counts[0, [6, 5]] = [-4, 1]
+    a.counts[1, [6, 0]] = [2, -3]
+    b.counts[0, [6, 3]] = [-5, 2]
+    b.counts[1, 6] = 7
+    out = ProductCounts((2, 2), order)
+    accumulate_products(out,
+                        out.piece(gather(a.terms(), slice(None), None), np.arange(2)[:, None] * 2),
+                        out.piece(gather(b.terms(), None), np.arange(2)))
+    prod = values(out.fold(a.scale * b.scale))
+    oa, ob = values(a), values(b)
+    for i in range(2):
+        for j in range(2):
+            assert equal(prod[i, j], mul(oa[i], ob[j]))
+    assert out.counts[0, 0, 12] == 20  # zeta^6 * zeta^6 lands above N before the fold
+
+
+def test_accumulate_products_one_row_slice(monkeypatch):
+    """Slices of one cell row; each slot piece carries only the cells it needs."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", 1)
+    rng = np.random.default_rng(59)
+    order = 5
+    u = rand_cycarray(rng, (3, 4), order)
+    v = rand_cycarray(rng, (4, 2), order)
+    # out[i, k] += u[i, j] * v[j, k]: a matrix product, cells [i, j, k]
+    out = ProductCounts((3, 2), order)
+    i, j, k = np.ogrid[:3, :4, :2]
+    accumulate_products(out, out.piece(gather(u.terms(), i, j), i * 2),
+                        out.piece(gather(v.terms(), j, k), k))
+    prod = values(out.fold(u.scale * v.scale))
+    ou, ov = values(u), values(v)
+    for r in range(3):
+        for c in range(2):
+            acc = zero(order)
+            for b in range(4):
+                acc = add(acc, mul(ou[r, b], ov[b, c]))
+            assert equal(prod[r, c], acc)
+
+
+def test_accumulate_products_overflow_guard():
+    """Counts near 2**32: the bound from the inputs trips before any count wraps."""
+    order = 3
+    big = CycArray(order, Fraction(1), np.zeros((1, order), dtype=np.int64))
+    big.counts[0, 1] = -(1 << 31)
+    out = ProductCounts((1,), order)
+    accumulate_products(out, out.piece(big.terms()), out.piece(big.terms()))
+    assert out.bound == 1 << 62
+    assert out.fold(Fraction(1)).counts[0, 2] == 1 << 62  # exact, no wrap
+    # a second call filling the same array would reach 2**63: refused, nothing added
+    before = out.counts.copy()
+    with pytest.raises(CotwistError, match="overflow int64"):
+        accumulate_products(out, out.piece(big.terms()), out.piece(big.terms()))
+    assert np.array_equal(out.counts, before)
+
+    near = CycArray(order, Fraction(1), np.zeros((3, order), dtype=np.int64))
+    near.counts[0, 0] = (1 << 32) + 1
+    with pytest.raises(CotwistError, match="overflow int64"):
+        ga_mul(near, near, _z3_table())
 
 
 # -- rank / solve / nullspace -------------------------------------------------
