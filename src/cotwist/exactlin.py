@@ -9,18 +9,21 @@
   canonical counts (``cotwist.twist``).
 
 * One product kernel, :func:`accumulate_products`.  ``CycArray.terms`` lists
-  each cell's nonzero counts as ``(exps, nums)`` with a trailing axis of T
-  terms (T = 1 for single roots of unity, at most N in general).  Every
-  cell-by-cell product of two count arrays in the package - group-algebra
-  products, twist audits, dual-algebra structure constants - gathers two such
-  term lists and adds their products into a :class:`ProductCounts`, at a cost
-  of T_a * T_b term pairs per cell pair.  Its exponent axis is 2N wide, so an
-  exponent sum needs no reduction mod N; it is folded once per array.  Each
-  side turns its term list into a slot piece (cell offset * 2N + exponent)
-  over only the cells it depends on, once per call; the slot of a term pair
-  is the broadcast sum of the two pieces.  A term pair then costs one add,
-  one multiply and its ``np.add.at``.  The array's overflow bound, summed
-  over the calls that fill it, raises CotwistError before a count can wrap.
+  each cell's fewest-term counts as ``(exps, nums)`` with a trailing axis of
+  T terms (T = 1 for single roots of unity, at most N in general): since
+  sum_k zeta^k = 0 for N > 1, a cell shifted by its most frequent count keeps
+  its value, so a folded product whose value is one root of unity lists one
+  term, not N.  Every cell-by-cell product of two count arrays in the
+  package - group-algebra products, twist audits, dual-algebra structure
+  constants - gathers two such term lists and adds their products into a
+  :class:`ProductCounts`, at a cost of T_a * T_b term pairs per cell pair.
+  Its exponent axis is 2N wide, so an exponent sum needs no reduction mod N;
+  it is folded once per array.  Each side turns its term list into a slot
+  piece (cell offset * 2N + exponent) over only the cells it depends on, once
+  per call; the slot of a term pair is the broadcast sum of the two pieces.
+  A term pair then costs one add, one multiply and its ``np.add.at``.  The
+  array's overflow bound, summed over the calls that fill it, raises
+  CotwistError before a count can wrap.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -29,10 +32,16 @@
   integer matrix is row-reduced fraction-free (Bareiss-style updates on
   Python integers, each row divided by its content), so no cyclotomic or
   rational scalar is formed; results are read back as integer counts.
+  :func:`cyc_rank` first reduces the counts mod a prime l = 1 (mod N),
+  l < 2**31, with zeta -> omega a primitive N-th root of unity mod l, and
+  row-reduces that image in int64.  A full rank there is a certificate (a
+  minor nonzero mod l is nonzero in Z[zeta_N]) and is returned; any other
+  rank is found by the exact elimination.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -48,6 +57,26 @@ def _scale_gcd(a: Fraction, b: Fraction) -> Fraction:
         math.gcd(a.numerator, b.numerator),
         math.lcm(a.denominator, b.denominator),
     )
+
+
+def _mode_shifted(counts: np.ndarray) -> np.ndarray:
+    """Counts minus each cell's most frequent count (0 on a tie with 0); N = 1 as is.
+
+    Only a cell with fewer than N/2 zero counts can have another count occur
+    more often than 0, so only those cells are searched.
+    """
+    n = counts.shape[-1]
+    busy = 2 * np.count_nonzero(counts, axis=-1) > n
+    if n == 1 or not busy.any():
+        return counts
+    c = counts[busy]
+    freq = np.stack([np.count_nonzero(c == c[:, k:k + 1], axis=-1) for k in range(n)], axis=-1)
+    best = freq.argmax(axis=-1)[:, None]
+    tie_with_zero = np.count_nonzero(c == 0, axis=-1)[:, None] >= \
+        np.take_along_axis(freq, best, axis=-1)
+    shifted = counts.copy()
+    shifted[busy] = c - np.where(tie_with_zero, 0, np.take_along_axis(c, best, axis=-1))
+    return shifted
 
 
 class CycArray:
@@ -117,17 +146,33 @@ class CycArray:
         return CycArray(self.order, self.scale * g, counts)
 
     def terms(self):
-        """Per-cell term lists ``(exps, nums)``, zero-padded to a common length.
+        """Per-cell term lists ``(exps, nums)`` on fewest-term counts, zero-padded.
 
         Both arrays have this array's cell shape plus a trailing axis of T
-        terms, T being the largest number of nonzero counts in any cell (at
+        terms, T being the largest number of listed terms in any cell (at
         least 1): cell value = scale * sum_t nums[..., t] * zeta^exps[..., t].
         Padding terms have ``nums == 0``.
+
+        For N > 1, sum_k zeta^k = 0, so subtracting one constant from all N
+        counts of a cell keeps its value: each cell is listed shifted by its
+        most frequent count, or by 0 on a tie with 0, so a cell with a single
+        nonzero count keeps it.  A folded product whose value is one root of
+        unity thus lists one term, not N.  For composite N, where Phi_N has
+        other relations, a cell whose (shifted) canonical counts have fewer
+        nonzeros is listed on those.  N = 1 is never shifted.
         """
-        nonzero = self.counts != 0
+        counts = _mode_shifted(self.counts)
+        phi = euler_phi(self.order)
+        if phi < self.order - 1:  # composite N: for prime N, canonical is a shift
+            canon = np.zeros_like(counts)
+            canon[..., :phi] = self.canonical()
+            canon = _mode_shifted(canon)
+            fewer = np.count_nonzero(canon, axis=-1) < np.count_nonzero(counts, axis=-1)
+            counts = np.where(fewer[..., None], canon, counts)
+        nonzero = counts != 0
         width = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
         exps = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
-        return exps, np.take_along_axis(self.counts, exps, axis=-1)
+        return exps, np.take_along_axis(counts, exps, axis=-1)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -286,30 +331,31 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     ``u`` and ``v`` are indexed by the elements of a group K with Cayley
     table ``mul_table``, or, as (|K|, |K|) arrays, by the pairs of K x K,
     whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  Only the
-    supports are paired, except that two pair elements whose supports would
-    pair more than |K|^3 times are multiplied over all of K^4 with slot pieces
-    over [a1, a2, b1] and [a2, b1, b2], so no |K|^4 table is formed.
+    supports are paired - a cell is in the support when its fewest-term list
+    (:meth:`CycArray.terms`) is nonzero, so raw counts of value 0 are not -
+    except that two pair elements whose supports would pair more than |K|^3
+    times are multiplied over all of K^4 with slot pieces over [a1, a2, b1]
+    and [a2, b1, b2], so no |K|^4 table is formed.
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
     m = mul_table.shape[0]
     out = ProductCounts(u.shape, u.order)
     mul = np.asarray(mul_table, dtype=np.int64)
-    if len(u.shape) == 2 and u.counts.any(axis=-1).sum() * v.counts.any(axis=-1).sum() > m ** 3:
+    tu, tv = u.terms(), v.terms()
+    ia, ib = (np.flatnonzero(nums.any(axis=-1)) for _, nums in (tu, tv))
+    if len(u.shape) == 2 and ia.size * ib.size > m ** 3:
         a1, a2, b1, b2 = np.ogrid[:m, :m, :m, :m]
-        accumulate_products(out, out.piece(gather(u.terms(), a1, a2), mul[a1, b1] * m),
-                            out.piece(gather(v.terms(), b1, b2), mul[a2, b2]))
+        accumulate_products(out, out.piece(gather(tu, a1, a2), mul[a1, b1] * m),
+                            out.piece(gather(tv, b1, b2), mul[a2, b2]))
         return out.fold(u.scale * v.scale)
-    ia = np.flatnonzero(u.counts.any(axis=-1))
-    ib = np.flatnonzero(v.counts.any(axis=-1))
+    ca, cb = np.unravel_index(ia, u.shape), np.unravel_index(ib, v.shape)
     if len(u.shape) == 2:
-        (a1, a2), (b1, b2) = np.divmod(ia, m), np.divmod(ib, m)
-        target = mul[np.ix_(a1, b1)] * m + mul[np.ix_(a2, b2)]
+        target = mul[np.ix_(ca[0], cb[0])] * m + mul[np.ix_(ca[1], cb[1])]
     else:
         target = mul[np.ix_(ia, ib)]
-    flat_terms = [x.reshape(-1).take(i) for x, i in ((u, ia), (v, ib))]
-    accumulate_products(out, out.piece(gather(flat_terms[0].terms(), slice(None), None), target),
-                        out.piece(gather(flat_terms[1].terms(), None)))
+    accumulate_products(out, out.piece(gather(tu, *(i[:, None] for i in ca)), target),
+                        out.piece(gather(tv, *cb)))
     return out.fold(u.scale * v.scale)
 
 
@@ -396,9 +442,61 @@ def _reduced_entries(a: np.ndarray, pivots: list[int], columns, order: int) -> C
     return CycArray(order, Fraction(1, common), counts)
 
 
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+@functools.cache
+def _modular_root(order: int) -> tuple[int, int]:
+    """The largest prime l < 2**31 with l = 1 mod N, and a primitive N-th root of unity mod l.
+
+    Then Phi_N(omega) = 0 mod l, so zeta -> omega is a ring map Z[zeta_N] -> F_l.
+    Both are found by trial division, once per order.
+    """
+    ell = ((1 << 31) - 2) // order * order + 1
+    while not _is_prime(ell):
+        ell -= order
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    omegas = (pow(a, (ell - 1) // order, ell) for a in range(2, ell))
+    return ell, next(w for w in omegas if all(pow(w, order // q, ell) != 1 for q in factors))
+
+
+def _modular_rank(mat: CycArray) -> int:
+    """Rank over F_l of the image of the counts under zeta -> omega (:func:`_modular_root`).
+
+    Every minor of the image is the image of a minor of the counts, so this is
+    at most the exact rank; int64 Gaussian elimination, every product below l**2 < 2**62.
+    """
+    if len(mat.shape) != 2:
+        raise ValueError("need a 2-d matrix")
+    ell, omega = _modular_root(mat.order)
+    counts = mat.counts % ell
+    a = np.zeros(mat.shape, dtype=np.int64)
+    for k in range(mat.order):
+        a = (a + counts[..., k] * pow(omega, k, ell)) % ell
+    rank = 0
+    for c in range(a.shape[1]):
+        below = np.flatnonzero(a[rank:, c])
+        if not below.size:
+            continue
+        a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), -1, ell) % ell
+        a[rank + 1:, c:] = (a[rank + 1:, c:] - a[rank + 1:, c:c + 1] * a[rank, c:]) % ell
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
 def cyc_rank(mat: CycArray) -> int:
-    """Exact rank over the cyclotomic field."""
-    return len(_rref(mat)[1])
+    """Exact rank over the cyclotomic field.
+
+    A full rank, min(rows, cols), of the image mod l (:func:`_modular_rank`)
+    is a certificate: a minor that is nonzero mod l is nonzero in Z[zeta_N].
+    Every other rank comes from the exact elimination :func:`_rref`.
+    """
+    rank = _modular_rank(mat)
+    return rank if rank == min(mat.shape) else len(_rref(mat)[1])
 
 
 def cyc_nullspace(mat: CycArray) -> CycArray:

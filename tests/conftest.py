@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cotwist import exactlin
 from cotwist.correspondence import (Config, SymplecticConstruction, build_instance,
                                     full_report, prepare_instance)
 from cotwist.dual_algebras import build_A1_A2_star
@@ -16,6 +17,14 @@ def make_config(p, gens, seed=0):
 
 UNIPOTENT = [[[1, 1], [0, 1]]]
 DIAG_12 = [[[1, 0], [0, 2]]]
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The matrices passed to the exact elimination ``exactlin._rref``, recorded."""
+    calls, rref = [], exactlin._rref
+    monkeypatch.setattr(exactlin, "_rref", lambda mat: calls.append(mat) or rref(mat))
+    return calls
 
 
 @pytest.fixture(scope="session")

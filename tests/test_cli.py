@@ -77,6 +77,14 @@ def test_verify_unipotent(capsys):
     assert stderr
 
 
+def test_verify_p7_global_checks(capsys):
+    rc, stdout, _ = run_cli(["verify", "--p", "7", "--gamma", "1,0,0,6"], capsys)
+    assert rc == 0
+    checks = json.loads(stdout)["global_checks"]
+    assert checks["minimality_rank"] == 49
+    assert checks["triangularity"] and checks["q_identity"]
+
+
 def test_example_defaults(capsys):
     rc, stdout, _ = run_cli(["example"], capsys)
     assert rc == 0

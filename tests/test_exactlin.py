@@ -100,9 +100,39 @@ def test_single_term_detection():
     counts[0, 1, 0] = 1
     counts[0, 1, 1] = 1
     exps, nums = CycArray(3, Fraction(1), counts).terms()
-    assert exps.shape == (2, 2, 2)
-    assert list(exps[0, 1]) == [0, 1] and list(nums[0, 1]) == [1, 1]
+    assert exps.shape == (2, 2, 1)  # 1 + zeta = -zeta^2: one term after the shift
+    assert exps[0, 1, 0] == 2 and nums[0, 1, 0] == -1
+    counts[1, 0, 0] = 1
+    counts[1, 0, 1] = 2
+    exps, nums = CycArray(3, Fraction(1), counts).terms()
+    assert exps.shape == (2, 2, 2)  # 1 + 2 zeta: no count repeats, so no shift
+    assert list(exps[1, 0]) == [0, 1] and list(nums[1, 0]) == [1, 2]
     assert list(nums[1, 1]) == [-1, 0]  # padded with a zero term
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 12])
+def test_terms_keep_values_on_fewest_terms(order):
+    """Each listed cell has the value of its counts, on no more terms than its
+    raw or its canonical counts; N = 1 is listed as is."""
+    rng = np.random.default_rng(60 + order)
+    a = rand_cycarray(rng, (6, 7), order, span=1)
+    a.counts[0, 0] = 3  # all counts equal: value 0 for N > 1
+    a.counts[0, 1] = 2
+    a.counts[0, 1, 1 % order] = 3  # 2 sum_k zeta^k + zeta: one term for N > 1
+    exps, nums = a.terms()
+    listed = np.zeros_like(a.counts)
+    np.put_along_axis(listed, exps, nums, axis=-1)  # padding writes 0 at an unused slot
+    got = values(CycArray(order, a.scale, listed))
+    for idx, want in np.ndenumerate(values(a)):
+        assert equal(got[idx], want)
+    width = np.count_nonzero(nums, axis=-1)
+    assert np.all(width <= np.count_nonzero(a.counts, axis=-1))
+    assert np.all(width <= np.count_nonzero(a.canonical(), axis=-1))
+    assert exps.shape[-1] == max(1, width.max())
+    if order == 1:
+        assert np.array_equal(nums[..., 0], a.counts[..., 0])
+    else:
+        assert width[0, 0] == 0 and width[0, 1] == 1
 
 
 # -- the product kernel ---------------------------------------------------------
@@ -294,6 +324,35 @@ def _assert_reduced_rows(basis: CycArray):
         assert not np.delete(nonzero[:, f], i).any()
 
 
+def test_rank_certificate_falls_back_when_singular_mod_ell(rref_calls):
+    """Invertible over Q(zeta_5) but zero mod l: the exact elimination decides."""
+    ell, _ = exactlin._modular_root(5)
+    mat = CycArray.zeros((2, 2), 5)
+    mat.counts[0, 0, 0] = ell
+    mat.counts[1, 1, 2] = 3 * ell
+    mat.counts[0, 1, 1] = 2 * ell
+    assert exactlin._modular_rank(mat) == 0
+    assert cyc_rank(mat) == 2
+    assert len(rref_calls) == 1
+
+
+@pytest.mark.parametrize("order", [1, 5, 12])
+def test_rank_certificate_only_when_full(order, rref_calls):
+    """The modular rank bounds the exact rank from below; every rank short of
+    full comes from ``_rref``, and a full one is certified without it."""
+    rng = np.random.default_rng(200 + order)
+    deficient = 0
+    for _ in range(12):
+        mat = _low_rank_system(rng, order)
+        exact = len(exactlin._rref(mat)[1])
+        assert exactlin._modular_rank(mat) <= exact
+        rref_calls.clear()
+        assert cyc_rank(mat) == exact
+        assert bool(rref_calls) == (exact < min(mat.shape))
+        deficient += exact < min(mat.shape)
+    assert deficient  # the random systems reach the exact fallback
+
+
 @pytest.mark.parametrize("order", [1, 2, 4, 6, 7, 9, 12])
 def test_rank_nullspace_solve_exact_identities(order):
     rng = np.random.default_rng(100 + order)
@@ -421,6 +480,25 @@ def test_ga_mul_is_convolution():
                 if (a + b) % 3 == x:
                     acc = add(acc, mul(ou[a], ov[b]))
         assert equal(op[x], acc)
+
+
+def test_ga_mul_prunes_on_value_support(monkeypatch):
+    """Cells whose counts are all equal have value 0 and are not support: two
+    pair elements with raw counts in all 81 cell pairs but one cell of value
+    each take the support path, not the leg-wise one over K^4."""
+    table = _z3_table()
+    u, v = CycArray.zeros((3, 3), 3), CycArray.zeros((3, 3), 3)
+    u.counts[...], v.counts[...] = 2, -1
+    u.counts[1, 2, 1] += 1  # zeta at 1 x 2
+    v.counts[2, 2, 2] += 3  # 3 zeta^2 at 2 x 2
+    pieces = []
+    kernel = exactlin.accumulate_products
+    monkeypatch.setattr(exactlin, "accumulate_products",
+                        lambda out, a, b: pieces.append(a[0].ndim) or kernel(out, a, b))
+    want = CycArray.zeros((3, 3), 3)
+    want.counts[0, 1, 0] = 3  # (1 x 2)(2 x 2) = 0 x 1 with value 3 zeta^3
+    assert ga_mul(u, v, table).eq(want)
+    assert pieces == [3]  # (support, 1, terms), not (K, K, K, K, terms)
 
 
 def test_ga_identity_is_neutral():

@@ -137,6 +137,13 @@ def test_triangular_minimal(p3_twist):
     assert square_dimension_check(p3_twist) == 3
 
 
+def test_minimality_rank_certified_mod_ell(rref_calls):
+    """R at p=5 has full rank mod l, so no exact elimination runs."""
+    tri = triangular_structure(symplectic_twist(*build_elementary_abelian_symplectic(5, 1)))
+    assert tri.rank == 25 and tri.minimal
+    assert rref_calls == []
+
+
 def test_trivial_twist_is_valid_but_not_minimal(p3_pair):
     H, _ = p3_pair
     J = CycArray.zeros((9, 9), 3)
