@@ -1,10 +1,17 @@
 """Wedderburn analysis of semisimple structure-constant algebras over C.
 
-The decomposition pipeline is hybrid by design: the center is computed as an
-exact nullspace of the commutator system when the structure constants are
-exact (so the number of simple blocks is certain), and only the distribution
-of block dimensions uses floating point (eigenvalue clustering of a random
-central element), backed by integer-rounding assertions.
+The decomposition pipeline is hybrid by design: the center is exact when the
+structure constants are exact (so the number of simple blocks is certain),
+and only the distribution of block dimensions uses floating point
+(eigenvalue clustering of a random central element), backed by
+integer-rounding assertions.
+
+The exact center is certified before it is eliminated.  The unit is always
+central, so when the image mod a prime of two seeded commutator slices has
+rank n - 1 the center is exactly span(unit): a simple block, the common
+case, takes no exact elimination.  Any other rank leaves the answer to the
+exact nullspace of the commutator system, found in one narrowing pass.
+Either way the basis is checked against the full product.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra
 from .errors import CotwistError, SeedRetryError
-from .exactlin import CycArray, cyc_nullspace, cyc_tensordot
+from .exactlin import (CycArray, _modular_rank, cyc_nullspace, cyc_solve, cyc_tensordot,
+                       ga_identity)
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -23,6 +31,8 @@ EXHAUSTIVE_AUDIT_DIM = 32
 _AUDIT_SAMPLES = 200
 _CLUSTER_GUARD = 10.0  # clusters separated by less than this multiple of the
                        # merge threshold are treated as ambiguous
+#: the seeded commutator rows of the center certificate draw y_j from [1, this)
+_CENTER_DRAW_BOUND = 1 << 16
 
 
 @dataclass
@@ -110,38 +120,75 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 # center
 
 
-def _exact_center_basis(mul: CycArray) -> CycArray:
-    """Reduced basis of the center as CycArray rows ``(r, n)``, in one narrowing pass.
+def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
+    """Reduced basis of the center as CycArray rows ``(r, n)``, certified or narrowed.
 
-    Starts from the identity basis of the whole space and cuts it down one
-    basis element e_j at a time: the commutator slice [., e_j] contracted
-    with the current basis B gives an (n x dim B) system, whose reduced
-    nullspace N replaces B by N B.  Each B keeps the reduced form of
-    :func:`cyc_nullspace` (row i is 1 at its last nonzero column, which is 0
-    in every other row), which is unique for the subspace: N has that form
-    and B is the identity on those columns.  So the result equals the reduced
-    nullspace of the full commutator system.  It is checked once, exactly,
-    against the full product; a failure raises CotwistError.
+    First the certificate for a one-dimensional center.  For two seeded
+    integer vectors y (fixed internal seed, as in :func:`algebra_audit`) the
+    rows S[(y, k), i] = sum_j y_j D[i, j, k], D[i, j, k] = mul[i,j,k] -
+    mul[j,i,k], are the matrices of x -> x y - y x, so every central x solves
+    S x = 0.  The unit is central, so
 
+        rank_l(S) <= rank(S) <= rank(commutator system) <= n - 1,
+
+    where rank_l is the rank of the image mod l (:func:`_modular_rank`; a
+    minor nonzero mod l is nonzero).  A modular rank of n - 1 thus proves
+    that the center is exactly span(unit), and the unit is returned in the
+    reduced form of the narrowing pass: divided by its last nonzero entry
+    (a 1 x 1 exact solve; the all-ones unit of every package algebra comes
+    back unchanged).  S is formed exactly by :func:`cyc_tensordot`, whose
+    overflow guard makes an overflow a missing certificate.
+
+    Otherwise - a center of dimension > 1, an unlucky draw or prime - one
+    narrowing pass starts from the identity basis of the whole space and
+    cuts it down one basis element e_j at a time: the commutator slice
+    [., e_j] contracted with the current basis B gives an (n x dim B)
+    system, whose reduced nullspace N replaces B by N B.  Each B keeps the
+    reduced form of :func:`cyc_nullspace` (row i is 1 at its last nonzero
+    column, which is 0 in every other row), which is unique for the
+    subspace: N has that form and B is the identity on those columns.  So
+    the result equals the reduced nullspace of the full commutator system.
     A basis element that commutes with everything (its column D[:, j] is
-    exactly zero) gives a zero system, whose nullspace is the identity, so it
-    is skipped without a solve: a commutative algebra takes none at all.
+    exactly zero) gives a zero system, whose nullspace is the identity, so
+    it is skipped without a solve: a commutative algebra takes none at all.
+
+    Either result is checked once, exactly, against the full product; a
+    failure raises CotwistError.
     """
     n = mul.shape[0]
-    # D[i, j, k] = mul[i,j,k] - mul[j,i,k]
     diff = CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
     central = diff.zero_mask().all(axis=(0, 2))
-    basis = CycArray.zeros((n, n), mul.order)
-    basis.counts[np.arange(n), np.arange(n), 0] = 1
-    for j in np.flatnonzero(~central):
-        system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
-        # reduced() keeps the counts from compounding the scales of the products
-        basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
+    basis = None if central.all() else _unit_if_center(diff, unit)
+    if basis is None:
+        basis = CycArray.zeros((n, n), mul.order)
+        basis.counts[np.arange(n), np.arange(n), 0] = 1
+        for j in np.flatnonzero(~central):
+            system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
+            # reduced() keeps the counts from compounding the scales of the products
+            basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
     left = cyc_tensordot(basis, mul, axes=([1], [0]))
     right = cyc_tensordot(basis, mul, axes=([1], [1]))
     if not left.eq(right):
         raise CotwistError("center verification failed against the full product")
     return basis
+
+
+def _unit_if_center(diff: CycArray, unit: CycArray) -> CycArray | None:
+    """The unit over its last nonzero entry, as a ``(1, n)`` basis, if the
+    modular rank of the seeded commutator rows certifies a 1-dim center; else None."""
+    n = diff.shape[0]
+    draws = np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
+    y = CycArray.zeros((2, n), diff.order)
+    y.counts[..., 0] = draws
+    try:
+        rows = cyc_tensordot(y, diff, axes=([1], [1]))                  # [draw, i, k]
+    except CotwistError:  # counts would overflow int64: no certificate
+        return None
+    if _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) != n - 1:
+        return None
+    last = int(np.flatnonzero(~unit.zero_mask())[-1])
+    over = cyc_solve(unit.take([[last]]), ga_identity(1, unit.order))
+    return cyc_tensordot(over, unit, axes=0).reduced()
 
 
 def _float_center_basis(mul: np.ndarray, tol: float) -> np.ndarray:
@@ -170,11 +217,15 @@ def _float_center_basis(mul: np.ndarray, tol: float) -> np.ndarray:
 def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
     """Complex matrix (r, dim) whose rows span the center.
 
-    Exact elimination for exact algebras (the row count r is then certain);
-    numerically guarded SVD for float algebras.
+    For exact algebras the center is exact (the row count r is then certain):
+    span(A.unit) when a modular rank certifies that the center is
+    one-dimensional, as it is for every simple block, and the exact
+    narrowing pass otherwise (:func:`_exact_center_basis`).  Both give the
+    same reduced basis, checked against the full product.  Float algebras
+    take a numerically guarded SVD.
     """
     if A.is_exact:
-        return _exact_center_basis(A.mul).embed()
+        return _exact_center_basis(A.mul, A.unit).embed()
     return _float_center_basis(np.asarray(A.mul), tol)
 
 

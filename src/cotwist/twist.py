@@ -11,8 +11,10 @@ exact: coefficients are cyclotomic numbers and every identity is checked
 with zero tolerance.
 
 J^-1 is either supplied (the symplectic twist brings its closed form, the
-conjugate of J) or solved for exactly in C[H x H]; either way the axiom
-audit certifies it by one exact product.
+conjugate of J) or computed: first from the antipode element Q by one
+|H| x |H| solve in C[H], and by the exact solve in C[H x H] only if that
+candidate fails.  Either way the axiom audit certifies it by one exact
+product.
 
 The deformed coproducts Delta1(x) = (x x x) J and Delta2(x) = J^-1 (x x x)
 are the coalgebra structures whose dual algebras downstream modules build.
@@ -237,11 +239,32 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     raises on a failed check; a check whose exact counts would overflow int64
     is not certified and is recorded as failed.
 
-    The inverse is the supplied ``t.Jinv`` or, when there is none, the
-    solution K of J K = 1 x 1 in C[H x H]; a failed solve (singular, or
-    counts overflowing int64) leaves none.  Either way invertibility is the one
-    exact check J . J^-1 = 1 x 1.  ``t.Jinv`` is kept only if that check
-    passes, and ``t.verified`` is set to the audit's outcome.
+    The inverse is the supplied ``t.Jinv``, final as given, or, when there
+    is none, the first of two candidates that passes the one exact check
+    J . K = 1 x 1 (a one-sided inverse in the finite-dimensional algebra
+    C[H x H] is two-sided, and inverses are unique, so a candidate that
+    passes *is* J^-1):
+
+    * the inverse read off the antipode element (:func:`_inverse_from_q`):
+      for a twist, (S x S)(J) = (Q x Q) J_21^-1 Delta0(Q^-1) (the identity
+      :func:`q_element_and_antipode_check` audits).  Solving for J_21^-1 and
+      exchanging the legs - an algebra automorphism that fixes Q^-1 x Q^-1
+      and the symmetric Delta0(Q) - gives
+
+          J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q),
+
+      one |H| x |H| solve in C[H] and two products, in place of an
+      |H|^2 x |H|^2 solve;
+    * the solution K of J K = 1 x 1 in C[H x H], when Q is singular, a count
+      would overflow int64, or the product check fails (J is not a twist).
+
+    The first candidate is written like the solve's result, on canonical
+    counts over the lowest common denominator, so it equals it count for
+    count; its counts overflow int64 exactly when the solve's result would.  So
+    ``invertibility`` has the outcome it would have with the solve alone,
+    and the identity ``q_identity`` audits is still evaluated on the same
+    J^-1.  A failed candidate leaves none; ``t.Jinv`` is kept only if the
+    check passes, and ``t.verified`` is set to the audit's outcome.
 
     Coassociativity is checked at x = e only, which is equivalent to checking
     it at every x in H.  Since Delta1(xa) = (x x x) Delta1(a),
@@ -266,16 +289,24 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     audit.record("counit (left leg)", _certified(_counit_ok, t.J, 0))
     audit.record("counit (right leg)", _certified(_counit_ok, t.J, 1))
 
-    jinv = t.Jinv
-    if jinv is None:
-        try:
-            jinv = invert_in_group_algebra(t.J.reshape(m * m), t.pair_mul).reshape(m, m)
-        except CotwistError:  # singular, or counts overflowing int64
-            pass
     unit = ga_identity(m * m, t.order).reshape(m, m)
-    invertible = jinv is not None and _certified(
-        lambda: ga_mul(t.J, jinv, mul).eq(unit))
-    t.Jinv = jinv if invertible else None
+    supplied = t.Jinv
+    if supplied is not None:
+        candidates = [lambda: supplied]
+    else:
+        candidates = [lambda: _inverse_from_q(t.J, mul, inv),
+                      lambda: invert_in_group_algebra(t.J.reshape(m * m),
+                                                      t.pair_mul).reshape(m, m)]
+    t.Jinv = None
+    for candidate in candidates:
+        try:
+            jinv = candidate()
+        except CotwistError:  # singular, or counts overflowing int64
+            continue
+        if _certified(lambda: ga_mul(t.J, jinv, mul).eq(unit)):
+            t.Jinv = jinv
+            break
+    invertible = t.Jinv is not None
     audit.record("invertibility", invertible)
 
     audit.record("coassociativity of the first deformed coproduct",
@@ -328,26 +359,54 @@ def q_element_and_antipode_check(t: TwistData):
 def _antipode_element(t: TwistData):
     """(Q, Q^-1, ok) as described in :func:`q_element_and_antipode_check`."""
     t.require_verified()
-    m = t.size
-    n = t.order
     mul = t.group.mul.astype(np.int64)
     inv = t.group.inv.astype(np.int64)
-
-    q_counts = np.zeros((m, n), dtype=np.int64)
-    np.add.at(q_counts, mul[inv].ravel(), t.J.counts.reshape(m * m, n))  # at a^-1 b
-    Q = CycArray(n, t.J.scale, q_counts)
+    Q = _q_element(t.J, mul, inv)
     Qinv = invert_in_group_algebra(Q, mul)
+    # (S x S)(J) against (Q x Q) . J21^-1 . Delta0(Q^-1)
+    rhs = ga_mul(ga_mul(cyc_tensordot(Q, Q, axes=0), _swap_legs(t.Jinv), mul),
+                 _coproduct(Qinv), mul)
+    return Q, Qinv, _antipode(t.J, inv).eq(rhs)
 
-    # left side: (S x S)(J) has coefficient J[u^-1, v^-1] at u x v
-    lhs = t.J.take(inv, axis=0).take(inv, axis=1)
 
-    # right side: (Q x Q) . J21^-1 . Delta0(Q^-1); Delta0(Q^-1) has support |H|
-    qq = cyc_tensordot(Q, Q, axes=0)
-    diag = CycArray.zeros((m, m), n)
-    diag.counts[np.arange(m), np.arange(m)] = Qinv.counts
-    diag.scale = Qinv.scale
-    rhs = ga_mul(ga_mul(qq, _swap_legs(t.Jinv), mul), diag, mul)
-    return Q, Qinv, lhs.eq(rhs)
+def _q_element(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
+    """Q = m (S x id)(J) = sum_ab J_ab a^-1 b in C[H]."""
+    m, n = J.shape[0], J.order
+    q_counts = np.zeros((m, n), dtype=np.int64)
+    np.add.at(q_counts, mul[inv].ravel(), J.counts.reshape(m * m, n))  # at a^-1 b
+    return CycArray(n, J.scale, q_counts)
+
+
+def _antipode(X: CycArray, inv: np.ndarray) -> CycArray:
+    """(S x S)(X): coefficient X[u^-1, v^-1] at u x v."""
+    return X.take(inv, axis=0).take(inv, axis=1)
+
+
+def _coproduct(x: CycArray) -> CycArray:
+    """Delta0(x) = sum_h x_h h x h, supported on the diagonal of H x H."""
+    m = x.shape[0]
+    out = CycArray.zeros((m, m), x.order)
+    out.counts[np.arange(m), np.arange(m)] = x.counts
+    out.scale = x.scale
+    return out
+
+
+def _inverse_from_q(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
+    """The candidate J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q).
+
+    It is J^-1 when J is a twist (see :func:`verify_twist_axioms`); it comes
+    on canonical counts over the lowest common denominator, as
+    :func:`cyc_solve` returns values.  Raises CotwistError when Q is singular
+    or a count would overflow int64.
+    """
+    Q = _q_element(J, mul, inv)
+    Qinv = invert_in_group_algebra(Q, mul)
+    cand = ga_mul(ga_mul(cyc_tensordot(Qinv, Qinv, axes=0), _antipode(_swap_legs(J), inv), mul),
+                  _coproduct(Q), mul).reduced()
+    num, den = cand.scale.numerator, cand.scale.denominator
+    if int(np.abs(cand.counts).max(initial=0)) * abs(num) >= 1 << 63:
+        raise CotwistError("exact values over their common denominator overflow int64 counts")
+    return CycArray(J.order, Fraction(1, den), cand.counts * num)
 
 
 def square_dimension_check(t: TwistData) -> int:

@@ -27,6 +27,15 @@ def rref_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solve_shapes(monkeypatch):
+    """The matrix shapes passed to the exact solve ``exactlin.cyc_solve``, recorded."""
+    shapes, solve = [], exactlin.cyc_solve
+    monkeypatch.setattr(exactlin, "cyc_solve",
+                        lambda mat, rhs: shapes.append(mat.shape) or solve(mat, rhs))
+    return shapes
+
+
 @pytest.fixture(scope="session")
 def p3_pair():
     """(group, bicharacter) for (Z/3)^2."""

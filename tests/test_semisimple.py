@@ -164,12 +164,44 @@ def test_commutative_float_center_regression(p3_pair):
     assert wedderburn_dims_retrying(plain, seed=0).dims == [1] * 9
 
 
-def test_exact_center_of_block(p3_diag_bundle):
+def _commutator_system(mul: CycArray) -> CycArray:
+    """The full (n^2, n) commutator system: row (j, k), column i, entry [e_i, e_j]_k."""
+    n = mul.shape[0]
+    diff = mul.counts - mul.counts.transpose(1, 0, 2, 3)
+    return CycArray(mul.order, mul.scale, diff.transpose(1, 2, 0, 3).reshape(n * n, n, mul.order))
+
+
+def test_exact_center_of_block(p3_diag_bundle, nullspace_calls):
+    """The M_3 block's center is certified as span(unit): no nullspace solve,
+    and the basis is the reduced nullspace of the full commutator system,
+    which the narrowing pass returns."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])      # the M_3 block
     cb = center_basis(blk)
     assert cb.shape[0] == 1
+    basis = _exact_center_basis(blk.mul, blk.unit)
+    assert nullspace_calls == []
+    expected = cyc_nullspace(_commutator_system(blk.mul))
+    assert basis.eq(expected)
+    assert np.array_equal(cb, expected.embed())
     assert wedderburn_dims_retrying(blk, seed=0).dims == [3]
+
+
+def test_short_modular_rank_falls_back_to_narrowing(p3_diag_bundle, nullspace_calls,
+                                                    monkeypatch):
+    """A modular rank short of n - 1 (an unlucky prime or draw) is no
+    certificate: the narrowing pass runs and returns the same basis."""
+    inst, _, zs = p3_diag_bundle
+    blk = build_block_algebra(inst.t, zs[1])
+    certified = _exact_center_basis(blk.mul, blk.unit)
+    ranks = []
+    monkeypatch.setattr(semisimple, "_modular_rank",
+                        lambda mat: ranks.append(mat.shape) or blk.dim - 2)
+    narrowed = _exact_center_basis(blk.mul, blk.unit)
+    assert ranks == [(2 * blk.dim, blk.dim)]
+    assert len(nullspace_calls) > 0
+    assert np.array_equal(narrowed.counts, certified.counts)
+    assert narrowed.scale == certified.scale
 
 
 @pytest.fixture
@@ -196,7 +228,7 @@ def test_exact_center_of_s3_is_class_sums(nullspace_calls):
     classes = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
     expected = CycArray.zeros((3, 6), 3)
     expected.counts[..., 0] = classes
-    basis = _exact_center_basis(A.mul)
+    basis = _exact_center_basis(A.mul, A.unit)
     noncentral = int(np.count_nonzero(np.any(table != table.T, axis=0)))
     assert noncentral == 5
     assert len(nullspace_calls) == noncentral
@@ -210,7 +242,8 @@ def test_exact_center_of_commutative_algebra_takes_no_solve(nullspace_calls):
     """Every commutator column of C[Z/5] is zero: no solve, identity basis."""
     identity = CycArray.zeros((5, 5), 5)
     identity.counts[np.arange(5), np.arange(5), 0] = 1
-    assert _exact_center_basis(exact_group_algebra(cyclic_table(5), 5).mul).eq(identity)
+    A = exact_group_algebra(cyclic_table(5), 5)
+    assert _exact_center_basis(A.mul, A.unit).eq(identity)
     assert nullspace_calls == []
 
 

@@ -67,6 +67,43 @@ def test_closed_form_inverse_equals_general_solve(p3_pair, p3_twist):
     assert t2.Jinv.eq(p3_twist.Jinv)
 
 
+def test_table_twist_inverse_from_q(p3_gauge_diag_bundle, solve_shapes):
+    """A twist with no supplied inverse is inverted through Q, not in C[H x H].
+
+    The gauge-transformed twist has two-term cells; its audit runs one
+    |H| x |H| solve (Q^-1) and none of size |H|^2, and the certified J^-1 has
+    the counts and scale of the general solve's.
+    """
+    from cotwist.exactlin import invert_in_group_algebra
+    from cotwist.groups import FiniteGroup
+
+    inst, _, _ = p3_gauge_diag_bundle
+    J = inst.t.J
+    bare = FiniteGroup(inst.t.group.mul.copy())
+    t, audit = assemble_twist(Subgroup(bare, np.arange(9)), J)
+    assert audit.ok
+    assert solve_shapes == [(9, 9)]
+    general = invert_in_group_algebra(J.reshape(81), t.pair_mul).reshape(9, 9)
+    assert solve_shapes[-1] == (81, 81)
+    assert np.array_equal(t.Jinv.counts, general.counts)
+    assert t.Jinv.scale == general.scale
+
+
+def test_invertible_non_twist_takes_general_solve(p3_pair, p3_twist, solve_shapes):
+    """J with a zero-sum rectangle added stays invertible but is no twist: the
+    Q-derived candidate fails its product check, the general solve inverts J,
+    and the audit names the same axioms as with the general solve alone."""
+    H, _ = p3_pair
+    J = _perturbed(p3_twist.J, {(1, 2): 1, (3, 4): 1, (1, 4): -1, (3, 2): -1})
+    t, audit = assemble_twist(Subgroup(H, np.arange(9)), J)
+    assert solve_shapes == [(9, 9), (81, 81)]
+    assert audit.failed == ["2-cocycle equation",
+                            "coassociativity of the first deformed coproduct",
+                            "coassociativity of the second deformed coproduct"]
+    unit = ga_identity(81, 3).reshape(9, 9)
+    assert ga_mul(J, t.Jinv, H.mul.astype(np.int64)).eq(unit)
+
+
 def test_wrong_supplied_inverse_fails_by_name(p3_pair, p3_twist):
     """A supplied J^-1 is checked like a solved one, and dropped when wrong."""
     H, _ = p3_pair
