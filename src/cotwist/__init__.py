@@ -10,9 +10,9 @@ along with the supporting trace, multiplicity, and divisibility laws.
 """
 
 from .correspondence import (Config, CosetSpectrum, Report, SymplecticConstruction,
-                             TableConstruction, build_instance, coset_report,
-                             f_g_map, full_report, invariant_algebra_Ug,
-                             predicted_spectrum, render_json, render_table)
+                             TableConstruction, build_instance, f_g_map, full_report,
+                             invariant_algebra_Ug, predicted_spectrum, render_json,
+                             render_table)
 from .dual_algebras import (GroupAction, SCAlgebra, a2_to_a1op_iso, build_A1_A2_star,
                             build_block_algebra, dual_product_delta)
 from .errors import AuditError, CotwistError, SeedRetryError
@@ -40,7 +40,7 @@ __all__ = [
     "TwistAudit", "TwistData", "WedderburnSpectrum", "a2_to_a1op_iso",
     "assemble_twist", "build_A1_A2_star", "build_block_algebra",
     "build_elementary_abelian_symplectic", "build_instance", "build_semidirect",
-    "coset_report", "cyc_rank", "double_cosets", "dual_product_delta", "f_g_map",
+    "cyc_rank", "double_cosets", "dual_product_delta", "f_g_map",
     "full_report", "invariant_algebra_Ug", "load_twist_matrix", "make_twist",
     "multiplicity_law_check", "predicted_spectrum", "projective_rep_from_action",
     "pullback_and_tensor_cocycle", "q_element_and_antipode_check", "render_json",

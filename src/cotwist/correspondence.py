@@ -7,6 +7,10 @@ spectrum from the pulled-back tensor cocycle on the stabilizer K_g via a
 twisted group algebra, scaled by |H|/|K_g|.  The report machinery runs all
 three per coset, asserts the multisets agree, checks Kaplansky divisibility
 against |G|, and verifies representative independence.
+
+The comparison map F_g links routes (a) and (b): it sends each basis point
+of the block to an orbit sum of the pair action, and ``f_g_map`` audits
+exactly that it is an isomorphism of the block onto U_g.
 """
 
 from __future__ import annotations
@@ -14,13 +18,11 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-
 import numpy as np
 
 from .dual_algebras import SCAlgebra, build_A1_A2_star, build_block_algebra, determine_unit
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, ProductCounts, accumulate_products, cyc_rank, gather
+from .exactlin import CycArray, ProductCounts, accumulate_products, gather
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, double_cosets, stabilizer_Kg, stabilizer_local_indices)
 from .projective import (ProjectiveRep, multiplicity_law_check, projective_rep_from_action,
@@ -158,133 +160,6 @@ def pair_orbits(perms: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# F_g: the comparison homomorphism
-
-
-def _enumerate_factorizations(G: FiniteGroup, H: Subgroup, Z: DoubleCoset, g: int) -> np.ndarray:
-    """0/1 matrix F of shape (|H|^2, |Z|): F[h*|H|+h', z] = [h g h' = Z[z]]."""
-    elems = H.elements.astype(np.int64)
-    m = elems.size
-    left = G.mul[elems, g]
-    products = G.mul[np.ix_(left, elems)]
-    cols = np.searchsorted(Z.elements, products)
-    cols = np.clip(cols, 0, len(Z.elements) - 1)
-    if not np.array_equal(Z.elements[cols], products):
-        raise AuditError("factorizations h g h' leave the double coset")
-    F = np.zeros((m * m, len(Z.elements)), dtype=np.int64)
-    F[np.arange(m * m), cols.ravel()] = 1
-    return F
-
-
-def _tensor_product_of_columns(mul2: CycArray, mul1: CycArray, F: np.ndarray) -> CycArray:
-    """Products F(delta_y) * F(delta_y') in A_2* (x) A_1*, for all column pairs.
-
-    Returns a CycArray of shape (|Z|, |Z|, |H|^2) whose [i, j] slice is the
-    coefficient vector of the product of columns i and j in the pair basis.
-    """
-    m = mul2.shape[0]
-    z = F.shape[1]
-    n = mul2.order
-    if mul1.order != n:
-        raise CotwistError("tensor legs have different cyclotomic orders")
-    supports = [np.divmod(np.nonzero(F[:, i])[0], m) for i in range(z)]
-    terms2, terms1 = mul2.terms(), mul1.terms()
-    x1, x2 = np.ogrid[:m, :m]
-    out = ProductCounts((z, z, m, m), n)
-    for i in range(z):
-        av, bv = (y[:, None, None, None] for y in supports[i])
-        for j in range(z):
-            cv, dv = (y[None, :, None, None] for y in supports[j])
-            # [k, l, x1, x2] = mul2[a_k, c_l, x1] * mul1[b_k, d_l, x2]
-            cell = ((i * z + j) * m + x1) * m
-            accumulate_products(out, out.piece(gather(terms2, av, cv, x1), cell),
-                                out.piece(gather(terms1, bv, dv, x2), x2))
-    return out.fold(mul2.scale * mul1.scale).reshape(z, z, m * m)
-
-
-def f_g_map(G: FiniteGroup, H: Subgroup, t: TwistData, Z: DoubleCoset, g: int,
-            duals=None, sample_seed: int = 0):
-    """The comparison map F_g: block of coset Z -> A_2* (x) A_1*, with audits.
-
-    Returns (F, audit).  F is the 0/1 integer matrix (|H|^2 x |Z|) sending the
-    indicator of y to the sum of delta_h (x) delta_h' over factorizations
-    y = h g h'.  Audits, all exact: multiplicativity against the block algebra
-    of Z, injectivity (cyclotomic rank = |Z|), and translation equivariance on
-    sampled pairs.  Any audit failure raises AuditError.
-    """
-    t.require_verified()
-    if g not in set(int(x) for x in Z.elements):
-        raise CotwistError(f"representative {g} is not in the double coset")
-    if duals is None:
-        A1s, A2s, _, _ = build_A1_A2_star(t)
-    else:
-        A1s, A2s = duals[0], duals[1]
-    F = _enumerate_factorizations(G, H, Z, g)
-    audit = TwistAudit()
-
-    col_sizes = F.sum(axis=0)
-    uniform = bool(np.all(col_sizes == col_sizes[0]) and col_sizes[0] > 0)
-    audit.record("uniform factorization count per element", uniform)
-
-    # multiplicativity: F(x *_Z y) = F(x) *_{tensor} F(y) for all basis pairs
-    blk = build_block_algebra(t, Z)
-    lhs_counts = np.einsum("ijwk,qw->ijqk", blk.mul.counts, F)
-    lhs = CycArray(blk.mul.order, blk.mul.scale, lhs_counts)
-    rhs = _tensor_product_of_columns(A2s.mul, A1s.mul, F)
-    audit.record("homomorphism into A2* (x) A1*", lhs.eq(rhs))
-
-    # injectivity: the rank of the integer matrix F over Q (order 1) is its
-    # rank over any cyclotomic field
-    audit.record("injectivity (rank = |Z|)",
-                 cyc_rank(CycArray(1, Fraction(1), F[..., None])) == F.shape[1])
-
-    # equivariance under g -> a g a' against the translated row permutation
-    mul_h = H.as_group.mul
-    m = H.order
-    rng = np.random.default_rng(sample_seed)
-    ok = True
-    for _ in range(EQUIVARIANCE_SAMPLES):
-        a = int(rng.integers(m))
-        ap = int(rng.integers(m))
-        g2 = int(G.mul[G.mul[int(H.elements[a]), g], int(H.elements[ap])])
-        F2 = _enumerate_factorizations(G, H, Z, g2)
-        rows = (mul_h[:, a][:, None] * m + mul_h[ap, :][None, :]).ravel()
-        if not np.array_equal(F2, F[rows]):
-            ok = False
-            break
-    audit.record(f"equivariance under translation ({EQUIVARIANCE_SAMPLES} samples)", ok)
-
-    if not audit.ok:
-        raise AuditError(f"F_g audits failed: {', '.join(audit.failed)}")
-    return F, audit
-
-
-def image_matches_invariants(F: np.ndarray, orbit_id: np.ndarray) -> bool:
-    """Exact column-space equality of F with the orbit-sum basis.
-
-    Each column of F must be the full indicator vector of a single orbit of
-    the pair action, and the columns must hit every orbit exactly once.
-    """
-    z = F.shape[1]
-    n_orbits = int(orbit_id.max()) + 1 if orbit_id.size else 0
-    if z != n_orbits:
-        return False
-    seen = set()
-    for i in range(z):
-        support = np.nonzero(F[:, i])[0]
-        ids = set(int(x) for x in orbit_id[support])
-        if len(ids) != 1:
-            return False
-        oid = ids.pop()
-        if oid in seen:
-            return False
-        if support.size != int(np.count_nonzero(orbit_id == oid)):
-            return False
-        seen.add(oid)
-    return len(seen) == n_orbits
-
-
-# ---------------------------------------------------------------------------
 # U_g: the invariant algebra (route b)
 
 
@@ -336,8 +211,97 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     mul = _orbit_structure_constants(A2s.mul, A1s.mul, orbit_id, reps)
     ones = CycArray.from_exponents(mul.order, np.zeros(len(reps), dtype=np.int64))
     name = f"invariants at g={g}"
-    return SCAlgebra(mul, determine_unit(mul, ones, name), labels=[int(q) for q in reps],
-                     name=name)
+    return SCAlgebra(mul, determine_unit(mul, ones, name), name=name)
+
+
+# ---------------------------------------------------------------------------
+# F_g: the comparison isomorphism onto U_g
+
+
+def _enumerate_factorizations(G: FiniteGroup, H: Subgroup, Z: DoubleCoset, g: int) -> np.ndarray:
+    """0/1 matrix F of shape (|H|^2, |Z|): F[h*|H|+h', z] = [h g h' = Z[z]]."""
+    elems = H.elements.astype(np.int64)
+    m = elems.size
+    left = G.mul[elems, g]
+    products = G.mul[np.ix_(left, elems)]
+    cols = np.searchsorted(Z.elements, products)
+    cols = np.clip(cols, 0, len(Z.elements) - 1)
+    if not np.array_equal(Z.elements[cols], products):
+        raise AuditError("factorizations h g h' leave the double coset")
+    F = np.zeros((m * m, len(Z.elements)), dtype=np.int64)
+    F[np.arange(m * m), cols.ravel()] = 1
+    return F
+
+
+def image_matches_invariants(F: np.ndarray, orbit_id: np.ndarray) -> bool:
+    """Whether the columns of F are exactly the orbit indicators, one per orbit.
+
+    Column x must be the indicator of pi(x), the orbit of its first support
+    point, and x -> pi(x) must be a bijection onto the orbits.
+    """
+    pi = orbit_id[F.argmax(axis=0)]
+    n_orbits = int(orbit_id.max()) + 1
+    return bool(F.shape[1] == n_orbits == np.unique(pi).size
+                and np.array_equal(F, orbit_id[:, None] == pi[None, :]))
+
+
+def f_g_map(ctx: InstanceContext, Z: DoubleCoset, g: int):
+    """The comparison map F_g: block of coset Z -> A_2* (x) A_1*, with audits.
+
+    Returns (F, audit).  F is the 0/1 integer matrix (|H|^2 x |Z|) sending
+    delta_x to the sum of delta_h (x) delta_h' over the factorizations
+    x = h g h'.  G, H and the twist come from ``ctx.instance``, the duals and
+    their actions from ``ctx``.  The audits are exact; any failure raises
+    AuditError naming it.
+
+    - Image: column x is the indicator of one orbit pi(x) of the K_g pair
+      action, and pi is a bijection onto the orbits.  So F(delta_x) = o_pi(x),
+      the orbit sum, and F is onto the invariants.  It is injective too, its
+      columns having disjoint nonempty supports.
+    - Homomorphism: the o_l are independent, so F(delta_x delta_y) =
+      F(delta_x) F(delta_y) holds exactly when blk[x, y, w] = U[pi(x), pi(y),
+      pi(w)] for all x, y, w, with blk the block's constants and U those of
+      ``invariant_algebra_Ug``.  U's constants are those of the orbit sums in
+      A_2* (x) A_1*, because ``GroupAction.verify`` has shown rho1 and rho2
+      to be free actions by automorphisms.  So this one compare certifies
+      that the algebras of routes (a) and (b) are exactly isomorphic.
+    - Equivariance: F at a translated representative a g a' is F with its
+      rows translated, on EQUIVARIANCE_SAMPLES seeded pairs (a, a').
+    """
+    inst = ctx.instance
+    G, H = inst.G, inst.H
+    if g not in set(int(x) for x in Z.elements):
+        raise CotwistError(f"representative {g} is not in the double coset")
+    F = _enumerate_factorizations(G, H, Z, g)
+    Kg = stabilizer_Kg(G, H, g)
+    orbit_id, _ = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, H, Kg, g))
+    audit = TwistAudit()
+    audit.record("image = K_g-invariants (columns are orbit indicators, bijectively)",
+                 image_matches_invariants(F, orbit_id))
+    if audit.ok:  # pi is defined only on a bijective image
+        pi = orbit_id[F.argmax(axis=0)]
+        U = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, H).mul
+        audit.record("homomorphism into A2* (x) A1*", build_block_algebra(inst.t, Z).mul.eq(
+            U.take(pi, 0).take(pi, 1).take(pi, 2)))
+
+    mul_h = H.as_group.mul
+    m = H.order
+    rng = np.random.default_rng(0)
+    ok = True
+    for _ in range(EQUIVARIANCE_SAMPLES):
+        a = int(rng.integers(m))
+        ap = int(rng.integers(m))
+        g2 = int(G.mul[G.mul[int(H.elements[a]), g], int(H.elements[ap])])
+        F2 = _enumerate_factorizations(G, H, Z, g2)
+        rows = (mul_h[:, a][:, None] * m + mul_h[ap, :][None, :]).ravel()
+        if not np.array_equal(F2, F[rows]):
+            ok = False
+            break
+    audit.record(f"equivariance under translation ({EQUIVARIANCE_SAMPLES} samples)", ok)
+
+    if not audit.ok:
+        raise AuditError(f"F_g audits failed: {', '.join(audit.failed)}")
+    return F, audit
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +428,6 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
                              dims_predicted=dims_predicted, kaplansky_ok=kaplansky_ok,
                              identities_ok=routes_ok)
     return spectrum, failures
-
-
-def coset_report(G: FiniteGroup, H: Subgroup, t: TwistData, Z: DoubleCoset,
-                 seed: int, tol: float = 1e-8, ctx: InstanceContext | None = None) -> CosetSpectrum:
-    """Three-route spectrum comparison for one double coset."""
-    if ctx is None:
-        inst = Instance(G=G, H=H, t=t, audit=TwistAudit(), description={})
-        ctx = prepare_instance(inst, seed, tol)
-    spectrum, _ = _coset_pipeline(ctx, Z)
-    return spectrum
 
 
 # ---------------------------------------------------------------------------

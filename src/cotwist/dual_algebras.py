@@ -29,13 +29,11 @@ class SCAlgebra:
 
     ``mul[i, j, k]`` is the coefficient of basis element k in e_i e_j, either
     as an exact CycArray or as a complex ndarray; ``unit`` is the coefficient
-    vector of the multiplicative unit (same kind as ``mul``).  ``labels``
-    names the basis elements (for the dual algebras these are group indices).
+    vector of the multiplicative unit (same kind as ``mul``).
     """
 
     mul: object
     unit: object
-    labels: np.ndarray | None = None
     name: str = ""
 
     @property
@@ -162,8 +160,8 @@ def build_A1_A2_star(t: TwistData):
 
     unit1 = determine_unit(A1_mul, _all_ones(m, n), "A1*")
     unit2 = determine_unit(A2_mul, _all_ones(m, n), "A2*")
-    A1 = SCAlgebra(A1_mul, unit1, labels=np.arange(m), name="A1*")
-    A2 = SCAlgebra(A2_mul, unit2, labels=np.arange(m), name="A2*")
+    A1 = SCAlgebra(A1_mul, unit1, name="A1*")
+    A2 = SCAlgebra(A2_mul, unit2, name="A2*")
 
     rho1 = GroupAction(group, mul.copy(), name="left translation")
     rho2 = GroupAction(group, mul[:, inv].T.copy(), name="right translation")
@@ -243,8 +241,7 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
         accumulate_products(out, left, right)
     mul = out.fold(t.J.scale * t.Jinv.scale)
     name = f"block[{coset.representative}]"
-    return SCAlgebra(mul, determine_unit(mul, _all_ones(nz, t.order), name),
-                     labels=z.copy(), name=name)
+    return SCAlgebra(mul, determine_unit(mul, _all_ones(nz, t.order), name), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -131,33 +131,29 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
                                tol: float = 1e-8) -> ProjectiveRep:
     """Projective representation induced by a free automorphism action.
 
-    T[a] = skolem_noether(pi, act[a]) with T[identity] forced to the identity;
-    the 2-cocycle is read off from T[a] T[b] against T[ab] by a least-squares
-    scalar fit with a checked residual.  The raw scalars are kept as-is: when
+    T[a] = skolem_noether(pi, act[a]) with T[identity] forced to the identity.
+    The 2-cocycle is read off from all T[a] T[b] against T[ab] at once, by a
+    least-squares scalar fit.  Its residual is the product law of the rep and
+    is checked once, against the tighter of the intertwiner bound 10 * tol
+    and COMPOSITE_TOL, times n; then the gauge, the moduli and the cocycle
+    identity are checked.  The raw scalars are kept as-is: when
     pi is not unitary the moduli |c| need not equal 1, but they differ from a
     unimodular cocycle only by an R+-valued coboundary, which never changes
     the isomorphism class of the twisted algebra C_c[K].
     """
     k = act.group.order
     n = pi.shape[1]
-    T = np.zeros((k, n, n), dtype=complex)
-    for a in range(k):
-        T[a] = skolem_noether(pi, action_matrix(act.perms[a]), tol)
-    mul = act.group.mul
-    c = np.zeros((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            prod = T[a] @ T[b]
-            tgt = T[mul[a, b]]
-            denom = np.vdot(tgt, tgt)
-            cab = np.vdot(tgt, prod) / denom
-            if np.max(np.abs(prod - cab * tgt)) > tol * n * 10:
-                raise CotwistError("T[a] T[b] is not a scalar multiple of T[ab]")
-            c[a, b] = cab
+    T = np.stack([skolem_noether(pi, action_matrix(act.perms[a]), tol) for a in range(k)])
+    prods = np.einsum("aij,bjk->abik", T, T)
+    tgt = T[act.group.mul]  # [a, b] -> T[ab]
+    c = (np.einsum("abij,abij->ab", tgt.conj(), prods)
+         / np.einsum("abij,abij->ab", tgt.conj(), tgt))
+    if np.max(np.abs(prods - c[:, :, None, None] * tgt)) > min(10 * tol, COMPOSITE_TOL) * n:
+        raise CotwistError("T[a] T[b] is not a scalar multiple of T[ab]")
     if subgroup is None:
         subgroup = Subgroup(act.group, np.arange(k))
     rep = ProjectiveRep(group=subgroup, dim=n, T=T, c=c)
-    rep.validate()
+    rep._validate_cocycle(COMPOSITE_TOL)
     return rep
 
 
@@ -169,8 +165,8 @@ def pullback_and_tensor_cocycle(V1: ProjectiveRep, V2: ProjectiveRep, g: int,
     c_W(a, b) = c_2(a, b) c_1(a', b'), where a' = g^-1 a g, for a, b in Kg
     (indices local to Kg).  Raises AuditError if some a' leaves H.
 
-    V1 and V2 must have passed :meth:`ProjectiveRep.validate`, as every rep
-    from :func:`projective_rep_from_action` has.  W then inherits its product
+    V1 and V2 must pass the checks of :meth:`ProjectiveRep.validate`, as every
+    rep from :func:`projective_rep_from_action` has.  W then inherits its product
     law: a -> a' is a homomorphism K_g -> H, so (ab)' = a'b', and by the
     mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
 
@@ -215,7 +211,7 @@ def twisted_group_algebra(K: Subgroup, c: np.ndarray, tol: float = 1e-8) -> SCAl
     mul[aa, bb, mul_table] = c
     unit = np.zeros(k, dtype=complex)
     unit[0] = 1.0
-    return SCAlgebra(mul, unit, labels=K.elements.copy(), name="twisted group algebra")
+    return SCAlgebra(mul, unit, name="twisted group algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +262,3 @@ def multiplicity_law_check(W: ProjectiveRep, spectrum: WedderburnSpectrum,
     if abs(commutant - h_size * h_size / k) > tol * max(1, h_size):
         ok = False
     return ok, mults
-
-
-def one_dim_block_forces_plain_spectrum(Kg: Subgroup, dims: list[int], seed: int,
-                                        tol: float = 1e-8) -> bool:
-    """If the twisted algebra has a 1-dim block its spectrum is the plain one.
-
-    Operational form of the degenerate-class dichotomy: a 1-dimensional block
-    forces the cocycle class to vanish, so the whole spectrum must match the
-    ordinary group algebra of K_g.  Vacuously true when no 1-dim block exists.
-    """
-    if 1 not in dims:
-        return True
-    from .semisimple import wedderburn_dims_retrying
-
-    k = Kg.order
-    plain = twisted_group_algebra(Kg, np.ones((k, k), dtype=complex), tol)
-    plain_dims = wedderburn_dims_retrying(plain, seed, tol).dims
-    return plain_dims == sorted(dims)

@@ -97,6 +97,34 @@ def p3_gauge_diag_bundle(p3_pair):
     return inst, prepare_instance(inst, seed=0), double_cosets(G, Hs)
 
 
+def wreath_table(h_mul):
+    """(H x H) x| C_2 on indices s*|H|^2 + a*|H| + b: (a, b, s)(c, d, t) =
+    (a + c', b + d', s + t), with (c', d') = (d, c) when s = 1."""
+    m = h_mul.shape[0]
+    s, rest = np.divmod(np.arange(2 * m * m), m * m)
+    a, b = np.divmod(rest, m)
+    swapped = s[:, None] == 1
+    c = np.where(swapped, b[None, :], a[None, :])
+    d = np.where(swapped, a[None, :], b[None, :])
+    return (s[:, None] ^ s[None, :]) * m * m + h_mul[a[:, None], c] * m + h_mul[b[:, None], d]
+
+
+@pytest.fixture(scope="session")
+def wreath_bundle(p3_pair):
+    """Instance, context, and double cosets for (Z/3)^2 wr C_2 with H the first
+    factor and its symplectic twist: the swap coset H 81 H has K_g = {e}."""
+    from cotwist.correspondence import Instance
+    from cotwist.groups import FiniteGroup, Subgroup
+    from cotwist.twist import TwistAudit
+
+    H, sigma = p3_pair
+    G = FiniteGroup(wreath_table(H.mul.astype(np.int64)), name="(Z/3)^2 wr C2")
+    Hs = Subgroup(G, 9 * np.arange(9))
+    inst = Instance(G=G, H=Hs, t=symplectic_twist(H, sigma).rehome(Hs), audit=TwistAudit(),
+                    description={})
+    return inst, prepare_instance(inst, seed=0), double_cosets(G, Hs)
+
+
 @pytest.fixture(scope="session")
 def p5_diag_bundle():
     inst = build_instance(make_config(5, DIAG_12))

@@ -15,8 +15,8 @@ import numpy as np
 
 from cotwist.cli import main as cli_main
 from cotwist.correspondence import (Config, SymplecticConstruction,
-                                    TableConstruction, build_instance,
-                                    coset_report, f_g_map, full_report,
+                                    TableConstruction, _coset_pipeline,
+                                    build_instance, f_g_map, full_report,
                                     predicted_spectrum, prepare_instance,
                                     render_json)
 from cotwist.dual_algebras import a2_to_a1op_iso, dual_product_delta
@@ -191,7 +191,7 @@ def test_criterion_3_seeded_sweep():
 
 
 @criterion(4)
-def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle):
+def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bundle, tmp_path):
     f_audits = 0
     for inst, ctx, zs in (p3_diag_bundle, p5_diag_bundle):
         audit = verify_twist_axioms(inst.t)
@@ -208,9 +208,8 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle):
 
         a2_to_a1op_iso(inst.t, ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2)
 
-        for Z in zs[:2]:
-            _, f_audit = f_g_map(inst.G, inst.H, inst.t, Z, Z.representative,
-                                 duals=(ctx.A1s, ctx.A2s))
+        for Z in zs:
+            _, f_audit = f_g_map(ctx, Z, Z.representative)
             assert f_audit.ok, f_audit.failed
             f_audits += 1
 
@@ -219,7 +218,20 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle):
             for b in zs[1].elements[:2]:
                 assert not dual_product_delta(inst.t, int(a), int(b)).counts.any()
                 assert not dual_product_delta(inst.t, int(b), int(a)).counts.any()
-    return f"p=3 and p=5, {f_audits} comparison-map audits"
+
+    # F_g where K_g < H: the wreath swap coset (K_g = {e}) and a criterion-9
+    # coset (|K_g| = 3)
+    inter = build_instance(write_intermediate_instance(tmp_path))
+    inter_ctx = prepare_instance(inter, seed=0)
+    for (inst, ctx, zs), rep, k_size in ((wreath_bundle, 81, 1),
+                                         ((inter, inter_ctx, double_cosets(inter.G, inter.H)),
+                                          27, 3)):
+        (Z,) = [Z for Z in zs if Z.representative == rep]
+        assert stabilizer_Kg(inst.G, inst.H, rep).order == k_size
+        _, f_audit = f_g_map(ctx, Z, rep)
+        assert f_audit.ok, f_audit.failed
+        f_audits += 1
+    return f"p=3 and p=5, wreath and |K_g| = 3, {f_audits} comparison-map audits"
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +313,10 @@ def test_criterion_7_determinism_and_invariance(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     rep_checks = 0
     for Z in zs:
-        baseline = coset_report(inst.G, inst.H, inst.t, Z, seed=0, ctx=ctx)
+        baseline, _ = _coset_pipeline(ctx, Z)
         for g2 in Z.elements[1:]:
             moved = dataclasses.replace(Z, representative=int(g2))
-            again = coset_report(inst.G, inst.H, inst.t, moved, seed=0, ctx=ctx)
+            again, _ = _coset_pipeline(ctx, moved)
             assert again.dims_direct == baseline.dims_direct
             assert again.dims_invariant == baseline.dims_invariant
             assert again.dims_predicted == baseline.dims_predicted

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cotwist.correspondence import (Config, SymplecticConstruction, TableConstruction,
-                                    build_instance, coset_report, f_g_map, full_report,
+                                    build_instance, f_g_map, full_report,
                                     image_matches_invariants, invariant_algebra_Ug,
                                     pair_orbits, pair_translation_perms,
-                                    predicted_spectrum,
+                                    predicted_spectrum, prepare_instance,
                                     render_json, render_table, report_to_dict)
 from cotwist.dual_algebras import build_A1_A2_star, build_block_algebra
 from cotwist.errors import AuditError, CotwistError
@@ -24,7 +24,7 @@ def test_f_matrix_shape_and_supports(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     for z in zs:
         g = z.representative
-        F, audit = f_g_map(inst.G, inst.H, inst.t, z, g, duals=(ctx.A1s, ctx.A2s))
+        F, audit = f_g_map(ctx, z, g)
         assert audit.ok
         assert F.shape == (81, z.size)
         # each pair (h, h') factors exactly one element: one 1 per row
@@ -38,7 +38,7 @@ def test_f_image_equals_invariants(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     for z in zs:
         g = z.representative
-        F, _ = f_g_map(inst.G, inst.H, inst.t, z, g, duals=(ctx.A1s, ctx.A2s))
+        F, _ = f_g_map(ctx, z, g)
         Kg = stabilizer_Kg(inst.G, inst.H, g)
         perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
         orbit_id, _ = pair_orbits(perms)
@@ -187,12 +187,6 @@ def test_predicted_spectrum_rejects_outsider(p3_diag_bundle):
         predicted_spectrum(zs[1], 0, ctx.V1, ctx.V2, Kg, seed=0)
 
 
-def test_coset_report_standalone(p3_diag_bundle):
-    inst, _, zs = p3_diag_bundle
-    spec = coset_report(inst.G, inst.H, inst.t, zs[1], seed=0)
-    assert spec.dims_direct == [3] and spec.identities_ok
-
-
 def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
     """A gauge-conjugated twist has multi-term coefficients and must produce
     the identical spectra through every route, exercising the generic
@@ -207,8 +201,7 @@ def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
         assert not errs, errs
         assert spectrum.dims_direct == want
         # F_g audits across the multi-term paths
-        F, audit = f_g_map(inst.G, inst.H, inst.t, z, z.representative,
-                           duals=(ctx.A1s, ctx.A2s))
+        F, audit = f_g_map(ctx, z, z.representative)
         assert audit.ok
 
 
@@ -301,32 +294,16 @@ def test_trivial_subgroup_table_instance(tmp_path):
         assert c.size == 1 and c.k_size == 1
 
 
-def _wreath_table(h_mul):
-    """(H x H) x| C_2 on indices s*|H|^2 + a*|H| + b: (a, b, s)(c, d, t) =
-    (a + c', b + d', s + t), with (c', d') = (d, c) when s = 1."""
-    m = h_mul.shape[0]
-    s, rest = np.divmod(np.arange(2 * m * m), m * m)
-    a, b = np.divmod(rest, m)
-    swapped = s[:, None] == 1
-    c = np.where(swapped, b[None, :], a[None, :])
-    d = np.where(swapped, a[None, :], b[None, :])
-    return (s[:, None] ^ s[None, :]) * m * m + h_mul[a[:, None], c] * m + h_mul[b[:, None], d]
-
-
-def test_wreath_table_instance_swap_coset(tmp_path):
+def test_wreath_table_instance_swap_coset(tmp_path, wreath_bundle):
     """(Z/3)^2 wr C_2 with H the first factor, which is not normal.
 
     The swap coset H s H has |K_s| = 1 < |H| and all three routes give [9]
     (|H|/|K_s| = 9); the other nine double cosets are cosets of H.
     """
-    from cotwist import build_elementary_abelian_symplectic, symplectic_twist
-
-    h_group, sigma = build_elementary_abelian_symplectic(3, 1)
-    twist = symplectic_twist(h_group, sigma)
-    G = FiniteGroup(_wreath_table(h_group.mul.astype(np.int64)), name="(Z/3)^2 wr C2")
+    inst = wreath_bundle[0]
     gf, tf = tmp_path / "group.txt", tmp_path / "twist.txt"
-    G.to_file(gf)
-    save_twist_file(tf, twist)
+    inst.G.to_file(gf)
+    save_twist_file(tf, inst.t)
     rep = full_report(Config(TableConstruction(str(gf), [9 * a for a in range(9)], str(tf))))
     assert rep.ok, rep.failures
     swap = [c for c in rep.cosets if c.rep == 81]
@@ -344,10 +321,75 @@ def test_build_instance_rejects_unknown_construction():
 
 
 def test_f_g_rejects_unverified_twist(p3_pair):
+    """F_g takes its duals from an InstanceContext, which an unverified twist
+    never gets: prepare_instance refuses it."""
     H, sigma = p3_pair
-    from cotwist.twist import TwistData
+    from cotwist.correspondence import Instance
+    from cotwist.twist import TwistAudit, TwistData
 
-    t = TwistData(subgroup=Subgroup(H, np.arange(9)), order=3,
-                  J=CycArray.zeros((9, 9), 3))
-    with pytest.raises(CotwistError):
-        f_g_map(H, Subgroup(H, np.arange(9)), t, None, 0)
+    sub = Subgroup(H, np.arange(9))
+    t = TwistData(subgroup=sub, order=3, J=CycArray.zeros((9, 9), 3))
+    inst = Instance(G=H, H=sub, t=t, audit=TwistAudit(), description={})
+    with pytest.raises(CotwistError, match="axiom audit"):
+        prepare_instance(inst, seed=0)
+
+
+def test_f_g_names_a_corrupted_block(monkeypatch, p3_diag_bundle):
+    """One count added to the block's constants fails the isomorphism onto U_g."""
+    import cotwist.correspondence as corr
+
+    inst, ctx, zs = p3_diag_bundle
+    build = corr.build_block_algebra
+
+    def corrupted(t, Z):
+        blk = build(t, Z)
+        blk.mul.counts[0, 0, 0, 0] += 1
+        return blk
+
+    monkeypatch.setattr(corr, "build_block_algebra", corrupted)
+    for z in zs:
+        with pytest.raises(AuditError, match=r"homomorphism into A2\* \(x\) A1\*") as err:
+            f_g_map(ctx, z, z.representative)
+        assert "image" not in str(err.value)
+
+
+def test_f_g_names_a_split_orbit_labelling(monkeypatch, p3_diag_bundle):
+    """An orbit labelling whose orbits cut across a column of F fails the image
+    check by name; the homomorphism check, which needs pi, is not reached."""
+    import cotwist.correspondence as corr
+
+    inst, ctx, zs = p3_diag_bundle
+    orbits = corr.pair_orbits
+
+    def split(perms):
+        orbit_id, reps = orbits(perms)
+        orbit_id = orbit_id.copy()
+        # swap the second members of orbits 0 and 1: sizes and minima unchanged
+        a, b = np.flatnonzero(orbit_id == 0)[1], np.flatnonzero(orbit_id == 1)[1]
+        orbit_id[[a, b]] = orbit_id[[b, a]]
+        return orbit_id, reps
+
+    monkeypatch.setattr(corr, "pair_orbits", split)
+    z = zs[1]  # K_g = H: one orbit of nine pairs per coset element
+    with pytest.raises(AuditError, match="image = K_g-invariants") as err:
+        f_g_map(ctx, z, z.representative)
+    assert "homomorphism" not in str(err.value)
+
+
+def test_f_g_names_broken_equivariance(monkeypatch, p3_diag_bundle):
+    """F at every translated representative shifted by one column fails the
+    equivariance sample by name, and only it."""
+    import cotwist.correspondence as corr
+
+    inst, ctx, zs = p3_diag_bundle
+    enumerate_at = corr._enumerate_factorizations
+    z = zs[1]
+
+    def shifted(G, H, Z, g):
+        F = enumerate_at(G, H, Z, g)
+        return F if g == z.representative else np.roll(F, 1, axis=1)
+
+    monkeypatch.setattr(corr, "_enumerate_factorizations", shifted)
+    with pytest.raises(AuditError, match="equivariance under translation") as err:
+        f_g_map(ctx, z, z.representative)
+    assert "image" not in str(err.value) and "homomorphism" not in str(err.value)

@@ -227,6 +227,6 @@ def test_iso_rejects_wrong_candidate(p3_twist, p3_duals):
 
     # sabotage: transpose A2's product so reversal fails
     bad_mul = CycArray(A2.mul.order, A2.mul.scale, np.swapaxes(A2.mul.counts, 0, 1))
-    bad = da.SCAlgebra(bad_mul, A2.unit, labels=A2.labels, name="bad")
+    bad = da.SCAlgebra(bad_mul, A2.unit, name="bad")
     with pytest.raises(AuditError):
         a2_to_a1op_iso(p3_twist, A1, bad, rho1, rho2)

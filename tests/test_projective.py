@@ -11,7 +11,6 @@ from cotwist.errors import AuditError, CotwistError
 from cotwist.groups import Subgroup, double_cosets, stabilizer_Kg
 from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
                                 cocycle_identity_holds, multiplicity_law_check,
-                                one_dim_block_forces_plain_spectrum,
                                 projective_rep_from_action,
                                 pullback_and_tensor_cocycle, regular_trace_law_holds,
                                 skolem_noether, trace_vanishing_check,
@@ -120,6 +119,37 @@ def test_projective_reps_validate(p3_reps):
         assert np.max(np.abs(np.abs(V.c) - 1)) < 1e-9
 
 
+def test_cocycle_is_the_pairwise_fit(p3_reps):
+    """c[a, b] is the least-squares scalar of T[a] T[b] against T[ab]."""
+    for V in p3_reps:
+        mul = V.group.as_group.mul
+        for a in range(V.size):
+            for b in range(V.size):
+                tgt = V.T[mul[a, b]]
+                fit = np.vdot(tgt, V.T[a] @ V.T[b]) / np.vdot(tgt, tgt)
+                assert abs(V.c[a, b] - fit) < 1e-12
+
+
+def test_product_law_checked_on_extraction(monkeypatch, p3_twist, p3_duals):
+    """One intertwiner perturbed off the product law is refused by name."""
+    import cotwist.projective as proj
+
+    A1, _, rho1, _ = p3_duals
+    pi1 = split_simple_retrying(A1, seed=11)
+    solve = proj.skolem_noether
+
+    def perturbed(pi, alpha, tol):
+        T = solve(pi, alpha, tol)
+        if np.array_equal(alpha, action_matrix(rho1.perms[4])):
+            T = T.copy()
+            T[0, 0] += 1e-3
+        return T
+
+    monkeypatch.setattr(proj, "skolem_noether", perturbed)
+    with pytest.raises(CotwistError, match="not a scalar multiple"):
+        projective_rep_from_action(A1, rho1, pi1, Subgroup(p3_twist.group, np.arange(9)))
+
+
 def test_regular_trace_law(p3_reps):
     for V in p3_reps:
         assert regular_trace_law_holds(V)
@@ -154,7 +184,6 @@ def test_pullback_at_identity_gives_plain_spectrum(p3_pair, p3_reps):
     ok, mults = multiplicity_law_check(W, wedderburn_dims_retrying(alg, seed=0), 9)
     assert ok
     assert np.allclose(mults, np.ones(9))
-    assert one_dim_block_forces_plain_spectrum(K, dims, seed=0)
 
 
 def test_pullback_on_nontrivial_coset(p3_diag_bundle):

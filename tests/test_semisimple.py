@@ -19,8 +19,7 @@ from cotwist.semisimple import (_exact_center_basis, algebra_audit, center_basis
 
 def float_algebra(mul, unit_vec):
     mul = np.asarray(mul, dtype=complex)
-    return SCAlgebra(mul, np.asarray(unit_vec, dtype=complex),
-                     labels=list(range(mul.shape[0])), name="test")
+    return SCAlgebra(mul, np.asarray(unit_vec, dtype=complex), name="test")
 
 
 def matrix_units_algebra(n):
