@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
-from .dual_algebras import SCAlgebra, build_A1_A2_star, build_block_algebra, determine_unit
+from .dual_algebras import (SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra,
+                            determine_unit)
 from .errors import AuditError, CotwistError
 from .exactlin import CycArray, ProductCounts, accumulate_products, gather
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
@@ -163,33 +164,59 @@ def pair_orbits(perms: np.ndarray):
 # U_g: the invariant algebra (route b)
 
 
-def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, orbit_id: np.ndarray,
-                               reps: np.ndarray) -> CycArray:
-    """Structure constants of the orbit-sum basis, exactly.
+def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, members: np.ndarray,
+                               qs) -> np.ndarray:
+    """Rows of the orbit-sum structure constants, as counts [i, j, l, N].
 
-    For orbit representatives q_i the product o_i o_j equals the orbit
-    symmetrization of delta_{q_i} * o_j; freeness makes the reduction to the
-    orbit basis a plain sum of coefficients over each orbit.  Each
-    delta_{q_i} * o_j is added on the pair basis (x1, x2), whose cell offset
-    splits between the two legs, and then summed over the orbit members.
+    Row i is taken from one pair index qs[i] in orbit i: o_i is the orbit
+    symmetrization of delta_q for any member q, so o_i o_j is the orbit
+    symmetrization of delta_q * o_j, and freeness makes the reduction to the
+    orbit basis a plain sum of coefficients over each orbit.  A row is one
+    kernel call, adding every delta_q * o_j on the pair basis (x1, x2), whose
+    cell offset splits between the two legs, then summed over the orbit
+    members (``members[l]``).  The scale is mul2.scale * mul1.scale.
     """
     m = mul2.shape[0]
     n = mul2.order
-    r = len(reps)
-    members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [j, k]: orbit j
+    r = len(members)
     y1, y2 = (y[:, :, None, None] for y in np.divmod(members, m))
-    terms2, terms1 = mul2.terms(), mul1.terms()
+    # term lists of only the slices mul2[h1] and mul1[h2] that the rows use
+    (rows1, at1), (rows2, at2) = (np.unique(h, return_inverse=True)
+                                  for h in np.divmod(np.asarray(qs, dtype=np.int64), m))
+    terms2, terms1 = mul2.take(rows1, 0).terms(), mul1.take(rows2, 0).terms()
     x1, x2 = np.ogrid[:m, :m]
     j = np.arange(r)[:, None, None, None]
-    counts = np.empty((r, r, r, n), dtype=np.int64)
-    for i in range(r):
-        h1, h2 = divmod(int(reps[i]), m)
-        # [j, k, x1, x2] = mul2[h1, y1_jk, x1] * mul1[h2, y2_jk, x2] at pair cell (j, x1, x2)
+    counts = np.empty((len(qs), r, r, n), dtype=np.int64)
+    for i in range(len(qs)):
+        # [j, k, x1, x2] = mul2[h1, y1_jk, x1] * mul1[h2, y2_jk, x2] at pair cell (j, x1, x2),
+        # with (h1, h2) = divmod(qs[i], m)
         pairs = ProductCounts((r, m, m), n)
-        accumulate_products(pairs, pairs.piece(gather(terms2, h1, y1, x1), (j * m + x1) * m),
-                            pairs.piece(gather(terms1, h2, y2, x2), x2))
+        accumulate_products(pairs, pairs.piece(gather(terms2, at1[i], y1, x1), (j * m + x1) * m),
+                            pairs.piece(gather(terms1, at2[i], y2, x2), x2))
         counts[i] = pairs.fold(1).counts.reshape(r, m * m, n)[:, members].sum(axis=2)
-    return CycArray(n, mul2.scale * mul1.scale, counts)
+    return counts
+
+
+def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray,
+                     H: FiniteGroup) -> np.ndarray:
+    """sigma[i, j]: the orbit that the translation moving rep i to (e, e) sends orbit j to.
+
+    With (h2, h1) = reps[i], the translation is (p2, p1) -> (h2^-1 p2, p1 h1^-1)
+    on the pair basis.  Raises AuditError unless, for every i, it sends each
+    orbit's members into a single orbit, permutes the orbits, and sends
+    orbit i to the orbit of (e, e).
+    """
+    m, r = H.order, len(reps)
+    mul, inv = H.mul.astype(np.int64), H.inv.astype(np.int64)
+    h2, h1 = np.divmod(reps, m)
+    moved = (mul[inv[h2]][:, :, None] * m + mul[:, inv[h1]].T[:, None, :]).reshape(r, m * m)
+    labels = orbit_id[moved][:, members]  # [i, j, k]
+    sigma = labels[:, :, 0]
+    if not (np.all(labels == sigma[:, :, None])
+            and np.all(np.sort(sigma, axis=1) == np.arange(r))
+            and np.all(np.diagonal(sigma) == orbit_id[0])):
+        raise AuditError("orbit transport: translations do not permute the pair orbits")
+    return sigma
 
 
 def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
@@ -200,6 +227,20 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     leg and conjugated left translation on the A_1* leg; invariants are
     spanned by orbit sums.  Structure constants are exact; the dimension must
     equal |H|^2 / |K_g| or AuditError is raised.
+
+    One row fixes the constants when J and Jinv are Ad(H)-invariant, which
+    ``ad_invariant`` certifies exactly on the slices of A_1* and A_2* at e
+    (they are J and Jinv).  Then left translation delta_p -> delta_{u p} is
+    an automorphism of A_2* (its product at x is Jinv[p x^-1, p' x^-1], and
+    u p (u x)^-1 = u (p x^-1) u^-1) and right translation
+    delta_p -> delta_{p u'} one of A_1* (J[x^-1 p, x^-1 p'] likewise).  Their
+    tensor T(u, u') commutes with the K_g action, which translates the other
+    sides, so it permutes the orbit sums and U[i, j, l] =
+    U[sigma(i), sigma(j), sigma(l)] for the induced orbit permutation
+    sigma.  Every orbit i holds T(h2, h1)(e, e) for its representative
+    (h2, h1), so with sigma_i induced by T(h2^-1, h1^-1), row i is the row of
+    the orbit of (e, e) gathered through sigma_i (``_orbit_transport``).
+    Only that row takes kernel calls; without the certificate every row does.
     """
     perms = pair_translation_perms(rho1, rho2, H, Kg, g)
     orbit_id, reps = pair_orbits(perms)
@@ -208,8 +249,20 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     if rem != 0 or len(reps) != expected:
         raise AuditError(
             f"invariant algebra dimension {len(reps)} != |H|^2/|K_g| = {expected}")
-    mul = _orbit_structure_constants(A2s.mul, A1s.mul, orbit_id, reps)
-    ones = CycArray.from_exponents(mul.order, np.zeros(len(reps), dtype=np.int64))
+    r, n = len(reps), A2s.mul.order
+    members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
+    Hg = H.as_group
+    if ad_invariant(Hg, A1s.mul.take(0, 2)) and ad_invariant(Hg, A2s.mul.take(0, 2)):
+        sigma = _orbit_transport(orbit_id, members, reps, Hg)
+        # the row of (e, e), pair index 0, as [j * r + l, N]
+        row = _orbit_structure_constants(A2s.mul, A1s.mul, members, [0]).reshape(r * r, n)
+        counts = np.empty((r, r, r, n), dtype=np.int64)
+        for i, s in enumerate(sigma):
+            counts[i] = np.take(row, s[:, None] * r + s, axis=0)
+    else:
+        counts = _orbit_structure_constants(A2s.mul, A1s.mul, members, reps)
+    mul = CycArray(n, A2s.mul.scale * A1s.mul.scale, counts)
+    ones = CycArray.from_exponents(n, np.zeros(r, dtype=np.int64))
     name = f"invariants at g={g}"
     return SCAlgebra(mul, determine_unit(mul, ones, name), name=name)
 

@@ -205,19 +205,44 @@ def dual_product_delta(t: TwistData, a: int, b: int) -> CycArray:
     return out.fold(t.J.scale * t.Jinv.scale)
 
 
+def ad_invariant(group: FiniteGroup, M: CycArray) -> bool:
+    """Whether M[h a h^-1, h b h^-1] = M[a, b] exactly, for every h in ``group``.
+
+    ``M`` is an element of C[H x H] as a (|H|, |H|) matrix on the group's
+    local indices.  Its canonical counts are compared under the conjugation
+    permutation of every element, so the answer is exact.  Every matrix on an
+    abelian group passes.
+    """
+    mul = group.mul.astype(np.int64)
+    conj = mul[mul, group.inv[:, None]]  # [h, a] -> h a h^-1
+    conj = conj[np.any(conj != np.arange(group.order), axis=1)]  # central h fix every M
+    canon = M.canonical()
+    return bool(np.all(canon[conj[:, :, None], conj[:, None, :]] == canon))
+
+
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     """The block of the ambient dual algebra supported on one double coset.
 
     Basis {delta_a : a in H g H}; the product is the ambient dual product,
     which this block is closed under.  For every basis point x of the coset
     and every (s, t, c, d) in H^4 the pair (s x c, t x d) receives
-    Jinv[s, t] J[c, d] at x.  That is one kernel call per x, |Z| in all: its
-    slot is the sum of a Jinv-side piece over [s, t, c] (the cell offset of
-    s x c and x plus Jinv's exponents) and a J-side piece over [t, c, d] (the
-    cell offset of t x d plus J's exponents), so the scratch beyond the
-    counts is |H|^3 * T cells per call and no |H|^4 target is formed.  The
-    unit is the verified restriction of the ambient counit (all-ones on the
-    coset).
+    Jinv[s, t] J[c, d] at x.  The slice at one x is one kernel call: its slot
+    is the sum of a Jinv-side piece over [s, t, c] (the cell offset of s x c
+    plus Jinv's exponents) and a J-side piece over [t, c, d] (the cell offset
+    of t x d plus J's exponents), so the scratch beyond the counts is
+    |H|^3 * T cells and no |H|^4 target is formed.
+
+    One slice fixes the block when J and Jinv are Ad(H)-invariant, which
+    ``ad_invariant`` certifies exactly.  Substituting s -> h s h^-1,
+    t -> h t h^-1, c -> h'^-1 c h', d -> h'^-1 d h' sends the terms at
+    (a, b, x) one-to-one onto the terms at (h a h', h b h', h x h'), and
+    invariance keeps their values, so mul[h a h', h b h', h x h'] =
+    mul[a, b, x] for all h, h' in H.  The coset is a single H x H orbit, so
+    with S the slice at the representative g, mul[a, b, x] =
+    S[h^-1 a h'^-1, h^-1 b h'^-1], where x = h g h' is x's first
+    factorization: |Z| times fewer term pairs, then one gather.  Without the
+    certificate every basis point takes its own kernel call.  The unit is
+    the verified restriction of the ambient counit (all-ones on the coset).
     """
     t.require_verified()
     G, elems, _ = _h_embedding(t)
@@ -231,15 +256,33 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     shifts = loc_z[mulG[mulG[np.ix_(hg, z)].T[:, :, None], hg[None, None, :]]]
     if np.any(shifts < 0):
         raise AuditError("double coset is not closed under H-translations")
-    out = ProductCounts((nz, nz, nz), t.order)
     # cells [s, t, c, d]: Jinv[s, t] on the left side, J[c, d] on the right
     jinv_terms = gather(t.Jinv.terms(), slice(None), slice(None), None, None)
     j_terms = gather(t.J.terms(), None, None)
-    for x in range(nz):
-        left = out.piece(jinv_terms, (shifts[x] * nz * nz + x)[:, None, :, None])
-        right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
-        accumulate_products(out, left, right)
-    mul = out.fold(t.J.scale * t.Jinv.scale)
+    if ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv):
+        g = loc_z[coset.representative]
+        out = ProductCounts((nz, nz), t.order)
+        accumulate_products(out, out.piece(jinv_terms, (shifts[g] * nz)[:, None, :, None]),
+                            out.piece(j_terms, shifts[g][None, :, None, :]))
+        firsts = np.unique(shifts[g], return_index=True)[1]
+        if firsts.size != nz:
+            raise AuditError("double coset is not one H x H orbit of its representative")
+        # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
+        s, c = np.divmod(firsts, len(hg))
+        invG = G.inv.astype(np.int64)
+        back = loc_z[mulG[mulG[invG[hg[s]][:, None], z[None, :]], invG[hg[c]][:, None]]]
+        S = out.fold(1).counts.reshape(nz * nz, -1)
+        counts = np.empty((nz, nz, nz, t.order), dtype=np.int64)
+        for a in range(nz):  # [x, b] -> S[back[x, a], back[x, b]]
+            counts[a] = np.take(S, back[:, [a]] * nz + back, axis=0).swapaxes(0, 1)
+    else:
+        out = ProductCounts((nz, nz, nz), t.order)
+        for x in range(nz):
+            left = out.piece(jinv_terms, (shifts[x] * nz * nz + x)[:, None, :, None])
+            right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
+            accumulate_products(out, left, right)
+        counts = out.fold(1).counts
+    mul = CycArray(t.order, t.J.scale * t.Jinv.scale, counts)
     name = f"block[{coset.representative}]"
     return SCAlgebra(mul, determine_unit(mul, _all_ones(nz, t.order), name), name=name)
 

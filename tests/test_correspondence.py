@@ -393,3 +393,79 @@ def test_f_g_names_broken_equivariance(monkeypatch, p3_diag_bundle):
     with pytest.raises(AuditError, match="equivariance under translation") as err:
         f_g_map(ctx, z, z.representative)
     assert "image" not in str(err.value) and "homomorphism" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# one slice per coset: the translation shortcut against the per-point builds
+
+
+def _both_modes(monkeypatch, build):
+    """``build()`` with the Ad-invariance certificate, then with it refused."""
+    import cotwist.correspondence as corr
+    import cotwist.dual_algebras as duals
+
+    fast = build()
+    with monkeypatch.context() as patch:
+        for module in (duals, corr):
+            patch.setattr(module, "ad_invariant", lambda group, M: False)
+        slow = build()
+    return fast, slow
+
+
+@pytest.mark.parametrize("source", ["p3_unipotent", "p3_diag_bundle", "p5_unipotent",
+                                    "wreath_bundle", "intermediate"])
+def test_one_slice_equals_per_point_builds(source, monkeypatch, request, tmp_path):
+    """Refusing the certificate takes the per-point block loop and the all-rows
+    U_g loop; both give exactly the constants of the one-slice builds, on every
+    coset, including the wreath swap coset (K_g = {e}) and the criterion-9
+    cosets (|K_g| = 3)."""
+    from intermediate_instance import write_instance
+
+    from cotwist.groups import double_cosets
+
+    configs = {"p3_unipotent": lambda: Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]])),
+               "p5_unipotent": lambda: Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]])),
+               "intermediate": lambda: write_instance(tmp_path)}
+    if source in configs:
+        inst = build_instance(configs[source]())
+        ctx = prepare_instance(inst, seed=0)
+        zs = double_cosets(inst.G, inst.H)
+    else:
+        inst, ctx, zs = request.getfixturevalue(source)
+    for z in zs:
+        g = z.representative
+        Kg = stabilizer_Kg(inst.G, inst.H, g)
+        (blk, Ug), (blk_slow, Ug_slow) = _both_modes(monkeypatch, lambda: (
+            build_block_algebra(inst.t, z),
+            invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)))
+        assert blk.mul.eq(blk_slow.mul), g
+        assert Ug.mul.eq(Ug_slow.mul), g
+
+
+def test_report_identical_without_the_certificate(monkeypatch):
+    config = Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]]))
+    fast, slow = _both_modes(monkeypatch, lambda: render_json(full_report(config)))
+    assert fast == slow
+
+
+def test_tampered_orbit_labelling_fails_the_transport(monkeypatch, p3_diag_bundle):
+    """Two pairs swapped between orbits 0 and 1 leave every orbit its size, so
+    the dimension check passes; the one-row gather names the broken transport
+    instead of yielding wrong constants."""
+    import cotwist.correspondence as corr
+
+    inst, ctx, zs = p3_diag_bundle
+    orbits = corr.pair_orbits
+
+    def tampered(perms):
+        orbit_id, reps = orbits(perms)
+        orbit_id = orbit_id.copy()
+        a, b = np.flatnonzero(orbit_id == 0)[1], np.flatnonzero(orbit_id == 1)[1]
+        orbit_id[[a, b]] = orbit_id[[b, a]]
+        return orbit_id, reps
+
+    monkeypatch.setattr(corr, "pair_orbits", tampered)
+    g = zs[1].representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    with pytest.raises(AuditError, match="orbit transport"):
+        invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)

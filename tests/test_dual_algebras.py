@@ -8,11 +8,11 @@ formulas, independently of the vectorized builders.
 import numpy as np
 import pytest
 
-from cotwist.dual_algebras import (a2_to_a1op_iso, build_A1_A2_star,
+from cotwist.dual_algebras import (a2_to_a1op_iso, ad_invariant, build_A1_A2_star,
                                    build_block_algebra, determine_unit, dual_product_delta)
 from cotwist.errors import AuditError
 from cotwist.exactlin import CycArray
-from cotwist.groups import double_cosets
+from cotwist.groups import FiniteGroup, build_elementary_abelian_symplectic, double_cosets
 from cotwist.semisimple import algebra_audit
 from cyc_reference import add, equal, mul, values, zero
 
@@ -230,3 +230,38 @@ def test_iso_rejects_wrong_candidate(p3_twist, p3_duals):
     bad = da.SCAlgebra(bad_mul, A2.unit, name="bad")
     with pytest.raises(AuditError):
         a2_to_a1op_iso(p3_twist, A1, bad, rho1, rho2)
+
+
+def _s3() -> FiniteGroup:
+    """S_3 as permutations of {0, 1, 2}, composed right to left; index 0 = identity."""
+    from itertools import permutations
+
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup(np.array([[index[tuple(p[q[k]] for k in range(3))] for q in perms]
+                                 for p in perms]), name="S3")
+
+
+def test_ad_invariant_rejects_a_generic_matrix_on_s3():
+    s3 = _s3()
+    generic = CycArray(3, 1, np.random.default_rng(6).integers(-3, 4, size=(6, 6, 3)))
+    assert not ad_invariant(s3, generic)
+    # M[a, b] = [a == b] + zeta [b == a^-1] is unchanged by conjugating a and b together
+    diag = CycArray.zeros((6, 6), 3)
+    diag.counts[np.arange(6), np.arange(6), 0] = 1
+    diag.counts[np.arange(6), s3.inv, 1] += 1
+    assert ad_invariant(s3, diag)
+
+
+def test_ad_invariant_holds_for_every_shipped_twist(p3_gauge_diag_bundle, tmp_path):
+    """The symplectic twists, the gauge-conjugated one and the criterion-9 table
+    twist all take the one-slice builds."""
+    from intermediate_instance import write_instance
+
+    from cotwist.correspondence import build_instance
+    from cotwist.twist import symplectic_twist
+
+    twists = [symplectic_twist(*build_elementary_abelian_symplectic(p, 1)) for p in (3, 5, 7)]
+    twists += [p3_gauge_diag_bundle[0].t, build_instance(write_instance(tmp_path)).t]
+    for t in twists:
+        assert ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv)
