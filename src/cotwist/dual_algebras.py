@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AuditError
+from .errors import AuditError, CotwistError
 from .exactlin import (CycArray, ProductCounts, accumulate_products, cyc_rank, cyc_tensordot,
                        gather)
 from .groups import DoubleCoset, FiniteGroup
@@ -75,7 +75,15 @@ class GroupAction:
         return CycArray(vec.order, vec.scale, counts)
 
     def verify(self, algebra: SCAlgebra) -> None:
-        """Assert: group action, by algebra automorphisms, acting freely."""
+        """Assert: group action, by algebra automorphisms, acting freely.
+
+        The composition check covers every pair: perms[a h] = perms[a] o
+        perms[h].  The exact automorphism compare mul[p, p, p] == mul then
+        runs only for the generators of ``group.generating_words``: automorphisms
+        compose, so along a word a = s_1 ... s_r the permutation perms[a] =
+        perms[s_1] o ... o perms[s_r] is one too, and the identity acts
+        trivially.
+        """
         g = self.group
         m = g.order
         if self.perms.shape != (m, algebra.dim):
@@ -91,7 +99,7 @@ class GroupAction:
             if np.any(self.perms[h] == ident):
                 raise AuditError("action is not free")
         mc = algebra.mul.canonical()
-        for h in range(m):
+        for h in g.generating_words()[0]:
             p = self.perms[h]
             if not np.array_equal(mc[np.ix_(p, p, p)], mc):
                 raise AuditError(f"basis permutation of element {h} is not an automorphism")
@@ -116,10 +124,24 @@ def determine_unit(mul: CycArray, candidate: CycArray, name: str) -> CycArray:
     is the counit: the all-ones vector on the delta basis once the twist's
     counit axioms hold (``require_verified``).  Returns the candidate, or
     raises AuditError naming the algebra.
+
+    For the all-ones candidate, on its one-count representation, the two
+    contractions sum_i u_i mul[i, j, k] and sum_j u_j mul[i, j, k] are the
+    plain sums of the counts over axis 0 and over axis 1: exact in int64
+    while n * max|count| < 2^63, which is checked.  Any other candidate is
+    contracted by :func:`cyc_tensordot`.
     """
-    ident = _identity_matrix(mul.shape[0], mul.order)
-    left = cyc_tensordot(candidate, mul, axes=([0], [0]))
-    right = cyc_tensordot(candidate, mul, axes=([0], [1]))
+    n = mul.shape[0]
+    ident = _identity_matrix(n, mul.order)
+    if candidate.scale == 1 and np.array_equal(candidate.counts, _all_ones(n, mul.order).counts):
+        largest = max(int(mul.counts.max(initial=0)), -int(mul.counts.min(initial=0)))
+        if largest * n >= 1 << 63:
+            raise CotwistError(f"{name}: the unit sums would overflow int64 counts")
+        left = CycArray(mul.order, mul.scale, mul.counts.sum(axis=0))
+        right = CycArray(mul.order, mul.scale, mul.counts.sum(axis=1))
+    else:
+        left = cyc_tensordot(candidate, mul, axes=([0], [0]))
+        right = cyc_tensordot(candidate, mul, axes=([0], [1]))
     if not (left.eq(ident) and right.eq(ident)):
         raise AuditError(f"{name}: the counit is not a two-sided unit")
     return candidate

@@ -86,6 +86,41 @@ class FiniteGroup:
         """g^-1 h g."""
         return self.mul[self.mul[self.inv[g], h], g]
 
+    def generating_words(self):
+        """A greedy generating set and a word in it for every element.
+
+        Returns ``(gens, order, parent, via)``.  ``gens`` lists, in index
+        order, each element outside the subgroup generated by the ones before
+        it; the trivial group has none.  ``order`` lists every element once,
+        identity first, by breadth-first search over right multiplication by
+        ``gens``, so that a = parent[a] * gens[via[a]] for every a other than
+        the identity, with parent[a] listed before a.  ``parent`` and ``via``
+        are -1 at the identity.
+        """
+        n, mul = self.order, self.mul
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        gens: list[int] = []
+        for a in range(1, n):
+            if reached[a]:
+                continue
+            gens.append(a)
+            frontier = np.flatnonzero(reached)  # close up under right multiplication
+            while frontier.size:
+                frontier = np.unique(mul[np.ix_(frontier, gens)])
+                frontier = frontier[~reached[frontier]]
+                reached[frontier] = True
+        parent = np.full(n, -1, dtype=np.int64)
+        via = np.full(n, -1, dtype=np.int64)
+        order = [0]
+        for a in order:  # grows while it is read: breadth first
+            for i, s in enumerate(gens):
+                b = int(mul[a, s])
+                if b and parent[b] < 0:
+                    parent[b], via[b] = a, i
+                    order.append(b)
+        return np.array(gens, dtype=np.int64), np.array(order, dtype=np.int64), parent, via
+
     # -- file format -------------------------------------------------------
 
     @classmethod

@@ -86,6 +86,18 @@ def action_matrix(perm: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauged(T: np.ndarray, tol: float) -> np.ndarray:
+    """T rescaled to Frobenius norm sqrt(n), then its first entry of magnitude
+    > tol in row-major order made positive real."""
+    T = T * (np.sqrt(T.shape[0]) / np.linalg.norm(T))
+    flat = T.ravel()
+    idx = np.nonzero(np.abs(flat) > tol)[0]
+    if idx.size == 0:
+        raise CotwistError("intertwiner is numerically zero")
+    phase = flat[idx[0]] / abs(flat[idx[0]])
+    return T * np.conj(phase)
+
+
 def skolem_noether(pi: np.ndarray, alpha: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """The matrix conjugating pi to pi∘alpha, in a reproducible gauge.
 
@@ -112,14 +124,7 @@ def skolem_noether(pi: np.ndarray, alpha: np.ndarray, tol: float = 1e-8) -> np.n
             f"intertwiner space has dimension {small}, expected 1 "
             "(representation not irreducible or map not an automorphism)"
         )
-    T = vh[-1].conj().reshape(n, n)
-    T = T * (np.sqrt(n) / np.linalg.norm(T))
-    flat = T.ravel()
-    idx = np.nonzero(np.abs(flat) > tol)[0]
-    if idx.size == 0:
-        raise CotwistError("intertwiner is numerically zero")
-    phase = flat[idx[0]] / abs(flat[idx[0]])
-    T = T * np.conj(phase)
+    T = _gauged(vh[-1].conj().reshape(n, n), tol)
     residual = np.max(np.abs(np.einsum("ab,xbc->xac", T, pi) - np.einsum("xab,bc->xac", pia, T)))
     if residual > tol * n * 10:
         raise CotwistError(f"intertwiner residual {residual:g} too large")
@@ -131,7 +136,24 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
                                tol: float = 1e-8) -> ProjectiveRep:
     """Projective representation induced by a free automorphism action.
 
-    T[a] = skolem_noether(pi, act[a]) with T[identity] forced to the identity.
+    Skolem-Noether is solved only for the generators s of
+    ``act.group.generating_words()``.  T[identity] is the identity, and in
+    breadth-first order every other T[a] = T[parent[a]] T[s] along its word,
+    brought back to the gauge of :func:`skolem_noether`.  This is sound
+    because ``GroupAction.verify`` checks perms[a s] = perms[a] o perms[s]:
+    if T[a] and T[s] intertwine alpha_a and alpha_s, then
+
+        T[a] T[s] pi(x) = T[a] pi(alpha_s(x)) T[s] = pi(alpha_a(alpha_s(x))) T[a] T[s],
+
+    so T[a] T[s] intertwines alpha_a o alpha_s = alpha_{as}.  Schur's check
+    that the intertwiner space is one-dimensional is a property of pi: the
+    space for alpha_a is T[a] times the commutant of pi, so the generator
+    solves certify it for every a, and each T[a] equals the direct solve up
+    to rounding.  The intertwining residual |T[a] pi(x) - pi(alpha_a(x)) T[a]|
+    is still checked for every a and x, in one batched product against the
+    direct solve's bound 10 * tol * n, with pi(alpha_a(x)) gathered as
+    pi[perms[a][x]].
+
     The 2-cocycle is read off from all T[a] T[b] against T[ab] at once, by a
     least-squares scalar fit.  Its residual is the product law of the rep and
     is checked once, against the tighter of the intertwiner bound 10 * tol
@@ -143,7 +165,15 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
     """
     k = act.group.order
     n = pi.shape[1]
-    T = np.stack([skolem_noether(pi, action_matrix(act.perms[a]), tol) for a in range(k)])
+    gens, order, parent, via = act.group.generating_words()
+    gen_T = [skolem_noether(pi, action_matrix(act.perms[s]), tol) for s in gens]
+    T = np.empty((k, n, n), dtype=complex)
+    T[0] = np.eye(n)
+    for a in order[1:]:
+        T[a] = _gauged(T[parent[a]] @ gen_T[via[a]], tol)
+    residual = np.max(np.abs(T[:, None] @ pi - pi[act.perms] @ T[:, None]))
+    if residual > 10 * tol * n:
+        raise CotwistError(f"intertwiner residual {residual:g} too large")
     prods = np.einsum("aij,bjk->abik", T, T)
     tgt = T[act.group.mul]  # [a, b] -> T[ab]
     c = (np.einsum("abij,abij->ab", tgt.conj(), prods)

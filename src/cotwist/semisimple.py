@@ -153,15 +153,22 @@ def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
     it is skipped without a solve: a commutative algebra takes none at all.
 
     Either result is checked once, exactly, against the full product; a
-    failure raises CotwistError.
+    failure raises CotwistError.  The one exception is a commutative
+    algebra, every column D[:, j] exactly zero: its basis is the identity,
+    for which the check basis . mul == mul . basis reads mul[i, j, k] =
+    mul[j, i, k], and that is what the exact zero test of D has just
+    established, so the identity is returned without the two contractions.
     """
     n = mul.shape[0]
     diff = CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
     central = diff.zero_mask().all(axis=(0, 2))
-    basis = None if central.all() else _unit_if_center(diff, unit)
+    identity = CycArray.zeros((n, n), mul.order)
+    identity.counts[np.arange(n), np.arange(n), 0] = 1
+    if central.all():
+        return identity
+    basis = _unit_if_center(diff, unit)
     if basis is None:
-        basis = CycArray.zeros((n, n), mul.order)
-        basis.counts[np.arange(n), np.arange(n), 0] = 1
+        basis = identity
         for j in np.flatnonzero(~central):
             system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
             # reduced() keeps the counts from compounding the scales of the products
@@ -221,8 +228,9 @@ def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
     span(A.unit) when a modular rank certifies that the center is
     one-dimensional, as it is for every simple block, and the exact
     narrowing pass otherwise (:func:`_exact_center_basis`).  Both give the
-    same reduced basis, checked against the full product.  Float algebras
-    take a numerically guarded SVD.
+    same reduced basis, checked against the full product (the identity
+    basis of a commutative algebra by its exact commutator test).  Float
+    algebras take a numerically guarded SVD.
     """
     if A.is_exact:
         return _exact_center_basis(A.mul, A.unit).embed()

@@ -198,6 +198,36 @@ def test_determine_unit_rejects_wrong_candidate(p3_duals):
         determine_unit(mul, CycArray.from_exponents(3, np.zeros(3, dtype=np.int64)), "C[Z/3]")
 
 
+def test_determine_unit_sums_the_all_ones_counit(p3_duals, monkeypatch):
+    """The all-ones counit is checked by plain axis sums, with no exact
+    contraction; another representation of the same vector takes the
+    contraction and passes too; a one-sided unit and counts that could
+    overflow the sums raise."""
+    from fractions import Fraction
+
+    from cotwist import dual_algebras
+    from cotwist.errors import CotwistError
+
+    A1 = p3_duals[0]
+    contractions, contract = [], dual_algebras.cyc_tensordot
+    monkeypatch.setattr(dual_algebras, "cyc_tensordot",
+                        lambda a, b, axes: contractions.append(axes) or contract(a, b, axes))
+    assert determine_unit(A1.mul, A1.unit, "A1*") is A1.unit
+    assert contractions == []
+    doubled = CycArray(3, Fraction(1, 2), 2 * A1.unit.counts)
+    assert determine_unit(A1.mul, doubled, "A1*") is doubled
+    assert len(contractions) == 2
+    # e_0 e_j = e_j and e_1 e_j = 0: all-ones is a left unit, not a right one
+    left_only = CycArray.zeros((2, 2, 2), 3)
+    left_only.counts[0, [0, 1], [0, 1], 0] = 1
+    with pytest.raises(AuditError, match="left-unit"):
+        determine_unit(left_only, CycArray.from_exponents(3, np.zeros(2, dtype=np.int64)),
+                       "left-unit")
+    huge = CycArray(3, A1.mul.scale, A1.mul.counts * (1 << 60))
+    with pytest.raises(CotwistError, match=r"A1\*: the unit sums would overflow"):
+        determine_unit(huge, A1.unit, "A1*")
+
+
 def test_a2_to_a1op_iso(p3_twist, p3_duals):
     A1, A2, rho1, rho2 = p3_duals
     M = a2_to_a1op_iso(p3_twist, A1, A2, rho1, rho2)

@@ -176,3 +176,90 @@ def test_file_rejects_malformed(tmp_path):
     bad.write_text("3\n0 1\n")  # truncated
     with pytest.raises(CotwistError):
         FiniteGroup.from_file(bad)
+
+
+def _generating_words_oracle(G):
+    """Check ``generating_words`` against its contract with plain loops."""
+    gens, order, parent, via = G.generating_words()
+    # greedy in index order: each generator lies outside the span of those before
+    for i, s in enumerate(gens):
+        span, frontier = {0}, [0]
+        while frontier:
+            frontier = [int(G.mul[a, t]) for a in frontier for t in gens[:i]
+                        if int(G.mul[a, t]) not in span]
+            span.update(frontier)
+        assert int(s) not in span
+        assert all(a in span for a in range(1, s))
+    # the breadth-first closure is the whole group, identity first
+    assert sorted(order.tolist()) == list(range(G.order))
+    assert order[0] == 0 and parent[0] == -1 and via[0] == -1
+    position = np.empty(G.order, dtype=np.int64)
+    position[order] = np.arange(G.order)
+    for a in order[1:]:
+        assert G.mul[parent[a], gens[via[a]]] == a
+        assert position[parent[a]] < position[a]
+    return gens
+
+
+def test_generating_words_s3_and_trivial_group():
+    assert _generating_words_oracle(s3_table()).tolist() == [1, 2]
+    one = FiniteGroup(np.zeros((1, 1), dtype=np.int32))
+    gens, order, parent, via = one.generating_words()
+    assert gens.size == 0 and order.tolist() == [0]
+    assert parent.tolist() == [-1] and via.tolist() == [-1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_generating_words_elementary_abelian(n):
+    """(Z/3)^(2n) in lexicographic order: the unit vectors, 2n generators."""
+    H, _ = build_elementary_abelian_symplectic(3, n)
+    assert _generating_words_oracle(H).tolist() == [3 ** k for k in range(2 * n)]
+
+
+def test_generating_words_wreath_and_intermediate_tables(wreath_bundle):
+    from intermediate_instance import cayley_table
+
+    inst, _, _ = wreath_bundle
+    assert len(_generating_words_oracle(inst.G)) >= 2
+    assert len(_generating_words_oracle(FiniteGroup(cayley_table()))) >= 2
+    assert len(_generating_words_oracle(inst.H.as_group)) == 2
+
+
+def test_action_composition_checked_at_every_element(p3_duals):
+    """A permutation corrupted at a non-generator is refused by the
+    composition check, which still covers all of H."""
+    from cotwist.dual_algebras import GroupAction
+    from cotwist.errors import AuditError
+
+    A1, _, rho1, _ = p3_duals
+    gens = rho1.group.generating_words()[0]
+    assert 4 not in gens
+    perms = rho1.perms.copy()
+    perms[4, [0, 1]] = perms[4, [1, 0]]
+    with pytest.raises(AuditError, match="do not compose like the group"):
+        GroupAction(rho1.group, perms).verify(A1)
+
+
+def test_action_automorphism_checked_on_generators(p3_duals, monkeypatch):
+    """Left translation conjugated by the swap of delta_1 and delta_2 still
+    composes like the group and acts freely, but not by automorphisms of A1*:
+    the compare at the first generator refuses it.  A valid action takes one
+    compare per generator."""
+    from cotwist import dual_algebras
+    from cotwist.dual_algebras import GroupAction
+    from cotwist.errors import AuditError
+
+    A1, _, rho1, _ = p3_duals
+    swap = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
+    with pytest.raises(AuditError, match="element 1 is not an automorphism"):
+        GroupAction(rho1.group, swap[rho1.perms][:, swap]).verify(A1)
+    compares, ix = [], np.ix_
+
+    def counting(*idx):
+        if len(idx) == 3:  # the compare indexes mul by ix_(p, p, p)
+            compares.append(idx[0])
+        return ix(*idx)
+
+    monkeypatch.setattr(dual_algebras.np, "ix_", counting)
+    rho1.verify(A1)
+    assert len(compares) == len(rho1.group.generating_words()[0]) == 2

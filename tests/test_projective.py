@@ -6,9 +6,10 @@ import cmath
 import numpy as np
 import pytest
 
-from cotwist.dual_algebras import GroupAction
+from cotwist.dual_algebras import GroupAction, build_A1_A2_star
 from cotwist.errors import AuditError, CotwistError
-from cotwist.groups import Subgroup, double_cosets, stabilizer_Kg
+from cotwist.groups import (Subgroup, build_elementary_abelian_symplectic, double_cosets,
+                            stabilizer_Kg)
 from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
                                 cocycle_identity_holds, multiplicity_law_check,
                                 projective_rep_from_action,
@@ -16,6 +17,7 @@ from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
                                 skolem_noether, trace_vanishing_check,
                                 twisted_group_algebra)
 from cotwist.semisimple import split_simple_retrying, wedderburn_dims_retrying
+from cotwist.twist import symplectic_twist
 
 
 def m2_identity_rep():
@@ -131,23 +133,88 @@ def test_cocycle_is_the_pairwise_fit(p3_reps):
 
 
 def test_product_law_checked_on_extraction(monkeypatch, p3_twist, p3_duals):
-    """One intertwiner perturbed off the product law is refused by name."""
+    """A word-built T[a] perturbed off the product law is refused by name.
+
+    Element 4 = 3 . 1 is no generator, so its T is the gauged word product,
+    perturbed here; the residual check, which covers every T[a] before the
+    product-law contraction, names it."""
     import cotwist.projective as proj
 
     A1, _, rho1, _ = p3_duals
     pi1 = split_simple_retrying(A1, seed=11)
-    solve = proj.skolem_noether
+    assert 4 not in rho1.group.generating_words()[0]
+    direct = skolem_noether(pi1, action_matrix(rho1.perms[4]))
+    gauged = proj._gauged
 
-    def perturbed(pi, alpha, tol):
-        T = solve(pi, alpha, tol)
-        if np.array_equal(alpha, action_matrix(rho1.perms[4])):
+    def perturbed(T, tol):
+        T = gauged(T, tol)
+        if np.allclose(T, direct):
             T = T.copy()
             T[0, 0] += 1e-3
         return T
 
-    monkeypatch.setattr(proj, "skolem_noether", perturbed)
-    with pytest.raises(CotwistError, match="not a scalar multiple"):
+    monkeypatch.setattr(proj, "_gauged", perturbed)
+    with pytest.raises(CotwistError, match="intertwiner residual"):
         projective_rep_from_action(A1, rho1, pi1, Subgroup(p3_twist.group, np.arange(9)))
+
+
+@pytest.fixture(scope="module")
+def p5_duals():
+    H, sigma = build_elementary_abelian_symplectic(5, 1)
+    return build_A1_A2_star(symplectic_twist(H, sigma))
+
+
+@pytest.mark.parametrize("duals", ["p3_duals", "p5_duals"])
+def test_word_built_intertwiners_match_direct_solves(duals, request):
+    """Every T[a] from a word equals the direct Skolem-Noether solve for
+    alpha_a within the solve's own residual bound 10 * tol * n."""
+    A1, A2, rho1, rho2 = request.getfixturevalue(duals)
+    for A, rho, seed in ((A1, rho1, 11), (A2, rho2, 12)):
+        pi = split_simple_retrying(A, seed=seed)
+        V = projective_rep_from_action(A, rho, pi)
+        bound = 10 * 1e-8 * pi.shape[1]
+        for a in range(rho.group.order):
+            direct = skolem_noether(pi, action_matrix(rho.perms[a]))
+            assert np.max(np.abs(V.T[a] - direct)) <= bound
+
+
+@pytest.mark.parametrize("corruption", ["entry", "another element's solve"])
+def test_corrupted_generator_intertwiner_is_refused(corruption, monkeypatch, p3_duals):
+    """A wrong intertwiner for generator 3 spoils every word through it."""
+    import cotwist.projective as proj
+
+    A1, _, rho1, _ = p3_duals
+    pi1 = split_simple_retrying(A1, seed=11)
+    solve, generator = proj.skolem_noether, action_matrix(rho1.perms[3])
+
+    def corrupted(pi, alpha, tol):
+        if not np.array_equal(alpha, generator):
+            return solve(pi, alpha, tol)
+        if corruption == "entry":
+            T = solve(pi, alpha, tol).copy()
+            T[0, 0] += 1e-3
+            return T
+        return solve(pi, action_matrix(rho1.perms[6]), tol)
+
+    monkeypatch.setattr(proj, "skolem_noether", corrupted)
+    with pytest.raises(CotwistError, match="intertwiner residual|not a scalar multiple"):
+        projective_rep_from_action(A1, rho1, pi1)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
+def test_skolem_noether_runs_once_per_generator(p, n, monkeypatch):
+    """(Z/p)^(2n) has 2n generators: 2n solves per action, not |H| - 1."""
+    import cotwist.projective as proj
+
+    H, sigma = build_elementary_abelian_symplectic(p, n)
+    A1, A2, rho1, rho2 = build_A1_A2_star(symplectic_twist(H, sigma))
+    calls, solve = [], proj.skolem_noether
+    monkeypatch.setattr(proj, "skolem_noether",
+                        lambda pi, alpha, tol: calls.append(1) or solve(pi, alpha, tol))
+    for A, rho, seed in ((A1, rho1, 1), (A2, rho2, 2)):
+        calls.clear()
+        projective_rep_from_action(A, rho, split_simple_retrying(A, seed=seed))
+        assert len(calls) == len(H.generating_words()[0]) == 2 * n
 
 
 def test_regular_trace_law(p3_reps):

@@ -246,6 +246,29 @@ def test_exact_center_of_commutative_algebra_takes_no_solve(nullspace_calls):
     assert nullspace_calls == []
 
 
+def test_commutative_block_center_skips_the_closing_contraction(p3_diag_bundle,
+                                                                nullspace_calls, monkeypatch):
+    """The commutative block over H: identity basis, no solve and no closing
+    contraction.  One constant patched off commutativity reaches the modular
+    certificate, the narrowing pass and the closing check."""
+    inst, _, zs = p3_diag_bundle
+    blk = build_block_algebra(inst.t, zs[0])
+    n = blk.dim
+    identity = CycArray.zeros((n, n), blk.mul.order)
+    identity.counts[np.arange(n), np.arange(n), 0] = 1
+    contractions, contract = [], semisimple.cyc_tensordot
+    monkeypatch.setattr(semisimple, "cyc_tensordot",
+                        lambda a, b, axes: contractions.append(axes) or contract(a, b, axes))
+    assert _exact_center_basis(blk.mul, blk.unit).eq(identity)
+    assert contractions == [] and nullspace_calls == []
+
+    patched = blk.mul.copy()
+    patched.counts[1, 2, 0, 0] += 1
+    basis = _exact_center_basis(patched, blk.unit)
+    assert nullspace_calls and basis.shape[0] < n
+    assert contractions[-2:] == [([1], [0]), ([1], [1])]
+
+
 def test_wedderburn_exact_input(p3_diag_bundle):
     inst, _, zs = p3_diag_bundle
     blk0 = build_block_algebra(inst.t, zs[0])
