@@ -117,31 +117,41 @@ def _all_ones(n: int, order: int) -> CycArray:
     return out
 
 
+def unit_contraction(arr: CycArray, unit: CycArray, axis: int) -> CycArray:
+    """sum_i unit_i arr[..., i, ...] over ``axis``, exactly.
+
+    On ``mul`` this is u e_j (axis 0) or e_j u (axis 1) as an ``(n, n)``
+    array [j, k]; on such an ``(n, n)`` array, axis 0 gives u u.  For the
+    all-ones unit on its one-count representation the contraction is the
+    plain sum of the counts over ``axis``: exact in int64 while
+    n * max|count| < 2^63, which is checked (CotwistError).  Any other unit
+    is contracted by :func:`cyc_tensordot`.
+    """
+    n = arr.shape[axis]
+    if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, arr.order).counts):
+        largest = max(int(arr.counts.max(initial=0)), -int(arr.counts.min(initial=0)))
+        if largest * n >= 1 << 63:
+            raise CotwistError("the unit sums would overflow int64 counts")
+        return CycArray(arr.order, arr.scale, arr.counts.sum(axis=axis))
+    return cyc_tensordot(unit, arr, axes=([0], [axis]))
+
+
 def determine_unit(mul: CycArray, candidate: CycArray, name: str) -> CycArray:
     """Verify exactly that ``candidate`` is the unit of the algebra ``name``.
 
     Every dual algebra here is the dual of a counital coalgebra, whose unit
     is the counit: the all-ones vector on the delta basis once the twist's
     counit axioms hold (``require_verified``).  Returns the candidate, or
-    raises AuditError naming the algebra.
-
-    For the all-ones candidate, on its one-count representation, the two
-    contractions sum_i u_i mul[i, j, k] and sum_j u_j mul[i, j, k] are the
-    plain sums of the counts over axis 0 and over axis 1: exact in int64
-    while n * max|count| < 2^63, which is checked.  Any other candidate is
-    contracted by :func:`cyc_tensordot`.
+    raises AuditError naming the algebra.  Both sides u e_j and e_j u come
+    from :func:`unit_contraction`: plain count sums for the all-ones
+    candidate.
     """
-    n = mul.shape[0]
-    ident = _identity_matrix(n, mul.order)
-    if candidate.scale == 1 and np.array_equal(candidate.counts, _all_ones(n, mul.order).counts):
-        largest = max(int(mul.counts.max(initial=0)), -int(mul.counts.min(initial=0)))
-        if largest * n >= 1 << 63:
-            raise CotwistError(f"{name}: the unit sums would overflow int64 counts")
-        left = CycArray(mul.order, mul.scale, mul.counts.sum(axis=0))
-        right = CycArray(mul.order, mul.scale, mul.counts.sum(axis=1))
-    else:
-        left = cyc_tensordot(candidate, mul, axes=([0], [0]))
-        right = cyc_tensordot(candidate, mul, axes=([0], [1]))
+    ident = _identity_matrix(mul.shape[0], mul.order)
+    try:
+        left = unit_contraction(mul, candidate, 0)
+        right = unit_contraction(mul, candidate, 1)
+    except CotwistError as exc:
+        raise CotwistError(f"{name}: {exc}") from None
     if not (left.eq(ident) and right.eq(ident)):
         raise AuditError(f"{name}: the counit is not a two-sided unit")
     return candidate

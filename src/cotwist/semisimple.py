@@ -6,21 +6,29 @@ and only the distribution of block dimensions uses floating point
 (eigenvalue clustering of a random central element), backed by
 integer-rounding assertions.
 
-The exact center is certified before it is eliminated.  The unit is always
-central, so when the image mod a prime of two seeded commutator slices has
-rank n - 1 the center is exactly span(unit): a simple block, the common
-case, takes no exact elimination.  Any other rank leaves the answer to the
-exact nullspace of the commutator system, found in one narrowing pass.
-Either way the basis is checked against the full product.
+The exact center is certified before it is eliminated.  Counts equal to
+their transpose make an algebra commutative, with nothing else to check.
+Otherwise the unit is central, so when the image mod a prime of two seeded
+commutator slices, formed by exact float64 products, has rank n - 1 the
+center is exactly span(unit): a simple block, the common case, takes no
+exact elimination and forms no commutator tensor, and the one exact check
+left is that the given unit is central (u e_j == e_j u).  Any other rank
+leaves the answer to the exact nullspace of the commutator system, found in
+one narrowing pass, whose basis B is checked as B . mul == mul . B.
+
+A one-dimensional exact center also decides the Wedderburn split without
+floating point: one block of dimension sqrt(n), with u u = u and
+trace L_u = n checked exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_algebras import SCAlgebra
+from .dual_algebras import SCAlgebra, unit_contraction
 from .errors import CotwistError, SeedRetryError
 from .exactlin import (CycArray, _modular_rank, cyc_nullspace, cyc_solve, cyc_tensordot,
                        ga_identity)
@@ -123,11 +131,15 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
     """Reduced basis of the center as CycArray rows ``(r, n)``, certified or narrowed.
 
-    First the certificate for a one-dimensional center.  For two seeded
+    First exact commutativity: counts equal to their (1, 0) transpose make
+    mul[i, j, k] = mul[j, i, k] literally, so the center is everything and
+    the identity basis is returned with no further work.
+
+    Then the certificate for a one-dimensional center.  For two seeded
     integer vectors y (fixed internal seed, as in :func:`algebra_audit`) the
-    rows S[(y, k), i] = sum_j y_j D[i, j, k], D[i, j, k] = mul[i,j,k] -
-    mul[j,i,k], are the matrices of x -> x y - y x, so every central x solves
-    S x = 0.  The unit is central, so
+    rows S[(y, k), i] = sum_j y_j (mul[i,j,k] - mul[j,i,k]) are the matrices
+    of x -> x y - y x, so every central x solves S x = 0.  The unit is
+    central, so
 
         rank_l(S) <= rank(S) <= rank(commutator system) <= n - 1,
 
@@ -136,12 +148,14 @@ def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
     that the center is exactly span(unit), and the unit is returned in the
     reduced form of the narrowing pass: divided by its last nonzero entry
     (a 1 x 1 exact solve; the all-ones unit of every package algebra comes
-    back unchanged).  S is formed exactly by :func:`cyc_tensordot`, whose
-    overflow guard makes an overflow a missing certificate.
+    back unchanged).  S is formed straight from ``mul`` by exact float64
+    products (:func:`_commutator_rows`); past their 2^53 bound there is no
+    certificate.
 
-    Otherwise - a center of dimension > 1, an unlucky draw or prime - one
-    narrowing pass starts from the identity basis of the whole space and
-    cuts it down one basis element e_j at a time: the commutator slice
+    Otherwise - a center of dimension > 1, an unlucky draw or prime - the
+    commutator tensor D[i, j, k] = mul[i,j,k] - mul[j,i,k] is formed and
+    one narrowing pass starts from the identity basis of the whole space
+    and cuts it down one basis element e_j at a time: the commutator slice
     [., e_j] contracted with the current basis B gives an (n x dim B)
     system, whose reduced nullspace N replaces B by N B.  Each B keeps the
     reduced form of :func:`cyc_nullspace` (row i is 1 at its last nonzero
@@ -150,48 +164,79 @@ def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
     the result equals the reduced nullspace of the full commutator system.
     A basis element that commutes with everything (its column D[:, j] is
     exactly zero) gives a zero system, whose nullspace is the identity, so
-    it is skipped without a solve: a commutative algebra takes none at all.
+    it is skipped without a solve; when every column is zero the algebra
+    is commutative on canonical counts and the identity is returned.
 
     Either result is checked once, exactly, against the full product; a
-    failure raises CotwistError.  The one exception is a commutative
-    algebra, every column D[:, j] exactly zero: its basis is the identity,
-    for which the check basis . mul == mul . basis reads mul[i, j, k] =
-    mul[j, i, k], and that is what the exact zero test of D has just
-    established, so the identity is returned without the two contractions.
+    failure raises CotwistError.  The narrowed basis B is checked as
+    B . mul == mul . B by two contractions.  The certified basis is c unit
+    for a nonzero scalar c, so its check reads u e_j == e_j u for every j,
+    formed by :func:`unit_contraction` (two plain count sums for the
+    all-ones unit).  The unit is not assumed to be one: ``SCAlgebra`` takes
+    any vector, and a non-central one fails here by name.
     """
     n = mul.shape[0]
-    diff = CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
-    central = diff.zero_mask().all(axis=(0, 2))
     identity = CycArray.zeros((n, n), mul.order)
     identity.counts[np.arange(n), np.arange(n), 0] = 1
-    if central.all():
+    if np.array_equal(mul.counts, mul.counts.transpose(1, 0, 2, 3)):
         return identity
-    basis = _unit_if_center(diff, unit)
-    if basis is None:
+    basis = _unit_if_center(mul, unit)
+    if basis is not None:
+        central = unit_contraction(mul, unit, 0).eq(unit_contraction(mul, unit, 1))
+    else:
+        diff = _commutator_tensor(mul)
+        noncentral = np.flatnonzero(~diff.zero_mask().all(axis=(0, 2)))
+        if not noncentral.size:
+            return identity
         basis = identity
-        for j in np.flatnonzero(~central):
+        for j in noncentral:
             system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
             # reduced() keeps the counts from compounding the scales of the products
             basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
-    left = cyc_tensordot(basis, mul, axes=([1], [0]))
-    right = cyc_tensordot(basis, mul, axes=([1], [1]))
-    if not left.eq(right):
+        central = cyc_tensordot(basis, mul, axes=([1], [0])).eq(
+            cyc_tensordot(basis, mul, axes=([1], [1])))
+    if not central:
         raise CotwistError("center verification failed against the full product")
     return basis
 
 
-def _unit_if_center(diff: CycArray, unit: CycArray) -> CycArray | None:
+def _commutator_tensor(mul: CycArray) -> CycArray:
+    """D[i, j, k] = mul[i,j,k] - mul[j,i,k], the exact commutator [e_i, e_j]."""
+    return CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
+
+
+def _commutator_rows(mul: CycArray, draws: np.ndarray) -> CycArray | None:
+    """S[d, i, k] = sum_j y_dj (mul[i,j,k] - mul[j,i,k]) for integer rows
+    ``draws`` in [1, _CENTER_DRAW_BOUND), exactly, or None past the bound.
+
+    Both sums are float64 products on the counts, one batched
+    ``y @ counts[i]`` per i and one ``y @ counts`` over the first axis, so
+    no n^3 commutator tensor is formed and BLAS does the work (numpy has
+    none for int64).  Every partial sum of either product, in whatever order
+    BLAS adds, is an integer of magnitude at most
+    n * max|count| * _CENTER_DRAW_BOUND, and the difference at most twice
+    that; while 2 n max|count| _CENTER_DRAW_BOUND < 2^53, which is checked,
+    every one is a float64 integer, so the result is exact.
+    """
+    n, order = mul.shape[0], mul.order
+    largest = max(int(mul.counts.max(initial=0)), -int(mul.counts.min(initial=0)))
+    if 2 * n * largest * _CENTER_DRAW_BOUND >= 1 << 53:
+        return None
+    y = draws.astype(np.float64)
+    counts = mul.counts.astype(np.float64)
+    right = (y @ counts.reshape(n, n, -1)).transpose(1, 0, 2)      # [d, i, (k, e)]: y_j mul[i,j]
+    left = (y @ counts.reshape(n, -1)).reshape(right.shape)         # [d, i, (k, e)]: y_j mul[j,i]
+    rows = (right - left).astype(np.int64).reshape(len(draws), n, n, order)
+    return CycArray(order, mul.scale, rows)
+
+
+def _unit_if_center(mul: CycArray, unit: CycArray) -> CycArray | None:
     """The unit over its last nonzero entry, as a ``(1, n)`` basis, if the
     modular rank of the seeded commutator rows certifies a 1-dim center; else None."""
-    n = diff.shape[0]
+    n = mul.shape[0]
     draws = np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
-    y = CycArray.zeros((2, n), diff.order)
-    y.counts[..., 0] = draws
-    try:
-        rows = cyc_tensordot(y, diff, axes=([1], [1]))                  # [draw, i, k]
-    except CotwistError:  # counts would overflow int64: no certificate
-        return None
-    if _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) != n - 1:
+    rows = _commutator_rows(mul, draws)
+    if rows is None or _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) != n - 1:
         return None
     last = int(np.flatnonzero(~unit.zero_mask())[-1])
     over = cyc_solve(unit.take([[last]]), ga_identity(1, unit.order))
@@ -225,12 +270,13 @@ def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
     """Complex matrix (r, dim) whose rows span the center.
 
     For exact algebras the center is exact (the row count r is then certain):
-    span(A.unit) when a modular rank certifies that the center is
-    one-dimensional, as it is for every simple block, and the exact
-    narrowing pass otherwise (:func:`_exact_center_basis`).  Both give the
-    same reduced basis, checked against the full product (the identity
-    basis of a commutative algebra by its exact commutator test).  Float
-    algebras take a numerically guarded SVD.
+    the identity basis when the counts are symmetric, span(A.unit) when a
+    modular rank certifies that the center is one-dimensional, as it is for
+    every simple block, and the exact narrowing pass otherwise
+    (:func:`_exact_center_basis`).  The last two give the same reduced
+    basis: the certified one with A.unit checked central, the narrowed one
+    checked against the full product.  Float algebras take a numerically
+    guarded SVD.
     """
     if A.is_exact:
         return _exact_center_basis(A.mul, A.unit).embed()
@@ -312,10 +358,17 @@ def wedderburn_dims(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpe
     (e_a e_b)_k = sum_j e_b[j] L[a, j, k].  That is O(r n^3 + r^2 n^2) with
     r n^2 scratch, never more than mul itself; the same L gives the traces
     trace L_{e_a} = sum_j L[a, j, j].
+
+    An exact algebra whose exact center is one-dimensional is decided
+    exactly instead (:func:`_one_block_spectrum`): there L_z is a multiple of
+    the identity, so the float route could only find one cluster, whose
+    idempotent is the unit u itself, and read its dimension from trace L_u.
     """
     n = A.dim
     center = center_basis(A, tol)
     r = center.shape[0]
+    if A.is_exact and r == 1:
+        return _one_block_spectrum(A)
     mul = A.mul_complex()
     unit = A.unit_complex()
 
@@ -369,6 +422,35 @@ def wedderburn_dims(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpe
     )
 
 
+def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
+    """Exact spectrum of an exact algebra with center span(unit): one block.
+
+    This is the float route's answer read exactly.  With one cluster its
+    idempotent is u, its residual |u u - u|, and its dimension
+    d = sqrt(trace L_u) with d^2 = n.  So n must be a perfect square (the
+    float route's "not close to an integer" otherwise), u u = u exactly, and
+    trace L_u = sum_j (u e_j)_j = n exactly (it is when u is the unit, and
+    ``SCAlgebra`` does not assume that).  Both come from L = u e_j, the
+    plain count sums of :func:`unit_contraction` for the all-ones unit: no
+    complex embedding of ``mul`` and no eigenproblem.
+    """
+    n = A.dim
+    d = math.isqrt(n)
+    if d * d != n:
+        raise CotwistError(
+            f"block dimension {math.sqrt(n)} is not close to an integer (non-semisimple input?)")
+    left = unit_contraction(A.mul, A.unit, 0)                        # [j, k] = (u e_j)_k
+    if not unit_contraction(left, A.unit, 0).eq(A.unit):
+        raise CotwistError("central idempotent residual is not zero: u u != u exactly")
+    diagonal = np.arange(n)
+    trace = CycArray(left.order, left.scale,
+                     left.counts[diagonal, diagonal].sum(axis=0, keepdims=True))
+    if not trace.eq(ga_identity(1, left.order).scale_by(n)):
+        raise CotwistError(f"block trace {complex(trace.embed()[0])} is not the dimension {n}")
+    return WedderburnSpectrum(dims=[d], idempotent_residual=0.0,
+                              idempotents=A.unit_complex()[None])
+
+
 def wedderburn_dims_retrying(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpectrum:
     return with_seed_retries(lambda s: wedderburn_dims(A, s, tol), seed)
 
@@ -414,14 +496,14 @@ def split_simple(A: SCAlgebra, seed: int, tol: float = 1e-8) -> np.ndarray:
     if np.min(np.abs(np.diag(Rq))) < tol * max(1.0, float(np.max(np.abs(Rq)))):
         raise SeedRetryError("eigenspace basis is numerically degenerate")
 
-    L_all = mul.transpose(0, 2, 1)  # [x, k, j] = matrix of left multiplication by x
-    pi = np.einsum("ki,xkj,jl->xil", B.conj(), L_all, B)
+    LB = mul.transpose(0, 2, 1) @ B  # [x, k, l]: left multiplication by x, applied to B
+    pi = B.conj().T @ LB
 
-    invariance = np.einsum("xkj,jl->xkl", L_all, B) - np.einsum("kj,xjl->xkl", B, pi)
+    invariance = LB - B @ pi
     if np.max(np.abs(invariance)) > tol * dim:
         raise SeedRetryError("selected eigenspace is not invariant to tolerance")
 
-    hom = np.einsum("xab,ybc->xyac", pi, pi) - np.einsum("xyk,kac->xyac", mul, pi)
+    hom = pi[:, None] @ pi[None] - np.tensordot(mul, pi, axes=([2], [0]))  # [x, y, a, c]
     if np.max(np.abs(hom)) > tol * dim:
         raise SeedRetryError("homomorphism residual too large")
     pi_unit = np.einsum("i,iab->ab", unit, pi)

@@ -9,11 +9,12 @@ import pytest
 from cotwist import semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
 from cotwist.errors import CotwistError, SeedRetryError
-from cotwist.exactlin import CycArray, cyc_nullspace
-from cotwist.groups import Subgroup, double_cosets
+from cotwist.exactlin import CycArray, cyc_nullspace, cyc_tensordot
+from cotwist.groups import Subgroup, double_cosets, stabilizer_Kg
 from cotwist.projective import twisted_group_algebra
-from cotwist.semisimple import (_exact_center_basis, algebra_audit, center_basis,
-                                derived_seed, split_simple_retrying,
+from cotwist.semisimple import (_CENTER_DRAW_BOUND, _commutator_rows, _commutator_tensor,
+                                _exact_center_basis, _unit_if_center, algebra_audit,
+                                center_basis, derived_seed, split_simple_retrying,
                                 wedderburn_dims_retrying, with_seed_retries)
 
 
@@ -259,14 +260,218 @@ def test_commutative_block_center_skips_the_closing_contraction(p3_diag_bundle,
     contractions, contract = [], semisimple.cyc_tensordot
     monkeypatch.setattr(semisimple, "cyc_tensordot",
                         lambda a, b, axes: contractions.append(axes) or contract(a, b, axes))
+    formed = count_calls(monkeypatch, "_commutator_tensor", "_commutator_rows")
     assert _exact_center_basis(blk.mul, blk.unit).eq(identity)
     assert contractions == [] and nullspace_calls == []
+    assert formed == []
 
     patched = blk.mul.copy()
     patched.counts[1, 2, 0, 0] += 1
     basis = _exact_center_basis(patched, blk.unit)
+    assert formed == ["_commutator_rows", "_commutator_tensor"]
     assert nullspace_calls and basis.shape[0] < n
     assert contractions[-2:] == [([1], [0]), ([1], [1])]
+
+
+def count_calls(monkeypatch, *names):
+    """Names of the listed ``semisimple`` functions, in call order."""
+    calls = []
+    for name in names:
+        fn = getattr(semisimple, name)
+        monkeypatch.setattr(semisimple, name,
+                            lambda *args, _name=name, _fn=fn: calls.append(_name) or _fn(*args))
+    return calls
+
+
+def test_certified_center_rejects_a_noncentral_unit(p3_diag_bundle):
+    """The M_3 block with unit + e_0 as its unit: the certificate on ``mul``
+    still holds, so only the closing check u e_j == e_j u can refuse it."""
+    inst, _, zs = p3_diag_bundle
+    blk = build_block_algebra(inst.t, zs[1])
+    bad = blk.unit.copy()
+    bad.counts[0, 0] += 1
+    assert _unit_if_center(blk.mul, bad) is not None
+    with pytest.raises(CotwistError, match="center verification failed against the full product"):
+        _exact_center_basis(blk.mul, bad)
+
+
+def test_narrowed_center_rejects_a_noncentral_basis(monkeypatch):
+    """C[S3] with a nullspace that keeps every row: the narrowing ends on the
+    identity basis, which the closing check refuses."""
+    A = exact_group_algebra(s3_mul(), 3)
+
+    def keep_all(mat):
+        kept = CycArray.zeros((mat.shape[1], mat.shape[1]), mat.order)
+        kept.counts[np.arange(mat.shape[1]), np.arange(mat.shape[1]), 0] = 1
+        return kept
+
+    monkeypatch.setattr(semisimple, "cyc_nullspace", keep_all)
+    with pytest.raises(CotwistError, match="center verification failed against the full product"):
+        _exact_center_basis(A.mul, A.unit)
+
+
+@pytest.fixture(scope="module")
+def intermediate_block(tmp_path_factory):
+    """A criterion-9 coset block (|K_g| = 3, dims [3, 3, 3])."""
+    from intermediate_instance import write_instance
+
+    from cotwist.correspondence import build_instance
+
+    inst = build_instance(write_instance(tmp_path_factory.mktemp("intermediate")))
+    z = next(z for z in double_cosets(inst.G, inst.H) if z.representative == 27)
+    return build_block_algebra(inst.t, z)
+
+
+@pytest.fixture(scope="module")
+def p7_simple_block():
+    """The M_7 block of p=7, gamma diag(1, 6)."""
+    from cotwist.correspondence import Config, SymplecticConstruction, build_instance
+
+    inst = build_instance(Config(SymplecticConstruction(7, 1, [[[1, 0], [0, 6]]])))
+    return build_block_algebra(inst.t, double_cosets(inst.G, inst.H)[1])  # [0] is H
+
+
+def swap_algebras(wreath_bundle):
+    """The wreath swap coset's block and U_g (K_g = {e}, both M_9)."""
+    from cotwist.correspondence import invariant_algebra_Ug
+
+    inst, ctx, zs = wreath_bundle
+    z = next(z for z in zs if len(z.elements) == 81)
+    g = z.representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    assert Kg.order == 1
+    return (build_block_algebra(inst.t, z),
+            invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H))
+
+
+@pytest.fixture
+def simple_exact_algebras(p3_diag_bundle, wreath_bundle, p7_simple_block):
+    """Every exact algebra with a 1-dim center in the shipped fixtures."""
+    inst, _, zs = p3_diag_bundle
+    swap_block, swap_Ug = swap_algebras(wreath_bundle)
+    return {"p=3 M3 block": build_block_algebra(inst.t, zs[1]), "wreath swap block": swap_block,
+            "wreath swap U_g": swap_Ug, "p=7 M7 block": p7_simple_block}
+
+
+def seeded_draws(n):
+    return np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
+
+
+def test_float_commutator_rows_are_exact(simple_exact_algebras, intermediate_block):
+    """The float64 rows equal the exact contraction of the draws with the
+    commutator tensor, counts for counts."""
+    algebras = dict(simple_exact_algebras, **{"criterion-9 block": intermediate_block})
+    for name, A in algebras.items():
+        draws = seeded_draws(A.dim)
+        y = CycArray.zeros((2, A.dim), A.mul.order)
+        y.counts[..., 0] = draws
+        expected = cyc_tensordot(y, _commutator_tensor(A.mul), axes=([1], [1]))
+        rows = _commutator_rows(A.mul, draws)
+        assert np.array_equal(rows.counts, expected.counts), name
+        assert rows.scale == expected.scale, name
+
+
+def test_counts_past_the_float_bound_take_the_narrowing_pass(p3_diag_bundle, nullspace_calls,
+                                                              monkeypatch):
+    """The M_3 block on counts scaled by 2^40 (the same values): past the
+    2^53 bound there are no rows and no certificate, and the narrowing pass
+    returns the certified basis."""
+    inst, _, zs = p3_diag_bundle
+    blk = build_block_algebra(inst.t, zs[1])
+    certified = _exact_center_basis(blk.mul, blk.unit)
+    scaled = CycArray(blk.mul.order, blk.mul.scale / (1 << 40), blk.mul.counts << 40)
+    assert scaled.eq(blk.mul)
+    assert _commutator_rows(scaled, seeded_draws(blk.dim)) is None
+    ranks = count_calls(monkeypatch, "_modular_rank")
+    narrowed = _exact_center_basis(scaled, blk.unit)
+    assert ranks == [] and len(nullspace_calls) > 0
+    assert np.array_equal(narrowed.counts, certified.counts)
+    assert narrowed.scale == certified.scale
+
+
+def test_one_dim_center_decided_exactly(simple_exact_algebras, monkeypatch):
+    """An exact algebra whose center is span(unit) gets the float route's
+    dims with no complex embedding of ``mul`` and no eigenproblem."""
+    embeds, eigs = [], []
+    embed, eig = CycArray.embed, np.linalg.eig
+    for name, A in simple_exact_algebras.items():
+        floating = SCAlgebra(A.mul_complex(), A.unit_complex())
+        expected = wedderburn_dims_retrying(floating, seed=0).dims
+        exact = SCAlgebra(A.mul, A.unit)
+        with monkeypatch.context() as patch:
+            patch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
+            patch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
+            spec = wedderburn_dims_retrying(exact, seed=0)
+        assert spec.dims == expected == [int(round(np.sqrt(A.dim)))], name
+        assert spec.idempotent_residual == 0.0
+        assert np.array_equal(spec.idempotents, A.unit_complex()[None])
+        assert all(len(shape) < 3 for shape in embeds) and eigs == [], name
+
+
+def upper_triangular_t2():
+    """Exact T_2 on E11, E12, E22: dim 3, center the scalars, not semisimple."""
+    counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        counts[i, j, k, 0] = 1
+    unit = CycArray.zeros((3,), 3)
+    unit.counts[[0, 2], 0] = 1
+    return SCAlgebra(CycArray(3, Fraction(1), counts), unit, name="T2")
+
+
+def test_t2_one_dim_center_is_not_a_square():
+    A = upper_triangular_t2()
+    assert algebra_audit(A)
+    assert center_basis(A).shape[0] == 1
+    floating = SCAlgebra(A.mul_complex(), A.unit_complex())
+    for alg in (floating, A):
+        with pytest.raises(CotwistError, match="is not close to an integer"):
+            wedderburn_dims_retrying(alg, seed=0)
+
+
+def test_one_dim_center_checks_the_unit_exactly(p3_diag_bundle):
+    """A central non-unit fails exactly: 2u is central but 2u 2u != 2u; a
+    unit doubled on counts and halved on scale is the same unit."""
+    inst, _, zs = p3_diag_bundle
+    blk = build_block_algebra(inst.t, zs[1])
+    with pytest.raises(CotwistError, match="idempotent residual"):
+        wedderburn_dims_retrying(SCAlgebra(blk.mul, blk.unit.scale_by(2)), seed=0)
+    same = CycArray(blk.unit.order, Fraction(1, 2), 2 * blk.unit.counts)
+    assert wedderburn_dims_retrying(SCAlgebra(blk.mul, same), seed=0).dims == [3]
+
+
+def test_one_dim_center_checks_the_trace(monkeypatch):
+    """Exact M_2 with the idempotent E11 posing as its unit, the certificate
+    refused so the narrowing pass (which never reads the unit) finds the
+    scalars: E11 E11 = E11, but trace L_E11 = 2, not 4.  The float route
+    fails on the same trace (sqrt 2 is not an integer)."""
+    floating = matrix_units_algebra(2)
+    counts = np.zeros((4, 4, 4, 3), dtype=np.int64)
+    counts[..., 0] = floating.mul.real.astype(np.int64)
+    e11 = CycArray.zeros((4,), 3)
+    e11.counts[0, 0] = 1
+    monkeypatch.setattr(semisimple, "_modular_rank", lambda mat: 0)
+    with pytest.raises(CotwistError, match="block trace"):
+        wedderburn_dims_retrying(SCAlgebra(CycArray(3, Fraction(1), counts), e11), seed=0)
+    with pytest.raises(CotwistError, match="is not close to an integer"):
+        wedderburn_dims_retrying(SCAlgebra(floating.mul, e11.embed()), seed=0)
+
+
+def test_swap_coset_takes_no_commutator_tensor(wreath_bundle, monkeypatch):
+    """On the wreath swap coset neither the block nor U_g forms the |Z|^3
+    commutator tensor, contracts ``mul`` in the center, or embeds ``mul``."""
+    formed = count_calls(monkeypatch, "_commutator_tensor")
+    contractions, contract = [], semisimple.cyc_tensordot
+    monkeypatch.setattr(semisimple, "cyc_tensordot",
+                        lambda a, b, axes: contractions.append((a.shape, b.shape))
+                        or contract(a, b, axes))
+    embeds, embed = [], CycArray.embed
+    monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
+    for A in swap_algebras(wreath_bundle):
+        contractions.clear()
+        assert wedderburn_dims_retrying(A, seed=0).dims == [9]
+        assert contractions == [((1,), (81,))]   # the unit over its last entry
+    assert formed == []
+    assert all(len(shape) < 3 for shape in embeds)
 
 
 def test_wedderburn_exact_input(p3_diag_bundle):
