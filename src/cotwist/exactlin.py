@@ -8,22 +8,24 @@
   exact.  Twist files are read straight into one and written from its
   canonical counts (``cotwist.twist``).
 
-* One product kernel, :func:`accumulate_products`.  ``CycArray.terms`` lists
-  each cell's fewest-term counts as ``(exps, nums)`` with a trailing axis of
-  T terms (T = 1 for single roots of unity, at most N in general): since
-  sum_k zeta^k = 0 for N > 1, a cell shifted by its most frequent count keeps
-  its value, so a folded product whose value is one root of unity lists one
-  term, not N.  Every cell-by-cell product of two count arrays in the
-  package - group-algebra products, twist audits, dual-algebra structure
-  constants - gathers two such term lists and adds their products into a
-  :class:`ProductCounts`, at a cost of T_a * T_b term pairs per cell pair.
-  Its exponent axis is 2N wide, so an exponent sum needs no reduction mod N;
-  it is folded once per array.  Each side turns its term list into a slot
-  piece (cell offset * 2N + exponent) over only the cells it depends on, once
-  per call; the slot of a term pair is the broadcast sum of the two pieces.
-  A term pair then costs one add, one multiply and its ``np.add.at``.  The
-  array's overflow bound, summed over the calls that fill it, raises
-  CotwistError before a count can wrap.
+* Two product kernels, both on the fewest-term counts of
+  :meth:`CycArray.fewest_counts` (T nonzero counts per cell: 1 for a single
+  root of unity, at most N in general).
+
+  - :func:`accumulate_products`, the scatter, for gathered and sparse
+    products: the block build, U_g, the dual-algebra structure constants and
+    a sparse :func:`ga_mul`.  It gathers two term lists (``CycArray.terms``)
+    and adds their products into a :class:`ProductCounts` on a 2N-wide
+    exponent axis, folded once, at T_a * T_b term pairs per cell pair.  Each
+    side brings a slot piece (cell offset * 2N + exponent) over only the
+    cells it depends on; a term pair costs one add, one multiply and its
+    ``np.add.at``.  Its overflow bound raises CotwistError before a count
+    can wrap.
+  - :func:`contract_counts`, for dense contractions sum_k A[r, k] B[k, c]:
+    the twist axiom audit, a dense :func:`ga_mul` on pairs and
+    :func:`cyc_tensordot`.  It is one matmul of A's counts with the
+    circulant expansion of B's, in float64 with BLAS while every partial
+    sum is an integer below 2**53, else in int64.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -77,6 +79,19 @@ def _mode_shifted(counts: np.ndarray) -> np.ndarray:
     shifted = counts.copy()
     shifted[busy] = c - np.where(tie_with_zero, 0, np.take_along_axis(c, best, axis=-1))
     return shifted
+
+
+def _term_list(counts: np.ndarray):
+    """The nonzero counts of each cell as ``(exps, nums)``, zero-padded to the widest cell."""
+    nonzero = counts != 0
+    width = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
+    exps = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
+    return exps, np.take_along_axis(counts, exps, axis=-1)
+
+
+def _largest(counts: np.ndarray) -> int:
+    """max |count|, as a Python int."""
+    return max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
 
 
 class CycArray:
@@ -145,21 +160,16 @@ class CycArray:
         counts[..., :canon.shape[-1]] = canon // g
         return CycArray(self.order, self.scale * g, counts)
 
-    def terms(self):
-        """Per-cell term lists ``(exps, nums)`` on fewest-term counts, zero-padded.
-
-        Both arrays have this array's cell shape plus a trailing axis of T
-        terms, T being the largest number of listed terms in any cell (at
-        least 1): cell value = scale * sum_t nums[..., t] * zeta^exps[..., t].
-        Padding terms have ``nums == 0``.
+    def fewest_counts(self) -> np.ndarray:
+        """Counts of the same values with the fewest nonzeros per cell found.
 
         For N > 1, sum_k zeta^k = 0, so subtracting one constant from all N
-        counts of a cell keeps its value: each cell is listed shifted by its
-        most frequent count, or by 0 on a tie with 0, so a cell with a single
+        counts of a cell keeps its value: each cell is shifted by its most
+        frequent count, or by 0 on a tie with 0, so a cell with a single
         nonzero count keeps it.  A folded product whose value is one root of
-        unity thus lists one term, not N.  For composite N, where Phi_N has
-        other relations, a cell whose (shifted) canonical counts have fewer
-        nonzeros is listed on those.  N = 1 is never shifted.
+        unity thus has one nonzero count, not N.  For composite N, where
+        Phi_N has other relations, a cell whose (shifted) canonical counts
+        have fewer nonzeros takes those.  N = 1 is never shifted.
         """
         counts = _mode_shifted(self.counts)
         phi = euler_phi(self.order)
@@ -169,10 +179,17 @@ class CycArray:
             canon = _mode_shifted(canon)
             fewer = np.count_nonzero(canon, axis=-1) < np.count_nonzero(counts, axis=-1)
             counts = np.where(fewer[..., None], canon, counts)
-        nonzero = counts != 0
-        width = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
-        exps = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
-        return exps, np.take_along_axis(counts, exps, axis=-1)
+        return counts
+
+    def terms(self):
+        """Per-cell term lists ``(exps, nums)`` of :meth:`fewest_counts`, zero-padded.
+
+        Both arrays have this array's cell shape plus a trailing axis of T
+        terms, T being the largest number of listed terms in any cell (at
+        least 1): cell value = scale * sum_t nums[..., t] * zeta^exps[..., t].
+        Padding terms have ``nums == 0``.
+        """
+        return _term_list(self.fewest_counts())
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -218,51 +235,86 @@ class CycArray:
         return (self.counts @ z) * float(self.scale)
 
 
-def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
-    """Exact tensordot: integer contraction plus exponent convolution mod N.
+#: term pairs of the scatter, result counts of the contraction, formed at once;
+#: bounds the product kernels' scratch memory
+KERNEL_CHUNK = 1 << 15
 
-    Raises CotwistError when the int64 result counts could overflow: each is
-    a sum of at most (contracted length) * N products of two counts.
+
+def contract_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact contraction over Z[zeta_N]: out[r, c] = sum_k a[r, k] * b[k, c].
+
+    ``a`` is (R, K, N) and ``b`` (K, C, N) int64 counts; the result is the
+    (R, C, N) int64 counts out[r, c, j] = sum_k sum_i a[r, k, i] *
+    b[k, c, (j - i) mod N], the exponent convolution mod N, count for count.
+    It is one matmul of ``a`` reshaped to (R, K N) with the circulant
+    expansion circ[(k, i), (c, j)] = b[k, c, (j - i) mod N], of shape
+    (K N, C N), taken in slices of rows of about ``KERNEL_CHUNK`` result
+    counts each, so the float64 copies stay that small.
+
+    Each result count is a sum of K N products of two counts, so every
+    partial sum, in whatever order the matmul adds, is an integer of
+    magnitude at most bound = K N max|a| max|b|.  While 2 bound < 2**53 (a
+    factor 2 to spare) the matmul runs in float64, with BLAS: every count,
+    product and partial sum is then a float64 integer, so the result is
+    exact for any BLAS thread count.  Otherwise it runs on the int64 counts (exact, no BLAS) while
+    bound < 2**63, and past that raises CotwistError.  So no product the
+    replaced paths accepted is refused: :func:`cyc_tensordot`'s guard was
+    this bound, and the scatter's on a dense product over a group K,
+    max|a| max|b| |K|^4 T_a T_b, is no smaller than this one's (K = |K|) or
+    the final sum's in :func:`_dense_pair_mul` while |K|^2 T_a T_b >= N, as
+    for every symplectic twist.
+    """
+    rows, inner, n = a.shape
+    cols = b.shape[1]
+    bound = inner * n * _largest(a) * _largest(b)
+    if 2 * bound < 1 << 53:
+        dtype = np.float64
+    elif bound < 1 << 63:
+        dtype = np.int64
+    else:
+        raise CotwistError("exact contraction would overflow int64 counts")
+    shift = (np.arange(n) - np.arange(n)[:, None]) % n             # [i, j] = j - i mod N
+    circ = b.astype(dtype, copy=False)[:, :, shift].transpose(0, 2, 1, 3)  # [k, i, c, j]
+    circ = circ.reshape(inner * n, cols * n)
+    a = a.reshape(rows, inner * n)
+    out = np.empty((rows, cols * n), dtype=np.int64)
+    step = max(1, KERNEL_CHUNK // max(1, cols * n))
+    for lo in range(0, rows, step):
+        out[lo:lo + step] = np.matmul(a[lo:lo + step].astype(dtype, copy=False), circ)
+    return out.reshape(rows, cols, n)
+
+
+def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
+    """Exact tensordot on the raw counts, by :func:`contract_counts`.
+
+    ``axes`` is as for ``np.tensordot``.  The contracted axes of ``a`` go
+    last and those of ``b`` first, so the product is one contraction of two
+    count matrices.  Raises CotwistError when the int64 result counts could
+    overflow: each is a sum of at most (contracted length) * N products of
+    two counts.
     """
     if a.order != b.order:
         raise ValueError("order mismatch")
-    n = a.order
+    nda, ndb = len(a.shape), len(b.shape)
     if isinstance(axes, int):
-        contracted = a.shape[len(a.shape) - axes:]
+        axes_a, axes_b = list(range(nda - axes, nda)), list(range(axes))
     else:
-        contracted = [a.shape[ax] for ax in np.atleast_1d(axes[0])]
-    largest = [int(np.abs(x.counts).max(initial=0)) for x in (a, b)]
-    if largest[0] * largest[1] * math.prod(contracted) * n >= 1 << 63:
-        raise CotwistError("exact contraction would overflow int64 counts")
-    res = None
-    for i in range(n):
-        ai = a.counts[..., i]
-        if not ai.any():
-            continue
-        for j in range(n):
-            bj = b.counts[..., j]
-            if not bj.any():
-                continue
-            block = np.tensordot(ai, bj, axes=axes)
-            if res is None:
-                out_shape = block.shape
-                res = np.zeros((*out_shape, n), dtype=np.int64)
-            res[..., (i + j) % n] += block
-    if res is None:
-        # contract shapes with numpy to get the right output shape
-        block = np.tensordot(a.counts[..., 0], b.counts[..., 0], axes=axes)
-        res = np.zeros((*block.shape, n), dtype=np.int64)
-    return CycArray(n, a.scale * b.scale, res)
+        axes_a, axes_b = ([int(x) % nd for x in np.atleast_1d(ax)]
+                          for ax, nd in zip(axes, (nda, ndb)))
+    free_a = [x for x in range(nda) if x not in axes_a]
+    free_b = [x for x in range(ndb) if x not in axes_b]
+    rows, cols = ([x.shape[ax] for ax in free] for x, free in ((a, free_a), (b, free_b)))
+    inner = math.prod(a.shape[x] for x in axes_a)
+    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(math.prod(rows), inner, a.order)
+    cb = b.counts.transpose(axes_b + free_b + [ndb]).reshape(inner, math.prod(cols), b.order)
+    out = contract_counts(ca, cb)
+    return CycArray(a.order, a.scale * b.scale, out.reshape(*rows, *cols, a.order))
 
 
 def gather(terms, *index):
     """Index the cells of a term list ``(exps, nums)``; the term axis stays last."""
     exps, nums = terms
     return exps[index], nums[index]
-
-
-#: term pairs the product kernel materializes at once; bounds its scratch memory
-KERNEL_CHUNK = 1 << 15
 
 
 class ProductCounts:
@@ -331,32 +383,52 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     ``u`` and ``v`` are indexed by the elements of a group K with Cayley
     table ``mul_table``, or, as (|K|, |K|) arrays, by the pairs of K x K,
     whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  Only the
-    supports are paired - a cell is in the support when its fewest-term list
-    (:meth:`CycArray.terms`) is nonzero, so raw counts of value 0 are not -
-    except that two pair elements whose supports would pair more than |K|^3
-    times are multiplied over all of K^4 with slot pieces over [a1, a2, b1]
-    and [a2, b1, b2], so no |K|^4 table is formed.
+    supports are paired by :func:`accumulate_products` - a cell is in the
+    support when its fewest-term counts (:meth:`CycArray.fewest_counts`) are
+    nonzero, so raw counts of value 0 are not - except that two pair
+    elements whose supports would pair more than |K|^3 times are multiplied
+    densely (:func:`_dense_pair_mul`).  Either way the folded counts are the
+    sums of the products of the fewest-term counts, count for count.
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
     m = mul_table.shape[0]
-    out = ProductCounts(u.shape, u.order)
     mul = np.asarray(mul_table, dtype=np.int64)
-    tu, tv = u.terms(), v.terms()
-    ia, ib = (np.flatnonzero(nums.any(axis=-1)) for _, nums in (tu, tv))
+    fu, fv = u.fewest_counts(), v.fewest_counts()
+    ia, ib = (np.flatnonzero(f.any(axis=-1)) for f in (fu, fv))
     if len(u.shape) == 2 and ia.size * ib.size > m ** 3:
-        a1, a2, b1, b2 = np.ogrid[:m, :m, :m, :m]
-        accumulate_products(out, out.piece(gather(tu, a1, a2), mul[a1, b1] * m),
-                            out.piece(gather(tv, b1, b2), mul[a2, b2]))
-        return out.fold(u.scale * v.scale)
+        return CycArray(u.order, u.scale * v.scale, _dense_pair_mul(fu, fv, mul))
+    out = ProductCounts(u.shape, u.order)
     ca, cb = np.unravel_index(ia, u.shape), np.unravel_index(ib, v.shape)
     if len(u.shape) == 2:
         target = mul[np.ix_(ca[0], cb[0])] * m + mul[np.ix_(ca[1], cb[1])]
     else:
         target = mul[np.ix_(ia, ib)]
-    accumulate_products(out, out.piece(gather(tu, *(i[:, None] for i in ca)), target),
-                        out.piece(gather(tv, *cb)))
+    accumulate_products(out, out.piece(gather(_term_list(fu[ca]), slice(None), None), target),
+                        out.piece(_term_list(fv[cb])))
     return out.fold(u.scale * v.scale)
+
+
+def _dense_pair_mul(fu: np.ndarray, fv: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """Counts of u v in C[K x K] from (|K|, |K|, N) counts, by one contraction.
+
+    out[x, y] = sum_{a1, a2} u[a1, a2] v[a1^-1 x, a2^-1 y], where a^-1 y, the b
+    with a b = y, is read off the ``argsort`` of the Cayley table's rows (K
+    need not be abelian).  With V[(b1, y), a2] = v[b1, a2^-1 y],
+    :func:`contract_counts` forms W[(b1, y), a1] = sum_{a2} V[(b1, y), a2]
+    u[a1, a2], and out[x, y] is the int64 sum over a1 of W[a1^-1 x, y, a1].
+    That sum of |K|^2 N products of two counts is bounded by
+    |K|^2 N max|u| max|v|, which is checked first.
+    """
+    m, n = fu.shape[0], fu.shape[-1]
+    if m * m * n * _largest(fu) * _largest(fv) >= 1 << 63:
+        raise CotwistError("exact products would overflow int64 counts")
+    ldiv = np.argsort(mul, axis=1)  # [a, y]: a^-1 y
+    b, y, a = np.ogrid[:m, :m, :m]
+    V = fv.reshape(m * m, n).take(b * m + ldiv[a, y], axis=0)             # [b1, y, a2]
+    W = contract_counts(V.reshape(m * m, m, n), fu.transpose(1, 0, 2))     # [(b1, y), a1]
+    a, x, y = np.ogrid[:m, :m, :m]
+    return W.reshape(m ** 3, n).take((ldiv[a, x] * m + y) * m + a, axis=0).sum(axis=0)
 
 
 def ga_identity(size: int, order: int, identity_index: int = 0) -> CycArray:

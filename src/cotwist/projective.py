@@ -210,9 +210,8 @@ def pullback_and_tensor_cocycle(V1: ProjectiveRep, V2: ProjectiveRep, g: int,
     a_loc, conj_loc = stabilizer_local_indices(V1.group, Kg, g)
     k = Kg.order
     n = V1.dim * V2.dim
-    T = np.zeros((k, n, n), dtype=complex)
-    for i in range(k):
-        T[i] = np.kron(V2.T[a_loc[i]], V1.T[conj_loc[i]])
+    T2, T1 = V2.T[a_loc], V1.T[conj_loc]
+    T = (T2[:, :, None, :, None] * T1[:, None, :, None, :]).reshape(k, n, n)  # np.kron per a
     c = V2.c[np.ix_(a_loc, a_loc)] * V1.c[np.ix_(conj_loc, conj_loc)]
     W = ProjectiveRep(group=Kg, dim=n, T=T, c=c)
     W._validate_cocycle(COMPOSITE_TOL)

@@ -32,11 +32,9 @@ import numpy as np
 from .errors import AuditError, CotwistError
 from .exactlin import (
     CycArray,
-    ProductCounts,
-    accumulate_products,
+    contract_counts,
     cyc_rank,
     cyc_tensordot,
-    gather,
     ga_identity,
     ga_mul,
     invert_in_group_algebra,
@@ -204,18 +202,23 @@ def _sides_agree(X: CycArray, shift: np.ndarray) -> bool:
       (J x 1)(Delta0 x id)(J) = (1 x J)(id x Delta0)(J);
     * with a.y = a^-1 y and X = J, (Delta1 x id)Delta1(e) = (id x Delta1)Delta1(e);
     * with a.y = y a^-1 and X = J^-1, (Delta2 x id)Delta2(e) = (id x Delta2)Delta2(e).
+
+    Both sides contract one gathered matrix A[(u, v), a] = X[a.u, a.v]:
+    left[(u, v), w] = sum_a A[(u, v), a] X[a, w] and right[u, v, w] =
+    sum_a A[(v, w), a] X^T[a, u].  So one :func:`contract_counts` of A with
+    [X | X^T] gives both, on the fewest-term counts
+    (:meth:`CycArray.fewest_counts`); the sides agree when their canonical
+    counts do.
     """
-    m = X.shape[0]
-    terms = X.terms()
-    a, u, v, w = np.ogrid[:m, :m, :m, :m]
-    left = ProductCounts((m, m, m), X.order)
-    right = ProductCounts((m, m, m), X.order)
-    accumulate_products(left, left.piece(gather(terms, a, w), w),
-                        left.piece(gather(terms, shift[a, u], shift[a, v]), (u * m + v) * m))
-    accumulate_products(right, right.piece(gather(terms, u, a), u * m * m),
-                        right.piece(gather(terms, shift[a, v], shift[a, w]), v * m + w))
-    scale = X.scale * X.scale
-    return left.fold(scale).eq(right.fold(scale))
+    m, n = X.shape[0], X.order
+    counts = X.fewest_counts()
+    u, v, a = np.ogrid[:m, :m, :m]
+    gathered = counts.reshape(m * m, n).take(shift[a, u] * m + shift[a, v], axis=0)
+    pair = np.concatenate([counts, counts.transpose(1, 0, 2)], axis=1)  # [X | X^T]
+    both = contract_counts(gathered.reshape(m * m, m, n), pair)
+    left = both[:, :m].reshape(m, m, m, n)
+    right = both[:, m:].reshape(m, m, m, n).transpose(2, 0, 1, 3)  # [v, w, u] -> [u, v, w]
+    return CycArray(n, X.scale, left).eq(CycArray(n, X.scale, right))
 
 
 def _certified(check, *args) -> bool:
@@ -330,10 +333,8 @@ def triangular_structure(t: TwistData) -> TriangularStructure:
     The identity itself follows from the certified J J^-1 = 1 x 1: R_21 =
     (J_21^-1 J)_21 = J^-1 J_21, so R_21 R = J^-1 J_21 J_21^-1 J = 1 x 1 in the
     associative algebra C[H x H].  The product is still formed, as an exact
-    certificate of the R computed here.  It costs about as much as J J^-1:
-    R's folded cells carry N raw counts, but their fewest-term lists
-    (:meth:`CycArray.terms`) have one term each for the symplectic twists
-    (checked at p = 3, 5, 7).
+    certificate of the R computed here, at the cost of one dense product, as
+    J J^-1 is.
     """
     t.require_verified()
     m = t.size

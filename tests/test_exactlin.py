@@ -1,6 +1,7 @@
 """Exact cyclotomic arrays and linear algebra, cross-checked two ways:
 the reference arithmetic of ``cyc_reference`` and complex-float embeddings."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 
 from cotwist import exactlin
 from cotwist.errors import CotwistError
-from cotwist.exactlin import (CycArray, ProductCounts, accumulate_products, cyc_nullspace,
-                              cyc_rank, cyc_solve, cyc_tensordot, ga_identity, ga_mul, gather,
-                              invert_in_group_algebra)
+from cotwist.exactlin import (CycArray, ProductCounts, accumulate_products, contract_counts,
+                              cyc_nullspace, cyc_rank, cyc_solve, cyc_tensordot, ga_identity,
+                              ga_mul, gather, invert_in_group_algebra)
 from cotwist.scalars import euler_phi
-from cotwist.twist import load_twist_matrix
+from cotwist.twist import _sides_agree, load_twist_matrix
 from cyc_reference import add, canonical, embed, equal, mul, sub, values, zero
 
 
@@ -260,6 +261,170 @@ def test_accumulate_products_overflow_guard():
     near.counts[0, 0] = (1 << 32) + 1
     with pytest.raises(CotwistError, match="overflow int64"):
         ga_mul(near, near, _z3_table())
+
+
+# -- the contraction kernel -----------------------------------------------------
+
+
+def _raw_contraction(a: CycArray, b: CycArray) -> np.ndarray:
+    """Reference sum_k a[r, k] b[k, c] as raw coefficient tuples: no reduction mod Phi_N."""
+    oa, ob = values(a), values(b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=object)
+    for r, c in np.ndindex(*out.shape):
+        acc = zero(a.order)
+        for k in range(a.shape[1]):
+            acc = add(acc, mul(oa[r, k], ob[k, c]))
+        out[r, c] = acc
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6, 12])
+def test_contract_counts_matches_reference(order):
+    """Multi-term counts on unequal scales: the values of the reference sums,
+    and its raw counts, count for count."""
+    rng = np.random.default_rng(300 + order)
+    a = rand_cycarray(rng, (4, 5), order, span=3)
+    b = rand_cycarray(rng, (5, 3), order, span=3).scale_by(Fraction(5, 7))
+    assert a.scale != b.scale
+    got = CycArray(order, a.scale * b.scale, contract_counts(a.counts, b.counts))
+    want = _raw_contraction(a, b)
+    for idx, value in np.ndenumerate(values(got)):
+        assert equal(value, want[idx])
+        assert value == want[idx]
+
+
+class _Spy:
+    """A numpy function or ufunc that records the arguments of its calls and ``.at`` calls."""
+
+    def __init__(self, func):
+        self.func, self.calls, self.at_calls = func, [], []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(args)
+        return self.func(*args, **kwargs)
+
+    def at(self, *args, **kwargs):
+        self.at_calls.append(args)
+        return self.func.at(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.func, name)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Spies on the scatter (accumulate_products, np.add.at), np.matmul and np.tensordot."""
+    found = {name: _Spy(getattr(np, name)) for name in ("add", "matmul", "tensordot")}
+    for name, spy in found.items():
+        monkeypatch.setattr(np, name, spy)
+    found["accumulate_products"] = _Spy(exactlin.accumulate_products)
+    monkeypatch.setattr(exactlin, "accumulate_products", found["accumulate_products"])
+    return found
+
+
+@pytest.mark.parametrize("past", [False, True])
+def test_contract_counts_dtype_switch(past, spies):
+    """Counts at the 2**53 bound: float64 below it, the int64 matmul from it on
+    (below 2**63), and the reference values either way."""
+    order, inner = 5, 3
+    largest = math.isqrt((1 << 53) // (2 * inner * order))  # 2 K N largest**2 < 2**53
+    if past:
+        largest += 1
+    assert (2 * inner * order * largest ** 2 >= 1 << 53) == past
+    assert inner * order * largest ** 2 < 1 << 63
+    rng = np.random.default_rng(71)
+    a, b = (rand_cycarray(rng, shape, order, span=largest) for shape in ((2, inner), (inner, 2)))
+    a.counts[0, 0, 0], b.counts[1, 1, 3] = largest, -largest
+    got = CycArray(order, a.scale * b.scale, contract_counts(a.counts, b.counts))
+    dtype = np.int64 if past else np.float64
+    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)]
+    want = _raw_contraction(a, b)
+    for idx, value in np.ndenumerate(values(got)):
+        assert value == want[idx]
+
+
+def test_tensordot_keeps_raw_counts():
+    """cyc_tensordot contracts the raw counts, not fewest-term ones: its counts
+    are the reference's raw sums, for one axis, two axes and the outer product."""
+    rng = np.random.default_rng(73)
+    order = 5
+    a = rand_cycarray(rng, (3, 4), order)
+    b = rand_cycarray(rng, (4, 2), order)
+    a.counts[0, 0] = 2  # a cell of value 0 on five raw counts
+    got = values(cyc_tensordot(a, b, axes=([1], [0])))
+    want = _raw_contraction(a, b)
+    for idx, value in np.ndenumerate(got):
+        assert value == want[idx]
+    c = rand_cycarray(rng, (2, 3, 2), order)
+    both = values(cyc_tensordot(c, c, axes=([0, 2], [0, 2])))  # [j, j']
+    flat = c.transpose((1, 0, 2)).reshape(3, 4)
+    want = _raw_contraction(flat, flat.transpose((1, 0)))
+    for idx, value in np.ndenumerate(both):
+        assert value == want[idx]
+    outer = values(cyc_tensordot(a, b, axes=0))
+    oa, ob = values(a), values(b)
+    for i, j, k, l in np.ndindex(3, 4, 4, 2):
+        assert outer[i, j, k, l] == mul(oa[i, j], ob[k, l])
+
+
+def test_dense_products_run_no_scatter(spies, p3_twist):
+    """_sides_agree, a dense pair ga_mul and cyc_tensordot run one matmul each
+    and no scatter; cyc_tensordot runs no tensordot."""
+    t = p3_twist
+    table = t.group.mul.astype(np.int64)
+    assert _sides_agree(t.J, table[:, t.group.inv].T)
+    ga_mul(t.J, t.Jinv, table)
+    cyc_tensordot(t.J, t.Jinv, axes=([1], [0]))
+    assert not spies["accumulate_products"].calls and not spies["add"].at_calls
+    assert len(spies["matmul"].calls) == 3
+    assert not spies["tensordot"].calls
+
+
+def _symmetric_group_3():
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms])
+
+
+def test_dense_ga_mul_on_a_non_abelian_group(monkeypatch):
+    """Random dense operands in C[S3 x S3]: the reference product, and count
+    for count the scatter over the fewest-term lists on all of K^4."""
+    table = _symmetric_group_3()
+    assert not np.array_equal(table, table.T)
+    m, order = 6, 5
+    rng = np.random.default_rng(79)
+    u = rand_cycarray(rng, (m, m), order)
+    v = rand_cycarray(rng, (m, m), order).scale_by(Fraction(3, 2))
+    dense = []
+    kernel = exactlin._dense_pair_mul
+    monkeypatch.setattr(exactlin, "_dense_pair_mul", lambda *a: dense.append(1) or kernel(*a))
+    got = ga_mul(u, v, table)
+    assert dense == [1]
+
+    ou, ov, og = values(u), values(v), values(got)
+    want = np.empty((m, m), dtype=object)
+    want[...] = [[zero(order)] * m] * m
+    for a1, a2, b1, b2 in np.ndindex(m, m, m, m):
+        x, y = table[a1, b1], table[a2, b2]
+        want[x, y] = add(want[x, y], mul(ou[a1, a2], ov[b1, b2]))
+    for idx, value in np.ndenumerate(og):
+        assert equal(value, want[idx])
+
+    out = ProductCounts((m, m), order)
+    a1, a2, b1, b2 = np.ogrid[:m, :m, :m, :m]
+    accumulate_products(out, out.piece(gather(u.terms(), a1, a2), table[a1, b1] * m),
+                        out.piece(gather(v.terms(), b1, b2), table[a2, b2]))
+    oracle = out.fold(u.scale * v.scale)
+    assert np.array_equal(got.counts, oracle.counts) and got.scale == oracle.scale
+
+
+def test_dense_ga_mul_overflow_guard():
+    """Dense pair operands whose contraction counts fit int64 (3 * 3 * 2**59)
+    but whose sum over a1 could reach 2**63 (3 * 3 * 3 * 2**59): refused by name."""
+    u, v = CycArray.zeros((3, 3), 3), CycArray.zeros((3, 3), 3)
+    u.counts[..., 0], v.counts[..., 0] = 1 << 30, 1 << 29
+    with pytest.raises(CotwistError, match="overflow int64"):
+        ga_mul(u, v, _z3_table())
 
 
 # -- rank / solve / nullspace -------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from cotwist.dual_algebras import GroupAction, build_A1_A2_star
 from cotwist.errors import AuditError, CotwistError
 from cotwist.groups import (Subgroup, build_elementary_abelian_symplectic, double_cosets,
-                            stabilizer_Kg)
+                            stabilizer_Kg, stabilizer_local_indices)
 from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
                                 cocycle_identity_holds, multiplicity_law_check,
                                 projective_rep_from_action,
@@ -268,6 +268,19 @@ def test_pullback_on_nontrivial_coset(p3_diag_bundle):
     ok, mults = multiplicity_law_check(W, spec, inst.H.order)
     assert ok
     assert np.allclose(mults, [3.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("bundle", ["p5_diag_bundle", "wreath_bundle"])
+def test_tensor_rep_is_the_kron_of_each_pair(bundle, request):
+    """T_W from one broadcast product is bit-identical to np.kron per element of K_g."""
+    inst, ctx, zs = request.getfixturevalue(bundle)
+    for z in zs:
+        g = z.representative
+        Kg = stabilizer_Kg(inst.G, inst.H, g)
+        _, W = pullback_and_tensor_cocycle(ctx.V1, ctx.V2, g, Kg)
+        a_loc, conj_loc = stabilizer_local_indices(ctx.V1.group, Kg, g)
+        want = np.stack([np.kron(ctx.V2.T[a], ctx.V1.T[b]) for a, b in zip(a_loc, conj_loc)])
+        assert np.array_equal(W.T, want)
 
 
 def test_twisted_group_algebra_rejects_noncocycle(p3_pair):

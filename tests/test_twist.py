@@ -11,7 +11,8 @@ from cotwist.groups import Subgroup, build_elementary_abelian_symplectic
 from cotwist.twist import (TwistData, assemble_twist, load_twist_matrix, make_twist,
                            q_element_and_antipode_check, save_twist_file,
                            square_dimension_check, symplectic_twist,
-                           triangular_structure, verify_twist_axioms)
+                           triangular_structure, verify_twist_axioms, _sides_agree)
+from cyc_reference import add, equal, mul, values, zero
 
 AXIOM_NAMES = [
     "2-cocycle equation",
@@ -166,6 +167,47 @@ def test_counit_corruption_fails_only_the_counits(p3_pair, p3_twist):
     t, audit = assemble_twist(Subgroup(H, np.arange(9)), p3_twist.J.scale_by(2))
     assert not t.verified
     assert audit.failed == ["counit (left leg)", "counit (right leg)"]
+
+
+def _reference_sides_agree(X: CycArray, shift: np.ndarray) -> bool:
+    """sum_a X[a,w] X[a.u, a.v] == sum_a X[u,a] X[a.v, a.w] for all u, v, w, by
+    reference double sums (``cyc_reference``), apart from the package kernels."""
+    m = X.shape[0]
+    x = values(X)
+    for u, v, w in np.ndindex(m, m, m):
+        left, right = zero(X.order), zero(X.order)
+        for a in range(m):
+            left = add(left, mul(x[a, w], x[shift[a, u], shift[a, v]]))
+            right = add(right, mul(x[u, a], x[shift[a, v], shift[a, w]]))
+        if not equal(left, right):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("source", ["symplectic", "file", "gauge"])
+def test_sides_agree_matches_reference_sums(source, p3_twist, p3_gauge_diag_bundle, tmp_path):
+    """The three audits of _sides_agree against reference double sums, on the
+    p=3 twist as built, as the wreath table instance reads it from its twist
+    file (canonical counts over a common denominator) and gauge-transformed
+    (two-term cells): each passes, and fails once one cell's exponent of its X
+    is rotated."""
+    if source == "symplectic":
+        t = p3_twist
+    elif source == "file":
+        save_twist_file(tmp_path / "twist.txt", p3_twist)
+        t, audit = assemble_twist(p3_twist.subgroup, load_twist_matrix(tmp_path / "twist.txt"))
+        assert audit.ok
+    else:
+        t = p3_gauge_diag_bundle[0].t
+    table = t.group.mul.astype(np.int64)
+    inv = t.group.inv.astype(np.int64)
+    right_shift, left_shift = table[:, inv].T, table[inv]
+    for X, shift in ((t.J, right_shift), (t.J, left_shift), (t.Jinv, right_shift)):
+        rotated = X.copy()
+        rotated.counts[1, 2] = np.roll(X.counts[1, 2], 1)
+        for Y, holds in ((X, True), (rotated, False)):
+            assert _reference_sides_agree(Y, shift) is holds
+            assert _sides_agree(Y, shift) is holds
 
 
 def test_triangular_minimal(p3_twist):
