@@ -20,8 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
-from .dual_algebras import (SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra,
-                            determine_unit)
+from .dual_algebras import SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra
 from .errors import AuditError, CotwistError
 from .exactlin import CycArray, ProductCounts, accumulate_products, gather
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
@@ -261,10 +260,9 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
             counts[i] = np.take(row, s[:, None] * r + s, axis=0)
     else:
         counts = _orbit_structure_constants(A2s.mul, A1s.mul, members, reps)
-    mul = CycArray(n, A2s.mul.scale * A1s.mul.scale, counts)
-    ones = CycArray.from_exponents(n, np.zeros(r, dtype=np.int64))
-    name = f"invariants at g={g}"
-    return SCAlgebra(mul, determine_unit(mul, ones, name), name=name)
+    return SCAlgebra(CycArray(n, A2s.mul.scale * A1s.mul.scale, counts),
+                     CycArray.from_exponents(n, np.zeros(r, dtype=np.int64)),
+                     name=f"invariants at g={g}")
 
 
 # ---------------------------------------------------------------------------

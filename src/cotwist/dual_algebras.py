@@ -29,12 +29,17 @@ class SCAlgebra:
 
     ``mul[i, j, k]`` is the coefficient of basis element k in e_i e_j, either
     as an exact CycArray or as a complex ndarray; ``unit`` is the coefficient
-    vector of the multiplicative unit (same kind as ``mul``).
+    vector of the multiplicative unit (same kind as ``mul``).  An exact
+    algebra's unit is verified exactly when it is built (:func:`determine_unit`).
     """
 
     mul: object
     unit: object
     name: str = ""
+
+    def __post_init__(self):
+        if self.is_exact:
+            determine_unit(self.mul, self.unit, self.name)
 
     @property
     def dim(self) -> int:
@@ -77,29 +82,29 @@ class GroupAction:
     def verify(self, algebra: SCAlgebra) -> None:
         """Assert: group action, by algebra automorphisms, acting freely.
 
-        The composition check covers every pair: perms[a h] = perms[a] o
-        perms[h].  The exact automorphism compare mul[p, p, p] == mul then
-        runs only for the generators of ``group.generating_words``: automorphisms
-        compose, so along a word a = s_1 ... s_r the permutation perms[a] =
-        perms[s_1] o ... o perms[s_r] is one too, and the identity acts
-        trivially.
+        Both the composition check perms[a s] = perms[a] o perms[s] (for
+        every a) and the exact automorphism compare mul[p, p, p] == mul run
+        only for the generators s of ``group.generating_words``.  The
+        identity acts trivially and every element is a word a = s_1 ... s_r
+        in them, so perms[a] = perms[s_1] o ... o perms[s_r]: the composition
+        law extends along words, and automorphisms compose.
         """
         g = self.group
         m = g.order
         if self.perms.shape != (m, algebra.dim):
             raise AuditError("action table has the wrong shape")
-        if not np.array_equal(self.perms[0], np.arange(algebra.dim)):
-            raise AuditError("identity does not act trivially")
-        for a in range(m):
-            composed = self.perms[a][self.perms]  # [h, y] = perms[a][perms[h][y]]
-            if not np.array_equal(self.perms[g.mul[a]], composed):
-                raise AuditError("permutations do not compose like the group")
         ident = np.arange(algebra.dim)
-        for h in range(1, m):
-            if np.any(self.perms[h] == ident):
-                raise AuditError("action is not free")
+        if not np.array_equal(self.perms[0], ident):
+            raise AuditError("identity does not act trivially")
+        gens = g.generating_words()[0]
+        for s in gens:
+            # [a, y] = perms[a][perms[s][y]]
+            if not np.array_equal(self.perms[g.mul[:, s]], self.perms[:, self.perms[s]]):
+                raise AuditError("permutations do not compose like the group")
+        if np.any(self.perms[1:] == ident):
+            raise AuditError("action is not free")
         mc = algebra.mul.canonical()
-        for h in g.generating_words()[0]:
+        for h in gens:
             p = self.perms[h]
             if not np.array_equal(mc[np.ix_(p, p, p)], mc):
                 raise AuditError(f"basis permutation of element {h} is not an automorphism")
@@ -117,44 +122,31 @@ def _all_ones(n: int, order: int) -> CycArray:
     return out
 
 
-def unit_contraction(arr: CycArray, unit: CycArray, axis: int) -> CycArray:
-    """sum_i unit_i arr[..., i, ...] over ``axis``, exactly.
+def determine_unit(mul: CycArray, unit: CycArray, name: str) -> None:
+    """Verify exactly that ``unit`` is the two-sided unit of the algebra ``name``.
 
-    On ``mul`` this is u e_j (axis 0) or e_j u (axis 1) as an ``(n, n)``
-    array [j, k]; on such an ``(n, n)`` array, axis 0 gives u u.  For the
-    all-ones unit on its one-count representation the contraction is the
-    plain sum of the counts over ``axis``: exact in int64 while
-    n * max|count| < 2^63, which is checked (CotwistError).  Any other unit
-    is contracted by :func:`cyc_tensordot`.
+    Raises AuditError naming the algebra otherwise.  Every dual algebra here
+    is the dual of a counital coalgebra, whose unit is the counit: the
+    all-ones vector on the delta basis once the twist's counit axioms hold
+    (``require_verified``).  For that unit on its one-count representation
+    u e_j and e_j u are the plain sums of the counts over axis 0 and 1:
+    exact in int64 while n * max|count| < 2^63, which is checked
+    (CotwistError).  Any other unit is contracted by :func:`cyc_tensordot`.
     """
-    n = arr.shape[axis]
-    if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, arr.order).counts):
-        largest = max(int(arr.counts.max(initial=0)), -int(arr.counts.min(initial=0)))
-        if largest * n >= 1 << 63:
-            raise CotwistError("the unit sums would overflow int64 counts")
-        return CycArray(arr.order, arr.scale, arr.counts.sum(axis=axis))
-    return cyc_tensordot(unit, arr, axes=([0], [axis]))
-
-
-def determine_unit(mul: CycArray, candidate: CycArray, name: str) -> CycArray:
-    """Verify exactly that ``candidate`` is the unit of the algebra ``name``.
-
-    Every dual algebra here is the dual of a counital coalgebra, whose unit
-    is the counit: the all-ones vector on the delta basis once the twist's
-    counit axioms hold (``require_verified``).  Returns the candidate, or
-    raises AuditError naming the algebra.  Both sides u e_j and e_j u come
-    from :func:`unit_contraction`: plain count sums for the all-ones
-    candidate.
-    """
-    ident = _identity_matrix(mul.shape[0], mul.order)
+    n = mul.shape[0]
     try:
-        left = unit_contraction(mul, candidate, 0)
-        right = unit_contraction(mul, candidate, 1)
+        if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, mul.order).counts):
+            largest = max(int(mul.counts.max(initial=0)), -int(mul.counts.min(initial=0)))
+            if largest * n >= 1 << 63:
+                raise CotwistError("the unit sums would overflow int64 counts")
+            sides = [CycArray(mul.order, mul.scale, mul.counts.sum(axis=axis)) for axis in (0, 1)]
+        else:
+            sides = [cyc_tensordot(unit, mul, axes=([0], [axis])) for axis in (0, 1)]
     except CotwistError as exc:
         raise CotwistError(f"{name}: {exc}") from None
-    if not (left.eq(ident) and right.eq(ident)):
+    ident = _identity_matrix(n, mul.order)
+    if not all(side.eq(ident) for side in sides):
         raise AuditError(f"{name}: the counit is not a two-sided unit")
-    return candidate
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def build_A1_A2_star(t: TwistData):
 
     rho1(h): delta_y -> delta_{h y} acts on A1 and rho2(h): delta_y ->
     delta_{y h^-1} acts on A2; both are verified to act freely by algebra
-    automorphisms.  Units are verified counits (all-ones vectors).
+    automorphisms.  Units are the counits (all-ones vectors).
     """
     t.require_verified()
     group = t.group
@@ -187,13 +179,9 @@ def build_A1_A2_star(t: TwistData):
         mul1[:, :, x, :] = t.J.counts[np.ix_(idx1, idx1)]
         idx2 = mul[:, inv[x]]    # h -> h x^-1
         mul2[:, :, x, :] = t.Jinv.counts[np.ix_(idx2, idx2)]
-    A1_mul = CycArray(n, t.J.scale, mul1)
-    A2_mul = CycArray(n, t.Jinv.scale, mul2)
 
-    unit1 = determine_unit(A1_mul, _all_ones(m, n), "A1*")
-    unit2 = determine_unit(A2_mul, _all_ones(m, n), "A2*")
-    A1 = SCAlgebra(A1_mul, unit1, name="A1*")
-    A2 = SCAlgebra(A2_mul, unit2, name="A2*")
+    A1 = SCAlgebra(CycArray(n, t.J.scale, mul1), _all_ones(m, n), name="A1*")
+    A2 = SCAlgebra(CycArray(n, t.Jinv.scale, mul2), _all_ones(m, n), name="A2*")
 
     rho1 = GroupAction(group, mul.copy(), name="left translation")
     rho2 = GroupAction(group, mul[:, inv].T.copy(), name="right translation")
@@ -274,7 +262,7 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     S[h^-1 a h'^-1, h^-1 b h'^-1], where x = h g h' is x's first
     factorization: |Z| times fewer term pairs, then one gather.  Without the
     certificate every basis point takes its own kernel call.  The unit is
-    the verified restriction of the ambient counit (all-ones on the coset).
+    the restriction of the ambient counit (all-ones on the coset).
     """
     t.require_verified()
     G, elems, _ = _h_embedding(t)
@@ -314,9 +302,8 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
             right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
             accumulate_products(out, left, right)
         counts = out.fold(1).counts
-    mul = CycArray(t.order, t.J.scale * t.Jinv.scale, counts)
-    name = f"block[{coset.representative}]"
-    return SCAlgebra(mul, determine_unit(mul, _all_ones(nz, t.order), name), name=name)
+    return SCAlgebra(CycArray(t.order, t.J.scale * t.Jinv.scale, counts),
+                     _all_ones(nz, t.order), name=f"block[{coset.representative}]")
 
 
 # ---------------------------------------------------------------------------

@@ -431,9 +431,9 @@ def _dense_pair_mul(fu: np.ndarray, fv: np.ndarray, mul: np.ndarray) -> np.ndarr
     return W.reshape(m ** 3, n).take((ldiv[a, x] * m + y) * m + a, axis=0).sum(axis=0)
 
 
-def ga_identity(size: int, order: int, identity_index: int = 0) -> CycArray:
+def ga_identity(size: int, order: int) -> CycArray:
     out = CycArray.zeros((size,), order)
-    out.counts[identity_index, 0] = 1
+    out.counts[0, 0] = 1
     return out
 
 

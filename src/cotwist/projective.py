@@ -274,20 +274,17 @@ def multiplicity_law_check(W: ProjectiveRep, spectrum: WedderburnSpectrum,
     For each block of dimension d the multiplicity of that irreducible in W
     must equal (|H|/|K_g|) * d; the commutant dimension (sum of squared
     multiplicities) must equal |H|^2 / |K_g|.  Returns (ok, multiplicities).
+    The multiplicity is trace(E) / d for E = sum_a e_a T_W[a], and
+    trace(E) = sum_a e_a trace(T_W[a]), so one product of the stacked
+    idempotents with the traces gives them all.
     """
     k = W.size
     if h_size % k != 0:
         raise CotwistError(f"|K_g| = {k} does not divide |H| = {h_size}")
-    ratio = h_size // k
-    mults = []
-    ok = True
-    for d, e in zip(spectrum.dims, spectrum.idempotents):
-        E = np.einsum("a,aij->ij", e, W.T)
-        m = np.trace(E).real / d
-        mults.append(m)
-        if abs(np.trace(E).imag) > tol or abs(m - ratio * d) > tol:
-            ok = False
-    commutant = sum(m * m for m in mults)
-    if abs(commutant - h_size * h_size / k) > tol * max(1, h_size):
-        ok = False
-    return ok, mults
+    dims = np.asarray(spectrum.dims)
+    traces = spectrum.idempotents @ np.einsum("aii->a", W.T)
+    mults = traces.real / dims
+    ok = bool(np.all(np.abs(traces.imag) <= tol)
+              and np.all(np.abs(mults - (h_size // k) * dims) <= tol)
+              and abs(np.sum(mults ** 2) - h_size * h_size / k) <= tol * max(1, h_size))
+    return ok, list(mults)

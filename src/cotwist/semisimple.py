@@ -8,17 +8,16 @@ integer-rounding assertions.
 
 The exact center is certified before it is eliminated.  Counts equal to
 their transpose make an algebra commutative, with nothing else to check.
-Otherwise the unit is central, so when the image mod a prime of two seeded
-commutator slices, formed by exact float64 products, has rank n - 1 the
-center is exactly span(unit): a simple block, the common case, takes no
-exact elimination and forms no commutator tensor, and the one exact check
-left is that the given unit is central (u e_j == e_j u).  Any other rank
-leaves the answer to the exact nullspace of the commutator system, found in
-one narrowing pass, whose basis B is checked as B . mul == mul . B.
+Otherwise the unit, verified when the algebra was built, is central, so
+when the image mod a prime of two seeded commutator slices, formed by exact
+float64 products, has rank n - 1 the center is exactly span(unit): a simple
+block, the common case, takes no exact elimination and forms no commutator
+tensor.  Any other rank leaves the answer to the exact nullspace of the
+commutator system, found in one narrowing pass, whose basis B is checked as
+B . mul == mul . B.
 
 A one-dimensional exact center also decides the Wedderburn split without
-floating point: one block of dimension sqrt(n), with u u = u and
-trace L_u = n checked exactly.
+floating point: one block of dimension sqrt(n).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_algebras import SCAlgebra, unit_contraction
+from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
 from .exactlin import (CycArray, _modular_rank, cyc_nullspace, cyc_solve, cyc_tensordot,
                        ga_identity)
@@ -77,17 +76,12 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 
     Exhaustive up to EXHAUSTIVE_AUDIT_DIM basis elements, sampled (fixed
     internal seed, 200 triples) beyond that.  Returns False rather than
-    raising.
+    raising.  An exact algebra's unit was verified when it was built, so
+    only its associativity is checked here.
     """
     n = A.dim
     if A.is_exact:
         mul: CycArray = A.mul
-        ident = CycArray.zeros((n, n), mul.order)
-        ident.counts[np.arange(n), np.arange(n), 0] = 1
-        left_unit = cyc_tensordot(A.unit, mul, axes=([0], [0]))
-        right_unit = cyc_tensordot(A.unit, mul, axes=([0], [1]))
-        if not (left_unit.eq(ident) and right_unit.eq(ident)):
-            return False
         if n <= EXHAUSTIVE_AUDIT_DIM:
             lhs = cyc_tensordot(mul, mul, axes=([2], [0]))            # [i,j,k,l]
             rhs = cyc_tensordot(mul, mul, axes=([2], [1]))            # [j,k,i,l]
@@ -128,7 +122,7 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 # center
 
 
-def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
+def _exact_center_basis(A: SCAlgebra) -> CycArray:
     """Reduced basis of the center as CycArray rows ``(r, n)``, certified or narrowed.
 
     First exact commutativity: counts equal to their (1, 0) transpose make
@@ -138,8 +132,8 @@ def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
     Then the certificate for a one-dimensional center.  For two seeded
     integer vectors y (fixed internal seed, as in :func:`algebra_audit`) the
     rows S[(y, k), i] = sum_j y_j (mul[i,j,k] - mul[j,i,k]) are the matrices
-    of x -> x y - y x, so every central x solves S x = 0.  The unit is
-    central, so
+    of x -> x y - y x, so every central x solves S x = 0.  The unit, which
+    ``SCAlgebra`` verified when it was built, is central, so
 
         rank_l(S) <= rank(S) <= rank(commutator system) <= n - 1,
 
@@ -165,37 +159,28 @@ def _exact_center_basis(mul: CycArray, unit: CycArray) -> CycArray:
     A basis element that commutes with everything (its column D[:, j] is
     exactly zero) gives a zero system, whose nullspace is the identity, so
     it is skipped without a solve; when every column is zero the algebra
-    is commutative on canonical counts and the identity is returned.
-
-    Either result is checked once, exactly, against the full product; a
-    failure raises CotwistError.  The narrowed basis B is checked as
-    B . mul == mul . B by two contractions.  The certified basis is c unit
-    for a nonzero scalar c, so its check reads u e_j == e_j u for every j,
-    formed by :func:`unit_contraction` (two plain count sums for the
-    all-ones unit).  The unit is not assumed to be one: ``SCAlgebra`` takes
-    any vector, and a non-central one fails here by name.
+    is commutative on canonical counts and the identity is returned.  The
+    narrowed basis B is checked once, exactly, as B . mul == mul . B by two
+    contractions; a failure raises CotwistError.
     """
-    n = mul.shape[0]
-    identity = CycArray.zeros((n, n), mul.order)
-    identity.counts[np.arange(n), np.arange(n), 0] = 1
+    mul = A.mul
+    identity = _identity_matrix(A.dim, mul.order)
     if np.array_equal(mul.counts, mul.counts.transpose(1, 0, 2, 3)):
         return identity
-    basis = _unit_if_center(mul, unit)
+    basis = _unit_if_center(mul, A.unit)
     if basis is not None:
-        central = unit_contraction(mul, unit, 0).eq(unit_contraction(mul, unit, 1))
-    else:
-        diff = _commutator_tensor(mul)
-        noncentral = np.flatnonzero(~diff.zero_mask().all(axis=(0, 2)))
-        if not noncentral.size:
-            return identity
-        basis = identity
-        for j in noncentral:
-            system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
-            # reduced() keeps the counts from compounding the scales of the products
-            basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
-        central = cyc_tensordot(basis, mul, axes=([1], [0])).eq(
-            cyc_tensordot(basis, mul, axes=([1], [1])))
-    if not central:
+        return basis
+    diff = _commutator_tensor(mul)
+    noncentral = np.flatnonzero(~diff.zero_mask().all(axis=(0, 2)))
+    if not noncentral.size:
+        return identity
+    basis = identity
+    for j in noncentral:
+        system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
+        # reduced() keeps the counts from compounding the scales of the products
+        basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
+    if not cyc_tensordot(basis, mul, axes=([1], [0])).eq(
+            cyc_tensordot(basis, mul, axes=([1], [1]))):
         raise CotwistError("center verification failed against the full product")
     return basis
 
@@ -273,13 +258,12 @@ def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
     the identity basis when the counts are symmetric, span(A.unit) when a
     modular rank certifies that the center is one-dimensional, as it is for
     every simple block, and the exact narrowing pass otherwise
-    (:func:`_exact_center_basis`).  The last two give the same reduced
-    basis: the certified one with A.unit checked central, the narrowed one
-    checked against the full product.  Float algebras take a numerically
+    (:func:`_exact_center_basis`), checked against the full product.  The
+    last two give the same reduced basis.  Float algebras take a numerically
     guarded SVD.
     """
     if A.is_exact:
-        return _exact_center_basis(A.mul, A.unit).embed()
+        return _exact_center_basis(A).embed()
     return _float_center_basis(np.asarray(A.mul), tol)
 
 
@@ -426,27 +410,16 @@ def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
     """Exact spectrum of an exact algebra with center span(unit): one block.
 
     This is the float route's answer read exactly.  With one cluster its
-    idempotent is u, its residual |u u - u|, and its dimension
-    d = sqrt(trace L_u) with d^2 = n.  So n must be a perfect square (the
-    float route's "not close to an integer" otherwise), u u = u exactly, and
-    trace L_u = sum_j (u e_j)_j = n exactly (it is when u is the unit, and
-    ``SCAlgebra`` does not assume that).  Both come from L = u e_j, the
-    plain count sums of :func:`unit_contraction` for the all-ones unit: no
-    complex embedding of ``mul`` and no eigenproblem.
+    idempotent is the unit u, its residual |u u - u| = 0, and its dimension
+    d = sqrt(trace L_u) = sqrt(n), since L_u is the identity: both hold
+    because ``SCAlgebra`` verified u as the unit when it was built.  So n
+    must be a perfect square (the float route's "not close to an integer"
+    otherwise), and no embedding of ``mul`` or eigenproblem is needed.
     """
-    n = A.dim
-    d = math.isqrt(n)
-    if d * d != n:
+    d = math.isqrt(A.dim)
+    if d * d != A.dim:
         raise CotwistError(
-            f"block dimension {math.sqrt(n)} is not close to an integer (non-semisimple input?)")
-    left = unit_contraction(A.mul, A.unit, 0)                        # [j, k] = (u e_j)_k
-    if not unit_contraction(left, A.unit, 0).eq(A.unit):
-        raise CotwistError("central idempotent residual is not zero: u u != u exactly")
-    diagonal = np.arange(n)
-    trace = CycArray(left.order, left.scale,
-                     left.counts[diagonal, diagonal].sum(axis=0, keepdims=True))
-    if not trace.eq(ga_identity(1, left.order).scale_by(n)):
-        raise CotwistError(f"block trace {complex(trace.embed()[0])} is not the dimension {n}")
+            f"block dimension {math.sqrt(A.dim)} is not close to an integer (non-semisimple input?)")
     return WedderburnSpectrum(dims=[d], idempotent_residual=0.0,
                               idempotents=A.unit_complex()[None])
 

@@ -147,9 +147,9 @@ def symplectic_twist(H: FiniteGroup, sigma: Bicharacter) -> TwistData:
 
     because sigma is nondegenerate: sum_b sigma(u, b) is |H| for u = 0 and
     0 otherwise, and likewise sum_a sigma(a, v).  The axiom audit still
-    certifies the inverse by its exact product.
+    certifies the inverse by its exact product.  ``sigma`` was verified
+    when it was built.
     """
-    sigma.verify()
     m = H.order
     J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, m))
     t = TwistData(subgroup=Subgroup(H, np.arange(m)), order=sigma.order, J=J,

@@ -269,6 +269,23 @@ def test_malformed_table_instance_exits_2(tmp_path, capsys, target, old, new, me
         assert str(path) in stderr  # the message names the file
 
 
+def test_non_associative_table_exits_2(tmp_path, capsys):
+    """An order-5 loop, with an identity and inverses but not associative,
+    with H = {e} and the order-1 twist: refused as a malformed table."""
+    group_file = tmp_path / "loop.txt"
+    group_file.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")
+    twist_file = tmp_path / "twist.txt"
+    twist_file.write_text("1 1\n1/1*E(1)^0\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"construction": {
+        "type": "table", "group_file": str(group_file), "subgroup": [0],
+        "twist_file": str(twist_file)}}))
+    rc, stdout, stderr = run_cli(["spectrum", "--config", str(cfg)], capsys)
+    assert rc == 2
+    assert stdout == ""
+    assert f"Cayley file {group_file}: table is not associative" in stderr
+
+
 def test_bad_json_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -67,6 +67,38 @@ def test_symplectic_rejects_bad_p():
             build_elementary_abelian_symplectic(p, 1)
 
 
+def test_bicharacter_refusals_by_name(p3_pair):
+    """Each law is refused by name when a Bicharacter is built.  The first
+    slot is corrupted on a non-generator row: multiplicativity is compared
+    with generators only in the multiplied slot, at every a."""
+    H, sigma = p3_pair
+    assert 4 not in H.generating_words()[0]
+    x, y = np.array(H.labels).T
+    first = sigma.exponents.copy()
+    first[4, 1] += 1
+    H4, _ = build_elementary_abelian_symplectic(3, 2)
+    x1, _, y1, _ = np.array(H4.labels).T
+    refused = [(H, first, "not multiplicative in the first slot"),
+               (H, np.outer(x, y * y), "not multiplicative in the second slot"),
+               (H, np.outer(x, x), "is not skew-symmetric"),
+               (H4, np.outer(x1, y1) - np.outer(y1, x1), "is degenerate")]
+    for group, exponents, message in refused:
+        with pytest.raises(CotwistError, match=f"bicharacter {message}"):
+            Bicharacter(group, 3, exponents % 3)
+
+
+def test_bicharacter_verified_once_per_symplectic_build(monkeypatch):
+    """build_elementary_abelian_symplectic and symplectic_twist together
+    verify the bicharacter once, when it is built."""
+    from cotwist.twist import symplectic_twist
+
+    calls, verify = [], Bicharacter.verify
+    monkeypatch.setattr(Bicharacter, "verify", lambda self: calls.append(self) or verify(self))
+    H, sigma = build_elementary_abelian_symplectic(3, 1)
+    symplectic_twist(H, sigma)
+    assert len(calls) == 1 and calls[0] is sigma
+
+
 def test_semidirect_orders_and_normality():
     H, _ = build_elementary_abelian_symplectic(3, 1)
     G1, H1 = build_semidirect(H, 3, [[[1, 1], [0, 1]]])
@@ -178,6 +210,33 @@ def test_file_rejects_malformed(tmp_path):
         FiniteGroup.from_file(bad)
 
 
+#: an order-5 loop: identity 0, every element its own inverse, not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+#: an order-6 loop with generators [1, 2], where only the last one fails to associate
+LOOP6 = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1], [3, 2, 5, 4, 1, 0],
+         [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+
+
+def test_verify_associativity_by_lights_test(wreath_bundle, tmp_path):
+    """Light's test on the generators accepts S_3, the wreath table and
+    (Z/3)^4, and refuses both loops: on the order-6 loop only the last
+    generator decides.  ``from_file`` refuses the order-5 loop."""
+    H4, _ = build_elementary_abelian_symplectic(3, 2)
+    for G in (s3_table(), wreath_bundle[0].G, H4):
+        assert G.verify_associativity()
+    six = FiniteGroup(np.array(LOOP6))
+    mul = six.mul
+    assert six.generating_words()[0].tolist() == [1, 2]
+    assert np.array_equal(mul[:, mul[1, :]], mul[mul[:, 1], :])
+    assert not six.verify_associativity()
+    loop = FiniteGroup(np.array(LOOP5))
+    assert not loop.verify_associativity()
+    path = tmp_path / "loop.txt"
+    loop.to_file(path)
+    with pytest.raises(CotwistError, match="table is not associative"):
+        FiniteGroup.from_file(path)
+
+
 def _generating_words_oracle(G):
     """Check ``generating_words`` against its contract with plain loops."""
     gens, order, parent, via = G.generating_words()
@@ -227,17 +286,32 @@ def test_generating_words_wreath_and_intermediate_tables(wreath_bundle):
 
 def test_action_composition_checked_at_every_element(p3_duals):
     """A permutation corrupted at a non-generator is refused by the
-    composition check, which still covers all of H."""
+    composition check perms[a s] = perms[a] o perms[s], which runs for every
+    a but for the generators s only."""
     from cotwist.dual_algebras import GroupAction
     from cotwist.errors import AuditError
 
     A1, _, rho1, _ = p3_duals
     gens = rho1.group.generating_words()[0]
-    assert 4 not in gens
-    perms = rho1.perms.copy()
-    perms[4, [0, 1]] = perms[4, [1, 0]]
-    with pytest.raises(AuditError, match="do not compose like the group"):
-        GroupAction(rho1.group, perms).verify(A1)
+    # 4 = 1 3 is a product of two generators, 8 = (2, 2) is not
+    for bad in (4, 8):
+        assert bad not in gens
+        perms = rho1.perms.copy()
+        perms[bad, [0, 1]] = perms[bad, [1, 0]]
+        with pytest.raises(AuditError, match="do not compose like the group"):
+            GroupAction(rho1.group, perms).verify(A1)
+
+
+def test_trivial_action_is_not_free(p3_duals):
+    """Every element acting as the identity composes like the group and by
+    automorphisms, and only the freeness compare refuses it."""
+    from cotwist.dual_algebras import GroupAction
+    from cotwist.errors import AuditError
+
+    A1, _, rho1, _ = p3_duals
+    still = np.broadcast_to(np.arange(A1.dim), rho1.perms.shape)
+    with pytest.raises(AuditError, match="action is not free"):
+        GroupAction(rho1.group, still).verify(A1)
 
 
 def test_action_automorphism_checked_on_generators(p3_duals, monkeypatch):

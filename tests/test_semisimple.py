@@ -1,6 +1,7 @@
 """Wedderburn decomposition on algebras with known spectra, plus the
 randomized splitter and its retry machinery."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from cotwist import semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
-from cotwist.errors import CotwistError, SeedRetryError
+from cotwist.errors import AuditError, CotwistError, SeedRetryError
 from cotwist.exactlin import CycArray, cyc_nullspace, cyc_tensordot
 from cotwist.groups import Subgroup, double_cosets, stabilizer_Kg
 from cotwist.projective import twisted_group_algebra
@@ -179,7 +180,7 @@ def test_exact_center_of_block(p3_diag_bundle, nullspace_calls):
     blk = build_block_algebra(inst.t, zs[1])      # the M_3 block
     cb = center_basis(blk)
     assert cb.shape[0] == 1
-    basis = _exact_center_basis(blk.mul, blk.unit)
+    basis = _exact_center_basis(blk)
     assert nullspace_calls == []
     expected = cyc_nullspace(_commutator_system(blk.mul))
     assert basis.eq(expected)
@@ -193,11 +194,11 @@ def test_short_modular_rank_falls_back_to_narrowing(p3_diag_bundle, nullspace_ca
     certificate: the narrowing pass runs and returns the same basis."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
-    certified = _exact_center_basis(blk.mul, blk.unit)
+    certified = _exact_center_basis(blk)
     ranks = []
     monkeypatch.setattr(semisimple, "_modular_rank",
                         lambda mat: ranks.append(mat.shape) or blk.dim - 2)
-    narrowed = _exact_center_basis(blk.mul, blk.unit)
+    narrowed = _exact_center_basis(blk)
     assert ranks == [(2 * blk.dim, blk.dim)]
     assert len(nullspace_calls) > 0
     assert np.array_equal(narrowed.counts, certified.counts)
@@ -228,7 +229,7 @@ def test_exact_center_of_s3_is_class_sums(nullspace_calls):
     classes = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
     expected = CycArray.zeros((3, 6), 3)
     expected.counts[..., 0] = classes
-    basis = _exact_center_basis(A.mul, A.unit)
+    basis = _exact_center_basis(A)
     noncentral = int(np.count_nonzero(np.any(table != table.T, axis=0)))
     assert noncentral == 5
     assert len(nullspace_calls) == noncentral
@@ -243,14 +244,15 @@ def test_exact_center_of_commutative_algebra_takes_no_solve(nullspace_calls):
     identity = CycArray.zeros((5, 5), 5)
     identity.counts[np.arange(5), np.arange(5), 0] = 1
     A = exact_group_algebra(cyclic_table(5), 5)
-    assert _exact_center_basis(A.mul, A.unit).eq(identity)
+    assert _exact_center_basis(A).eq(identity)
     assert nullspace_calls == []
 
 
 def test_commutative_block_center_skips_the_closing_contraction(p3_diag_bundle,
                                                                 nullspace_calls, monkeypatch):
     """The commutative block over H: identity basis, no solve and no closing
-    contraction.  One constant patched off commutativity reaches the modular
+    contraction.  Constants patched off commutativity in a checkerboard,
+    which keeps every row and column sum and so the unit, reach the modular
     certificate, the narrowing pass and the closing check."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[0])
@@ -261,13 +263,13 @@ def test_commutative_block_center_skips_the_closing_contraction(p3_diag_bundle,
     monkeypatch.setattr(semisimple, "cyc_tensordot",
                         lambda a, b, axes: contractions.append(axes) or contract(a, b, axes))
     formed = count_calls(monkeypatch, "_commutator_tensor", "_commutator_rows")
-    assert _exact_center_basis(blk.mul, blk.unit).eq(identity)
+    assert _exact_center_basis(blk).eq(identity)
     assert contractions == [] and nullspace_calls == []
     assert formed == []
 
     patched = blk.mul.copy()
-    patched.counts[1, 2, 0, 0] += 1
-    basis = _exact_center_basis(patched, blk.unit)
+    patched.counts[[1, 1, 4, 4], [2, 3, 2, 3], 0, 0] += [1, -1, -1, 1]
+    basis = _exact_center_basis(SCAlgebra(patched, blk.unit, name="patched"))
     assert formed == ["_commutator_rows", "_commutator_tensor"]
     assert nullspace_calls and basis.shape[0] < n
     assert contractions[-2:] == [([1], [0]), ([1], [1])]
@@ -283,16 +285,17 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_certified_center_rejects_a_noncentral_unit(p3_diag_bundle):
-    """The M_3 block with unit + e_0 as its unit: the certificate on ``mul``
-    still holds, so only the closing check u e_j == e_j u can refuse it."""
+def test_noncentral_unit_refused_when_built(p3_diag_bundle):
+    """The M_3 block with unit + e_0 as its unit: the center certificate on
+    ``mul`` still holds, so the unit check that ``SCAlgebra`` runs when it is
+    built is what refuses it, naming the algebra."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
     bad = blk.unit.copy()
     bad.counts[0, 0] += 1
     assert _unit_if_center(blk.mul, bad) is not None
-    with pytest.raises(CotwistError, match="center verification failed against the full product"):
-        _exact_center_basis(blk.mul, bad)
+    with pytest.raises(AuditError, match=re.escape(f"{blk.name}: the counit is not")):
+        SCAlgebra(blk.mul, bad, name=blk.name)
 
 
 def test_narrowed_center_rejects_a_noncentral_basis(monkeypatch):
@@ -307,7 +310,7 @@ def test_narrowed_center_rejects_a_noncentral_basis(monkeypatch):
 
     monkeypatch.setattr(semisimple, "cyc_nullspace", keep_all)
     with pytest.raises(CotwistError, match="center verification failed against the full product"):
-        _exact_center_basis(A.mul, A.unit)
+        _exact_center_basis(A)
 
 
 @pytest.fixture(scope="module")
@@ -378,12 +381,12 @@ def test_counts_past_the_float_bound_take_the_narrowing_pass(p3_diag_bundle, nul
     returns the certified basis."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
-    certified = _exact_center_basis(blk.mul, blk.unit)
+    certified = _exact_center_basis(blk)
     scaled = CycArray(blk.mul.order, blk.mul.scale / (1 << 40), blk.mul.counts << 40)
     assert scaled.eq(blk.mul)
     assert _commutator_rows(scaled, seeded_draws(blk.dim)) is None
     ranks = count_calls(monkeypatch, "_modular_rank")
-    narrowed = _exact_center_basis(scaled, blk.unit)
+    narrowed = _exact_center_basis(SCAlgebra(scaled, blk.unit))
     assert ranks == [] and len(nullspace_calls) > 0
     assert np.array_equal(narrowed.counts, certified.counts)
     assert narrowed.scale == certified.scale
@@ -428,30 +431,30 @@ def test_t2_one_dim_center_is_not_a_square():
             wedderburn_dims_retrying(alg, seed=0)
 
 
-def test_one_dim_center_checks_the_unit_exactly(p3_diag_bundle):
-    """A central non-unit fails exactly: 2u is central but 2u 2u != 2u; a
-    unit doubled on counts and halved on scale is the same unit."""
+def test_doubled_unit_refused_when_built(p3_diag_bundle):
+    """2u is central but no unit, and is refused exactly when the algebra is
+    built; a unit doubled on counts and halved on scale is the same unit,
+    and the one-block split takes it."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
-    with pytest.raises(CotwistError, match="idempotent residual"):
-        wedderburn_dims_retrying(SCAlgebra(blk.mul, blk.unit.scale_by(2)), seed=0)
+    with pytest.raises(AuditError, match=re.escape(f"{blk.name}: the counit is not")):
+        SCAlgebra(blk.mul, blk.unit.scale_by(2), name=blk.name)
     same = CycArray(blk.unit.order, Fraction(1, 2), 2 * blk.unit.counts)
     assert wedderburn_dims_retrying(SCAlgebra(blk.mul, same), seed=0).dims == [3]
 
 
-def test_one_dim_center_checks_the_trace(monkeypatch):
-    """Exact M_2 with the idempotent E11 posing as its unit, the certificate
-    refused so the narrowing pass (which never reads the unit) finds the
-    scalars: E11 E11 = E11, but trace L_E11 = 2, not 4.  The float route
-    fails on the same trace (sqrt 2 is not an integer)."""
+def test_idempotent_posing_as_unit_refused_when_built():
+    """Exact M_2 with the idempotent E11 posing as its unit: E11 E11 = E11,
+    but E11 e_j != e_j, and the algebra is refused when built.  A float
+    algebra is not audited when built; its route fails on the trace,
+    trace L_E11 = 2 (sqrt 2 is not an integer)."""
     floating = matrix_units_algebra(2)
     counts = np.zeros((4, 4, 4, 3), dtype=np.int64)
     counts[..., 0] = floating.mul.real.astype(np.int64)
     e11 = CycArray.zeros((4,), 3)
     e11.counts[0, 0] = 1
-    monkeypatch.setattr(semisimple, "_modular_rank", lambda mat: 0)
-    with pytest.raises(CotwistError, match="block trace"):
-        wedderburn_dims_retrying(SCAlgebra(CycArray(3, Fraction(1), counts), e11), seed=0)
+    with pytest.raises(AuditError, match=r"exact M_2: the counit is not"):
+        SCAlgebra(CycArray(3, Fraction(1), counts), e11, name="exact M_2")
     with pytest.raises(CotwistError, match="is not close to an integer"):
         wedderburn_dims_retrying(SCAlgebra(floating.mul, e11.embed()), seed=0)
 
