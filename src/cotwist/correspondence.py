@@ -676,5 +676,5 @@ def render_table(report: Report) -> str:
     t = report.totals
     lines.append(
         f"totals: |G|={t['group_order']} |H|={t['subgroup_order']} "
-        f"cosets={t['coset_size_total']} blocks={t['block_square_total']}")
+        f"cosets={len(report.cosets)} Σ|Z|={t['coset_size_total']} Σd²={t['block_square_total']}")
     return "\n".join(lines) + "\n"

@@ -96,7 +96,7 @@ class GroupAction:
         ident = np.arange(algebra.dim)
         if not np.array_equal(self.perms[0], ident):
             raise AuditError("identity does not act trivially")
-        gens = g.generating_words()[0]
+        gens = g.generating_words[0]
         for s in gens:
             # [a, y] = perms[a][perms[s][y]]
             if not np.array_equal(self.perms[g.mul[:, s]], self.perms[:, self.perms[s]]):

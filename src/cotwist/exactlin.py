@@ -94,6 +94,13 @@ def _largest(counts: np.ndarray) -> int:
     return max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
 
 
+def canonical_counts(counts: np.ndarray, order: int) -> np.ndarray:
+    """Counts on the canonical basis of Q(zeta_N); for prime N, where zeta^(N-1)
+    is minus the sum of the lower powers, the counts minus the last one."""
+    red = _reduction_table(order)
+    return counts[..., :-1] - counts[..., -1:] if red.shape[1] == order - 1 else counts @ red
+
+
 class CycArray:
     """Exact cyclotomic array: ``value = scale * sum_k counts[..., k] zeta^k``."""
 
@@ -143,8 +150,7 @@ class CycArray:
 
     def canonical(self) -> np.ndarray:
         """Integer coefficients on the canonical basis (scale still applies)."""
-        red = _reduction_table(self.order)
-        return self.counts @ red
+        return canonical_counts(self.counts, self.order)
 
     def zero_mask(self) -> np.ndarray:
         return ~np.any(self.canonical(), axis=-1)
@@ -226,8 +232,7 @@ class CycArray:
 
     def eq(self, other: "CycArray") -> bool:
         ca, cb, _ = self._aligned(other)
-        red = _reduction_table(self.order)
-        return bool(np.array_equal(ca @ red, cb @ red))
+        return bool(np.array_equal(*(canonical_counts(x, self.order) for x in (ca, cb))))
 
     def embed(self) -> np.ndarray:
         """Complex float array of the values."""
@@ -551,9 +556,11 @@ def _modular_rank(mat: CycArray) -> int:
         below = np.flatnonzero(a[rank:, c])
         if not below.size:
             continue
-        a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
-        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), -1, ell) % ell
-        a[rank + 1:, c:] = (a[rank + 1:, c:] - a[rank + 1:, c:c + 1] * a[rank, c:]) % ell
+        if below[0]:
+            a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
+        if below.size > 1:  # clear the rows below, right of column c: c is not read again
+            rows, pivot = a[rank + 1:], a[rank, c + 1:] * pow(int(a[rank, c]), -1, ell) % ell
+            rows[:, c + 1:] = (rows[:, c + 1:] - rows[:, c:c + 1] * pivot) % ell
         rank += 1
         if rank == a.shape[0]:
             break

@@ -61,7 +61,7 @@ class FiniteGroup:
         generators, so the whole table associates.
         """
         mul = self.mul
-        for s in self.generating_words()[0]:
+        for s in self.generating_words[0]:
             if not np.array_equal(mul[:, mul[s, :]], mul[mul[:, s], :]):
                 return False
         return True
@@ -70,12 +70,13 @@ class FiniteGroup:
         """g^-1 h g."""
         return self.mul[self.mul[self.inv[g], h], g]
 
+    @cached_property
     def generating_words(self):
-        """A greedy generating set and a word in it for every element.
+        """A greedy generating set and a word in it for every element, once per group.
 
-        Returns ``(gens, order, parent, via)``.  ``gens`` lists, in index
-        order, each element outside the subgroup generated by the ones before
-        it; the trivial group has none.  ``order`` lists every element once,
+        ``(gens, order, parent, via)``, read-only arrays.  ``gens`` lists, in
+        index order, each element outside the subgroup generated by the ones
+        before it; the trivial group has none.  ``order`` lists every element once,
         identity first, by breadth-first search over right multiplication by
         ``gens``, so that a = parent[a] * gens[via[a]] for every a other than
         the identity, with parent[a] listed before a.  ``parent`` and ``via``
@@ -103,7 +104,10 @@ class FiniteGroup:
                 if b and parent[b] < 0:
                     parent[b], via[b] = a, i
                     order.append(b)
-        return np.array(gens, dtype=np.int64), np.array(order, dtype=np.int64), parent, via
+        words = np.array(gens, dtype=np.int64), np.array(order, dtype=np.int64), parent, via
+        for w in words:
+            w.flags.writeable = False
+        return words
 
     # -- file format -------------------------------------------------------
 
@@ -210,7 +214,7 @@ class Bicharacter:
         products, e[a (s t), c] = e[(a s) t, c] = e[a, c] + e[s t, c], and
         every element is a product of generators."""
         e, mul, n = self.exponents, self.group.mul, self.order
-        slots = np.append(self.group.generating_words()[0], 0)
+        slots = np.append(self.group.generating_words[0], 0)
         for s in slots:
             if np.any((e[mul[:, s], :] - e - e[s][None, :]) % n):
                 raise CotwistError("bicharacter not multiplicative in the first slot")

@@ -137,7 +137,7 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
     """Projective representation induced by a free automorphism action.
 
     Skolem-Noether is solved only for the generators s of
-    ``act.group.generating_words()``.  T[identity] is the identity, and in
+    ``act.group.generating_words``.  T[identity] is the identity, and in
     breadth-first order every other T[a] = T[parent[a]] T[s] along its word,
     brought back to the gauge of :func:`skolem_noether`.  This is sound
     because ``GroupAction.verify`` checks perms[a s] = perms[a] o perms[s]:
@@ -165,7 +165,7 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
     """
     k = act.group.order
     n = pi.shape[1]
-    gens, order, parent, via = act.group.generating_words()
+    gens, order, parent, via = act.group.generating_words
     gen_T = [skolem_noether(pi, action_matrix(act.perms[s]), tol) for s in gens]
     T = np.empty((k, n, n), dtype=complex)
     T[0] = np.eye(n)
@@ -281,6 +281,8 @@ def multiplicity_law_check(W: ProjectiveRep, spectrum: WedderburnSpectrum,
     k = W.size
     if h_size % k != 0:
         raise CotwistError(f"|K_g| = {k} does not divide |H| = {h_size}")
+    if spectrum.idempotents is None:
+        raise CotwistError("multiplicity law needs a spectrum with float idempotents")
     dims = np.asarray(spectrum.dims)
     traces = spectrum.idempotents @ np.einsum("aii->a", W.T)
     mults = traces.real / dims

@@ -6,8 +6,8 @@ and only the distribution of block dimensions uses floating point
 (eigenvalue clustering of a random central element), backed by
 integer-rounding assertions.
 
-The exact center is certified before it is eliminated.  Counts equal to
-their transpose make an algebra commutative, with nothing else to check.
+The exact center is certified before it is eliminated.  Counts canonically
+equal to their transpose make an algebra commutative, nothing else to check.
 Otherwise the unit, verified when the algebra was built, is central, so
 when the image mod a prime of two seeded commutator slices, formed by exact
 float64 products, has rank n - 1 the center is exactly span(unit): a simple
@@ -16,8 +16,8 @@ tensor.  Any other rank leaves the answer to the exact nullspace of the
 commutator system, found in one narrowing pass, whose basis B is checked as
 B . mul == mul . B.
 
-A one-dimensional exact center also decides the Wedderburn split without
-floating point: one block of dimension sqrt(n).
+An exact center of dimension 1 or n also decides the split exactly: one block
+of sqrt(n), or n blocks of 1 when a modular rank certifies the trace form.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (CycArray, _modular_rank, cyc_nullspace, cyc_solve, cyc_tensordot,
-                       ga_identity)
+from .exactlin import (CycArray, _modular_rank, canonical_counts, cyc_nullspace,
+                       cyc_solve, cyc_tensordot, ga_identity)
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -48,7 +48,7 @@ class WedderburnSpectrum:
 
     dims: list[int]
     idempotent_residual: float
-    idempotents: np.ndarray = field(repr=False, default=None)
+    idempotents: np.ndarray = field(repr=False, default=None)  # None from _split_commutative
 
 
 def derived_seed(seed: int, attempt: int) -> int:
@@ -125,9 +125,9 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 def _exact_center_basis(A: SCAlgebra) -> CycArray:
     """Reduced basis of the center as CycArray rows ``(r, n)``, certified or narrowed.
 
-    First exact commutativity: counts equal to their (1, 0) transpose make
-    mul[i, j, k] = mul[j, i, k] literally, so the center is everything and
-    the identity basis is returned with no further work.
+    First exact commutativity: counts canonically (:func:`canonical_counts`)
+    equal to their (1, 0) transpose - on row 0 first, then literally or on
+    the difference - make mul[i, j, k] = mul[j, i, k]: the identity basis.
 
     Then the certificate for a one-dimensional center.  For two seeded
     integer vectors y (fixed internal seed, as in :func:`algebra_audit`) the
@@ -158,23 +158,20 @@ def _exact_center_basis(A: SCAlgebra) -> CycArray:
     the result equals the reduced nullspace of the full commutator system.
     A basis element that commutes with everything (its column D[:, j] is
     exactly zero) gives a zero system, whose nullspace is the identity, so
-    it is skipped without a solve; when every column is zero the algebra
-    is commutative on canonical counts and the identity is returned.  The
-    narrowed basis B is checked once, exactly, as B . mul == mul . B by two
-    contractions; a failure raises CotwistError.
+    it is skipped without a solve.  The narrowed basis B is checked once,
+    exactly, as B . mul == mul . B by two contractions; a failure raises
+    CotwistError.
     """
-    mul = A.mul
-    identity = _identity_matrix(A.dim, mul.order)
-    if np.array_equal(mul.counts, mul.counts.transpose(1, 0, 2, 3)):
-        return identity
-    basis = _unit_if_center(mul, A.unit)
-    if basis is not None:
+    mul, c, ct = A.mul, A.mul.counts, A.mul.counts.transpose(1, 0, 2, 3)
+    basis = _identity_matrix(A.dim, mul.order)
+    if np.array_equal(canonical_counts(c[0], mul.order), canonical_counts(ct[0], mul.order)) and (
+            np.array_equal(c, ct) or not canonical_counts(c - ct, mul.order).any()):
         return basis
+    unit = _unit_if_center(mul, A.unit)
+    if unit is not None:
+        return unit
     diff = _commutator_tensor(mul)
     noncentral = np.flatnonzero(~diff.zero_mask().all(axis=(0, 2)))
-    if not noncentral.size:
-        return identity
-    basis = identity
     for j in noncentral:
         system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
         # reduced() keeps the counts from compounding the scales of the products
@@ -255,9 +252,9 @@ def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
     """Complex matrix (r, dim) whose rows span the center.
 
     For exact algebras the center is exact (the row count r is then certain):
-    the identity basis when the counts are symmetric, span(A.unit) when a
-    modular rank certifies that the center is one-dimensional, as it is for
-    every simple block, and the exact narrowing pass otherwise
+    the identity basis when the counts are canonically symmetric, span(A.unit)
+    when a modular rank certifies that the center is one-dimensional, as it
+    is for every simple block, and the exact narrowing pass otherwise
     (:func:`_exact_center_basis`), checked against the full product.  The
     last two give the same reduced basis.  Float algebras take a numerically
     guarded SVD.
@@ -343,16 +340,18 @@ def wedderburn_dims(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpe
     r n^2 scratch, never more than mul itself; the same L gives the traces
     trace L_{e_a} = sum_j L[a, j, j].
 
-    An exact algebra whose exact center is one-dimensional is decided
-    exactly instead (:func:`_one_block_spectrum`): there L_z is a multiple of
-    the identity, so the float route could only find one cluster, whose
-    idempotent is the unit u itself, and read its dimension from trace L_u.
+    An exact algebra is decided exactly instead when its center is span(u)
+    (:func:`_one_block_spectrum`: L_z is then a multiple of the identity, so the
+    float route could find only one cluster, whose idempotent is u) or all of it
+    with a certified trace form (:func:`_split_commutative`).
     """
     n = A.dim
     center = center_basis(A, tol)
     r = center.shape[0]
     if A.is_exact and r == 1:
         return _one_block_spectrum(A)
+    if A.is_exact and r == n and (spectrum := _split_commutative(A)):
+        return spectrum
     mul = A.mul_complex()
     unit = A.unit_complex()
 
@@ -422,6 +421,24 @@ def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
             f"block dimension {math.sqrt(A.dim)} is not close to an integer (non-semisimple input?)")
     return WedderburnSpectrum(dims=[d], idempotent_residual=0.0,
                               idempotents=A.unit_complex()[None])
+
+
+def _split_commutative(A: SCAlgebra) -> WedderburnSpectrum | None:
+    """Spectrum [1] * n of a commutative exact algebra, if its trace form is certified.
+
+    In characteristic 0 the kernel of T[i, j] = trace L_{e_i e_j} = sum_k
+    mul[i, j, k] tau_k, tau_k = trace L_{e_k} = sum_j mul[k, j, j], is the
+    Jacobson radical, so a modular rank n of T (:func:`_modular_rank`) makes the
+    algebra semisimple, hence C^n.  A shorter rank or an overflow gives None.
+    """
+    mul, n = A.mul, A.dim
+    diagonal = CycArray(mul.order, mul.scale, mul.counts[:, np.arange(n), np.arange(n)])
+    try:
+        tau = cyc_tensordot(diagonal, CycArray.from_exponents(mul.order, np.zeros(n, int)), axes=1)
+        rank = _modular_rank(cyc_tensordot(mul, tau, axes=1))
+    except CotwistError:
+        return None
+    return WedderburnSpectrum(dims=[1] * n, idempotent_residual=0.0) if rank == n else None
 
 
 def wedderburn_dims_retrying(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpectrum:

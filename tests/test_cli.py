@@ -111,6 +111,22 @@ def test_table_config_spectrum(tmp_path, capsys):
     assert report["cosets"][0]["dims_direct"] == [1] * 9
 
 
+def test_wreath_table_totals_line(wreath_bundle, p3_twist, tmp_path, capsys):
+    """The table's last line counts the 10 double cosets of the wreath table
+    and labels the sums of the coset sizes and of the squared block dimensions."""
+    inst = wreath_bundle[0]
+    inst.G.to_file(tmp_path / "group.txt")
+    save_twist_file(tmp_path / "twist.txt", p3_twist)
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps({"construction": {
+        "type": "table", "group_file": str(tmp_path / "group.txt"),
+        "subgroup": inst.H.elements.tolist(), "twist_file": str(tmp_path / "twist.txt")}}))
+    rc, _, stderr = run_cli(["spectrum", "--config", str(cfg_file),
+                             "--out", str(tmp_path / "report.json")], capsys)
+    assert rc == 0
+    assert stderr.splitlines()[-1] == "totals: |G|=162 |H|=9 cosets=10 Σ|Z|=162 Σd²=162"
+
+
 # ---------------------------------------------------------------------------
 # failure exit code 1: checks fail but the report is still written
 

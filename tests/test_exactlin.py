@@ -501,6 +501,42 @@ def test_rank_certificate_falls_back_when_singular_mod_ell(rref_calls):
     assert len(rref_calls) == 1
 
 
+def _plain_rank_mod(rows: list, ell: int) -> int:
+    """Rank over F_ell of integer rows by plain Python elimination."""
+    rows, rank = [[x % ell for x in row] for row in rows], 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, ell)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % ell
+            rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7)])
+def test_modular_rank_matches_plain_elimination(shape):
+    """On integer matrices (N = 1), the int64 elimination, which skips row swaps
+    and updates it does not need, gives plain elimination's rank over F_l on
+    monomial, sparse with a repeated row, row-permuted low-rank and dense matrices."""
+    ell, _ = exactlin._modular_root(1)
+    rng = np.random.default_rng(31)
+    rows, cols = shape
+    k = min(shape)
+    monomial = np.zeros(shape, dtype=np.int64)
+    monomial[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = rng.integers(1, 50, k)
+    sparse = (rng.random(shape) < 0.3) * rng.integers(1, 4, shape)
+    sparse[-1] = sparse[0]
+    low = rng.integers(-3, 4, (rows, 2)) @ rng.integers(-3, 4, (2, cols))
+    dense = rng.integers(-(ell - 1), ell, shape)
+    for m in (monomial, sparse, low, low[rng.permutation(rows)], dense):
+        mat = CycArray(1, Fraction(1), m[..., None])
+        assert exactlin._modular_rank(mat) == _plain_rank_mod(m.tolist(), ell)
+
+
 @pytest.mark.parametrize("order", [1, 5, 12])
 def test_rank_certificate_only_when_full(order, rref_calls):
     """The modular rank bounds the exact rank from below; every rank short of

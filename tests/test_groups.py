@@ -72,7 +72,7 @@ def test_bicharacter_refusals_by_name(p3_pair):
     slot is corrupted on a non-generator row: multiplicativity is compared
     with generators only in the multiplied slot, at every a."""
     H, sigma = p3_pair
-    assert 4 not in H.generating_words()[0]
+    assert 4 not in H.generating_words[0]
     x, y = np.array(H.labels).T
     first = sigma.exponents.copy()
     first[4, 1] += 1
@@ -226,7 +226,7 @@ def test_verify_associativity_by_lights_test(wreath_bundle, tmp_path):
         assert G.verify_associativity()
     six = FiniteGroup(np.array(LOOP6))
     mul = six.mul
-    assert six.generating_words()[0].tolist() == [1, 2]
+    assert six.generating_words[0].tolist() == [1, 2]
     assert np.array_equal(mul[:, mul[1, :]], mul[mul[:, 1], :])
     assert not six.verify_associativity()
     loop = FiniteGroup(np.array(LOOP5))
@@ -239,7 +239,7 @@ def test_verify_associativity_by_lights_test(wreath_bundle, tmp_path):
 
 def _generating_words_oracle(G):
     """Check ``generating_words`` against its contract with plain loops."""
-    gens, order, parent, via = G.generating_words()
+    gens, order, parent, via = G.generating_words
     # greedy in index order: each generator lies outside the span of those before
     for i, s in enumerate(gens):
         span, frontier = {0}, [0]
@@ -263,7 +263,7 @@ def _generating_words_oracle(G):
 def test_generating_words_s3_and_trivial_group():
     assert _generating_words_oracle(s3_table()).tolist() == [1, 2]
     one = FiniteGroup(np.zeros((1, 1), dtype=np.int32))
-    gens, order, parent, via = one.generating_words()
+    gens, order, parent, via = one.generating_words
     assert gens.size == 0 and order.tolist() == [0]
     assert parent.tolist() == [-1] and via.tolist() == [-1]
 
@@ -292,7 +292,7 @@ def test_action_composition_checked_at_every_element(p3_duals):
     from cotwist.errors import AuditError
 
     A1, _, rho1, _ = p3_duals
-    gens = rho1.group.generating_words()[0]
+    gens = rho1.group.generating_words[0]
     # 4 = 1 3 is a product of two generators, 8 = (2, 2) is not
     for bad in (4, 8):
         assert bad not in gens
@@ -336,4 +336,4 @@ def test_action_automorphism_checked_on_generators(p3_duals, monkeypatch):
 
     monkeypatch.setattr(dual_algebras.np, "ix_", counting)
     rho1.verify(A1)
-    assert len(compares) == len(rho1.group.generating_words()[0]) == 2
+    assert len(compares) == len(rho1.group.generating_words[0]) == 2

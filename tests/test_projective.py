@@ -16,7 +16,8 @@ from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
                                 pullback_and_tensor_cocycle, regular_trace_law_holds,
                                 skolem_noether, trace_vanishing_check,
                                 twisted_group_algebra)
-from cotwist.semisimple import split_simple_retrying, wedderburn_dims_retrying
+from cotwist.semisimple import (WedderburnSpectrum, split_simple_retrying,
+                                wedderburn_dims_retrying)
 from cotwist.twist import symplectic_twist
 
 
@@ -142,7 +143,7 @@ def test_product_law_checked_on_extraction(monkeypatch, p3_twist, p3_duals):
 
     A1, _, rho1, _ = p3_duals
     pi1 = split_simple_retrying(A1, seed=11)
-    assert 4 not in rho1.group.generating_words()[0]
+    assert 4 not in rho1.group.generating_words[0]
     direct = skolem_noether(pi1, action_matrix(rho1.perms[4]))
     gauged = proj._gauged
 
@@ -214,7 +215,7 @@ def test_skolem_noether_runs_once_per_generator(p, n, monkeypatch):
     for A, rho, seed in ((A1, rho1, 1), (A2, rho2, 2)):
         calls.clear()
         projective_rep_from_action(A, rho, split_simple_retrying(A, seed=seed))
-        assert len(calls) == len(H.generating_words()[0]) == 2 * n
+        assert len(calls) == len(H.generating_words[0]) == 2 * n
 
 
 def test_regular_trace_law(p3_reps):
@@ -251,6 +252,15 @@ def test_pullback_at_identity_gives_plain_spectrum(p3_pair, p3_reps):
     ok, mults = multiplicity_law_check(W, wedderburn_dims_retrying(alg, seed=0), 9)
     assert ok
     assert np.allclose(mults, np.ones(9))
+
+
+def test_multiplicity_law_refuses_a_spectrum_without_idempotents(p3_pair, p3_reps):
+    """An exact split carries no float idempotents, so the law refuses it by name."""
+    H, _ = p3_pair
+    V1, V2 = p3_reps
+    _, W = pullback_and_tensor_cocycle(V1, V2, 0, Subgroup(H, np.arange(9)))
+    with pytest.raises(CotwistError, match="float idempotents"):
+        multiplicity_law_check(W, WedderburnSpectrum(dims=[1] * 9, idempotent_residual=0.0), 9)
 
 
 def test_pullback_on_nontrivial_coset(p3_diag_bundle):

@@ -411,6 +411,108 @@ def test_one_dim_center_decided_exactly(simple_exact_algebras, monkeypatch):
         assert all(len(shape) < 3 for shape in embeds) and eigs == [], name
 
 
+@pytest.fixture(scope="module")
+def commutative_exact_algebras(p3_diag_bundle, p3_gauge_diag_bundle, wreath_bundle):
+    """Every commutative exact algebra the fixtures build: the block and U_g of
+    the commutative cosets with K_g = H of p=3 (plain and gauge-transformed),
+    p=5 unipotent and the wreath table."""
+    from cotwist.correspondence import (Config, SymplecticConstruction, build_instance,
+                                        invariant_algebra_Ug, prepare_instance)
+
+    inst = build_instance(Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]])))
+    p5 = inst, prepare_instance(inst, seed=0), double_cosets(inst.G, inst.H)
+    algebras = {}
+    for label, (inst, ctx, zs) in (("p=3", p3_diag_bundle), ("p=3 gauge", p3_gauge_diag_bundle),
+                                   ("p=5 unipotent", p5), ("wreath", wreath_bundle)):
+        for z in zs:
+            g = z.representative
+            Kg = stabilizer_Kg(inst.G, inst.H, g)
+            if Kg.order == inst.H.order:
+                algebras[f"{label} block {g}"] = build_block_algebra(inst.t, z)
+                algebras[f"{label} U_g {g}"] = invariant_algebra_Ug(
+                    ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
+    commutative = {name: A for name, A in algebras.items() if center_basis(A).shape[0] == A.dim}
+    assert len(commutative) == 2 * (1 + 1 + 5 + 9)
+    return commutative
+
+
+def float_twin_dims(A):
+    return wedderburn_dims_retrying(SCAlgebra(A.mul_complex(), A.unit_complex()), seed=0).dims
+
+
+def test_commutative_exact_algebras_split_exactly(commutative_exact_algebras, monkeypatch):
+    """A commutative exact algebra whose trace form is certified nondegenerate
+    gets the float twin's dims, n blocks of 1, with no complex embedding of
+    ``mul``, no eigenproblem and no float idempotents."""
+    embeds, eigs = [], []
+    embed, eig = CycArray.embed, np.linalg.eig
+    for name, A in commutative_exact_algebras.items():
+        expected = float_twin_dims(A)
+        exact = SCAlgebra(A.mul, A.unit)
+        with monkeypatch.context() as patch:
+            patch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
+            patch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
+            spec = wedderburn_dims_retrying(exact, seed=0)
+        assert spec.dims == expected == [1] * A.dim, name
+        assert spec.idempotent_residual == 0.0 and spec.idempotents is None, name
+        assert all(len(shape) < 3 for shape in embeds) and eigs == [], name
+
+
+@pytest.mark.parametrize("fault", ["short rank", "overflow"])
+def test_commutative_split_without_certificate_takes_the_float_route(
+        commutative_exact_algebras, monkeypatch, fault):
+    """A short modular rank of the trace form, or an overflow of its
+    contraction, is no certificate: the float route splits, with the same dims."""
+    A = commutative_exact_algebras["p=5 unipotent block 0"]
+    expected = float_twin_dims(A)
+    eigs, eig = [], np.linalg.eig
+    if fault == "short rank":
+        monkeypatch.setattr(semisimple, "_modular_rank", lambda mat: mat.shape[0] - 1)
+    else:
+        def overflow(*args, **kwargs):
+            raise CotwistError("exact contraction would overflow int64 counts")
+        monkeypatch.setattr(semisimple, "cyc_tensordot", overflow)
+    monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
+    spec = wedderburn_dims_retrying(SCAlgebra(A.mul, A.unit), seed=0)
+    assert spec.dims == expected == [1] * A.dim
+    assert eigs == [(A.dim, A.dim)] and spec.idempotents.shape == (A.dim, A.dim)
+
+
+def dual_numbers():
+    """Exact C[x]/(x^2) on 1, x: commutative, not semisimple."""
+    counts = np.zeros((2, 2, 2, 3), dtype=np.int64)
+    counts[[0, 0, 1], [0, 1, 0], [0, 1, 1], 0] = 1
+    unit = CycArray.zeros((2,), 3)
+    unit.counts[0, 0] = 1
+    return SCAlgebra(CycArray(3, Fraction(1), counts), unit, name="dual numbers")
+
+
+def test_dual_numbers_refused_without_certificate():
+    """The trace form of C[x]/(x^2) has rank 1 (x is in its kernel), so no
+    certificate: the float route runs and refuses the algebra."""
+    A = dual_numbers()
+    assert algebra_audit(A)
+    assert center_basis(A).shape[0] == 2
+    with pytest.raises(CotwistError):
+        wedderburn_dims_retrying(A, seed=0)
+
+
+def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, monkeypatch):
+    """The gauge-transformed p=3 H-coset block has counts that are symmetric
+    only canonically: its center is the identity basis with no certificate
+    attempt and no commutator tensor."""
+    inst, _, zs = p3_gauge_diag_bundle
+    blk = build_block_algebra(inst.t, zs[0])
+    counts = blk.mul.counts
+    assert not np.array_equal(counts, counts.transpose(1, 0, 2, 3))
+    n = blk.dim
+    identity = CycArray.zeros((n, n), blk.mul.order)
+    identity.counts[np.arange(n), np.arange(n), 0] = 1
+    formed = count_calls(monkeypatch, "_unit_if_center", "_commutator_tensor")
+    assert _exact_center_basis(blk).eq(identity)
+    assert formed == []
+
+
 def upper_triangular_t2():
     """Exact T_2 on E11, E12, E22: dim 3, center the scalars, not semisimple."""
     counts = np.zeros((3, 3, 3, 3), dtype=np.int64)
