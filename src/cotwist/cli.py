@@ -9,7 +9,8 @@ Subcommands
               gamma = [[1,1],[0,1]] unless overridden).
 
 Exit codes: 0 all checks passed; 1 some check failed (the report is still
-written); 2 malformed input or configuration.
+written); 2 malformed input or configuration, including a seed that is not a
+nonnegative integer or a tolerance that is not a finite positive number.
 
 The JSON report goes to ``--out`` ("-" = stdout); the human-readable table
 always goes to stderr so stdout stays machine-parseable.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -85,9 +87,26 @@ def load_config(path: str) -> Config:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad construction in config file: {exc}") from None
     return Config(construction=construction,
-                  seed=int(raw.get("seed", _default_seed())),
-                  tol=float(raw.get("tol", DEFAULT_TOL)),
+                  seed=_checked_seed(raw["seed"], "config file seed") if "seed" in raw
+                  else _default_seed(),
+                  tol=_checked_tol(raw["tol"], "config file tol") if "tol" in raw
+                  else DEFAULT_TOL,
                   out=str(raw.get("out", "-")))
+
+
+def _checked_seed(value, source: str) -> int:
+    """``value`` if it is a nonnegative integer; otherwise InputError naming ``source``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InputError(f"{source} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _checked_tol(value, source: str) -> float:
+    """``value`` as a float if it is a finite positive number; otherwise InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            math.isfinite(value) and value > 0):
+        raise InputError(f"{source} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 def _default_seed() -> int:
@@ -95,9 +114,9 @@ def _default_seed() -> int:
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
+        return _checked_seed(int(env), "COTWIST_SEED")
     except ValueError:
-        raise InputError(f"COTWIST_SEED is not an integer: {env!r}") from None
+        raise InputError(f"COTWIST_SEED must be a nonnegative integer, got {env!r}") from None
 
 
 def build_config(args) -> Config:
@@ -122,9 +141,9 @@ def build_config(args) -> Config:
         config = Config(SymplecticConstruction(p=p, n=args.n, gamma_generators=gens),
                         seed=_default_seed(), tol=DEFAULT_TOL, out="-")
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = _checked_seed(args.seed, "--seed")
     if args.tol is not None:
-        config.tol = args.tol
+        config.tol = _checked_tol(args.tol, "--tol")
     if args.out is not None:
         config.out = args.out
     return config

@@ -238,8 +238,16 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     U[sigma(i), sigma(j), sigma(l)] for the induced orbit permutation
     sigma.  Every orbit i holds T(h2, h1)(e, e) for its representative
     (h2, h1), so with sigma_i induced by T(h2^-1, h1^-1), row i is the row of
-    the orbit of (e, e) gathered through sigma_i (``_orbit_transport``).
-    Only that row takes kernel calls; without the certificate every row does.
+    the orbit of (e, e) gathered through sigma_i (``_orbit_transport``):
+    U[i, j, l] = row[sigma[i, j], sigma[i, l]].  Only that row takes kernel
+    calls; without the certificate every row does, and U_g is dense.
+
+    With the certificate U_g is returned in slice form
+    (``SCAlgebra.from_slice``) with P = sigma and the slice
+    C[a, b] = U[a, b, 0] = row[sigma[a, b], sigma[a, 0]], the products
+    landing on the orbit of (e, e), which is orbit 0.  The invariance under
+    sigma_l and sigma[l, l] = 0, which ``_orbit_transport`` audits, give
+    U[i, j, l] = U[sigma[l, i], sigma[l, j], 0] = C[sigma[l, i], sigma[l, j]].
     """
     perms = pair_translation_perms(rho1, rho2, H, Kg, g)
     orbit_id, reps = pair_orbits(perms)
@@ -250,19 +258,17 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
             f"invariant algebra dimension {len(reps)} != |H|^2/|K_g| = {expected}")
     r, n = len(reps), A2s.mul.order
     members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
+    scale, name = A2s.mul.scale * A1s.mul.scale, f"invariants at g={g}"
+    unit = CycArray.from_exponents(n, np.zeros(r, dtype=np.int64))
     Hg = H.as_group
     if ad_invariant(Hg, A1s.mul.take(0, 2)) and ad_invariant(Hg, A2s.mul.take(0, 2)):
         sigma = _orbit_transport(orbit_id, members, reps, Hg)
-        # the row of (e, e), pair index 0, as [j * r + l, N]
-        row = _orbit_structure_constants(A2s.mul, A1s.mul, members, [0]).reshape(r * r, n)
-        counts = np.empty((r, r, r, n), dtype=np.int64)
-        for i, s in enumerate(sigma):
-            counts[i] = np.take(row, s[:, None] * r + s, axis=0)
-    else:
-        counts = _orbit_structure_constants(A2s.mul, A1s.mul, members, reps)
-    return SCAlgebra(CycArray(n, A2s.mul.scale * A1s.mul.scale, counts),
-                     CycArray.from_exponents(n, np.zeros(r, dtype=np.int64)),
-                     name=f"invariants at g={g}")
+        # the row of (e, e), pair index 0, as [j, l, N]
+        row = _orbit_structure_constants(A2s.mul, A1s.mul, members, [0])[0]
+        return SCAlgebra.from_slice(CycArray(n, scale, row[sigma, sigma[:, [0]]]), sigma,
+                                    unit, name)
+    counts = _orbit_structure_constants(A2s.mul, A1s.mul, members, reps)
+    return SCAlgebra(CycArray(n, scale, counts), unit, name)
 
 
 # ---------------------------------------------------------------------------

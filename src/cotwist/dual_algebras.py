@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, CotwistError
-from .exactlin import (CycArray, ProductCounts, accumulate_products, cyc_rank, cyc_tensordot,
-                       gather)
+from .exactlin import (CycArray, ProductCounts, _largest, accumulate_products, cyc_rank,
+                       cyc_tensordot, gather)
 from .groups import DoubleCoset, FiniteGroup
 from .twist import TwistData
 
 
-@dataclass
 class SCAlgebra:
     """A finite-dimensional algebra given by structure constants.
 
@@ -31,23 +30,51 @@ class SCAlgebra:
     as an exact CycArray or as a complex ndarray; ``unit`` is the coefficient
     vector of the multiplicative unit (same kind as ``mul``).  An exact
     algebra's unit is verified exactly when it is built (:func:`determine_unit`).
+
+    An exact algebra may instead be given in slice form
+    (:meth:`from_slice`): a slice S of shape (n, n) and basis permutations
+    P of shape (n, n), every row a permutation, with
+
+        mul[a, b, x] = S[P[x, a], P[x, b]].
+
+    Then ``product`` is S and ``perms`` is P (None for a dense algebra), and
+    ``mul`` is gathered from them (:func:`gather_slice`) when it is first
+    read, then kept.  ``dim`` and ``is_exact`` never gather.  The unit check,
+    the commutativity test and the center certificate of
+    ``cotwist.semisimple`` read the slice; everything else reads ``mul``.
     """
 
-    mul: object
-    unit: object
-    name: str = ""
-
-    def __post_init__(self):
+    def __init__(self, mul, unit, name: str = "", *, perms: np.ndarray | None = None):
+        self.product = mul
+        self.perms = perms
+        self.unit = unit
+        self.name = name
+        self._mul = mul if perms is None else None
         if self.is_exact:
-            determine_unit(self.mul, self.unit, self.name)
+            determine_unit(mul, unit, name, perms)
+
+    @classmethod
+    def from_slice(cls, S: CycArray, perms: np.ndarray, unit: CycArray,
+                   name: str = "") -> "SCAlgebra":
+        """The exact algebra mul[a, b, x] = S[perms[x, a], perms[x, b]]."""
+        n = S.shape[0]
+        if not S.shape == perms.shape == (n, n) or np.any(np.sort(perms, axis=1) != np.arange(n)):
+            raise AuditError(f"{name}: slice rows are not basis permutations")
+        return cls(S, unit, name, perms=perms)
+
+    @property
+    def mul(self):
+        if self._mul is None:
+            self._mul = gather_slice(self.product, self.perms)
+        return self._mul
 
     @property
     def dim(self) -> int:
-        return self.mul.shape[0]
+        return self.product.shape[0]
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.mul, CycArray)
+        return isinstance(self.product, CycArray)
 
     def mul_complex(self) -> np.ndarray:
         if self.is_exact:
@@ -60,6 +87,16 @@ class SCAlgebra:
         if isinstance(self.unit, CycArray):
             return self.unit.embed()
         return np.asarray(self.unit)
+
+
+def gather_slice(S: CycArray, perms: np.ndarray) -> CycArray:
+    """The dense constants mul[a, b, x] = S[perms[x, a], perms[x, b]], one a at a time."""
+    n = perms.shape[0]
+    flat = S.counts.reshape(n * n, -1)
+    counts = np.empty((n, n, n, S.order), dtype=np.int64)
+    for a in range(n):  # [x, b] -> S[perms[x, a], perms[x, b]]
+        counts[a] = np.take(flat, perms[:, [a]] * n + perms, axis=0).swapaxes(0, 1)
+    return CycArray(S.order, S.scale, counts)
 
 
 @dataclass
@@ -122,7 +159,8 @@ def _all_ones(n: int, order: int) -> CycArray:
     return out
 
 
-def determine_unit(mul: CycArray, unit: CycArray, name: str) -> None:
+def determine_unit(mul: CycArray, unit: CycArray, name: str,
+                   perms: np.ndarray | None = None) -> None:
     """Verify exactly that ``unit`` is the two-sided unit of the algebra ``name``.
 
     Raises AuditError naming the algebra otherwise.  Every dual algebra here
@@ -132,21 +170,32 @@ def determine_unit(mul: CycArray, unit: CycArray, name: str) -> None:
     u e_j and e_j u are the plain sums of the counts over axis 0 and 1:
     exact in int64 while n * max|count| < 2^63, which is checked
     (CotwistError).  Any other unit is contracted by :func:`cyc_tensordot`.
+
+    With ``perms`` the algebra is in slice form (``SCAlgebra``) and ``mul``
+    is its slice S.  Every row of P being a permutation, sum_a mul[a, b, x]
+    = sum_r S[r, P[x, b]] and sum_b mul[a, b, x] = sum_c S[P[x, a], c]: the
+    column and row sums of S gathered at P^T, under the same bound.  Another
+    unit is contracted with the gathered constants.
     """
-    n = mul.shape[0]
     try:
-        if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, mul.order).counts):
-            largest = max(int(mul.counts.max(initial=0)), -int(mul.counts.min(initial=0)))
-            if largest * n >= 1 << 63:
-                raise CotwistError("the unit sums would overflow int64 counts")
-            sides = [CycArray(mul.order, mul.scale, mul.counts.sum(axis=axis)) for axis in (0, 1)]
-        else:
-            sides = [cyc_tensordot(unit, mul, axes=([0], [axis])) for axis in (0, 1)]
+        sides = _unit_sides(mul, unit, perms)
     except CotwistError as exc:
         raise CotwistError(f"{name}: {exc}") from None
-    ident = _identity_matrix(n, mul.order)
+    ident = _identity_matrix(mul.shape[0], mul.order)
     if not all(side.eq(ident) for side in sides):
         raise AuditError(f"{name}: the counit is not a two-sided unit")
+
+
+def _unit_sides(mul: CycArray, unit: CycArray, perms: np.ndarray | None = None) -> list:
+    """u e_j and e_j u as two CycArrays [j, x], formed as :func:`determine_unit` says."""
+    n = mul.shape[0]
+    if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, mul.order).counts):
+        if _largest(mul.counts) * n >= 1 << 63:
+            raise CotwistError("the unit sums would overflow int64 counts")
+        at = slice(None) if perms is None else perms.T
+        return [CycArray(mul.order, mul.scale, mul.counts.sum(axis=axis)[at]) for axis in (0, 1)]
+    dense = mul if perms is None else gather_slice(mul, perms)
+    return [cyc_tensordot(unit, dense, axes=([0], [axis])) for axis in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +309,13 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     mul[a, b, x] for all h, h' in H.  The coset is a single H x H orbit, so
     with S the slice at the representative g, mul[a, b, x] =
     S[h^-1 a h'^-1, h^-1 b h'^-1], where x = h g h' is x's first
-    factorization: |Z| times fewer term pairs, then one gather.  Without the
-    certificate every basis point takes its own kernel call.  The unit is
-    the restriction of the ambient counit (all-ones on the coset).
+    factorization: |Z| times fewer term pairs.  The block is returned in
+    slice form (``SCAlgebra.from_slice``), S with back[x, a] =
+    h^-1 a h'^-1, whose rows are permutations because a -> h^-1 a h'^-1 is
+    a bijection of the coset; its dense constants are gathered only when
+    ``mul`` is read.  Without the certificate every basis point takes its
+    own kernel call and the block is dense.  The unit is the restriction of
+    the ambient counit (all-ones on the coset).
     """
     t.require_verified()
     G, elems, _ = _h_embedding(t)
@@ -279,6 +332,8 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     # cells [s, t, c, d]: Jinv[s, t] on the left side, J[c, d] on the right
     jinv_terms = gather(t.Jinv.terms(), slice(None), slice(None), None, None)
     j_terms = gather(t.J.terms(), None, None)
+    scale, unit = t.J.scale * t.Jinv.scale, _all_ones(nz, t.order)
+    name = f"block[{coset.representative}]"
     if ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv):
         g = loc_z[coset.representative]
         out = ProductCounts((nz, nz), t.order)
@@ -291,19 +346,13 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
         s, c = np.divmod(firsts, len(hg))
         invG = G.inv.astype(np.int64)
         back = loc_z[mulG[mulG[invG[hg[s]][:, None], z[None, :]], invG[hg[c]][:, None]]]
-        S = out.fold(1).counts.reshape(nz * nz, -1)
-        counts = np.empty((nz, nz, nz, t.order), dtype=np.int64)
-        for a in range(nz):  # [x, b] -> S[back[x, a], back[x, b]]
-            counts[a] = np.take(S, back[:, [a]] * nz + back, axis=0).swapaxes(0, 1)
-    else:
-        out = ProductCounts((nz, nz, nz), t.order)
-        for x in range(nz):
-            left = out.piece(jinv_terms, (shifts[x] * nz * nz + x)[:, None, :, None])
-            right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
-            accumulate_products(out, left, right)
-        counts = out.fold(1).counts
-    return SCAlgebra(CycArray(t.order, t.J.scale * t.Jinv.scale, counts),
-                     _all_ones(nz, t.order), name=f"block[{coset.representative}]")
+        return SCAlgebra.from_slice(out.fold(scale), back, unit, name)
+    out = ProductCounts((nz, nz, nz), t.order)
+    for x in range(nz):
+        left = out.piece(jinv_terms, (shifts[x] * nz * nz + x)[:, None, :, None])
+        right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
+        accumulate_products(out, left, right)
+    return SCAlgebra(out.fold(scale), unit, name)
 
 
 # ---------------------------------------------------------------------------

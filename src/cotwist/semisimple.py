@@ -14,7 +14,9 @@ float64 products, has rank n - 1 the center is exactly span(unit): a simple
 block, the common case, takes no exact elimination and forms no commutator
 tensor.  Any other rank leaves the answer to the exact nullspace of the
 commutator system, found in one narrowing pass, whose basis B is checked as
-B . mul == mul . B.
+B . mul == mul . B.  An algebra in slice form (``SCAlgebra.from_slice``)
+takes the symmetry test and the commutator slices on its n x n slice, so a
+simple block is decided without gathering its n^3 constants.
 
 An exact center of dimension 1 or n also decides the split exactly: one block
 of sqrt(n), or n blocks of 1 when a modular rank certifies the trace form.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (CycArray, _modular_rank, canonical_counts, cyc_nullspace,
+from .exactlin import (CycArray, _largest, _modular_rank, canonical_counts, cyc_nullspace,
                        cyc_solve, cyc_tensordot, ga_identity)
 
 #: exhaustive associativity above this dimension would be needlessly slow;
@@ -131,20 +133,24 @@ def _exact_center_basis(A: SCAlgebra) -> CycArray:
 
     Then the certificate for a one-dimensional center.  For two seeded
     integer vectors y (fixed internal seed, as in :func:`algebra_audit`) the
-    rows S[(y, k), i] = sum_j y_j (mul[i,j,k] - mul[j,i,k]) are the matrices
-    of x -> x y - y x, so every central x solves S x = 0.  The unit, which
+    rows R[(y, k), i] = sum_j y_j (mul[i,j,k] - mul[j,i,k]) are the matrices
+    of x -> x y - y x, so every central x solves R x = 0.  The unit, which
     ``SCAlgebra`` verified when it was built, is central, so
 
-        rank_l(S) <= rank(S) <= rank(commutator system) <= n - 1,
+        rank_l(R) <= rank(R) <= rank(commutator system) <= n - 1,
 
     where rank_l is the rank of the image mod l (:func:`_modular_rank`; a
     minor nonzero mod l is nonzero).  A modular rank of n - 1 thus proves
     that the center is exactly span(unit), and the unit is returned in the
     reduced form of the narrowing pass: divided by its last nonzero entry
     (a 1 x 1 exact solve; the all-ones unit of every package algebra comes
-    back unchanged).  S is formed straight from ``mul`` by exact float64
-    products (:func:`_commutator_rows`); past their 2^53 bound there is no
-    certificate.
+    back unchanged).  R is formed by exact float64 products
+    (:func:`_commutator_rows`), from the slice S of an algebra in slice form
+    (``SCAlgebra``) and from ``mul`` otherwise; past their 2^53 bound there
+    is no certificate.  The commutativity test reads the slice too: the
+    constants S[P[k, i], P[k, j]] are symmetric in (i, j) exactly when S is,
+    every row of P being a permutation.  So a slice-form algebra is
+    gathered only for the narrowing pass.
 
     Otherwise - a center of dimension > 1, an unlucky draw or prime - the
     commutator tensor D[i, j, k] = mul[i,j,k] - mul[j,i,k] is formed and
@@ -162,14 +168,14 @@ def _exact_center_basis(A: SCAlgebra) -> CycArray:
     exactly, as B . mul == mul . B by two contractions; a failure raises
     CotwistError.
     """
-    mul, c, ct = A.mul, A.mul.counts, A.mul.counts.transpose(1, 0, 2, 3)
-    basis = _identity_matrix(A.dim, mul.order)
-    if np.array_equal(canonical_counts(c[0], mul.order), canonical_counts(ct[0], mul.order)) and (
-            np.array_equal(c, ct) or not canonical_counts(c - ct, mul.order).any()):
+    product, perms = A.product, A.perms
+    basis = _identity_matrix(A.dim, product.order)
+    if _canonically_symmetric(product):
         return basis
-    unit = _unit_if_center(mul, A.unit)
+    unit = _unit_if_center(product, A.unit, perms)
     if unit is not None:
         return unit
+    mul = A.mul
     diff = _commutator_tensor(mul)
     noncentral = np.flatnonzero(~diff.zero_mask().all(axis=(0, 2)))
     for j in noncentral:
@@ -187,8 +193,17 @@ def _commutator_tensor(mul: CycArray) -> CycArray:
     return CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
 
 
-def _commutator_rows(mul: CycArray, draws: np.ndarray) -> CycArray | None:
-    """S[d, i, k] = sum_j y_dj (mul[i,j,k] - mul[j,i,k]) for integer rows
+def _canonically_symmetric(mul: CycArray) -> bool:
+    """Whether mul[i, j, ...] = mul[j, i, ...] exactly: canonical counts
+    compared on row 0 first, then literally or on the difference."""
+    c, ct, order = mul.counts, mul.counts.swapaxes(0, 1), mul.order
+    return np.array_equal(canonical_counts(c[0], order), canonical_counts(ct[0], order)) and (
+        np.array_equal(c, ct) or not canonical_counts(c - ct, order).any())
+
+
+def _commutator_rows(mul: CycArray, draws: np.ndarray,
+                     perms: np.ndarray | None = None) -> CycArray | None:
+    """R[d, i, k] = sum_j y_dj (mul[i,j,k] - mul[j,i,k]) for integer rows
     ``draws`` in [1, _CENTER_DRAW_BOUND), exactly, or None past the bound.
 
     Both sums are float64 products on the counts, one batched
@@ -199,25 +214,43 @@ def _commutator_rows(mul: CycArray, draws: np.ndarray) -> CycArray | None:
     n * max|count| * _CENTER_DRAW_BOUND, and the difference at most twice
     that; while 2 n max|count| _CENTER_DRAW_BOUND < 2^53, which is checked,
     every one is a float64 integer, so the result is exact.
+
+    With ``perms`` the algebra is in slice form (``SCAlgebra``) and ``mul``
+    is its slice S, the constants being S[P[k, i], P[k, j]].  With the draws
+    permuted by each row, Y[d, k, c] = y_d[P[k]^-1(c)],
+
+        sum_j y_dj mul[i, j, k] = sum_c S[P[k, i], c] Y[d, k, c],
+        sum_j y_dj mul[j, i, k] = sum_c S[c, P[k, i]] Y[d, k, c],
+
+    so the rows are two float64 products of S and S^T with Y, read at
+    r = P[k, i]: the same integers, under the same bound (S holds exactly
+    the counts of the gathered constants).
     """
     n, order = mul.shape[0], mul.order
-    largest = max(int(mul.counts.max(initial=0)), -int(mul.counts.min(initial=0)))
-    if 2 * n * largest * _CENTER_DRAW_BOUND >= 1 << 53:
+    if 2 * n * _largest(mul.counts) * _CENTER_DRAW_BOUND >= 1 << 53:
         return None
     y = draws.astype(np.float64)
     counts = mul.counts.astype(np.float64)
-    right = (y @ counts.reshape(n, n, -1)).transpose(1, 0, 2)      # [d, i, (k, e)]: y_j mul[i,j]
-    left = (y @ counts.reshape(n, -1)).reshape(right.shape)         # [d, i, (k, e)]: y_j mul[j,i]
-    rows = (right - left).astype(np.int64).reshape(len(draws), n, n, order)
-    return CycArray(order, mul.scale, rows)
+    if perms is None:
+        right = (y @ counts.reshape(n, n, -1)).transpose(1, 0, 2)  # [d, i, (k, e)]: y_j mul[i,j]
+        left = (y @ counts.reshape(n, -1)).reshape(right.shape)     # [d, i, (k, e)]: y_j mul[j,i]
+        rows = right - left
+    else:
+        permuted = y[:, np.argsort(perms, axis=1)].reshape(-1, n).T  # [c, (d, k)]
+        diff = (counts.transpose(0, 2, 1) @ permuted                 # [r, e, (d, k)]
+                - counts.transpose(1, 2, 0) @ permuted).reshape(n, order, len(draws), n)
+        rows = diff.transpose(2, 0, 3, 1)[:, perms.T, np.arange(n)]  # [d, i, k, e] at r = P[k, i]
+    return CycArray(order, mul.scale, rows.astype(np.int64).reshape(len(draws), n, n, order))
 
 
-def _unit_if_center(mul: CycArray, unit: CycArray) -> CycArray | None:
+def _unit_if_center(mul: CycArray, unit: CycArray,
+                    perms: np.ndarray | None = None) -> CycArray | None:
     """The unit over its last nonzero entry, as a ``(1, n)`` basis, if the
-    modular rank of the seeded commutator rows certifies a 1-dim center; else None."""
+    modular rank of the seeded commutator rows certifies a 1-dim center; else None.
+    ``perms`` marks a slice form, as in :func:`_commutator_rows`."""
     n = mul.shape[0]
     draws = np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
-    rows = _commutator_rows(mul, draws)
+    rows = _commutator_rows(mul, draws, perms)
     if rows is None or _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) != n - 1:
         return None
     last = int(np.flatnonzero(~unit.zero_mask())[-1])

@@ -111,9 +111,7 @@ def test_table_config_spectrum(tmp_path, capsys):
     assert report["cosets"][0]["dims_direct"] == [1] * 9
 
 
-def test_wreath_table_totals_line(wreath_bundle, p3_twist, tmp_path, capsys):
-    """The table's last line counts the 10 double cosets of the wreath table
-    and labels the sums of the coset sizes and of the squared block dimensions."""
+def write_wreath_config(wreath_bundle, p3_twist, tmp_path) -> str:
     inst = wreath_bundle[0]
     inst.G.to_file(tmp_path / "group.txt")
     save_twist_file(tmp_path / "twist.txt", p3_twist)
@@ -121,10 +119,26 @@ def test_wreath_table_totals_line(wreath_bundle, p3_twist, tmp_path, capsys):
     cfg_file.write_text(json.dumps({"construction": {
         "type": "table", "group_file": str(tmp_path / "group.txt"),
         "subgroup": inst.H.elements.tolist(), "twist_file": str(tmp_path / "twist.txt")}}))
-    rc, _, stderr = run_cli(["spectrum", "--config", str(cfg_file),
+    return str(cfg_file)
+
+
+def test_wreath_table_totals_line(wreath_bundle, p3_twist, tmp_path, capsys):
+    """The table's last line counts the 10 double cosets of the wreath table
+    and labels the sums of the coset sizes and of the squared block dimensions."""
+    cfg_file = write_wreath_config(wreath_bundle, p3_twist, tmp_path)
+    rc, _, stderr = run_cli(["spectrum", "--config", cfg_file,
                              "--out", str(tmp_path / "report.json")], capsys)
     assert rc == 0
     assert stderr.splitlines()[-1] == "totals: |G|=162 |H|=9 cosets=10 Σ|Z|=162 Σd²=162"
+
+
+def test_wreath_report_identical_under_jobs(wreath_bundle, p3_twist, tmp_path, capsys):
+    """Three coset workers write the wreath report and table byte for byte as one does."""
+    cfg_file = write_wreath_config(wreath_bundle, p3_twist, tmp_path)
+    runs = [run_cli(["spectrum", "--config", cfg_file, "--jobs", jobs], capsys)
+            for jobs in ("1", "3")]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +394,64 @@ def test_default_seed_is_zero(capsys):
     rc, stdout, _ = run_cli(["verify", "--p", "3", "--gamma", "1,1,0,1"], capsys)
     assert rc == 0
     assert json.loads(stdout)["seed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a malformed seed or tolerance exits 2, naming where it came from
+
+P3_UNIPOTENT = ["--p", "3", "--gamma", "1,1,0,1"]
+
+
+def write_config(tmp_path, **fields):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "construction": {"type": "symplectic", "p": 3, "gamma_generators": [[[1, 1], [0, 1]]]},
+        **fields}))
+    return str(cfg)
+
+
+def test_negative_seed_flag_exits_2(capsys):
+    rc, stdout, stderr = run_cli(["spectrum", *P3_UNIPOTENT, "--seed", "-1"], capsys)
+    assert rc == 2 and stdout == ""
+    assert "--seed must be a nonnegative integer, got -1" in stderr
+
+
+@pytest.mark.parametrize("seed", [-5, "x", "5", 1.5, True])
+def test_malformed_config_seed_exits_2(tmp_path, capsys, seed):
+    rc, stdout, stderr = run_cli(["spectrum", "--config", write_config(tmp_path, seed=seed)],
+                                 capsys)
+    assert rc == 2 and stdout == ""
+    assert f"config file seed must be a nonnegative integer, got {seed!r}" in stderr
+
+
+def test_negative_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("COTWIST_SEED", "-3")
+    rc, stdout, stderr = run_cli(["spectrum", *P3_UNIPOTENT], capsys)
+    assert rc == 2 and stdout == ""
+    assert "COTWIST_SEED must be a nonnegative integer, got -3" in stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_malformed_tol_flag_exits_2(capsys, command, tol):
+    rc, stdout, stderr = run_cli([command, *P3_UNIPOTENT, "--tol", tol], capsys)
+    assert rc == 2 and stdout == ""
+    assert f"--tol must be a finite positive number, got {float(tol)!r}" in stderr
+
+
+@pytest.mark.parametrize("tol", ["abc", -1e-8, 0, True])
+def test_malformed_config_tol_exits_2(tmp_path, capsys, tol):
+    rc, stdout, stderr = run_cli(["verify", "--config", write_config(tmp_path, tol=tol)], capsys)
+    assert rc == 2 and stdout == ""
+    assert f"config file tol must be a finite positive number, got {tol!r}" in stderr
+
+
+def test_config_tol_and_seed_accepted(tmp_path, capsys):
+    rc, stdout, _ = run_cli(["verify", "--config", write_config(tmp_path, seed=4, tol=1e-6)],
+                            capsys)
+    assert rc == 0
+    report = json.loads(stdout)
+    assert (report["seed"], report["tol"]) == (4, 1e-6)
 
 
 # ---------------------------------------------------------------------------

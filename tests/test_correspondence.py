@@ -418,7 +418,15 @@ def test_one_slice_equals_per_point_builds(source, monkeypatch, request, tmp_pat
     """Refusing the certificate takes the per-point block loop and the all-rows
     U_g loop; both give exactly the constants of the one-slice builds, on every
     coset, including the wreath swap coset (K_g = {e}) and the criterion-9
-    cosets (|K_g| = 3)."""
+    cosets (|K_g| = 3).
+
+    The one-slice builds are in slice form: their gathered ``mul`` equals the
+    dense build count for count, and the unit sums, the commutativity test
+    and the commutator rows read from the slice equal those of the dense
+    constants."""
+    from cotwist.dual_algebras import _unit_sides
+    from cotwist.semisimple import (_CENTER_DRAW_BOUND, _canonically_symmetric,
+                                    _commutator_rows)
     from intermediate_instance import write_instance
 
     from cotwist.groups import double_cosets
@@ -438,8 +446,17 @@ def test_one_slice_equals_per_point_builds(source, monkeypatch, request, tmp_pat
         (blk, Ug), (blk_slow, Ug_slow) = _both_modes(monkeypatch, lambda: (
             build_block_algebra(inst.t, z),
             invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)))
-        assert blk.mul.eq(blk_slow.mul), g
-        assert Ug.mul.eq(Ug_slow.mul), g
+        for fast, slow in ((blk, blk_slow), (Ug, Ug_slow)):
+            assert fast.perms is not None and slow.perms is None, fast.name
+            assert np.array_equal(fast.mul.counts, slow.mul.counts), fast.name
+            assert fast.mul.scale == slow.mul.scale, fast.name
+            S, P, mul = fast.product, fast.perms, slow.mul
+            for side, dense in zip(_unit_sides(S, fast.unit, P), _unit_sides(mul, slow.unit)):
+                assert np.array_equal(side.counts, dense.counts), fast.name
+            assert _canonically_symmetric(S) == _canonically_symmetric(mul), fast.name
+            draws = np.random.default_rng(g).integers(1, _CENTER_DRAW_BOUND, size=(2, fast.dim))
+            assert np.array_equal(_commutator_rows(S, draws, P).counts,
+                                  _commutator_rows(mul, draws).counts), fast.name
 
 
 def test_report_identical_without_the_certificate(monkeypatch):

@@ -374,6 +374,45 @@ def test_float_commutator_rows_are_exact(simple_exact_algebras, intermediate_blo
         assert rows.scale == expected.scale, name
 
 
+def test_simple_slice_algebras_split_without_a_gather(wreath_bundle, monkeypatch):
+    """The wreath swap coset's block and U_g (M_9, |Z| = 81) are built in slice
+    form, and their unit check, center certificate and exact split give [9]
+    without ever gathering the 81^3 constants."""
+    from cotwist import dual_algebras
+
+    gathers, gather = [], dual_algebras.gather_slice
+    monkeypatch.setattr(dual_algebras, "gather_slice",
+                        lambda S, perms: gathers.append(S.shape) or gather(S, perms))
+    for A in swap_algebras(wreath_bundle):
+        assert A.perms is not None and A.dim == 81
+        assert wedderburn_dims_retrying(A, seed=0).dims == [9], A.name
+    assert gathers == []
+
+
+def test_corrupted_slice_count_fails_the_unit_check(wreath_bundle):
+    """One count of the slice S changed by 1 breaks a row sum of S, which the
+    unit check reads: the algebra is refused by name.  The sums it reads off
+    the slice are those of the gathered constants, count for count."""
+    from cotwist.dual_algebras import _unit_sides, gather_slice
+
+    for A in swap_algebras(wreath_bundle):
+        bad = A.product.copy()
+        bad.counts[5, 7, 0] += 1
+        dense = _unit_sides(gather_slice(bad, A.perms), A.unit)
+        for side, expected in zip(_unit_sides(bad, A.unit, A.perms), dense):
+            assert np.array_equal(side.counts, expected.counts), A.name
+        with pytest.raises(AuditError, match=re.escape(f"{A.name}: the counit is not")):
+            SCAlgebra.from_slice(bad, A.perms, A.unit, name=A.name)
+
+
+def test_slice_rows_must_be_permutations(wreath_bundle):
+    block, _ = swap_algebras(wreath_bundle)
+    perms = block.perms.copy()
+    perms[3, 0] = perms[3, 1]
+    with pytest.raises(AuditError, match="slice rows are not basis permutations"):
+        SCAlgebra.from_slice(block.product, perms, block.unit, name=block.name)
+
+
 def test_counts_past_the_float_bound_take_the_narrowing_pass(p3_diag_bundle, nullspace_calls,
                                                               monkeypatch):
     """The M_3 block on counts scaled by 2^40 (the same values): past the
