@@ -73,7 +73,13 @@ def _construction_from_dict(raw: dict):
     raise InputError(f"unknown construction type {kind!r}")
 
 
-def load_config(path: str) -> Config:
+def load_config(path: str, seed: int | None = None) -> Config:
+    """The Config a JSON config file describes.
+
+    ``seed``, when given (the ``--seed`` flag's), beats the file's ``seed``,
+    which beats ``COTWIST_SEED``; the environment is read only when neither
+    gives one.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -86,9 +92,11 @@ def load_config(path: str) -> Config:
         construction = _construction_from_dict(raw["construction"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad construction in config file: {exc}") from None
+    if "seed" in raw:
+        file_seed = _checked_seed(raw["seed"], "config file seed")
+        seed = file_seed if seed is None else seed
     return Config(construction=construction,
-                  seed=_checked_seed(raw["seed"], "config file seed") if "seed" in raw
-                  else _default_seed(),
+                  seed=_default_seed() if seed is None else seed,
                   tol=_checked_tol(raw["tol"], "config file tol") if "tol" in raw
                   else DEFAULT_TOL,
                   out=str(raw.get("out", "-")))
@@ -125,10 +133,11 @@ def build_config(args) -> Config:
     Explicit flags beat config-file values, which beat the COTWIST_SEED
     environment default, which beats the built-in defaults.
     """
+    seed = None if args.seed is None else _checked_seed(args.seed, "--seed")
     if args.config is not None:
         if args.p is not None or args.gamma is not None:
             raise InputError("--config cannot be combined with --p/--gamma")
-        config = load_config(args.config)
+        config = load_config(args.config, seed)
     else:
         p = args.p
         gamma_text = args.gamma
@@ -139,9 +148,8 @@ def build_config(args) -> Config:
             raise InputError("need --p (with --gamma) or --config FILE")
         gens = parse_gamma(gamma_text, args.n) if gamma_text else []
         config = Config(SymplecticConstruction(p=p, n=args.n, gamma_generators=gens),
-                        seed=_default_seed(), tol=DEFAULT_TOL, out="-")
-    if args.seed is not None:
-        config.seed = _checked_seed(args.seed, "--seed")
+                        seed=_default_seed() if seed is None else seed,
+                        tol=DEFAULT_TOL, out="-")
     if args.tol is not None:
         config.tol = _checked_tol(args.tol, "--tol")
     if args.out is not None:

@@ -39,6 +39,10 @@
   row-reduces that image in int64.  A full rank there is a certificate (a
   minor nonzero mod l is nonzero in Z[zeta_N]) and is returned; any other
   rank is found by the exact elimination.
+
+* :func:`invert_in_group_algebra` inverts u in C[K] by one :func:`cyc_solve`
+  on the subgroup S that a^-1 supp(u) generates, a in the support: u^-1 lies
+  on S a^-1, so the system is |S| x |S|, not |K| x |K|.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CotwistError
+from .groups import close_under_products
 from .scalars import _reduction_table, euler_phi, zeta_embeddings
 
 
@@ -606,14 +611,40 @@ def cyc_solve(mat: CycArray, rhs: CycArray) -> CycArray | None:
 
 
 def invert_in_group_algebra(vec: CycArray, mul_table: np.ndarray) -> CycArray:
-    """Inverse of a group-algebra element via its left-regular representation.
+    """Inverse of an element u of C[K], solved in the subgroup its support generates.
 
-    Builds the full |K| x |K| exact matrix L with ``L[x, b] = vec[x * b^-1]``
-    and solves ``L u = e`` by exact Gaussian elimination.
+    Index 0 of ``mul_table`` is the identity e.  Take a, the first point of
+    the support of u (cells of nonzero value, :meth:`CycArray.zero_mask`),
+    and S, the subgroup generated by a^-1 supp(u).  Then u = a w with w in
+    C[S].  If u is invertible, so is w, and w^-1 lies in C[S]: left
+    multiplication by w is injective on C[K], so it maps the finite-dimensional
+    C[S] onto itself, and some v in C[S] has w v = e; v is then w^-1.  So
+    u^-1 = w^-1 a^-1 is supported on S a^-1.  For b in S a^-1 and u[x b^-1]
+    nonzero, x lies in a S a^-1, so u x = e is the square |S| x |S| system
+    L[x, b] = u[x b^-1], x in a S a^-1, b in S a^-1, and the rows outside
+    a S a^-1 vanish.  Its unique solution, by :func:`cyc_solve`, is u^-1
+    placed on S a^-1; it has no solution exactly when u has no right inverse,
+    i.e. is not invertible (C[K] is finite-dimensional), and that raises
+    CotwistError.  The solution is u^-1 whatever the order of the unknowns,
+    so its canonical counts over the lowest common denominator are those of
+    the |K| x |K| solve, count for count; for a u whose support generates K
+    (S = K) the solve is that one.
     """
-    m = mul_table.shape[0]
     inv_idx = np.argmax(mul_table == 0, axis=1)  # b -> b^-1
-    sol = cyc_solve(vec.take(mul_table[:, inv_idx]), ga_identity(m, vec.order))
+    support = np.flatnonzero(~vec.zero_mask())
+    if not support.size:
+        raise CotwistError("group-algebra element is not invertible")
+    a = support[0]
+    members = np.zeros(mul_table.shape[0], dtype=bool)
+    members[0] = True
+    close_under_products(members, mul_table[inv_idx[a], support], mul_table)
+    S = np.flatnonzero(members)
+    cols = mul_table[S, inv_idx[a]]     # S a^-1, e's column first: S[0] = e
+    rows = mul_table[a, cols]           # a S a^-1, e first
+    sol = cyc_solve(vec.take(mul_table[np.ix_(rows, inv_idx[cols])]),
+                    ga_identity(S.size, vec.order))
     if sol is None:
         raise CotwistError("group-algebra element is not invertible")
-    return sol
+    out = CycArray.zeros(vec.shape, vec.order).scale_by(sol.scale)
+    out.counts[cols] = sol.counts
+    return out

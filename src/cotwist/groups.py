@@ -17,6 +17,21 @@ from .errors import AuditError, CotwistError
 MAX_GROUP_ORDER = 10_000
 
 
+def close_under_products(reached: np.ndarray, gens, mul: np.ndarray) -> None:
+    """Mark in ``reached`` every product of a marked element with ``gens``, until closed.
+
+    ``reached`` is a boolean mask over the rows of the Cayley table ``mul``.
+    Started from a set that holds e and lies in the subgroup ``gens``
+    generate, it ends as that subgroup: in a finite group, the products of
+    the generators already contain every inverse.
+    """
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        frontier = np.unique(mul[np.ix_(frontier, gens)])
+        frontier = frontier[~reached[frontier]]
+        reached[frontier] = True
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
@@ -90,11 +105,7 @@ class FiniteGroup:
             if reached[a]:
                 continue
             gens.append(a)
-            frontier = np.flatnonzero(reached)  # close up under right multiplication
-            while frontier.size:
-                frontier = np.unique(mul[np.ix_(frontier, gens)])
-                frontier = frontier[~reached[frontier]]
-                reached[frontier] = True
+            close_under_products(reached, gens, mul)
         parent = np.full(n, -1, dtype=np.int64)
         via = np.full(n, -1, dtype=np.int64)
         order = [0]

@@ -11,8 +11,9 @@ exact: coefficients are cyclotomic numbers and every identity is checked
 with zero tolerance.
 
 J^-1 is either supplied (the symplectic twist brings its closed form, the
-conjugate of J) or computed: first from the antipode element Q by one
-|H| x |H| solve in C[H], and by the exact solve in C[H x H] only if that
+conjugate of J) or computed: first from the antipode element Q by one solve
+in C[H_Q], H_Q the subgroup the support of Q generates (an |H_Q| x |H_Q|
+system, at most |H| x |H|), and by the exact solve in C[H x H] only if that
 candidate fails.  Either way the axiom audit certifies it by one exact
 product.
 
@@ -256,7 +257,9 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
 
           J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q),
 
-      one |H| x |H| solve in C[H] and two products, in place of an
+      one solve for Q^-1 in C[H_Q], H_Q the subgroup the support of Q
+      generates (|H_Q| x |H_Q|, at most |H| x |H|; see
+      :func:`invert_in_group_algebra`), and two products, in place of an
       |H|^2 x |H|^2 solve;
     * the solution K of J K = 1 x 1 in C[H x H], when Q is singular, a count
       would overflow int64, or the product check fails (J is not a twist).
@@ -395,10 +398,12 @@ def _coproduct(x: CycArray) -> CycArray:
 def _inverse_from_q(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
     """The candidate J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q).
 
-    It is J^-1 when J is a twist (see :func:`verify_twist_axioms`); it comes
-    on canonical counts over the lowest common denominator, as
-    :func:`cyc_solve` returns values.  Raises CotwistError when Q is singular
-    or a count would overflow int64.
+    It is J^-1 when J is a twist (see :func:`verify_twist_axioms`).  Q^-1
+    comes from one |H_Q| x |H_Q| solve, H_Q the subgroup the support of Q
+    generates (:func:`invert_in_group_algebra`).  The candidate comes on
+    canonical counts over the lowest common denominator, as :func:`cyc_solve`
+    returns values.  Raises CotwistError when Q is singular or a count would
+    overflow int64.
     """
     Q = _q_element(J, mul, inv)
     Qinv = invert_in_group_algebra(Q, mul)

@@ -431,6 +431,17 @@ def test_negative_seed_env_exits_2(monkeypatch, capsys):
     assert "COTWIST_SEED must be a nonnegative integer, got -3" in stderr
 
 
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_seed_flag_skips_malformed_env(tmp_path, monkeypatch, capsys, route):
+    """COTWIST_SEED is read only when no higher source gives a seed, so a
+    malformed one does not stop a run that has ``--seed``."""
+    monkeypatch.setenv("COTWIST_SEED", "x")
+    instance = P3_UNIPOTENT if route == "flags" else ["--config", write_config(tmp_path)]
+    rc, stdout, stderr = run_cli(["verify", *instance, "--seed", "3"], capsys)
+    assert rc == 0, stderr
+    assert json.loads(stdout)["seed"] == 3
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_malformed_tol_flag_exits_2(capsys, command, tol):

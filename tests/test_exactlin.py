@@ -728,3 +728,62 @@ def test_invert_in_group_algebra():
     ones = CycArray(3, Fraction(1), counts)
     with pytest.raises(CotwistError):
         invert_in_group_algebra(ones, table)
+
+
+def _element(order, cells):
+    """The element of C[S3] with the given counts at the given group indices."""
+    counts = np.zeros((6, order), dtype=np.int64)
+    for index, cell in cells.items():
+        counts[index] = cell
+    return CycArray(order, Fraction(1), counts)
+
+
+def _full_inverse(u, table):
+    """The reference: the |K| x |K| solve L[x, b] = u[x b^-1], L u^-1 = e, over all of K."""
+    inv = np.argmax(table == 0, axis=1)
+    return cyc_solve(u.take(table[:, inv]), ga_identity(table.shape[0], u.order))
+
+
+def _gauge_q(request):
+    from cotwist.twist import _q_element
+
+    t = request.getfixturevalue("p3_gauge_diag_bundle")[0].t
+    mul, inv = t.group.mul.astype(np.int64), t.group.inv.astype(np.int64)
+    return mul, _q_element(t.J, mul, inv)
+
+
+S3 = _symmetric_group_3()  # 0 = e; 1, 2, 3 transpositions; 4, 5 three-cycles
+
+INVERSE_CASES = {
+    # 3 zeta at a three-cycle, beside a cell whose raw counts 1 + zeta + zeta^2 are 0
+    "monomial": (lambda _: (S3, _element(3, {4: [0, 3, 0], 1: [1, 1, 1]})), 1),
+    # 2 s + s r, r a three-cycle: S = <r>, larger than the support
+    "normal-subgroup": (lambda _: (S3, _element(3, {1: [2, 0, 0], S3[1, 4]: [1, 0, 0]})), 3),
+    # 2 r + zeta r s: S = <s> is not normal, so S a^-1 is not a^-1 S
+    "non-normal-subgroup": (lambda _: (S3, _element(3, {4: [2, 0, 0], S3[4, 1]: [0, 1, 0]})), 2),
+    "dense": (lambda _: (S3, rand_cycarray(np.random.default_rng(47), (6,), 3)), 6),
+    "gauge-twist-q": (_gauge_q, 3),
+}
+
+
+@pytest.mark.parametrize("case", INVERSE_CASES)
+def test_inverse_solved_in_support_subgroup(request, solve_shapes, case):
+    """The inverse is solved on the subgroup S the support generates, as one
+    |S| x |S| system, and equals the |K| x |K| solve count for count, with its
+    scale; a cell whose raw counts have value 0 is not support."""
+    build, size = INVERSE_CASES[case]
+    table, u = build(request)
+    solve_shapes.clear()  # building the gauge twist solves too
+    uinv = invert_in_group_algebra(u, table)
+    assert solve_shapes == [(size, size)]
+    full = _full_inverse(u, table)
+    assert np.array_equal(uinv.counts, full.counts)
+    assert uinv.scale == full.scale
+    assert ga_mul(u, uinv, table).eq(ga_identity(table.shape[0], u.order))
+
+
+def test_sparse_zero_divisor_is_not_inverted(solve_shapes):
+    """1 - s with s^2 = e annihilates 1 + s: its 2 x 2 system on <s> is singular."""
+    with pytest.raises(CotwistError):
+        invert_in_group_algebra(_element(3, {0: [1, 0, 0], 1: [-1, 0, 0]}), S3)
+    assert solve_shapes == [(2, 2)]

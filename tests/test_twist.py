@@ -71,9 +71,10 @@ def test_closed_form_inverse_equals_general_solve(p3_pair, p3_twist):
 def test_table_twist_inverse_from_q(p3_gauge_diag_bundle, solve_shapes):
     """A twist with no supplied inverse is inverted through Q, not in C[H x H].
 
-    The gauge-transformed twist has two-term cells; its audit runs one
-    |H| x |H| solve (Q^-1) and none of size |H|^2, and the certified J^-1 has
-    the counts and scale of the general solve's.
+    The gauge-transformed twist has two-term cells.  Its Q has three cells,
+    whose support generates a subgroup S of order 3, so the audit runs one
+    |S| x |S| solve (Q^-1) and none of size |H| or |H|^2, and the certified
+    J^-1 has the counts and scale of the general solve's.
     """
     from cotwist.exactlin import invert_in_group_algebra
     from cotwist.groups import FiniteGroup
@@ -83,7 +84,7 @@ def test_table_twist_inverse_from_q(p3_gauge_diag_bundle, solve_shapes):
     bare = FiniteGroup(inst.t.group.mul.copy())
     t, audit = assemble_twist(Subgroup(bare, np.arange(9)), J)
     assert audit.ok
-    assert solve_shapes == [(9, 9)]
+    assert solve_shapes == [(3, 3)]
     general = invert_in_group_algebra(J.reshape(81), t.pair_mul).reshape(9, 9)
     assert solve_shapes[-1] == (81, 81)
     assert np.array_equal(t.Jinv.counts, general.counts)
