@@ -14,7 +14,7 @@ from .correspondence import (Config, CosetSpectrum, Report, SymplecticConstructi
                              invariant_algebra_Ug, predicted_spectrum, render_json,
                              render_table)
 from .dual_algebras import (GroupAction, SCAlgebra, a2_to_a1op_iso, build_A1_A2_star,
-                            build_block_algebra, dual_product_delta)
+                            build_block_algebra)
 from .errors import AuditError, CotwistError, SeedRetryError
 from .exactlin import CycArray, cyc_rank
 from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup,
@@ -40,7 +40,7 @@ __all__ = [
     "TwistAudit", "TwistData", "WedderburnSpectrum", "a2_to_a1op_iso",
     "assemble_twist", "build_A1_A2_star", "build_block_algebra",
     "build_elementary_abelian_symplectic", "build_instance", "build_semidirect",
-    "cyc_rank", "double_cosets", "dual_product_delta", "f_g_map",
+    "cyc_rank", "double_cosets", "f_g_map",
     "full_report", "invariant_algebra_Ug", "load_twist_matrix", "make_twist",
     "multiplicity_law_check", "predicted_spectrum", "projective_rep_from_action",
     "pullback_and_tensor_cocycle", "q_element_and_antipode_check", "render_json",

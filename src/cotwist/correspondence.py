@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, ProductCounts, accumulate_products, gather
+from .exactlin import CycArray, contract_counts, sum_counts
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, double_cosets, stabilizer_Kg, stabilizer_local_indices)
 from .projective import (ProjectiveRep, multiplicity_law_check, projective_rep_from_action,
@@ -163,37 +163,30 @@ def pair_orbits(perms: np.ndarray):
 # U_g: the invariant algebra (route b)
 
 
-def _orbit_structure_constants(mul2: CycArray, mul1: CycArray, members: np.ndarray,
-                               qs) -> np.ndarray:
-    """Rows of the orbit-sum structure constants, as counts [i, j, l, N].
+def _orbit_row(mul2: CycArray, mul1: CycArray, members: np.ndarray, partner: np.ndarray,
+               q: int) -> np.ndarray:
+    """Row o_q o_j of the orbit-sum structure constants, as counts [j, l, N].
 
-    Row i is taken from one pair index qs[i] in orbit i: o_i is the orbit
-    symmetrization of delta_q for any member q, so o_i o_j is the orbit
-    symmetrization of delta_q * o_j, and freeness makes the reduction to the
-    orbit basis a plain sum of coefficients over each orbit.  A row is one
-    kernel call, adding every delta_q * o_j on the pair basis (x1, x2), whose
-    cell offset splits between the two legs, then summed over the orbit
-    members (``members[l]``).  The scale is mul2.scale * mul1.scale.
+    o_i is the orbit symmetrization of delta_q for any member q of orbit i,
+    so o_i o_j is the symmetrization of delta_q o_j, and freeness makes its
+    coefficient on o_l the sum of those of delta_q o_j over the members of
+    orbit l.  With (h1, h2) = divmod(q, |H|), the pair (y1, y2) of orbit j
+    gives mul2[h1, y1, x1] mul1[h2, y2, x2] at (x1, x2).  The A_2* leg acts
+    freely, so orbit l holds at most one member (x1, partner[x1, l]) per x1,
+    and the row is R[(y2, l), y1] = sum_{x1} mul1[h2, y2, partner[x1, l]]
+    mul2[h1, y1, x1], one :func:`contract_counts` of a gather, then the
+    :func:`sum_counts` over the members (y1, y2) of orbit j (``members[j]``).
+    Both factors are read on their fewest-term counts; the scale is
+    mul2.scale * mul1.scale.
     """
-    m = mul2.shape[0]
-    n = mul2.order
-    r = len(members)
-    y1, y2 = (y[:, :, None, None] for y in np.divmod(members, m))
-    # term lists of only the slices mul2[h1] and mul1[h2] that the rows use
-    (rows1, at1), (rows2, at2) = (np.unique(h, return_inverse=True)
-                                  for h in np.divmod(np.asarray(qs, dtype=np.int64), m))
-    terms2, terms1 = mul2.take(rows1, 0).terms(), mul1.take(rows2, 0).terms()
-    x1, x2 = np.ogrid[:m, :m]
-    j = np.arange(r)[:, None, None, None]
-    counts = np.empty((len(qs), r, r, n), dtype=np.int64)
-    for i in range(len(qs)):
-        # [j, k, x1, x2] = mul2[h1, y1_jk, x1] * mul1[h2, y2_jk, x2] at pair cell (j, x1, x2),
-        # with (h1, h2) = divmod(qs[i], m)
-        pairs = ProductCounts((r, m, m), n)
-        accumulate_products(pairs, pairs.piece(gather(terms2, at1[i], y1, x1), (j * m + x1) * m),
-                            pairs.piece(gather(terms1, at2[i], y2, x2), x2))
-        counts[i] = pairs.fold(1).counts.reshape(r, m * m, n)[:, members].sum(axis=2)
-    return counts
+    m, r, n = partner.shape[0], partner.shape[1], mul2.order
+    h1, h2 = divmod(int(q), m)
+    f2, f1 = mul2.take(h1, 0).fewest_counts(), mul1.take(h2, 0).fewest_counts()
+    f1 = np.concatenate([f1, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # column m is 0
+    gathered = f1[np.arange(m)[:, None, None], partner.T[None]]           # [y2, l, x1]
+    R = contract_counts(gathered.reshape(m * r, m, n), f2.transpose(1, 0, 2))
+    y1, y2 = (y[:, :, None] for y in np.divmod(members, m))
+    return sum_counts(R.reshape(m, r, m, n)[y2, np.arange(r), y1], axis=1)
 
 
 def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray,
@@ -239,8 +232,9 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     sigma.  Every orbit i holds T(h2, h1)(e, e) for its representative
     (h2, h1), so with sigma_i induced by T(h2^-1, h1^-1), row i is the row of
     the orbit of (e, e) gathered through sigma_i (``_orbit_transport``):
-    U[i, j, l] = row[sigma[i, j], sigma[i, l]].  Only that row takes kernel
-    calls; without the certificate every row does, and U_g is dense.
+    U[i, j, l] = row[sigma[i, j], sigma[i, l]].  Only that row is formed
+    (:func:`_orbit_row`); without the certificate every row is, and U_g is
+    dense.
 
     With the certificate U_g is returned in slice form
     (``SCAlgebra.from_slice``) with P = sigma and the slice
@@ -258,16 +252,20 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
             f"invariant algebra dimension {len(reps)} != |H|^2/|K_g| = {expected}")
     r, n = len(reps), A2s.mul.order
     members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
+    x1, x2 = np.divmod(members, m)
+    partner = np.full((m, r), m)  # [x1, l]: the x2 with (x1, x2) in orbit l, m where none
+    partner[x1, np.arange(r)[:, None]] = x2
+    if np.count_nonzero(partner < m) != members.size:
+        raise AuditError("pair orbits: the A2* leg does not act freely")
     scale, name = A2s.mul.scale * A1s.mul.scale, f"invariants at g={g}"
     unit = CycArray.from_exponents(n, np.zeros(r, dtype=np.int64))
     Hg = H.as_group
     if ad_invariant(Hg, A1s.mul.take(0, 2)) and ad_invariant(Hg, A2s.mul.take(0, 2)):
         sigma = _orbit_transport(orbit_id, members, reps, Hg)
-        # the row of (e, e), pair index 0, as [j, l, N]
-        row = _orbit_structure_constants(A2s.mul, A1s.mul, members, [0])[0]
+        row = _orbit_row(A2s.mul, A1s.mul, members, partner, 0)  # the row of (e, e)
         return SCAlgebra.from_slice(CycArray(n, scale, row[sigma, sigma[:, [0]]]), sigma,
                                     unit, name)
-    counts = _orbit_structure_constants(A2s.mul, A1s.mul, members, reps)
+    counts = np.stack([_orbit_row(A2s.mul, A1s.mul, members, partner, q) for q in reps])
     return SCAlgebra(CycArray(n, scale, counts), unit, name)
 
 

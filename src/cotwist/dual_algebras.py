@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, CotwistError
-from .exactlin import (CycArray, ProductCounts, _largest, accumulate_products, cyc_rank,
-                       cyc_tensordot, gather)
+from .exactlin import CycArray, _largest, contract_counts, cyc_rank, cyc_tensordot, sum_counts
 from .groups import DoubleCoset, FiniteGroup
 from .twist import TwistData
 
@@ -110,11 +109,6 @@ class GroupAction:
     group: FiniteGroup
     perms: np.ndarray
     name: str = ""
-
-    def apply(self, h: int, vec: CycArray) -> CycArray:
-        counts = np.zeros_like(vec.counts)
-        counts[self.perms[h]] = vec.counts
-        return CycArray(vec.order, vec.scale, counts)
 
     def verify(self, algebra: SCAlgebra) -> None:
         """Assert: group action, by algebra automorphisms, acting freely.
@@ -243,37 +237,6 @@ def build_A1_A2_star(t: TwistData):
 # ambient dual products and double-coset blocks
 
 
-def _h_embedding(t: TwistData):
-    """(G, H-element list, G-index -> H-local lookup with -1 fill)."""
-    sub = t.subgroup
-    G = sub.parent
-    elems = sub.elements
-    loc = np.full(G.order, -1, dtype=np.int64)
-    loc[elems] = np.arange(len(elems))
-    return G, elems, loc
-
-
-def dual_product_delta(t: TwistData, a: int, b: int) -> CycArray:
-    """Product delta_a . delta_b in the full ambient dual algebra of G.
-
-    Coefficient of delta_x is sum over s, t in H with x^-1 s^-1 a and
-    x^-1 t^-1 b in H of Jinv[s, t] J[x^-1 s^-1 a, x^-1 t^-1 b].  Used to
-    confirm structurally that products across different double cosets vanish.
-    """
-    t.require_verified()
-    G, elems, loc = _h_embedding(t)
-    mulG = G.mul.astype(np.int64)
-    invG = G.inv.astype(np.int64)
-    xinv = invG[None, :]
-    c_loc = loc[mulG[xinv, mulG[invG[elems], a][:, None]]]  # [s, x] -> x^-1 s^-1 a
-    d_loc = loc[mulG[xinv, mulG[invG[elems], b][:, None]]]  # [t, x] -> x^-1 t^-1 b
-    s, tt, x = np.nonzero((c_loc[:, None, :] >= 0) & (d_loc[None, :, :] >= 0))
-    out = ProductCounts((G.order,), t.order)
-    accumulate_products(out, out.piece(gather(t.Jinv.terms(), s, tt), x),
-                        out.piece(gather(t.J.terms(), c_loc[s, x], d_loc[tt, x])))
-    return out.fold(t.J.scale * t.Jinv.scale)
-
-
 def ad_invariant(group: FiniteGroup, M: CycArray) -> bool:
     """Whether M[h a h^-1, h b h^-1] = M[a, b] exactly, for every h in ``group``.
 
@@ -289,17 +252,42 @@ def ad_invariant(group: FiniteGroup, M: CycArray) -> bool:
     return bool(np.all(canon[conj[:, :, None], conj[:, None, :]] == canon))
 
 
+def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -> np.ndarray:
+    """Counts [a, b, N] of a block's products at one basis point x.
+
+    ``shifts[s, c]`` is the coset index of h_s x h_c; ``jinv`` and ``j`` are
+    counts of Jinv and J.  mul[a, b, x] = sum Jinv[s, t] J[c, d] over
+    h_s x h_c = a and h_t x h_d = b.  For each t, d -> h_t x h_d is
+    injective, so X[b, c, t] = J[c, d] at h_t x h_d = b (0 where no d is) is
+    a gather, Y[(b, c), s] = sum_t X[b, c, t] Jinv[s, t] is one
+    :func:`contract_counts`, and S[a, b] is the :func:`sum_counts` of
+    Y[b, c, s] over the |H|^2/|Z| pairs (s, c) with h_s x h_c = a.  Raises
+    AuditError unless every a has that many.
+    """
+    m, n = j.shape[0], j.shape[-1]
+    if np.any(np.bincount(shifts.ravel(), minlength=nz) * nz != m * m):
+        raise AuditError("double coset is not one H x H orbit of its points")
+    d_at = np.full((m, nz), m)  # [t, b]: the d with h_t x h_d = b, m where none
+    d_at[np.arange(m)[:, None], shifts] = np.arange(m)
+    j = np.concatenate([j, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # J[c, m] = 0
+    X = j[np.arange(m)[:, None], d_at.T[:, None, :]]                       # [b, c, t]
+    Y = contract_counts(X.reshape(nz * m, m, n), jinv.transpose(1, 0, 2))  # [(b, c), s]
+    pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)    # [a, k]: c m + s
+    return sum_counts(Y.reshape(nz, m * m, n)[:, pairs], axis=2).swapaxes(0, 1)
+
+
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     """The block of the ambient dual algebra supported on one double coset.
 
-    Basis {delta_a : a in H g H}; the product is the ambient dual product,
-    which this block is closed under.  For every basis point x of the coset
-    and every (s, t, c, d) in H^4 the pair (s x c, t x d) receives
-    Jinv[s, t] J[c, d] at x.  The slice at one x is one kernel call: its slot
-    is the sum of a Jinv-side piece over [s, t, c] (the cell offset of s x c
-    plus Jinv's exponents) and a J-side piece over [t, c, d] (the cell offset
-    of t x d plus J's exponents), so the scratch beyond the counts is
-    |H|^3 * T cells and no |H|^4 target is formed.
+    Basis {delta_a : a in H g H}.  The ambient dual product delta_a . delta_b
+    has at delta_x the coefficient sum Jinv[s, t] J[x^-1 s^-1 a, x^-1 t^-1 b]
+    over the s, t in H that keep both arguments of J in H.  Such terms need
+    x^-1 s^-1 a in H and x^-1 t^-1 b in H, which put a and b in H x H: a
+    product of deltas from distinct double cosets has no terms, so it
+    vanishes by construction and each block is closed under the product.
+    With a = h_s x h_c and b = h_t x h_d, mul[a, b, x] = sum Jinv[s, t]
+    J[c, d]; the slice at one x is :func:`_block_slice`, on the fewest-term
+    counts of J and Jinv.
 
     One slice fixes the block when J and Jinv are Ad(H)-invariant, which
     ``ad_invariant`` certifies exactly.  Substituting s -> h s h^-1,
@@ -309,50 +297,38 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     mul[a, b, x] for all h, h' in H.  The coset is a single H x H orbit, so
     with S the slice at the representative g, mul[a, b, x] =
     S[h^-1 a h'^-1, h^-1 b h'^-1], where x = h g h' is x's first
-    factorization: |Z| times fewer term pairs.  The block is returned in
-    slice form (``SCAlgebra.from_slice``), S with back[x, a] =
-    h^-1 a h'^-1, whose rows are permutations because a -> h^-1 a h'^-1 is
-    a bijection of the coset; its dense constants are gathered only when
-    ``mul`` is read.  Without the certificate every basis point takes its
-    own kernel call and the block is dense.  The unit is the restriction of
-    the ambient counit (all-ones on the coset).
+    factorization.  The block is returned in slice form
+    (``SCAlgebra.from_slice``), S with back[x, a] = h^-1 a h'^-1, whose rows
+    are permutations because a -> h^-1 a h'^-1 is a bijection of the coset;
+    its dense constants are gathered only when ``mul`` is read.  Without the
+    certificate the slices at every basis point are stacked into a dense
+    block.  The unit is the restriction of the ambient counit (all-ones on
+    the coset).
     """
     t.require_verified()
-    G, elems, _ = _h_embedding(t)
+    G, hg = t.subgroup.parent, t.subgroup.elements.astype(np.int64)
     mulG = G.mul.astype(np.int64)
     z = coset.elements.astype(np.int64)
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
     loc_z[z] = np.arange(nz)
-    hg = elems.astype(np.int64)
     # shifts[x, s, c] = coset-local index of (h_s x h_c)
     shifts = loc_z[mulG[mulG[np.ix_(hg, z)].T[:, :, None], hg[None, None, :]]]
     if np.any(shifts < 0):
         raise AuditError("double coset is not closed under H-translations")
-    # cells [s, t, c, d]: Jinv[s, t] on the left side, J[c, d] on the right
-    jinv_terms = gather(t.Jinv.terms(), slice(None), slice(None), None, None)
-    j_terms = gather(t.J.terms(), None, None)
+    jinv, j = t.Jinv.fewest_counts(), t.J.fewest_counts()
     scale, unit = t.J.scale * t.Jinv.scale, _all_ones(nz, t.order)
     name = f"block[{coset.representative}]"
     if ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv):
         g = loc_z[coset.representative]
-        out = ProductCounts((nz, nz), t.order)
-        accumulate_products(out, out.piece(jinv_terms, (shifts[g] * nz)[:, None, :, None]),
-                            out.piece(j_terms, shifts[g][None, :, None, :]))
-        firsts = np.unique(shifts[g], return_index=True)[1]
-        if firsts.size != nz:
-            raise AuditError("double coset is not one H x H orbit of its representative")
+        S = _block_slice(jinv, j, shifts[g], nz)
         # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
-        s, c = np.divmod(firsts, len(hg))
+        s, c = np.divmod(np.unique(shifts[g], return_index=True)[1], len(hg))
         invG = G.inv.astype(np.int64)
         back = loc_z[mulG[mulG[invG[hg[s]][:, None], z[None, :]], invG[hg[c]][:, None]]]
-        return SCAlgebra.from_slice(out.fold(scale), back, unit, name)
-    out = ProductCounts((nz, nz, nz), t.order)
-    for x in range(nz):
-        left = out.piece(jinv_terms, (shifts[x] * nz * nz + x)[:, None, :, None])
-        right = out.piece(j_terms, shifts[x][None, :, None, :] * nz)
-        accumulate_products(out, left, right)
-    return SCAlgebra(out.fold(scale), unit, name)
+        return SCAlgebra.from_slice(CycArray(t.order, scale, S), back, unit, name)
+    counts = np.stack([_block_slice(jinv, j, shifts[x], nz) for x in range(nz)], axis=2)
+    return SCAlgebra(CycArray(t.order, scale, counts), unit, name)
 
 
 # ---------------------------------------------------------------------------

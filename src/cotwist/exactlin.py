@@ -8,24 +8,13 @@
   exact.  Twist files are read straight into one and written from its
   canonical counts (``cotwist.twist``).
 
-* Two product kernels, both on the fewest-term counts of
-  :meth:`CycArray.fewest_counts` (T nonzero counts per cell: 1 for a single
-  root of unity, at most N in general).
-
-  - :func:`accumulate_products`, the scatter, for gathered and sparse
-    products: the block build, U_g, the dual-algebra structure constants and
-    a sparse :func:`ga_mul`.  It gathers two term lists (``CycArray.terms``)
-    and adds their products into a :class:`ProductCounts` on a 2N-wide
-    exponent axis, folded once, at T_a * T_b term pairs per cell pair.  Each
-    side brings a slot piece (cell offset * 2N + exponent) over only the
-    cells it depends on; a term pair costs one add, one multiply and its
-    ``np.add.at``.  Its overflow bound raises CotwistError before a count
-    can wrap.
-  - :func:`contract_counts`, for dense contractions sum_k A[r, k] B[k, c]:
-    the twist axiom audit, a dense :func:`ga_mul` on pairs and
-    :func:`cyc_tensordot`.  It is one matmul of A's counts with the
-    circulant expansion of B's, in float64 with BLAS while every partial
-    sum is an integer below 2**53, else in int64.
+* One product kernel, :func:`contract_counts`: sum_k A[r, k] B[k, c] as one
+  matmul of A's counts with the circulant expansion of B's, in float64 with
+  BLAS while every partial sum is an integer below 2**53, else in int64.  It
+  serves the twist axiom audit, :func:`ga_mul`, :func:`cyc_tensordot`, the
+  block build and U_g.  A gathered product is a gather of one operand
+  followed by one contraction; a fixed number of gathered results is then
+  added by :func:`sum_counts` under its overflow bound.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -84,14 +73,6 @@ def _mode_shifted(counts: np.ndarray) -> np.ndarray:
     shifted = counts.copy()
     shifted[busy] = c - np.where(tie_with_zero, 0, np.take_along_axis(c, best, axis=-1))
     return shifted
-
-
-def _term_list(counts: np.ndarray):
-    """The nonzero counts of each cell as ``(exps, nums)``, zero-padded to the widest cell."""
-    nonzero = counts != 0
-    width = max(1, int(nonzero.sum(axis=-1).max(initial=0)))
-    exps = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
-    return exps, np.take_along_axis(counts, exps, axis=-1)
 
 
 def _largest(counts: np.ndarray) -> int:
@@ -177,8 +158,8 @@ class CycArray:
         For N > 1, sum_k zeta^k = 0, so subtracting one constant from all N
         counts of a cell keeps its value: each cell is shifted by its most
         frequent count, or by 0 on a tie with 0, so a cell with a single
-        nonzero count keeps it.  A folded product whose value is one root of
-        unity thus has one nonzero count, not N.  For composite N, where
+        nonzero count keeps it.  A product whose value is one root of unity
+        thus has one nonzero count, not N.  For composite N, where
         Phi_N has other relations, a cell whose (shifted) canonical counts
         have fewer nonzeros takes those.  N = 1 is never shifted.
         """
@@ -191,16 +172,6 @@ class CycArray:
             fewer = np.count_nonzero(canon, axis=-1) < np.count_nonzero(counts, axis=-1)
             counts = np.where(fewer[..., None], canon, counts)
         return counts
-
-    def terms(self):
-        """Per-cell term lists ``(exps, nums)`` of :meth:`fewest_counts`, zero-padded.
-
-        Both arrays have this array's cell shape plus a trailing axis of T
-        terms, T being the largest number of listed terms in any cell (at
-        least 1): cell value = scale * sum_t nums[..., t] * zeta^exps[..., t].
-        Padding terms have ``nums == 0``.
-        """
-        return _term_list(self.fewest_counts())
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -215,17 +186,6 @@ class CycArray:
             if int(np.abs(counts).max(initial=0)) * abs(f) >= 1 << 63:
                 raise CotwistError("a common scale would overflow int64 counts")
         return self.counts * fa, other.counts * fb, g
-
-    def __add__(self, other: "CycArray") -> "CycArray":
-        ca, cb, s = self._aligned(other)
-        return CycArray(self.order, s, ca + cb)
-
-    def __sub__(self, other: "CycArray") -> "CycArray":
-        ca, cb, s = self._aligned(other)
-        return CycArray(self.order, s, ca - cb)
-
-    def __neg__(self) -> "CycArray":
-        return CycArray(self.order, self.scale, -self.counts)
 
     def scale_by(self, q) -> "CycArray":
         return CycArray(self.order, self.scale * Fraction(q), self.counts)
@@ -245,8 +205,7 @@ class CycArray:
         return (self.counts @ z) * float(self.scale)
 
 
-#: term pairs of the scatter, result counts of the contraction, formed at once;
-#: bounds the product kernels' scratch memory
+#: result counts of the contraction formed at once; bounds its float64 scratch
 KERNEL_CHUNK = 1 << 15
 
 
@@ -266,13 +225,8 @@ def contract_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     magnitude at most bound = K N max|a| max|b|.  While 2 bound < 2**53 (a
     factor 2 to spare) the matmul runs in float64, with BLAS: every count,
     product and partial sum is then a float64 integer, so the result is
-    exact for any BLAS thread count.  Otherwise it runs on the int64 counts (exact, no BLAS) while
-    bound < 2**63, and past that raises CotwistError.  So no product the
-    replaced paths accepted is refused: :func:`cyc_tensordot`'s guard was
-    this bound, and the scatter's on a dense product over a group K,
-    max|a| max|b| |K|^4 T_a T_b, is no smaller than this one's (K = |K|) or
-    the final sum's in :func:`_dense_pair_mul` while |K|^2 T_a T_b >= N, as
-    for every symplectic twist.
+    exact for any BLAS thread count.  Otherwise it runs on the int64 counts
+    (exact, no BLAS) while bound < 2**63, and past that raises CotwistError.
     """
     rows, inner, n = a.shape
     cols = b.shape[1]
@@ -321,70 +275,15 @@ def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
     return CycArray(a.order, a.scale * b.scale, out.reshape(*rows, *cols, a.order))
 
 
-def gather(terms, *index):
-    """Index the cells of a term list ``(exps, nums)``; the term axis stays last."""
-    exps, nums = terms
-    return exps[index], nums[index]
+def sum_counts(counts: np.ndarray, axis: int) -> np.ndarray:
+    """The int64 sum of ``counts`` over ``axis``.
 
-
-class ProductCounts:
-    """Integer counts that exact products are added into, on a 2N-wide exponent axis.
-
-    The exponent sum of two terms lies in [0, 2N - 2], so it addresses a slot
-    of the 2N-wide axis directly and no product is reduced mod N; :meth:`fold`
-    adds the upper half onto the lower one once.  ``bound`` is the sum, over
-    the kernel calls so far, of max |nums_a| * max |nums_b| * term pairs: no
-    count, folded or not, can exceed it in absolute value.
+    No partial sum passes (terms summed) * max|count|; CotwistError is raised
+    unless that stays below 2**63.
     """
-
-    def __init__(self, shape, order: int):
-        self.order = order
-        self.counts = np.zeros((*shape, 2 * order), dtype=np.int64)
-        self.bound = 0
-
-    def piece(self, terms, cells=0):
-        """Slot piece of a gathered term list: flat cell offset * 2N + exponent.
-
-        ``cells`` is this side's part of the flat cell index of the counts;
-        its shape broadcasts against the term list's cell shape.
-        """
-        exps, nums = terms
-        return np.asarray(cells, dtype=np.int64)[..., None] * (2 * self.order) + exps, nums
-
-    def fold(self, scale) -> CycArray:
-        n = self.order
-        return CycArray(n, scale, self.counts[..., :n] + self.counts[..., n:])
-
-
-def accumulate_products(out: ProductCounts, a, b) -> None:
-    """Add the products of two slot-piece term lists into ``out``.
-
-    ``a`` and ``b`` are ``(slots, nums)`` pairs from :meth:`ProductCounts.piece`
-    with a trailing axis of terms, whose cell shapes broadcast together.  For
-    every cell and every pair of a term of ``a`` and a term of ``b``,
-    nums_a * nums_b is added at the flat slot slots_a + slots_b of
-    ``out.counts``; repeated slots add up.  A term pair costs one broadcast
-    add, one multiply and its share of ``np.add.at``.  Work proceeds in slices
-    of the leading cell axis of about ``KERNEL_CHUNK`` term pairs each.
-    Raises CotwistError, before any count changes, when ``out.bound`` would
-    reach 2**63.
-    """
-    (sa, na), (sb, nb) = a, b
-    cells = np.broadcast_shapes(sa.shape[:-1], sb.shape[:-1]) or (1,)
-    pairs = math.prod(cells) * na.shape[-1] * nb.shape[-1]
-    largest = [int(np.abs(x).max(initial=0)) for x in (na, nb)]
-    if out.bound + largest[0] * largest[1] * pairs >= 1 << 63:
-        raise CotwistError("exact products would overflow int64 counts")
-    out.bound += largest[0] * largest[1] * pairs
-    sa, na = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (sa, na))
-    sb, nb = (np.broadcast_to(x, cells + x.shape[-1:]) for x in (sb, nb))
-    flat = out.counts.reshape(-1)
-    step = max(1, KERNEL_CHUNK * cells[0] // max(1, pairs))
-    for lo in range(0, cells[0], step):
-        rows = slice(lo, lo + step)
-        slots = sa[rows, ..., :, None] + sb[rows, ..., None, :]
-        nums = na[rows, ..., :, None] * nb[rows, ..., None, :]
-        np.add.at(flat, slots.ravel(), nums.ravel())
+    if counts.shape[axis] * _largest(counts) >= 1 << 63:
+        raise CotwistError("an exact sum would overflow int64 counts")
+    return counts.sum(axis=axis)
 
 
 def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
@@ -392,31 +291,36 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
 
     ``u`` and ``v`` are indexed by the elements of a group K with Cayley
     table ``mul_table``, or, as (|K|, |K|) arrays, by the pairs of K x K,
-    whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  Only the
-    supports are paired by :func:`accumulate_products` - a cell is in the
-    support when its fewest-term counts (:meth:`CycArray.fewest_counts`) are
-    nonzero, so raw counts of value 0 are not - except that two pair
-    elements whose supports would pair more than |K|^3 times are multiplied
-    densely (:func:`_dense_pair_mul`).  Either way the folded counts are the
-    sums of the products of the fewest-term counts, count for count.
+    whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  Both are
+    read on their fewest-term counts (:meth:`CycArray.fewest_counts`), and a
+    cell is in the support when those are nonzero, so raw counts of value 0
+    are not.  With A the smaller support, say u's, (u v)[x] = sum_{a in A}
+    u[a] v[a^-1 x] (leg-wise for pairs): v gathered at [x, a], |K| |A| cells
+    (|K|^2 |A| for pairs), and contracted with u over A by one
+    :func:`contract_counts`; for v's, (u v)[x] = sum_{b in B} u[x b^-1] v[b].
+    Two pair elements whose supports both exceed |K| cells, where that gather
+    would pass |K|^3 cells, are multiplied by :func:`_dense_pair_mul`.  Either
+    way the counts are the sums of the products of the fewest-term counts,
+    count for count.
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
-    m = mul_table.shape[0]
     mul = np.asarray(mul_table, dtype=np.int64)
+    m, n = mul.shape[0], u.order
     fu, fv = u.fewest_counts(), v.fewest_counts()
-    ia, ib = (np.flatnonzero(f.any(axis=-1)) for f in (fu, fv))
-    if len(u.shape) == 2 and ia.size * ib.size > m ** 3:
-        return CycArray(u.order, u.scale * v.scale, _dense_pair_mul(fu, fv, mul))
-    out = ProductCounts(u.shape, u.order)
-    ca, cb = np.unravel_index(ia, u.shape), np.unravel_index(ib, v.shape)
-    if len(u.shape) == 2:
-        target = mul[np.ix_(ca[0], cb[0])] * m + mul[np.ix_(ca[1], cb[1])]
-    else:
-        target = mul[np.ix_(ia, ib)]
-    accumulate_products(out, out.piece(gather(_term_list(fu[ca]), slice(None), None), target),
-                        out.piece(_term_list(fv[cb])))
-    return out.fold(u.scale * v.scale)
+    su, sv = (np.flatnonzero(f.reshape(-1, n).any(axis=-1)) for f in (fu, fv))
+    pair = len(u.shape) == 2
+    if pair and min(su.size, sv.size) > m:
+        return CycArray(n, u.scale * v.scale, _dense_pair_mul(fu, fv, mul))
+    left = su.size <= sv.size
+    support, small, other = (su, fu, fv) if left else (sv, fv, fu)
+    # div[s, x]: the other factor's cell y with s y = x (left) or y s = x (right)
+    div = np.argsort(mul, axis=1) if left else np.argsort(mul, axis=0).T
+    at = [div[leg].T for leg in np.unravel_index(support, u.shape)]  # [x, k] per leg
+    gathered = other[(at[0][:, None], at[1][None]) if pair else (at[0],)]
+    out = contract_counts(gathered.reshape(-1, support.size, n),
+                          small.reshape(-1, n)[support][:, None])
+    return CycArray(n, u.scale * v.scale, out.reshape(fu.shape))
 
 
 def _dense_pair_mul(fu: np.ndarray, fv: np.ndarray, mul: np.ndarray) -> np.ndarray:

@@ -126,6 +126,49 @@ def wreath_bundle(p3_pair):
 
 
 @pytest.fixture(scope="session")
+def intermediate_bundle(tmp_path_factory):
+    """Instance, context, and double cosets for criterion 9's table instance
+    (``intermediate_instance``): the cosets at 27 and 54 have |K_g| = 3."""
+    from intermediate_instance import write_instance
+
+    inst = build_instance(write_instance(tmp_path_factory.mktemp("intermediate")))
+    return inst, prepare_instance(inst, seed=0), double_cosets(inst.G, inst.H)
+
+
+#: inputs of the reference-formula tests: bundle fixture -> coset representative
+#: (None: the bundle's second coset); the wreath swap coset 81 has K_g = {e},
+#: criterion 9's coset 27 has |K_g| = 3
+REFERENCE_COSETS = {"p3_diag_bundle": None, "p3_gauge_diag_bundle": None,
+                    "wreath_bundle": 81, "intermediate_bundle": 27}
+
+
+@pytest.fixture(params=list(REFERENCE_COSETS))
+def reference_case(request):
+    """(instance, context, coset) for each input of ``REFERENCE_COSETS``."""
+    inst, ctx, zs = request.getfixturevalue(request.param)
+    rep = REFERENCE_COSETS[request.param]
+    return inst, ctx, zs[1] if rep is None else next(z for z in zs if z.representative == rep)
+
+
+@pytest.fixture
+def both_modes(monkeypatch):
+    """``both_modes(build)``: ``build()`` with the Ad-invariance certificate,
+    then with it refused, which takes the per-point block and all-rows U_g builds."""
+    import cotwist.correspondence as corr
+    import cotwist.dual_algebras as duals
+
+    def run(build):
+        fast = build()
+        with monkeypatch.context() as patch:
+            for module in (duals, corr):
+                patch.setattr(module, "ad_invariant", lambda group, M: False)
+            slow = build()
+        return fast, slow
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def p5_diag_bundle():
     inst = build_instance(make_config(5, DIAG_12))
     ctx = prepare_instance(inst, seed=0)

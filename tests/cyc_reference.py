@@ -4,7 +4,8 @@ A value of Q(zeta_N) is a tuple of N Fractions, the coefficients of a
 polynomial in zeta modulo x^N - 1.  Sums add coefficient-wise and products
 are cyclic convolutions.  That form is not unique (1 + zeta + zeta^2 = 0 for
 N = 3), so values are compared after reduction modulo Phi_N, where it is.
-Nothing here calls ``accumulate_products`` or ``cyc_tensordot``.
+Products are formed in plain loops; nothing here calls the package's product
+kernel ``contract_counts``.
 """
 
 import cmath
@@ -44,6 +45,21 @@ def mul(a, b) -> tuple:
                 if y:
                     out[(i + j) % n] += x * y
     return tuple(out)
+
+
+def ga_product(u, v, table) -> np.ndarray:
+    """u v in C[K] for a Cayley table of K, or leg-wise in C[K x K] for
+    (|K|, |K|) arrays, as raw coefficient tuples: the plain sums of the
+    products of the fewest-term counts of both factors, count for count."""
+    fu, fv = (values(type(x)(x.order, x.scale, x.fewest_counts())) for x in (u, v))
+    out = np.empty(u.shape, dtype=object)
+    for x in np.ndindex(*u.shape):
+        out[x] = zero(u.order)
+    for a in np.ndindex(*u.shape):
+        for b in np.ndindex(*v.shape):
+            x = tuple(int(table[i, j]) for i, j in zip(a, b))
+            out[x] = add(out[x], mul(fu[a], fv[b]))
+    return out
 
 
 def canonical(a) -> tuple:

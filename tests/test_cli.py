@@ -176,7 +176,8 @@ def test_uncertifiable_inverse_exits_1_with_report(tmp_path, capsys):
     gauged = ga_mul(ga_mul(uu, t.J.reshape(m * m), t.pair_mul), diag, t.pair_mul)
     bump = CycArray.zeros((m, m), 3)
     bump.counts[0, 0, 0] = 1
-    J = gauged.reshape(m, m) + bump.scale_by(Fraction(1, 7))
+    gauged_counts, bump_counts, scale = gauged.reshape(m, m)._aligned(bump.scale_by(Fraction(1, 7)))
+    J = CycArray(3, scale, gauged_counts + bump_counts)  # the sum on a common scale
     cfg_file = write_table_instance(
         tmp_path, twist=TwistData(subgroup=t.subgroup, order=3, J=J))
     out = tmp_path / "report.json"

@@ -108,21 +108,30 @@ def test_invariant_algebra_float_oracle(p3_diag_bundle):
         assert np.max(np.abs(prod - expanded)) < 1e-9
 
 
-@pytest.mark.parametrize("bundle", ["p3_diag_bundle", "p3_gauge_diag_bundle"])
-def test_invariant_algebra_reference_formula(bundle, request):
+def test_invariant_algebra_reference_formula(reference_case, both_modes):
     """U_g[i, j, l] is the coefficient of the pair rep_l in o_i o_j, the product
     of two orbit sums in A2* (x) A1*, summed in the reference arithmetic from
-    A2*[h, h', x] = Jinv[h x^-1, h' x^-1] and A1*[h, h', x] = J[x^-1 h, x^-1 h']."""
-    inst, ctx, zs = request.getfixturevalue(bundle)
-    g = zs[1].representative
+    A2*[h, h', x] = Jinv[h x^-1, h' x^-1] and A1*[h, h', x] = J[x^-1 h, x^-1 h'],
+    for the one-row build and for the all-rows build without the certificate.
+    Every row where U_g has at most 9 orbits; on the criterion-9 coset (27
+    orbits) and the wreath swap coset (81 orbits) row 0 and two seeded rows."""
+    inst, ctx, z = reference_case
+    g = z.representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
     orbit_id, reps = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g))
-    got = values(invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H).mul)
+    fast, slow = both_modes(lambda: invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2,
+                                                         Kg, g, inst.H))
+    assert fast.perms is not None and slow.perms is None
+    rows = np.arange(len(reps))
+    if len(reps) > 9:
+        rows = np.unique(np.concatenate([[0], np.random.default_rng(9).choice(len(reps), 2)]))
+    got = [values(U.mul.take(rows, 0)) for U in (fast, slow)]
     t = inst.t
     J, Jinv = values(t.J), values(t.Jinv)
     table, inv, m = t.group.mul, t.group.inv, inst.H.order
     orbits = [np.divmod(np.flatnonzero(orbit_id == k), m) for k in range(len(reps))]
-    for i, (p1, p2) in enumerate(orbits):
+    for k, i in enumerate(rows):
+        p1, p2 = orbits[i]
         for j, (q1, q2) in enumerate(orbits):
             for l, rep in enumerate(reps):
                 u1, u2 = divmod(int(rep), m)
@@ -132,7 +141,28 @@ def test_invariant_algebra_reference_formula(bundle, request):
                         left = Jinv[table[a1, inv[u1]], table[b1, inv[u1]]]
                         right = J[table[inv[u2], a2], table[inv[u2], b2]]
                         want = add(want, mul(left, right))
-                assert equal(got[i, j, l], want), (i, j, l)
+                for cells in got:
+                    assert equal(cells[k, j, l], want), (i, j, l)
+
+
+def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
+    """The |K_g|-term sums after the block's and U_g's contractions refuse, by
+    name, contraction counts of 2**62, whose sums could reach 2**63."""
+    import cotwist.correspondence as corr
+    import cotwist.dual_algebras as duals
+
+    inst, ctx, zs = p3_diag_bundle
+    z = zs[1]
+    Kg = stabilizer_Kg(inst.G, inst.H, z.representative)
+    assert Kg.order > 1
+    for module in (duals, corr):
+        contract = module.contract_counts
+        monkeypatch.setattr(module, "contract_counts",
+                            lambda a, b, contract=contract: contract(a, b) * 0 + (1 << 62))
+    with pytest.raises(CotwistError, match="exact sum would overflow int64"):
+        build_block_algebra(inst.t, z)
+    with pytest.raises(CotwistError, match="exact sum would overflow int64"):
+        invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, z.representative, inst.H)
 
 
 def test_invariant_dimension_and_unit(p3_diag_bundle):
@@ -194,7 +224,7 @@ def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
     from cotwist.correspondence import _coset_pipeline
 
     inst, ctx, zs = p3_gauge_diag_bundle
-    assert inst.t.J.terms()[0].shape[-1] > 1
+    assert np.count_nonzero(inst.t.J.fewest_counts(), axis=-1).max() > 1
     expected = [[1] * 9, [3]]
     for z, want in zip(zs, expected):
         spectrum, errs = _coset_pipeline(ctx, z)
@@ -399,22 +429,9 @@ def test_f_g_names_broken_equivariance(monkeypatch, p3_diag_bundle):
 # one slice per coset: the translation shortcut against the per-point builds
 
 
-def _both_modes(monkeypatch, build):
-    """``build()`` with the Ad-invariance certificate, then with it refused."""
-    import cotwist.correspondence as corr
-    import cotwist.dual_algebras as duals
-
-    fast = build()
-    with monkeypatch.context() as patch:
-        for module in (duals, corr):
-            patch.setattr(module, "ad_invariant", lambda group, M: False)
-        slow = build()
-    return fast, slow
-
-
 @pytest.mark.parametrize("source", ["p3_unipotent", "p3_diag_bundle", "p5_unipotent",
                                     "wreath_bundle", "intermediate"])
-def test_one_slice_equals_per_point_builds(source, monkeypatch, request, tmp_path):
+def test_one_slice_equals_per_point_builds(source, both_modes, request):
     """Refusing the certificate takes the per-point block loop and the all-rows
     U_g loop; both give exactly the constants of the one-slice builds, on every
     coset, including the wreath swap coset (K_g = {e}) and the criterion-9
@@ -427,23 +444,21 @@ def test_one_slice_equals_per_point_builds(source, monkeypatch, request, tmp_pat
     from cotwist.dual_algebras import _unit_sides
     from cotwist.semisimple import (_CENTER_DRAW_BOUND, _canonically_symmetric,
                                     _commutator_rows)
-    from intermediate_instance import write_instance
-
     from cotwist.groups import double_cosets
 
     configs = {"p3_unipotent": lambda: Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]])),
-               "p5_unipotent": lambda: Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]])),
-               "intermediate": lambda: write_instance(tmp_path)}
+               "p5_unipotent": lambda: Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]]))}
     if source in configs:
         inst = build_instance(configs[source]())
         ctx = prepare_instance(inst, seed=0)
         zs = double_cosets(inst.G, inst.H)
     else:
-        inst, ctx, zs = request.getfixturevalue(source)
+        inst, ctx, zs = request.getfixturevalue(
+            "intermediate_bundle" if source == "intermediate" else source)
     for z in zs:
         g = z.representative
         Kg = stabilizer_Kg(inst.G, inst.H, g)
-        (blk, Ug), (blk_slow, Ug_slow) = _both_modes(monkeypatch, lambda: (
+        (blk, Ug), (blk_slow, Ug_slow) = both_modes(lambda: (
             build_block_algebra(inst.t, z),
             invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)))
         for fast, slow in ((blk, blk_slow), (Ug, Ug_slow)):
@@ -459,9 +474,9 @@ def test_one_slice_equals_per_point_builds(source, monkeypatch, request, tmp_pat
                                   _commutator_rows(mul, draws).counts), fast.name
 
 
-def test_report_identical_without_the_certificate(monkeypatch):
+def test_report_identical_without_the_certificate(both_modes):
     config = Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]]))
-    fast, slow = _both_modes(monkeypatch, lambda: render_json(full_report(config)))
+    fast, slow = both_modes(lambda: render_json(full_report(config)))
     assert fast == slow
 
 
@@ -485,4 +500,28 @@ def test_tampered_orbit_labelling_fails_the_transport(monkeypatch, p3_diag_bundl
     g = zs[1].representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
     with pytest.raises(AuditError, match="orbit transport"):
+        invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
+
+
+def test_orbit_labelling_with_a_repeated_a2_point_is_refused(monkeypatch, p3_diag_bundle):
+    """A swap that puts two pairs with the same A2* point x1 into one orbit
+    keeps every orbit its size; U_g refuses it by name before any product,
+    since each (x1, orbit) must hold at most one pair."""
+    import cotwist.correspondence as corr
+
+    inst, ctx, zs = p3_diag_bundle
+    orbits, m = corr.pair_orbits, inst.H.order
+
+    def tampered(perms):
+        orbit_id, reps = orbits(perms)
+        orbit_id = orbit_id.copy()
+        a, c = np.flatnonzero(orbit_id == 0)[1:3]  # c stays in orbit 0
+        b = next(q for q in np.flatnonzero(orbit_id == 1) if q // m == c // m)
+        orbit_id[[a, b]] = orbit_id[[b, a]]
+        return orbit_id, reps
+
+    monkeypatch.setattr(corr, "pair_orbits", tampered)
+    g = zs[1].representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    with pytest.raises(AuditError, match="A2\\* leg does not act freely"):
         invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)

@@ -9,12 +9,12 @@ import pytest
 
 from cotwist import exactlin
 from cotwist.errors import CotwistError
-from cotwist.exactlin import (CycArray, ProductCounts, accumulate_products, contract_counts,
-                              cyc_nullspace, cyc_rank, cyc_solve, cyc_tensordot, ga_identity,
-                              ga_mul, gather, invert_in_group_algebra)
+from cotwist.exactlin import (CycArray, contract_counts, cyc_nullspace, cyc_rank, cyc_solve,
+                              cyc_tensordot, ga_identity, ga_mul, invert_in_group_algebra,
+                              sum_counts)
 from cotwist.scalars import euler_phi
 from cotwist.twist import _sides_agree, load_twist_matrix
-from cyc_reference import add, canonical, embed, equal, mul, sub, values, zero
+from cyc_reference import add, canonical, embed, equal, ga_product, mul, values, zero
 
 
 def rand_cycarray(rng, shape, order, span=2):
@@ -30,19 +30,6 @@ def test_round_trip_object_and_back():
     counts[..., :euler_phi(5)] = [[[int(c / a.scale) for c in canonical(v)] for v in row]
                                   for row in values(a)]
     assert a.eq(CycArray(5, a.scale, counts))
-
-
-def test_add_sub_match_object_oracle():
-    rng = np.random.default_rng(5)
-    a = rand_cycarray(rng, (3, 3), 6)
-    b = rand_cycarray(rng, (3, 3), 6)
-    sa, sb = values(a), values(b)
-    total = values(a + b)
-    diff = values(a - b)
-    for i in range(3):
-        for j in range(3):
-            assert equal(total[i, j], add(sa[i, j], sb[i, j]))
-            assert equal(diff[i, j], sub(sa[i, j], sb[i, j]))
 
 
 def test_tensordot_matches_object_matmul():
@@ -92,51 +79,43 @@ def test_single_term_detection():
     counts = np.zeros((2, 2, 3), dtype=np.int64)
     counts[0, 0, 1] = 2
     counts[1, 1, 2] = -1
-    arr = CycArray(3, Fraction(1), counts)
-    exps, nums = arr.terms()
-    assert exps.shape == nums.shape == (2, 2, 1)
-    assert exps[0, 0, 0] == 1 and nums[0, 0, 0] == 2
-    assert exps[1, 1, 0] == 2 and nums[1, 1, 0] == -1
-    assert nums[0, 1, 0] == 0  # an empty cell is one zero padding term
+    fewest = CycArray(3, Fraction(1), counts).fewest_counts()
+    assert fewest.shape == (2, 2, 3)
+    assert np.array_equal(fewest, counts)  # one nonzero count per cell is kept as is
+    assert not fewest[0, 1].any()  # an empty cell stays empty
     counts[0, 1, 0] = 1
     counts[0, 1, 1] = 1
-    exps, nums = CycArray(3, Fraction(1), counts).terms()
-    assert exps.shape == (2, 2, 1)  # 1 + zeta = -zeta^2: one term after the shift
-    assert exps[0, 1, 0] == 2 and nums[0, 1, 0] == -1
+    fewest = CycArray(3, Fraction(1), counts).fewest_counts()
+    assert list(fewest[0, 1]) == [0, 0, -1]  # 1 + zeta = -zeta^2: one count after the shift
     counts[1, 0, 0] = 1
     counts[1, 0, 1] = 2
-    exps, nums = CycArray(3, Fraction(1), counts).terms()
-    assert exps.shape == (2, 2, 2)  # 1 + 2 zeta: no count repeats, so no shift
-    assert list(exps[1, 0]) == [0, 1] and list(nums[1, 0]) == [1, 2]
-    assert list(nums[1, 1]) == [-1, 0]  # padded with a zero term
+    fewest = CycArray(3, Fraction(1), counts).fewest_counts()
+    assert list(fewest[1, 0]) == [1, 2, 0]  # 1 + 2 zeta: no count repeats, so no shift
+    assert list(fewest[1, 1]) == [0, 0, -1]
+    assert np.count_nonzero(fewest, axis=-1).max() == 2
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 12])
 def test_terms_keep_values_on_fewest_terms(order):
-    """Each listed cell has the value of its counts, on no more terms than its
-    raw or its canonical counts; N = 1 is listed as is."""
+    """Each cell of the fewest-term counts has the value of its counts, on no
+    more nonzero counts than its raw or its canonical counts; N = 1 is kept as is."""
     rng = np.random.default_rng(60 + order)
     a = rand_cycarray(rng, (6, 7), order, span=1)
     a.counts[0, 0] = 3  # all counts equal: value 0 for N > 1
     a.counts[0, 1] = 2
     a.counts[0, 1, 1 % order] = 3  # 2 sum_k zeta^k + zeta: one term for N > 1
-    exps, nums = a.terms()
-    listed = np.zeros_like(a.counts)
-    np.put_along_axis(listed, exps, nums, axis=-1)  # padding writes 0 at an unused slot
-    got = values(CycArray(order, a.scale, listed))
+    fewest = a.fewest_counts()
+    assert fewest.shape == a.counts.shape
+    got = values(CycArray(order, a.scale, fewest))
     for idx, want in np.ndenumerate(values(a)):
         assert equal(got[idx], want)
-    width = np.count_nonzero(nums, axis=-1)
+    width = np.count_nonzero(fewest, axis=-1)
     assert np.all(width <= np.count_nonzero(a.counts, axis=-1))
     assert np.all(width <= np.count_nonzero(a.canonical(), axis=-1))
-    assert exps.shape[-1] == max(1, width.max())
     if order == 1:
-        assert np.array_equal(nums[..., 0], a.counts[..., 0])
+        assert np.array_equal(fewest, a.counts)
     else:
         assert width[0, 0] == 0 and width[0, 1] == 1
-
-
-# -- the product kernel ---------------------------------------------------------
 
 
 def _single_terms(rng, shape, order, scale):
@@ -144,123 +123,6 @@ def _single_terms(rng, shape, order, scale):
     arr = CycArray.from_exponents(order, exps, scale)
     arr.counts *= rng.integers(-3, 4, size=(*shape, 1))
     return arr
-
-
-@pytest.mark.parametrize("chunk", [1 << 17, 1])  # 1 << 17: all cells in one slice; 1: a row each
-@pytest.mark.parametrize("kind", ["single x single", "single x multi", "multi x multi"])
-def test_accumulate_products_matches_cyclotomic_mul(kind, chunk, monkeypatch):
-    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
-    rng = np.random.default_rng(47)
-    shape, order = (4, 3), 5
-    a = (_single_terms(rng, shape, order, Fraction(1, 2)) if kind != "multi x multi"
-         else rand_cycarray(rng, shape, order))
-    b = (_single_terms(rng, shape, order, Fraction(2, 3)) if kind == "single x single"
-         else rand_cycarray(rng, shape, order))
-    b = b.scale_by(Fraction(3, 7))  # unequal scales on the two factors
-    assert a.scale != b.scale
-    assert (a.terms()[0].shape[-1] == 1) == (kind != "multi x multi")
-    assert (b.terms()[0].shape[-1] == 1) == (kind == "single x single")
-
-    out = ProductCounts(shape, order)
-    cells = np.arange(12).reshape(shape)
-    accumulate_products(out, out.piece(a.terms(), cells), out.piece(b.terms()))
-    prod = values(out.fold(a.scale * b.scale))
-    oa, ob = values(a), values(b)
-    for idx in np.ndindex(*shape):
-        assert equal(prod[idx], mul(oa[idx], ob[idx]))
-
-    # repeated slots add up: every cell of row i lands on cell i
-    rows = ProductCounts((shape[0],), order)
-    accumulate_products(rows, rows.piece(a.terms(), np.arange(shape[0])[:, None]),
-                        rows.piece(b.terms()))
-    summed = values(rows.fold(a.scale * b.scale))
-    for i in range(shape[0]):
-        acc = zero(order)
-        for j in range(shape[1]):
-            acc = add(acc, mul(oa[i, j], ob[i, j]))
-        assert equal(summed[i], acc)
-
-
-def test_accumulate_products_broadcasts_gathered_cells():
-    # outer product of two vectors through broadcast gathers
-    rng = np.random.default_rng(53)
-    a = rand_cycarray(rng, (3,), 4)
-    b = _single_terms(rng, (2,), 4, Fraction(1, 5))
-    out = ProductCounts((3, 2), 4)
-    accumulate_products(out,
-                        out.piece(gather(a.terms(), slice(None), None), np.arange(3)[:, None] * 2),
-                        out.piece(gather(b.terms(), None), np.arange(2)))
-    prod = values(out.fold(a.scale * b.scale))
-    oa, ob = values(a), values(b)
-    for i in range(3):
-        for j in range(2):
-            assert equal(prod[i, j], mul(oa[i], ob[j]))
-
-
-@pytest.mark.parametrize("chunk", [1 << 17, 1])
-def test_accumulate_products_exponent_sums_wrap(chunk, monkeypatch):
-    """Order 7: exponent sums up to 6 + 6 = 12 >= N, negative numerators."""
-    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
-    order = 7
-    a = CycArray(order, Fraction(1, 3), np.zeros((2, order), dtype=np.int64))
-    b = CycArray(order, Fraction(1, 2), np.zeros((2, order), dtype=np.int64))
-    a.counts[0, [6, 5]] = [-4, 1]
-    a.counts[1, [6, 0]] = [2, -3]
-    b.counts[0, [6, 3]] = [-5, 2]
-    b.counts[1, 6] = 7
-    out = ProductCounts((2, 2), order)
-    accumulate_products(out,
-                        out.piece(gather(a.terms(), slice(None), None), np.arange(2)[:, None] * 2),
-                        out.piece(gather(b.terms(), None), np.arange(2)))
-    prod = values(out.fold(a.scale * b.scale))
-    oa, ob = values(a), values(b)
-    for i in range(2):
-        for j in range(2):
-            assert equal(prod[i, j], mul(oa[i], ob[j]))
-    assert out.counts[0, 0, 12] == 20  # zeta^6 * zeta^6 lands above N before the fold
-
-
-def test_accumulate_products_one_row_slice(monkeypatch):
-    """Slices of one cell row; each slot piece carries only the cells it needs."""
-    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", 1)
-    rng = np.random.default_rng(59)
-    order = 5
-    u = rand_cycarray(rng, (3, 4), order)
-    v = rand_cycarray(rng, (4, 2), order)
-    # out[i, k] += u[i, j] * v[j, k]: a matrix product, cells [i, j, k]
-    out = ProductCounts((3, 2), order)
-    i, j, k = np.ogrid[:3, :4, :2]
-    accumulate_products(out, out.piece(gather(u.terms(), i, j), i * 2),
-                        out.piece(gather(v.terms(), j, k), k))
-    prod = values(out.fold(u.scale * v.scale))
-    ou, ov = values(u), values(v)
-    for r in range(3):
-        for c in range(2):
-            acc = zero(order)
-            for b in range(4):
-                acc = add(acc, mul(ou[r, b], ov[b, c]))
-            assert equal(prod[r, c], acc)
-
-
-def test_accumulate_products_overflow_guard():
-    """Counts near 2**32: the bound from the inputs trips before any count wraps."""
-    order = 3
-    big = CycArray(order, Fraction(1), np.zeros((1, order), dtype=np.int64))
-    big.counts[0, 1] = -(1 << 31)
-    out = ProductCounts((1,), order)
-    accumulate_products(out, out.piece(big.terms()), out.piece(big.terms()))
-    assert out.bound == 1 << 62
-    assert out.fold(Fraction(1)).counts[0, 2] == 1 << 62  # exact, no wrap
-    # a second call filling the same array would reach 2**63: refused, nothing added
-    before = out.counts.copy()
-    with pytest.raises(CotwistError, match="overflow int64"):
-        accumulate_products(out, out.piece(big.terms()), out.piece(big.terms()))
-    assert np.array_equal(out.counts, before)
-
-    near = CycArray(order, Fraction(1), np.zeros((3, order), dtype=np.int64))
-    near.counts[0, 0] = (1 << 32) + 1
-    with pytest.raises(CotwistError, match="overflow int64"):
-        ga_mul(near, near, _z3_table())
 
 
 # -- the contraction kernel -----------------------------------------------------
@@ -276,6 +138,55 @@ def _raw_contraction(a: CycArray, b: CycArray) -> np.ndarray:
             acc = add(acc, mul(oa[r, k], ob[k, c]))
         out[r, c] = acc
     return out
+
+
+@pytest.mark.parametrize("chunk", [1 << 17, 1])  # 1 << 17: all rows in one slice; 1: a row each
+@pytest.mark.parametrize("kind", ["single x single", "single x multi", "multi x multi"])
+def test_contract_counts_matches_cyclotomic_mul(kind, chunk, monkeypatch):
+    """Single-term and multi-term operands on unequal scales, all rows in one
+    slice or one row per slice: the reference sums, count for count."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    rng = np.random.default_rng(47)
+    order = 5
+    a = (_single_terms(rng, (4, 3), order, Fraction(1, 2)) if kind != "multi x multi"
+         else rand_cycarray(rng, (4, 3), order))
+    b = (_single_terms(rng, (3, 2), order, Fraction(2, 3)) if kind == "single x single"
+         else rand_cycarray(rng, (3, 2), order))
+    b = b.scale_by(Fraction(3, 7))  # unequal scales on the two factors
+    assert a.scale != b.scale
+    single = [np.count_nonzero(x.counts, axis=-1).max() == 1 for x in (a, b)]
+    assert single == [kind != "multi x multi", kind == "single x single"]
+    got = CycArray(order, a.scale * b.scale, contract_counts(a.counts, b.counts))
+    want = _raw_contraction(a, b)
+    for idx, value in np.ndenumerate(values(got)):
+        assert value == want[idx]
+
+
+@pytest.mark.parametrize("chunk", [1 << 17, 1])
+def test_contract_counts_exponent_sums_wrap(chunk, monkeypatch):
+    """Order 7: exponent sums up to 6 + 6 = 12 >= N wrap mod N, with negative counts."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    order = 7
+    a = CycArray(order, Fraction(1, 3), np.zeros((2, 1, order), dtype=np.int64))
+    b = CycArray(order, Fraction(1, 2), np.zeros((1, 2, order), dtype=np.int64))
+    a.counts[0, 0, [6, 5]] = [-4, 1]
+    a.counts[1, 0, [6, 0]] = [2, -3]
+    b.counts[0, 0, [6, 3]] = [-5, 2]
+    b.counts[0, 1, 6] = 7
+    out = contract_counts(a.counts, b.counts)
+    got, oa, ob = values(CycArray(order, a.scale * b.scale, out)), values(a), values(b)
+    for i, j in np.ndindex(2, 2):
+        assert got[i, j] == mul(oa[i, 0], ob[0, j])
+    assert out[0, 0, 5] == 20  # zeta^6 * zeta^6 = zeta^12 = zeta^5
+
+
+def test_sum_counts_overflow_is_named():
+    """Two counts of 2**62 could sum to 2**63: refused by name; just below, exact."""
+    counts = np.full((2, 1, 3), (1 << 62) - 1, dtype=np.int64)
+    assert sum_counts(counts, axis=0)[0, 0] == (1 << 63) - 2
+    counts[1, 0, 2] = -(1 << 62)
+    with pytest.raises(CotwistError, match="exact sum would overflow int64"):
+        sum_counts(counts, axis=0)
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6, 12])
@@ -313,12 +224,10 @@ class _Spy:
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Spies on the scatter (accumulate_products, np.add.at), np.matmul and np.tensordot."""
+    """Spies on np.add (and its scatter np.add.at), np.matmul and np.tensordot."""
     found = {name: _Spy(getattr(np, name)) for name in ("add", "matmul", "tensordot")}
     for name, spy in found.items():
         monkeypatch.setattr(np, name, spy)
-    found["accumulate_products"] = _Spy(exactlin.accumulate_products)
-    monkeypatch.setattr(exactlin, "accumulate_products", found["accumulate_products"])
     return found
 
 
@@ -375,7 +284,7 @@ def test_dense_products_run_no_scatter(spies, p3_twist):
     assert _sides_agree(t.J, table[:, t.group.inv].T)
     ga_mul(t.J, t.Jinv, table)
     cyc_tensordot(t.J, t.Jinv, axes=([1], [0]))
-    assert not spies["accumulate_products"].calls and not spies["add"].at_calls
+    assert not spies["add"].at_calls
     assert len(spies["matmul"].calls) == 3
     assert not spies["tensordot"].calls
 
@@ -388,7 +297,7 @@ def _symmetric_group_3():
 
 def test_dense_ga_mul_on_a_non_abelian_group(monkeypatch):
     """Random dense operands in C[S3 x S3]: the reference product, and count
-    for count the scatter over the fewest-term lists on all of K^4."""
+    for count the plain sum of products of the fewest-term counts over K^4."""
     table = _symmetric_group_3()
     assert not np.array_equal(table, table.T)
     m, order = 6, 5
@@ -410,12 +319,40 @@ def test_dense_ga_mul_on_a_non_abelian_group(monkeypatch):
     for idx, value in np.ndenumerate(og):
         assert equal(value, want[idx])
 
-    out = ProductCounts((m, m), order)
-    a1, a2, b1, b2 = np.ogrid[:m, :m, :m, :m]
-    accumulate_products(out, out.piece(gather(u.terms(), a1, a2), table[a1, b1] * m),
-                        out.piece(gather(v.terms(), b1, b2), table[a2, b2]))
-    oracle = out.fold(u.scale * v.scale)
-    assert np.array_equal(got.counts, oracle.counts) and got.scale == oracle.scale
+    assert got.scale == u.scale * v.scale
+    for idx, value in np.ndenumerate(ga_product(u, v, table)):
+        assert og[idx] == value
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 6)], ids=["C[S3]", "C[S3 x S3]"])
+def test_sparse_ga_mul_on_a_non_abelian_group(shape):
+    """A two-cell element of C[S3] or C[S3 x S3] on either side of a dense one:
+    u[a] v[a^-1 x] over u's support, or u[x b^-1] v[b] over v's, gives the
+    plain reference product count for count."""
+    table = _symmetric_group_3()
+    rng = np.random.default_rng(83)
+    dense = rand_cycarray(rng, shape, 5)
+    sparse = CycArray.zeros(shape, 5).scale_by(Fraction(1, 3))
+    cells = [(1,), (4,)] if len(shape) == 1 else [(1, 4), (4, 2)]  # a transposition, a 3-cycle
+    for cell, exps in zip(cells, ([2, 0, 1, 0, 0], [0, -1, 0, 0, 3])):
+        sparse.counts[cell] = exps
+    for u, v in ((sparse, dense), (dense, sparse)):
+        got = values(ga_mul(u, v, table))
+        for idx, value in np.ndenumerate(ga_product(u, v, table)):
+            assert got[idx] == value
+
+
+def test_sparse_ga_mul_overflow_guard():
+    """One cell each: the contraction over the one-cell support is exact at
+    counts of 2**30 and refuses, by name, counts near 2**32, whose products
+    could pass 2**63."""
+    big = CycArray.zeros((3,), 3)
+    big.counts[0, 1] = -(1 << 30)
+    assert ga_mul(big, big, _z3_table()).counts[0, 2] == 1 << 60  # exact, no wrap
+    near = CycArray(3, Fraction(1), np.zeros((3, 3), dtype=np.int64))
+    near.counts[0, 0] = (1 << 32) + 1
+    with pytest.raises(CotwistError, match="overflow int64"):
+        ga_mul(near, near, _z3_table())
 
 
 def test_dense_ga_mul_overflow_guard():
@@ -576,12 +513,12 @@ def test_rank_nullspace_solve_exact_identities(order):
         assert sol.eq(x0)
         left_null = cyc_nullspace(mat.transpose((1, 0)))
         if left_null.shape[0]:
-            # y . rhs = 0 for a left null vector y; adding e_i with y_i != 0
-            # leaves the column space
+            # y . rhs = 0 for a left null vector y; adding a nonzero multiple
+            # of e_i with y_i != 0 leaves the column space
             i = int(np.flatnonzero(~left_null.take([0]).zero_mask())[0])
-            bump = CycArray.zeros((rows,), order)
-            bump.counts[i, 0] = 1
-            assert cyc_solve(mat, rhs + bump) is None
+            bumped = CycArray(order, rhs.scale, rhs.counts.copy())
+            bumped.counts[i, 0] += 1
+            assert cyc_solve(mat, bumped) is None
 
 
 def test_solve_overflow_is_named():
@@ -686,20 +623,24 @@ def test_ga_mul_is_convolution():
 def test_ga_mul_prunes_on_value_support(monkeypatch):
     """Cells whose counts are all equal have value 0 and are not support: two
     pair elements with raw counts in all 81 cell pairs but one cell of value
-    each take the support path, not the leg-wise one over K^4."""
+    each take one contraction over the one-cell support, not one over K^4,
+    and give the plain reference count for count."""
     table = _z3_table()
     u, v = CycArray.zeros((3, 3), 3), CycArray.zeros((3, 3), 3)
     u.counts[...], v.counts[...] = 2, -1
     u.counts[1, 2, 1] += 1  # zeta at 1 x 2
     v.counts[2, 2, 2] += 3  # 3 zeta^2 at 2 x 2
-    pieces = []
-    kernel = exactlin.accumulate_products
-    monkeypatch.setattr(exactlin, "accumulate_products",
-                        lambda out, a, b: pieces.append(a[0].ndim) or kernel(out, a, b))
+    shapes = []
+    kernel = exactlin.contract_counts
+    monkeypatch.setattr(exactlin, "contract_counts",
+                        lambda a, b: shapes.append((a.shape, b.shape)) or kernel(a, b))
     want = CycArray.zeros((3, 3), 3)
     want.counts[0, 1, 0] = 3  # (1 x 2)(2 x 2) = 0 x 1 with value 3 zeta^3
-    assert ga_mul(u, v, table).eq(want)
-    assert pieces == [3]  # (support, 1, terms), not (K, K, K, K, terms)
+    got = ga_mul(u, v, table)
+    assert got.eq(want)
+    assert shapes == [((9, 1, 3), (1, 1, 3))]  # [(x, y), support cell], not K^4 cells
+    for idx, value in np.ndenumerate(ga_product(u, v, table)):
+        assert values(got)[idx] == value
 
 
 def test_ga_identity_is_neutral():
