@@ -20,9 +20,8 @@ from .exactlin import CycArray, cyc_rank
 from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup,
                      build_elementary_abelian_symplectic, build_semidirect,
                      double_cosets, stabilizer_Kg)
-from .projective import (ProjectiveRep, multiplicity_law_check,
-                         projective_rep_from_action, pullback_and_tensor_cocycle,
-                         skolem_noether, trace_vanishing_check, twisted_group_algebra)
+from .projective import (ProjectiveRep, TensorClass, character_exponents,
+                         projective_rep_from_action, skolem_noether, tensor_class)
 from .semisimple import (WedderburnSpectrum, split_simple_retrying,
                          wedderburn_dims_retrying)
 from .twist import (TriangularStructure, TwistAudit, TwistData, assemble_twist,
@@ -36,16 +35,15 @@ __all__ = [
     "AuditError", "Bicharacter", "Config", "CosetSpectrum", "CotwistError",
     "CycArray", "DoubleCoset", "FiniteGroup", "GroupAction",
     "ProjectiveRep", "Report", "SCAlgebra", "SeedRetryError", "Subgroup",
-    "SymplecticConstruction", "TableConstruction", "TriangularStructure",
+    "SymplecticConstruction", "TableConstruction", "TensorClass", "TriangularStructure",
     "TwistAudit", "TwistData", "WedderburnSpectrum", "a2_to_a1op_iso",
     "assemble_twist", "build_A1_A2_star", "build_block_algebra",
     "build_elementary_abelian_symplectic", "build_instance", "build_semidirect",
-    "cyc_rank", "double_cosets", "f_g_map",
+    "character_exponents", "cyc_rank", "double_cosets", "f_g_map",
     "full_report", "invariant_algebra_Ug", "load_twist_matrix", "make_twist",
-    "multiplicity_law_check", "predicted_spectrum", "projective_rep_from_action",
-    "pullback_and_tensor_cocycle", "q_element_and_antipode_check", "render_json",
+    "predicted_spectrum", "projective_rep_from_action",
+    "q_element_and_antipode_check", "render_json",
     "render_table", "save_twist_file", "skolem_noether", "split_simple_retrying",
-    "square_dimension_check", "stabilizer_Kg", "symplectic_twist",
-    "trace_vanishing_check", "triangular_structure", "twisted_group_algebra",
-    "verify_twist_axioms", "wedderburn_dims_retrying",
+    "square_dimension_check", "stabilizer_Kg", "symplectic_twist", "tensor_class",
+    "triangular_structure", "verify_twist_axioms", "wedderburn_dims_retrying",
 ]

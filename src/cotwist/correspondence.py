@@ -3,8 +3,9 @@
 Route (a) computes each block of the dual algebra directly and splits it.
 Route (b) forms the invariant algebra U_g of the stabilizer action on
 A_2* (x) A_1* in exact arithmetic and splits that.  Route (c) predicts the
-spectrum from the pulled-back tensor cocycle on the stabilizer K_g via a
-twisted group algebra, scaled by |H|/|K_g|.  The report machinery runs all
+spectrum from the class of the pulled-back tensor cocycle on the stabilizer
+K_g, read exactly from characters of H as an alternating bicharacter,
+scaled by |H|/|K_g|.  The report machinery runs all
 three per coset, asserts the multisets agree, checks Kaplansky divisibility
 against |G|, and verifies representative independence.
 
@@ -25,10 +26,10 @@ from .errors import AuditError, CotwistError
 from .exactlin import CycArray, contract_counts, sum_counts
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, double_cosets, stabilizer_Kg, stabilizer_local_indices)
-from .projective import (ProjectiveRep, multiplicity_law_check, projective_rep_from_action,
-                         pullback_and_tensor_cocycle, trace_vanishing_check,
-                         twisted_group_algebra)
-from .semisimple import (derived_seed, split_simple_retrying, wedderburn_dims_retrying)
+from .projective import (character_exponents, class_dims, multiplicity_law_holds,
+                         regular_trace_law, tensor_class, trace_vanishing_holds,
+                         translation_characters)
+from .semisimple import derived_seed, wedderburn_dims_retrying
 from .twist import (TwistAudit, TwistData, assemble_twist, load_twist_matrix,
                     q_element_and_antipode_check, square_dimension_check, symplectic_twist,
                     triangular_structure)
@@ -363,27 +364,21 @@ def f_g_map(ctx: InstanceContext, Z: DoubleCoset, g: int):
 # route (c): the predicted spectrum
 
 
-def predicted_spectrum(Z: DoubleCoset, g: int, V1: ProjectiveRep, V2: ProjectiveRep,
-                       Kg: Subgroup, seed: int, tol: float = 1e-8):
-    """Block dimensions of the coset algebra predicted by the stabilizer cocycle.
+def predicted_spectrum(Z: DoubleCoset, g: int, ctx: InstanceContext, Kg: Subgroup):
+    """Block dimensions predicted by the class of the stabilizer cocycle: (dims, W).
 
-    Pulls the two projective representations back to K_g, tensors their
-    cocycles, splits the resulting twisted group algebra, and scales every
-    block dimension by |H|/|K_g| (asserted integral).  Returns (dims, W,
-    spectrum): W is the tensor representation on K_g and spectrum the split
-    of its twisted group algebra.
+    W is the tensor representation on K_g, read exactly from the translation
+    characters (:func:`cotwist.projective.tensor_class`); its class gives
+    the blocks of C_c[K_g], each scaled by |H|/|K_g| (asserted integral).
     """
     if g not in set(int(x) for x in Z.elements):
         raise CotwistError(f"representative {g} is not in the double coset")
-    h_size = V1.size
-    ratio, rem = divmod(h_size, Kg.order)
-    if rem != 0:
+    H = ctx.instance.H
+    if H.order % Kg.order != 0:
         raise CotwistError(
-            f"|K_g| = {Kg.order} does not divide |H| = {h_size} (bad stabilizer)")
-    c_w, W = pullback_and_tensor_cocycle(V1, V2, g, Kg)
-    alg = twisted_group_algebra(Kg, c_w, tol)
-    spectrum = wedderburn_dims_retrying(alg, seed, tol)
-    return sorted(ratio * d for d in spectrum.dims), W, spectrum
+            f"|K_g| = {Kg.order} does not divide |H| = {H.order} (bad stabilizer)")
+    W = tensor_class(ctx.chars, ctx.traces, H, Kg, g, ctx.instance.t.order)
+    return class_dims(W), W
 
 
 # ---------------------------------------------------------------------------
@@ -404,30 +399,31 @@ class CosetSpectrum:
 
 @dataclass
 class InstanceContext:
-    """Shared per-instance precomputation for the coset pipelines."""
+    """Shared per-instance precomputation for the coset pipelines; ``chars`` and
+    ``traces`` are the translation characters X[a] and traces tr T[a] of A_1*, A_2*."""
 
     instance: Instance
     A1s: SCAlgebra
     A2s: SCAlgebra
     rho1: object
     rho2: object
-    V1: ProjectiveRep
-    V2: ProjectiveRep
+    chars: tuple
+    traces: tuple
     seed: int
     tol: float
 
 
 def prepare_instance(instance: Instance, seed: int, tol: float = 1e-8) -> InstanceContext:
-    """Build the dual algebras, their actions, and both projective reps."""
+    """Build the dual algebras, their actions, and the character of each translation;
+    the regular trace law is audited once per dual algebra."""
     t = instance.t
     t.require_verified()
     A1s, A2s, rho1, rho2 = build_A1_A2_star(t)
-    pi1 = split_simple_retrying(A1s, derived_seed(seed, 101), tol)
-    pi2 = split_simple_retrying(A2s, derived_seed(seed, 102), tol)
-    V1 = projective_rep_from_action(A1s, rho1, pi1, instance.H, tol)
-    V2 = projective_rep_from_action(A2s, rho2, pi2, instance.H, tol)
+    E = character_exponents(t.group, t.order)
+    chars = translation_characters(A1s, rho1, E), translation_characters(A2s, rho2, E)
+    traces = regular_trace_law(A1s, chars[0]), regular_trace_law(A2s, chars[1])
     return InstanceContext(instance=instance, A1s=A1s, A2s=A2s, rho1=rho1, rho2=rho2,
-                           V1=V1, V2=V2, seed=seed, tol=tol)
+                           chars=chars, traces=traces, seed=seed, tol=tol)
 
 
 def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
@@ -447,12 +443,11 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
     Ug = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, H)
     dims_invariant = wedderburn_dims_retrying(Ug, seed, tol).dims
 
-    dims_predicted, W, spec_w = predicted_spectrum(Z, g, ctx.V1, ctx.V2, Kg, seed, tol)
+    dims_predicted, W = predicted_spectrum(Z, g, ctx, Kg)
 
-    if not trace_vanishing_check(W, H):
+    if not trace_vanishing_holds(W):
         failures.append(f"{tag}: trace vanishing law fails for the tensor representation")
-    mult_ok, _ = multiplicity_law_check(W, spec_w, H.order)
-    if not mult_ok:
+    if not multiplicity_law_holds(W):
         failures.append(f"{tag}: multiplicity law (|H|/|K_g|) * d fails")
 
     kaplansky_ok = all(G.order % d == 0 for d in dims_direct)
@@ -473,7 +468,7 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
     others = Z.elements[Z.elements != g]
     g2 = int(rng.choice(others)) if others.size else g
     Kg2 = stabilizer_Kg(G, H, g2)
-    dims_again, _, _ = predicted_spectrum(Z, g2, ctx.V1, ctx.V2, Kg2, seed, tol)
+    dims_again, _ = predicted_spectrum(Z, g2, ctx, Kg2)
     if dims_again != dims_predicted:
         failures.append(
             f"{tag}: representative {g2} predicts {dims_again} != {dims_predicted}")
@@ -565,6 +560,8 @@ def full_report(config: Config, jobs: int = 1, global_only: bool = False) -> Rep
         if not global_ok:
             failures.append("coset analysis skipped: global checks failed")
         else:
+            # an H whose characters cannot carry route (c) is refused (exit 2)
+            character_exponents(instance.t.group, instance.t.order)
             try:
                 ctx = prepare_instance(instance, config.seed, config.tol)
             except CotwistError as exc:

@@ -330,19 +330,17 @@ def _dense_pair_mul(fu: np.ndarray, fv: np.ndarray, mul: np.ndarray) -> np.ndarr
     with a b = y, is read off the ``argsort`` of the Cayley table's rows (K
     need not be abelian).  With V[(b1, y), a2] = v[b1, a2^-1 y],
     :func:`contract_counts` forms W[(b1, y), a1] = sum_{a2} V[(b1, y), a2]
-    u[a1, a2], and out[x, y] is the int64 sum over a1 of W[a1^-1 x, y, a1].
-    That sum of |K|^2 N products of two counts is bounded by
-    |K|^2 N max|u| max|v|, which is checked first.
+    u[a1, a2] under its own bound, and out[x, y] is the :func:`sum_counts`
+    over a1 of W[a1^-1 x, y, a1], bounded by |K| times the largest count of
+    W as formed.
     """
     m, n = fu.shape[0], fu.shape[-1]
-    if m * m * n * _largest(fu) * _largest(fv) >= 1 << 63:
-        raise CotwistError("exact products would overflow int64 counts")
     ldiv = np.argsort(mul, axis=1)  # [a, y]: a^-1 y
     b, y, a = np.ogrid[:m, :m, :m]
     V = fv.reshape(m * m, n).take(b * m + ldiv[a, y], axis=0)             # [b1, y, a2]
     W = contract_counts(V.reshape(m * m, m, n), fu.transpose(1, 0, 2))     # [(b1, y), a1]
     a, x, y = np.ogrid[:m, :m, :m]
-    return W.reshape(m ** 3, n).take((ldiv[a, x] * m + y) * m + a, axis=0).sum(axis=0)
+    return sum_counts(W.reshape(m ** 3, n).take((ldiv[a, x] * m + y) * m + a, axis=0), axis=0)
 
 
 def ga_identity(size: int, order: int) -> CycArray:

@@ -1,24 +1,25 @@
-"""Projective representations from group actions on simple algebras.
+"""Projective representations of H from its translation actions on the dual algebras.
 
-A group acting by automorphisms on a simple algebra M_n acts by conjugation
-(Skolem–Noether), which pins down a matrix T[a] per group element up to a
-scalar; fixing a gauge turns a -> T[a] into a projective representation with
-an explicit 2-cocycle c.  The pipeline here extracts these for the two
-translation actions on the twisted dual algebras, pulls them back to a
-stabilizer subgroup, tensors them, and realizes the resulting cocycle as a
-twisted group algebra whose blocks predict spectra.
+Each translation alpha_a of A_1* or A_2* is inner, alpha_a(x) = u_a x u_a^-1,
+and a -> u_a is a projective representation of H whose class, pulled back to
+a stabilizer K_g, predicts a coset's spectrum.  For abelian H, u_a is one
+character chi_a of H, and the class is read exactly as an alternating
+bicharacter with exponents mod N (README, "Route (c), exactly").  The float
+route, Skolem-Noether intertwiners of a float split, is kept as library code
+(:func:`projective_rep_from_action`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dual_algebras import GroupAction, SCAlgebra
 from .errors import AuditError, CotwistError
-from .groups import Subgroup, stabilizer_local_indices
-from .semisimple import WedderburnSpectrum
+from .exactlin import CycArray, cyc_tensordot, sum_counts
+from .groups import FiniteGroup, Subgroup, stabilizer_local_indices
 
 #: residual tolerance for composite quantities (tensor products, traces)
 COMPOSITE_TOL = 1e-6
@@ -187,106 +188,165 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
     return rep
 
 
-def pullback_and_tensor_cocycle(V1: ProjectiveRep, V2: ProjectiveRep, g: int,
-                                Kg: Subgroup):
-    """Pull V1 back along a -> g^-1 a g, tensor with V2, restrict to Kg.
-
-    Returns (c_W, W) with T_W[a] = T_{V2}[a] (x) T_{V1}[a'] and
-    c_W(a, b) = c_2(a, b) c_1(a', b'), where a' = g^-1 a g, for a, b in Kg
-    (indices local to Kg).  Raises AuditError if some a' leaves H.
-
-    V1 and V2 must pass the checks of :meth:`ProjectiveRep.validate`, as every
-    rep from :func:`projective_rep_from_action` has.  W then inherits its product
-    law: a -> a' is a homomorphism K_g -> H, so (ab)' = a'b', and by the
-    mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
-
-        T_W[a] T_W[b] = T_2[a] T_2[b] (x) T_1[a'] T_1[b']
-                      = c_2(a, b) c_1(a', b') T_2[ab] (x) T_1[(ab)']
-                      = c_W(a, b) T_W[ab].
-
-    So W is checked only for T_W[e] = I, its moduli and the cocycle identity
-    (O(k^3)); the O(k^2 n^3) product, with n = |H|, is not formed again.
-    """
-    a_loc, conj_loc = stabilizer_local_indices(V1.group, Kg, g)
-    k = Kg.order
-    n = V1.dim * V2.dim
-    T2, T1 = V2.T[a_loc], V1.T[conj_loc]
-    T = (T2[:, :, None, :, None] * T1[:, None, :, None, :]).reshape(k, n, n)  # np.kron per a
-    c = V2.c[np.ix_(a_loc, a_loc)] * V1.c[np.ix_(conj_loc, conj_loc)]
-    W = ProjectiveRep(group=Kg, dim=n, T=T, c=c)
-    W._validate_cocycle(COMPOSITE_TOL)
-    return c, W
-
-
-def twisted_group_algebra(K: Subgroup, c: np.ndarray, tol: float = 1e-8) -> SCAlgebra:
-    """The algebra with basis {u_a : a in K} and u_a u_b = c(a,b) u_{ab}.
-
-    The only float-valued SCAlgebra in the pipeline.  Requires c normalized
-    (c(e, .) = c(., e) = 1) and the cocycle identity within tol; these two
-    checks are exactly the unit laws for u_e and associativity of C_c[K], so
-    the algebra is not audited again.
-    """
-    k = K.order
-    mul_table = K.as_group.mul
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (k, k):
-        raise CotwistError(f"cocycle table shape {c.shape} != ({k}, {k})")
-    if np.max(np.abs(c[0, :] - 1.0)) > tol or np.max(np.abs(c[:, 0] - 1.0)) > tol:
-        raise CotwistError("cocycle is not counital (c(e, a) = c(a, e) = 1 fails)")
-    if not cocycle_identity_holds(mul_table, c, max(tol, COCYCLE_TOL)):
-        raise CotwistError("cocycle identity fails; refusing to build twisted algebra")
-    mul = np.zeros((k, k, k), dtype=complex)
-    aa, bb = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    mul[aa, bb, mul_table] = c
-    unit = np.zeros(k, dtype=complex)
-    unit[0] = 1.0
-    return SCAlgebra(mul, unit, name="twisted group algebra")
 
 
 # ---------------------------------------------------------------------------
-# trace and multiplicity laws
+# the exact route: characters of an abelian H
 
 
-def trace_vanishing_check(W: ProjectiveRep, H: Subgroup, tol: float = COMPOSITE_TOL) -> bool:
-    """traces of T_W vanish off the identity; at the identity = |H| exactly."""
-    traces = np.einsum("aii->a", W.T)
-    h = H.order
-    if traces[0] != h:
-        return False
-    return bool(np.max(np.abs(traces[1:])) < tol) if len(traces) > 1 else True
+def _element_order(mul: np.ndarray, s: int) -> int:
+    k, x = 1, int(s)
+    while x:
+        k, x = k + 1, int(mul[x, s])
+    return k
 
 
-def regular_trace_law_holds(V: ProjectiveRep, tol: float = COMPOSITE_TOL) -> bool:
-    """|trace T[h]|^2 = |H| [h = e]: the projective regular-character law."""
-    traces = np.einsum("aii->a", V.T)
-    h = V.size
-    if abs(abs(traces[0]) ** 2 - h) > tol:
-        return False
-    if len(traces) > 1 and np.max(np.abs(traces[1:]) ** 2) > tol:
-        return False
-    return True
+def character_exponents(H: FiniteGroup, order: int) -> np.ndarray:
+    """The characters of H into the N-th roots of unity, as exponents E[chi, h] mod N.
 
-
-def multiplicity_law_check(W: ProjectiveRep, spectrum: WedderburnSpectrum,
-                           h_size: int, tol: float = COMPOSITE_TOL):
-    """Decompose W over the twisted group algebra of its own cocycle.
-
-    For each block of dimension d the multiplicity of that irreducible in W
-    must equal (|H|/|K_g|) * d; the commutant dimension (sum of squared
-    multiplicities) must equal |H|^2 / |K_g|.  Returns (ok, multiplicities).
-    The multiplicity is trace(E) / d for E = sum_a e_a T_W[a], and
-    trace(E) = sum_a e_a trace(T_W[a]), so one product of the stacked
-    idempotents with the traces gives them all.
+    Row 0 is the trivial character.  Each assignment of ord(s)-th roots to
+    the generators s of ``H.generating_words`` is extended along the words
+    and kept when chi(a s) = chi(a) chi(s) for every a and s, which makes it
+    a homomorphism.  Raises CotwistError unless H is abelian and its
+    exponent divides N: only then are there |H| of them.
     """
-    k = W.size
-    if h_size % k != 0:
-        raise CotwistError(f"|K_g| = {k} does not divide |H| = {h_size}")
-    if spectrum.idempotents is None:
-        raise CotwistError("multiplicity law needs a spectrum with float idempotents")
-    dims = np.asarray(spectrum.dims)
-    traces = spectrum.idempotents @ np.einsum("aii->a", W.T)
-    mults = traces.real / dims
-    ok = bool(np.all(np.abs(traces.imag) <= tol)
-              and np.all(np.abs(mults - (h_size // k) * dims) <= tol)
-              and abs(np.sum(mults ** 2) - h_size * h_size / k) <= tol * max(1, h_size))
-    return ok, list(mults)
+    mul = H.mul
+    if not np.array_equal(mul, mul.T):
+        raise CotwistError(f"the predicted route needs an abelian H; H of order {H.order} is not")
+    gens, words, parent, via = H.generating_words
+    orders = [_element_order(mul, s) for s in gens]
+    if any(order % k for k in orders):
+        raise CotwistError(f"the exponent of H does not divide the twist's order N = {order}")
+    grid = np.meshgrid(*(np.arange(k) * (order // k) for k in orders), indexing="ij")
+    assign = np.stack([x.ravel() for x in grid], axis=-1) if orders else np.zeros((1, 0), int)
+    E = np.zeros((len(assign), H.order), dtype=np.int64)
+    for a in words[1:]:
+        E[:, a] = (E[:, parent[a]] + assign[:, via[a]]) % order
+    hom = np.ones(len(E), dtype=bool)
+    for s in gens:
+        hom &= np.all(E[:, mul[:, s]] == (E + E[:, [s]]) % order, axis=1)
+    return E[hom]
+
+
+def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.ndarray:
+    """Exponent rows X[a] of the character chi_a with chi_a x = alpha_a(x) chi_a in A.
+
+    alpha_a is ``act.perms[a]`` and E the characters.  Each generator s keeps
+    the characters that pass at x = delta_e, by two contractions for all s at
+    once; exactly one must pass (AuditError otherwise), and it is certified at
+    every x (:func:`certify_characters`).  Every other chi_a is the product of
+    the generators' along a's word, which implements alpha_a and so is the
+    one character that does (README, "Route (c), exactly").
+    """
+    gens, words, parent, via = act.group.generating_words
+    chars = CycArray.from_exponents(A.mul.order, E)
+    at_e = cyc_tensordot(A.mul.take(0, axis=1), chars, axes=([0], [1])).canonical()  # [y, chi]
+    moved = cyc_tensordot(A.mul.take(act.perms[gens, 0], axis=0), chars, axes=([1], [1]))
+    match = np.all(moved.canonical() == at_e[None], axis=(1, 3))  # [s, chi]
+    if not np.all(match.sum(axis=1) == 1):
+        raise AuditError(f"{A.name}: not exactly one character implements each translation")
+    gen_X = E[match.argmax(axis=1)]
+    X = np.zeros((act.group.order, E.shape[1]), dtype=np.int64)
+    for a in words[1:]:
+        X[a] = (X[parent[a]] + gen_X[via[a]]) % A.mul.order
+    certify_characters(A, act, X)
+    return X
+
+
+def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:
+    """AuditError unless chi_s x = alpha_s(x) chi_s exactly for each generator s and every x."""
+    gens = act.group.generating_words[0]
+    chars = CycArray.from_exponents(A.mul.order, X[gens])  # [s, h]
+    left = cyc_tensordot(A.mul, chars, axes=([0], [1])).canonical()   # [x, y, s]: chi_s delta_x
+    right = cyc_tensordot(A.mul, chars, axes=([1], [1])).canonical()  # [x', y, s]: delta_x' chi_s
+    right = right[act.perms[gens].T[:, None], np.arange(A.dim)[:, None], np.arange(gens.size)]
+    bad = gens[~np.all(left == right, axis=(0, 1, 3))]
+    if bad.size:
+        raise AuditError(f"{A.name}: the character of generator {bad[0]} fails its certificate")
+
+
+def regular_trace_law(A: SCAlgebra, X: np.ndarray) -> np.ndarray:
+    """tr T[a] = d [a = e] for a simple A = M_d, from the exact regular-trace law.
+
+    tr L_{chi_a} = sum_h chi_a(h) tau_h with tau_h = sum_x mul[h, x, x], one
+    contraction for all a, must be |H| [a = e] with |H| = d^2; AuditError
+    names A otherwise.  tr T[a] = tr L_{chi_a} / d.
+    """
+    mul, m = A.mul, A.dim
+    d = math.isqrt(m)
+    tau = CycArray(mul.order, mul.scale,
+                   sum_counts(mul.counts[:, np.arange(m), np.arange(m)], axis=1))
+    regular = CycArray.zeros((m,), mul.order)
+    regular.counts[0, 0] = m
+    if d * d != m or not cyc_tensordot(CycArray.from_exponents(mul.order, X), tau,
+                                       axes=1).eq(regular):
+        raise AuditError(f"{A.name}: regular trace law fails (tr L_chi_a != |H| [a = e])")
+    return np.where(np.arange(m) == 0, d, 0)
+
+
+@dataclass
+class TensorClass:
+    """W = V_2 (x) V_1' on K_g (``group``, local indices): T_W[a_i] T_W[a_j] =
+    zeta_N^beta[i, j] T_W[a_j] T_W[a_i], and traces[i] = tr T_W[a_i]."""
+
+    group: FiniteGroup
+    beta: np.ndarray
+    traces: np.ndarray
+    order: int
+    h_size: int
+
+
+def tensor_class(chars, traces, H: Subgroup, Kg: Subgroup, g: int, order: int) -> TensorClass:
+    """W from the translation characters ``(X1, X2)`` and traces ``(t1, t2)``, at a' = g^-1 a g.
+
+    beta_W(a, b) = beta_2(a, b) beta_1(a', b') with beta_2(a, b) = chi_b(a)
+    on A_2* and beta_1(a, b) = chi_b(a)^-1 on A_1*; tr T_W[a] = tr T_2[a] tr T_1[a'].
+    """
+    (X1, X2), (t1, t2) = chars, traces
+    a_loc, c_loc = stabilizer_local_indices(H, Kg, g)
+    beta = (X2[np.ix_(a_loc, a_loc)] - X1[np.ix_(c_loc, c_loc)]).T % order
+    return TensorClass(Kg.as_group, beta, t2[a_loc] * t1[c_loc], order, H.order)
+
+
+def _radical_root(beta: np.ndarray) -> tuple[int, int]:
+    """|R| for the radical R (the rows of beta that vanish) and isqrt(|K|/|R|)."""
+    r = int(np.count_nonzero(~beta.any(axis=1)))
+    return r, math.isqrt(len(beta) // r) if r else 0
+
+
+def trace_vanishing_holds(W: TensorClass) -> bool:
+    """tr T_W[a] = |H| [a = e], a product of the factors' regular traces, and every
+    nonzero trace is kept by conjugation: beta_W(b, a) = 1 for all b."""
+    regular = np.where(np.arange(len(W.traces)) == 0, W.h_size, 0)
+    return bool(np.array_equal(W.traces, regular) and not np.any(W.beta[:, W.traces != 0]))
+
+
+def multiplicity_law_holds(W: TensorClass) -> bool:
+    """Every irreducible of C_c[K_g] occurs (|H|/|K_g|) d times in W, by orthogonality.
+
+    beta_W must be an alternating bicharacter: beta(a, a) = 1, beta(b, a) =
+    beta(a, b)^-1, and beta(a s, c) = beta(a, c) beta(s, c) for the
+    generators s of K_g.  Then C_c[K_g] is |R| copies of M_d, R the radical,
+    |R| d^2 = |K_g| (checked).  An irreducible rho keeps its trace under
+    conjugation, so tr rho(a) = 0 off R, and tr rho(e) = d.  With trace
+    vanishing, its multiplicity in W is <tr T_W, tr rho> = tr T_W[e] d /
+    |K_g| = (|H|/|K_g|) d, and these exhaust W: |R| (|H|/|K_g|) d^2 = |H|.
+    """
+    B, n, mul = W.beta, W.order, W.group.mul
+    bicharacter = all(np.array_equal(B[mul[:, s]], (B + B[s]) % n)
+                      for s in W.group.generating_words[0])
+    alternating = not np.any(np.diagonal(B)) and not np.any((B + B.T) % n)
+    r, d = _radical_root(B)
+    return trace_vanishing_holds(W) and bicharacter and alternating and r * d * d == len(B)
+
+
+def class_dims(W: TensorClass) -> list[int]:
+    """The predicted spectrum (|H|/|K_g|) d, |R| times, with d^2 = |K_g|/|R|.
+
+    Raises CotwistError unless d is an integer, as it is for every
+    alternating bicharacter: K_g/R carries the nondegenerate form beta_W.
+    """
+    r, d = _radical_root(W.beta)
+    if r * d * d != len(W.beta):
+        raise CotwistError(f"|K_g|/|R| = {len(W.beta)}/{r} is not the square of an integer")
+    return [W.h_size // len(W.beta) * d] * r

@@ -50,7 +50,7 @@ class WedderburnSpectrum:
 
     dims: list[int]
     idempotent_residual: float
-    idempotents: np.ndarray = field(repr=False, default=None)  # None from _split_commutative
+    idempotents: np.ndarray = field(repr=False, default=None)  # None from the exact splits
 
 
 def derived_seed(seed: int, attempt: int) -> int:
@@ -452,8 +452,7 @@ def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
     if d * d != A.dim:
         raise CotwistError(
             f"block dimension {math.sqrt(A.dim)} is not close to an integer (non-semisimple input?)")
-    return WedderburnSpectrum(dims=[d], idempotent_residual=0.0,
-                              idempotents=A.unit_complex()[None])
+    return WedderburnSpectrum(dims=[d], idempotent_residual=0.0)
 
 
 def _split_commutative(A: SCAlgebra) -> WedderburnSpectrum | None:

@@ -24,13 +24,13 @@ from cotwist.exactlin import CycArray
 from cotwist.groups import (FiniteGroup, Subgroup,
                             build_elementary_abelian_symplectic, double_cosets,
                             stabilizer_Kg)
-from cotwist.projective import (multiplicity_law_check,
-                                pullback_and_tensor_cocycle,
-                                regular_trace_law_holds, trace_vanishing_check)
+from cotwist.projective import (multiplicity_law_holds, regular_trace_law,
+                                trace_vanishing_holds)
 from cotwist.twist import (TwistData, make_twist, q_element_and_antipode_check,
                            save_twist_file, symplectic_twist,
                            triangular_structure, verify_twist_axioms)
 from intermediate_instance import write_instance as write_intermediate_instance
+from p2_instance import write_instance as write_p2_instance
 
 UNIPOTENT = [[[1, 1], [0, 1]]]
 DIAG_12 = [[[1, 0], [0, 2]]]
@@ -43,9 +43,9 @@ CRITERIA = {
     3: "p in {3,5}: five seeded generator sets each (incl. trivial) with "
        "route agreement, dimension sums, stabilizer index, divisibility, < 5 min",
     4: "exact zero-tolerance identity suite for p in {3,5}",
-    5: "regular-character and trace laws (exact for permutations, 1e-6 for "
-       "matrix representations)",
-    6: "multiplicity law (|H|/|K_g|) * d within 1e-6 on every coset of "
+    5: "regular-character and trace laws, exact (permutations, both "
+       "projective representations, every tensor representation)",
+    6: "multiplicity law (|H|/|K_g|) * d, exact, on every coset of "
        "criteria 1-3",
     7: "byte-identical reports for identical config+seed; seed and "
        "representative changes leave dims unchanged",
@@ -53,6 +53,9 @@ CRITERIA = {
        "verify with exit 1 naming the 2-cocycle axiom",
     9: "intermediate stabilizers: (Z/3)^3 x| C3 table instance, |K_g| = 3 on "
        "two cosets with [3, 3, 3] on all three routes and ratio 3",
+    10: "the class decides: (Z/2)^6 x| C3 with two twists on H = (Z/2)^4, "
+        "non-cyclic |K_g| = 4 on two cosets, [8] for one twist and "
+        "[4, 4, 4, 4] for the other on all three routes",
 }
 RESULTS: dict = {}
 
@@ -246,13 +249,13 @@ def test_criterion_5_trace_laws(p3_diag_bundle, p5_diag_bundle):
             expected = np.zeros(m, dtype=np.int64)
             expected[0] = m
             assert np.array_equal(fixed, expected)  # exact: |tr rho(h)| = |H| [h=e]
-        for V in (ctx.V1, ctx.V2):
-            assert regular_trace_law_holds(V, tol=1e-6)
+        for A, X, t in zip((ctx.A1s, ctx.A2s), ctx.chars, ctx.traces):
+            assert np.array_equal(regular_trace_law(A, X), t)
+            assert t[0] ** 2 == m and not t[1:].any()
         for Z in zs:
             g = Z.representative
-            Kg = stabilizer_Kg(inst.G, inst.H, g)
-            _, W = pullback_and_tensor_cocycle(ctx.V1, ctx.V2, g, Kg)
-            assert trace_vanishing_check(W, inst.H, tol=1e-6)
+            _, W = predicted_spectrum(Z, g, ctx, stabilizer_Kg(inst.G, inst.H, g))
+            assert trace_vanishing_holds(W)
             w_count += 1
     return f"3 instances, {w_count} tensor representations"
 
@@ -266,12 +269,11 @@ def _assert_multiplicity_law(inst, ctx, zs):
     for Z in zs:
         g = Z.representative
         Kg = stabilizer_Kg(inst.G, inst.H, g)
-        _, W, spec = predicted_spectrum(Z, g, ctx.V1, ctx.V2, Kg, ctx.seed, ctx.tol)
-        ok, mults = multiplicity_law_check(W, spec, inst.H.order, tol=1e-6)
-        assert ok, (Z.representative, mults)
+        dims, W = predicted_spectrum(Z, g, ctx, Kg)
+        assert multiplicity_law_holds(W), g
         ratio = inst.H.order // Kg.order
-        for m, d in zip(mults, spec.dims):
-            assert abs(m - ratio * d) <= 1e-6
+        assert all(d % ratio == 0 for d in dims)
+        assert sum((d // ratio) ** 2 for d in dims) == Kg.order  # the blocks of C_c[K_g]
         checked += 1
     return checked
 
@@ -383,8 +385,40 @@ def test_criterion_9_intermediate_stabilizers(tmp_path):
         assert c.k_size == 3
         assert c.dims_direct == c.dims_invariant == c.dims_predicted == [3, 3, 3]
         Kg = stabilizer_Kg(inst.G, inst.H, g)
-        _, W, spec = predicted_spectrum(cosets[g], g, ctx.V1, ctx.V2, Kg, ctx.seed, ctx.tol)
-        ok, mults = multiplicity_law_check(W, spec, inst.H.order, tol=1e-6)
-        assert ok and len(mults) == 3
-        assert all(abs(m - 3 * d) <= 1e-6 for m, d in zip(mults, spec.dims))
+        dims, W = predicted_spectrum(cosets[g], g, ctx, Kg)
+        assert dims == [3, 3, 3] and not W.beta.any()  # trivial class on K_g = Z/3
+        assert multiplicity_law_holds(W)
     return "5 cosets; reps 27 and 54: |K_g| = 3, [3, 3, 3], ratio 3"
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: a non-cyclic stabilizer whose class decides the spectrum
+
+
+@criterion(10)
+def test_criterion_10_the_class_decides(tmp_path):
+    notes = []
+    for which, want in ((0, [8]), (1, [4, 4, 4, 4])):
+        out = tmp_path / f"twist{which}"
+        out.mkdir()
+        config = write_p2_instance(out, which)
+        report = full_report(config)
+        assert report.ok, report.failures
+        assert report.totals["group_order"] == 192
+        inst = build_instance(config)
+        ctx = prepare_instance(inst, seed=0)
+        cosets = {Z.representative: Z for Z in double_cosets(inst.G, inst.H)}
+        spectra = {c.rep: c for c in report.cosets}
+        for c in report.cosets:
+            assert c.dims_direct == c.dims_invariant == c.dims_predicted
+        for g in (64, 128):  # gamma and gamma^2
+            c = spectra[g]
+            Kg = stabilizer_Kg(inst.G, inst.H, g)
+            assert c.k_size == Kg.order == 4
+            assert np.all(np.diagonal(Kg.as_group.mul) == 0)  # (Z/2)^2, not Z/4
+            assert inst.H.order // c.k_size == 4
+            assert c.dims_direct == c.dims_invariant == c.dims_predicted == want
+            dims, W = predicted_spectrum(cosets[g], g, ctx, Kg)
+            assert dims == want and multiplicity_law_holds(W)
+        notes.append(str(want))
+    return "reps 64 and 128: |K_g| = 4 = (Z/2)^2, ratio 4, " + " and ".join(notes)

@@ -251,6 +251,19 @@ def test_failed_preparation_exits_1_with_report(monkeypatch, tmp_path, capsys):
     assert "instance preparation failed" in stderr
 
 
+def test_h_without_characters_exits_2(monkeypatch, capsys):
+    """An H whose characters the predicted route cannot read is refused as input:
+    here the character routine is asked for values in mu_4 on (Z/3)^2."""
+    import cotwist.correspondence as correspondence
+
+    real = correspondence.character_exponents
+    monkeypatch.setattr(correspondence, "character_exponents",
+                        lambda H, order: real(H, order + 1))
+    rc, _, stderr = run_cli(["spectrum", "--p", "3", "--gamma", "1,0,0,2"], capsys)
+    assert rc == 2
+    assert "the exponent of H does not divide the twist's order N = 4" in stderr
+
+
 # ---------------------------------------------------------------------------
 # input errors: exit code 2
 

@@ -203,7 +203,7 @@ def test_representative_invariance_exhaustive(p3_diag_bundle):
     dims = None
     for g2 in z.elements:
         Kg2 = stabilizer_Kg(inst.G, inst.H, int(g2))
-        got, _, _ = predicted_spectrum(z, int(g2), ctx.V1, ctx.V2, Kg2, seed=0)
+        got, _ = predicted_spectrum(z, int(g2), ctx, Kg2)
         if dims is None:
             dims = got
         assert got == dims
@@ -214,7 +214,28 @@ def test_predicted_spectrum_rejects_outsider(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     Kg = stabilizer_Kg(inst.G, inst.H, 0)
     with pytest.raises(CotwistError):
-        predicted_spectrum(zs[1], 0, ctx.V1, ctx.V2, Kg, seed=0)
+        predicted_spectrum(zs[1], 0, ctx, Kg)
+
+
+def test_bad_tensor_class_is_reported_per_coset(monkeypatch):
+    """A beta_W with beta_W(b, e) != 1 on the identity coset of p=3 diag(1,2):
+    the report names both per-coset laws, and the routes disagree."""
+    import cotwist.correspondence as corr
+
+    exact = corr.tensor_class
+
+    def corrupted(chars, traces, H, Kg, g, order):
+        W = exact(chars, traces, H, Kg, g, order)
+        if g == 0:
+            W.beta[1:, 0] = 1
+        return W
+
+    monkeypatch.setattr(corr, "tensor_class", corrupted)
+    report = full_report(Config(SymplecticConstruction(p=3, gamma_generators=[[[1, 0], [0, 2]]])))
+    assert "coset 0: trace vanishing law fails for the tensor representation" in report.failures
+    assert "coset 0: multiplicity law (|H|/|K_g|) * d fails" in report.failures
+    assert any(f.startswith("coset 0: route disagreement") for f in report.failures)
+    assert not any(f.startswith("coset 9") for f in report.failures)
 
 
 def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):

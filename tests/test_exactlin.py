@@ -356,12 +356,25 @@ def test_sparse_ga_mul_overflow_guard():
 
 
 def test_dense_ga_mul_overflow_guard():
-    """Dense pair operands whose contraction counts fit int64 (3 * 3 * 2**59)
-    but whose sum over a1 could reach 2**63 (3 * 3 * 3 * 2**59): refused by name."""
+    """Dense rational pair operands whose contraction counts fit int64 (3 * 2**60)
+    but whose exact product counts (3 * 3 * 2**60) pass 2**63: the sum over a1
+    is refused by name."""
+    u, v = CycArray.zeros((3, 3), 1), CycArray.zeros((3, 3), 1)
+    u.counts[..., 0], v.counts[..., 0] = 1 << 30, 1 << 30
+    with pytest.raises(CotwistError, match="an exact sum would overflow int64"):
+        ga_mul(u, v, _z3_table())
+
+
+def test_dense_ga_mul_near_the_bound_is_exact():
+    """Dense pair operands whose exact counts fit int64 (3 * 3 * 2**59) are
+    multiplied, not refused, and equal the reference sum count for count."""
     u, v = CycArray.zeros((3, 3), 3), CycArray.zeros((3, 3), 3)
     u.counts[..., 0], v.counts[..., 0] = 1 << 30, 1 << 29
-    with pytest.raises(CotwistError, match="overflow int64"):
-        ga_mul(u, v, _z3_table())
+    got = ga_mul(u, v, _z3_table())
+    want = ga_product(u, v, _z3_table())
+    assert int(got.counts.max()) == 9 << 59
+    for x in np.ndindex(3, 3):
+        assert values(got)[x] == want[x]
 
 
 # -- rank / solve / nullspace -------------------------------------------------

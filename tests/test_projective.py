@@ -1,23 +1,27 @@
-"""Projective representations from algebra actions: intertwiners, cocycles,
-pullbacks, trace laws, and the cocycle-class oracle."""
+"""Projective representations from algebra actions: the exact route through
+characters of H (translation characters, the regular-trace law, the tensor
+class on K_g and its laws) and the float library route (intertwiners,
+cocycles), which cross-validates it."""
 
 import cmath
 
 import numpy as np
 import pytest
 
+from cotwist import projective, semisimple
+from cotwist.cli import main as cli_main
+from cotwist.correspondence import predicted_spectrum
 from cotwist.dual_algebras import GroupAction, build_A1_A2_star
 from cotwist.errors import AuditError, CotwistError
-from cotwist.groups import (Subgroup, build_elementary_abelian_symplectic, double_cosets,
+from cotwist.groups import (FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                             stabilizer_Kg, stabilizer_local_indices)
 from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
-                                cocycle_identity_holds, multiplicity_law_check,
-                                projective_rep_from_action,
-                                pullback_and_tensor_cocycle, regular_trace_law_holds,
-                                skolem_noether, trace_vanishing_check,
-                                twisted_group_algebra)
-from cotwist.semisimple import (WedderburnSpectrum, split_simple_retrying,
-                                wedderburn_dims_retrying)
+                                certify_characters, character_exponents, class_dims,
+                                cocycle_identity_holds, multiplicity_law_holds,
+                                projective_rep_from_action, regular_trace_law,
+                                skolem_noether, tensor_class, trace_vanishing_holds,
+                                translation_characters)
+from cotwist.semisimple import split_simple_retrying
 from cotwist.twist import symplectic_twist
 
 
@@ -218,99 +222,204 @@ def test_skolem_noether_runs_once_per_generator(p, n, monkeypatch):
         assert len(calls) == len(H.generating_words[0]) == 2 * n
 
 
-def test_regular_trace_law(p3_reps):
-    for V in p3_reps:
-        assert regular_trace_law_holds(V)
+# ---------------------------------------------------------------------------
+# the exact route
 
 
-def test_cocycle_class_oracle(p3_pair, p3_reps):
-    """The gauge-invariant antisymmetrization pins the cocycle classes:
-    eps_1(a,b) = c_1(a,b)/c_1(b,a) equals the symplectic pairing, and the
-    class of V2 is its inverse (eps_2 = conj(eps_1))."""
+def cyclic_table(k):
+    return (np.arange(k)[:, None] + np.arange(k)[None, :]) % k
+
+
+def s3_table():
+    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(a[b[k]] for k in range(3))] for b in perms] for a in perms])
+
+
+def p3_class_inputs(p3_pair, p3_duals):
+    """(chars, traces, H as its own subgroup) of the standalone (Z/3)^2."""
+    A1, A2, rho1, rho2 = p3_duals
+    E = character_exponents(p3_pair[0], 3)
+    chars = translation_characters(A1, rho1, E), translation_characters(A2, rho2, E)
+    traces = regular_trace_law(A1, chars[0]), regular_trace_law(A2, chars[1])
+    return chars, traces, Subgroup(p3_pair[0], np.arange(9))
+
+
+@pytest.mark.parametrize("table, order", [
+    (build_elementary_abelian_symplectic(3, 1)[0].mul, 3),
+    (build_elementary_abelian_symplectic(3, 2)[0].mul, 3),
+    (cyclic_table(4), 4),
+    (cyclic_table(4), 8),
+    ((cyclic_table(2)[:, None, :, None] * 4 + cyclic_table(4)[None, :, None, :]).reshape(8, 8),
+     4),
+    (np.zeros((1, 1), dtype=int), 1),
+])
+def test_characters_are_every_homomorphism(table, order):
+    """|H| distinct homomorphisms H -> mu_N, the trivial one first."""
+    H = FiniteGroup(table)
+    E = character_exponents(H, order)
+    assert E.shape == (H.order, H.order)
+    assert len({tuple(row) for row in E}) == H.order
+    assert not E[0].any()
+    assert np.array_equal(E[:, H.mul], (E[:, :, None] + E[:, None, :]) % order)
+
+
+@pytest.mark.parametrize("table, order, message", [
+    (s3_table(), 6, "abelian"),
+    (cyclic_table(9), 3, "exponent"),
+    (cyclic_table(4), 6, "exponent"),
+])
+def test_character_routine_refuses_what_it_cannot_read(table, order, message):
+    with pytest.raises(CotwistError, match=message):
+        character_exponents(FiniteGroup(table), order)
+
+
+@pytest.mark.parametrize("duals, p", [("p3_duals", 3), ("p5_duals", 5)])
+def test_one_character_per_translation(duals, p, request):
+    """Each translation is implemented by exactly one character, and a -> chi_a
+    is an injective homomorphism."""
+    A1, A2, rho1, rho2 = request.getfixturevalue(duals)
+    H = rho1.group
+    E = character_exponents(H, p)
+    for A, rho in ((A1, rho1), (A2, rho2)):
+        X = translation_characters(A, rho, E)
+        assert np.array_equal(X[H.mul], (X[:, None] + X[None, :]) % p)
+        assert len({tuple(row) for row in X}) == H.order
+
+
+def test_flipped_exponent_fails_the_generator_certificate(p3_duals):
+    A1, _, rho1, _ = p3_duals
+    X = translation_characters(A1, rho1, character_exponents(rho1.group, 3))
+    s = int(rho1.group.generating_words[0][1])
+    X[s, 4] = (X[s, 4] + 1) % 3
+    with pytest.raises(AuditError, match=f"A1\\*: the character of generator {s} fails"):
+        certify_characters(A1, rho1, X)
+
+
+def test_translation_characters_certify_every_generator(p3_duals):
+    """An action that agrees with left translation at delta_e but not elsewhere:
+    the search at delta_e picks the same characters, and the certificate refuses."""
+    A1, _, rho1, _ = p3_duals
+    s = int(rho1.group.generating_words[0][0])
+    perms = rho1.perms.copy()
+    perms[s, [1, 2]] = perms[s, [2, 1]]
+    with pytest.raises(AuditError, match=f"the character of generator {s} fails"):
+        translation_characters(A1, GroupAction(rho1.group, perms),
+                               character_exponents(rho1.group, 3))
+
+
+def test_corrupted_exponent_fails_the_regular_trace_law(p3_duals):
+    _, A2, _, rho2 = p3_duals
+    X = translation_characters(A2, rho2, character_exponents(rho2.group, 3))
+    assert np.array_equal(regular_trace_law(A2, X), [3] + [0] * 8)
+    X[5, 7] = (X[5, 7] + 1) % 3
+    with pytest.raises(AuditError, match="A2\\*: regular trace law fails"):
+        regular_trace_law(A2, X)
+
+
+def test_regular_trace_law(p3_pair, p3_duals):
+    """tr T[a] = 3 [a = e] for both translation representations of (Z/3)^2."""
+    _, traces, _ = p3_class_inputs(p3_pair, p3_duals)
+    for t in traces:
+        assert np.array_equal(t, [3] + [0] * 8)
+
+
+def test_cocycle_class_oracle(p3_pair, p3_duals, p3_reps):
+    """The exact commutators are the symplectic pairing and its inverse, and
+    equal the gauge-invariant c(a, b)/c(b, a) of the float representations."""
     H, sigma = p3_pair
-    V1, V2 = p3_reps
-    eps1 = V1.c / V1.c.T
-    eps2 = V2.c / V2.c.T
+    (X1, X2), _, _ = p3_class_inputs(p3_pair, p3_duals)
+    beta1, beta2 = -X1.T % 3, X2.T  # beta_1(a, b) = chi_b(a)^-1, beta_2(a, b) = chi_b(a)
+    assert np.array_equal(beta1, sigma.exponents % 3)
+    assert np.array_equal(beta2, -beta1 % 3)
     zeta = cmath.exp(2j * cmath.pi / 3)
-    expected = zeta ** sigma.exponents.astype(float)
-    assert np.max(np.abs(eps1 - expected)) < 1e-8
-    assert np.max(np.abs(eps2 - np.conj(eps1))) < 1e-8
+    for beta, V in zip((beta1, beta2), p3_reps):
+        assert np.max(np.abs(V.c / V.c.T - zeta ** beta)) < 1e-8
 
 
-def test_pullback_at_identity_gives_plain_spectrum(p3_pair, p3_reps):
-    """At g = e the two classes cancel: symmetric product cocycle, hence a
-    commutative twisted algebra and an all-ones spectrum."""
-    H, _ = p3_pair
-    V1, V2 = p3_reps
-    K = Subgroup(H, np.arange(9))
-    c_w, W = pullback_and_tensor_cocycle(V1, V2, 0, K)
-    assert np.max(np.abs(c_w - c_w.T)) < 1e-9
-    alg = twisted_group_algebra(K, c_w)
-    dims = wedderburn_dims_retrying(alg, seed=0).dims
-    assert dims == [1] * 9
-    assert trace_vanishing_check(W, K)
-    ok, mults = multiplicity_law_check(W, wedderburn_dims_retrying(alg, seed=0), 9)
-    assert ok
-    assert np.allclose(mults, np.ones(9))
-
-
-def test_multiplicity_law_refuses_a_spectrum_without_idempotents(p3_pair, p3_reps):
-    """An exact split carries no float idempotents, so the law refuses it by name."""
-    H, _ = p3_pair
-    V1, V2 = p3_reps
-    _, W = pullback_and_tensor_cocycle(V1, V2, 0, Subgroup(H, np.arange(9)))
-    with pytest.raises(CotwistError, match="float idempotents"):
-        multiplicity_law_check(W, WedderburnSpectrum(dims=[1] * 9, idempotent_residual=0.0), 9)
+def test_pullback_at_identity_gives_plain_spectrum(p3_pair, p3_duals):
+    """At g = e the two classes cancel: beta_W = 1, spectrum [1] * 9, both laws hold."""
+    chars, traces, K = p3_class_inputs(p3_pair, p3_duals)
+    W = tensor_class(chars, traces, K, K, 0, 3)
+    assert not W.beta.any()
+    assert class_dims(W) == [1] * 9
+    assert trace_vanishing_holds(W) and multiplicity_law_holds(W)
 
 
 def test_pullback_on_nontrivial_coset(p3_diag_bundle):
-    """W's full validate(), product law included, on a |K_g| = 9 coset: the
-    law pullback_and_tensor_cocycle derives from V1 and V2 does hold."""
+    """On a |K_g| = 9 coset beta_W is nondegenerate: radical {e}, one block of 3."""
     inst, ctx, zs = p3_diag_bundle
     g = zs[1].representative
-    Kg = stabilizer_Kg(inst.G, inst.H, g)
-    c_w, W = pullback_and_tensor_cocycle(ctx.V1, ctx.V2, g, Kg)
-    W.validate()
-    assert trace_vanishing_check(W, inst.H)
-    alg = twisted_group_algebra(Kg, c_w)
-    spec = wedderburn_dims_retrying(alg, seed=0)
-    assert spec.dims == [3]
-    ok, mults = multiplicity_law_check(W, spec, inst.H.order)
-    assert ok
-    assert np.allclose(mults, [3.0], atol=1e-6)
+    dims, W = predicted_spectrum(zs[1], g, ctx, stabilizer_Kg(inst.G, inst.H, g))
+    assert dims == [3]
+    assert np.count_nonzero(~W.beta.any(axis=1)) == 1
+    assert trace_vanishing_holds(W) and multiplicity_law_holds(W)
 
 
 @pytest.mark.parametrize("bundle", ["p5_diag_bundle", "wreath_bundle"])
 def test_tensor_rep_is_the_kron_of_each_pair(bundle, request):
-    """T_W from one broadcast product is bit-identical to np.kron per element of K_g."""
+    """The exact commutator beta_W is that of T_W[a] = np.kron(T_2[a], T_1[a'])
+    built from the float representations, on every coset."""
     inst, ctx, zs = request.getfixturevalue(bundle)
+    V1, V2 = (projective_rep_from_action(A, rho, split_simple_retrying(A, seed=seed), inst.H)
+              for A, rho, seed in ((ctx.A1s, ctx.rho1, 11), (ctx.A2s, ctx.rho2, 12)))
+    zeta = cmath.exp(2j * cmath.pi / inst.t.order)
     for z in zs:
         g = z.representative
         Kg = stabilizer_Kg(inst.G, inst.H, g)
-        _, W = pullback_and_tensor_cocycle(ctx.V1, ctx.V2, g, Kg)
-        a_loc, conj_loc = stabilizer_local_indices(ctx.V1.group, Kg, g)
-        want = np.stack([np.kron(ctx.V2.T[a], ctx.V1.T[b]) for a, b in zip(a_loc, conj_loc)])
-        assert np.array_equal(W.T, want)
+        _, W = predicted_spectrum(z, g, ctx, Kg)
+        a_loc, conj_loc = stabilizer_local_indices(inst.H, Kg, g)
+        T = np.stack([np.kron(V2.T[a], V1.T[b]) for a, b in zip(a_loc, conj_loc)])
+        ab, ba = T[:, None] @ T[None], T[None] @ T[:, None]  # [i, j]: T_i T_j, T_j T_i
+        assert np.max(np.abs(ab - zeta ** W.beta[:, :, None, None] * ba)) < 1e-6
 
 
-def test_twisted_group_algebra_rejects_noncocycle(p3_pair):
-    H, _ = p3_pair
-    K = Subgroup(H, np.arange(9))
-    rng = np.random.default_rng(8)
-    c = np.exp(2j * np.pi * rng.random((9, 9)))
-    c[0, :] = 1.0
-    c[:, 0] = 1.0
-    with pytest.raises(CotwistError):
-        twisted_group_algebra(K, c)
+def test_pullback_checks_the_tensor_cocycle(p3_pair, p3_duals):
+    """A corrupted character breaks the bicharacter law of beta_W: the multiplicity law fails."""
+    (X1, X2), traces, K = p3_class_inputs(p3_pair, p3_duals)
+    X1 = X1.copy()
+    X1[4, 5] = (X1[4, 5] + 1) % 3
+    W = tensor_class((X1, X2), traces, K, K, 0, 3)
+    assert trace_vanishing_holds(W)
+    assert not multiplicity_law_holds(W)
 
 
-def test_twisted_group_algebra_requires_counital(p3_pair):
-    H, _ = p3_pair
-    K = Subgroup(H, np.arange(9))
-    c = np.ones((9, 9), dtype=complex)
-    c[0, 3] = 1j
-    with pytest.raises(CotwistError):
-        twisted_group_algebra(K, c)
+def test_class_laws_refuse_a_class_that_is_no_alternating_bicharacter(p3_pair, p3_duals):
+    chars, traces, K = p3_class_inputs(p3_pair, p3_duals)
+    W = tensor_class(chars, traces, K, K, 0, 3)
+    W.beta[1:, 0] = 1  # beta_W(b, e) != 1: e moves out of the radical's columns
+    assert not trace_vanishing_holds(W) and not multiplicity_law_holds(W)
+    x, y = np.divmod(np.arange(9), 3)
+    W.beta[:] = (np.outer(x, x) + np.outer(y, y)) % 3  # a bicharacter, symmetric, not alternating
+    assert trace_vanishing_holds(W) and not multiplicity_law_holds(W)
+    W.beta[:] = 0
+    W.beta[1, 2] = 1  # not alternating, and |K_g|/|R| = 9/8
+    assert not multiplicity_law_holds(W)
+    with pytest.raises(CotwistError, match="not the square of an integer"):
+        class_dims(W)
+
+
+def test_trivial_group_projective():
+    one = FiniteGroup(np.zeros((1, 1), dtype=np.int32))
+    K = Subgroup(one, np.array([0]))
+    X = character_exponents(one, 1)
+    W = tensor_class((X, X), (np.array([1]), np.array([1])), K, K, 0, 1)
+    assert class_dims(W) == [1]
+    assert trace_vanishing_holds(W) and multiplicity_law_holds(W)
+
+
+def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
+    """`cotwist spectrum --p 3 --gamma 1,1,0,1` solves no Skolem-Noether system,
+    splits no simple algebra in floating point and splits only exact algebras."""
+    calls = []
+    monkeypatch.setattr(projective, "skolem_noether", lambda *a: calls.append("sn"))
+    monkeypatch.setattr(semisimple, "split_simple_retrying", lambda *a: calls.append("split"))
+    split = semisimple.wedderburn_dims
+    monkeypatch.setattr(semisimple, "wedderburn_dims",
+                        lambda A, *a: calls.append(A.is_exact) or split(A, *a))
+    out = tmp_path / "report.json"
+    assert cli_main(["spectrum", "--p", "3", "--gamma", "1,1,0,1", "--out", str(out)]) == 0
+    assert calls and set(calls) == {True}
 
 
 def test_projective_rep_validate_catches_broken_cocycle(p3_reps):
@@ -334,24 +443,3 @@ def test_projective_rep_validate_catches_corrupted_matrix(p3_reps):
         broken.validate()
 
 
-def test_pullback_checks_the_tensor_cocycle(p3_pair, p3_reps):
-    """W keeps its own cocycle checks: a broken c_1 shows in c_W by name."""
-    H, _ = p3_pair
-    V1, V2 = p3_reps
-    K = Subgroup(H, np.arange(9))
-    for value, message in ((V1.c[4, 5] * 1j, "cocycle identity fails"),
-                           (0.0, "vanishing or diverging")):
-        c = V1.c.copy()
-        c[4, 5] = value
-        broken = ProjectiveRep(group=V1.group, dim=V1.dim, T=V1.T, c=c)
-        with pytest.raises(AuditError, match=message):
-            pullback_and_tensor_cocycle(broken, V2, 0, K)
-
-
-def test_trivial_group_projective():
-    from cotwist.groups import FiniteGroup
-
-    one = FiniteGroup(np.zeros((1, 1), dtype=np.int32))
-    K = Subgroup(one, np.array([0]))
-    alg = twisted_group_algebra(K, np.ones((1, 1), dtype=complex))
-    assert wedderburn_dims_retrying(alg, seed=0).dims == [1]
