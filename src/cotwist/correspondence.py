@@ -29,7 +29,7 @@ from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelia
 from .projective import (character_exponents, class_dims, multiplicity_law_holds,
                          regular_trace_law, tensor_class, trace_vanishing_holds,
                          translation_characters)
-from .semisimple import derived_seed, wedderburn_dims_retrying
+from .semisimple import derived_seed, wedderburn_dims
 from .twist import (TwistAudit, TwistData, assemble_twist, load_twist_matrix,
                     q_element_and_antipode_check, square_dimension_check, symplectic_twist,
                     triangular_structure)
@@ -410,10 +410,9 @@ class InstanceContext:
     chars: tuple
     traces: tuple
     seed: int
-    tol: float
 
 
-def prepare_instance(instance: Instance, seed: int, tol: float = 1e-8) -> InstanceContext:
+def prepare_instance(instance: Instance, seed: int) -> InstanceContext:
     """Build the dual algebras, their actions, and the character of each translation;
     the regular trace law is audited once per dual algebra."""
     t = instance.t
@@ -423,14 +422,13 @@ def prepare_instance(instance: Instance, seed: int, tol: float = 1e-8) -> Instan
     chars = translation_characters(A1s, rho1, E), translation_characters(A2s, rho2, E)
     traces = regular_trace_law(A1s, chars[0]), regular_trace_law(A2s, chars[1])
     return InstanceContext(instance=instance, A1s=A1s, A2s=A2s, rho1=rho1, rho2=rho2,
-                           chars=chars, traces=traces, seed=seed, tol=tol)
+                           chars=chars, traces=traces, seed=seed)
 
 
 def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
     """All three routes plus the per-coset laws; returns (spectrum, failures)."""
     inst = ctx.instance
     G, H, t = inst.G, inst.H, inst.t
-    seed, tol = ctx.seed, ctx.tol
     g = Z.representative
     failures: list[str] = []
     tag = f"coset {g}"
@@ -438,10 +436,10 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
     Kg = stabilizer_Kg(G, H, g)
 
     blk = build_block_algebra(t, Z)
-    dims_direct = wedderburn_dims_retrying(blk, seed, tol).dims
+    dims_direct = wedderburn_dims(blk).dims
 
     Ug = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, H)
-    dims_invariant = wedderburn_dims_retrying(Ug, seed, tol).dims
+    dims_invariant = wedderburn_dims(Ug).dims
 
     dims_predicted, W = predicted_spectrum(Z, g, ctx, Kg)
 
@@ -464,7 +462,7 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
 
     # representative invariance: a seeded second representative must predict
     # the same multiset
-    rng = np.random.default_rng(derived_seed(seed, 7000 + g))
+    rng = np.random.default_rng(derived_seed(ctx.seed, 7000 + g))
     others = Z.elements[Z.elements != g]
     g2 = int(rng.choice(others)) if others.size else g
     Kg2 = stabilizer_Kg(G, H, g2)
@@ -538,6 +536,11 @@ def _global_checks(instance: Instance):
     return checks, failures
 
 
+def _failure_text(exc: Exception) -> str:
+    """A failed check's text; an allocation numpy could not make is named as one."""
+    return f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+
+
 def full_report(config: Config, jobs: int = 1, global_only: bool = False) -> Report:
     """Global audits plus the three-route comparison on every double coset."""
     instance = build_instance(config)
@@ -563,17 +566,18 @@ def full_report(config: Config, jobs: int = 1, global_only: bool = False) -> Rep
             # an H whose characters cannot carry route (c) is refused (exit 2)
             character_exponents(instance.t.group, instance.t.order)
             try:
-                ctx = prepare_instance(instance, config.seed, config.tol)
-            except CotwistError as exc:
-                failures.append(f"instance preparation failed: {exc}; coset analysis skipped")
+                ctx = prepare_instance(instance, config.seed)
+            except (CotwistError, MemoryError) as exc:
+                failures.append(
+                    f"instance preparation failed: {_failure_text(exc)}; coset analysis skipped")
     if ctx is not None:
         zs = double_cosets(G, H)
 
         def run_one(z):
             try:
                 return _coset_pipeline(ctx, z)
-            except CotwistError as exc:
-                return None, [f"coset {z.representative}: {exc}"]
+            except (CotwistError, MemoryError) as exc:
+                return None, [f"coset {z.representative}: {_failure_text(exc)}"]
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -23,34 +23,36 @@ from .twist import TwistData
 
 
 class SCAlgebra:
-    """A finite-dimensional algebra given by structure constants.
+    """A finite-dimensional algebra given by exact structure constants.
 
-    ``mul[i, j, k]`` is the coefficient of basis element k in e_i e_j, either
-    as an exact CycArray or as a complex ndarray; ``unit`` is the coefficient
-    vector of the multiplicative unit (same kind as ``mul``).  An exact
-    algebra's unit is verified exactly when it is built (:func:`determine_unit`).
+    ``mul[i, j, k]`` is the coefficient of basis element k in e_i e_j, as a
+    CycArray; ``unit`` is the CycArray coefficient vector of the
+    multiplicative unit, verified exactly when the algebra is built
+    (:func:`determine_unit`).  Float ones are refused (CotwistError).
 
-    An exact algebra may instead be given in slice form
-    (:meth:`from_slice`): a slice S of shape (n, n) and basis permutations
-    P of shape (n, n), every row a permutation, with
+    An algebra may instead be given in slice form (:meth:`from_slice`): a
+    slice S of shape (n, n) and basis permutations P of shape (n, n), every
+    row a permutation, with
 
         mul[a, b, x] = S[P[x, a], P[x, b]].
 
     Then ``product`` is S and ``perms`` is P (None for a dense algebra), and
     ``mul`` is gathered from them (:func:`gather_slice`) when it is first
-    read, then kept.  ``dim`` and ``is_exact`` never gather.  The unit check,
-    the commutativity test and the center certificate of
-    ``cotwist.semisimple`` read the slice; everything else reads ``mul``.
+    read, then kept.  ``dim`` never gathers.  The unit check and the center
+    certificates of ``cotwist.semisimple`` read the slice; everything else
+    reads ``mul``.
     """
 
     def __init__(self, mul, unit, name: str = "", *, perms: np.ndarray | None = None):
+        if not isinstance(mul, CycArray) or not isinstance(unit, CycArray):
+            raise CotwistError(f"{name}: structure constants and unit must be exact, "
+                               f"got {type(mul).__name__} and {type(unit).__name__}")
         self.product = mul
         self.perms = perms
         self.unit = unit
         self.name = name
         self._mul = mul if perms is None else None
-        if self.is_exact:
-            determine_unit(mul, unit, name, perms)
+        determine_unit(mul, unit, name, perms)
 
     @classmethod
     def from_slice(cls, S: CycArray, perms: np.ndarray, unit: CycArray,
@@ -62,7 +64,7 @@ class SCAlgebra:
         return cls(S, unit, name, perms=perms)
 
     @property
-    def mul(self):
+    def mul(self) -> CycArray:
         if self._mul is None:
             self._mul = gather_slice(self.product, self.perms)
         return self._mul
@@ -73,19 +75,12 @@ class SCAlgebra:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.product, CycArray)
+        """Always True; kept for the span recorder of ``perfbench/spans.py``."""
+        return True
 
     def mul_complex(self) -> np.ndarray:
-        if self.is_exact:
-            if not hasattr(self, "_mul_complex"):
-                self._mul_complex = self.mul.embed()
-            return self._mul_complex
-        return self.mul
-
-    def unit_complex(self) -> np.ndarray:
-        if isinstance(self.unit, CycArray):
-            return self.unit.embed()
-        return np.asarray(self.unit)
+        """The constants embedded in C, for the float ``semisimple.split_simple``."""
+        return self.mul.embed()
 
 
 def gather_slice(S: CycArray, perms: np.ndarray) -> CycArray:

@@ -25,9 +25,10 @@
   rational scalar is formed; results are read back as integer counts.
   :func:`cyc_rank` first reduces the counts mod a prime l = 1 (mod N),
   l < 2**31, with zeta -> omega a primitive N-th root of unity mod l, and
-  row-reduces that image in int64.  A full rank there is a certificate (a
-  minor nonzero mod l is nonzero in Z[zeta_N]) and is returned; any other
-  rank is found by the exact elimination.
+  row-reduces that image with :func:`_echelon_mod`, the one int64
+  elimination mod l (``cotwist.semisimple``'s trace-form split uses it too).
+  A full rank there is a certificate (a minor nonzero mod l is nonzero in
+  Z[zeta_N]) and is returned; any other rank is found by the exact elimination.
 
 * :func:`invert_in_group_algebra` inverts u in C[K] by one :func:`cyc_solve`
   on the subgroup S that a^-1 supp(u) generates, a in the support: u^-1 lies
@@ -431,13 +432,14 @@ def _is_prime(k: int) -> bool:
 
 
 @functools.cache
-def _modular_root(order: int) -> tuple[int, int]:
-    """The largest prime l < 2**31 with l = 1 mod N, and a primitive N-th root of unity mod l.
+def _modular_root(order: int, below: int = 1 << 31) -> tuple[int, int]:
+    """The largest prime l < ``below`` with l = 1 mod N, and a primitive N-th root of unity mod l.
 
     Then Phi_N(omega) = 0 mod l, so zeta -> omega is a ring map Z[zeta_N] -> F_l.
-    Both are found by trial division, once per order.
+    Both are found by trial division, once per (order, below); passing the
+    last l as ``below`` gives the next prime down.
     """
-    ell = ((1 << 31) - 2) // order * order + 1
+    ell = (below - 2) // order * order + 1
     while not _is_prime(ell):
         ell -= order
     factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
@@ -445,33 +447,61 @@ def _modular_root(order: int) -> tuple[int, int]:
     return ell, next(w for w in omegas if all(pow(w, order // q, ell) != 1 for q in factors))
 
 
+def _modular_image(counts: np.ndarray, ell: int, omega: int) -> np.ndarray:
+    """The int64 image in [0, l) of counts under zeta -> omega, cell by cell."""
+    counts = counts % ell
+    out = np.zeros(counts.shape[:-1], dtype=np.int64)
+    for k in range(counts.shape[-1]):
+        out = (out + counts[..., k] * pow(omega, k, ell)) % ell
+    return out
+
+
+def _echelon_mod(a: np.ndarray, ell: int, reduced: bool = True) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form over F_l of an int64 matrix with entries in [0, l): its
+    nonzero rows and their pivot columns, every row below a pivot 0 in its
+    column.  Zero rows are dropped, and a pivot updates only the rows below
+    that are nonzero in its column, so a sparse system costs what its
+    nonzeros do.  With ``reduced`` a back pass makes each row 1 at its pivot
+    and every other row 0 there; a rank needs only the pivots.  A pivot row
+    is 0 left of its column, so updates start there.  Each product is below
+    l**2 < 2**62 and reduced at once, so nothing overflows int64.
+    """
+    a = a[a.any(axis=1)]
+    pivots: list[int] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        if below.size > 1:  # with every row below nonzero in c, a slice, not a gather
+            rows = slice(r + 1, None) if below.size == len(a) - r else r + below[1:]
+            pivot = a[r, c:] * pow(int(a[r, c]), -1, ell) % ell
+            a[rows, c:] = (a[rows, c:] - a[rows, c:c + 1] * pivot) % ell
+        pivots.append(c)
+    a = a[:len(pivots)]
+    if reduced:
+        inverses = [pow(int(a[r, c]), -1, ell) for r, c in enumerate(pivots)]
+        a = a * np.array(inverses, dtype=np.int64)[:, None] % ell
+        for r in range(len(pivots) - 1, 0, -1):
+            c = pivots[r]
+            a[:r, c:] = (a[:r, c:] - a[:r, c:c + 1] * a[r, c:]) % ell
+    return a, pivots
+
+
 def _modular_rank(mat: CycArray) -> int:
     """Rank over F_l of the image of the counts under zeta -> omega (:func:`_modular_root`).
 
     Every minor of the image is the image of a minor of the counts, so this is
-    at most the exact rank; int64 Gaussian elimination, every product below l**2 < 2**62.
+    at most the exact rank; the elimination is :func:`_echelon_mod`.
     """
     if len(mat.shape) != 2:
         raise ValueError("need a 2-d matrix")
     ell, omega = _modular_root(mat.order)
-    counts = mat.counts % ell
-    a = np.zeros(mat.shape, dtype=np.int64)
-    for k in range(mat.order):
-        a = (a + counts[..., k] * pow(omega, k, ell)) % ell
-    rank = 0
-    for c in range(a.shape[1]):
-        below = np.flatnonzero(a[rank:, c])
-        if not below.size:
-            continue
-        if below[0]:
-            a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
-        if below.size > 1:  # clear the rows below, right of column c: c is not read again
-            rows, pivot = a[rank + 1:], a[rank, c + 1:] * pow(int(a[rank, c]), -1, ell) % ell
-            rows[:, c + 1:] = (rows[:, c + 1:] - rows[:, c:c + 1] * pivot) % ell
-        rank += 1
-        if rank == a.shape[0]:
-            break
-    return rank
+    return len(_echelon_mod(_modular_image(mat.counts, ell, omega), ell, reduced=False)[1])
 
 
 def cyc_rank(mat: CycArray) -> int:

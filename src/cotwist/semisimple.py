@@ -1,38 +1,38 @@
 """Wedderburn analysis of semisimple structure-constant algebras over C.
 
-The decomposition pipeline is hybrid by design: the center is exact when the
-structure constants are exact (so the number of simple blocks is certain),
-and only the distribution of block dimensions uses floating point
-(eigenvalue clustering of a random central element), backed by
-integer-rounding assertions.
+Every algebra is exact (``SCAlgebra`` refuses float constants), and so is
+every block split: it is decided by certificates, with no eigenproblem, no
+tolerance and no seed.  :func:`wedderburn_dims` reduces the constants mod a
+prime l = 1 (mod N) and reads the block dimensions from two trace forms on
+the center, once the trace form of the whole algebra certifies that the
+reduction is separable.
 
-The exact center is certified before it is eliminated.  Counts canonically
-equal to their transpose make an algebra commutative, nothing else to check.
-Otherwise the unit, verified when the algebra was built, is central, so
-when the image mod a prime of two seeded commutator slices, formed by exact
-float64 products, has rank n - 1 the center is exactly span(unit): a simple
-block, the common case, takes no exact elimination and forms no commutator
-tensor.  Any other rank leaves the answer to the exact nullspace of the
-commutator system, found in one narrowing pass, whose basis B is checked as
-B . mul == mul . B.  An algebra in slice form (``SCAlgebra.from_slice``)
-takes the symmetry test and the commutator slices on its n x n slice, so a
-simple block is decided without gathering its n^3 constants.
+Two cases of that split are decided first, at their own cost, by the center
+certificate (:func:`center_basis`).  Counts canonically equal to their
+transpose make an algebra commutative: n blocks of 1 once a modular rank
+certifies its trace form.  Otherwise the unit, verified when the algebra was
+built, is central, so when the image mod l of two seeded commutator slices,
+formed by exact float64 products, has rank n - 1 the center is span(unit):
+one block of sqrt(n), the common case, with no elimination beyond that rank.
+An algebra in slice form (``SCAlgebra.from_slice``) takes both certificates
+on its n x n slice, so a simple block is decided without gathering its n^3
+constants.
 
-An exact center of dimension 1 or n also decides the split exactly: one block
-of sqrt(n), or n blocks of 1 when a modular rank certifies the trace form.
+:func:`split_simple`, a seeded float construction of the irreducible
+representation of a simple algebra, is library code that no report runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (CycArray, _largest, _modular_rank, canonical_counts, cyc_nullspace,
-                       cyc_solve, cyc_tensordot, ga_identity)
+from .exactlin import (CycArray, _echelon_mod, _largest, _modular_image, _modular_rank,
+                       _modular_root, canonical_counts, cyc_tensordot)
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -42,15 +42,15 @@ _CLUSTER_GUARD = 10.0  # clusters separated by less than this multiple of the
                        # merge threshold are treated as ambiguous
 #: the seeded commutator rows of the center certificate draw y_j from [1, this)
 _CENTER_DRAW_BOUND = 1 << 16
+#: primes l = 1 (mod N) the trace-form split tries before it refuses an algebra
+SPLIT_PRIMES = 3
 
 
 @dataclass
 class WedderburnSpectrum:
-    """Block dimensions of a semisimple algebra plus numeric quality data."""
+    """Block dimensions of a semisimple algebra, ascending."""
 
     dims: list[int]
-    idempotent_residual: float
-    idempotents: np.ndarray = field(repr=False, default=None)  # None from the exact splits
 
 
 def derived_seed(seed: int, attempt: int) -> int:
@@ -73,49 +73,26 @@ def with_seed_retries(fn, seed: int, attempts: int = 10):
 # audits
 
 
-def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
-    """Associativity and unit laws; exact when the algebra is exact.
+def algebra_audit(A: SCAlgebra) -> bool:
+    """Associativity, exactly.
 
     Exhaustive up to EXHAUSTIVE_AUDIT_DIM basis elements, sampled (fixed
     internal seed, 200 triples) beyond that.  Returns False rather than
-    raising.  An exact algebra's unit was verified when it was built, so
-    only its associativity is checked here.
+    raising.  The unit was verified when the algebra was built.
     """
-    n = A.dim
-    if A.is_exact:
-        mul: CycArray = A.mul
-        if n <= EXHAUSTIVE_AUDIT_DIM:
-            lhs = cyc_tensordot(mul, mul, axes=([2], [0]))            # [i,j,k,l]
-            rhs = cyc_tensordot(mul, mul, axes=([2], [1]))            # [j,k,i,l]
-            return lhs.eq(rhs.transpose((2, 0, 1, 3)))
-        rng = np.random.default_rng(0)
-        for _ in range(_AUDIT_SAMPLES):
-            i, j, k = (int(v) for v in rng.integers(0, n, 3))
-            ij = CycArray(mul.order, mul.scale, mul.counts[i, j])
-            jk = CycArray(mul.order, mul.scale, mul.counts[j, k])
-            lhs = cyc_tensordot(ij, mul, axes=([0], [0])).take([k], axis=0)
-            rhs = cyc_tensordot(jk, mul, axes=([0], [1])).take([i], axis=0)
-            if not lhs.eq(rhs):
-                return False
-        return True
-
-    mul = np.asarray(A.mul)
-    unit = A.unit_complex()
-    ident = np.eye(n)
-    if not np.allclose(np.einsum("i,ijk->jk", unit, mul).T, ident.T, atol=tol * n):
-        return False
-    if not np.allclose(np.einsum("i,jik->jk", unit, mul), ident, atol=tol * n):
-        return False
+    n, mul = A.dim, A.mul
     if n <= EXHAUSTIVE_AUDIT_DIM:
-        lhs = np.einsum("ijx,xkl->ijkl", mul, mul)
-        rhs = np.einsum("jkx,ixl->ijkl", mul, mul)
-        return bool(np.allclose(lhs, rhs, atol=tol * n))
+        lhs = cyc_tensordot(mul, mul, axes=([2], [0]))            # [i,j,k,l]
+        rhs = cyc_tensordot(mul, mul, axes=([2], [1]))            # [j,k,i,l]
+        return lhs.eq(rhs.transpose((2, 0, 1, 3)))
     rng = np.random.default_rng(0)
     for _ in range(_AUDIT_SAMPLES):
         i, j, k = (int(v) for v in rng.integers(0, n, 3))
-        lhs = np.einsum("x,xl->l", mul[i, j], mul[:, k, :])
-        rhs = np.einsum("x,xl->l", mul[j, k], mul[i, :, :])
-        if not np.allclose(lhs, rhs, atol=tol * n):
+        ij = CycArray(mul.order, mul.scale, mul.counts[i, j])
+        jk = CycArray(mul.order, mul.scale, mul.counts[j, k])
+        lhs = cyc_tensordot(ij, mul, axes=([0], [0])).take([k], axis=0)
+        rhs = cyc_tensordot(jk, mul, axes=([0], [1])).take([i], axis=0)
+        if not lhs.eq(rhs):
             return False
     return True
 
@@ -124,8 +101,8 @@ def algebra_audit(A: SCAlgebra, tol: float = 1e-8) -> bool:
 # center
 
 
-def _exact_center_basis(A: SCAlgebra) -> CycArray:
-    """Reduced basis of the center as CycArray rows ``(r, n)``, certified or narrowed.
+def center_basis(A: SCAlgebra) -> CycArray | None:
+    """Exact basis ``(r, n)`` of the center where a certificate decides it, else None.
 
     First exact commutativity: counts canonically (:func:`canonical_counts`)
     equal to their (1, 0) transpose - on row 0 first, then literally or on
@@ -141,56 +118,25 @@ def _exact_center_basis(A: SCAlgebra) -> CycArray:
 
     where rank_l is the rank of the image mod l (:func:`_modular_rank`; a
     minor nonzero mod l is nonzero).  A modular rank of n - 1 thus proves
-    that the center is exactly span(unit), and the unit is returned in the
-    reduced form of the narrowing pass: divided by its last nonzero entry
-    (a 1 x 1 exact solve; the all-ones unit of every package algebra comes
-    back unchanged).  R is formed by exact float64 products
-    (:func:`_commutator_rows`), from the slice S of an algebra in slice form
-    (``SCAlgebra``) and from ``mul`` otherwise; past their 2^53 bound there
-    is no certificate.  The commutativity test reads the slice too: the
-    constants S[P[k, i], P[k, j]] are symmetric in (i, j) exactly when S is,
-    every row of P being a permutation.  So a slice-form algebra is
-    gathered only for the narrowing pass.
+    that the center is exactly span(unit), returned as a ``(1, n)`` basis.
+    R is formed by exact float64 products (:func:`_commutator_rows`), from
+    the slice S of an algebra in slice form (``SCAlgebra``) and from ``mul``
+    otherwise; past their 2^53 bound there is no certificate.  The
+    commutativity test reads the slice too: the constants S[P[k, i], P[k, j]]
+    are symmetric in (i, j) exactly when S is, every row of P being a
+    permutation.  So neither certificate gathers a slice-form algebra.
 
-    Otherwise - a center of dimension > 1, an unlucky draw or prime - the
-    commutator tensor D[i, j, k] = mul[i,j,k] - mul[j,i,k] is formed and
-    one narrowing pass starts from the identity basis of the whole space
-    and cuts it down one basis element e_j at a time: the commutator slice
-    [., e_j] contracted with the current basis B gives an (n x dim B)
-    system, whose reduced nullspace N replaces B by N B.  Each B keeps the
-    reduced form of :func:`cyc_nullspace` (row i is 1 at its last nonzero
-    column, which is 0 in every other row), which is unique for the
-    subspace: N has that form and B is the identity on those columns.  So
-    the result equals the reduced nullspace of the full commutator system.
-    A basis element that commutes with everything (its column D[:, j] is
-    exactly zero) gives a zero system, whose nullspace is the identity, so
-    it is skipped without a solve.  The narrowed basis B is checked once,
-    exactly, as B . mul == mul . B by two contractions; a failure raises
-    CotwistError.
+    None - a center of dimension > 1, an unlucky draw or prime - leaves the
+    center to :func:`wedderburn_dims`, which finds it mod l.
     """
-    product, perms = A.product, A.perms
-    basis = _identity_matrix(A.dim, product.order)
+    product, n = A.product, A.dim
     if _canonically_symmetric(product):
-        return basis
-    unit = _unit_if_center(product, A.unit, perms)
-    if unit is not None:
-        return unit
-    mul = A.mul
-    diff = _commutator_tensor(mul)
-    noncentral = np.flatnonzero(~diff.zero_mask().all(axis=(0, 2)))
-    for j in noncentral:
-        system = cyc_tensordot(diff.take(j, axis=1), basis, axes=([0], [1]))  # [k, row]
-        # reduced() keeps the counts from compounding the scales of the products
-        basis = cyc_tensordot(cyc_nullspace(system), basis, axes=([1], [0])).reduced()
-    if not cyc_tensordot(basis, mul, axes=([1], [0])).eq(
-            cyc_tensordot(basis, mul, axes=([1], [1]))):
-        raise CotwistError("center verification failed against the full product")
-    return basis
-
-
-def _commutator_tensor(mul: CycArray) -> CycArray:
-    """D[i, j, k] = mul[i,j,k] - mul[j,i,k], the exact commutator [e_i, e_j]."""
-    return CycArray(mul.order, mul.scale, mul.counts - mul.counts.transpose(1, 0, 2, 3))
+        return _identity_matrix(n, product.order)
+    draws = np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
+    rows = _commutator_rows(product, draws, A.perms)
+    if rows is not None and _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) == n - 1:
+        return A.unit.reshape(1, n)
+    return None
 
 
 def _canonically_symmetric(mul: CycArray) -> bool:
@@ -243,58 +189,161 @@ def _commutator_rows(mul: CycArray, draws: np.ndarray,
     return CycArray(order, mul.scale, rows.astype(np.int64).reshape(len(draws), n, n, order))
 
 
-def _unit_if_center(mul: CycArray, unit: CycArray,
-                    perms: np.ndarray | None = None) -> CycArray | None:
-    """The unit over its last nonzero entry, as a ``(1, n)`` basis, if the
-    modular rank of the seeded commutator rows certifies a 1-dim center; else None.
-    ``perms`` marks a slice form, as in :func:`_commutator_rows`."""
+# ---------------------------------------------------------------------------
+# Wedderburn dimensions
+
+
+def wedderburn_dims(A: SCAlgebra) -> WedderburnSpectrum:
+    """Block dimensions of a semisimple exact algebra, from trace forms mod l.
+
+    The counts of the constants are reduced under zeta -> omega mod a prime
+    l = 1 (mod N) (:func:`_modular_root`) to an algebra A_l over F_l, and
+    :func:`_split_mod` decides there.  The scale s is dropped: the counts
+    alone are the constants of an algebra isomorphic to A by x -> x / s,
+    since (x / s)(y / s) = (x y) / s^2.  So A stands for that algebra below:
+
+    - Certificate 1: the trace form T[i, j] = tr L_{e_i e_j} has full rank
+      mod l.  Its determinant is then nonzero in Q(zeta_N), so A is
+      semisimple over C (in characteristic 0 the radical lies in the kernel
+      of T), and A_l is separable.  A separable reduction keeps the geometric
+      block dims: the basis spans an order over the local ring at l whose
+      discriminant det T is a unit, so the order is separable, and its
+      simple components have the same dims over the algebraic closures of
+      the fraction field and of the residue field.  The block dims of A_l
+      over the closure of F_l are thus those of A over C.
+    - The split: the center C of A_l, of dimension r, is the nullspace mod
+      l of the commutator system.  On C take B(z, w) = tr_A L_{zw} and
+      B_0(z, w) = tr_C L_{zw}.  In the basis of central idempotents, one per
+      block of dimension d_i, B = diag(d_i^2) and B_0 = I, so M = B_0^-1 B
+      is diagonalizable with eigenvalues d_i^2 mod l.  Every d^2 is at most
+      n < l, so distinct dims keep distinct eigenvalues, and dimension d
+      has multiplicity r - rank(M - d^2 I).
+    - Certificate 2: B_0 is invertible, the multiplicities sum to r, and
+      sum mult d^2 = n.  Certificate 1 implies all three, so a failure means
+      the constants are not those of an associative algebra, and raises
+      CotwistError naming the algebra.
+
+    A prime that fails certificate 1 gives way to the next prime = 1 (mod N)
+    below it; after SPLIT_PRIMES primes CotwistError names the algebra.
+    There is no float fallback.
+
+    The center certificate (:func:`center_basis`) decides two cases of this
+    split first, without reducing ``mul``: a center span(unit) is r = 1 with
+    M = [n], one block of sqrt(n) (:func:`_one_block_spectrum`), and counts
+    canonically symmetric with a trace form of full modular rank are r = n
+    with M = I, n blocks of 1 (:func:`_split_commutative`).
+    """
+    center = center_basis(A)
+    if center is not None and center.shape[0] == 1:
+        return _one_block_spectrum(A)
+    if center is not None and (spectrum := _split_commutative(A)):
+        return spectrum
+    mul, ell = A.mul, 1 << 31
+    for _ in range(SPLIT_PRIMES):
+        ell, omega = _modular_root(mul.order, ell)
+        dims = _split_mod(mul, ell, omega, A.name)
+        if dims is not None:
+            return WedderburnSpectrum(dims=dims)
+    raise CotwistError(f"{A.name}: the trace form is degenerate mod {SPLIT_PRIMES} primes "
+                       "(non-semisimple input?)")
+
+
+# second binding of the one split: perfbench/spans.py LAYERS times it under this name
+wedderburn_dims_retrying = wedderburn_dims
+
+
+def _matmul_mod(x: np.ndarray, y: np.ndarray, ell: int) -> np.ndarray:
+    """x @ y mod l for int64 x (m, K) and y (K, c) in [0, l), one reduced term at a time."""
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    for k in range(x.shape[1]):
+        out = (out + x[:, k:k + 1] * y[k]) % ell
+    return out
+
+
+def _split_mod(mul: CycArray, ell: int, omega: int, name: str) -> list[int] | None:
+    """Block dims from the trace forms mod l, as :func:`wedderburn_dims` says;
+    None when l fails certificate 1."""
     n = mul.shape[0]
-    draws = np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
-    rows = _commutator_rows(mul, draws, perms)
-    if rows is None or _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) != n - 1:
+
+    def rank(m):
+        return len(_echelon_mod(m % ell, ell, reduced=False)[1])
+
+    a = _modular_image(mul.counts, ell, omega)                          # [i, j, k]
+    tau = np.einsum("kjj->k", a) % ell                                  # tau_k = tr L_{e_k}
+    if rank(_matmul_mod(a.reshape(n * n, n), tau[:, None], ell).reshape(n, n)) < n:
+        return None                                                     # T: certificate 1
+    center, free = _center_mod(a, ell)
+    r = free.size
+    # c_p c_q = sum_s G[q, p, s] c_s, read off the free columns
+    left = _matmul_mod(center, a[:, :, free].reshape(n, n * r), ell)   # [p, (j, s)]
+    G = _matmul_mod(center, left.reshape(r, n, r).transpose(1, 0, 2).reshape(n, r * r), ell)
+    traces = np.stack([np.einsum("stt->s", G.reshape(r, r, r)) % ell,  # tr_C L_{c_s}
+                       _matmul_mod(center, tau[:, None], ell)[:, 0]], axis=1)  # tr_A L_{c_s}
+    forms = _matmul_mod(G.reshape(r * r, r), traces, ell).reshape(r, r, 2)  # B_0, B
+    reduced, pivots = _echelon_mod(forms.transpose(0, 2, 1).reshape(r, 2 * r), ell)
+    if pivots != list(range(r)):
+        raise CotwistError(f"{name}: the trace form on the center is singular mod {ell}")
+    M = reduced[:, r:]                                                   # B_0^-1 B
+    mult = {d: r - rank(M - d * d * np.eye(r, dtype=np.int64)) for d in range(1, math.isqrt(n) + 1)}
+    dims = [d for d, k in mult.items() for _ in range(k)]
+    if len(dims) != r or sum(d * d for d in dims) != n:
+        raise CotwistError(f"{name}: block multiplicities {mult} mod {ell} do not add up to "
+                           f"the center's dimension {r} and dim {n}")
+    return dims
+
+
+def _center_mod(a: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced basis (r, n) of the center of the algebra with constants ``a`` mod l,
+    and its free columns.
+
+    The nullspace of the commutator system, row (j, k) and column i holding
+    a[i, j, k] - a[j, i, k], from its reduced echelon form
+    (:func:`_echelon_mod`): row s is 1 at the s-th free column, 0 at the
+    other free columns, so the coordinates of a central element in this
+    basis are its entries at the free columns.
+    """
+    n = a.shape[0]
+    commutators = (a - a.transpose(1, 0, 2)) % ell                      # [i, j, k]
+    rows, pivots = _echelon_mod(commutators.transpose(1, 2, 0).reshape(n * n, n), ell)
+    free = np.setdiff1d(np.arange(n), pivots)
+    center = np.zeros((free.size, n), dtype=np.int64)
+    center[np.arange(free.size), free] = 1
+    center[:, pivots] = (-rows[:, free].T) % ell
+    return center, free
+
+
+def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
+    """Exact spectrum of an exact algebra with center span(unit): one block.
+
+    The split's case r = 1: L_u is the identity, because ``SCAlgebra``
+    verified u as the unit when it was built, so M = [tr L_u] = [n] and the
+    block has dimension sqrt(n).  So n must be a perfect square, and no
+    reduction of ``mul`` is needed.
+    """
+    d = math.isqrt(A.dim)
+    if d * d != A.dim:
+        raise CotwistError(
+            f"{A.name}: a one-dim center needs a square dimension, not {A.dim} "
+            "(non-semisimple input?)")
+    return WedderburnSpectrum(dims=[d])
+
+
+def _split_commutative(A: SCAlgebra) -> WedderburnSpectrum | None:
+    """Spectrum [1] * n of a commutative exact algebra, if its trace form is certified.
+
+    In characteristic 0 the kernel of T[i, j] = trace L_{e_i e_j} = sum_k
+    mul[i, j, k] tau_k, tau_k = trace L_{e_k} = sum_j mul[k, j, j], is the
+    Jacobson radical, so a modular rank n of T (:func:`_modular_rank`) makes the
+    algebra semisimple, hence C^n.  A shorter rank or an overflow gives None.
+    """
+    mul, n = A.mul, A.dim
+    diagonal = CycArray(mul.order, mul.scale, mul.counts[:, np.arange(n), np.arange(n)])
+    try:
+        tau = cyc_tensordot(diagonal, CycArray.from_exponents(mul.order, np.zeros(n, int)), axes=1)
+        rank = _modular_rank(cyc_tensordot(mul, tau, axes=1))
+    except CotwistError:
         return None
-    last = int(np.flatnonzero(~unit.zero_mask())[-1])
-    over = cyc_solve(unit.take([[last]]), ga_identity(1, unit.order))
-    return cyc_tensordot(over, unit, axes=0).reduced()
-
-
-def _float_center_basis(mul: np.ndarray, tol: float) -> np.ndarray:
-    """SVD nullspace of the commutator system for float algebras.
-
-    Only the right singular vectors are used, so the thin SVD suffices: the
-    full left factor of the (n^2, n) system would be an (n^2, n^2) matrix.
-    """
-    n = mul.shape[0]
-    system = (mul - mul.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(n * n, n)
-    _, s, vh = np.linalg.svd(system, full_matrices=False)
-    # threshold against the size of the structure constants, not of the
-    # commutator system itself -- the latter vanishes for commutative algebras
-    scale = max(1.0, float(np.max(np.abs(mul))))
-    small = s < tol * scale * n
-    r = int(np.count_nonzero(small))
-    if r == 0:
-        raise CotwistError("algebra has trivial center dimension 0 (no unit?)")
-    gap_hi = s[-r - 1] if s.size > r else np.inf
-    gap_lo = s[-r] if r else 0.0
-    if gap_hi < _CLUSTER_GUARD * max(gap_lo, tol * scale):
-        raise CotwistError("center dimension is numerically ambiguous")
-    return vh[-r:, :].conj()
-
-
-def center_basis(A: SCAlgebra, tol: float = 1e-8) -> np.ndarray:
-    """Complex matrix (r, dim) whose rows span the center.
-
-    For exact algebras the center is exact (the row count r is then certain):
-    the identity basis when the counts are canonically symmetric, span(A.unit)
-    when a modular rank certifies that the center is one-dimensional, as it
-    is for every simple block, and the exact narrowing pass otherwise
-    (:func:`_exact_center_basis`), checked against the full product.  The
-    last two give the same reduced basis.  Float algebras take a numerically
-    guarded SVD.
-    """
-    if A.is_exact:
-        return _exact_center_basis(A).embed()
-    return _float_center_basis(np.asarray(A.mul), tol)
+    return WedderburnSpectrum(dims=[1] * n) if rank == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -332,152 +381,6 @@ def _cluster_values(vals: np.ndarray, delta: float):
 
 
 # ---------------------------------------------------------------------------
-# Wedderburn dimensions
-
-
-def _symmetrized_real_basis(center: np.ndarray) -> np.ndarray:
-    """Orthonormal real basis of the center viewed as a real vector space.
-
-    Stacks real and imaginary parts of the complex basis (and of i times it),
-    so that a random real combination reaches a generic center element; the
-    center of a semisimple algebra is spanned by idempotents, so real
-    combinations in this sense separate blocks generically.
-    """
-    r, n = center.shape
-    real_vecs = np.vstack(
-        [
-            np.hstack([center.real, center.imag]),
-            np.hstack([-center.imag, center.real]),  # i * basis
-        ]
-    )
-    u, s, vh = np.linalg.svd(real_vecs, full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
-    return vh[:rank]
-
-
-def wedderburn_dims(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpectrum:
-    """Block dimensions of a semisimple algebra.
-
-    Center (exact for exact input), then a seed-driven random real
-    combination z of the symmetrized center basis, eigen-clustering of the
-    left-multiplication operator L_z into spectral projectors (the central
-    idempotents), and d_i = round(sqrt(trace L_{e_i})).  Asserts
-    |d_i - sqrt(trace)| < 0.01 and sum d_i^2 = dim.  Raises SeedRetryError
-    when eigenvalues fail to separate cleanly for this seed.
-
-    The idempotents are e_i = V[:, S_i] (V^-1 unit)[S_i] for eigenvector
-    matrix V and cluster S_i.  Their residual, the largest of
-    |e_a e_b - delta_ab e_a| over a <= b and |sum e_a - unit|, comes from one
-    batch of all products: L[a] = sum_i e_a[i] mul[i] (one tensordot), then
-    (e_a e_b)_k = sum_j e_b[j] L[a, j, k].  That is O(r n^3 + r^2 n^2) with
-    r n^2 scratch, never more than mul itself; the same L gives the traces
-    trace L_{e_a} = sum_j L[a, j, j].
-
-    An exact algebra is decided exactly instead when its center is span(u)
-    (:func:`_one_block_spectrum`: L_z is then a multiple of the identity, so the
-    float route could find only one cluster, whose idempotent is u) or all of it
-    with a certified trace form (:func:`_split_commutative`).
-    """
-    n = A.dim
-    center = center_basis(A, tol)
-    r = center.shape[0]
-    if A.is_exact and r == 1:
-        return _one_block_spectrum(A)
-    if A.is_exact and r == n and (spectrum := _split_commutative(A)):
-        return spectrum
-    mul = A.mul_complex()
-    unit = A.unit_complex()
-
-    rng = np.random.default_rng(seed)
-    sym = _symmetrized_real_basis(center)
-    coeffs = rng.standard_normal(sym.shape[0])
-    zr = coeffs @ sym
-    z = zr[:n] + 1j * zr[n:]
-
-    Lz = np.einsum("i,ijk->kj", z, mul)
-    vals, vecs = np.linalg.eig(Lz)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    labels, count = _cluster_values(vals, tol * scale)
-    if count != r:
-        raise SeedRetryError(
-            f"random central element produced {count} eigenvalue clusters, center has dimension {r}"
-        )
-
-    try:
-        vinv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError as exc:
-        raise SeedRetryError(f"eigenvector matrix not invertible: {exc}") from exc
-    w = vinv @ unit
-    idems = np.stack([vecs[:, labels == i] @ w[labels == i] for i in range(r)])
-
-    left = np.tensordot(idems, mul, axes=([1], [0]))    # [a, j, k] = (e_a basis_j)_k
-    prods = idems @ left                                 # [a, b, k] = (e_a e_b)_k
-    prods[np.arange(r), np.arange(r)] -= idems
-    upper = np.triu_indices(r)
-    residual = max(float(np.max(np.abs(prods[upper]))),
-                   float(np.max(np.abs(idems.sum(axis=0) - unit))))
-    if not np.isfinite(residual) or residual > max(tol, 1e-10) * n:
-        raise SeedRetryError(f"central idempotent residual too large: {residual:g}")
-
-    dims = []
-    for tr in np.einsum("ajj->a", left):
-        if abs(tr.imag) > 1e-6 or tr.real < 0:
-            raise CotwistError(f"block trace {tr} is not a nonnegative real")
-        d_float = float(np.sqrt(tr.real))
-        d = int(round(d_float))
-        if abs(d - d_float) >= 0.01 or d < 1:
-            raise CotwistError(
-                f"block dimension {d_float} is not close to an integer (non-semisimple input?)"
-            )
-        dims.append(d)
-    if sum(d * d for d in dims) != n:
-        raise CotwistError(f"sum of squared block dimensions {dims} != dim {n}")
-    order = np.argsort(dims, kind="stable")
-    return WedderburnSpectrum(
-        dims=sorted(dims), idempotent_residual=residual, idempotents=idems[order]
-    )
-
-
-def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
-    """Exact spectrum of an exact algebra with center span(unit): one block.
-
-    This is the float route's answer read exactly.  With one cluster its
-    idempotent is the unit u, its residual |u u - u| = 0, and its dimension
-    d = sqrt(trace L_u) = sqrt(n), since L_u is the identity: both hold
-    because ``SCAlgebra`` verified u as the unit when it was built.  So n
-    must be a perfect square (the float route's "not close to an integer"
-    otherwise), and no embedding of ``mul`` or eigenproblem is needed.
-    """
-    d = math.isqrt(A.dim)
-    if d * d != A.dim:
-        raise CotwistError(
-            f"block dimension {math.sqrt(A.dim)} is not close to an integer (non-semisimple input?)")
-    return WedderburnSpectrum(dims=[d], idempotent_residual=0.0)
-
-
-def _split_commutative(A: SCAlgebra) -> WedderburnSpectrum | None:
-    """Spectrum [1] * n of a commutative exact algebra, if its trace form is certified.
-
-    In characteristic 0 the kernel of T[i, j] = trace L_{e_i e_j} = sum_k
-    mul[i, j, k] tau_k, tau_k = trace L_{e_k} = sum_j mul[k, j, j], is the
-    Jacobson radical, so a modular rank n of T (:func:`_modular_rank`) makes the
-    algebra semisimple, hence C^n.  A shorter rank or an overflow gives None.
-    """
-    mul, n = A.mul, A.dim
-    diagonal = CycArray(mul.order, mul.scale, mul.counts[:, np.arange(n), np.arange(n)])
-    try:
-        tau = cyc_tensordot(diagonal, CycArray.from_exponents(mul.order, np.zeros(n, int)), axes=1)
-        rank = _modular_rank(cyc_tensordot(mul, tau, axes=1))
-    except CotwistError:
-        return None
-    return WedderburnSpectrum(dims=[1] * n, idempotent_residual=0.0) if rank == n else None
-
-
-def wedderburn_dims_retrying(A: SCAlgebra, seed: int, tol: float = 1e-8) -> WedderburnSpectrum:
-    return with_seed_retries(lambda s: wedderburn_dims(A, s, tol), seed)
-
-
-# ---------------------------------------------------------------------------
 # splitting a simple algebra
 
 
@@ -497,7 +400,7 @@ def split_simple(A: SCAlgebra, seed: int, tol: float = 1e-8) -> np.ndarray:
     if n * n != dim:
         raise CotwistError(f"dimension {dim} is not a perfect square; algebra not simple")
     mul = A.mul_complex()
-    unit = A.unit_complex()
+    unit = A.unit.embed()
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -249,6 +250,33 @@ def test_failed_preparation_exits_1_with_report(monkeypatch, tmp_path, capsys):
         "instance preparation failed: still failing after 10 seeds: no clean split; "
         "coset analysis skipped"]
     assert "instance preparation failed" in stderr
+
+
+def test_out_of_memory_coset_exits_1_with_report(monkeypatch, tmp_path, capsys):
+    """An allocation numpy cannot make on one coset (numpy's
+    ``_ArrayMemoryError`` is a MemoryError) is a failed check named for its
+    coset: the other cosets are reported, the report is written, exit 1."""
+    import cotwist.correspondence as correspondence
+
+    build = correspondence.build_block_algebra
+
+    def exhausted(t, coset):
+        if coset.representative != 0:
+            raise MemoryError("Unable to allocate 8.66 GiB for an array")
+        return build(t, coset)
+
+    monkeypatch.setattr(correspondence, "build_block_algebra", exhausted)
+    out = tmp_path / "report.json"
+    rc, _, stderr = run_cli(
+        ["spectrum", "--p", "3", "--gamma", "1,0,0,2", "--out", str(out)], capsys)
+    assert rc == 1
+    report = json.loads(out.read_text())
+    assert [c["rep"] for c in report["cosets"]] == [0]
+    lost = report["failures"][0]
+    assert re.fullmatch(r"coset [1-9]\d*: out of memory: Unable to allocate 8\.66 GiB for an array",
+                        lost)
+    assert report["failures"][1:] == ["double cosets sum to 9 != |G| = 18"]
+    assert lost in stderr
 
 
 def test_h_without_characters_exits_2(monkeypatch, capsys):

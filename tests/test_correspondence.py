@@ -15,7 +15,6 @@ from cotwist.dual_algebras import build_A1_A2_star, build_block_algebra
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray
 from cotwist.groups import (FiniteGroup, Subgroup, stabilizer_Kg)
-from cotwist.semisimple import wedderburn_dims_retrying
 from cotwist.twist import assemble_twist, make_twist, save_twist_file
 from cyc_reference import add, equal, mul, values, zero
 

@@ -451,40 +451,61 @@ def test_rank_certificate_falls_back_when_singular_mod_ell(rref_calls):
     assert len(rref_calls) == 1
 
 
-def _plain_rank_mod(rows: list, ell: int) -> int:
-    """Rank over F_ell of integer rows by plain Python elimination."""
-    rows, rank = [[x % ell for x in row] for row in rows], 0
+def _plain_rref_mod(rows: list, ell: int) -> tuple[list, list]:
+    """Reduced echelon rows over F_ell of integer rows, and their pivots, by
+    plain Python Gauss-Jordan elimination."""
+    rows, pivots = [[x % ell for x in row] for row in rows], []
     for c in range(len(rows[0])):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = pow(rows[rank][c], -1, ell)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv % ell
-            rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        rows[rank] = [x * inv % ell for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
 
 
-@pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7)])
-def test_modular_rank_matches_plain_elimination(shape):
-    """On integer matrices (N = 1), the int64 elimination, which skips row swaps
-    and updates it does not need, gives plain elimination's rank over F_l on
-    monomial, sparse with a repeated row, row-permuted low-rank and dense matrices."""
-    ell, _ = exactlin._modular_root(1)
-    rng = np.random.default_rng(31)
+def _test_matrices(shape, ell, rng):
+    """Monomial, sparse with a repeated and a zero row, low-rank, row-permuted
+    low-rank and dense integer matrices."""
     rows, cols = shape
     k = min(shape)
     monomial = np.zeros(shape, dtype=np.int64)
     monomial[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = rng.integers(1, 50, k)
     sparse = (rng.random(shape) < 0.3) * rng.integers(1, 4, shape)
     sparse[-1] = sparse[0]
+    sparse[1] = 0
     low = rng.integers(-3, 4, (rows, 2)) @ rng.integers(-3, 4, (2, cols))
     dense = rng.integers(-(ell - 1), ell, shape)
-    for m in (monomial, sparse, low, low[rng.permutation(rows)], dense):
+    return monomial, sparse, low, low[rng.permutation(rows)], dense
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7)])
+def test_modular_rank_matches_plain_elimination(shape):
+    """On integer matrices (N = 1), the int64 elimination gives plain
+    elimination's rank over F_l on every kind of ``_test_matrices``."""
+    ell, _ = exactlin._modular_root(1)
+    for m in _test_matrices(shape, ell, np.random.default_rng(31)):
         mat = CycArray(1, Fraction(1), m[..., None])
-        assert exactlin._modular_rank(mat) == _plain_rank_mod(m.tolist(), ell)
+        assert exactlin._modular_rank(mat) == len(_plain_rref_mod(m.tolist(), ell)[1])
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 5), (4, 7), (40, 8)])
+def test_echelon_kernel_gives_the_reduced_form(shape):
+    """The int64 kernel's reduced rows and pivots are plain Gauss-Jordan's,
+    entry for entry, and its unreduced pass finds the same pivots."""
+    ell, _ = exactlin._modular_root(1)
+    for m in _test_matrices(shape, ell, np.random.default_rng(32)):
+        rows, pivots = exactlin._echelon_mod(m % ell, ell)
+        expected, expected_pivots = _plain_rref_mod(m.tolist(), ell)
+        assert pivots == expected_pivots == exactlin._echelon_mod(m % ell, ell, reduced=False)[1]
+        assert rows.tolist() == expected
 
 
 @pytest.mark.parametrize("order", [1, 5, 12])

@@ -409,17 +409,57 @@ def test_trivial_group_projective():
 
 
 def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
-    """`cotwist spectrum --p 3 --gamma 1,1,0,1` solves no Skolem-Noether system,
-    splits no simple algebra in floating point and splits only exact algebras."""
-    calls = []
-    monkeypatch.setattr(projective, "skolem_noether", lambda *a: calls.append("sn"))
-    monkeypatch.setattr(semisimple, "split_simple_retrying", lambda *a: calls.append("split"))
-    split = semisimple.wedderburn_dims
-    monkeypatch.setattr(semisimple, "wedderburn_dims",
-                        lambda A, *a: calls.append(A.is_exact) or split(A, *a))
-    out = tmp_path / "report.json"
-    assert cli_main(["spectrum", "--p", "3", "--gamma", "1,1,0,1", "--out", str(out)]) == 0
-    assert calls and set(calls) == {True}
+    """`cotwist spectrum` on p=3 `1,1,0,1`, on criterion 9's table and on
+    criterion 10's second twist runs no float step: every ``np.linalg``
+    function and ``SCAlgebra.mul_complex`` raise when called, no
+    Skolem-Noether system is solved and no simple algebra is split in
+    floating point.  The two tables hold the blocks and U_g whose split is
+    neither one block nor commutative: [3, 3, 3] and [4, 4, 4, 4]."""
+    import json
+
+    from intermediate_instance import write_instance as write_criterion_9
+    from p2_instance import write_instance as write_criterion_10
+
+    from cotwist import correspondence
+    from cotwist.dual_algebras import SCAlgebra
+
+    def forbidden(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{name} called on the spectrum path")
+        return raiser
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden(f"np.linalg.{name}"))
+    monkeypatch.setattr(SCAlgebra, "mul_complex", forbidden("SCAlgebra.mul_complex"))
+    monkeypatch.setattr(projective, "skolem_noether", forbidden("skolem_noether"))
+    monkeypatch.setattr(semisimple, "split_simple_retrying", forbidden("split_simple_retrying"))
+    splits, split = [], correspondence.wedderburn_dims
+
+    def recording(A):
+        spectrum = split(A)
+        splits.append(spectrum.dims)
+        return spectrum
+
+    monkeypatch.setattr(correspondence, "wedderburn_dims", recording)
+    (tmp_path / "c9").mkdir()
+    (tmp_path / "c10").mkdir()
+    runs = {"p=3": (["--p", "3", "--gamma", "1,1,0,1"], [1] * 9),
+            "criterion 9": (write_criterion_9(tmp_path / "c9"), [3, 3, 3]),
+            "criterion 10": (write_criterion_10(tmp_path / "c10", 1), [4, 4, 4, 4])}
+    for label, (source, general) in runs.items():
+        if not isinstance(source, list):
+            config = tmp_path / label / "config.json"
+            config.parent.mkdir(exist_ok=True)
+            config.write_text(json.dumps({"construction": source.construction.describe()}))
+            source = ["--config", str(config)]
+        out = tmp_path / f"{label}.json"
+        splits.clear()
+        assert cli_main(["spectrum", *source, "--out", str(out)]) == 0, label
+        cosets = json.loads(out.read_text())["cosets"]
+        assert general in splits, label
+        assert any(c["dims_direct"] == c["dims_invariant"] == c["dims_predicted"] == general
+                   for c in cosets), label
 
 
 def test_projective_rep_validate_catches_broken_cocycle(p3_reps):
