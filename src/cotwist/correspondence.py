@@ -143,21 +143,22 @@ def pair_orbits(perms: np.ndarray):
     The action is free (the A_2* leg alone is), so every orbit has exactly
     |K_g| elements; that is asserted.  Orbits are numbered by ascending
     minimal representative.
+
+    Column q of ``perms`` lists the images a.q; sorted, two equal neighbours
+    mean the action is not free.  Let first[q] be the least image of q.  The
+    image sets partition the points exactly when every class of points with
+    the same first[q] has |K_g| points and first[a.q] = first[q]: then each
+    image set of |K_g| points lies in, hence is, the class of q.
     """
-    k, square = perms.shape
-    orbit_id = np.full(square, -1, dtype=np.int64)
-    reps = []
-    for q in range(square):
-        if orbit_id[q] >= 0:
-            continue
-        members = np.unique(perms[:, q])
-        if members.size != k:
-            raise AuditError("pair translation action is not free")
-        if np.any(orbit_id[members] >= 0):
-            raise AuditError("pair orbits are not disjoint (action is not a group action)")
-        orbit_id[members] = len(reps)
-        reps.append(q)
-    return orbit_id, np.array(reps, dtype=np.int64)
+    k = perms.shape[0]
+    images = np.sort(perms, axis=0)
+    if np.any(images[1:] == images[:-1]):
+        raise AuditError("pair translation action is not free")
+    first = images[0]
+    reps, orbit_id = np.unique(first, return_inverse=True)
+    if np.any(np.bincount(orbit_id) != k) or np.any(first[perms] != first):
+        raise AuditError("pair orbits are not disjoint (action is not a group action)")
+    return orbit_id.astype(np.int64, copy=False), reps.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ built, is central, so when the image mod l of two seeded commutator slices,
 formed by exact float64 products, has rank n - 1 the center is span(unit):
 one block of sqrt(n), the common case, with no elimination beyond that rank.
 An algebra in slice form (``SCAlgebra.from_slice``) takes both certificates
-on its n x n slice, so a simple block is decided without gathering its n^3
-constants.
+and the commutative trace form on its n x n slice, so a simple or a
+commutative block is decided without gathering its n^3 constants.
 
 :func:`split_simple`, a seeded float construction of the irreducible
 representation of a simple algebra, is library code that no report runs.
@@ -31,8 +31,8 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (CycArray, _echelon_mod, _largest, _modular_image, _modular_rank,
-                       _modular_root, canonical_counts, cyc_tensordot)
+from .exactlin import (KERNEL_CHUNK, CycArray, _echelon_mod, _largest, _modular_image,
+                       _modular_rank, _modular_root, canonical_counts, cyc_tensordot)
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -333,16 +333,32 @@ def _split_commutative(A: SCAlgebra) -> WedderburnSpectrum | None:
 
     In characteristic 0 the kernel of T[i, j] = trace L_{e_i e_j} = sum_k
     mul[i, j, k] tau_k, tau_k = trace L_{e_k} = sum_j mul[k, j, j], is the
-    Jacobson radical, so a modular rank n of T (:func:`_modular_rank`) makes the
-    algebra semisimple, hence C^n.  A shorter rank or an overflow gives None.
+    Jacobson radical, so a rank n of T makes the algebra semisimple, hence
+    C^n.  The rank is taken mod l on counts reduced under zeta -> omega (the
+    l and omega of :func:`_modular_rank`), with the scale dropped as in
+    :func:`wedderburn_dims`: a ring map, so T mod l is the image of the
+    exact T, and a minor nonzero mod l is nonzero.  A shorter rank gives None.
+
+    In slice form (``SCAlgebra``) mul[i, j, k] = S[P[k, i], P[k, j]], so
+    tau_k = sum_j S[P[j, k], P[j, j]] and T = sum_k tau_k S[P[k, i], P[k, j]]
+    are read off the reduced slice, summed over k in chunks of about
+    ``KERNEL_CHUNK`` cells: no n^3 constants are gathered.
     """
-    mul, n = A.mul, A.dim
-    diagonal = CycArray(mul.order, mul.scale, mul.counts[:, np.arange(n), np.arange(n)])
-    try:
-        tau = cyc_tensordot(diagonal, CycArray.from_exponents(mul.order, np.zeros(n, int)), axes=1)
-        rank = _modular_rank(cyc_tensordot(mul, tau, axes=1))
-    except CotwistError:
-        return None
+    n, perms = A.dim, A.perms
+    ell, omega = _modular_root(A.product.order)
+    s = _modular_image(A.product.counts, ell, omega)
+    if perms is None:
+        tau = np.einsum("kjj->k", s) % ell
+    else:
+        tau = s[perms.T, np.diagonal(perms)].sum(axis=1) % ell
+    T = np.zeros((n, n), dtype=np.int64)
+    step = max(1, KERNEL_CHUNK // (n * n))
+    for lo in range(0, n, step):
+        ks = slice(lo, lo + step)
+        block = (s[:, :, ks].transpose(2, 0, 1) if perms is None
+                 else s[perms[ks, :, None], perms[ks, None, :]])   # [k, i, j]
+        T = (T + (block * tau[ks, None, None] % ell).sum(axis=0)) % ell
+    rank = len(_echelon_mod(T, ell, reduced=False)[1])
     return WedderburnSpectrum(dims=[1] * n) if rank == n else None
 
 

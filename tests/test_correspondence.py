@@ -1,5 +1,6 @@
 """The comparison map F_g, the invariant algebra, route agreement, reports."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,37 @@ def test_pair_orbits_free_and_sized(p3_diag_bundle):
         members = np.nonzero(orbit_id == i)[0]
         assert q == members.min()
     assert np.all(np.diff(reps) > 0)
+    # against a loop over the points, on every coset
+    for z in zs:
+        Kg = stabilizer_Kg(inst.G, inst.H, z.representative)
+        perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, z.representative)
+        first = [min(perms[:, q]) for q in range(perms.shape[1])]
+        expected_reps = sorted(set(first))
+        orbit_id, reps = pair_orbits(perms)
+        assert reps.tolist() == expected_reps
+        assert orbit_id.tolist() == [expected_reps.index(f) for f in first]
+
+
+def test_pair_orbits_refuse_corrupted_actions(p3_diag_bundle):
+    """One image repeated in a column is a non-free action; two images of one
+    row exchanged across two orbits leave every column free but the image
+    sets no partition.  Each is refused by name."""
+    inst, ctx, zs = p3_diag_bundle
+    g = zs[1].representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
+    orbit_id, reps = pair_orbits(perms)
+    repeated = perms.copy()
+    repeated[1, 5] = repeated[0, 5]
+    with pytest.raises(AuditError, match=re.escape("pair translation action is not free")):
+        pair_orbits(repeated)
+    q1, q2 = reps[0], reps[1]
+    exchanged = perms.copy()
+    exchanged[1, [q1, q2]] = exchanged[1, [q2, q1]]
+    assert orbit_id[exchanged[1, q1]] != orbit_id[q1]
+    with pytest.raises(AuditError, match=re.escape(
+            "pair orbits are not disjoint (action is not a group action)")):
+        pair_orbits(exchanged)
 
 
 def test_invariant_algebra_float_oracle(p3_diag_bundle):

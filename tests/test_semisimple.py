@@ -2,6 +2,7 @@
 split mod l and its two certificates, plus the seeded float splitter of a
 simple algebra and its retry machinery."""
 
+import copy
 import itertools
 import re
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from cotwist import dual_algebras, semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
 from cotwist.errors import AuditError, CotwistError, SeedRetryError
-from cotwist.exactlin import CycArray, _modular_image, _modular_root, cyc_tensordot
+from cotwist.exactlin import CycArray, _largest, _modular_image, _modular_root, cyc_tensordot
 from cotwist.groups import double_cosets, stabilizer_Kg
 from cotwist.semisimple import (_CENTER_DRAW_BOUND, _commutator_rows,
                                 _split_mod, algebra_audit, center_basis, derived_seed,
@@ -410,17 +411,50 @@ def test_commutative_exact_algebras_split_exactly(commutative_exact_algebras, mo
 @pytest.mark.parametrize("fault", ["short rank", "overflow"])
 def test_commutative_split_without_certificate_takes_the_trace_forms(
         commutative_exact_algebras, mod_splits, monkeypatch, fault):
-    """A short modular rank of the trace form, or an overflow of its
-    contraction, is no certificate: the split mod l gives the same dims."""
+    """A short rank mod l of the trace form is no certificate: the split mod l
+    gives the same dims.  Slice counts near 2^62 (the same values) overflow
+    nothing, since the split reduces them mod l first: the trace form is
+    still certified, with no split mod l."""
     A = commutative_exact_algebras["p=5 unipotent block 0"]
     if fault == "short rank":
-        monkeypatch.setattr(semisimple, "_modular_rank", lambda mat: mat.shape[0] - 1)
+        shapes, echelon = [], semisimple._echelon_mod
+
+        def short(a, ell, reduced=True):
+            shapes.append(a.shape)
+            rows, pivots = echelon(a, ell, reduced)
+            return (rows, pivots[:-1]) if len(shapes) == 1 else (rows, pivots)
+
+        monkeypatch.setattr(semisimple, "_echelon_mod", short)
+        assert wedderburn_dims(A).dims == [1] * A.dim
+        assert shapes[0] == (A.dim, A.dim) and len(mod_splits) == 1
     else:
-        def overflow(*args, **kwargs):
-            raise CotwistError("exact contraction would overflow int64 counts")
-        monkeypatch.setattr(semisimple, "cyc_tensordot", overflow)
-    assert wedderburn_dims(A).dims == [1] * A.dim
-    assert len(mod_splits) == 1
+        counts = A.product.counts
+        shift = 62 - _largest(counts).bit_length()
+        big = copy.copy(A)  # built on the small counts: its unit sums would overflow
+        big.product = CycArray(A.product.order, A.product.scale / (1 << shift), counts << shift)
+        big._mul = None     # constants gathered from the small counts, if any
+        assert big.product.eq(A.product) and 1 << 61 <= _largest(big.product.counts) < 1 << 62
+        assert big.perms is not None
+        assert wedderburn_dims(big).dims == [1] * A.dim
+        assert mod_splits == []
+
+
+def test_commutative_slice_algebras_split_without_a_gather(commutative_exact_algebras,
+                                                           monkeypatch):
+    """The block and U_g of every p=5 unipotent coset (commutative, |Z| = 25)
+    are built in slice form, and their unit check, center and trace-form
+    certificate give [1] * 25 without ever gathering the 25^3 constants."""
+    gathers, gather = [], dual_algebras.gather_slice
+    monkeypatch.setattr(dual_algebras, "gather_slice",
+                        lambda S, perms: gathers.append(S.shape) or gather(S, perms))
+    unipotent = [A for name, A in commutative_exact_algebras.items()
+                 if name.startswith("p=5 unipotent")]
+    assert len(unipotent) == 10
+    for A in unipotent:
+        assert A.perms is not None and A.dim == 25
+        fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
+        assert wedderburn_dims(fresh).dims == [1] * 25, A.name
+    assert gathers == []
 
 
 def dual_numbers():
@@ -595,33 +629,6 @@ def test_split_simple_rejects_nonsimple():
     A = group_algebra(cyclic_table(4))
     with pytest.raises(CotwistError):
         split_simple_retrying(A, seed=0)
-
-
-def test_derived_seed_deterministic():
-    assert derived_seed(7, 3) == derived_seed(7, 3)
-    assert derived_seed(7, 3) != derived_seed(7, 4)
-    assert derived_seed(8, 3) != derived_seed(7, 3)
-
-
-def test_with_seed_retries():
-    calls = []
-
-    def flaky(seed):
-        calls.append(seed)
-        if len(calls) < 3:
-            raise SeedRetryError("degenerate")
-        return seed
-
-    out = with_seed_retries(flaky, 5)
-    assert out == calls[2]
-    assert calls[0] == 5
-    assert len(set(calls)) == 3
-
-    def hopeless(seed):
-        raise SeedRetryError("always")
-
-    with pytest.raises(CotwistError):
-        with_seed_retries(hopeless, 5)
 
 
 def test_derived_seed_deterministic():

@@ -117,6 +117,49 @@ def test_wrong_supplied_inverse_fails_by_name(p3_pair, p3_twist):
     assert not t.verified and t.Jinv is None
 
 
+@pytest.fixture
+def contractions(monkeypatch):
+    """The X of every ``twist._sides_agree`` call, in call order."""
+    from cotwist import twist
+
+    calls, sides = [], twist._sides_agree
+    monkeypatch.setattr(twist, "_sides_agree",
+                        lambda X, shift: calls.append(X) or sides(X, shift))
+    return calls
+
+
+def test_symplectic_audit_takes_one_contraction(p3_pair, contractions):
+    """H is abelian and J^-1 = conj(J): both coassociativity entries reuse the
+    2-cocycle contraction."""
+    t = symplectic_twist(*p3_pair)
+    assert t.verified and t.Jinv.eq(t.J.conj())
+    assert len(contractions) == 1 and contractions[0] is t.J
+
+
+def test_gauge_twist_audit_contracts_its_inverse(p3_gauge_diag_bundle, contractions):
+    """The gauge-transformed twist's J^-1 is not conj(J): coassociativity of
+    Delta2 is contracted on J^-1, and Delta1 still reuses the 2-cocycle one."""
+    J = p3_gauge_diag_bundle[0].t.J
+    t, audit = assemble_twist(p3_gauge_diag_bundle[0].t.subgroup, J)
+    assert audit.ok and [name for name, _ in audit.checks] == AXIOM_NAMES
+    assert not t.Jinv.eq(J.conj())
+    assert len(contractions) == 2
+    assert contractions[0] is J and contractions[1] is t.Jinv
+
+
+def test_trivial_twist_on_nonabelian_group_contracts_delta1(contractions):
+    """J = 1 x 1 on C[S3]: J^-1 = J = conj(J), but a^-1 y != y a^-1, so
+    coassociativity of Delta1 is contracted with its own shift."""
+    from cotwist.groups import FiniteGroup
+    from test_semisimple import s3_mul
+
+    J = CycArray.zeros((6, 6), 1)
+    J.counts[0, 0, 0] = 1
+    t, audit = assemble_twist(Subgroup(FiniteGroup(s3_mul()), np.arange(6)), J)
+    assert audit.ok and t.Jinv.eq(J.conj())
+    assert len(contractions) == 2 and all(X is J for X in contractions)
+
+
 def test_corrupted_twist_names_cocycle_axiom(p3_pair, p3_twist):
     H, _ = p3_pair
     Jbad = p3_twist.J.copy()
