@@ -38,9 +38,9 @@ class SCAlgebra:
 
     Then ``product`` is S and ``perms`` is P (None for a dense algebra), and
     ``mul`` is gathered from them (:func:`gather_slice`) when it is first
-    read, then kept.  ``dim`` never gathers.  The unit check and the center
-    certificates of ``cotwist.semisimple`` read the slice; everything else
-    reads ``mul``.
+    read, then kept.  ``dim`` never gathers.  The unit check and the whole
+    split of ``cotwist.semisimple``, center certificates and trace forms,
+    read the slice; everything else reads ``mul``.
     """
 
     def __init__(self, mul, unit, name: str = "", *, perms: np.ndarray | None = None):
@@ -201,25 +201,17 @@ def build_A1_A2_star(t: TwistData):
 
     rho1(h): delta_y -> delta_{h y} acts on A1 and rho2(h): delta_y ->
     delta_{y h^-1} acts on A2; both are verified to act freely by algebra
-    automorphisms.  Units are the counits (all-ones vectors).
+    automorphisms.  Units are the counits (all-ones vectors).  Both are in
+    slice form (``SCAlgebra.from_slice``): the slice J with P[x, h] = x^-1 h,
+    and Jinv with P[x, h] = h x^-1.
     """
     t.require_verified()
     group = t.group
-    m = group.order
-    n = t.order
+    m, n = group.order, t.order
     mul = group.mul.astype(np.int64)
     inv = group.inv.astype(np.int64)
-
-    mul1 = np.zeros((m, m, m, n), dtype=np.int64)
-    mul2 = np.zeros((m, m, m, n), dtype=np.int64)
-    for x in range(m):
-        idx1 = mul[inv[x]]       # h -> x^-1 h
-        mul1[:, :, x, :] = t.J.counts[np.ix_(idx1, idx1)]
-        idx2 = mul[:, inv[x]]    # h -> h x^-1
-        mul2[:, :, x, :] = t.Jinv.counts[np.ix_(idx2, idx2)]
-
-    A1 = SCAlgebra(CycArray(n, t.J.scale, mul1), _all_ones(m, n), name="A1*")
-    A2 = SCAlgebra(CycArray(n, t.Jinv.scale, mul2), _all_ones(m, n), name="A2*")
+    A1 = SCAlgebra.from_slice(t.J, mul[inv], _all_ones(m, n), name="A1*")
+    A2 = SCAlgebra.from_slice(t.Jinv, mul[:, inv].T, _all_ones(m, n), name="A2*")
 
     rho1 = GroupAction(group, mul.copy(), name="left translation")
     rho2 = GroupAction(group, mul[:, inv].T.copy(), name="right translation")

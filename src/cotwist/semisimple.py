@@ -15,8 +15,8 @@ built, is central, so when the image mod l of two seeded commutator slices,
 formed by exact float64 products, has rank n - 1 the center is span(unit):
 one block of sqrt(n), the common case, with no elimination beyond that rank.
 An algebra in slice form (``SCAlgebra.from_slice``) takes both certificates
-and the commutative trace form on its n x n slice, so a simple or a
-commutative block is decided without gathering its n^3 constants.
+and the trace-form split on its n x n slice, so no block is gathered to be
+split: not its n^3 constants, nor their commutator system.
 
 :func:`split_simple`, a seeded float construction of the irreducible
 representation of a simple algebra, is library code that no report runs.
@@ -228,20 +228,18 @@ def wedderburn_dims(A: SCAlgebra) -> WedderburnSpectrum:
     There is no float fallback.
 
     The center certificate (:func:`center_basis`) decides two cases of this
-    split first, without reducing ``mul``: a center span(unit) is r = 1 with
-    M = [n], one block of sqrt(n) (:func:`_one_block_spectrum`), and counts
-    canonically symmetric with a trace form of full modular rank are r = n
-    with M = I, n blocks of 1 (:func:`_split_commutative`).
+    split first: a center span(unit) is r = 1 with M = [n], one block of
+    sqrt(n) (:func:`_one_block_spectrum`), with no reduction at all; counts
+    canonically symmetric are r = n with M = I, so once certificate 1 holds
+    they are n blocks of 1, with no commutator system.
     """
     center = center_basis(A)
     if center is not None and center.shape[0] == 1:
         return _one_block_spectrum(A)
-    if center is not None and (spectrum := _split_commutative(A)):
-        return spectrum
-    mul, ell = A.mul, 1 << 31
+    ell = 1 << 31
     for _ in range(SPLIT_PRIMES):
-        ell, omega = _modular_root(mul.order, ell)
-        dims = _split_mod(mul, ell, omega, A.name)
+        ell, omega = _modular_root(A.product.order, ell)
+        dims = _split_mod(A, ell, omega, center is not None)
         if dims is not None:
             return WedderburnSpectrum(dims=dims)
     raise CotwistError(f"{A.name}: the trace form is degenerate mod {SPLIT_PRIMES} primes "
@@ -260,56 +258,75 @@ def _matmul_mod(x: np.ndarray, y: np.ndarray, ell: int) -> np.ndarray:
     return out
 
 
-def _split_mod(mul: CycArray, ell: int, omega: int, name: str) -> list[int] | None:
+def _slab(s: np.ndarray, perms: np.ndarray | None, ks) -> np.ndarray:
+    """The reduced constants [k, i, j] = mul[i, j, k] for the k in ``ks``:
+    from the slice S[P[k, i], P[k, j]] of an algebra in slice form
+    (``SCAlgebra``), else from the dense constants."""
+    if perms is None:
+        return s[:, :, ks].transpose(2, 0, 1)
+    return s[perms[ks, :, None], perms[ks, None, :]]
+
+
+def _split_mod(A: SCAlgebra, ell: int, omega: int, commutative: bool) -> list[int] | None:
     """Block dims from the trace forms mod l, as :func:`wedderburn_dims` says;
-    None when l fails certificate 1."""
-    n = mul.shape[0]
+    None when l fails certificate 1.
+
+    The product of A (its slice, in slice form) is reduced once and read
+    through :func:`_slab`, so no n^3 constants are gathered.  With
+    tau_k = tr L_{e_k} = sum_j mul[k, j, j], in slice form
+    sum_j S[P[j, k], P[j, j]], one pass over k in chunks of about
+    ``KERNEL_CHUNK`` cells sums T[i, j] = sum_k mul[i, j, k] tau_k and, unless
+    ``commutative``, echelons the commutator rows (k, j), column i,
+    mul[i, j, k] - mul[j, i, k], with the rows kept so far.  A commutative
+    algebra (r = n, M = I) is n blocks of 1 once T passes certificate 1.
+    Otherwise the reduced echelon form (:func:`_echelon_mod`) gives the
+    center: row s is 1 at the s-th free column, 0 at the other free columns,
+    so the coordinates of a central element are its entries at the free
+    columns, and the forms read only the constants at those columns.
+    """
+    n, perms = A.dim, A.perms
 
     def rank(m):
         return len(_echelon_mod(m % ell, ell, reduced=False)[1])
 
-    a = _modular_image(mul.counts, ell, omega)                          # [i, j, k]
-    tau = np.einsum("kjj->k", a) % ell                                  # tau_k = tr L_{e_k}
-    if rank(_matmul_mod(a.reshape(n * n, n), tau[:, None], ell).reshape(n, n)) < n:
+    s = _modular_image(A.product.counts, ell, omega)
+    tau = (np.einsum("kjj->k", s) if perms is None
+           else s[perms.T, np.diagonal(perms)].sum(axis=1)) % ell
+    T, echelon = np.zeros((n, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+    step = max(1, KERNEL_CHUNK // (n * n))
+    for lo in range(0, n, step):
+        block = _slab(s, perms, slice(lo, lo + step))                   # [k, i, j]
+        T = (T + (block * tau[lo:lo + step, None, None] % ell).sum(axis=0)) % ell
+        if not commutative:
+            rows = (block.transpose(0, 2, 1) - block).reshape(-1, n) % ell  # [(k, j), i]
+            echelon = _echelon_mod(np.concatenate([echelon, rows]), ell, reduced=False)[0]
+    if rank(T) < n:
         return None                                                     # T: certificate 1
-    center, free = _center_mod(a, ell)
+    if commutative:
+        return [1] * n
+    rows, pivots = _echelon_mod(echelon, ell)
+    free = np.setdiff1d(np.arange(n), pivots)
     r = free.size
+    center = np.zeros((r, n), dtype=np.int64)
+    center[np.arange(r), free] = 1
+    center[:, pivots] = (-rows[:, free].T) % ell
     # c_p c_q = sum_s G[q, p, s] c_s, read off the free columns
-    left = _matmul_mod(center, a[:, :, free].reshape(n, n * r), ell)   # [p, (j, s)]
+    at_free = _slab(s, perms, free).transpose(1, 2, 0).reshape(n, n * r)  # [i, (j, s)]
+    left = _matmul_mod(center, at_free, ell)                              # [p, (j, s)]
     G = _matmul_mod(center, left.reshape(r, n, r).transpose(1, 0, 2).reshape(n, r * r), ell)
     traces = np.stack([np.einsum("stt->s", G.reshape(r, r, r)) % ell,  # tr_C L_{c_s}
                        _matmul_mod(center, tau[:, None], ell)[:, 0]], axis=1)  # tr_A L_{c_s}
     forms = _matmul_mod(G.reshape(r * r, r), traces, ell).reshape(r, r, 2)  # B_0, B
     reduced, pivots = _echelon_mod(forms.transpose(0, 2, 1).reshape(r, 2 * r), ell)
     if pivots != list(range(r)):
-        raise CotwistError(f"{name}: the trace form on the center is singular mod {ell}")
+        raise CotwistError(f"{A.name}: the trace form on the center is singular mod {ell}")
     M = reduced[:, r:]                                                   # B_0^-1 B
     mult = {d: r - rank(M - d * d * np.eye(r, dtype=np.int64)) for d in range(1, math.isqrt(n) + 1)}
     dims = [d for d, k in mult.items() for _ in range(k)]
     if len(dims) != r or sum(d * d for d in dims) != n:
-        raise CotwistError(f"{name}: block multiplicities {mult} mod {ell} do not add up to "
+        raise CotwistError(f"{A.name}: block multiplicities {mult} mod {ell} do not add up to "
                            f"the center's dimension {r} and dim {n}")
     return dims
-
-
-def _center_mod(a: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced basis (r, n) of the center of the algebra with constants ``a`` mod l,
-    and its free columns.
-
-    The nullspace of the commutator system, row (j, k) and column i holding
-    a[i, j, k] - a[j, i, k], from its reduced echelon form
-    (:func:`_echelon_mod`): row s is 1 at the s-th free column, 0 at the
-    other free columns, so the coordinates of a central element in this
-    basis are its entries at the free columns.
-    """
-    n = a.shape[0]
-    commutators = (a - a.transpose(1, 0, 2)) % ell                      # [i, j, k]
-    rows, pivots = _echelon_mod(commutators.transpose(1, 2, 0).reshape(n * n, n), ell)
-    free = np.setdiff1d(np.arange(n), pivots)
-    center = np.zeros((free.size, n), dtype=np.int64)
-    center[np.arange(free.size), free] = 1
-    center[:, pivots] = (-rows[:, free].T) % ell
-    return center, free
 
 
 def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
@@ -326,40 +343,6 @@ def _one_block_spectrum(A: SCAlgebra) -> WedderburnSpectrum:
             f"{A.name}: a one-dim center needs a square dimension, not {A.dim} "
             "(non-semisimple input?)")
     return WedderburnSpectrum(dims=[d])
-
-
-def _split_commutative(A: SCAlgebra) -> WedderburnSpectrum | None:
-    """Spectrum [1] * n of a commutative exact algebra, if its trace form is certified.
-
-    In characteristic 0 the kernel of T[i, j] = trace L_{e_i e_j} = sum_k
-    mul[i, j, k] tau_k, tau_k = trace L_{e_k} = sum_j mul[k, j, j], is the
-    Jacobson radical, so a rank n of T makes the algebra semisimple, hence
-    C^n.  The rank is taken mod l on counts reduced under zeta -> omega (the
-    l and omega of :func:`_modular_rank`), with the scale dropped as in
-    :func:`wedderburn_dims`: a ring map, so T mod l is the image of the
-    exact T, and a minor nonzero mod l is nonzero.  A shorter rank gives None.
-
-    In slice form (``SCAlgebra``) mul[i, j, k] = S[P[k, i], P[k, j]], so
-    tau_k = sum_j S[P[j, k], P[j, j]] and T = sum_k tau_k S[P[k, i], P[k, j]]
-    are read off the reduced slice, summed over k in chunks of about
-    ``KERNEL_CHUNK`` cells: no n^3 constants are gathered.
-    """
-    n, perms = A.dim, A.perms
-    ell, omega = _modular_root(A.product.order)
-    s = _modular_image(A.product.counts, ell, omega)
-    if perms is None:
-        tau = np.einsum("kjj->k", s) % ell
-    else:
-        tau = s[perms.T, np.diagonal(perms)].sum(axis=1) % ell
-    T = np.zeros((n, n), dtype=np.int64)
-    step = max(1, KERNEL_CHUNK // (n * n))
-    for lo in range(0, n, step):
-        ks = slice(lo, lo + step)
-        block = (s[:, :, ks].transpose(2, 0, 1) if perms is None
-                 else s[perms[ks, :, None], perms[ks, None, :]])   # [k, i, j]
-        T = (T + (block * tau[ks, None, None] % ell).sum(axis=0)) % ell
-    rank = len(_echelon_mod(T, ell, reduced=False)[1])
-    return WedderburnSpectrum(dims=[1] * n) if rank == n else None
 
 
 # ---------------------------------------------------------------------------

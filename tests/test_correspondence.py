@@ -1,7 +1,6 @@
 """The comparison map F_g, the invariant algebra, route agreement, reports."""
 
 import re
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from cotwist.correspondence import (Config, SymplecticConstruction, TableConstru
                                     pair_orbits, pair_translation_perms,
                                     predicted_spectrum, prepare_instance,
                                     render_json, render_table, report_to_dict)
-from cotwist.dual_algebras import build_A1_A2_star, build_block_algebra
+from cotwist.dual_algebras import build_block_algebra
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray
 from cotwist.groups import (FiniteGroup, Subgroup, stabilizer_Kg)

@@ -8,11 +8,11 @@ formulas, independently of the vectorized builders.
 import numpy as np
 import pytest
 
-from cotwist.dual_algebras import (a2_to_a1op_iso, ad_invariant, build_A1_A2_star,
-                                   build_block_algebra, determine_unit)
+from cotwist.dual_algebras import (a2_to_a1op_iso, ad_invariant, build_block_algebra,
+                                   determine_unit)
 from cotwist.errors import AuditError
 from cotwist.exactlin import CycArray
-from cotwist.groups import FiniteGroup, build_elementary_abelian_symplectic, double_cosets
+from cotwist.groups import FiniteGroup, build_elementary_abelian_symplectic
 from cotwist.semisimple import algebra_audit
 from cyc_reference import add, equal, mul, values, zero
 

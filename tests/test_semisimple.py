@@ -13,7 +13,7 @@ import pytest
 from cotwist import dual_algebras, semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
 from cotwist.errors import AuditError, CotwistError, SeedRetryError
-from cotwist.exactlin import CycArray, _largest, _modular_image, _modular_root, cyc_tensordot
+from cotwist.exactlin import CycArray, _largest, _modular_root, cyc_tensordot
 from cotwist.groups import double_cosets, stabilizer_Kg
 from cotwist.semisimple import (_CENTER_DRAW_BOUND, _commutator_rows,
                                 _split_mod, algebra_audit, center_basis, derived_seed,
@@ -94,12 +94,12 @@ def count_calls(monkeypatch, *names):
 
 @pytest.fixture
 def mod_splits(monkeypatch):
-    """The primes of every trace-form split mod l, in call order."""
+    """(prime, commutative) of every trace-form split mod l, in call order."""
     primes, split = [], semisimple._split_mod
 
-    def recording(mul, ell, omega, name):
-        primes.append(ell)
-        return split(mul, ell, omega, name)
+    def recording(A, ell, omega, commutative):
+        primes.append((ell, commutative))
+        return split(A, ell, omega, commutative)
 
     monkeypatch.setattr(semisimple, "_split_mod", recording)
     return primes
@@ -116,12 +116,13 @@ def test_matrix_algebra_dims(mod_splits):
 def test_cyclic_group_algebra_dims(mod_splits):
     for k in (2, 4, 5):
         assert wedderburn_dims(group_algebra(cyclic_table(k), k)).dims == [1] * k
-    assert mod_splits == []   # commutative: the split's case r = n
+    # commutative: the split's case r = n, certified at the first prime
+    assert mod_splits == [(_modular_root(k)[0], True) for k in (2, 4, 5)]
 
 
 def test_s3_group_algebra_dims(mod_splits):
     assert wedderburn_dims(group_algebra(s3_mul())).dims == [1, 1, 2]
-    assert mod_splits == [_modular_root(1)[0]]
+    assert mod_splits == [(_modular_root(1)[0], False)]
 
 
 def test_s4_and_a4_group_algebra_dims(mod_splits):
@@ -144,14 +145,15 @@ def test_sum_of_squares_matches_dim():
 
 
 def test_trace_forms_agree_with_both_certificates(p3_diag_bundle):
-    """The trace-form split, run on algebras that the center certificates
-    decide, gives their answers: r = 1 with M = [n], and r = n with M = I."""
+    """The trace-form split, run as for a noncommutative algebra on algebras
+    that the center certificates decide, gives their answers: r = 1 with
+    M = [n], and r = n with M = I.  The two blocks are in slice form."""
     inst, _, zs = p3_diag_bundle
     for A, dims in ((matrix_units_algebra(3), [3]), (build_block_algebra(inst.t, zs[1]), [3]),
                     (group_algebra(cyclic_table(5), 5), [1] * 5),
                     (build_block_algebra(inst.t, zs[0]), [1] * 9)):
         assert center_basis(A) is not None, A.name
-        assert _split_mod(A.mul, *_modular_root(A.mul.order), A.name) == dims, A.name
+        assert _split_mod(A, *_modular_root(A.product.order), False) == dims, A.name
 
 
 def test_exact_center_of_block(p3_diag_bundle, mod_splits):
@@ -165,28 +167,34 @@ def test_exact_center_of_block(p3_diag_bundle, mod_splits):
     assert mod_splits == []
 
 
-def test_exact_center_of_s3_is_class_sums():
+def test_exact_center_of_s3_is_class_sums(monkeypatch):
     """C[S3] over Q(zeta_3): a center that is neither full nor 1-dim, so no
-    certificate.  The split's center mod l is the class sums, each 1 at its
-    free column: {e}, the three transpositions, the two 3-cycles."""
+    certificate.  The split's center mod l, the left factor of its first
+    product mod l, is the class sums, each 1 at its free column: {e}, the
+    three transpositions, the two 3-cycles."""
     A = group_algebra(s3_mul(), 3)
     assert center_basis(A) is None
-    ell, omega = _modular_root(3)
-    a = _modular_image(A.mul.counts, ell, omega)
+    factors, matmul = [], semisimple._matmul_mod
+    monkeypatch.setattr(semisimple, "_matmul_mod",
+                        lambda x, y, ell: factors.append(x) or matmul(x, y, ell))
     classes = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
-    assert np.array_equal(semisimple._center_mod(a, ell)[0], classes)
+    assert _split_mod(A, *_modular_root(3), False) == [1, 1, 2]
+    assert np.array_equal(factors[0], classes)
     assert wedderburn_dims(A).dims == [1, 1, 2]
 
 
-def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits):
-    """C[Z/5] is canonically symmetric: the identity basis, no commutator rows
-    and no split mod l."""
+def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits, monkeypatch):
+    """C[Z/5] is canonically symmetric: the identity basis, no commutator rows,
+    and a split mod l that echelons only its trace form, no commutator system."""
     identity = CycArray.zeros((5, 5), 5)
     identity.counts[np.arange(5), np.arange(5), 0] = 1
     A = group_algebra(cyclic_table(5), 5)
     assert center_basis(A).eq(identity)
+    shapes, echelon = [], semisimple._echelon_mod
+    monkeypatch.setattr(semisimple, "_echelon_mod", lambda a, ell, reduced=True: (
+        shapes.append(a.shape) or echelon(a, ell, reduced)))
     assert wedderburn_dims(A).dims == [1] * 5
-    assert mod_splits == []
+    assert mod_splits == [(_modular_root(5)[0], True)] and shapes == [(5, 5)]
 
 
 def test_commutative_block_center_forms_no_commutator_rows(p3_diag_bundle, monkeypatch):
@@ -398,24 +406,27 @@ def test_commutative_exact_algebras_split_exactly(commutative_exact_algebras, mo
                                                   monkeypatch):
     """A commutative exact algebra whose trace form is certified nondegenerate
     is n blocks of 1, with no complex embedding of ``mul``, no eigenproblem
-    and no split mod l."""
+    and one split mod l, at the first prime, as a commutative algebra."""
     embeds, eigs = [], []
     embed, eig = CycArray.embed, np.linalg.eig
     monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
     for name, A in commutative_exact_algebras.items():
         assert wedderburn_dims(A).dims == [1] * A.dim, name
-    assert embeds == [] and eigs == [] and mod_splits == []
+    assert embeds == [] and eigs == []
+    assert mod_splits == [(_modular_root(A.product.order)[0], True)
+                          for A in commutative_exact_algebras.values()]
 
 
 @pytest.mark.parametrize("fault", ["short rank", "overflow"])
 def test_commutative_split_without_certificate_takes_the_trace_forms(
         commutative_exact_algebras, mod_splits, monkeypatch, fault):
-    """A short rank mod l of the trace form is no certificate: the split mod l
-    gives the same dims.  Slice counts near 2^62 (the same values) overflow
-    nothing, since the split reduces them mod l first: the trace form is
-    still certified, with no split mod l."""
+    """A short rank mod l of the trace form is no certificate: the split moves
+    to the next prime, where it gives the same dims.  Slice counts near 2^62
+    (the same values) overflow nothing, since the split reduces them mod l
+    first: the trace form is still certified at the first prime."""
     A = commutative_exact_algebras["p=5 unipotent block 0"]
+    ell = _modular_root(A.product.order)[0]
     if fault == "short rank":
         shapes, echelon = [], semisimple._echelon_mod
 
@@ -426,7 +437,8 @@ def test_commutative_split_without_certificate_takes_the_trace_forms(
 
         monkeypatch.setattr(semisimple, "_echelon_mod", short)
         assert wedderburn_dims(A).dims == [1] * A.dim
-        assert shapes[0] == (A.dim, A.dim) and len(mod_splits) == 1
+        assert shapes[0] == (A.dim, A.dim)
+        assert mod_splits == [(ell, True), (_modular_root(A.product.order, ell)[0], True)]
     else:
         counts = A.product.counts
         shift = 62 - _largest(counts).bit_length()
@@ -436,7 +448,7 @@ def test_commutative_split_without_certificate_takes_the_trace_forms(
         assert big.product.eq(A.product) and 1 << 61 <= _largest(big.product.counts) < 1 << 62
         assert big.perms is not None
         assert wedderburn_dims(big).dims == [1] * A.dim
-        assert mod_splits == []
+        assert mod_splits == [(ell, True)]
 
 
 def test_commutative_slice_algebras_split_without_a_gather(commutative_exact_algebras,
@@ -457,6 +469,66 @@ def test_commutative_slice_algebras_split_without_a_gather(commutative_exact_alg
     assert gathers == []
 
 
+@pytest.fixture(scope="module")
+def general_slice_algebras(intermediate_bundle, tmp_path_factory):
+    """The blocks and U_g at the cosets with |K_g| < |H| of criterion 9 (at
+    27 and 54, [3, 3, 3]) and of criterion 10's second twist (at 64 and 128,
+    [4, 4, 4, 4]), with the dims they split to: built in slice form, and
+    neither one block nor commutative."""
+    from p2_instance import write_instance
+
+    from cotwist.correspondence import build_instance, invariant_algebra_Ug, prepare_instance
+
+    inst = build_instance(write_instance(tmp_path_factory.mktemp("criterion-10"), 1))
+    criterion_10 = inst, prepare_instance(inst, seed=0), double_cosets(inst.G, inst.H)
+    algebras = []
+    for (inst, ctx, zs), reps, dims in ((intermediate_bundle, (27, 54), [3, 3, 3]),
+                                        (criterion_10, (64, 128), [4, 4, 4, 4])):
+        for z in (z for z in zs if z.representative in reps):
+            g = z.representative
+            Kg = stabilizer_Kg(inst.G, inst.H, g)
+            for A in (build_block_algebra(inst.t, z),
+                      invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)):
+                algebras.append((A, dims))
+    return algebras
+
+
+def test_split_reads_the_slice(general_slice_algebras, commutative_exact_algebras, mod_splits,
+                               monkeypatch):
+    """With ``gather_slice`` raising, the blocks and U_g of criteria 9 and 10
+    split to [3, 3, 3] and [4, 4, 4, 4] from their slices: the trace forms,
+    the commutator system and the forms on the center never gather n^3
+    constants.  A commutative slice algebra whose first prime is made
+    degenerate takes the next prime, still with no gather."""
+    def gather(S, perms):
+        raise AssertionError(f"constants of a {S.shape} slice gathered")
+
+    monkeypatch.setattr(dual_algebras, "gather_slice", gather)
+    assert len(general_slice_algebras) == 8
+    for A, dims in general_slice_algebras:
+        assert A.perms is not None, A.name
+        fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
+        assert center_basis(fresh) is None, A.name
+        assert wedderburn_dims(fresh).dims == dims, A.name
+    assert all(not commutative for _, commutative in mod_splits)
+
+    A = commutative_exact_algebras["p=5 unipotent U_g 0"]
+    fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
+    ranks, echelon = [], semisimple._echelon_mod
+
+    def short(a, ell, reduced=True):  # the first prime's trace form loses a pivot
+        rows, pivots = echelon(a, ell, reduced)
+        ranks.append(ell)
+        return (rows, pivots[:-1]) if len(ranks) == 1 else (rows, pivots)
+
+    monkeypatch.setattr(semisimple, "_echelon_mod", short)
+    mod_splits.clear()
+    assert wedderburn_dims(fresh).dims == [1] * 25
+    ell = _modular_root(A.product.order)[0]
+    assert mod_splits == [(ell, True), (_modular_root(A.product.order, ell)[0], True)]
+    assert ranks == [prime for prime, _ in mod_splits]
+
+
 def dual_numbers():
     """Exact C[x]/(x^2) on 1, x: commutative, not semisimple."""
     counts = np.zeros((2, 2, 2), dtype=np.int64)
@@ -474,7 +546,8 @@ def test_dual_numbers_refused_without_certificate(mod_splits):
             "dual numbers: the trace form is degenerate mod 3 primes")):
         wedderburn_dims(A)
     assert len(set(mod_splits)) == semisimple.SPLIT_PRIMES == 3
-    assert all(ell % 3 == 1 for ell in mod_splits) and mod_splits == sorted(mod_splits)[::-1]
+    assert all(ell % 3 == 1 and commutative for ell, commutative in mod_splits)
+    assert mod_splits == sorted(mod_splits)[::-1]
 
 
 def test_degenerate_prime_moves_to_the_next(monkeypatch):
@@ -486,13 +559,13 @@ def test_degenerate_prime_moves_to_the_next(monkeypatch):
     A = group_algebra(s3_mul(), 3)
     scaled = SCAlgebra(CycArray(3, Fraction(1, ell), A.mul.counts * ell), A.unit, name="C[S3]")
     primes, split = [], semisimple._split_mod
-    monkeypatch.setattr(semisimple, "_split_mod", lambda mul, p, omega, name: (
-        primes.append(p) or split(mul, p, omega, name)))
+    monkeypatch.setattr(semisimple, "_split_mod", lambda A, p, omega, commutative: (
+        primes.append(p) or split(A, p, omega, commutative)))
     assert wedderburn_dims(scaled).dims == [1, 1, 2]
     assert primes == [ell, _modular_root(3, ell)[0]] and primes[1] % 3 == 1
 
     primes.clear()
-    monkeypatch.setattr(semisimple, "_split_mod", lambda mul, p, omega, name: primes.append(p))
+    monkeypatch.setattr(semisimple, "_split_mod", lambda A, p, omega, commutative: primes.append(p))
     with pytest.raises(CotwistError, match=re.escape(
             "C[K]: the trace form is degenerate mod 3 primes")):
         wedderburn_dims(A)
@@ -521,10 +594,11 @@ def test_float_constants_refused_by_name():
         SCAlgebra(mul.astype(complex), unit.astype(complex), name="M_2")
 
 
-def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, monkeypatch):
+def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, mod_splits,
+                                                         monkeypatch):
     """The gauge-transformed p=3 H-coset block has counts that are symmetric
     only canonically: its center is the identity basis with no certificate
-    attempt."""
+    attempt, and it is split as a commutative algebra."""
     inst, _, zs = p3_gauge_diag_bundle
     blk = build_block_algebra(inst.t, zs[0])
     counts = blk.mul.counts
@@ -532,10 +606,10 @@ def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, 
     n = blk.dim
     identity = CycArray.zeros((n, n), blk.mul.order)
     identity.counts[np.arange(n), np.arange(n), 0] = 1
-    formed = count_calls(monkeypatch, "_commutator_rows", "_split_mod")
+    formed = count_calls(monkeypatch, "_commutator_rows")
     assert center_basis(blk).eq(identity)
     assert wedderburn_dims(blk).dims == [1] * n
-    assert formed == []
+    assert formed == [] and mod_splits == [(_modular_root(blk.product.order)[0], True)]
 
 
 def upper_triangular_t2():
