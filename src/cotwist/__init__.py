@@ -19,9 +19,9 @@ from .errors import AuditError, CotwistError, SeedRetryError
 from .exactlin import CycArray, cyc_rank
 from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup,
                      build_elementary_abelian_symplectic, build_semidirect,
-                     double_cosets, stabilizer_Kg)
-from .projective import (ProjectiveRep, TensorClass, character_exponents,
-                         projective_rep_from_action, skolem_noether, tensor_class)
+                     character_exponents, double_cosets, stabilizer_Kg)
+from .projective import (ProjectiveRep, TensorClass, projective_rep_from_action,
+                         skolem_noether, tensor_class)
 from .semisimple import (WedderburnSpectrum, split_simple_retrying,
                          wedderburn_dims_retrying)
 from .twist import (TriangularStructure, TwistAudit, TwistData, assemble_twist,

@@ -25,10 +25,10 @@ from .dual_algebras import SCAlgebra, ad_invariant, build_A1_A2_star, build_bloc
 from .errors import AuditError, CotwistError
 from .exactlin import CycArray, contract_counts, sum_counts
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
-                     build_semidirect, double_cosets, stabilizer_Kg, stabilizer_local_indices)
-from .projective import (character_exponents, class_dims, multiplicity_law_holds,
-                         regular_trace_law, tensor_class, trace_vanishing_holds,
-                         translation_characters)
+                     build_semidirect, character_exponents, double_cosets, stabilizer_Kg,
+                     stabilizer_local_indices)
+from .projective import (class_dims, multiplicity_law_holds, regular_trace_law, tensor_class,
+                         trace_vanishing_holds, translation_characters)
 from .semisimple import derived_seed, wedderburn_dims
 from .twist import (TwistAudit, TwistData, assemble_twist, load_twist_matrix,
                     q_element_and_antipode_check, square_dimension_check, symplectic_twist,

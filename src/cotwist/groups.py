@@ -50,6 +50,7 @@ class FiniteGroup:
         self.labels = labels
         self.name = name
         self.inv = self._build_inverses()
+        self._characters: dict[int, np.ndarray] = {}  # character_exponents, by order
 
     def _build_inverses(self) -> np.ndarray:
         n = self.order
@@ -423,3 +424,42 @@ def stabilizer_local_indices(H: Subgroup, Kg: Subgroup, g: int):
     if np.any(a_loc < 0) or np.any(conj_loc < 0):
         raise AuditError("stabilizer element leaves H under conjugation")
     return a_loc, conj_loc
+
+
+def _element_order(mul: np.ndarray, s: int) -> int:
+    k, x = 1, int(s)
+    while x:
+        k, x = k + 1, int(mul[x, s])
+    return k
+
+
+def character_exponents(H: FiniteGroup, order: int) -> np.ndarray:
+    """The characters of H into the N-th roots of unity, as exponents E[chi, h] mod N.
+
+    Row 0 is the trivial character.  Each assignment of ord(s)-th roots to
+    the generators s of ``H.generating_words`` is extended along the words
+    and kept when chi(a s) = chi(a) chi(s) for every a and s, which makes it
+    a homomorphism.  Raises CotwistError unless H is abelian and its
+    exponent divides N: only then are there |H| of them.  They are kept on
+    H, read-only, so each (H, N) is listed once.
+    """
+    if order in H._characters:
+        return H._characters[order]
+    mul = H.mul
+    if not np.array_equal(mul, mul.T):
+        raise CotwistError(f"the predicted route needs an abelian H; H of order {H.order} is not")
+    gens, words, parent, via = H.generating_words
+    orders = [_element_order(mul, s) for s in gens]
+    if any(order % k for k in orders):
+        raise CotwistError(f"the exponent of H does not divide the twist's order N = {order}")
+    grid = np.meshgrid(*(np.arange(k) * (order // k) for k in orders), indexing="ij")
+    assign = np.stack([x.ravel() for x in grid], axis=-1) if orders else np.zeros((1, 0), int)
+    E = np.zeros((len(assign), H.order), dtype=np.int64)
+    for a in words[1:]:
+        E[:, a] = (E[:, parent[a]] + assign[:, via[a]]) % order
+    hom = np.ones(len(E), dtype=bool)
+    for s in gens:
+        hom &= np.all(E[:, mul[:, s]] == (E + E[:, [s]]) % order, axis=1)
+    E = H._characters[order] = E[hom]
+    E.flags.writeable = False
+    return E

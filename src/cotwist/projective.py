@@ -19,7 +19,13 @@ import numpy as np
 from .dual_algebras import GroupAction, SCAlgebra
 from .errors import AuditError, CotwistError
 from .exactlin import CycArray, cyc_tensordot, sum_counts
-from .groups import FiniteGroup, Subgroup, stabilizer_local_indices
+from .groups import FiniteGroup, Subgroup, character_exponents, stabilizer_local_indices
+
+#: character_exponents lives in ``groups`` and is exported here too
+__all__ = ["ProjectiveRep", "TensorClass", "action_matrix", "certify_characters",
+           "character_exponents", "class_dims", "cocycle_identity_holds", "multiplicity_law_holds",
+           "projective_rep_from_action", "regular_trace_law", "skolem_noether", "tensor_class",
+           "trace_vanishing_holds", "translation_characters"]
 
 #: residual tolerance for composite quantities (tensor products, traces)
 COMPOSITE_TOL = 1e-6
@@ -188,44 +194,8 @@ def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
     return rep
 
 
-
-
 # ---------------------------------------------------------------------------
 # the exact route: characters of an abelian H
-
-
-def _element_order(mul: np.ndarray, s: int) -> int:
-    k, x = 1, int(s)
-    while x:
-        k, x = k + 1, int(mul[x, s])
-    return k
-
-
-def character_exponents(H: FiniteGroup, order: int) -> np.ndarray:
-    """The characters of H into the N-th roots of unity, as exponents E[chi, h] mod N.
-
-    Row 0 is the trivial character.  Each assignment of ord(s)-th roots to
-    the generators s of ``H.generating_words`` is extended along the words
-    and kept when chi(a s) = chi(a) chi(s) for every a and s, which makes it
-    a homomorphism.  Raises CotwistError unless H is abelian and its
-    exponent divides N: only then are there |H| of them.
-    """
-    mul = H.mul
-    if not np.array_equal(mul, mul.T):
-        raise CotwistError(f"the predicted route needs an abelian H; H of order {H.order} is not")
-    gens, words, parent, via = H.generating_words
-    orders = [_element_order(mul, s) for s in gens]
-    if any(order % k for k in orders):
-        raise CotwistError(f"the exponent of H does not divide the twist's order N = {order}")
-    grid = np.meshgrid(*(np.arange(k) * (order // k) for k in orders), indexing="ij")
-    assign = np.stack([x.ravel() for x in grid], axis=-1) if orders else np.zeros((1, 0), int)
-    E = np.zeros((len(assign), H.order), dtype=np.int64)
-    for a in words[1:]:
-        E[:, a] = (E[:, parent[a]] + assign[:, via[a]]) % order
-    hom = np.ones(len(E), dtype=bool)
-    for s in gens:
-        hom &= np.all(E[:, mul[:, s]] == (E + E[:, [s]]) % order, axis=1)
-    return E[hom]
 
 
 def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.ndarray:

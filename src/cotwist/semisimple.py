@@ -10,13 +10,13 @@ reduction is separable.
 Two cases of that split are decided first, at their own cost, by the center
 certificate (:func:`center_basis`).  Counts canonically equal to their
 transpose make an algebra commutative: n blocks of 1 once a modular rank
-certifies its trace form.  Otherwise the unit, verified when the algebra was
-built, is central, so when the image mod l of two seeded commutator slices,
-formed by exact float64 products, has rank n - 1 the center is span(unit):
-one block of sqrt(n), the common case, with no elimination beyond that rank.
-An algebra in slice form (``SCAlgebra.from_slice``) takes both certificates
-and the trace-form split on its n x n slice, so no block is gathered to be
-split: not its n^3 constants, nor their commutator system.
+certifies its trace form.  An algebra in slice form (``SCAlgebra.from_slice``)
+is graded by the characters of the abelian group its basis permutations
+form, and when one product F^T S F mod l shows only the unit's line central,
+the center is span(unit): one block of sqrt(n), the common case, with no
+elimination at all.  The trace-form split too reads the n x n slice, so no
+block is gathered to be split: not its n^3 constants, nor their commutator
+system.
 
 :func:`split_simple`, a seeded float construction of the irreducible
 representation of a simple algebra, is library code that no report runs.
@@ -31,8 +31,9 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (KERNEL_CHUNK, CycArray, _echelon_mod, _largest, _modular_image,
-                       _modular_rank, _modular_root, canonical_counts, cyc_tensordot)
+from .exactlin import (KERNEL_CHUNK, CycArray, _echelon_mod, _modular_image, _modular_root,
+                       canonical_counts, cyc_tensordot)
+from .groups import FiniteGroup, character_exponents
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -40,8 +41,6 @@ EXHAUSTIVE_AUDIT_DIM = 32
 _AUDIT_SAMPLES = 200
 _CLUSTER_GUARD = 10.0  # clusters separated by less than this multiple of the
                        # merge threshold are treated as ambiguous
-#: the seeded commutator rows of the center certificate draw y_j from [1, this)
-_CENTER_DRAW_BOUND = 1 << 16
 #: primes l = 1 (mod N) the trace-form split tries before it refuses an algebra
 SPLIT_PRIMES = 3
 
@@ -107,36 +106,69 @@ def center_basis(A: SCAlgebra) -> CycArray | None:
     First exact commutativity: counts canonically (:func:`canonical_counts`)
     equal to their (1, 0) transpose - on row 0 first, then literally or on
     the difference - make mul[i, j, k] = mul[j, i, k]: the identity basis.
+    In slice form (``SCAlgebra``) S is compared: S[P[k, i], P[k, j]] is
+    symmetric in (i, j) exactly when S is, every row of P a permutation.
 
-    Then the certificate for a one-dimensional center.  For two seeded
-    integer vectors y (fixed internal seed, as in :func:`algebra_audit`) the
-    rows R[(y, k), i] = sum_j y_j (mul[i,j,k] - mul[j,i,k]) are the matrices
-    of x -> x y - y x, so every central x solves R x = 0.  The unit, which
-    ``SCAlgebra`` verified when it was built, is central, so
+    Then, in slice form, the certificate for a one-dimensional center from
+    the translation grading.  Let q_x = P[x]^-1 and Q[x, y] = q_x(y), the
+    table ``argsort(P, axis=1)``.  :func:`_grading_characters` certifies that
+    P[0] is the identity, that q_s o q_y = q_{Q[s, y]} for the generators s
+    of the table and every y, that Q is symmetric and that exp(Q) divides
+    N, and lists the n characters of Q.  Then:
 
-        rank_l(R) <= rank(R) <= rank(commutator system) <= n - 1,
+    - Q is an abelian group acting regularly by automorphisms.  The x with
+      q_x o q_y = q_{Q[x, y]} for all y hold 0 and the generators and are
+      closed under the table's product (q_{Q[x, z]} o q_y = q_x o q_z o q_y
+      = q_{Q[x, Q[z, y]]} and Q[x, Q[z, y]] = Q[Q[x, z], y]), so they are all
+      x: x -> q_x is a homomorphism, injective as q_x(0) = Q[0, x] = x.  And
+      P[q_x(c)] = P[c] o q_x^-1 gives mul[q_x a, q_x b, q_x c] = mul[a, b, c].
+    - So the f_chi = sum_x chi(x) delta_x, q_y f_chi = chi(y)^-1 f_chi, are
+      a basis of eigenvectors, and f_chi f_psi = C[chi, psi] f_{chi psi}.  At
+      delta_0, where P[0] is the identity and f_chi is 1, C = F^T S F.
+    - The center is stable under the action, so it is a sum of lines f_chi,
+      and f_chi is central exactly when row chi of C - C^T is zero, as the
+      unit f_1 is.  An exact zero row stays zero mod l (zeta -> omega is a
+      ring map), so when only the trivial row is zero mod l the center is
+      span(unit), returned as a ``(1, n)`` basis.
 
-    where rank_l is the rank of the image mod l (:func:`_modular_rank`; a
-    minor nonzero mod l is nonzero).  A modular rank of n - 1 thus proves
-    that the center is exactly span(unit), returned as a ``(1, n)`` basis.
-    R is formed by exact float64 products (:func:`_commutator_rows`), from
-    the slice S of an algebra in slice form (``SCAlgebra``) and from ``mul``
-    otherwise; past their 2^53 bound there is no certificate.  The
-    commutativity test reads the slice too: the constants S[P[k, i], P[k, j]]
-    are symmetric in (i, j) exactly when S is, every row of P being a
-    permutation.  So neither certificate gathers a slice-form algebra.
-
-    None - a center of dimension > 1, an unlucky draw or prime - leaves the
-    center to :func:`wedderburn_dims`, which finds it mod l.
+    C, with F[x, chi] = chi(x), is formed mod l = 1 (mod N) by two float64
+    products of entries in [0, l), n (l - 1)^2 < 2^53: exact integer sums.
+    None - a dense algebra, a failed group certificate, a center of
+    dimension > 1, an unlucky prime - leaves the center to the split.
     """
     product, n = A.product, A.dim
     if _canonically_symmetric(product):
         return _identity_matrix(n, product.order)
-    draws = np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
-    rows = _commutator_rows(product, draws, A.perms)
-    if rows is not None and _modular_rank(rows.transpose((0, 2, 1)).reshape(2 * n, n)) == n - 1:
-        return A.unit.reshape(1, n)
-    return None
+    E = None if A.perms is None else _grading_characters(A.perms, product.order)
+    C = None if E is None else _grading_product(product, E)[0]
+    central = [] if C is None else np.flatnonzero(~np.any(C != C.T, axis=1)).tolist()
+    return A.unit.reshape(1, n) if central == [0] else None
+
+
+def _grading_product(S: CycArray, E: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(C, l, omega): C[chi, psi] = sum_{a, b} chi(a) S[a, b] psi(b) mod l,
+    by the two exact float64 products of :func:`center_basis`."""
+    ell, omega = _modular_root(S.order, math.isqrt((1 << 53) // len(E)))  # n l^2 < 2^53
+    F = np.array([pow(omega, k, ell) for k in range(S.order)], dtype=np.float64)[E]  # [chi, x]
+    left = np.fmod(F @ _modular_image(S.counts, ell, omega).astype(np.float64), ell)
+    return np.fmod(left @ F.T, ell).astype(np.int64), ell, omega
+
+
+def _grading_characters(perms: np.ndarray, order: int) -> np.ndarray | None:
+    """Characters E[chi, x] mod N of the translation group Q[x, y] = P[x]^-1(y)
+    of a slice-form algebra, the trivial one first, once :func:`center_basis`'s
+    group certificate holds; None otherwise."""
+    table = np.argsort(perms, axis=1)
+    if not np.array_equal(perms[0], np.arange(len(perms))) or not np.array_equal(table, table.T):
+        return None
+    group = FiniteGroup(table)
+    gens = group.generating_words[0]
+    if not np.array_equal(table[gens][:, table], table[table[gens]]):  # q_s o q_y
+        return None
+    try:
+        return character_exponents(group, order)
+    except CotwistError:  # the exponent of Q does not divide N
+        return None
 
 
 def _canonically_symmetric(mul: CycArray) -> bool:
@@ -145,48 +177,6 @@ def _canonically_symmetric(mul: CycArray) -> bool:
     c, ct, order = mul.counts, mul.counts.swapaxes(0, 1), mul.order
     return np.array_equal(canonical_counts(c[0], order), canonical_counts(ct[0], order)) and (
         np.array_equal(c, ct) or not canonical_counts(c - ct, order).any())
-
-
-def _commutator_rows(mul: CycArray, draws: np.ndarray,
-                     perms: np.ndarray | None = None) -> CycArray | None:
-    """R[d, i, k] = sum_j y_dj (mul[i,j,k] - mul[j,i,k]) for integer rows
-    ``draws`` in [1, _CENTER_DRAW_BOUND), exactly, or None past the bound.
-
-    Both sums are float64 products on the counts, one batched
-    ``y @ counts[i]`` per i and one ``y @ counts`` over the first axis, so
-    no n^3 commutator tensor is formed and BLAS does the work (numpy has
-    none for int64).  Every partial sum of either product, in whatever order
-    BLAS adds, is an integer of magnitude at most
-    n * max|count| * _CENTER_DRAW_BOUND, and the difference at most twice
-    that; while 2 n max|count| _CENTER_DRAW_BOUND < 2^53, which is checked,
-    every one is a float64 integer, so the result is exact.
-
-    With ``perms`` the algebra is in slice form (``SCAlgebra``) and ``mul``
-    is its slice S, the constants being S[P[k, i], P[k, j]].  With the draws
-    permuted by each row, Y[d, k, c] = y_d[P[k]^-1(c)],
-
-        sum_j y_dj mul[i, j, k] = sum_c S[P[k, i], c] Y[d, k, c],
-        sum_j y_dj mul[j, i, k] = sum_c S[c, P[k, i]] Y[d, k, c],
-
-    so the rows are two float64 products of S and S^T with Y, read at
-    r = P[k, i]: the same integers, under the same bound (S holds exactly
-    the counts of the gathered constants).
-    """
-    n, order = mul.shape[0], mul.order
-    if 2 * n * _largest(mul.counts) * _CENTER_DRAW_BOUND >= 1 << 53:
-        return None
-    y = draws.astype(np.float64)
-    counts = mul.counts.astype(np.float64)
-    if perms is None:
-        right = (y @ counts.reshape(n, n, -1)).transpose(1, 0, 2)  # [d, i, (k, e)]: y_j mul[i,j]
-        left = (y @ counts.reshape(n, -1)).reshape(right.shape)     # [d, i, (k, e)]: y_j mul[j,i]
-        rows = right - left
-    else:
-        permuted = y[:, np.argsort(perms, axis=1)].reshape(-1, n).T  # [c, (d, k)]
-        diff = (counts.transpose(0, 2, 1) @ permuted                 # [r, e, (d, k)]
-                - counts.transpose(1, 2, 0) @ permuted).reshape(n, order, len(draws), n)
-        rows = diff.transpose(2, 0, 3, 1)[:, perms.T, np.arange(n)]  # [d, i, k, e] at r = P[k, i]
-    return CycArray(order, mul.scale, rows.astype(np.int64).reshape(len(draws), n, n, order))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +217,11 @@ def wedderburn_dims(A: SCAlgebra) -> WedderburnSpectrum:
     below it; after SPLIT_PRIMES primes CotwistError names the algebra.
     There is no float fallback.
 
-    The center certificate (:func:`center_basis`) decides two cases of this
-    split first: a center span(unit) is r = 1 with M = [n], one block of
-    sqrt(n) (:func:`_one_block_spectrum`), with no reduction at all; counts
-    canonically symmetric are r = n with M = I, so once certificate 1 holds
-    they are n blocks of 1, with no commutator system.
+    The center certificate (:func:`center_basis`) decides two cases first:
+    a center span(unit) is r = 1 with M = [n], one block of sqrt(n)
+    (:func:`_one_block_spectrum`), with no reduction and no elimination;
+    canonically symmetric counts are r = n with M = I, n blocks of 1 once
+    certificate 1 holds, with no commutator system.
     """
     center = center_basis(A)
     if center is not None and center.shape[0] == 1:

@@ -489,13 +489,15 @@ def test_one_slice_equals_per_point_builds(source, both_modes, request):
     cosets (|K_g| = 3).
 
     The one-slice builds are in slice form: their gathered ``mul`` equals the
-    dense build count for count, and the unit sums, the commutativity test
-    and the commutator rows read from the slice equal those of the dense
-    constants."""
+    dense build count for count, and the unit sums and the commutativity
+    test read from the slice equal those of the dense constants.  The
+    translation group Q of the slice grades the dense constants as the
+    center certificate says: f_chi f_psi = C[chi, psi] f_{chi psi} with
+    C = F^T S F read from the slice (``semisimple.center_basis``)."""
     from cotwist.dual_algebras import _unit_sides
-    from cotwist.semisimple import (_CENTER_DRAW_BOUND, _canonically_symmetric,
-                                    _commutator_rows)
+    from cotwist.exactlin import canonical_counts, cyc_tensordot
     from cotwist.groups import double_cosets
+    from cotwist.semisimple import _canonically_symmetric, _grading_characters
 
     configs = {"p3_unipotent": lambda: Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]])),
                "p5_unipotent": lambda: Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]]))}
@@ -520,9 +522,18 @@ def test_one_slice_equals_per_point_builds(source, both_modes, request):
             for side, dense in zip(_unit_sides(S, fast.unit, P), _unit_sides(mul, slow.unit)):
                 assert np.array_equal(side.counts, dense.counts), fast.name
             assert _canonically_symmetric(S) == _canonically_symmetric(mul), fast.name
-            draws = np.random.default_rng(g).integers(1, _CENTER_DRAW_BOUND, size=(2, fast.dim))
-            assert np.array_equal(_commutator_rows(S, draws, P).counts,
-                                  _commutator_rows(mul, draws).counts), fast.name
+            E = _grading_characters(P, S.order)
+            F = CycArray.from_exponents(S.order, E)                                  # [chi, x]
+            C = cyc_tensordot(cyc_tensordot(F, S, axes=([1], [0])), F, axes=([1], [1]))
+            prod = cyc_tensordot(F, cyc_tensordot(F, mul, axes=([1], [0])), axes=([1], [1]))
+            # prod[psi, chi] = f_chi f_psi = C[chi, psi] f_{chi psi}: its value at delta_0
+            # times (chi psi)(x), a shift of the counts by the exponent
+            at_0 = CycArray(S.order, prod.scale, prod.counts[:, :, 0].swapaxes(0, 1))
+            assert at_0.eq(C), fast.name
+            shift = (np.arange(S.order) - (E[:, None, :] + E[None, :, :])[..., None]) % S.order
+            graded = np.take_along_axis(prod.counts[:, :, :1], shift, axis=-1)
+            assert np.array_equal(canonical_counts(prod.counts, S.order),
+                                  canonical_counts(graded, S.order)), fast.name
 
 
 def test_report_identical_without_the_certificate(both_modes):

@@ -255,9 +255,11 @@ def p3_class_inputs(p3_pair, p3_duals):
     (np.zeros((1, 1), dtype=int), 1),
 ])
 def test_characters_are_every_homomorphism(table, order):
-    """|H| distinct homomorphisms H -> mu_N, the trivial one first."""
+    """|H| distinct homomorphisms H -> mu_N, the trivial one first, listed
+    once per group and order and kept read-only."""
     H = FiniteGroup(table)
     E = character_exponents(H, order)
+    assert character_exponents(H, order) is E and not E.flags.writeable
     assert E.shape == (H.order, H.order)
     assert len({tuple(row) for row in E}) == H.order
     assert not E[0].any()

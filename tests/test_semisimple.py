@@ -4,6 +4,7 @@ simple algebra and its retry machinery."""
 
 import copy
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ import pytest
 from cotwist import dual_algebras, semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
 from cotwist.errors import AuditError, CotwistError, SeedRetryError
-from cotwist.exactlin import CycArray, _largest, _modular_root, cyc_tensordot
-from cotwist.groups import double_cosets, stabilizer_Kg
-from cotwist.semisimple import (_CENTER_DRAW_BOUND, _commutator_rows,
-                                _split_mod, algebra_audit, center_basis, derived_seed,
+from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root,
+                              canonical_counts, cyc_tensordot)
+from cotwist.groups import FiniteGroup, character_exponents, double_cosets, stabilizer_Kg
+from cotwist.semisimple import (_grading_characters, _grading_product, _split_mod,
+                                algebra_audit, center_basis, derived_seed,
                                 split_simple_retrying, wedderburn_dims, with_seed_retries)
 
 
@@ -106,11 +108,14 @@ def mod_splits(monkeypatch):
 
 
 def test_matrix_algebra_dims(mod_splits):
+    """M_1 is commutative of dim 1: center span(unit), one block, no split.
+    Dense M_2 and M_3 carry no translation grading, so they take the split
+    mod l at the first prime."""
     for n in (1, 2, 3):
         A = matrix_units_algebra(n)
         assert algebra_audit(A)
         assert wedderburn_dims(A).dims == [n]
-    assert mod_splits == []   # center span(unit): the split's case r = 1
+    assert mod_splits == [(_modular_root(1)[0], False)] * 2
 
 
 def test_cyclic_group_algebra_dims(mod_splits):
@@ -149,7 +154,7 @@ def test_trace_forms_agree_with_both_certificates(p3_diag_bundle):
     that the center certificates decide, gives their answers: r = 1 with
     M = [n], and r = n with M = I.  The two blocks are in slice form."""
     inst, _, zs = p3_diag_bundle
-    for A, dims in ((matrix_units_algebra(3), [3]), (build_block_algebra(inst.t, zs[1]), [3]),
+    for A, dims in ((build_block_algebra(inst.t, zs[1]), [3]),
                     (group_algebra(cyclic_table(5), 5), [1] * 5),
                     (build_block_algebra(inst.t, zs[0]), [1] * 9)):
         assert center_basis(A) is not None, A.name
@@ -197,11 +202,12 @@ def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits, monkeypa
     assert mod_splits == [(_modular_root(5)[0], True)] and shapes == [(5, 5)]
 
 
-def test_commutative_block_center_forms_no_commutator_rows(p3_diag_bundle, monkeypatch):
+def test_commutative_block_center_forms_no_grading(p3_diag_bundle, monkeypatch):
     """The commutative block over H: identity basis, no contraction and no
-    commutator rows.  Constants patched off commutativity in a checkerboard,
-    which keeps every row and column sum and so the unit, form the
-    certificate's rows, which certify no 1-dim center."""
+    grading.  Its slice patched off commutativity in a checkerboard, which
+    keeps every row and column sum and so the unit, forms the grading, which
+    certifies span(unit) as the center; the same constants gathered into a
+    dense algebra carry no grading and take no certificate."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[0])
     n = blk.dim
@@ -210,33 +216,66 @@ def test_commutative_block_center_forms_no_commutator_rows(p3_diag_bundle, monke
     contractions, contract = [], semisimple.cyc_tensordot
     monkeypatch.setattr(semisimple, "cyc_tensordot",
                         lambda a, b, axes: contractions.append(axes) or contract(a, b, axes))
-    formed = count_calls(monkeypatch, "_commutator_rows")
+    formed = count_calls(monkeypatch, "_grading_characters")
     assert center_basis(blk).eq(identity)
     assert contractions == [] and formed == []
 
-    patched = blk.mul.copy()
-    patched.counts[[1, 1, 4, 4], [2, 3, 2, 3], 0, 0] += [1, -1, -1, 1]
-    assert center_basis(SCAlgebra(patched, blk.unit, name="patched")) is None
-    assert formed == ["_commutator_rows"]
+    patched = blk.product.copy()
+    patched.counts[[1, 1, 4, 4], [2, 3, 2, 3], 0] += [1, -1, -1, 1]
+    A = SCAlgebra.from_slice(patched, blk.perms, blk.unit, name="patched")
+    assert center_basis(A).eq(blk.unit.reshape(1, n))
+    assert center_basis(SCAlgebra(A.mul, blk.unit, name="dense")) is None
+    assert contractions == [] and formed == ["_grading_characters"]
 
 
-def test_short_modular_rank_falls_back_to_the_trace_forms(p3_diag_bundle, mod_splits,
-                                                          monkeypatch):
-    """A modular rank short of n - 1 (an unlucky prime or draw) is no
-    certificate: the split mod l runs and gives the same one block."""
-    inst, _, zs = p3_diag_bundle
-    blk = build_block_algebra(inst.t, zs[1])
-    ranks = []
-    monkeypatch.setattr(semisimple, "_modular_rank",
-                        lambda mat: ranks.append(mat.shape) or blk.dim - 2)
-    assert center_basis(blk) is None
-    assert wedderburn_dims(blk).dims == [3]
-    assert ranks == [(2 * blk.dim, blk.dim)] * 2 and len(mod_splits) == 1
+def faulty_grading(fault):
+    """``_grading_characters`` with one fault: P with rows 1 and 2 swapped,
+    N + 1 for N, or the trivial character listed twice."""
+    grading = semisimple._grading_characters
+
+    def patched(perms, order):
+        if fault == "rows swapped":
+            perms = perms.copy()
+            perms[[1, 2]] = perms[[2, 1]]
+        elif fault == "exponent":
+            order += 1
+        E = grading(perms, order)
+        return np.concatenate([E[:1], E[:-1]]) if fault == "second zero row" else E
+    return patched
+
+
+@pytest.mark.parametrize("fault", ["rows swapped", "exponent", "second zero row"])
+def test_failed_grading_falls_back_to_the_trace_forms(simple_exact_algebras, mod_splits,
+                                                      monkeypatch, fault):
+    """No grading certificate - P with two rows swapped (Q's table is then
+    not symmetric), N + 1 for N (the exponent of Q does not divide it), or
+    the trivial character listed twice (a second zero row of C - C^T) - and
+    the split mod l gives the same one block."""
+    patched = faulty_grading(fault)
+    monkeypatch.setattr(semisimple, "_grading_characters", patched)
+    for name, A in simple_exact_algebras.items():
+        N = A.product.order
+        assert (patched(A.perms, N) is None) == (fault != "second zero row"), name
+        assert center_basis(A) is None, name
+        mod_splits.clear()
+        assert wedderburn_dims(A).dims == [math.isqrt(A.dim)], name
+        assert mod_splits == [(_modular_root(N)[0], False)], name
+
+
+def test_grading_refuses_a_commutative_loop():
+    """A symmetric table with an identity that is no group, the commutative
+    loop of order 6 below ((2 2) 4 = 3, 2 (2 4) = 2), still lists six
+    "characters"; the check q_s o q_y = q_{Q[s, y]} on the generators is
+    what refuses it."""
+    loop = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                     [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]])
+    assert character_exponents(FiniteGroup(loop), 6).shape == (6, 6)
+    assert _grading_characters(np.argsort(loop, axis=1), 6) is None
 
 
 def test_noncentral_unit_refused_when_built(p3_diag_bundle):
     """The M_3 block with unit + e_0 as its unit: the center certificate,
-    which reads only ``mul``, still holds, so the unit check that
+    which reads only the slice and P, still holds, so the unit check that
     ``SCAlgebra`` runs when it is built is what refuses it, naming the algebra."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
@@ -290,24 +329,47 @@ def simple_exact_algebras(p3_diag_bundle, wreath_bundle, p7_simple_block):
             "wreath swap U_g": swap_Ug, "p=7 M7 block": p7_simple_block}
 
 
-def seeded_draws(n):
-    return np.random.default_rng(0).integers(1, _CENTER_DRAW_BOUND, size=(2, n))
+def exact_grading(A):
+    """C[chi, psi] = sum_{a, b} chi(a) S[a, b] psi(b), exactly, for the
+    characters of the translation group of a slice-form algebra."""
+    E = _grading_characters(A.perms, A.product.order)
+    F = CycArray.from_exponents(A.product.order, E)                   # [chi, x]
+    return E, cyc_tensordot(cyc_tensordot(F, A.product, axes=([1], [0])), F, axes=([1], [1]))
 
 
-def test_float_commutator_rows_are_exact(simple_exact_algebras, intermediate_block):
-    """The float64 rows equal the exact contraction of the draws with the
-    commutator tensor, counts for counts."""
+def central_characters(C):
+    """The characters whose row of C - C^T is exactly zero."""
+    diff = canonical_counts(C.counts - C.counts.swapaxes(0, 1), C.order)
+    return np.flatnonzero(~diff.any(axis=(1, 2)))
+
+
+def test_float_grading_products_are_exact(simple_exact_algebras, intermediate_block):
+    """The two float64 products give the image mod l of the exact
+    C = F^T S F, count for count.  Only the trivial character is central in
+    the one-block algebras; three are in criterion 9's [3, 3, 3] block."""
     algebras = dict(simple_exact_algebras, **{"criterion-9 block": intermediate_block})
     for name, A in algebras.items():
-        draws = seeded_draws(A.dim)
-        y = CycArray.zeros((2, A.dim), A.mul.order)
-        y.counts[..., 0] = draws
-        counts = A.mul.counts
-        commutators = CycArray(A.mul.order, A.mul.scale, counts - counts.transpose(1, 0, 2, 3))
-        expected = cyc_tensordot(y, commutators, axes=([1], [1]))
-        rows = _commutator_rows(A.mul, draws)
-        assert np.array_equal(rows.counts, expected.counts), name
-        assert rows.scale == expected.scale, name
+        E, C = exact_grading(A)
+        assert not E[0].any() and len(E) == A.dim, name
+        modular, ell, omega = _grading_product(A.product, E)
+        assert A.dim * (ell - 1) ** 2 < 1 << 53, name
+        assert np.array_equal(modular, _modular_image(C.counts, ell, omega)), name
+        central = central_characters(C)
+        assert central[0] == 0, name
+        assert central.size == (1 if name in simple_exact_algebras else 3), name
+
+
+def test_exact_grading_has_one_zero_row_per_block(general_slice_algebras):
+    """On the blocks and U_g of criteria 9 and 10 the exact C - C^T has r zero
+    rows, r the number of blocks of the trace-form split, and the trivial
+    row among them: the lines f_chi that they name span the center."""
+    for A, dims in general_slice_algebras:
+        E, C = exact_grading(A)
+        central = central_characters(C)
+        assert central.size == len(dims) and central[0] == 0, A.name
+        modular = _grading_product(A.product, E)[0]
+        assert np.array_equal(np.flatnonzero(~np.any(modular != modular.T, axis=1)),
+                              central), A.name
 
 
 def test_simple_slice_algebras_split_without_a_gather(wreath_bundle, monkeypatch):
@@ -349,31 +411,42 @@ def test_slice_rows_must_be_permutations(wreath_bundle):
         SCAlgebra.from_slice(block.product, perms, block.unit, name=block.name)
 
 
-def test_counts_past_the_float_bound_take_the_trace_forms(p3_diag_bundle, mod_splits,
-                                                         monkeypatch):
-    """The M_3 block on counts scaled by 2^40 (the same values): past the
-    2^53 bound there are no rows and no certificate, and the split mod l,
-    which reduces the counts first, gives the one block."""
+def test_counts_past_the_float_bound_take_the_trace_forms(p3_diag_bundle, mod_splits):
+    """The M_3 block on counts scaled by 2^40 (the same values), far past
+    2^53 in any float64 product of the counts.  Dense, it carries no grading,
+    and the split mod l, which reduces the counts first, gives the one block.
+    In slice form the grading reduces the slice before its float64
+    products, so it certifies span(unit) with no split."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
     scaled = CycArray(blk.mul.order, blk.mul.scale / (1 << 40), blk.mul.counts << 40)
     assert scaled.eq(blk.mul)
-    assert _commutator_rows(scaled, seeded_draws(blk.dim)) is None
-    ranks = count_calls(monkeypatch, "_modular_rank")
     assert wedderburn_dims(SCAlgebra(scaled, blk.unit)).dims == [3]
-    assert ranks == [] and len(mod_splits) == 1
+    assert mod_splits == [(_modular_root(blk.product.order)[0], False)]
+    S = blk.product
+    sliced = SCAlgebra.from_slice(CycArray(S.order, S.scale / (1 << 40), S.counts << 40),
+                                  blk.perms, blk.unit)
+    assert center_basis(sliced).eq(blk.unit.reshape(1, blk.dim))
+    assert wedderburn_dims(sliced).dims == [3] and len(mod_splits) == 1
 
 
 def test_one_dim_center_decided_exactly(simple_exact_algebras, mod_splits, monkeypatch):
     """An exact algebra whose center is span(unit) is one block of sqrt(n),
-    with no complex embedding of ``mul``, no eigenproblem and no split mod l."""
-    embeds, eigs = [], []
-    embed, eig = CycArray.embed, np.linalg.eig
+    with no complex embedding of ``mul``, no eigenproblem, no split mod l
+    and no elimination: the p=3, p=7 and wreath one-block algebras are
+    decided by the translation grading with no ``_echelon_mod`` call."""
+    from cotwist import exactlin
+
+    embeds, eigs, echelons = [], [], []
+    embed, eig, echelon = CycArray.embed, np.linalg.eig, exactlin._echelon_mod
     monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
+    for module in (exactlin, semisimple):
+        monkeypatch.setattr(module, "_echelon_mod", lambda a, *args, **kwargs: (
+            echelons.append(a.shape) or echelon(a, *args, **kwargs)))
     for name, A in simple_exact_algebras.items():
         assert wedderburn_dims(A).dims == [int(round(np.sqrt(A.dim)))], name
-    assert embeds == [] and eigs == [] and mod_splits == []
+    assert embeds == [] and eigs == [] and mod_splits == [] and echelons == []
 
 
 @pytest.fixture(scope="module")
@@ -606,7 +679,7 @@ def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, 
     n = blk.dim
     identity = CycArray.zeros((n, n), blk.mul.order)
     identity.counts[np.arange(n), np.arange(n), 0] = 1
-    formed = count_calls(monkeypatch, "_commutator_rows")
+    formed = count_calls(monkeypatch, "_grading_characters")
     assert center_basis(blk).eq(identity)
     assert wedderburn_dims(blk).dims == [1] * n
     assert formed == [] and mod_splits == [(_modular_root(blk.product.order)[0], True)]
@@ -620,12 +693,19 @@ def upper_triangular_t2():
     return exact_algebra(counts, [1, 0, 1], order=3, name="T2")
 
 
-def test_t2_one_dim_center_is_not_a_square():
+def test_t2_one_dim_center_is_not_a_square(mod_splits):
+    """Dense T_2 takes no center certificate, and the split refuses it by
+    name: its trace form is degenerate (E12 is in its kernel) at every
+    prime.  The one-block case refuses its one-dim center of dimension 3."""
     A = upper_triangular_t2()
     assert algebra_audit(A)
-    assert center_basis(A).shape[0] == 1
-    with pytest.raises(CotwistError, match="T2: a one-dim center needs a square dimension"):
+    assert center_basis(A) is None
+    with pytest.raises(CotwistError, match=re.escape(
+            "T2: the trace form is degenerate mod 3 primes")):
         wedderburn_dims(A)
+    assert len(mod_splits) == semisimple.SPLIT_PRIMES
+    with pytest.raises(CotwistError, match="T2: a one-dim center needs a square dimension"):
+        semisimple._one_block_spectrum(A)
 
 
 def test_doubled_unit_refused_when_built(p3_diag_bundle):
