@@ -165,25 +165,27 @@ def pair_orbits(perms: np.ndarray):
 # U_g: the invariant algebra (route b)
 
 
-def _orbit_row(mul2: CycArray, mul1: CycArray, members: np.ndarray, partner: np.ndarray,
+def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, members: np.ndarray, partner: np.ndarray,
                q: int) -> np.ndarray:
     """Row o_q o_j of the orbit-sum structure constants, as counts [j, l, N].
 
     o_i is the orbit symmetrization of delta_q for any member q of orbit i,
     so o_i o_j is the symmetrization of delta_q o_j, and freeness makes its
     coefficient on o_l the sum of those of delta_q o_j over the members of
-    orbit l.  With (h1, h2) = divmod(q, |H|), the pair (y1, y2) of orbit j
-    gives mul2[h1, y1, x1] mul1[h2, y2, x2] at (x1, x2).  The A_2* leg acts
+    orbit l.  With mul2 and mul1 the constants of ``A2s`` and ``A1s`` and
+    (h1, h2) = divmod(q, |H|), the pair (y1, y2) of orbit j gives
+    mul2[h1, y1, x1] mul1[h2, y2, x2] at (x1, x2).  The A_2* leg acts
     freely, so orbit l holds at most one member (x1, partner[x1, l]) per x1,
     and the row is R[(y2, l), y1] = sum_{x1} mul1[h2, y2, partner[x1, l]]
     mul2[h1, y1, x1], one :func:`contract_counts` of a gather, then the
     :func:`sum_counts` over the members (y1, y2) of orbit j (``members[j]``).
-    Both factors are read on their fewest-term counts; the scale is
+    Both factors are read on their fewest-term counts, formed once per
+    algebra and row (:meth:`SCAlgebra.row_terms`); the scale is
     mul2.scale * mul1.scale.
     """
-    m, r, n = partner.shape[0], partner.shape[1], mul2.order
+    m, r, n = partner.shape[0], partner.shape[1], A2s.mul.order
     h1, h2 = divmod(int(q), m)
-    f2, f1 = mul2.take(h1, 0).fewest_counts(), mul1.take(h2, 0).fewest_counts()
+    f2, f1 = A2s.row_terms(h1), A1s.row_terms(h2)
     f1 = np.concatenate([f1, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # column m is 0
     gathered = f1[np.arange(m)[:, None, None], partner.T[None]]           # [y2, l, x1]
     R = contract_counts(gathered.reshape(m * r, m, n), f2.transpose(1, 0, 2))
@@ -264,10 +266,10 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     Hg = H.as_group
     if ad_invariant(Hg, A1s.mul.take(0, 2)) and ad_invariant(Hg, A2s.mul.take(0, 2)):
         sigma = _orbit_transport(orbit_id, members, reps, Hg)
-        row = _orbit_row(A2s.mul, A1s.mul, members, partner, 0)  # the row of (e, e)
+        row = _orbit_row(A2s, A1s, members, partner, 0)  # the row of (e, e)
         return SCAlgebra.from_slice(CycArray(n, scale, row[sigma, sigma[:, [0]]]), sigma,
                                     unit, name)
-    counts = np.stack([_orbit_row(A2s.mul, A1s.mul, members, partner, q) for q in reps])
+    counts = np.stack([_orbit_row(A2s, A1s, members, partner, q) for q in reps])
     return SCAlgebra(CycArray(n, scale, counts), unit, name)
 
 

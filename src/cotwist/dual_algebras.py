@@ -40,7 +40,8 @@ class SCAlgebra:
     ``mul`` is gathered from them (:func:`gather_slice`) when it is first
     read, then kept.  ``dim`` never gathers.  The unit check and the whole
     split of ``cotwist.semisimple``, center certificates and trace forms,
-    read the slice; everything else reads ``mul``.
+    read the slice; everything else reads ``mul``.  The fewest-term counts
+    of a row of ``mul`` are formed once per algebra (:meth:`row_terms`).
     """
 
     def __init__(self, mul, unit, name: str = "", *, perms: np.ndarray | None = None):
@@ -52,6 +53,7 @@ class SCAlgebra:
         self.unit = unit
         self.name = name
         self._mul = mul if perms is None else None
+        self._row_terms: dict[int, np.ndarray] = {}
         determine_unit(mul, unit, name, perms)
 
     @classmethod
@@ -68,6 +70,13 @@ class SCAlgebra:
         if self._mul is None:
             self._mul = gather_slice(self.product, self.perms)
         return self._mul
+
+    def row_terms(self, h: int) -> np.ndarray:
+        """``mul.take(h, 0).fewest_counts()``, the products e_h e_j, formed once per h."""
+        terms = self._row_terms.get(h)
+        if terms is None:
+            terms = self._row_terms[h] = self.mul.take(h, 0).fewest_counts()
+        return terms
 
     @property
     def dim(self) -> int:
@@ -165,14 +174,30 @@ def determine_unit(mul: CycArray, unit: CycArray, name: str,
     = sum_r S[r, P[x, b]] and sum_b mul[a, b, x] = sum_c S[P[x, a], c]: the
     column and row sums of S gathered at P^T, under the same bound.  Another
     unit is contracted with the gathered constants.
+
+    Each side is compared with the identity at its own scale: its canonical
+    counts must be 0 off the diagonal and, on it, 1/scale at zeta^0 and 0
+    elsewhere (a side whose 1/scale is no integer is not the identity).
     """
     try:
         sides = _unit_sides(mul, unit, perms)
     except CotwistError as exc:
         raise CotwistError(f"{name}: {exc}") from None
-    ident = _identity_matrix(mul.shape[0], mul.order)
-    if not all(side.eq(ident) for side in sides):
+    if not all(_is_identity(side) for side in sides):
         raise AuditError(f"{name}: the counit is not a two-sided unit")
+
+
+def _is_identity(side: CycArray) -> bool:
+    """Whether the (n, n) ``side`` is the identity matrix, read at its own scale."""
+    if not side.scale:
+        return False
+    inv = 1 / side.scale
+    if inv.denominator != 1 or abs(inv.numerator) >= 1 << 63:
+        return False
+    canon = side.canonical()
+    expected = np.zeros_like(canon)
+    expected[np.arange(len(canon)), np.arange(len(canon)), 0] = inv.numerator
+    return bool(np.array_equal(canon, expected))
 
 
 def _unit_sides(mul: CycArray, unit: CycArray, perms: np.ndarray | None = None) -> list:
@@ -230,11 +255,13 @@ def ad_invariant(group: FiniteGroup, M: CycArray) -> bool:
     ``M`` is an element of C[H x H] as a (|H|, |H|) matrix on the group's
     local indices.  Its canonical counts are compared under the conjugation
     permutation of every element, so the answer is exact.  Every matrix on an
-    abelian group passes.
+    abelian group passes, before any count is read.
     """
-    mul = group.mul.astype(np.int64)
+    mul = group.mul
     conj = mul[mul, group.inv[:, None]]  # [h, a] -> h a h^-1
     conj = conj[np.any(conj != np.arange(group.order), axis=1)]  # central h fix every M
+    if not conj.size:
+        return True
     canon = M.canonical()
     return bool(np.all(canon[conj[:, :, None], conj[:, None, :]] == canon))
 
@@ -290,11 +317,12 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     its dense constants are gathered only when ``mul`` is read.  Without the
     certificate the slices at every basis point are stacked into a dense
     block.  The unit is the restriction of the ambient counit (all-ones on
-    the coset).
+    the coset).  J's and Jinv's counts are the twist's ``terms``, formed once
+    per twist; G's table is indexed as it is stored.
     """
     t.require_verified()
     G, hg = t.subgroup.parent, t.subgroup.elements.astype(np.int64)
-    mulG = G.mul.astype(np.int64)
+    mulG = G.mul
     z = coset.elements.astype(np.int64)
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
@@ -303,7 +331,7 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     shifts = loc_z[mulG[mulG[np.ix_(hg, z)].T[:, :, None], hg[None, None, :]]]
     if np.any(shifts < 0):
         raise AuditError("double coset is not closed under H-translations")
-    jinv, j = t.Jinv.fewest_counts(), t.J.fewest_counts()
+    j, jinv = t.terms
     scale, unit = t.J.scale * t.Jinv.scale, _all_ones(nz, t.order)
     name = f"block[{coset.representative}]"
     if ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv):
@@ -311,8 +339,7 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
         S = _block_slice(jinv, j, shifts[g], nz)
         # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
         s, c = np.divmod(np.unique(shifts[g], return_index=True)[1], len(hg))
-        invG = G.inv.astype(np.int64)
-        back = loc_z[mulG[mulG[invG[hg[s]][:, None], z[None, :]], invG[hg[c]][:, None]]]
+        back = loc_z[mulG[mulG[G.inv[hg[s]][:, None], z[None, :]], G.inv[hg[c]][:, None]]]
         return SCAlgebra.from_slice(CycArray(t.order, scale, S), back, unit, name)
     counts = np.stack([_block_slice(jinv, j, shifts[x], nz) for x in range(nz)], axis=2)
     return SCAlgebra(CycArray(t.order, scale, counts), unit, name)

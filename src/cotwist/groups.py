@@ -7,6 +7,7 @@ capped at 10**4 so tables stay materializable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,12 +131,11 @@ class FiniteGroup:
             tokens = fh.read().split()
         if not tokens:
             raise CotwistError(f"empty Cayley table file {path}")
-        try:
-            values = [int(t) for t in tokens]
-            n, body = values[0], values[1:]
-            if n < 1 or len(body) != n * n:
-                raise ValueError(f"expected {n} rows of {n} entries, got {len(body)} entries")
-            mul = np.array(body, dtype=np.int64).reshape(n, n)
+        try:  # numpy parses each token as int() does, with int()'s error texts
+            n, body = int(tokens[0]), np.array(tokens[1:], dtype=np.int64)
+            if n < 1 or body.size != n * n:
+                raise ValueError(f"expected {n} rows of {n} entries, got {body.size} entries")
+            mul = body.reshape(n, n)
         except (ValueError, OverflowError) as exc:
             raise CotwistError(f"Cayley file {path}: {exc}") from None
         try:
@@ -302,7 +302,7 @@ def build_semidirect(h_group: FiniteGroup, p: int, generators):
         m = np.asarray(g, dtype=np.int64) % p
         if m.shape != (dim, dim):
             raise CotwistError(f"generator shape {m.shape} != ({dim}, {dim})")
-        if _gf_det(m, p) == 0:
+        if math.gcd(_integer_det(m), p) != 1:  # invertible mod p, p prime or not
             raise CotwistError("generator matrix is singular mod p")
         gens.append(m)
 
@@ -358,29 +358,25 @@ def build_semidirect(h_group: FiniteGroup, p: int, generators):
     return G, H
 
 
-def _gf_det(m: np.ndarray, p: int) -> int:
-    """Determinant mod p by Gaussian elimination."""
-    a = m.copy() % p
-    n = a.shape[0]
-    det = 1
+def _integer_det(m: np.ndarray) -> int:
+    """det m over Z, by fraction-free (Bareiss) elimination on Python ints.
+
+    After pivot column c every entry a[r][k] (r, k > c) is a minor of m, and
+    the division by the previous pivot is exact, so no fraction is formed.
+    """
+    a = [[int(x) for x in row] for row in m]
+    n, sign, prev = len(a), 1, 1
     for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r, c] % p:
-                piv = r
-                break
+        piv = next((r for r in range(c, n) if a[r][c]), None)
         if piv is None:
             return 0
         if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            det = -det
-        det = (det * a[c, c]) % p
-        inv = pow(int(a[c, c]), p - 2, p)
-        a[c] = (a[c] * inv) % p
+            a[c], a[piv], sign = a[piv], a[c], -sign
         for r in range(c + 1, n):
-            if a[r, c]:
-                a[r] = (a[r] - a[r, c] * a[c]) % p
-    return det % p
+            for k in range(c + 1, n):
+                a[r][k] = (a[r][k] * a[c][c] - a[r][c] * a[c][k]) // prev
+        prev = a[c][c]
+    return sign * prev
 
 
 def double_cosets(G: FiniteGroup, H: Subgroup) -> list[DoubleCoset]:
@@ -405,10 +401,15 @@ def double_cosets(G: FiniteGroup, H: Subgroup) -> list[DoubleCoset]:
 
 
 def stabilizer_Kg(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
-    """K_g = H intersect g H g^-1 as a subgroup of G."""
+    """K_g = H intersect g H g^-1 as a subgroup of G.
+
+    When g normalizes H the intersection is all of H, and ``H`` itself is
+    returned, so its local group, generating words and characters, already
+    formed, serve K_g too.
+    """
     conj = G.mul[G.mul[g, H.elements], G.inv[g]]
     inter = np.intersect1d(H.elements, conj)
-    return Subgroup(G, inter)
+    return H if inter.size == H.order else Subgroup(G, inter)
 
 
 def stabilizer_local_indices(H: Subgroup, Kg: Subgroup, g: int):

@@ -74,6 +74,16 @@ class TwistData:
         """Cayley table of H x H on flat indices h1 * |H| + h2."""
         return _pair_table(self.group.mul)
 
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(J.fewest_counts(), Jinv.fewest_counts()), formed once per twist.
+
+        Read only after the axiom audit, which certifies ``Jinv``
+        (CotwistError before it); the block builds of every coset read them.
+        """
+        self.require_verified()
+        return self.J.fewest_counts(), self.Jinv.fewest_counts()
+
     def require_verified(self) -> None:
         if not self.verified:
             raise CotwistError("twist has not passed the axiom audit")
@@ -321,6 +331,7 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
                       lambda: invert_in_group_algebra(t.J.reshape(m * m),
                                                       t.pair_mul).reshape(m, m)]
     t.Jinv = None
+    t.__dict__.pop("terms", None)  # the cached terms of an earlier audit
     for candidate in candidates:
         try:
             jinv = candidate()

@@ -156,6 +156,17 @@ def test_block_algebras_unital_associative(p3_diag_bundle):
         assert algebra_audit(blk)
 
 
+def test_row_terms_are_fewest_counts_formed_once(p3_duals, p3_gauge_diag_bundle):
+    """``A.row_terms(h)`` is ``A.mul.take(h, 0).fewest_counts()``, kept per
+    algebra: a second call returns the same array."""
+    ctx = p3_gauge_diag_bundle[1]
+    for A in (*p3_duals[:2], ctx.A1s, ctx.A2s):
+        for h in range(A.dim):
+            row = A.row_terms(h)
+            assert np.array_equal(row, A.mul.take(h, 0).fewest_counts())
+            assert A.row_terms(h) is row
+
+
 def test_determine_unit_rejects_wrong_candidate(p3_duals):
     """The all-ones counit passes; any other candidate raises, naming the algebra."""
     A1 = p3_duals[0]

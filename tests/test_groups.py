@@ -1,10 +1,13 @@
 """Finite groups, subgroups, double cosets, stabilizers, constructions."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from cotwist.errors import CotwistError
-from cotwist.groups import (Bicharacter, FiniteGroup, Subgroup,
+from cotwist.groups import (Bicharacter, FiniteGroup, Subgroup, _integer_det,
                             build_elementary_abelian_symplectic, build_semidirect,
                             double_cosets, stabilizer_Kg)
 
@@ -190,6 +193,50 @@ def test_stabilizer_equals_h_when_normal():
     for z in double_cosets(G, Hs):
         Kg = stabilizer_Kg(G, Hs, z.representative)
         assert np.array_equal(Kg.elements, Hs.elements)
+
+
+def test_stabilizer_is_h_exactly_where_g_normalizes_h(wreath_bundle):
+    """stabilizer_Kg returns H itself, the same object, on the cosets whose g
+    normalizes H: the 9 single cosets of the wreath table and all 5 cosets of
+    p=5 unipotent.  The wreath swap coset gets a proper subgroup, {e}."""
+    inst, _, zs = wreath_bundle
+    H5, _ = build_elementary_abelian_symplectic(5, 1)
+    G5, Hs5 = build_semidirect(H5, 5, [[[1, 1], [0, 1]]])
+    for G, H, cosets, normalizing in ((inst.G, inst.H, zs, 9),
+                                      (G5, Hs5, double_cosets(G5, Hs5), 5)):
+        kept = 0
+        for z in cosets:
+            g = z.representative
+            Kg = stabilizer_Kg(G, H, g)
+            normal = set(G.mul[G.mul[g, H.elements], G.inv[g]]) == set(H.elements)
+            assert (Kg is H) == normal
+            kept += normal
+            if not normal:
+                assert Kg.order == 1 and Kg.elements.tolist() == [0]
+        assert kept == normalizing and len(cosets) - kept == (G is inst.G)
+
+
+def vector_group(p: int, dim: int) -> FiniteGroup:
+    """(Z/p)^dim with vector labels in lexicographic order, for any modulus p."""
+    vecs = np.array(list(itertools.product(range(p), repeat=dim)))
+    mul = ((vecs[:, None] + vecs[None]) % p) @ (p ** np.arange(dim - 1, -1, -1))
+    return FiniteGroup(mul, labels=[tuple(int(c) for c in v) for v in vecs])
+
+
+def test_semidirect_invertibility_mod_composite():
+    """Invertibility mod 4 is gcd(det over Z, 4) = 1: [[0, 1], [2, 0]] (det -2)
+    is refused as singular, [[1, 1], [0, 1]] builds (Z/4)^2 x| C_4; the
+    verdict matches a brute-force inverse search on all 256 2x2 matrices mod 4."""
+    V = vector_group(4, 2)
+    with pytest.raises(CotwistError, match="singular"):
+        build_semidirect(V, 4, [[[0, 1], [2, 0]]])
+    G, H = build_semidirect(V, 4, [[[1, 1], [0, 1]]])
+    assert (G.order, H.order) == (64, 16)
+    mats = np.array(list(itertools.product(range(4), repeat=4))).reshape(-1, 2, 2)
+    products = np.einsum("aij,bjk->abik", mats, mats) % 4
+    invertible = np.all(products == np.eye(2, dtype=int), axis=(2, 3)).any(axis=1)
+    assert [math.gcd(_integer_det(m), 4) == 1 for m in mats] == invertible.tolist()
+    assert invertible.sum() == 96
 
 
 def test_file_round_trip(tmp_path):

@@ -1,8 +1,12 @@
-"""The suite itself: no test module defines a test name twice, and no module
-of the suite or the package imports a name it never reads.
+"""The suite itself: no test module defines a test name twice, no module
+of the suite or the package imports a name it never reads, and no module of
+the package keeps a container at module level.
 
 Python keeps only the last top-level ``def`` of a name, so an earlier test of
-the same name is silently never collected.
+the same name is silently never collected.  A module-level dict, list or set
+is shared by every run in the process: the benchmark runs many operations in
+one process, so a cache kept there would carry work from one into the next.
+Per-run caches live on per-run objects.
 """
 
 import ast
@@ -46,3 +50,38 @@ def test_no_unused_imports():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+#: node types and factory names whose value is a mutable container
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_FACTORIES = {"dict", "list", "set", "defaultdict"}
+
+
+def module_level_containers(tree: ast.Module) -> list[str]:
+    """Names a module binds at its top level to a dict, list, set or defaultdict,
+    ``__all__`` excepted."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        func = value.func if isinstance(value, ast.Call) else None
+        factory = getattr(func, "id", None) or getattr(func, "attr", None)
+        if isinstance(value, CONTAINER_NODES) or factory in CONTAINER_FACTORIES:
+            bound += [name for name in map(ast.unparse, targets) if name != "__all__"]
+    return bound
+
+
+def test_no_module_level_state():
+    sample = ("A = {}\nB: list[int] = []\nC = collections.defaultdict(list)\n"
+              "D = set()\n__all__ = ['A']\nE = (1, 2)\n")
+    assert module_level_containers(ast.parse(sample)) == ["A", "B", "C", "D"]
+    found = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        names = module_level_containers(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            found[path.name] = names
+    assert found == {}

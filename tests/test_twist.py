@@ -318,6 +318,25 @@ def test_rehome(p3_twist, p3_pair):
         p3_twist.rehome(Subgroup(c9, np.arange(9)))
 
 
+def test_terms_are_the_fewest_counts_once_verified(p3_pair, p3_gauge_diag_bundle):
+    """``t.terms`` is (J.fewest_counts(), Jinv.fewest_counts()) count for count,
+    formed once per audit; an unverified twist refuses it, and a new audit
+    drops the terms of the last one."""
+    H, sigma = p3_pair
+    symplectic, gauge = symplectic_twist(H, sigma), p3_gauge_diag_bundle[0].t
+    for t in (symplectic, gauge):
+        j, jinv = t.terms
+        assert np.array_equal(j, t.J.fewest_counts())
+        assert np.array_equal(jinv, t.Jinv.fewest_counts())
+        assert t.terms[0] is j and t.terms[1] is jinv
+    t = TwistData(subgroup=gauge.subgroup, order=3, J=gauge.J)
+    with pytest.raises(CotwistError, match="has not passed the axiom audit"):
+        t.terms
+    assert verify_twist_axioms(t).ok and np.array_equal(t.terms[0], gauge.terms[0])
+    t.J, t.Jinv = symplectic.J, None
+    assert verify_twist_axioms(t).ok and np.array_equal(t.terms[0], symplectic.terms[0])
+
+
 def test_twist_file_round_trip(tmp_path, p3_twist):
     path = tmp_path / "twist.txt"
     save_twist_file(path, p3_twist)
