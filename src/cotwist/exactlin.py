@@ -25,8 +25,8 @@
   rational scalar is formed; results are read back as integer counts.
   :func:`cyc_rank` first reduces the counts mod a prime l = 1 (mod N),
   l < 2**31, with zeta -> omega a primitive N-th root of unity mod l, and
-  row-reduces that image with :func:`_echelon_mod`, the one int64
-  elimination mod l (``cotwist.semisimple``'s trace-form split uses it too).
+  takes the rank of that image with :func:`_rank_mod`, the one int64
+  elimination mod l (``cotwist.semisimple``'s commutative split uses it too).
   A full rank there is a certificate (a minor nonzero mod l is nonzero in
   Z[zeta_N]) and is returned; any other rank is found by the exact elimination.
 
@@ -456,52 +456,42 @@ def _modular_image(counts: np.ndarray, ell: int, omega: int) -> np.ndarray:
     return out
 
 
-def _echelon_mod(a: np.ndarray, ell: int, reduced: bool = True) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over F_l of an int64 matrix with entries in [0, l): its
-    nonzero rows and their pivot columns, every row below a pivot 0 in its
-    column.  Zero rows are dropped, and a pivot updates only the rows below
-    that are nonzero in its column, so a sparse system costs what its
-    nonzeros do.  With ``reduced`` a back pass makes each row 1 at its pivot
-    and every other row 0 there; a rank needs only the pivots.  A pivot row
-    is 0 left of its column, so updates start there.  Each product is below
-    l**2 < 2**62 and reduced at once, so nothing overflows int64.
+def _rank_mod(a: np.ndarray, ell: int) -> int:
+    """Rank over F_l of an int64 matrix with entries in [0, l), by row
+    echelon form.  Zero rows are dropped, and a pivot updates only the rows
+    below that are nonzero in its column, so a sparse system costs what its
+    nonzeros do.  A pivot row is 0 left of its column, so updates start
+    there.  Each product is below l**2 < 2**62 and reduced at once, so
+    nothing overflows int64.
     """
     a = a[a.any(axis=1)]
-    pivots: list[int] = []
+    rank = 0
     for c in range(a.shape[1]):
-        r = len(pivots)
-        if r == a.shape[0]:
+        if rank == a.shape[0]:
             break
-        below = np.flatnonzero(a[r:, c])
+        below = np.flatnonzero(a[rank:, c])
         if not below.size:
             continue
         if below[0]:
-            a[[r, r + below[0]]] = a[[r + below[0], r]]
+            a[[rank, rank + below[0]]] = a[[rank + below[0], rank]]
         if below.size > 1:  # with every row below nonzero in c, a slice, not a gather
-            rows = slice(r + 1, None) if below.size == len(a) - r else r + below[1:]
-            pivot = a[r, c:] * pow(int(a[r, c]), -1, ell) % ell
+            rows = slice(rank + 1, None) if below.size == len(a) - rank else rank + below[1:]
+            pivot = a[rank, c:] * pow(int(a[rank, c]), -1, ell) % ell
             a[rows, c:] = (a[rows, c:] - a[rows, c:c + 1] * pivot) % ell
-        pivots.append(c)
-    a = a[:len(pivots)]
-    if reduced:
-        inverses = [pow(int(a[r, c]), -1, ell) for r, c in enumerate(pivots)]
-        a = a * np.array(inverses, dtype=np.int64)[:, None] % ell
-        for r in range(len(pivots) - 1, 0, -1):
-            c = pivots[r]
-            a[:r, c:] = (a[:r, c:] - a[:r, c:c + 1] * a[r, c:]) % ell
-    return a, pivots
+        rank += 1
+    return rank
 
 
 def _modular_rank(mat: CycArray) -> int:
     """Rank over F_l of the image of the counts under zeta -> omega (:func:`_modular_root`).
 
     Every minor of the image is the image of a minor of the counts, so this is
-    at most the exact rank; the elimination is :func:`_echelon_mod`.
+    at most the exact rank; the elimination is :func:`_rank_mod`.
     """
     if len(mat.shape) != 2:
         raise ValueError("need a 2-d matrix")
     ell, omega = _modular_root(mat.order)
-    return len(_echelon_mod(_modular_image(mat.counts, ell, omega), ell, reduced=False)[1])
+    return _rank_mod(_modular_image(mat.counts, ell, omega), ell)
 
 
 def cyc_rank(mat: CycArray) -> int:

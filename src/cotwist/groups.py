@@ -28,9 +28,24 @@ def close_under_products(reached: np.ndarray, gens, mul: np.ndarray) -> None:
     """
     frontier = np.flatnonzero(reached)
     while frontier.size:
-        frontier = np.unique(mul[np.ix_(frontier, gens)])
-        frontier = frontier[~reached[frontier]]
-        reached[frontier] = True
+        new = np.zeros_like(reached)
+        new[mul[frontier[:, None], gens]] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+
+
+def greedy_generators(mul: np.ndarray) -> list[int]:
+    """In index order, each element of the Cayley table ``mul`` (identity 0)
+    outside the subgroup generated by the ones before it."""
+    reached = np.zeros(len(mul), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    for a in range(1, len(mul)):
+        if not reached[a]:
+            gens.append(a)
+            close_under_products(reached, gens, mul)
+    return gens
 
 
 class FiniteGroup:
@@ -88,6 +103,11 @@ class FiniteGroup:
         return self.mul[self.mul[self.inv[g], h], g]
 
     @cached_property
+    def generators(self) -> list[int]:
+        """:func:`greedy_generators` of the table, once per group."""
+        return greedy_generators(self.mul)
+
+    @cached_property
     def generating_words(self):
         """A greedy generating set and a word in it for every element, once per group.
 
@@ -100,14 +120,7 @@ class FiniteGroup:
         are -1 at the identity.
         """
         n, mul = self.order, self.mul
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
-        gens: list[int] = []
-        for a in range(1, n):
-            if reached[a]:
-                continue
-            gens.append(a)
-            close_under_products(reached, gens, mul)
+        gens = self.generators
         parent = np.full(n, -1, dtype=np.int64)
         via = np.full(n, -1, dtype=np.int64)
         order = [0]
@@ -438,9 +451,10 @@ def character_exponents(H: FiniteGroup, order: int) -> np.ndarray:
     """The characters of H into the N-th roots of unity, as exponents E[chi, h] mod N.
 
     Row 0 is the trivial character.  Each assignment of ord(s)-th roots to
-    the generators s of ``H.generating_words`` is extended along the words
-    and kept when chi(a s) = chi(a) chi(s) for every a and s, which makes it
-    a homomorphism.  Raises CotwistError unless H is abelian and its
+    the generators s of ``H.generators`` is extended over the
+    cosets M s^j of the subgroup M the generators before s generate, and
+    kept when chi(a s) = chi(a) chi(s) for every a and s, which makes it a
+    homomorphism.  Raises CotwistError unless H is abelian and its
     exponent divides N: only then are there |H| of them.  They are kept on
     H, read-only, so each (H, N) is listed once.
     """
@@ -449,15 +463,24 @@ def character_exponents(H: FiniteGroup, order: int) -> np.ndarray:
     mul = H.mul
     if not np.array_equal(mul, mul.T):
         raise CotwistError(f"the predicted route needs an abelian H; H of order {H.order} is not")
-    gens, words, parent, via = H.generating_words
+    gens = H.generators
     orders = [_element_order(mul, s) for s in gens]
     if any(order % k for k in orders):
         raise CotwistError(f"the exponent of H does not divide the twist's order N = {order}")
     grid = np.meshgrid(*(np.arange(k) * (order // k) for k in orders), indexing="ij")
     assign = np.stack([x.ravel() for x in grid], axis=-1) if orders else np.zeros((1, 0), int)
     E = np.zeros((len(assign), H.order), dtype=np.int64)
-    for a in words[1:]:
-        E[:, a] = (E[:, parent[a]] + assign[:, via[a]]) % order
+    members, reached = np.zeros(1, dtype=np.int64), np.arange(H.order) == 0
+    for i, s in enumerate(gens):
+        cosets = [members]
+        for j in range(1, orders[i]):
+            coset = mul[cosets[-1], s]                                 # M s^j
+            if reached[coset[0]]:
+                break
+            reached[coset] = True
+            E[:, coset] = (E[:, members] + j * assign[:, [i]]) % order
+            cosets.append(coset)
+        members = np.concatenate(cosets)
     hom = np.ones(len(E), dtype=bool)
     for s in gens:
         hom &= np.all(E[:, mul[:, s]] == (E + E[:, [s]]) % order, axis=1)

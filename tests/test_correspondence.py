@@ -522,7 +522,7 @@ def test_one_slice_equals_per_point_builds(source, both_modes, request):
             for side, dense in zip(_unit_sides(S, fast.unit, P), _unit_sides(mul, slow.unit)):
                 assert np.array_equal(side.counts, dense.counts), fast.name
             assert _canonically_symmetric(S) == _canonically_symmetric(mul), fast.name
-            E = _grading_characters(P, S.order)
+            E, _ = _grading_characters(P, S.order)
             F = CycArray.from_exponents(S.order, E)                                  # [chi, x]
             C = cyc_tensordot(cyc_tensordot(F, S, axes=([1], [0])), F, axes=([1], [1]))
             prod = cyc_tensordot(F, cyc_tensordot(F, mul, axes=([1], [0])), axes=([1], [1]))

@@ -1,6 +1,7 @@
-"""Wedderburn decomposition on exact algebras with known spectra: the trace-form
-split mod l and its two certificates, plus the seeded float splitter of a
-simple algebra and its retry machinery."""
+"""Wedderburn decomposition on exact algebras with known spectra: the graded
+certificate of a slice-form algebra, the trace-form split of a commutative
+one and the refusals by name, plus the seeded float splitter of a simple
+algebra and its retry machinery."""
 
 import copy
 import itertools
@@ -15,7 +16,7 @@ from cotwist import dual_algebras, semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra
 from cotwist.errors import AuditError, CotwistError, SeedRetryError
 from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root,
-                              canonical_counts, cyc_tensordot)
+                              canonical_counts, cyc_nullspace, cyc_tensordot)
 from cotwist.groups import FiniteGroup, character_exponents, double_cosets, stabilizer_Kg
 from cotwist.semisimple import (_grading_characters, _grading_product, _split_mod,
                                 algebra_audit, center_basis, derived_seed,
@@ -74,6 +75,21 @@ def symmetric_table(k, even=False):
     return permutation_table(perms)
 
 
+def graded_matrix_algebra(n, copies=1):
+    """M_n^copies in slice form, C_c[(Z/n)^2] (x) C^copies for copies | n: the
+    dual of the twist zeta_n^{a M b} / n^2 on (Z/n)^2, M = [[1, 1], [0, 1]],
+    times the trivial twist on Z/copies, so mul[a, b, x] = J[a - x, b - x]
+    on Q = (Z/n)^2 x Z/copies.  M - M^T is invertible mod every n."""
+    shape = (n, n, copies)
+    q = np.stack(np.unravel_index(np.arange(n * n * copies), shape), axis=-1)  # [x, coordinate]
+    perms = np.ravel_multi_index(((q[None] - q[:, None]) % shape).transpose(2, 0, 1), shape)
+    J = CycArray.from_exponents(n, q[:, None, 0] * (q[None, :, 0] + q[None, :, 1])
+                                + q[:, None, 1] * q[None, :, 1], Fraction(1, n * n))
+    J.counts[(q[:, None, 2] != 0) | (q[None, :, 2] != 0)] = 0
+    return SCAlgebra.from_slice(J, perms, CycArray.from_exponents(n, np.zeros(len(q), int)),
+                                name=f"graded M_{n}^{copies}")
+
+
 def direct_sum_m1_m2():
     """M_1 + M_2 as a block-diagonal exact algebra."""
     mul1, unit1 = matrix_units(1)
@@ -96,74 +112,102 @@ def count_calls(monkeypatch, *names):
 
 @pytest.fixture
 def mod_splits(monkeypatch):
-    """(prime, commutative) of every trace-form split mod l, in call order."""
+    """The prime of every commutative split mod l (``_split_mod``), in call order."""
     primes, split = [], semisimple._split_mod
-
-    def recording(A, ell, omega, commutative):
-        primes.append((ell, commutative))
-        return split(A, ell, omega, commutative)
-
-    monkeypatch.setattr(semisimple, "_split_mod", recording)
+    monkeypatch.setattr(semisimple, "_split_mod",
+                        lambda A, ell, omega: primes.append(ell) or split(A, ell, omega))
     return primes
 
 
+def refused_as_dense(A):
+    """The by-name refusal of a dense noncommutative algebra."""
+    return pytest.raises(CotwistError, match=re.escape(
+        f"{A.name}: a dense noncommutative algebra has no translation grading"))
+
+
 def test_matrix_algebra_dims(mod_splits):
-    """M_1 is commutative of dim 1: center span(unit), one block, no split.
-    Dense M_2 and M_3 carry no translation grading, so they take the split
-    mod l at the first prime."""
-    for n in (1, 2, 3):
+    """M_1 is commutative of dim 1: one block, from its trace form.  Dense
+    M_2 and M_3 carry no translation grading and are refused by name; built
+    in slice form as C_c[(Z/n)^2], the graded certificate splits them to
+    [n] with no split mod l."""
+    assert wedderburn_dims(matrix_units_algebra(1)).dims == [1]
+    assert mod_splits == [_modular_root(1)[0]]
+    for n in (2, 3):
         A = matrix_units_algebra(n)
         assert algebra_audit(A)
-        assert wedderburn_dims(A).dims == [n]
-    assert mod_splits == [(_modular_root(1)[0], False)] * 2
+        with refused_as_dense(A):
+            wedderburn_dims(A)
+        graded = graded_matrix_algebra(n)
+        assert algebra_audit(graded)
+        assert wedderburn_dims(graded).dims == [n], graded.name
+    assert len(mod_splits) == 1
 
 
 def test_cyclic_group_algebra_dims(mod_splits):
     for k in (2, 4, 5):
         assert wedderburn_dims(group_algebra(cyclic_table(k), k)).dims == [1] * k
-    # commutative: the split's case r = n, certified at the first prime
-    assert mod_splits == [(_modular_root(k)[0], True) for k in (2, 4, 5)]
+    # commutative: n blocks of 1, the trace form certified at the first prime
+    assert mod_splits == [_modular_root(k)[0] for k in (2, 4, 5)]
 
 
 def test_s3_group_algebra_dims(mod_splits):
-    assert wedderburn_dims(group_algebra(s3_mul())).dims == [1, 1, 2]
-    assert mod_splits == [(_modular_root(1)[0], False)]
+    """Dense C[S_3], [1, 1, 2] over C, carries no translation grading: refused by name."""
+    A = group_algebra(s3_mul())
+    with refused_as_dense(A):
+        wedderburn_dims(A)
+    assert mod_splits == []
 
 
 def test_s4_and_a4_group_algebra_dims(mod_splits):
-    """C[S_4] and C[A_4] over Q.  A_4's center does not split over Q (its two
-    nontrivial linear characters take values in Q(zeta_3)); the split needs
-    no idempotents, only the ranks of M - d^2 I over F_l."""
-    assert wedderburn_dims(group_algebra(symmetric_table(4))).dims == [1, 1, 2, 3, 3]
-    assert wedderburn_dims(group_algebra(symmetric_table(4, even=True))).dims == [1, 1, 1, 3]
-    assert len(mod_splits) == 2
+    """Dense C[S_4] and C[A_4] are refused by name, with no split mod l."""
+    for table in (symmetric_table(4), symmetric_table(4, even=True)):
+        A = group_algebra(table)
+        with refused_as_dense(A):
+            wedderburn_dims(A)
+    assert mod_splits == []
 
 
 def test_direct_sum_dims(mod_splits):
-    assert wedderburn_dims(direct_sum_m1_m2()).dims == [1, 2]
-    assert len(mod_splits) == 1
+    """Dense M_1 + M_2 is refused by name; M_2 + M_2 in slice form,
+    C_c[(Z/2)^2 x Z/2] with the trivial class on Z/2, has a two-dim graded
+    center, |R| = 2, and splits to [2, 2]."""
+    dense = direct_sum_m1_m2()
+    with refused_as_dense(dense):
+        wedderburn_dims(dense)
+    graded = graded_matrix_algebra(2, 2)
+    assert algebra_audit(graded)
+    assert center_basis(graded).shape == (2, 8)
+    assert wedderburn_dims(graded).dims == [2, 2]
+    assert mod_splits == []
 
 
 def test_sum_of_squares_matches_dim():
-    for table in (s3_mul(), symmetric_table(4), symmetric_table(4, even=True)):
-        assert sum(d * d for d in wedderburn_dims(group_algebra(table)).dims) == table.shape[0]
+    """Graded algebras over N = 2, 3, 4 and 6, composite N included:
+    |R| d^2 = n, with d = n, |R| = copies."""
+    for n, copies in ((2, 1), (3, 1), (2, 2), (4, 1), (4, 2), (4, 4), (6, 1), (6, 3)):
+        A = graded_matrix_algebra(n, copies)
+        dims = wedderburn_dims(A).dims
+        assert dims == [n] * copies and sum(d * d for d in dims) == A.dim, A.name
 
 
 def test_trace_forms_agree_with_both_certificates(p3_diag_bundle):
-    """The trace-form split, run as for a noncommutative algebra on algebras
-    that the center certificates decide, gives their answers: r = 1 with
-    M = [n], and r = n with M = I.  The two blocks are in slice form."""
+    """The trace form T has full rank mod l, as a semisimple algebra's must,
+    on the algebras both certificates decide: the M_3 block (graded, one
+    block), C[Z/5] and the commutative block (n blocks of 1).  Only the
+    commutative ones read their dims off T.  The blocks are in slice form."""
     inst, _, zs = p3_diag_bundle
     for A, dims in ((build_block_algebra(inst.t, zs[1]), [3]),
                     (group_algebra(cyclic_table(5), 5), [1] * 5),
                     (build_block_algebra(inst.t, zs[0]), [1] * 9)):
-        assert center_basis(A) is not None, A.name
-        assert _split_mod(A, *_modular_root(A.product.order), False) == dims, A.name
+        assert center_basis(A).shape == (len(dims), A.dim), A.name
+        assert _split_mod(A, *_modular_root(A.product.order)) == [1] * A.dim, A.name
+        assert wedderburn_dims(A).dims == dims, A.name
 
 
 def test_exact_center_of_block(p3_diag_bundle, mod_splits):
-    """The M_3 block's center is certified as span(unit), the unit itself as
-    its basis, and the block is one block of 3 with no split mod l."""
+    """The M_3 block's center is certified as the line of the trivial
+    character, f_1 = sum_x delta_x, which is its unit, and the block is one
+    block of 3 with no split mod l."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])      # the M_3 block
     basis = center_basis(blk)
@@ -172,20 +216,21 @@ def test_exact_center_of_block(p3_diag_bundle, mod_splits):
     assert mod_splits == []
 
 
-def test_exact_center_of_s3_is_class_sums(monkeypatch):
-    """C[S3] over Q(zeta_3): a center that is neither full nor 1-dim, so no
-    certificate.  The split's center mod l, the left factor of its first
-    product mod l, is the class sums, each 1 at its free column: {e}, the
-    three transpositions, the two 3-cycles."""
+def test_exact_center_of_s3_is_class_sums():
+    """C[S3] over Q(zeta_3): its exact center, the nullspace of the
+    commutator system, is the class sums, each 1 at its free column: {e},
+    the three transpositions, the two 3-cycles.  Neither full nor one line
+    of a grading, it is no certificate's: the dense algebra is refused by
+    name."""
     A = group_algebra(s3_mul(), 3)
-    assert center_basis(A) is None
-    factors, matmul = [], semisimple._matmul_mod
-    monkeypatch.setattr(semisimple, "_matmul_mod",
-                        lambda x, y, ell: factors.append(x) or matmul(x, y, ell))
-    classes = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]])
-    assert _split_mod(A, *_modular_root(3), False) == [1, 1, 2]
-    assert np.array_equal(factors[0], classes)
-    assert wedderburn_dims(A).dims == [1, 1, 2]
+    mul = A.mul.counts
+    commutators = (mul - mul.swapaxes(0, 1)).transpose(2, 1, 0, 3).reshape(36, 6, 3)  # [(k, j), i]
+    center = cyc_nullspace(CycArray(3, Fraction(1), commutators))
+    classes = CycArray.zeros((3, 6), 3)
+    classes.counts[[0, 1, 1, 1, 2, 2], [0, 1, 2, 3, 4, 5], 0] = 1
+    assert center.eq(classes)
+    with refused_as_dense(A):
+        center_basis(A)
 
 
 def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits, monkeypatch):
@@ -195,19 +240,20 @@ def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits, monkeypa
     identity.counts[np.arange(5), np.arange(5), 0] = 1
     A = group_algebra(cyclic_table(5), 5)
     assert center_basis(A).eq(identity)
-    shapes, echelon = [], semisimple._echelon_mod
-    monkeypatch.setattr(semisimple, "_echelon_mod", lambda a, ell, reduced=True: (
-        shapes.append(a.shape) or echelon(a, ell, reduced)))
+    shapes, rank = [], semisimple._rank_mod
+    monkeypatch.setattr(semisimple, "_rank_mod",
+                        lambda a, ell: shapes.append(a.shape) or rank(a, ell))
     assert wedderburn_dims(A).dims == [1] * 5
-    assert mod_splits == [(_modular_root(5)[0], True)] and shapes == [(5, 5)]
+    assert mod_splits == [_modular_root(5)[0]] and shapes == [(5, 5)]
 
 
 def test_commutative_block_center_forms_no_grading(p3_diag_bundle, monkeypatch):
     """The commutative block over H: identity basis, no contraction and no
     grading.  Its slice patched off commutativity in a checkerboard, which
-    keeps every row and column sum and so the unit, forms the grading, which
-    certifies span(unit) as the center; the same constants gathered into a
-    dense algebra carry no grading and take no certificate."""
+    keeps every row and column sum and so the unit, forms the grading, whose
+    2-cocycle check refutes associativity by name (the center certificate
+    alone would pass it as span(unit)); the same constants gathered into a
+    dense algebra carry no grading and are refused by name."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[0])
     n = blk.dim
@@ -223,8 +269,11 @@ def test_commutative_block_center_forms_no_grading(p3_diag_bundle, monkeypatch):
     patched = blk.product.copy()
     patched.counts[[1, 1, 4, 4], [2, 3, 2, 3], 0] += [1, -1, -1, 1]
     A = SCAlgebra.from_slice(patched, blk.perms, blk.unit, name="patched")
-    assert center_basis(A).eq(blk.unit.reshape(1, n))
-    assert center_basis(SCAlgebra(A.mul, blk.unit, name="dense")) is None
+    with pytest.raises(CotwistError, match="patched: the constants are not associative"):
+        center_basis(A)
+    dense = SCAlgebra(A.mul, blk.unit, name="dense")
+    with refused_as_dense(dense):
+        center_basis(dense)
     assert contractions == [] and formed == ["_grading_characters"]
 
 
@@ -239,27 +288,35 @@ def faulty_grading(fault):
             perms[[1, 2]] = perms[[2, 1]]
         elif fault == "exponent":
             order += 1
-        E = grading(perms, order)
-        return np.concatenate([E[:1], E[:-1]]) if fault == "second zero row" else E
+        found = grading(perms, order)
+        if fault != "second zero row":
+            return found
+        E, products = found
+        return np.concatenate([E[:1], E[:-1]]), products
     return patched
 
 
-@pytest.mark.parametrize("fault", ["rows swapped", "exponent", "second zero row"])
-def test_failed_grading_falls_back_to_the_trace_forms(simple_exact_algebras, mod_splits,
-                                                      monkeypatch, fault):
+#: the refusal each fault of ``faulty_grading`` meets
+GRADING_REFUSALS = {"rows swapped": "its basis permutations are no abelian group",
+                    "exponent": "its basis permutations are no abelian group",
+                    "second zero row": "the constants are not associative"}
+
+
+@pytest.mark.parametrize("fault", list(GRADING_REFUSALS))
+def test_failed_grading_is_refused_by_name(simple_exact_algebras, mod_splits, monkeypatch,
+                                           fault):
     """No grading certificate - P with two rows swapped (Q's table is then
-    not symmetric), N + 1 for N (the exponent of Q does not divide it), or
-    the trivial character listed twice (a second zero row of C - C^T) - and
-    the split mod l gives the same one block."""
+    not symmetric), N + 1 for N (the exponent of Q does not divide it) - or
+    the trivial character listed twice (a second zero row of C - C^T, and
+    rows of C that no longer match the table of Q^, so the 2-cocycle check
+    refutes): the algebra is refused by name, with no split mod l."""
     patched = faulty_grading(fault)
     monkeypatch.setattr(semisimple, "_grading_characters", patched)
     for name, A in simple_exact_algebras.items():
-        N = A.product.order
-        assert (patched(A.perms, N) is None) == (fault != "second zero row"), name
-        assert center_basis(A) is None, name
-        mod_splits.clear()
-        assert wedderburn_dims(A).dims == [math.isqrt(A.dim)], name
-        assert mod_splits == [(_modular_root(N)[0], False)], name
+        assert (patched(A.perms, A.product.order) is None) == (fault != "second zero row"), name
+        with pytest.raises(CotwistError, match=re.escape(f"{A.name}: {GRADING_REFUSALS[fault]}")):
+            wedderburn_dims(A)
+    assert mod_splits == []
 
 
 def test_grading_refuses_a_commutative_loop():
@@ -330,11 +387,18 @@ def simple_exact_algebras(p3_diag_bundle, wreath_bundle, p7_simple_block):
 
 
 def exact_grading(A):
-    """C[chi, psi] = sum_{a, b} chi(a) S[a, b] psi(b), exactly, for the
-    characters of the translation group of a slice-form algebra."""
-    E = _grading_characters(A.perms, A.product.order)
+    """(E, products, C): the characters of the translation group of a
+    slice-form algebra, the table of their products, and
+    C[chi, psi] = sum_{a, b} chi(a) S[a, b] psi(b), exactly."""
+    E, products = _grading_characters(A.perms, A.product.order)
     F = CycArray.from_exponents(A.product.order, E)                   # [chi, x]
-    return E, cyc_tensordot(cyc_tensordot(F, A.product, axes=([1], [0])), F, axes=([1], [1]))
+    return E, products, cyc_tensordot(cyc_tensordot(F, A.product, axes=([1], [0])), F,
+                                      axes=([1], [1]))
+
+
+def grading_prime(A):
+    """(l, omega) of the graded certificate's first prime: n l^2 < 2^53."""
+    return _modular_root(A.product.order, math.isqrt((1 << 53) // A.dim))
 
 
 def central_characters(C):
@@ -349,9 +413,10 @@ def test_float_grading_products_are_exact(simple_exact_algebras, intermediate_bl
     the one-block algebras; three are in criterion 9's [3, 3, 3] block."""
     algebras = dict(simple_exact_algebras, **{"criterion-9 block": intermediate_block})
     for name, A in algebras.items():
-        E, C = exact_grading(A)
+        E, _, C = exact_grading(A)
         assert not E[0].any() and len(E) == A.dim, name
-        modular, ell, omega = _grading_product(A.product, E)
+        ell, omega = grading_prime(A)
+        modular = _grading_product(A.product, E, ell, omega)
         assert A.dim * (ell - 1) ** 2 < 1 << 53, name
         assert np.array_equal(modular, _modular_image(C.counts, ell, omega)), name
         central = central_characters(C)
@@ -361,15 +426,20 @@ def test_float_grading_products_are_exact(simple_exact_algebras, intermediate_bl
 
 def test_exact_grading_has_one_zero_row_per_block(general_slice_algebras):
     """On the blocks and U_g of criteria 9 and 10 the exact C - C^T has r zero
-    rows, r the number of blocks of the trace-form split, and the trivial
-    row among them: the lines f_chi that they name span the center."""
+    rows, r the number of blocks they split to, and the trivial row among
+    them: the lines f_chi that they name span the center.  Every exact
+    C[chi, chi^-1] is nonzero (condition (i)): each f_chi is invertible."""
     for A, dims in general_slice_algebras:
-        E, C = exact_grading(A)
+        E, products, C = exact_grading(A)
         central = central_characters(C)
         assert central.size == len(dims) and central[0] == 0, A.name
-        modular = _grading_product(A.product, E)[0]
+        modular = _grading_product(A.product, E, *grading_prime(A))
         assert np.array_equal(np.flatnonzero(~np.any(modular != modular.T, axis=1)),
                               central), A.name
+        inverse = np.argmax(products == 0, axis=1)
+        assert np.array_equal(products[np.arange(A.dim), inverse], np.zeros(A.dim)), A.name
+        at_inverse = CycArray(C.order, C.scale, C.counts[np.arange(A.dim), inverse])
+        assert not at_inverse.zero_mask().any(), A.name
 
 
 def test_simple_slice_algebras_split_without_a_gather(wreath_bundle, monkeypatch):
@@ -412,17 +482,19 @@ def test_slice_rows_must_be_permutations(wreath_bundle):
 
 
 def test_counts_past_the_float_bound_take_the_trace_forms(p3_diag_bundle, mod_splits):
-    """The M_3 block on counts scaled by 2^40 (the same values), far past
-    2^53 in any float64 product of the counts.  Dense, it carries no grading,
-    and the split mod l, which reduces the counts first, gives the one block.
-    In slice form the grading reduces the slice before its float64
-    products, so it certifies span(unit) with no split."""
+    """Blocks on counts scaled by 2^40 (the same values), far past 2^53 in
+    any float64 product of the counts.  The commutative block, dense, takes
+    the trace form mod l, which reduces the counts first: n blocks of 1.
+    The M_3 block in slice form: the grading reduces the slice before its
+    float64 products, so it certifies span(unit) with no split mod l."""
     inst, _, zs = p3_diag_bundle
+    commutative = build_block_algebra(inst.t, zs[0])
+    mul = commutative.mul
+    scaled = CycArray(mul.order, mul.scale / (1 << 40), mul.counts << 40)
+    assert scaled.eq(mul)
+    assert wedderburn_dims(SCAlgebra(scaled, commutative.unit)).dims == [1] * 9
+    assert mod_splits == [_modular_root(mul.order)[0]]
     blk = build_block_algebra(inst.t, zs[1])
-    scaled = CycArray(blk.mul.order, blk.mul.scale / (1 << 40), blk.mul.counts << 40)
-    assert scaled.eq(blk.mul)
-    assert wedderburn_dims(SCAlgebra(scaled, blk.unit)).dims == [3]
-    assert mod_splits == [(_modular_root(blk.product.order)[0], False)]
     S = blk.product
     sliced = SCAlgebra.from_slice(CycArray(S.order, S.scale / (1 << 40), S.counts << 40),
                                   blk.perms, blk.unit)
@@ -434,16 +506,16 @@ def test_one_dim_center_decided_exactly(simple_exact_algebras, mod_splits, monke
     """An exact algebra whose center is span(unit) is one block of sqrt(n),
     with no complex embedding of ``mul``, no eigenproblem, no split mod l
     and no elimination: the p=3, p=7 and wreath one-block algebras are
-    decided by the translation grading with no ``_echelon_mod`` call."""
+    decided by the translation grading with no ``_rank_mod`` call."""
     from cotwist import exactlin
 
     embeds, eigs, echelons = [], [], []
-    embed, eig, echelon = CycArray.embed, np.linalg.eig, exactlin._echelon_mod
+    embed, eig, rank = CycArray.embed, np.linalg.eig, exactlin._rank_mod
     monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
     for module in (exactlin, semisimple):
-        monkeypatch.setattr(module, "_echelon_mod", lambda a, *args, **kwargs: (
-            echelons.append(a.shape) or echelon(a, *args, **kwargs)))
+        monkeypatch.setattr(module, "_rank_mod",
+                            lambda a, ell: echelons.append(a.shape) or rank(a, ell))
     for name, A in simple_exact_algebras.items():
         assert wedderburn_dims(A).dims == [int(round(np.sqrt(A.dim)))], name
     assert embeds == [] and eigs == [] and mod_splits == [] and echelons == []
@@ -470,7 +542,7 @@ def commutative_exact_algebras(p3_diag_bundle, p3_gauge_diag_bundle, wreath_bund
                 algebras[f"{label} U_g {g}"] = invariant_algebra_Ug(
                     ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
     commutative = {name: A for name, A in algebras.items()
-                   if (center := center_basis(A)) is not None and center.shape[0] == A.dim}
+                   if center_basis(A).shape[0] == A.dim}
     assert len(commutative) == 2 * (1 + 1 + 5 + 9)
     return commutative
 
@@ -479,7 +551,7 @@ def test_commutative_exact_algebras_split_exactly(commutative_exact_algebras, mo
                                                   monkeypatch):
     """A commutative exact algebra whose trace form is certified nondegenerate
     is n blocks of 1, with no complex embedding of ``mul``, no eigenproblem
-    and one split mod l, at the first prime, as a commutative algebra."""
+    and one split mod l, at the first prime."""
     embeds, eigs = [], []
     embed, eig = CycArray.embed, np.linalg.eig
     monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
@@ -487,7 +559,7 @@ def test_commutative_exact_algebras_split_exactly(commutative_exact_algebras, mo
     for name, A in commutative_exact_algebras.items():
         assert wedderburn_dims(A).dims == [1] * A.dim, name
     assert embeds == [] and eigs == []
-    assert mod_splits == [(_modular_root(A.product.order)[0], True)
+    assert mod_splits == [_modular_root(A.product.order)[0]
                           for A in commutative_exact_algebras.values()]
 
 
@@ -501,17 +573,16 @@ def test_commutative_split_without_certificate_takes_the_trace_forms(
     A = commutative_exact_algebras["p=5 unipotent block 0"]
     ell = _modular_root(A.product.order)[0]
     if fault == "short rank":
-        shapes, echelon = [], semisimple._echelon_mod
+        shapes, rank = [], semisimple._rank_mod
 
-        def short(a, ell, reduced=True):
+        def short(a, ell):
             shapes.append(a.shape)
-            rows, pivots = echelon(a, ell, reduced)
-            return (rows, pivots[:-1]) if len(shapes) == 1 else (rows, pivots)
+            return rank(a, ell) - (len(shapes) == 1)
 
-        monkeypatch.setattr(semisimple, "_echelon_mod", short)
+        monkeypatch.setattr(semisimple, "_rank_mod", short)
         assert wedderburn_dims(A).dims == [1] * A.dim
         assert shapes[0] == (A.dim, A.dim)
-        assert mod_splits == [(ell, True), (_modular_root(A.product.order, ell)[0], True)]
+        assert mod_splits == [ell, _modular_root(A.product.order, ell)[0]]
     else:
         counts = A.product.counts
         shift = 62 - _largest(counts).bit_length()
@@ -521,7 +592,7 @@ def test_commutative_split_without_certificate_takes_the_trace_forms(
         assert big.product.eq(A.product) and 1 << 61 <= _largest(big.product.counts) < 1 << 62
         assert big.perms is not None
         assert wedderburn_dims(big).dims == [1] * A.dim
-        assert mod_splits == [(ell, True)]
+        assert mod_splits == [ell]
 
 
 def test_commutative_slice_algebras_split_without_a_gather(commutative_exact_algebras,
@@ -568,38 +639,41 @@ def general_slice_algebras(intermediate_bundle, tmp_path_factory):
 
 def test_split_reads_the_slice(general_slice_algebras, commutative_exact_algebras, mod_splits,
                                monkeypatch):
-    """With ``gather_slice`` raising, the blocks and U_g of criteria 9 and 10
-    split to [3, 3, 3] and [4, 4, 4, 4] from their slices: the trace forms,
-    the commutator system and the forms on the center never gather n^3
-    constants.  A commutative slice algebra whose first prime is made
-    degenerate takes the next prime, still with no gather."""
-    def gather(S, perms):
-        raise AssertionError(f"constants of a {S.shape} slice gathered")
+    """With ``gather_slice`` and the elimination ``_rank_mod`` raising, the
+    blocks and U_g of criteria 9 and 10 split to [3, 3, 3] and [4, 4, 4, 4]
+    from their slices, their graded centers of dimension 3 and 4: no n^3
+    constants are gathered and nothing is eliminated.  A commutative slice
+    algebra whose first prime is made degenerate takes the next prime,
+    still with no gather."""
+    from cotwist import exactlin
 
-    monkeypatch.setattr(dual_algebras, "gather_slice", gather)
+    def forbidden(*args):
+        raise AssertionError(f"called on {args[0].shape}")
+
+    rank = exactlin._rank_mod
+    monkeypatch.setattr(dual_algebras, "gather_slice", forbidden)
+    for module in (exactlin, semisimple):
+        monkeypatch.setattr(module, "_rank_mod", forbidden)
     assert len(general_slice_algebras) == 8
     for A, dims in general_slice_algebras:
         assert A.perms is not None, A.name
         fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
-        assert center_basis(fresh) is None, A.name
+        assert center_basis(fresh).shape == (len(dims), A.dim), A.name
         assert wedderburn_dims(fresh).dims == dims, A.name
-    assert all(not commutative for _, commutative in mod_splits)
+    assert mod_splits == []
 
     A = commutative_exact_algebras["p=5 unipotent U_g 0"]
     fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
-    ranks, echelon = [], semisimple._echelon_mod
+    ranks = []
 
-    def short(a, ell, reduced=True):  # the first prime's trace form loses a pivot
-        rows, pivots = echelon(a, ell, reduced)
+    def short(a, ell):  # the first prime's trace form loses a pivot
         ranks.append(ell)
-        return (rows, pivots[:-1]) if len(ranks) == 1 else (rows, pivots)
+        return rank(a, ell) - (len(ranks) == 1)
 
-    monkeypatch.setattr(semisimple, "_echelon_mod", short)
-    mod_splits.clear()
+    monkeypatch.setattr(semisimple, "_rank_mod", short)
     assert wedderburn_dims(fresh).dims == [1] * 25
     ell = _modular_root(A.product.order)[0]
-    assert mod_splits == [(ell, True), (_modular_root(A.product.order, ell)[0], True)]
-    assert ranks == [prime for prime, _ in mod_splits]
+    assert mod_splits == ranks == [ell, _modular_root(A.product.order, ell)[0]]
 
 
 def dual_numbers():
@@ -619,45 +693,55 @@ def test_dual_numbers_refused_without_certificate(mod_splits):
             "dual numbers: the trace form is degenerate mod 3 primes")):
         wedderburn_dims(A)
     assert len(set(mod_splits)) == semisimple.SPLIT_PRIMES == 3
-    assert all(ell % 3 == 1 and commutative for ell, commutative in mod_splits)
+    assert all(ell % 3 == 1 for ell in mod_splits)
     assert mod_splits == sorted(mod_splits)[::-1]
 
 
 def test_degenerate_prime_moves_to_the_next(monkeypatch):
-    """C[S3] on counts multiplied by the first prime l and scale 1/l (the same
-    values): the counts vanish mod l, so does the trace form, and the split
-    moves to the next prime down.  Three primes forced degenerate raise the
-    named error."""
-    ell = _modular_root(3)[0]
-    A = group_algebra(s3_mul(), 3)
-    scaled = SCAlgebra(CycArray(3, Fraction(1, ell), A.mul.counts * ell), A.unit, name="C[S3]")
-    primes, split = [], semisimple._split_mod
-    monkeypatch.setattr(semisimple, "_split_mod", lambda A, p, omega, commutative: (
-        primes.append(p) or split(A, p, omega, commutative)))
-    assert wedderburn_dims(scaled).dims == [1, 1, 2]
+    """Slice-form M_3 on counts multiplied by the graded certificate's first
+    prime l and scale 1/l (the same values): the counts vanish mod l, so
+    does C, condition (i) fails, and the certificate moves to the next prime
+    down.  Three primes forced degenerate raise the named error."""
+    A = graded_matrix_algebra(3)
+    ell = grading_prime(A)[0]
+    S = A.product
+    scaled = SCAlgebra.from_slice(CycArray(3, S.scale / ell, S.counts * ell), A.perms, A.unit,
+                                  name="scaled M_3")
+    primes, product = [], semisimple._grading_product
+    monkeypatch.setattr(semisimple, "_grading_product", lambda S, E, p, omega: (
+        primes.append(p) or product(S, E, p, omega)))
+    assert wedderburn_dims(scaled).dims == [3]
     assert primes == [ell, _modular_root(3, ell)[0]] and primes[1] % 3 == 1
 
     primes.clear()
-    monkeypatch.setattr(semisimple, "_split_mod", lambda A, p, omega, commutative: primes.append(p))
+    monkeypatch.setattr(semisimple, "_grading_product", lambda S, E, p, omega: (
+        primes.append(p) or np.zeros((len(E), len(E)), dtype=np.int64)))
     with pytest.raises(CotwistError, match=re.escape(
-            "C[K]: the trace form is degenerate mod 3 primes")):
+            "graded M_3^1: the graded certificate fails mod 3 primes")):
         wedderburn_dims(A)
     assert len(set(primes)) == 3
 
 
 def test_corrupted_count_of_a_split_block_is_refused(intermediate_block, monkeypatch):
-    """One count of criterion 9's [3, 3, 3] block changed by 1: the unit
-    check refuses it when it is built, and past that check the split's
-    certificate 2 refuses it by name.  The split assumes an associative
-    algebra; it is the unit check that sees every single changed count."""
-    mul = intermediate_block.mul.copy()
-    mul.counts[0, 0, 0, 0] += 1
+    """One diagonal count S[i, i] of the slice of criterion 9's [3, 3, 3]
+    block raised at zeta^k: the unit check refuses it when it is built, and
+    past that check the 2-cocycle check of the grading refutes
+    associativity by name, for each of the 27 * 3 corruptions.  The
+    trace-form split that the graded certificate replaced assumed
+    associativity and accepted 57 of them as [3, 3, 3]."""
+    S, perms, unit = intermediate_block.product, intermediate_block.perms, intermediate_block.unit
+    bad = S.copy()
+    bad.counts[0, 0, 0] += 1
     with pytest.raises(AuditError, match="corrupted: the counit is not"):
-        SCAlgebra(mul, intermediate_block.unit, name="corrupted")
+        SCAlgebra.from_slice(bad, perms, unit, name="corrupted")
     monkeypatch.setattr(dual_algebras, "determine_unit", lambda *args: None)
-    with pytest.raises(CotwistError, match=re.escape(
-            "corrupted: block multiplicities {1: 0, 2: 0, 3: 2, 4: 0, 5: 0} mod")):
-        wedderburn_dims(SCAlgebra(mul, intermediate_block.unit, name="corrupted"))
+    for i, k in itertools.product(range(S.shape[0]), range(S.order)):
+        bad = S.copy()
+        bad.counts[i, i, k] += 1
+        A = SCAlgebra.from_slice(bad, perms, unit, name=f"corrupted at {i}, {k}")
+        with pytest.raises(CotwistError, match=re.escape(
+                f"{A.name}: the constants are not associative")):
+            wedderburn_dims(A)
 
 
 def test_float_constants_refused_by_name():
@@ -682,7 +766,7 @@ def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, 
     formed = count_calls(monkeypatch, "_grading_characters")
     assert center_basis(blk).eq(identity)
     assert wedderburn_dims(blk).dims == [1] * n
-    assert formed == [] and mod_splits == [(_modular_root(blk.product.order)[0], True)]
+    assert formed == [] and mod_splits == [_modular_root(blk.product.order)[0]]
 
 
 def upper_triangular_t2():
@@ -694,30 +778,29 @@ def upper_triangular_t2():
 
 
 def test_t2_one_dim_center_is_not_a_square(mod_splits):
-    """Dense T_2 takes no center certificate, and the split refuses it by
-    name: its trace form is degenerate (E12 is in its kernel) at every
-    prime.  The one-block case refuses its one-dim center of dimension 3."""
+    """Dense T_2 (one-dim center, dimension 3, not semisimple) is
+    noncommutative and carries no grading: refused by name before any
+    center or split mod l.  A graded center of dimension |R| must have
+    |R| d^2 = n, condition (iii)."""
     A = upper_triangular_t2()
     assert algebra_audit(A)
-    assert center_basis(A) is None
-    with pytest.raises(CotwistError, match=re.escape(
-            "T2: the trace form is degenerate mod 3 primes")):
+    with refused_as_dense(A):
+        center_basis(A)
+    with refused_as_dense(A):
         wedderburn_dims(A)
-    assert len(mod_splits) == semisimple.SPLIT_PRIMES
-    with pytest.raises(CotwistError, match="T2: a one-dim center needs a square dimension"):
-        semisimple._one_block_spectrum(A)
+    assert mod_splits == []
 
 
 def test_doubled_unit_refused_when_built(p3_diag_bundle):
     """2u is central but no unit, and is refused exactly when the algebra is
     built; a unit doubled on counts and halved on scale is the same unit,
-    and the one-block split takes it."""
+    and the graded split takes it."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
     with pytest.raises(AuditError, match=re.escape(f"{blk.name}: the counit is not")):
         SCAlgebra(blk.mul, blk.unit.scale_by(2), name=blk.name)
     same = CycArray(blk.unit.order, Fraction(1, 2), 2 * blk.unit.counts)
-    assert wedderburn_dims(SCAlgebra(blk.mul, same)).dims == [3]
+    assert wedderburn_dims(SCAlgebra.from_slice(blk.product, blk.perms, same)).dims == [3]
 
 
 def test_idempotent_posing_as_unit_refused_when_built():
