@@ -163,7 +163,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=str, default=None,
                      help="generators, row-major comma lists separated by ';'")
     sub.add_argument("--config", type=str, default=None, help="JSON config file")
-    sub.add_argument("--seed", type=int, default=None, help="second-representative seed")
+    sub.add_argument("--seed", type=int, default=None, help="recorded only; no check reads it")
     sub.add_argument("--tol", type=float, default=None, help="recorded only; no check reads it")
     sub.add_argument("--jobs", type=int, default=1, help="parallel coset workers")
     sub.add_argument("--out", type=str, default=None, help="JSON report path ('-' = stdout)")

@@ -29,7 +29,7 @@ from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelia
                      stabilizer_local_indices)
 from .projective import (class_dims, multiplicity_law_holds, regular_trace_law, tensor_class,
                          trace_vanishing_holds, translation_characters)
-from .semisimple import derived_seed, wedderburn_dims
+from .semisimple import wedderburn_dims
 from .twist import (TwistAudit, TwistData, assemble_twist, load_twist_matrix,
                     q_element_and_antipode_check, square_dimension_check, symplectic_twist,
                     triangular_structure)
@@ -412,10 +412,9 @@ class InstanceContext:
     rho2: object
     chars: tuple
     traces: tuple
-    seed: int
 
 
-def prepare_instance(instance: Instance, seed: int) -> InstanceContext:
+def prepare_instance(instance: Instance) -> InstanceContext:
     """Build the dual algebras, their actions, and the character of each translation;
     the regular trace law is audited once per dual algebra."""
     t = instance.t
@@ -425,7 +424,7 @@ def prepare_instance(instance: Instance, seed: int) -> InstanceContext:
     chars = translation_characters(A1s, rho1, E), translation_characters(A2s, rho2, E)
     traces = regular_trace_law(A1s, chars[0]), regular_trace_law(A2s, chars[1])
     return InstanceContext(instance=instance, A1s=A1s, A2s=A2s, rho1=rho1, rho2=rho2,
-                           chars=chars, traces=traces, seed=seed)
+                           chars=chars, traces=traces)
 
 
 def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
@@ -463,11 +462,10 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
             f"{tag}: route disagreement direct={dims_direct} "
             f"invariant={dims_invariant} predicted={dims_predicted}")
 
-    # representative invariance: a seeded second representative must predict
-    # the same multiset
-    rng = np.random.default_rng(derived_seed(ctx.seed, 7000 + g))
+    # representative invariance: the coset's largest element other than g
+    # must predict the same multiset
     others = Z.elements[Z.elements != g]
-    g2 = int(rng.choice(others)) if others.size else g
+    g2 = int(others.max()) if others.size else g
     Kg2 = stabilizer_Kg(G, H, g2)
     dims_again, _ = predicted_spectrum(Z, g2, ctx, Kg2)
     if dims_again != dims_predicted:
@@ -569,7 +567,7 @@ def full_report(config: Config, jobs: int = 1, global_only: bool = False) -> Rep
             # an H whose characters cannot carry route (c) is refused (exit 2)
             character_exponents(instance.t.group, instance.t.order)
             try:
-                ctx = prepare_instance(instance, config.seed)
+                ctx = prepare_instance(instance)
             except (CotwistError, MemoryError) as exc:
                 failures.append(
                     f"instance preparation failed: {_failure_text(exc)}; coset analysis skipped")

@@ -119,7 +119,7 @@ class GroupAction:
 
         Both the composition check perms[a s] = perms[a] o perms[s] (for
         every a) and the exact automorphism compare mul[p, p, p] == mul run
-        only for the generators s of ``group.generating_words``.  The
+        only for the generators s of ``group.generators``.  The
         identity acts trivially and every element is a word a = s_1 ... s_r
         in them, so perms[a] = perms[s_1] o ... o perms[s_r]: the composition
         law extends along words, and automorphisms compose.
@@ -131,7 +131,7 @@ class GroupAction:
         ident = np.arange(algebra.dim)
         if not np.array_equal(self.perms[0], ident):
             raise AuditError("identity does not act trivially")
-        gens = g.generating_words[0]
+        gens = g.generators
         for s in gens:
             # [a, y] = perms[a][perms[s][y]]
             if not np.array_equal(self.perms[g.mul[:, s]], self.perms[:, self.perms[s]]):

@@ -9,12 +9,13 @@
   canonical counts (``cotwist.twist``).
 
 * One product kernel, :func:`contract_counts`: sum_k A[r, k] B[k, c] as one
-  matmul of A's counts with the circulant expansion of B's, in float64 with
-  BLAS while every partial sum is an integer below 2**53, else in int64.  It
-  serves the twist axiom audit, :func:`ga_mul`, :func:`cyc_tensordot`, the
-  block build and U_g.  A gathered product is a gather of one operand
-  followed by one contraction; a fixed number of gathered results is then
-  added by :func:`sum_counts` under its overflow bound.
+  matmul of A's counts with the circulant expansion of B's, with BLAS in
+  float32 or float64 while every partial sum is an integer below 2**23 or
+  2**52 respectively, else in int64.  It serves the twist axiom audit,
+  :func:`ga_mul`, :func:`cyc_tensordot`, the block build and U_g.  A
+  gathered product is a gather of one operand followed by one contraction;
+  a fixed number of gathered results is then added by :func:`sum_counts`
+  under its overflow bound.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -206,7 +207,7 @@ class CycArray:
         return (self.counts @ z) * float(self.scale)
 
 
-#: result counts of the contraction formed at once; bounds its float64 scratch
+#: result counts of the contraction formed at once; bounds its float32 or float64 scratch
 KERNEL_CHUNK = 1 << 15
 
 
@@ -219,20 +220,30 @@ def contract_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     It is one matmul of ``a`` reshaped to (R, K N) with the circulant
     expansion circ[(k, i), (c, j)] = b[k, c, (j - i) mod N], of shape
     (K N, C N), taken in slices of rows of about ``KERNEL_CHUNK`` result
-    counts each, so the float64 copies stay that small.
+    counts each, so the float copies stay that small.
 
     Each result count is a sum of K N products of two counts, so every
-    partial sum, in whatever order the matmul adds, is an integer of
-    magnitude at most bound = K N max|a| max|b|.  While 2 bound < 2**53 (a
-    factor 2 to spare) the matmul runs in float64, with BLAS: every count,
-    product and partial sum is then a float64 integer, so the result is
-    exact for any BLAS thread count.  Otherwise it runs on the int64 counts
-    (exact, no BLAS) while bound < 2**63, and past that raises CotwistError.
+    count, product and partial sum, in whatever order the matmul adds and
+    with or without a fused multiply-add, is an integer of magnitude at most
+    bound = K N max|a| max|b|.  A float with a p-bit significand holds every
+    integer of magnitude at most 2**p exactly, and a sum or product of two
+    such floats whose exact value is such an integer is rounded to itself.
+    So the matmul is exact, for any BLAS thread count, in
+
+    * float32 (p = 24) while 2 bound < 2**24, i.e. bound < 2**23;
+    * float64 (p = 53) while 2 bound < 2**53, i.e. bound < 2**52;
+    * int64, with no BLAS, while bound < 2**63, where no partial sum wraps;
+
+    each tier taken as soon as its bound holds (a factor 2 to spare in the
+    float tiers), and past 2**63 it raises CotwistError.  The result is the
+    same int64 counts in every tier, count for count.
     """
     rows, inner, n = a.shape
     cols = b.shape[1]
     bound = inner * n * _largest(a) * _largest(b)
-    if 2 * bound < 1 << 53:
+    if 2 * bound < 1 << 24:
+        dtype = np.float32
+    elif 2 * bound < 1 << 53:
         dtype = np.float64
     elif bound < 1 << 63:
         dtype = np.int64
@@ -427,8 +438,39 @@ def _reduced_entries(a: np.ndarray, pivots: list[int], columns, order: int) -> C
     return CycArray(order, Fraction(1, common), counts)
 
 
+#: the least strong pseudoprime to every base in MILLER_RABIN_BASES
+MILLER_RABIN_LIMIT = 341_550_071_728_321
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17)
+
+
 def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1))
+    """Primality of ``k`` by Miller-Rabin on MILLER_RABIN_BASES.
+
+    A prime passes every base.  A composite k that passes them all is a
+    strong pseudoprime to each, and the least such is MILLER_RABIN_LIMIT, so
+    the answer is exact below it; at or above it, ValueError.
+    """
+    if k >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{k} is past the exact range of the Miller-Rabin bases")
+    if k < 2:
+        return False
+    for q in MILLER_RABIN_BASES:
+        if k % q == 0:
+            return k == q
+    d, r = k - 1, 0  # k - 1 = 2^r d with d odd
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, k)
+        if x in (1, k - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
+            return False  # a^d != 1 and no a^(2^j d), j < r, is -1: k is composite
+    return True
 
 
 @functools.cache
@@ -436,8 +478,8 @@ def _modular_root(order: int, below: int = 1 << 31) -> tuple[int, int]:
     """The largest prime l < ``below`` with l = 1 mod N, and a primitive N-th root of unity mod l.
 
     Then Phi_N(omega) = 0 mod l, so zeta -> omega is a ring map Z[zeta_N] -> F_l.
-    Both are found by trial division, once per (order, below); passing the
-    last l as ``below`` gives the next prime down.
+    l is found by :func:`_is_prime` and omega by trial of 2, 3, ..., once per
+    (order, below); passing the last l as ``below`` gives the next prime down.
     """
     ell = (below - 2) // order * order + 1
     while not _is_prime(ell):

@@ -84,7 +84,7 @@ class FiniteGroup:
     # -- audits ----------------------------------------------------------
 
     def verify_associativity(self) -> bool:
-        """Exact associativity audit by Light's test on ``generating_words``.
+        """Exact associativity audit by Light's test on ``generators``.
 
         a (s b) == (a s) b is compared for every a, b and generator s.  The
         middle elements that pass are closed under products in any magma: for
@@ -93,7 +93,7 @@ class FiniteGroup:
         generators, so the whole table associates.
         """
         mul = self.mul
-        for s in self.generating_words[0]:
+        for s in self.generators:
             if not np.array_equal(mul[:, mul[s, :]], mul[mul[:, s], :]):
                 return False
         return True
@@ -239,7 +239,7 @@ class Bicharacter:
         products, e[a (s t), c] = e[(a s) t, c] = e[a, c] + e[s t, c], and
         every element is a product of generators."""
         e, mul, n = self.exponents, self.group.mul, self.order
-        slots = np.append(self.group.generating_words[0], 0)
+        slots = [*self.group.generators, 0]
         for s in slots:
             if np.any((e[mul[:, s], :] - e - e[s][None, :]) % n):
                 raise CotwistError("bicharacter not multiplicative in the first slot")

@@ -58,7 +58,7 @@ def p3_duals(p3_twist):
 def p3_diag_bundle():
     """Instance, context, and double cosets for p=3, gamma=diag(1,2)."""
     inst = build_instance(make_config(3, DIAG_12))
-    ctx = prepare_instance(inst, seed=0)
+    ctx = prepare_instance(inst)
     zs = double_cosets(inst.G, inst.H)
     return inst, ctx, zs
 
@@ -94,7 +94,7 @@ def p3_gauge_diag_bundle(p3_pair):
     G, Hs = build_semidirect(H, 3, DIAG_12)
     t = make_twist(Subgroup(H, np.arange(m)), J).rehome(Hs)
     inst = Instance(G=G, H=Hs, t=t, audit=TwistAudit(), description={})
-    return inst, prepare_instance(inst, seed=0), double_cosets(G, Hs)
+    return inst, prepare_instance(inst), double_cosets(G, Hs)
 
 
 def wreath_table(h_mul):
@@ -122,7 +122,7 @@ def wreath_bundle(p3_pair):
     Hs = Subgroup(G, 9 * np.arange(9))
     inst = Instance(G=G, H=Hs, t=symplectic_twist(H, sigma).rehome(Hs), audit=TwistAudit(),
                     description={})
-    return inst, prepare_instance(inst, seed=0), double_cosets(G, Hs)
+    return inst, prepare_instance(inst), double_cosets(G, Hs)
 
 
 @pytest.fixture(scope="session")
@@ -132,7 +132,7 @@ def intermediate_bundle(tmp_path_factory):
     from intermediate_instance import write_instance
 
     inst = build_instance(write_instance(tmp_path_factory.mktemp("intermediate")))
-    return inst, prepare_instance(inst, seed=0), double_cosets(inst.G, inst.H)
+    return inst, prepare_instance(inst), double_cosets(inst.G, inst.H)
 
 
 #: inputs of the reference-formula tests: bundle fixture -> coset representative
@@ -171,7 +171,7 @@ def both_modes(monkeypatch):
 @pytest.fixture(scope="session")
 def p5_diag_bundle():
     inst = build_instance(make_config(5, DIAG_12))
-    ctx = prepare_instance(inst, seed=0)
+    ctx = prepare_instance(inst)
     zs = double_cosets(inst.G, inst.H)
     return inst, ctx, zs
 

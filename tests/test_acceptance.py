@@ -47,8 +47,8 @@ CRITERIA = {
        "projective representations, every tensor representation)",
     6: "multiplicity law (|H|/|K_g|) * d, exact, on every coset of "
        "criteria 1-3",
-    7: "byte-identical reports for identical config+seed; seed and "
-       "representative changes leave dims unchanged",
+    7: "byte-identical reports for identical config+seed; the seed, which "
+       "is recorded only, and every other representative leave dims unchanged",
     8: "trivial twist on H={e} gives all-1 spectra; corrupted twist fails "
        "verify with exit 1 naming the 2-cocycle axiom",
     9: "intermediate stabilizers: (Z/3)^3 x| C3 table instance, |K_g| = 3 on "
@@ -219,7 +219,7 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bun
     # F_g where K_g < H: the wreath swap coset (K_g = {e}) and a criterion-9
     # coset (|K_g| = 3)
     inter = build_instance(write_intermediate_instance(tmp_path))
-    inter_ctx = prepare_instance(inter, seed=0)
+    inter_ctx = prepare_instance(inter)
     for (inst, ctx, zs), rep, k_size in ((wreath_bundle, 81, 1),
                                          ((inter, inter_ctx, double_cosets(inter.G, inter.H)),
                                           27, 3)):
@@ -238,7 +238,7 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bun
 @criterion(5)
 def test_criterion_5_trace_laws(p3_diag_bundle, p5_diag_bundle):
     unipotent_inst = build_instance(make_config(3, UNIPOTENT))
-    unipotent = (unipotent_inst, prepare_instance(unipotent_inst, seed=0),
+    unipotent = (unipotent_inst, prepare_instance(unipotent_inst),
                  double_cosets(unipotent_inst.G, unipotent_inst.H))
     w_count = 0
     for inst, ctx, zs in (unipotent, p3_diag_bundle, p5_diag_bundle):
@@ -282,12 +282,12 @@ def _assert_multiplicity_law(inst, ctx, zs):
 def test_criterion_6_multiplicity_law(p3_diag_bundle):
     unipotent_inst = build_instance(make_config(3, UNIPOTENT))
     checked = _assert_multiplicity_law(
-        unipotent_inst, prepare_instance(unipotent_inst, seed=0),
+        unipotent_inst, prepare_instance(unipotent_inst),
         double_cosets(unipotent_inst.G, unipotent_inst.H))
     checked += _assert_multiplicity_law(*p3_diag_bundle)
     for p, seed in SWEEP_GRID:
         inst = build_instance(sweep_config(p, seed))
-        ctx = prepare_instance(inst, seed=seed)
+        ctx = prepare_instance(inst)
         checked += _assert_multiplicity_law(inst, ctx, double_cosets(inst.G, inst.H))
     return f"{checked} cosets checked"
 
@@ -377,7 +377,7 @@ def test_criterion_9_intermediate_stabilizers(tmp_path):
     assert report.totals["group_order"] == 81
     assert len(report.cosets) == 5
     inst = build_instance(config)
-    ctx = prepare_instance(inst, seed=0)
+    ctx = prepare_instance(inst)
     cosets = {Z.representative: Z for Z in double_cosets(inst.G, inst.H)}
     spectra = {c.rep: c for c in report.cosets}
     for g in (27, 54):  # gamma and gamma^2
@@ -406,7 +406,7 @@ def test_criterion_10_the_class_decides(tmp_path):
         assert report.ok, report.failures
         assert report.totals["group_order"] == 192
         inst = build_instance(config)
-        ctx = prepare_instance(inst, seed=0)
+        ctx = prepare_instance(inst)
         cosets = {Z.representative: Z for Z in double_cosets(inst.G, inst.H)}
         spectra = {c.rep: c for c in report.cosets}
         for c in report.cosets:

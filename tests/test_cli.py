@@ -551,15 +551,31 @@ def test_parse_gamma_empty_blocks_ignored():
 # the installed module is runnable as a subprocess
 
 
-def test_subprocess_entry_point(tmp_path):
-    # the child imports the same cotwist as this process, installed or not
+def _child_env() -> dict:
+    """The environment of a child that imports the same cotwist as this
+    process, installed or not."""
     src = str(Path(cotwist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_subprocess_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cotwist.cli", "example", "--out", "-"],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["totals"]["group_order"] == 27
     assert "spectrum" in proc.stderr or "coset" in proc.stderr
+
+
+def test_spectrum_imports_no_numpy_random(tmp_path):
+    """The seed is recorded only, so a spectrum run loads no ``numpy.random``."""
+    code = ("import sys; from cotwist import cli; "
+            "rc = cli.main(['spectrum', '--p', '3', '--gamma', '1,1,0,1', '--seed', '5', "
+            f"'--out', {str(tmp_path / 'r.json')!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["seed"] == 5

@@ -412,7 +412,7 @@ def test_f_g_rejects_unverified_twist(p3_pair):
     t = TwistData(subgroup=sub, order=3, J=CycArray.zeros((9, 9), 3))
     inst = Instance(G=H, H=sub, t=t, audit=TwistAudit(), description={})
     with pytest.raises(CotwistError, match="axiom audit"):
-        prepare_instance(inst, seed=0)
+        prepare_instance(inst)
 
 
 def test_f_g_names_a_corrupted_block(monkeypatch, p3_diag_bundle):
@@ -503,7 +503,7 @@ def test_one_slice_equals_per_point_builds(source, both_modes, request):
                "p5_unipotent": lambda: Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]]))}
     if source in configs:
         inst = build_instance(configs[source]())
-        ctx = prepare_instance(inst, seed=0)
+        ctx = prepare_instance(inst)
         zs = double_cosets(inst.G, inst.H)
     else:
         inst, ctx, zs = request.getfixturevalue(

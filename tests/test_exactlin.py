@@ -252,6 +252,55 @@ def test_contract_counts_dtype_switch(past, spies):
         assert value == want[idx]
 
 
+
+def _int_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[r, c, (i + j) mod N] = sum over k, i, j of a[r, k, i] b[k, c, j],
+    on Python ints in plain loops."""
+    rows, inner, n = a.shape
+    out = np.zeros((rows, b.shape[1], n), dtype=object)
+    for r, c, k, i, j in np.ndindex(rows, b.shape[1], inner, n, n):
+        out[r, c, (i + j) % n] += int(a[r, k, i]) * int(b[k, c, j])
+    return out
+
+
+@pytest.mark.parametrize("signs", ["equal", "mixed"])
+@pytest.mark.parametrize("limit, above, dtype", [(24, False, np.float32),
+                                                 (24, True, np.float64),
+                                                 (53, False, np.float64)])
+def test_contract_counts_tiers_at_their_bounds(limit, above, dtype, signs, spies):
+    """All-max counts +-m, with 2 bound = 2 K N m**2 just below 2**24, just
+    above it and just below 2**53: float32, float64 and float64, and the
+    Python-int convolution count for count.  With equal signs every partial
+    sum climbs to the bound itself."""
+    order, inner = 5, 3
+    m = math.isqrt((1 << limit) // (2 * inner * order)) + above
+    bound = inner * order * m * m
+    assert (2 * bound < 1 << limit) != above
+    rng = np.random.default_rng(limit + above)
+    a = np.full((2, inner, order), m, dtype=np.int64)
+    b = np.full((inner, 3, order), m, dtype=np.int64)
+    if signs == "mixed":
+        a *= rng.choice([-1, 1], size=a.shape)
+        b *= rng.choice([-1, 1], size=b.shape)
+    out = contract_counts(a, b)
+    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)]
+    assert out.dtype == np.int64
+    assert np.array_equal(out.astype(object), _int_convolution(a, b))
+    if signs == "equal":
+        assert np.all(out == bound)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 7])
+def test_contract_counts_single_terms_in_float32(order, spies):
+    """Random single-term counts, as the twist and the dual algebras carry:
+    the float32 tier, and the Python-int convolution count for count."""
+    rng = np.random.default_rng(500 + order)
+    a = _single_terms(rng, (6, 4), order, Fraction(1)).counts
+    b = _single_terms(rng, (4, 5), order, Fraction(1)).counts
+    out = contract_counts(a, b)
+    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(np.float32,) * 2]
+    assert np.array_equal(out.astype(object), _int_convolution(a, b))
+
 def test_tensordot_keeps_raw_counts():
     """cyc_tensordot contracts the raw counts, not fewest-term ones: its counts
     are the reference's raw sums, for one axis, two axes and the outer product."""
@@ -383,6 +432,29 @@ def test_dense_ga_mul_near_the_bound_is_exact():
 def _float_rank(arr: CycArray) -> int:
     return int(np.linalg.matrix_rank(arr.embed(), tol=1e-9))
 
+
+
+def test_is_prime_matches_trial_division():
+    """Miller-Rabin agrees with trial division on every k < 2*10**5, and each
+    l that _modular_root picks below 2**31 is a prime, the largest
+    l = 1 (mod N) there, with omega a primitive N-th root of unity mod l.
+    The limit, a strong pseudoprime to every base, is refused."""
+    ks = np.arange(200_000)
+    composite = ks < 2
+    for d in range(2, math.isqrt(ks[-1]) + 1):
+        composite |= (ks % d == 0) & (ks != d)
+    assert [exactlin._is_prime(int(k)) for k in ks] == (~composite).tolist()
+    small_primes = np.flatnonzero(~composite[:math.isqrt(1 << 31) + 1])
+    for order in (1, 2, 3, 4, 5, 7, 12):
+        ell, omega = exactlin._modular_root(order)
+        candidates = np.arange(ell, 1 << 31, order)  # l, then every larger l' = 1 (mod N)
+        has_divisor = (candidates[:, None] % small_primes == 0).any(axis=1)
+        assert has_divisor.tolist() == [False] + [True] * (candidates.size - 1), order
+        assert pow(omega, order, ell) == 1
+        assert all(pow(omega, order // q, ell) != 1 for q in (2, 3, 5, 7) if order % q == 0)
+    assert exactlin.MILLER_RABIN_LIMIT == 10_670_053 * 32_010_157
+    with pytest.raises(ValueError, match="exact range"):
+        exactlin._is_prime(exactlin.MILLER_RABIN_LIMIT)
 
 def test_rank_known_matrices():
     ident = CycArray.zeros((4, 4), 3)

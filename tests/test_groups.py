@@ -257,6 +257,16 @@ def test_file_rejects_malformed(tmp_path):
         FiniteGroup.from_file(bad)
 
 
+
+def test_lights_test_and_bicharacter_read_only_generators():
+    """Light's test and the bicharacter's laws read ``generators`` alone, so
+    neither builds the breadth-first words of ``generating_words``."""
+    H, sigma = build_elementary_abelian_symplectic(3, 1)
+    G = FiniteGroup(H.mul)
+    assert G.verify_associativity()
+    Bicharacter(G, 3, sigma.exponents)
+    assert "generators" in vars(G) and "generating_words" not in vars(G)
+
 #: an order-5 loop: identity 0, every element its own inverse, not associative
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 #: an order-6 loop with generators [1, 2], where only the last one fails to associate

@@ -530,7 +530,7 @@ def commutative_exact_algebras(p3_diag_bundle, p3_gauge_diag_bundle, wreath_bund
                                         invariant_algebra_Ug, prepare_instance)
 
     inst = build_instance(Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]])))
-    p5 = inst, prepare_instance(inst, seed=0), double_cosets(inst.G, inst.H)
+    p5 = inst, prepare_instance(inst), double_cosets(inst.G, inst.H)
     algebras = {}
     for label, (inst, ctx, zs) in (("p=3", p3_diag_bundle), ("p=3 gauge", p3_gauge_diag_bundle),
                                    ("p=5 unipotent", p5), ("wreath", wreath_bundle)):
@@ -624,7 +624,7 @@ def general_slice_algebras(intermediate_bundle, tmp_path_factory):
     from cotwist.correspondence import build_instance, invariant_algebra_Ug, prepare_instance
 
     inst = build_instance(write_instance(tmp_path_factory.mktemp("criterion-10"), 1))
-    criterion_10 = inst, prepare_instance(inst, seed=0), double_cosets(inst.G, inst.H)
+    criterion_10 = inst, prepare_instance(inst), double_cosets(inst.G, inst.H)
     algebras = []
     for (inst, ctx, zs), reps, dims in ((intermediate_bundle, (27, 54), [3, 3, 3]),
                                         (criterion_10, (64, 128), [4, 4, 4, 4])):
