@@ -180,17 +180,20 @@ def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, members: np.ndarray, partner: np.
     mul2[h1, y1, x1], one :func:`contract_counts` of a gather, then the
     :func:`sum_counts` over the members (y1, y2) of orbit j (``members[j]``).
     Both factors are read on their fewest-term counts, formed once per
-    algebra and row (:meth:`SCAlgebra.row_terms`); the scale is
-    mul2.scale * mul1.scale.
+    algebra and row (:meth:`SCAlgebra.row_terms`).  The gather is one take
+    along mul1's x2 axis and the members one flat take, summed over its first
+    axis; the scale is mul2.scale * mul1.scale.
     """
-    m, r, n = partner.shape[0], partner.shape[1], A2s.mul.order
+    m, r, n = partner.shape[0], partner.shape[1], A2s.product.order
     h1, h2 = divmod(int(q), m)
     f2, f1 = A2s.row_terms(h1), A1s.row_terms(h2)
     f1 = np.concatenate([f1, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # column m is 0
-    gathered = f1[np.arange(m)[:, None, None], partner.T[None]]           # [y2, l, x1]
-    R = contract_counts(gathered.reshape(m * r, m, n), f2.transpose(1, 0, 2))
-    y1, y2 = (y[:, :, None] for y in np.divmod(members, m))
-    return sum_counts(R.reshape(m, r, m, n)[y2, np.arange(r), y1], axis=1)
+    gathered = np.take(f1, partner.T, axis=1).reshape(m * r, m, n)        # [(y2, l), x1]
+    R = contract_counts(gathered, f2.transpose(1, 0, 2)).reshape(-1, n)   # [(y2, l, y1)]
+    del gathered  # the gather and the members' gather, each |H|^2 r N counts, never held at once
+    y1, y2 = np.divmod(members.T, m)                                       # [k, j]
+    return sum_counts(np.take(R, (y2 * (r * m) + y1)[:, :, None] + np.arange(r) * m, axis=0),
+                      axis=0)                                              # [k, j, l] summed
 
 
 def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray,
@@ -254,17 +257,17 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     if rem != 0 or len(reps) != expected:
         raise AuditError(
             f"invariant algebra dimension {len(reps)} != |H|^2/|K_g| = {expected}")
-    r, n = len(reps), A2s.mul.order
+    r, n = len(reps), A2s.product.order
     members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
     x1, x2 = np.divmod(members, m)
     partner = np.full((m, r), m)  # [x1, l]: the x2 with (x1, x2) in orbit l, m where none
     partner[x1, np.arange(r)[:, None]] = x2
     if np.count_nonzero(partner < m) != members.size:
         raise AuditError("pair orbits: the A2* leg does not act freely")
-    scale, name = A2s.mul.scale * A1s.mul.scale, f"invariants at g={g}"
+    scale, name = A2s.product.scale * A1s.product.scale, f"invariants at g={g}"
     unit = CycArray.from_exponents(n, np.zeros(r, dtype=np.int64))
     Hg = H.as_group
-    if ad_invariant(Hg, A1s.mul.take(0, 2)) and ad_invariant(Hg, A2s.mul.take(0, 2)):
+    if ad_invariant(Hg, A1s.take(0, 2)) and ad_invariant(Hg, A2s.take(0, 2)):
         sigma = _orbit_transport(orbit_id, members, reps, Hg)
         row = _orbit_row(A2s, A1s, members, partner, 0)  # the row of (e, e)
         return SCAlgebra.from_slice(CycArray(n, scale, row[sigma, sigma[:, [0]]]), sigma,

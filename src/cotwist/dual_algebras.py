@@ -38,10 +38,15 @@ class SCAlgebra:
 
     Then ``product`` is S and ``perms`` is P (None for a dense algebra), and
     ``mul`` is gathered from them (:func:`gather_slice`) when it is first
-    read, then kept.  ``dim`` never gathers.  The unit check and the whole
-    split of ``cotwist.semisimple``, center certificates and trace forms,
-    read the slice; everything else reads ``mul``.  The fewest-term counts
-    of a row of ``mul`` are formed once per algebra (:meth:`row_terms`).
+    read, then kept.  ``dim`` never gathers, and neither does :meth:`take`,
+    which reads one section of ``mul`` off the slice.  Everything the CLI
+    runs reads the slice: the unit check, the automorphism audit of
+    ``GroupAction.verify``, the translation characters and the regular
+    trace law of ``cotwist.projective``, the rows of U_g and the whole split
+    of ``cotwist.semisimple``.  Only the audits that no report runs read
+    ``mul``: ``f_g_map``, :func:`a2_to_a1op_iso` and
+    ``semisimple.algebra_audit``.  The fewest-term counts of a row of
+    ``mul`` are formed once per algebra (:meth:`row_terms`).
     """
 
     def __init__(self, mul, unit, name: str = "", *, perms: np.ndarray | None = None):
@@ -71,11 +76,28 @@ class SCAlgebra:
             self._mul = gather_slice(self.product, self.perms)
         return self._mul
 
+    def take(self, indices, axis: int) -> CycArray:
+        """``mul.take(indices, axis)`` for one index or a 1-d array of them.
+
+        In slice form each cell is read as S[P[x, a], P[x, b]], by one flat
+        take from S, so only the section is formed.
+        """
+        if self.perms is None:
+            return self.product.take(indices, axis)
+        S, P, n = self.product, self.perms, self.dim
+        ranges = [np.arange(n)] * 3
+        ranges[axis] = np.atleast_1d(indices)
+        a, b, x = np.ix_(*ranges)
+        counts = np.take(S.counts.reshape(n * n, S.order), P[x, a] * n + P[x, b], axis=0)
+        if np.ndim(indices) == 0:
+            counts = counts.squeeze(axis)
+        return CycArray(S.order, S.scale, counts)
+
     def row_terms(self, h: int) -> np.ndarray:
         """``mul.take(h, 0).fewest_counts()``, the products e_h e_j, formed once per h."""
         terms = self._row_terms.get(h)
         if terms is None:
-            terms = self._row_terms[h] = self.mul.take(h, 0).fewest_counts()
+            terms = self._row_terms[h] = self.take(h, 0).fewest_counts()
         return terms
 
     @property
@@ -118,11 +140,18 @@ class GroupAction:
         """Assert: group action, by algebra automorphisms, acting freely.
 
         Both the composition check perms[a s] = perms[a] o perms[s] (for
-        every a) and the exact automorphism compare mul[p, p, p] == mul run
-        only for the generators s of ``group.generators``.  The
-        identity acts trivially and every element is a word a = s_1 ... s_r
-        in them, so perms[a] = perms[s_1] o ... o perms[s_r]: the composition
-        law extends along words, and automorphisms compose.
+        every a) and the exact automorphism check run only for the
+        generators s of ``group.generators``.  The identity acts trivially
+        and every element is a word a = s_1 ... s_r in them, so perms[a] =
+        perms[s_1] o ... o perms[s_r]: the composition law extends along
+        words, and automorphisms compose.
+
+        On an algebra in slice form (``SCAlgebra``) a generator's p is
+        certified by the index identity P[p[x], p[a]] = P[x, a], n^2
+        integers: then mul[p a, p b, p x] = S[P[p x, p a], P[p x, p b]] =
+        S[P[x, a], P[x, b]] = mul[a, b, x].  The identity is sufficient, not
+        necessary, so where it fails, and on a dense algebra, the canonical
+        constants are compared, mul[p, p, p] == mul.
         """
         g = self.group
         m = g.order
@@ -138,9 +167,13 @@ class GroupAction:
                 raise AuditError("permutations do not compose like the group")
         if np.any(self.perms[1:] == ident):
             raise AuditError("action is not free")
-        mc = algebra.mul.canonical()
+        P, mc = algebra.perms, None
         for h in gens:
             p = self.perms[h]
+            if P is not None and np.array_equal(P[np.ix_(p, p)], P):
+                continue
+            if mc is None:
+                mc = algebra.mul.canonical()
             if not np.array_equal(mc[np.ix_(p, p, p)], mc):
                 raise AuditError(f"basis permutation of element {h} is not an automorphism")
 
@@ -276,7 +309,8 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     a gather, Y[(b, c), s] = sum_t X[b, c, t] Jinv[s, t] is one
     :func:`contract_counts`, and S[a, b] is the :func:`sum_counts` of
     Y[b, c, s] over the |H|^2/|Z| pairs (s, c) with h_s x h_c = a.  Raises
-    AuditError unless every a has that many.
+    AuditError unless every a has that many.  X is one flat take and the
+    pairs one take along Y's (c, s) axis, so the sum runs over whole rows.
     """
     m, n = j.shape[0], j.shape[-1]
     if np.any(np.bincount(shifts.ravel(), minlength=nz) * nz != m * m):
@@ -284,10 +318,12 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     d_at = np.full((m, nz), m)  # [t, b]: the d with h_t x h_d = b, m where none
     d_at[np.arange(m)[:, None], shifts] = np.arange(m)
     j = np.concatenate([j, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # J[c, m] = 0
-    X = j[np.arange(m)[:, None], d_at.T[:, None, :]]                       # [b, c, t]
-    Y = contract_counts(X.reshape(nz * m, m, n), jinv.transpose(1, 0, 2))  # [(b, c), s]
+    X = np.take(j.reshape(-1, n), np.arange(m)[:, None] * (m + 1) + d_at.T[:, None, :],
+                axis=0).reshape(nz * m, m, n)                              # [(b, c), t]
+    Y = contract_counts(X, jinv.transpose(1, 0, 2)).reshape(nz, m * m, n)  # [b, (c, s)]
+    del X  # X and the pairs' gather, each |Z| |H|^2 N counts, are never held at once
     pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)    # [a, k]: c m + s
-    return sum_counts(Y.reshape(nz, m * m, n)[:, pairs], axis=2).swapaxes(0, 1)
+    return sum_counts(np.take(Y, pairs.T, axis=1), axis=1).swapaxes(0, 1)  # [b, k, a] summed
 
 
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
@@ -314,9 +350,11 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     factorization.  The block is returned in slice form
     (``SCAlgebra.from_slice``), S with back[x, a] = h^-1 a h'^-1, whose rows
     are permutations because a -> h^-1 a h'^-1 is a bijection of the coset;
-    its dense constants are gathered only when ``mul`` is read.  Without the
-    certificate the slices at every basis point are stacked into a dense
-    block.  The unit is the restriction of the ambient counit (all-ones on
+    its dense constants are gathered only when ``mul`` is read.  Only the
+    |H|^2 shifts h_s g h_c are formed; that they cover the coset, each point
+    |H|^2/|Z| times, makes it the orbit H g H.  Without the certificate the
+    shifts and slices at every basis point are formed and stacked into a
+    dense block.  The unit is the restriction of the ambient counit (all-ones on
     the coset).  J's and Jinv's counts are the twist's ``terms``, formed once
     per twist; G's table is indexed as it is stored.
     """
@@ -327,20 +365,24 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
     loc_z[z] = np.arange(nz)
-    # shifts[x, s, c] = coset-local index of (h_s x h_c)
-    shifts = loc_z[mulG[mulG[np.ix_(hg, z)].T[:, :, None], hg[None, None, :]]]
-    if np.any(shifts < 0):
-        raise AuditError("double coset is not closed under H-translations")
     j, jinv = t.terms
     scale, unit = t.J.scale * t.Jinv.scale, _all_ones(nz, t.order)
     name = f"block[{coset.representative}]"
+
+    def shifts_at(xs):  # [x, s, c] = coset-local index of (h_s x h_c)
+        shifts = loc_z[mulG[mulG[np.ix_(hg, xs)].T[:, :, None], hg[None, None, :]]]
+        if np.any(shifts < 0):
+            raise AuditError("double coset is not closed under H-translations")
+        return shifts
+
     if ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv):
-        g = loc_z[coset.representative]
-        S = _block_slice(jinv, j, shifts[g], nz)
+        shifts = shifts_at([coset.representative])[0]  # _block_slice checks they cover the coset
+        S = _block_slice(jinv, j, shifts, nz)
         # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
-        s, c = np.divmod(np.unique(shifts[g], return_index=True)[1], len(hg))
+        s, c = np.divmod(np.unique(shifts, return_index=True)[1], len(hg))
         back = loc_z[mulG[mulG[G.inv[hg[s]][:, None], z[None, :]], G.inv[hg[c]][:, None]]]
         return SCAlgebra.from_slice(CycArray(t.order, scale, S), back, unit, name)
+    shifts = shifts_at(z)
     counts = np.stack([_block_slice(jinv, j, shifts[x], nz) for x in range(nz)], axis=2)
     return SCAlgebra(CycArray(t.order, scale, counts), unit, name)
 

@@ -207,30 +207,52 @@ def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.
     every x (:func:`certify_characters`).  Every other chi_a is the product of
     the generators' along a's word, which implements alpha_a and so is the
     one character that does (README, "Route (c), exactly").
+    The sections of the constants at delta_e and at each alpha_s(delta_e)
+    are read with :meth:`SCAlgebra.take`, off the slice in slice form.
     """
     gens, words, parent, via = act.group.generating_words
-    chars = CycArray.from_exponents(A.mul.order, E)
-    at_e = cyc_tensordot(A.mul.take(0, axis=1), chars, axes=([0], [1])).canonical()  # [y, chi]
-    moved = cyc_tensordot(A.mul.take(act.perms[gens, 0], axis=0), chars, axes=([1], [1]))
+    order = A.product.order
+    chars = CycArray.from_exponents(order, E)
+    at_e = cyc_tensordot(A.take(0, axis=1), chars, axes=([0], [1])).canonical()  # [y, chi]
+    moved = cyc_tensordot(A.take(act.perms[gens, 0], axis=0), chars, axes=([1], [1]))
     match = np.all(moved.canonical() == at_e[None], axis=(1, 3))  # [s, chi]
     if not np.all(match.sum(axis=1) == 1):
         raise AuditError(f"{A.name}: not exactly one character implements each translation")
     gen_X = E[match.argmax(axis=1)]
     X = np.zeros((act.group.order, E.shape[1]), dtype=np.int64)
     for a in words[1:]:
-        X[a] = (X[parent[a]] + gen_X[via[a]]) % A.mul.order
+        X[a] = (X[parent[a]] + gen_X[via[a]]) % order
     certify_characters(A, act, X)
     return X
 
 
 def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:
-    """AuditError unless chi_s x = alpha_s(x) chi_s exactly for each generator s and every x."""
+    """AuditError unless chi_s x = alpha_s(x) chi_s exactly for each generator s and every x.
+
+    With left[b, y] and right[a, y] the coefficients of delta_y in
+    chi_s delta_b and delta_a chi_s, the certificate is left[b, y] =
+    right[alpha_s(b), y].  In slice form (``SCAlgebra``), with mul[a, b, y]
+    = S[P[y, a], P[y, b]] and Q[y] the inverse permutation of P[y],
+    left[b, y] = L[y, P[y, b]] and right[a, y] = R[y, P[y, a]] for
+    L[y, c] = sum_u chi_s(Q[y, u]) S[u, c] and R[y, r] = sum_v S[r, v]
+    chi_s(Q[y, v]): two contractions with S, and no n^3 constants.
+    """
     gens = act.group.generating_words[0]
-    chars = CycArray.from_exponents(A.mul.order, X[gens])  # [s, h]
-    left = cyc_tensordot(A.mul, chars, axes=([0], [1])).canonical()   # [x, y, s]: chi_s delta_x
-    right = cyc_tensordot(A.mul, chars, axes=([1], [1])).canonical()  # [x', y, s]: delta_x' chi_s
-    right = right[act.perms[gens].T[:, None], np.arange(A.dim)[:, None], np.arange(gens.size)]
-    bad = gens[~np.all(left == right, axis=(0, 1, 3))]
+    S, P, m, k = A.product, A.perms, A.dim, gens.size
+    moved = act.perms[gens]  # [s, b] = alpha_s(b)
+    if P is None:
+        chars = CycArray.from_exponents(S.order, X[gens])  # [s, h]
+        left = cyc_tensordot(S, chars, axes=([0], [1])).canonical()   # [b, y, s]: chi_s delta_b
+        right = cyc_tensordot(S, chars, axes=([1], [1])).canonical()  # [a, y, s]: delta_a chi_s
+        right = right[moved.T[:, None], np.arange(m)[:, None], np.arange(k)]
+        agree = np.all(left == right, axis=(0, 1, 3))
+    else:
+        chars = CycArray.from_exponents(S.order, X[gens][:, np.argsort(P, axis=1)])  # [s, y, u]
+        left = cyc_tensordot(chars, S, axes=([2], [0])).canonical()   # [s, y, c]: L
+        right = cyc_tensordot(chars, S, axes=([2], [1])).canonical()  # [s, y, r]: R
+        s, y = np.arange(k)[:, None, None], np.arange(m)[None, :, None]
+        agree = np.all(left[s, y, P] == right[s, y, P[y, moved[:, None, :]]], axis=(1, 2, 3))
+    bad = gens[~agree]
     if bad.size:
         raise AuditError(f"{A.name}: the character of generator {bad[0]} fails its certificate")
 
@@ -240,15 +262,17 @@ def regular_trace_law(A: SCAlgebra, X: np.ndarray) -> np.ndarray:
 
     tr L_{chi_a} = sum_h chi_a(h) tau_h with tau_h = sum_x mul[h, x, x], one
     contraction for all a, must be |H| [a = e] with |H| = d^2; AuditError
-    names A otherwise.  tr T[a] = tr L_{chi_a} / d.
+    names A otherwise.  tr T[a] = tr L_{chi_a} / d.  In slice form
+    (``SCAlgebra``) mul[h, x, x] = S[P[x, h], P[x, x]] is read off the slice.
     """
-    mul, m = A.mul, A.dim
+    S, P, m = A.product, A.perms, A.dim
     d = math.isqrt(m)
-    tau = CycArray(mul.order, mul.scale,
-                   sum_counts(mul.counts[:, np.arange(m), np.arange(m)], axis=1))
-    regular = CycArray.zeros((m,), mul.order)
+    diagonal = (S.counts[:, np.arange(m), np.arange(m)] if P is None     # [h, x]
+                else S.counts[P.T, np.diagonal(P)])
+    tau = CycArray(S.order, S.scale, sum_counts(diagonal, axis=1))
+    regular = CycArray.zeros((m,), S.order)
     regular.counts[0, 0] = m
-    if d * d != m or not cyc_tensordot(CycArray.from_exponents(mul.order, X), tau,
+    if d * d != m or not cyc_tensordot(CycArray.from_exponents(S.order, X), tau,
                                        axes=1).eq(regular):
         raise AuditError(f"{A.name}: regular trace law fails (tr L_chi_a != |H| [a = e])")
     return np.where(np.arange(m) == 0, d, 0)

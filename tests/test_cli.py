@@ -142,6 +142,34 @@ def test_wreath_report_identical_under_jobs(wreath_bundle, p3_twist, tmp_path, c
     assert runs[0] == runs[1]
 
 
+def test_spectrum_gathers_no_dense_constants(wreath_bundle, p3_twist, tmp_path, capsys,
+                                             monkeypatch):
+    """With ``dual_algebras.gather_slice`` raising, ``spectrum`` on p = 5
+    unipotent, the wreath table, p = 3 with n = 2 and criterion 10's second
+    twist writes the report, the table and the exit code of an unpatched
+    run, byte for byte: no CLI run gathers the n^3 constants of an algebra
+    in slice form."""
+    from cotwist import dual_algebras
+    from p2_instance import write_instance as write_p2_instance
+
+    (tmp_path / "c10").mkdir()
+    c10 = write_p2_instance(tmp_path / "c10", 1).construction
+    (tmp_path / "c10" / "config.json").write_text(json.dumps({"construction": c10.describe()}))
+
+    def no_gather(S, perms):
+        raise AssertionError(f"gather_slice called on {S.shape}")
+
+    for argv in (["spectrum", "--p", "5", "--gamma", "1,1,0,1"],
+                 ["spectrum", "--config", write_wreath_config(wreath_bundle, p3_twist, tmp_path)],
+                 ["spectrum", "--p", "3", "--n", "2"],
+                 ["spectrum", "--config", str(tmp_path / "c10" / "config.json")]):
+        plain = run_cli(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(dual_algebras, "gather_slice", no_gather)
+            assert run_cli(argv, capsys) == plain
+        assert plain[0] == 0 and "all checks passed" in plain[2]
+
+
 # ---------------------------------------------------------------------------
 # failure exit code 1: checks fail but the report is still written
 

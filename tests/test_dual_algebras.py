@@ -167,6 +167,74 @@ def test_row_terms_are_fewest_counts_formed_once(p3_duals, p3_gauge_diag_bundle)
             assert A.row_terms(h) is row
 
 
+def no_gather(S, perms):
+    raise AssertionError(f"gather_slice called on {S.shape}")
+
+
+def test_take_reads_sections_off_the_slice(p3_duals, p3_diag_bundle, monkeypatch):
+    """``A.take(i, axis)`` equals ``A.mul.take(i, axis)`` count for count, for
+    one index and for an array of them on every axis, on A1*, A2* and a block
+    in slice form and on a dense algebra; in slice form it gathers nothing."""
+    from cotwist import dual_algebras
+    from cotwist.dual_algebras import SCAlgebra
+
+    inst, _, zs = p3_diag_bundle
+    blk = build_block_algebra(inst.t, zs[1])
+    algebras = [*p3_duals[:2], blk, SCAlgebra(blk.mul, blk.unit, "dense block")]
+    wanted = [[(i, axis, A.mul.take(i, axis)) for axis in range(3) for i in (0, 4, [2, 0, 7])]
+              for A in algebras]
+    monkeypatch.setattr(dual_algebras, "gather_slice", no_gather)
+    for A, cases in zip(algebras, wanted):
+        if A.perms is not None:
+            A = SCAlgebra.from_slice(A.product, A.perms, A.unit, A.name)
+        for i, axis, want in cases:
+            got = A.take(i, axis)
+            assert got.scale == want.scale and np.array_equal(got.counts, want.counts)
+
+
+def test_index_certificate_refuses_a_non_automorphism(p3_duals, monkeypatch):
+    """On the slice-form A1*, left translation conjugated by the swap of
+    delta_1 and delta_2 fails the index identity P[p, p] == P, so the dense
+    compare decides, and refuses it by name."""
+    from cotwist import dual_algebras
+    from cotwist.dual_algebras import GroupAction, SCAlgebra
+
+    A1, _, rho1, _ = p3_duals
+    fresh = SCAlgebra.from_slice(A1.product, A1.perms, A1.unit, A1.name)
+    gathers, gather = [], dual_algebras.gather_slice
+    monkeypatch.setattr(dual_algebras, "gather_slice",
+                        lambda S, perms: gathers.append(S.shape) or gather(S, perms))
+    swap = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
+    with pytest.raises(AuditError, match="basis permutation of element 1 is not an automorphism"):
+        GroupAction(rho1.group, swap[rho1.perms][:, swap]).verify(fresh)
+    assert gathers == [(9, 9)]
+
+
+def test_automorphism_off_the_index_identity_takes_the_dense_compare(p3_twist, p3_duals,
+                                                                     monkeypatch):
+    """Row 0 of A1*'s P relabelled by u -> u^-1, under which the symplectic J
+    is invariant, gives the same constants, but left translation no longer
+    keeps P: verify passes through the dense compare, one gather.  The
+    original P passes with ``gather_slice`` raising."""
+    from cotwist import dual_algebras
+    from cotwist.dual_algebras import SCAlgebra
+
+    A1, _, rho1, _ = p3_duals
+    perms = A1.perms.copy()
+    perms[0] = p3_twist.group.inv[perms[0]]
+    p = rho1.perms[rho1.group.generators[0]]
+    assert not np.array_equal(perms[np.ix_(p, p)], perms)
+    moved = SCAlgebra.from_slice(A1.product, perms, A1.unit, "A1* relabelled")
+    gathers, gather = [], dual_algebras.gather_slice
+    monkeypatch.setattr(dual_algebras, "gather_slice",
+                        lambda S, perms: gathers.append(S.shape) or gather(S, perms))
+    rho1.verify(moved)
+    assert gathers == [(9, 9)]
+    assert np.array_equal(moved.mul.canonical(), A1.mul.canonical())
+    monkeypatch.setattr(dual_algebras, "gather_slice", no_gather)
+    rho1.verify(SCAlgebra.from_slice(A1.product, A1.perms, A1.unit, A1.name))
+
+
 def test_determine_unit_rejects_wrong_candidate(p3_duals):
     """The all-ones counit passes; any other candidate raises, naming the algebra."""
     A1 = p3_duals[0]

@@ -374,8 +374,9 @@ def test_trivial_action_is_not_free(p3_duals):
 def test_action_automorphism_checked_on_generators(p3_duals, monkeypatch):
     """Left translation conjugated by the swap of delta_1 and delta_2 still
     composes like the group and acts freely, but not by automorphisms of A1*:
-    the compare at the first generator refuses it.  A valid action takes one
-    compare per generator."""
+    the compare at the first generator refuses it.  A valid action on the
+    slice-form A1* takes one index identity P[p, p] == P per generator and
+    no dense compare."""
     from cotwist import dual_algebras
     from cotwist.dual_algebras import GroupAction
     from cotwist.errors import AuditError
@@ -384,13 +385,12 @@ def test_action_automorphism_checked_on_generators(p3_duals, monkeypatch):
     swap = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
     with pytest.raises(AuditError, match="element 1 is not an automorphism"):
         GroupAction(rho1.group, swap[rho1.perms][:, swap]).verify(A1)
-    compares, ix = [], np.ix_
+    calls, ix = [], np.ix_
 
     def counting(*idx):
-        if len(idx) == 3:  # the compare indexes mul by ix_(p, p, p)
-            compares.append(idx[0])
+        calls.append(len(idx))  # 2: the index identity on P, 3: the compare on mul
         return ix(*idx)
 
     monkeypatch.setattr(dual_algebras.np, "ix_", counting)
     rho1.verify(A1)
-    assert len(compares) == len(rho1.group.generating_words[0]) == 2
+    assert calls == [2] * len(rho1.group.generating_words[0]) == [2, 2]

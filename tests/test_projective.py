@@ -319,6 +319,37 @@ def test_corrupted_exponent_fails_the_regular_trace_law(p3_duals):
         regular_trace_law(A2, X)
 
 
+@pytest.mark.parametrize("bundle", ["p3_diag_bundle", "wreath_bundle", "intermediate_bundle"])
+def test_slice_readers_match_the_dense_readers(bundle, request, monkeypatch):
+    """On A1* and A2* of p = 3, the wreath table and criterion 9's instance,
+    the characters and traces read off the slice, with ``gather_slice``
+    raising, equal those read from the dense constants, and a flipped
+    exponent of each generator fails both certificates by name."""
+    from cotwist import dual_algebras
+    from cotwist.dual_algebras import SCAlgebra
+
+    _, ctx, _ = request.getfixturevalue(bundle)
+    pairs = ((ctx.A1s, ctx.rho1), (ctx.A2s, ctx.rho2))
+    dense = [SCAlgebra(A.mul, A.unit, A.name) for A, _ in pairs]
+
+    def no_gather(S, perms):
+        raise AssertionError(f"gather_slice called on {S.shape}")
+
+    monkeypatch.setattr(dual_algebras, "gather_slice", no_gather)
+    for (A, rho), D, X, trace in zip(pairs, dense, ctx.chars, ctx.traces):
+        A = SCAlgebra.from_slice(A.product, A.perms, A.unit, A.name)
+        E = character_exponents(rho.group, A.product.order)
+        for B in (A, D):
+            assert np.array_equal(translation_characters(B, rho, E), X)
+            assert np.array_equal(regular_trace_law(B, X), trace)
+        for s in rho.group.generators:
+            bad = X.copy()
+            bad[s, 1] = (bad[s, 1] + 1) % A.product.order
+            for B in (A, D):
+                with pytest.raises(AuditError, match=f"character of generator {s} fails"):
+                    certify_characters(B, rho, bad)
+
+
 def test_regular_trace_law(p3_pair, p3_duals):
     """tr T[a] = 3 [a = e] for both translation representations of (Z/3)^2."""
     _, traces, _ = p3_class_inputs(p3_pair, p3_duals)
