@@ -180,17 +180,17 @@ def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, members: np.ndarray, partner: np.
     mul2[h1, y1, x1], one :func:`contract_counts` of a gather, then the
     :func:`sum_counts` over the members (y1, y2) of orbit j (``members[j]``).
     Both factors are read on their fewest-term counts, formed once per
-    algebra and row (:meth:`SCAlgebra.row_terms`).  The gather is one take
-    along mul1's x2 axis and the members one flat take, summed over its first
-    axis; the scale is mul2.scale * mul1.scale.
+    algebra and row (:meth:`SCAlgebra.row_terms`).  The kernel gathers mul1
+    by one flat index along its x2 axis, and the members are one flat take,
+    summed over its first axis; the scale is mul2.scale * mul1.scale.
     """
     m, r, n = partner.shape[0], partner.shape[1], A2s.product.order
     h1, h2 = divmod(int(q), m)
     f2, f1 = A2s.row_terms(h1), A1s.row_terms(h2)
     f1 = np.concatenate([f1, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # column m is 0
-    gathered = np.take(f1, partner.T, axis=1).reshape(m * r, m, n)        # [(y2, l), x1]
-    R = contract_counts(gathered, f2.transpose(1, 0, 2)).reshape(-1, n)   # [(y2, l, y1)]
-    del gathered  # the gather and the members' gather, each |H|^2 r N counts, never held at once
+    at = (np.arange(m)[:, None, None] * (m + 1) + partner.T).reshape(m * r, m)  # [(y2, l), x1]
+    R = contract_counts(f1.reshape(-1, n), at, f2.transpose(1, 0, 2)).reshape(-1, n)
+    del at  # the index and the members' gather are never held at once
     y1, y2 = np.divmod(members.T, m)                                       # [k, j]
     return sum_counts(np.take(R, (y2 * (r * m) + y1)[:, :, None] + np.arange(r) * m, axis=0),
                       axis=0)                                              # [k, j, l] summed

@@ -213,10 +213,10 @@ def determine_unit(mul: CycArray, unit: CycArray, name: str,
     elsewhere (a side whose 1/scale is no integer is not the identity).
     """
     try:
-        sides = _unit_sides(mul, unit, perms)
+        ok = all(_is_identity(side) for side in _unit_sides(mul, unit, perms))
     except CotwistError as exc:
         raise CotwistError(f"{name}: {exc}") from None
-    if not all(_is_identity(side) for side in sides):
+    if not ok:
         raise AuditError(f"{name}: the counit is not a two-sided unit")
 
 
@@ -240,7 +240,8 @@ def _unit_sides(mul: CycArray, unit: CycArray, perms: np.ndarray | None = None) 
         if _largest(mul.counts) * n >= 1 << 63:
             raise CotwistError("the unit sums would overflow int64 counts")
         at = slice(None) if perms is None else perms.T
-        return [CycArray(mul.order, mul.scale, mul.counts.sum(axis=axis)[at]) for axis in (0, 1)]
+        return [CycArray(mul.order, mul.scale, np.einsum(sides, mul.counts)[at])
+                for sides in ("ij...->j...", "ij...->i...")]
     dense = mul if perms is None else gather_slice(mul, perms)
     return [cyc_tensordot(unit, dense, axes=([0], [axis])) for axis in (0, 1)]
 
@@ -307,10 +308,11 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     h_s x h_c = a and h_t x h_d = b.  For each t, d -> h_t x h_d is
     injective, so X[b, c, t] = J[c, d] at h_t x h_d = b (0 where no d is) is
     a gather, Y[(b, c), s] = sum_t X[b, c, t] Jinv[s, t] is one
-    :func:`contract_counts`, and S[a, b] is the :func:`sum_counts` of
-    Y[b, c, s] over the |H|^2/|Z| pairs (s, c) with h_s x h_c = a.  Raises
-    AuditError unless every a has that many.  X is one flat take and the
-    pairs one take along Y's (c, s) axis, so the sum runs over whole rows.
+    :func:`contract_counts` of that gather, and S[a, b] is the
+    :func:`sum_counts` of Y[b, c, s] over the |H|^2/|Z| pairs (s, c) with
+    h_s x h_c = a.  Raises AuditError unless every a has that many.  X is
+    never formed: the kernel gathers it from J by one flat index, and the
+    pairs are one take along Y's (c, s) axis, so the sum runs over whole rows.
     """
     m, n = j.shape[0], j.shape[-1]
     if np.any(np.bincount(shifts.ravel(), minlength=nz) * nz != m * m):
@@ -318,10 +320,9 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     d_at = np.full((m, nz), m)  # [t, b]: the d with h_t x h_d = b, m where none
     d_at[np.arange(m)[:, None], shifts] = np.arange(m)
     j = np.concatenate([j, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # J[c, m] = 0
-    X = np.take(j.reshape(-1, n), np.arange(m)[:, None] * (m + 1) + d_at.T[:, None, :],
-                axis=0).reshape(nz * m, m, n)                              # [(b, c), t]
-    Y = contract_counts(X, jinv.transpose(1, 0, 2)).reshape(nz, m * m, n)  # [b, (c, s)]
-    del X  # X and the pairs' gather, each |Z| |H|^2 N counts, are never held at once
+    at = (np.arange(m)[:, None] * (m + 1) + d_at.T[:, None, :]).reshape(nz * m, m)  # [(b, c), t]
+    Y = contract_counts(j.reshape(-1, n), at, jinv.transpose(1, 0, 2)).reshape(nz, m * m, n)
+    del at  # the index and the pairs' gather are never held at once
     pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)    # [a, k]: c m + s
     return sum_counts(np.take(Y, pairs.T, axis=1), axis=1).swapaxes(0, 1)  # [b, k, a] summed
 

@@ -8,13 +8,15 @@
   exact.  Twist files are read straight into one and written from its
   canonical counts (``cotwist.twist``).
 
-* One product kernel, :func:`contract_counts`: sum_k A[r, k] B[k, c] as one
-  matmul of A's counts with the circulant expansion of B's, with BLAS in
-  float32 or float64 while every partial sum is an integer below 2**23 or
-  2**52 respectively, else in int64.  It serves the twist axiom audit,
-  :func:`ga_mul`, :func:`cyc_tensordot`, the block build and U_g.  A
-  gathered product is a gather of one operand followed by one contraction;
-  a fixed number of gathered results is then added by :func:`sum_counts`
+* One product kernel, :func:`contract_counts`: sum_k src[at[r, k]] B[k, c],
+  the contraction of a gather of the source counts, as one matmul of the
+  gathered counts with the circulant expansion of B's, with BLAS in float32
+  or float64 while every partial sum is an integer below 2**23 or 2**52
+  respectively, else in int64.  The gather is made inside, of the source
+  cast once to that dtype, a slice of rows at a time, so no int64 gather is
+  formed.  It serves the twist axiom audit, :func:`ga_mul`,
+  :func:`cyc_tensordot` (an identity index), the block build and U_g; a
+  fixed number of contracted results is then added by :func:`sum_counts`
   under its overflow bound.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
@@ -61,13 +63,16 @@ def _mode_shifted(counts: np.ndarray) -> np.ndarray:
     """Counts minus each cell's most frequent count (0 on a tie with 0); N = 1 as is.
 
     Only a cell with fewer than N/2 zero counts can have another count occur
-    more often than 0, so only those cells are searched.
+    more often than 0, so only those cells are searched.  A shifted count is
+    within 2 max|count|; CotwistError is raised unless that is below 2**63.
     """
     n = counts.shape[-1]
     busy = 2 * np.count_nonzero(counts, axis=-1) > n
     if n == 1 or not busy.any():
         return counts
     c = counts[busy]
+    if 2 * _largest(c) >= 1 << 63:
+        raise CotwistError("fewest-term counts would overflow int64")
     freq = np.stack([np.count_nonzero(c == c[:, k:k + 1], axis=-1) for k in range(n)], axis=-1)
     best = freq.argmax(axis=-1)[:, None]
     tie_with_zero = np.count_nonzero(c == 0, axis=-1)[:, None] >= \
@@ -82,11 +87,53 @@ def _largest(counts: np.ndarray) -> int:
     return max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
 
 
+@functools.cache
+def _canonical_growth(order: int) -> int:
+    """max_k sum_j |red[j, k]| of the reduction table: 2 for prime N."""
+    return int(np.abs(_reduction_table(order)).sum(axis=0).max())
+
+
+def _canonical(counts: np.ndarray, order: int) -> np.ndarray:
+    """:func:`canonical_counts` without its bound.  For prime N, one subtraction
+    per canonical count over all cells: a loop over the short last axis inside
+    numpy is 3-4 times slower for N = 3."""
+    red = _reduction_table(order)
+    if red.shape[1] != order - 1:
+        return counts @ red
+    out = np.empty((*counts.shape[:-1], order - 1), dtype=counts.dtype)
+    for k in range(order - 1):
+        np.subtract(counts[..., k], counts[..., -1], out=out[..., k])
+    return out
+
+
 def canonical_counts(counts: np.ndarray, order: int) -> np.ndarray:
     """Counts on the canonical basis of Q(zeta_N); for prime N, where zeta^(N-1)
-    is minus the sum of the lower powers, the counts minus the last one."""
-    red = _reduction_table(order)
-    return counts[..., :-1] - counts[..., -1:] if red.shape[1] == order - 1 else counts @ red
+    is minus the sum of the lower powers, the counts minus the last one.
+
+    Canonical count k is sum_j counts[j] red[j, k], so it and every partial
+    sum stay within max|count| times :func:`_canonical_growth`; CotwistError
+    is raised unless that is below 2**63, where no int64 count wraps.
+    """
+    if _largest(counts) * _canonical_growth(order) >= 1 << 63:
+        raise CotwistError("canonical counts would overflow int64")
+    return _canonical(counts, order)
+
+
+def counts_equal(a: np.ndarray, b: np.ndarray, order: int) -> bool:
+    """Whether two count arrays on one scale hold the same values: the
+    canonical counts of their difference are 0.
+
+    Those are within G (max|a| + max|b|), G = :func:`_canonical_growth`.
+    numpy's int64 arithmetic wraps, so each is computed exactly mod 2**64,
+    and while G (max|a| + max|b|) < 2**64 the only multiple of 2**64 in that
+    range is 0: a count is 0 exactly when its int64 image is.  From 2**64 on
+    CotwistError is raised.
+    """
+    if a.shape != b.shape:
+        return False
+    if (_largest(a) + _largest(b)) * _canonical_growth(order) >= 1 << 64:
+        raise CotwistError("canonical counts of a difference would overflow int64")
+    return not _canonical(a - b, order).any()
 
 
 class CycArray:
@@ -185,7 +232,7 @@ class CycArray:
         g = _scale_gcd(abs(self.scale), abs(other.scale))
         fa, fb = int(self.scale / g), int(other.scale / g)
         for counts, f in ((self.counts, fa), (other.counts, fb)):
-            if int(np.abs(counts).max(initial=0)) * abs(f) >= 1 << 63:
+            if _largest(counts) * abs(f) >= 1 << 63:
                 raise CotwistError("a common scale would overflow int64 counts")
         return self.counts * fa, other.counts * fb, g
 
@@ -198,8 +245,9 @@ class CycArray:
         return CycArray(self.order, self.scale, self.counts[..., idx])
 
     def eq(self, other: "CycArray") -> bool:
+        """Exact equality of values, by :func:`counts_equal` on one common scale."""
         ca, cb, _ = self._aligned(other)
-        return bool(np.array_equal(*(canonical_counts(x, self.order) for x in (ca, cb))))
+        return counts_equal(ca, cb, self.order)
 
     def embed(self) -> np.ndarray:
         """Complex float array of the values."""
@@ -211,24 +259,30 @@ class CycArray:
 KERNEL_CHUNK = 1 << 15
 
 
-def contract_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact contraction over Z[zeta_N]: out[r, c] = sum_k a[r, k] * b[k, c].
+def contract_counts(src: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact contraction of a gather over Z[zeta_N]: out[r, c] = sum_k a[r, k] * b[k, c]
+    with a[r, k] = src[at[r, k]].
 
-    ``a`` is (R, K, N) and ``b`` (K, C, N) int64 counts; the result is the
-    (R, C, N) int64 counts out[r, c, j] = sum_k sum_i a[r, k, i] *
-    b[k, c, (j - i) mod N], the exponent convolution mod N, count for count.
-    It is one matmul of ``a`` reshaped to (R, K N) with the circulant
-    expansion circ[(k, i), (c, j)] = b[k, c, (j - i) mod N], of shape
-    (K N, C N), taken in slices of rows of about ``KERNEL_CHUNK`` result
-    counts each, so the float copies stay that small.
+    ``src`` is (M, N) and ``b`` (K, C, N) int64 counts, and ``at`` an (R, K)
+    index into the M cells of ``src``; the result is the (R, C, N) int64
+    counts out[r, c, j] = sum_k sum_i a[r, k, i] * b[k, c, (j - i) mod N],
+    the exponent convolution mod N, count for count.  It is one matmul of
+    ``a`` read as (R, K N) with the circulant expansion circ[(k, i), (c, j)]
+    = b[k, c, (j - i) mod N], of shape (K N, C N).  ``src`` is cast once to
+    the dtype of the matmul, and ``a`` is gathered from that copy in slices
+    of rows of about ``KERNEL_CHUNK`` result counts each, so no int64 gather
+    is formed and the float copies of ``a`` stay that small.
 
     Each result count is a sum of K N products of two counts, so every
     count, product and partial sum, in whatever order the matmul adds and
     with or without a fused multiply-add, is an integer of magnitude at most
-    bound = K N max|a| max|b|.  A float with a p-bit significand holds every
-    integer of magnitude at most 2**p exactly, and a sum or product of two
-    such floats whose exact value is such an integer is rounded to itself.
-    So the matmul is exact, for any BLAS thread count, in
+    K N max|a| max|b|.  Every count of ``a`` is a count of ``src``, so
+    max|a| <= max|src|, and bound = K N max|src| max|b| bounds them all
+    without reading the gather (an index that skips src's largest count
+    only leaves more to spare).  A float with a p-bit significand holds
+    every integer of magnitude at most 2**p exactly, and a sum or product of
+    two such floats whose exact value is such an integer is rounded to
+    itself.  So the matmul is exact, for any BLAS thread count, in
 
     * float32 (p = 24) while 2 bound < 2**24, i.e. bound < 2**23;
     * float64 (p = 53) while 2 bound < 2**53, i.e. bound < 2**52;
@@ -238,9 +292,9 @@ def contract_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     float tiers), and past 2**63 it raises CotwistError.  The result is the
     same int64 counts in every tier, count for count.
     """
-    rows, inner, n = a.shape
-    cols = b.shape[1]
-    bound = inner * n * _largest(a) * _largest(b)
+    rows, inner = at.shape
+    n, cols = src.shape[-1], b.shape[1]
+    bound = inner * n * _largest(src) * _largest(b)
     if 2 * bound < 1 << 24:
         dtype = np.float32
     elif 2 * bound < 1 << 53:
@@ -252,11 +306,12 @@ def contract_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shift = (np.arange(n) - np.arange(n)[:, None]) % n             # [i, j] = j - i mod N
     circ = b.astype(dtype, copy=False)[:, :, shift].transpose(0, 2, 1, 3)  # [k, i, c, j]
     circ = circ.reshape(inner * n, cols * n)
-    a = a.reshape(rows, inner * n)
+    src = src.astype(dtype, copy=False)
     out = np.empty((rows, cols * n), dtype=np.int64)
     step = max(1, KERNEL_CHUNK // max(1, cols * n))
     for lo in range(0, rows, step):
-        out[lo:lo + step] = np.matmul(a[lo:lo + step].astype(dtype, copy=False), circ)
+        part = at[lo:lo + step]
+        out[lo:lo + step] = np.matmul(src.take(part, axis=0).reshape(len(part), inner * n), circ)
     return out.reshape(rows, cols, n)
 
 
@@ -281,9 +336,9 @@ def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
     free_b = [x for x in range(ndb) if x not in axes_b]
     rows, cols = ([x.shape[ax] for ax in free] for x, free in ((a, free_a), (b, free_b)))
     inner = math.prod(a.shape[x] for x in axes_a)
-    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(math.prod(rows), inner, a.order)
+    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(-1, a.order)
     cb = b.counts.transpose(axes_b + free_b + [ndb]).reshape(inner, math.prod(cols), b.order)
-    out = contract_counts(ca, cb)
+    out = contract_counts(ca, np.arange(ca.shape[0]).reshape(math.prod(rows), inner), cb)
     return CycArray(a.order, a.scale * b.scale, out.reshape(*rows, *cols, a.order))
 
 
@@ -307,10 +362,10 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     read on their fewest-term counts (:meth:`CycArray.fewest_counts`), and a
     cell is in the support when those are nonzero, so raw counts of value 0
     are not.  With A the smaller support, say u's, (u v)[x] = sum_{a in A}
-    u[a] v[a^-1 x] (leg-wise for pairs): v gathered at [x, a], |K| |A| cells
-    (|K|^2 |A| for pairs), and contracted with u over A by one
-    :func:`contract_counts`; for v's, (u v)[x] = sum_{b in B} u[x b^-1] v[b].
-    Two pair elements whose supports both exceed |K| cells, where that gather
+    u[a] v[a^-1 x] (leg-wise for pairs): one :func:`contract_counts` gathers
+    v at the index [x, a], |K| |A| cells (|K|^2 |A| for pairs), and contracts
+    it with u over A; for v's, (u v)[x] = sum_{b in B} u[x b^-1] v[b].  Two
+    pair elements whose supports both exceed |K| cells, where that index
     would pass |K|^3 cells, are multiplied by :func:`_dense_pair_mul`.  Either
     way the counts are the sums of the products of the fewest-term counts,
     count for count.
@@ -328,9 +383,9 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     support, small, other = (su, fu, fv) if left else (sv, fv, fu)
     # div[s, x]: the other factor's cell y with s y = x (left) or y s = x (right)
     div = np.argsort(mul, axis=1) if left else np.argsort(mul, axis=0).T
-    at = [div[leg].T for leg in np.unravel_index(support, u.shape)]  # [x, k] per leg
-    gathered = other[(at[0][:, None], at[1][None]) if pair else (at[0],)]
-    out = contract_counts(gathered.reshape(-1, support.size, n),
+    legs = [div[leg].T for leg in np.unravel_index(support, u.shape)]  # [x, k] per leg
+    at = legs[0][:, None] * m + legs[1][None] if pair else legs[0]
+    out = contract_counts(other.reshape(-1, n), at.reshape(-1, support.size),
                           small.reshape(-1, n)[support][:, None])
     return CycArray(n, u.scale * v.scale, out.reshape(fu.shape))
 
@@ -340,17 +395,17 @@ def _dense_pair_mul(fu: np.ndarray, fv: np.ndarray, mul: np.ndarray) -> np.ndarr
 
     out[x, y] = sum_{a1, a2} u[a1, a2] v[a1^-1 x, a2^-1 y], where a^-1 y, the b
     with a b = y, is read off the ``argsort`` of the Cayley table's rows (K
-    need not be abelian).  With V[(b1, y), a2] = v[b1, a2^-1 y],
-    :func:`contract_counts` forms W[(b1, y), a1] = sum_{a2} V[(b1, y), a2]
-    u[a1, a2] under its own bound, and out[x, y] is the :func:`sum_counts`
-    over a1 of W[a1^-1 x, y, a1], bounded by |K| times the largest count of
-    W as formed.
+    need not be abelian).  With V[(b1, y), a2] = v[b1, a2^-1 y], gathered
+    inside it, :func:`contract_counts` forms W[(b1, y), a1] = sum_{a2}
+    V[(b1, y), a2] u[a1, a2] under its own bound, and out[x, y] is the
+    :func:`sum_counts` over a1 of W[a1^-1 x, y, a1], bounded by |K| times the
+    largest count of W as formed.
     """
     m, n = fu.shape[0], fu.shape[-1]
     ldiv = np.argsort(mul, axis=1)  # [a, y]: a^-1 y
     b, y, a = np.ogrid[:m, :m, :m]
-    V = fv.reshape(m * m, n).take(b * m + ldiv[a, y], axis=0)             # [b1, y, a2]
-    W = contract_counts(V.reshape(m * m, m, n), fu.transpose(1, 0, 2))     # [(b1, y), a1]
+    W = contract_counts(fv.reshape(m * m, n), (b * m + ldiv[a, y]).reshape(m * m, m),
+                        fu.transpose(1, 0, 2))                             # [(b1, y), a1]
     a, x, y = np.ogrid[:m, :m, :m]
     return sum_counts(W.reshape(m ** 3, n).take((ldiv[a, x] * m + y) * m + a, axis=0), axis=0)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
 from .exactlin import (KERNEL_CHUNK, CycArray, _modular_image, _modular_root, _rank_mod,
-                       canonical_counts, cyc_tensordot)
+                       counts_equal, cyc_tensordot)
 from .groups import FiniteGroup, character_exponents, greedy_generators
 
 #: exhaustive associativity above this dimension would be needlessly slow;
@@ -101,7 +101,7 @@ def algebra_audit(A: SCAlgebra) -> bool:
 def center_basis(A: SCAlgebra) -> CycArray:
     """Exact basis ``(r, n)`` of the center, decided by a certificate.
 
-    Counts canonically (:func:`canonical_counts`) equal to their (1, 0)
+    Counts canonically (:func:`counts_equal`) equal to their (1, 0)
     transpose - on the last row first, then literally or on the
     difference - make mul[i, j, k] = mul[j, i, k]: the identity basis.  In
     slice form (``SCAlgebra``) S is compared: S[P[k, i], P[k, j]] is
@@ -238,8 +238,8 @@ def _canonically_symmetric(mul: CycArray) -> bool:
     Not row 0: a group algebra's identity row, and the row of a slice's own
     point, are symmetric even when the algebra is not."""
     c, ct, order = mul.counts, mul.counts.swapaxes(0, 1), mul.order
-    return np.array_equal(canonical_counts(c[-1], order), canonical_counts(ct[-1], order)) and (
-        np.array_equal(c, ct) or not canonical_counts(c - ct, order).any())
+    return counts_equal(c[-1], ct[-1], order) and (
+        np.array_equal(c, ct) or counts_equal(c, ct, order))
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,14 @@ import numpy as np
 from .errors import AuditError, CotwistError
 from .exactlin import (
     CycArray,
+    _largest,
     contract_counts,
     cyc_rank,
     cyc_tensordot,
     ga_identity,
     ga_mul,
     invert_in_group_algebra,
+    sum_counts,
 )
 from .groups import Bicharacter, FiniteGroup, Subgroup
 from .scalars import format_cyclotomic, parse_cyclotomic
@@ -216,17 +218,17 @@ def _sides_agree(X: CycArray, shift: np.ndarray) -> bool:
 
     Both sides contract one gathered matrix A[(u, v), a] = X[a.u, a.v]:
     left[(u, v), w] = sum_a A[(u, v), a] X[a, w] and right[u, v, w] =
-    sum_a A[(v, w), a] X^T[a, u].  So one :func:`contract_counts` of A with
-    [X | X^T] gives both, on the fewest-term counts
-    (:meth:`CycArray.fewest_counts`); the sides agree when their canonical
-    counts do.
+    sum_a A[(v, w), a] X^T[a, u].  So one :func:`contract_counts` of A,
+    gathered inside it, with [X | X^T] gives both, on the fewest-term counts
+    (:meth:`CycArray.fewest_counts`); the sides agree when the canonical
+    counts of their difference are 0 (:meth:`CycArray.eq`).
     """
     m, n = X.shape[0], X.order
     counts = X.fewest_counts()
     u, v, a = np.ogrid[:m, :m, :m]
-    gathered = counts.reshape(m * m, n).take(shift[a, u] * m + shift[a, v], axis=0)
+    at = (shift[a, u] * m + shift[a, v]).reshape(m * m, m)              # [(u, v), a]
     pair = np.concatenate([counts, counts.transpose(1, 0, 2)], axis=1)  # [X | X^T]
-    both = contract_counts(gathered.reshape(m * m, m, n), pair)
+    both = contract_counts(counts.reshape(m * m, n), at, pair)
     left = both[:, :m].reshape(m, m, m, n)
     right = both[:, m:].reshape(m, m, m, n).transpose(2, 0, 1, 3)  # [v, w, u] -> [u, v, w]
     return CycArray(n, X.scale, left).eq(CycArray(n, X.scale, right))
@@ -241,7 +243,7 @@ def _certified(check, *args) -> bool:
 
 
 def _counit_ok(J: CycArray, axis: int) -> bool:
-    summed = CycArray(J.order, J.scale, J.counts.sum(axis=axis))
+    summed = CycArray(J.order, J.scale, sum_counts(J.counts, axis=axis))
     return summed.eq(ga_identity(J.shape[0], J.order))
 
 
@@ -405,8 +407,12 @@ def _antipode_element(t: TwistData):
 
 
 def _q_element(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
-    """Q = m (S x id)(J) = sum_ab J_ab a^-1 b in C[H]."""
+    """Q = m (S x id)(J) = sum_ab J_ab a^-1 b in C[H].  Each cell adds the m
+    counts of the pairs with a^-1 b at it; CotwistError is raised unless
+    m max|count| < 2**63."""
     m, n = J.shape[0], J.order
+    if m * _largest(J.counts) >= 1 << 63:
+        raise CotwistError("the sums of Q would overflow int64 counts")
     q_counts = np.zeros((m, n), dtype=np.int64)
     np.add.at(q_counts, mul[inv].ravel(), J.counts.reshape(m * m, n))  # at a^-1 b
     return CycArray(n, J.scale, q_counts)
@@ -441,7 +447,7 @@ def _inverse_from_q(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
     cand = ga_mul(ga_mul(cyc_tensordot(Qinv, Qinv, axes=0), _antipode(_swap_legs(J), inv), mul),
                   _coproduct(Q), mul).reduced()
     num, den = cand.scale.numerator, cand.scale.denominator
-    if int(np.abs(cand.counts).max(initial=0)) * abs(num) >= 1 << 63:
+    if _largest(cand.counts) * abs(num) >= 1 << 63:
         raise CotwistError("exact values over their common denominator overflow int64 counts")
     return CycArray(J.order, Fraction(1, den), cand.counts * num)
 

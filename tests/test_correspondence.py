@@ -188,7 +188,8 @@ def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
     for module in (duals, corr):
         contract = module.contract_counts
         monkeypatch.setattr(module, "contract_counts",
-                            lambda a, b, contract=contract: contract(a, b) * 0 + (1 << 62))
+                            lambda src, at, b, contract=contract:
+                            contract(src, at, b) * 0 + (1 << 62))
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
         build_block_algebra(inst.t, z)
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):

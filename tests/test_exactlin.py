@@ -9,10 +9,10 @@ import pytest
 
 from cotwist import exactlin
 from cotwist.errors import CotwistError
-from cotwist.exactlin import (CycArray, contract_counts, cyc_nullspace, cyc_rank, cyc_solve,
-                              cyc_tensordot, ga_identity, ga_mul, invert_in_group_algebra,
-                              sum_counts)
-from cotwist.scalars import euler_phi
+from cotwist.exactlin import (CycArray, canonical_counts, contract_counts, cyc_nullspace,
+                              cyc_rank, cyc_solve, cyc_tensordot, ga_identity, ga_mul,
+                              invert_in_group_algebra, sum_counts)
+from cotwist.scalars import _reduction_table, euler_phi
 from cotwist.twist import _sides_agree, load_twist_matrix
 from cyc_reference import add, canonical, embed, equal, ga_product, mul, values, zero
 
@@ -67,6 +67,65 @@ def test_scale_alignment_in_eq():
     a = CycArray(3, Fraction(1, 2), np.array([[2, 0, 0]], dtype=np.int64))
     b = CycArray(3, Fraction(1, 3), np.array([[3, 0, 0]], dtype=np.int64))
     assert a.eq(b)
+
+
+def test_eq_refuses_canonical_wraparound():
+    """a = 2**62 (1 - zeta - zeta^2) at N = 3: the canonical counts of a pass
+    2**63 and those of a - (-a) reach 2**64, where their int64 images wrap to
+    0 and a.eq(-a) read True; both are refused by name.  One below, the
+    canonical difference 2**64 - 4 wraps to -4, still nonzero: eq decides
+    exactly, as it does wherever the difference stays below 2**64."""
+    q = 1 << 62
+    a = CycArray(3, Fraction(1), np.array([[q, -q, -q]], dtype=np.int64))
+    with pytest.raises(CotwistError, match="canonical counts of a difference would overflow"):
+        a.eq(CycArray(3, Fraction(1), -a.counts))
+    with pytest.raises(CotwistError, match="canonical counts would overflow int64"):
+        a.canonical()
+    below = CycArray(3, Fraction(1), np.array([[q - 1, 1 - q, 1 - q]], dtype=np.int64))
+    assert below.eq(below) and not below.eq(CycArray(3, Fraction(1), -below.counts))
+
+
+def test_scale_alignment_refuses_wraparound():
+    """A count of -2**63 doubled to a common scale would wrap.  np.abs of it
+    is -2**63 too, which hid it from a max of absolute values; refused by name."""
+    a = CycArray(3, Fraction(1), np.array([[-(1 << 63), 1, 0]], dtype=np.int64))
+    b = CycArray(3, Fraction(1, 2), np.array([[1, 0, 0]], dtype=np.int64))
+    with pytest.raises(CotwistError, match="a common scale would overflow int64"):
+        a.eq(b)
+
+
+def test_fewest_counts_refuse_wraparound():
+    """[q, -q, -q] at N = 3 with q = 2**62 is shifted by its mode -q to
+    2**63, which wraps to -2**63 and flips the value's sign; refused by name.
+    One below, the shift is exact."""
+    q = 1 << 62
+    a = CycArray(3, Fraction(1), np.array([[q, -q, -q]], dtype=np.int64))
+    with pytest.raises(CotwistError, match="fewest-term counts would overflow int64"):
+        a.fewest_counts()
+    b = CycArray(3, Fraction(1), np.array([[q - 1, 1 - q, 1 - q]], dtype=np.int64))
+    assert list(b.fewest_counts()[0]) == [(1 << 63) - 2, 0, 0]
+
+
+@pytest.mark.parametrize("order, growth", [(3, 2), (6, 4), (15, 6)])
+def test_canonical_counts_bound(order, growth):
+    """Canonical count k is at most max|count| times column k's absolute sum
+    of the reduction table: with row 1 at that bound, just below 2**63, the
+    reference's canonical coefficients, count for count; past it, refused by
+    name."""
+    largest = ((1 << 63) - 1) // growth
+    red = _reduction_table(order)
+    widest = np.abs(red).sum(axis=0).argmax()
+    assert np.abs(red[:, widest]).sum() == growth
+    rng = np.random.default_rng(order)
+    counts = rng.choice([-largest, largest], size=(4, order))
+    counts[1] = np.where(red[:, widest] < 0, -largest, largest)
+    canon = canonical_counts(counts, order)
+    for cell, row in zip(values(CycArray(order, Fraction(1), counts)), canon):
+        assert [int(x) for x in canonical(cell)] == list(row)
+    assert canon[1, widest] == largest * growth
+    counts[0, 0] = largest + 1
+    with pytest.raises(CotwistError, match="canonical counts would overflow int64"):
+        canonical_counts(counts, order)
 
 
 def test_conj_matches_embedding():
@@ -128,6 +187,12 @@ def _single_terms(rng, shape, order, scale):
 # -- the contraction kernel -----------------------------------------------------
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """contract_counts of (R, K, N) counts ``a``, read through the identity index."""
+    rows, inner, n = a.shape
+    return contract_counts(a.reshape(-1, n), np.arange(rows * inner).reshape(rows, inner), b)
+
+
 def _raw_contraction(a: CycArray, b: CycArray) -> np.ndarray:
     """Reference sum_k a[r, k] b[k, c] as raw coefficient tuples: no reduction mod Phi_N."""
     oa, ob = values(a), values(b)
@@ -156,7 +221,7 @@ def test_contract_counts_matches_cyclotomic_mul(kind, chunk, monkeypatch):
     assert a.scale != b.scale
     single = [np.count_nonzero(x.counts, axis=-1).max() == 1 for x in (a, b)]
     assert single == [kind != "multi x multi", kind == "single x single"]
-    got = CycArray(order, a.scale * b.scale, contract_counts(a.counts, b.counts))
+    got = CycArray(order, a.scale * b.scale, _contract(a.counts, b.counts))
     want = _raw_contraction(a, b)
     for idx, value in np.ndenumerate(values(got)):
         assert value == want[idx]
@@ -173,7 +238,7 @@ def test_contract_counts_exponent_sums_wrap(chunk, monkeypatch):
     a.counts[1, 0, [6, 0]] = [2, -3]
     b.counts[0, 0, [6, 3]] = [-5, 2]
     b.counts[0, 1, 6] = 7
-    out = contract_counts(a.counts, b.counts)
+    out = _contract(a.counts, b.counts)
     got, oa, ob = values(CycArray(order, a.scale * b.scale, out)), values(a), values(b)
     for i, j in np.ndindex(2, 2):
         assert got[i, j] == mul(oa[i, 0], ob[0, j])
@@ -197,7 +262,7 @@ def test_contract_counts_matches_reference(order):
     a = rand_cycarray(rng, (4, 5), order, span=3)
     b = rand_cycarray(rng, (5, 3), order, span=3).scale_by(Fraction(5, 7))
     assert a.scale != b.scale
-    got = CycArray(order, a.scale * b.scale, contract_counts(a.counts, b.counts))
+    got = CycArray(order, a.scale * b.scale, _contract(a.counts, b.counts))
     want = _raw_contraction(a, b)
     for idx, value in np.ndenumerate(values(got)):
         assert equal(value, want[idx])
@@ -244,7 +309,7 @@ def test_contract_counts_dtype_switch(past, spies):
     rng = np.random.default_rng(71)
     a, b = (rand_cycarray(rng, shape, order, span=largest) for shape in ((2, inner), (inner, 2)))
     a.counts[0, 0, 0], b.counts[1, 1, 3] = largest, -largest
-    got = CycArray(order, a.scale * b.scale, contract_counts(a.counts, b.counts))
+    got = CycArray(order, a.scale * b.scale, _contract(a.counts, b.counts))
     dtype = np.int64 if past else np.float64
     assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)]
     want = _raw_contraction(a, b)
@@ -282,7 +347,7 @@ def test_contract_counts_tiers_at_their_bounds(limit, above, dtype, signs, spies
     if signs == "mixed":
         a *= rng.choice([-1, 1], size=a.shape)
         b *= rng.choice([-1, 1], size=b.shape)
-    out = contract_counts(a, b)
+    out = _contract(a, b)
     assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)]
     assert out.dtype == np.int64
     assert np.array_equal(out.astype(object), _int_convolution(a, b))
@@ -297,9 +362,35 @@ def test_contract_counts_single_terms_in_float32(order, spies):
     rng = np.random.default_rng(500 + order)
     a = _single_terms(rng, (6, 4), order, Fraction(1)).counts
     b = _single_terms(rng, (4, 5), order, Fraction(1)).counts
-    out = contract_counts(a, b)
+    out = _contract(a, b)
     assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(np.float32,) * 2]
     assert np.array_equal(out.astype(object), _int_convolution(a, b))
+
+
+@pytest.mark.parametrize("largest, rest, dtype", [(1 << 4, 1 << 4, np.float32),
+                                                  (1 << 20, 1 << 20, np.float64),
+                                                  (1 << 28, 1 << 28, np.int64),
+                                                  (1 << 20, 1 << 4, np.float64)])
+def test_gathered_contraction_matches_reference(largest, rest, dtype, spies, monkeypatch):
+    """The kernel's own gather: src[at] contracted with b equals the reference
+    sums of the gathered values, count for count, in each tier.  The tier is
+    read off the source, whose largest count sits at a cell the index skips:
+    with every other count below 2**4 the gather alone would take float32,
+    the source takes float64.  7 rows at 2 rows a slice end on a short slice."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", 20)  # 20 // (C N = 10) = 2 rows a slice
+    order, rows, inner, cols = 5, 7, 3, 2
+    rng = np.random.default_rng(largest.bit_length() + rest.bit_length())
+    src = rng.integers(-rest + 1, rest, size=(9, order))
+    src[4, 2] = largest                                # the largest cell: never read
+    at = rng.choice([0, 1, 2, 3, 5, 6, 7, 8], size=(rows, inner))
+    b = rand_cycarray(rng, (inner, cols), order, span=rest)
+    out = contract_counts(src, at, b.counts)
+    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)] * 4
+    got = values(CycArray(order, b.scale, out))
+    want = _raw_contraction(CycArray(order, Fraction(1), src[at]), b)
+    for idx, value in np.ndenumerate(got):
+        assert value == want[idx]
+
 
 def test_tensordot_keeps_raw_counts():
     """cyc_tensordot contracts the raw counts, not fewest-term ones: its counts
@@ -738,13 +829,13 @@ def test_ga_mul_prunes_on_value_support(monkeypatch):
     v.counts[2, 2, 2] += 3  # 3 zeta^2 at 2 x 2
     shapes = []
     kernel = exactlin.contract_counts
-    monkeypatch.setattr(exactlin, "contract_counts",
-                        lambda a, b: shapes.append((a.shape, b.shape)) or kernel(a, b))
+    monkeypatch.setattr(exactlin, "contract_counts", lambda src, at, b:
+                        shapes.append((at.shape, b.shape)) or kernel(src, at, b))
     want = CycArray.zeros((3, 3), 3)
     want.counts[0, 1, 0] = 3  # (1 x 2)(2 x 2) = 0 x 1 with value 3 zeta^3
     got = ga_mul(u, v, table)
     assert got.eq(want)
-    assert shapes == [((9, 1, 3), (1, 1, 3))]  # [(x, y), support cell], not K^4 cells
+    assert shapes == [((9, 1), (1, 1, 3))]  # index [(x, y), support cell], not K^4 cells
     for idx, value in np.ndenumerate(ga_product(u, v, table)):
         assert values(got)[idx] == value
 

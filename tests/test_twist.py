@@ -7,7 +7,7 @@ import pytest
 
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray, cyc_tensordot, ga_identity, ga_mul
-from cotwist.groups import Subgroup, build_elementary_abelian_symplectic
+from cotwist.groups import FiniteGroup, Subgroup, build_elementary_abelian_symplectic
 from cotwist.twist import (TwistData, assemble_twist, load_twist_matrix, make_twist,
                            q_element_and_antipode_check, save_twist_file,
                            square_dimension_check, symplectic_twist,
@@ -212,6 +212,19 @@ def test_counit_corruption_fails_only_the_counits(p3_pair, p3_twist):
     assert audit.failed == ["counit (left leg)", "counit (right leg)"]
 
 
+def test_counit_past_int64_is_a_failed_check():
+    """On H = {e}, J = -2**63 + (2**63 - 1)(zeta + zeta^2) = 1 - 2**64 is not
+    the counit 1, but its canonical counts wrap in int64 to those of 1.  The
+    int64 guards refuse such counts, and the audit records failed checks,
+    not passes."""
+    top = (1 << 63) - 1
+    J = CycArray(3, Fraction(1), np.array([[[-top - 1, top, top]]], dtype=np.int64))
+    trivial = Subgroup(FiniteGroup(np.zeros((1, 1), dtype=np.int64)), np.arange(1))
+    t, audit = assemble_twist(trivial, J)
+    assert not t.verified
+    assert {"counit (left leg)", "counit (right leg)"} <= set(audit.failed)
+
+
 def _reference_sides_agree(X: CycArray, shift: np.ndarray) -> bool:
     """sum_a X[a,w] X[a.u, a.v] == sum_a X[u,a] X[a.v, a.w] for all u, v, w, by
     reference double sums (``cyc_reference``), apart from the package kernels."""
@@ -293,6 +306,20 @@ def test_q_element_antipode_p5():
     expected = CycArray.zeros((25,), 5)
     expected.counts[0, 0] = 1
     assert Q.eq(expected)
+
+
+def test_q_element_overflow_is_named():
+    """On Z/2, Q[e] adds J[e, e] and J[s, s]: two counts of 2**62 would wrap
+    to -2**63, so they are refused by name; one below, the sum is exact."""
+    from cotwist.twist import _q_element
+
+    mul = np.array([[0, 1], [1, 0]])
+    J = CycArray.zeros((2, 2), 3)
+    J.counts[[0, 1], [0, 1], 0] = 1 << 62
+    with pytest.raises(CotwistError, match="the sums of Q would overflow int64"):
+        _q_element(J, mul, np.arange(2))
+    J.counts[[0, 1], [0, 1], 0] -= 1
+    assert _q_element(J, mul, np.arange(2)).counts[0, 0] == (1 << 63) - 2
 
 
 def test_square_dimension_rejects_nonsquare():
