@@ -17,7 +17,7 @@ from .dual_algebras import (GroupAction, SCAlgebra, a2_to_a1op_iso, build_A1_A2_
                             build_block_algebra)
 from .errors import AuditError, CotwistError, SeedRetryError
 from .exactlin import CycArray, cyc_rank
-from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup,
+from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian,
                      build_elementary_abelian_symplectic, build_semidirect,
                      character_exponents, double_cosets, stabilizer_Kg)
 from .projective import (ProjectiveRep, TensorClass, projective_rep_from_action,
@@ -38,7 +38,8 @@ __all__ = [
     "SymplecticConstruction", "TableConstruction", "TensorClass", "TriangularStructure",
     "TwistAudit", "TwistData", "WedderburnSpectrum", "a2_to_a1op_iso",
     "assemble_twist", "build_A1_A2_star", "build_block_algebra",
-    "build_elementary_abelian_symplectic", "build_instance", "build_semidirect",
+    "build_elementary_abelian", "build_elementary_abelian_symplectic", "build_instance",
+    "build_semidirect",
     "character_exponents", "cyc_rank", "double_cosets", "f_g_map",
     "full_report", "invariant_algebra_Ug", "load_twist_matrix", "make_twist",
     "predicted_spectrum", "projective_rep_from_action",

@@ -30,8 +30,8 @@ from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelia
 from .projective import (class_dims, multiplicity_law_holds, regular_trace_law, tensor_class,
                          trace_vanishing_holds, translation_characters)
 from .semisimple import wedderburn_dims
-from .twist import (TwistAudit, TwistData, assemble_twist, load_twist_matrix,
-                    q_element_and_antipode_check, square_dimension_check, symplectic_twist,
+from .twist import (TwistAudit, TwistData, assemble_symplectic_twist, assemble_twist,
+                    load_twist_matrix, q_element_and_antipode_check, square_dimension_check,
                     triangular_structure)
 
 #: number of (a, a') translation pairs sampled by the F_g equivariance audit
@@ -100,15 +100,13 @@ class Instance:
 
 
 def build_instance(config: Config) -> Instance:
-    """Construct (G, H, twist) from a config; the twist is audited, not assumed."""
+    """Construct (G, H, twist) from a config; the twist is audited on H inside G,
+    not assumed, by the same six checks on either construction."""
     c = config.construction
     if isinstance(c, SymplecticConstruction):
         h_group, sigma = build_elementary_abelian_symplectic(c.p, c.n)
         G, H = build_semidirect(h_group, c.p, list(c.gamma_generators))
-        t_local = symplectic_twist(h_group, sigma)
-        t = t_local.rehome(H)
-        audit = TwistAudit()
-        audit.record("prebuilt symplectic twist", t.verified)
+        t, audit = assemble_symplectic_twist(H, sigma)  # H has h_group's local indices
     elif isinstance(c, TableConstruction):
         G = FiniteGroup.from_file(c.group_file)
         H = Subgroup(G, np.asarray(c.subgroup, dtype=np.int64))
@@ -505,8 +503,7 @@ def _global_checks(instance: Instance):
     """The five instance-level checks; failures annotated by name."""
     t = instance.t
     m = instance.H.order
-    failures = [f"twist axiom failed: {name}" for name, ok in instance.audit.checks
-                if not ok]
+    failures = [f"twist axiom failed: {name}" for name in instance.audit.failed]
     checks = {
         "twist_axioms": instance.audit.ok,
         "triangularity": False,
@@ -524,15 +521,15 @@ def _global_checks(instance: Instance):
         if not tri.minimal:
             failures.append(
                 f"twist is not minimal: rank {tri.rank} != |H| = {m}")
-    except CotwistError as exc:
-        failures.append(f"triangularity failed: {exc}")
+    except (CotwistError, MemoryError) as exc:
+        failures.append(f"triangularity failed: {_failure_text(exc)}")
     try:
         _, q_ok = q_element_and_antipode_check(t)
         checks["q_identity"] = bool(q_ok)
         if not q_ok:
             failures.append("antipode identity for the Q element fails")
-    except CotwistError as exc:
-        failures.append(f"Q element check failed: {exc}")
+    except (CotwistError, MemoryError) as exc:
+        failures.append(f"Q element check failed: {_failure_text(exc)}")
     try:
         checks["square_dim"] = int(square_dimension_check(t))
     except CotwistError as exc:

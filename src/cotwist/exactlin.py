@@ -119,19 +119,21 @@ def canonical_counts(counts: np.ndarray, order: int) -> np.ndarray:
     return _canonical(counts, order)
 
 
-def counts_equal(a: np.ndarray, b: np.ndarray, order: int) -> bool:
+def counts_equal(a: np.ndarray, b: np.ndarray, order: int, bound: int | None = None) -> bool:
     """Whether two count arrays on one scale hold the same values: the
     canonical counts of their difference are 0.
 
-    Those are within G (max|a| + max|b|), G = :func:`_canonical_growth`.
-    numpy's int64 arithmetic wraps, so each is computed exactly mod 2**64,
-    and while G (max|a| + max|b|) < 2**64 the only multiple of 2**64 in that
-    range is 0: a count is 0 exactly when its int64 image is.  From 2**64 on
-    CotwistError is raised.
+    Those are within G B, G = :func:`_canonical_growth`, for the ``bound``
+    B of |a - b| (by default max|a| + max|b|).  numpy's int64 arithmetic
+    wraps, so each is computed exactly mod 2**64, and while G B < 2**64 the
+    only multiple of 2**64 in that range is 0: a count is 0 exactly when its
+    int64 image is.  From 2**64 on CotwistError is raised.
     """
     if a.shape != b.shape:
         return False
-    if (_largest(a) + _largest(b)) * _canonical_growth(order) >= 1 << 64:
+    if bound is None:
+        bound = _largest(a) + _largest(b)
+    if bound * _canonical_growth(order) >= 1 << 64:
         raise CotwistError("canonical counts of a difference would overflow int64")
     return not _canonical(a - b, order).any()
 

@@ -253,12 +253,36 @@ class Bicharacter:
             raise CotwistError("bicharacter is degenerate")
 
 
+def build_elementary_abelian(n: int, dim: int) -> FiniteGroup:
+    """(Z/nZ)^dim for any modulus n >= 2, its elements labelled by their vectors.
+
+    Elements are vectors (v_1..v_dim) over Z/nZ in lexicographic order, at
+    index v . (n^(dim-1), .., n, 1), so the zero vector is index 0; these are
+    the labels :func:`build_semidirect` reads.
+
+    Raises for n < 2, dim < 1 and n^dim > 10**4.
+    """
+    if n < 2 or dim < 1:
+        raise CotwistError(f"need a modulus n >= 2 and dim >= 1, got n = {n}, dim = {dim}")
+    size = n ** dim
+    if size > MAX_GROUP_ORDER:
+        raise CotwistError(f"group order {size} exceeds cap {MAX_GROUP_ORDER}")
+    powers = n ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    vecs = np.stack(
+        np.meshgrid(*[np.arange(n)] * dim, indexing="ij"), axis=-1
+    ).reshape(size, dim)
+    # vecs are in lexicographic order and encode(v) = v . powers
+    summed = (vecs[:, None, :] + vecs[None, :, :]) % n
+    return FiniteGroup(summed @ powers, labels=[tuple(int(c) for c in v) for v in vecs],
+                       name=f"(Z/{n})^{dim}")
+
+
 def build_elementary_abelian_symplectic(p: int, n: int = 1):
     """(Z/pZ)^(2n) with the standard symplectic bicharacter.
 
-    Elements are vectors (x_1..x_n, y_1..y_n) over Z/pZ in lexicographic
-    order, so the zero vector is index 0.  The pairing of (x, y) and
-    (x', y') is zeta_p^(x.y' - y.x').
+    The group is :func:`build_elementary_abelian` (p, 2n): vectors
+    (x_1..x_n, y_1..y_n) over Z/pZ in lexicographic order.  The pairing of
+    (x, y) and (x', y') is zeta_p^(x.y' - y.x').
 
     Raises for non-prime or even p and for p^(2n) > 10**4.
     """
@@ -266,22 +290,8 @@ def build_elementary_abelian_symplectic(p: int, n: int = 1):
         raise CotwistError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise CotwistError(f"n must be >= 1, got {n}")
-    size = p ** (2 * n)
-    if size > MAX_GROUP_ORDER:
-        raise CotwistError(f"group order {size} exceeds cap {MAX_GROUP_ORDER}")
-    dim = 2 * n
-    powers = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    vecs = np.stack(
-        np.meshgrid(*[np.arange(p)] * dim, indexing="ij"), axis=-1
-    ).reshape(size, dim)
-    # vecs are in lexicographic order and encode(v) = v . powers
-    summed = (vecs[:, None, :] + vecs[None, :, :]) % p
-    mul = summed.reshape(size * size, dim) @ powers
-    group = FiniteGroup(
-        mul.reshape(size, size),
-        labels=[tuple(int(c) for c in v) for v in vecs],
-        name=f"(Z/{p})^{dim}",
-    )
+    group = build_elementary_abelian(p, 2 * n)
+    vecs = np.array(group.labels, dtype=np.int64)
     x, y = vecs[:, :n], vecs[:, n:]
     exps = (x @ y.T - y @ x.T) % p
     return group, Bicharacter(group, p, exps.astype(np.int64))
@@ -294,8 +304,8 @@ def _matrix_key(m: np.ndarray) -> tuple:
 def build_semidirect(h_group: FiniteGroup, p: int, generators):
     """Semidirect product of a labeled vector group with a matrix group.
 
-    ``h_group`` must carry vector labels over Z/pZ (as produced by
-    :func:`build_elementary_abelian_symplectic`).  ``generators`` is a list
+    ``h_group`` must carry vector labels over Z/pZ for any modulus p (as
+    :func:`build_elementary_abelian` gives them).  ``generators`` is a list
     of integer matrices acting on those vectors; the group Gamma they
     generate is closed by breadth-first multiplication.  Elements of
     G = H x| Gamma are pairs (h, gamma) with (h, g)(h', g') = (h + g h', g g'),

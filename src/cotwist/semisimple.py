@@ -29,8 +29,8 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (KERNEL_CHUNK, CycArray, _modular_image, _modular_root, _rank_mod,
-                       counts_equal, cyc_tensordot)
+from .exactlin import (KERNEL_CHUNK, CycArray, _largest, _modular_image, _modular_root,
+                       _rank_mod, counts_equal, cyc_tensordot)
 from .groups import FiniteGroup, character_exponents, greedy_generators
 
 #: exhaustive associativity above this dimension would be needlessly slow;
@@ -236,10 +236,13 @@ def _canonically_symmetric(mul: CycArray) -> bool:
     """Whether mul[i, j, ...] = mul[j, i, ...] exactly: canonical counts
     compared on the last row first, then literally or on the difference.
     Not row 0: a group algebra's identity row, and the row of a slice's own
-    point, are symmetric even when the algebra is not."""
+    point, are symmetric even when the algebra is not.  Both compares take
+    the one bound 2 max|c| of the overflow guard: the transpose holds the
+    same counts."""
     c, ct, order = mul.counts, mul.counts.swapaxes(0, 1), mul.order
-    return counts_equal(c[-1], ct[-1], order) and (
-        np.array_equal(c, ct) or counts_equal(c, ct, order))
+    bound = 2 * _largest(c)
+    return counts_equal(c[-1], ct[-1], order, bound) and (
+        np.array_equal(c, ct) or counts_equal(c, ct, order, bound))
 
 
 # ---------------------------------------------------------------------------

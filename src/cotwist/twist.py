@@ -90,17 +90,6 @@ class TwistData:
         if not self.verified:
             raise CotwistError("twist has not passed the axiom audit")
 
-    def rehome(self, subgroup: Subgroup) -> "TwistData":
-        """The same twist viewed on another copy of H (e.g. H inside G).
-
-        The target subgroup must have the identical local Cayley table, so
-        J needs no re-indexing and the verification status carries over.
-        """
-        if not np.array_equal(subgroup.as_group.mul, self.group.mul):
-            raise CotwistError("cannot rehome: local multiplication tables differ")
-        return TwistData(subgroup=subgroup, order=self.order, J=self.J,
-                         Jinv=self.Jinv, verified=self.verified)
-
 
 @dataclass
 class TwistAudit:
@@ -108,8 +97,9 @@ class TwistAudit:
 
     checks: list[tuple[str, bool]] = field(default_factory=list)
 
-    def record(self, name: str, ok: bool) -> None:
-        self.checks.append((name, bool(ok)))
+    def record(self, name: str, ok: bool, note: str = "") -> None:
+        """One check's outcome; a note on why it went undecided joins its name."""
+        self.checks.append((f"{name} ({note})" if note else name, bool(ok)))
 
     @property
     def ok(self) -> bool:
@@ -147,40 +137,35 @@ def _swap_legs(X: CycArray) -> CycArray:
 
 
 def symplectic_twist(H: FiniteGroup, sigma: Bicharacter) -> TwistData:
+    """:func:`assemble_symplectic_twist` on all of H, raising AuditError on a failed check."""
+    return _accepted(*assemble_symplectic_twist(Subgroup(H, np.arange(H.order)), sigma))
+
+
+def assemble_symplectic_twist(subgroup: Subgroup, sigma: Bicharacter):
     """Minimal twist J_{ab} = sigma(a, b) / |H| from a symplectic bicharacter.
 
-    Its inverse is known in closed form (Movshev 1993) and is supplied, not
-    solved for: J^-1 = |H|^-1 sum_ab sigma(a, b)^-1 a x b, the conjugate of
-    J.  With H written additively, bilinearity gives sigma(a, b) /
-    sigma(u - a, v - b) = sigma(u, v)^-1 sigma(u, b) sigma(a, v), so the
-    (u, v) coefficient of J conj(J) is
-
-        |H|^-2 sigma(u, v)^-1 (sum_b sigma(u, b)) (sum_a sigma(a, v))
-            = delta_{u,0} delta_{v,0},
-
-    because sigma is nondegenerate: sum_b sigma(u, b) is |H| for u = 0 and
-    0 otherwise, and likewise sum_a sigma(a, v).  The axiom audit still
-    certifies the inverse by its exact product.  ``sigma`` was verified
-    when it was built.
+    ``sigma`` is indexed by the local indices of ``subgroup``.  Returns
+    (t, audit) as :func:`assemble_twist` does, by the same six checks.  The
+    inverse is supplied in closed form, conj(J), as sigma is nondegenerate
+    (Movshev 1993; README, "The twist audit, exactly"); the audit still
+    certifies it by its exact product, on the subgroup's own table.
     """
-    m = H.order
-    J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, m))
-    t = TwistData(subgroup=Subgroup(H, np.arange(m)), order=sigma.order, J=J,
-                  Jinv=J.conj())
-    return _accepted(t, verify_twist_axioms(t))
+    J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, subgroup.order))
+    return assemble_twist(subgroup, J, J.conj())
 
 
-def assemble_twist(subgroup: Subgroup, J: CycArray):
+def assemble_twist(subgroup: Subgroup, J: CycArray, Jinv: CycArray | None = None):
     """Build a TwistData and audit it, without raising on axiom failure.
 
-    Returns (t, audit); ``t.verified`` mirrors ``audit.ok``.  Inversion
-    failure (a singular candidate) is folded into the audit rather than
-    raised, so callers can report exactly which axioms broke.
+    Returns (t, audit); ``t.verified`` mirrors ``audit.ok``.  A supplied
+    ``Jinv`` is the one inverse candidate (:func:`verify_twist_axioms`).
+    Inversion failure (a singular candidate) is folded into the audit rather
+    than raised, so callers can report exactly which axioms broke.
     """
     m = subgroup.order
     if J.shape != (m, m):
         raise CotwistError(f"twist matrix shape {J.shape} != ({m}, {m})")
-    t = TwistData(subgroup=subgroup, order=J.order, J=J)
+    t = TwistData(subgroup=subgroup, order=J.order, J=J, Jinv=Jinv)
     return t, verify_twist_axioms(t)
 
 
@@ -234,12 +219,15 @@ def _sides_agree(X: CycArray, shift: np.ndarray) -> bool:
     return CycArray(n, X.scale, left).eq(CycArray(n, X.scale, right))
 
 
-def _certified(check, *args) -> bool:
-    """An exact check's outcome; one whose counts would overflow int64 fails."""
+def _certified(check, *args) -> tuple[bool, str]:
+    """An exact check's outcome and a note; one whose counts would overflow
+    int64 fails, and so does one that runs out of memory, noted as such."""
     try:
-        return check(*args)
+        return bool(check(*args)), ""
     except CotwistError:
-        return False
+        return False, ""
+    except MemoryError as exc:
+        return False, f"out of memory: {exc}"
 
 
 def _counit_ok(J: CycArray, axis: int) -> bool:
@@ -252,64 +240,28 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
 
     Checks, in order: the 2-cocycle equation, both counit normalizations,
     invertibility, and coassociativity of both deformed coproducts.  Never
-    raises on a failed check; a check whose exact counts would overflow int64
-    is not certified and is recorded as failed.
+    raises on a failed check; a check whose exact counts would overflow int64,
+    or whose arrays do not fit in memory, is not certified and is recorded as
+    failed, the latter with an ``out of memory`` note.
 
     The inverse is the supplied ``t.Jinv``, final as given, or, when there
     is none, the first of two candidates that passes the one exact check
-    J . K = 1 x 1 (a one-sided inverse in the finite-dimensional algebra
-    C[H x H] is two-sided, and inverses are unique, so a candidate that
-    passes *is* J^-1):
+    J . K = 1 x 1 (a one-sided inverse in C[H x H] is two-sided and unique):
+    the inverse read off the antipode element (:func:`_inverse_from_q`), or
+    the solution K of J K = 1 x 1 in C[H x H] when Q is singular, a count
+    would overflow int64, or the product check fails (J is not a twist).
+    The first is written like the solve's result, on canonical counts over
+    the lowest common denominator, so ``invertibility`` has the outcome it
+    would have with the solve alone.  ``t.Jinv`` is kept only if the check
+    passes, and ``t.verified`` is set to the audit's outcome.
 
-    * the inverse read off the antipode element (:func:`_inverse_from_q`):
-      for a twist, (S x S)(J) = (Q x Q) J_21^-1 Delta0(Q^-1) (the identity
-      :func:`q_element_and_antipode_check` audits).  Solving for J_21^-1 and
-      exchanging the legs - an algebra automorphism that fixes Q^-1 x Q^-1
-      and the symmetric Delta0(Q) - gives
-
-          J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q),
-
-      one solve for Q^-1 in C[H_Q], H_Q the subgroup the support of Q
-      generates (|H_Q| x |H_Q|, at most |H| x |H|; see
-      :func:`invert_in_group_algebra`), and two products, in place of an
-      |H|^2 x |H|^2 solve;
-    * the solution K of J K = 1 x 1 in C[H x H], when Q is singular, a count
-      would overflow int64, or the product check fails (J is not a twist).
-
-    The first candidate is written like the solve's result, on canonical
-    counts over the lowest common denominator, so it equals it count for
-    count; its counts overflow int64 exactly when the solve's result would.  So
-    ``invertibility`` has the outcome it would have with the solve alone,
-    and the identity ``q_identity`` audits is still evaluated on the same
-    J^-1.  A failed candidate leaves none; ``t.Jinv`` is kept only if the
-    check passes, and ``t.verified`` is set to the audit's outcome.
-
-    Coassociativity is checked at x = e only, which is equivalent to checking
-    it at every x in H.  Since Delta1(xa) = (x x x) Delta1(a),
-
-        (Delta1 x id)Delta1(x) = sum_ab J_ab Delta1(xa) x xb
-                               = (x x x x x) (Delta1 x id)Delta1(e),
-
-    and likewise (id x Delta1)Delta1(x) = (x x x x x) (id x Delta1)Delta1(e).
-    For Delta2(ax) = Delta2(a) (x x x) the same factor appears on the right.
-    Multiplying by the unit x x x x x of C[H x H x H] is injective, so the
-    two sides agree at x exactly when they agree at e.
-
-    The three identities are one :func:`_sides_agree` each, but the 2-cocycle
-    outcome is reused where an identity is provably the same one:
-
-    * when H is abelian, a^-1 y = y a^-1 for all a, y (the two shifts are
-      equal arrays), so coassociativity of Delta1 is the same pure function
-      on the same inputs as the 2-cocycle equation;
-    * when the certified inverse is exactly conj(J) (the symplectic twist
-      supplies it), coassociativity of Delta2 is the 2-cocycle identity for
-      X = conj(J).  Both sides are sums of products of entries of X with
-      integer coefficients, and complex conjugation zeta -> zeta^-1 is a
-      field automorphism of Q(zeta_N), so the identity holds for conj(J)
-      exactly when it holds for J.
-
-    So a symplectic twist takes one contraction, and a general J three.  A
-    reused outcome is judged on J's counts, an overflow included.
+    Coassociativity is checked at x = e only, which is equivalent.  The
+    three identities are one :func:`_sides_agree` each, but the 2-cocycle
+    outcome is reused for Delta1 when H is abelian and for Delta2 when the
+    certified inverse is exactly conj(J): a symplectic twist takes one
+    contraction, a general J three.  A reused outcome is judged on J's
+    counts, an overflow included.  The arguments are in README, "The twist
+    audit, exactly".
     """
     audit = TwistAudit()
     group = t.group
@@ -320,9 +272,9 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     left_shift = mul[inv]        # [a, y] = a^-1 y
 
     cocycle = _certified(_sides_agree, t.J, right_shift)
-    audit.record("2-cocycle equation", cocycle)
-    audit.record("counit (left leg)", _certified(_counit_ok, t.J, 0))
-    audit.record("counit (right leg)", _certified(_counit_ok, t.J, 1))
+    audit.record("2-cocycle equation", *cocycle)
+    audit.record("counit (left leg)", *_certified(_counit_ok, t.J, 0))
+    audit.record("counit (right leg)", *_certified(_counit_ok, t.J, 1))
 
     unit = ga_identity(m * m, t.order).reshape(m, m)
     supplied = t.Jinv
@@ -334,24 +286,30 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
                                                       t.pair_mul).reshape(m, m)]
     t.Jinv = None
     t.__dict__.pop("terms", None)  # the cached terms of an earlier audit
+    note = ""
     for candidate in candidates:
         try:
             jinv = candidate()
+            if ga_mul(t.J, jinv, mul).eq(unit):
+                t.Jinv = jinv
+                break
         except CotwistError:  # singular, or counts overflowing int64
-            continue
-        if _certified(lambda: ga_mul(t.J, jinv, mul).eq(unit)):
-            t.Jinv = jinv
-            break
+            pass
+        except MemoryError as exc:
+            note = f"out of memory: {exc}"
     invertible = t.Jinv is not None
-    audit.record("invertibility", invertible)
+    audit.record("invertibility", invertible, note)
 
     abelian = np.array_equal(left_shift, right_shift)
     audit.record("coassociativity of the first deformed coproduct",
-                 cocycle if abelian else _certified(_sides_agree, t.J, left_shift))
-    conjugate = invertible and _certified(lambda: t.Jinv.eq(t.J.conj()))
-    audit.record("coassociativity of the second deformed coproduct",
-                 invertible and (cocycle if conjugate
-                                 else _certified(_sides_agree, t.Jinv, right_shift)))
+                 *(cocycle if abelian else _certified(_sides_agree, t.J, left_shift)))
+    if not invertible:
+        second = (False, "")
+    elif _certified(lambda: t.Jinv.eq(t.J.conj()))[0]:
+        second = cocycle
+    else:
+        second = _certified(_sides_agree, t.Jinv, right_shift)
+    audit.record("coassociativity of the second deformed coproduct", *second)
     t.verified = audit.ok
     return audit
 
@@ -435,7 +393,7 @@ def _coproduct(x: CycArray) -> CycArray:
 def _inverse_from_q(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
     """The candidate J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q).
 
-    It is J^-1 when J is a twist (see :func:`verify_twist_axioms`).  Q^-1
+    It is J^-1 when J is a twist (README, "The twist audit, exactly").  Q^-1
     comes from one |H_Q| x |H_Q| solve, H_Q the subgroup the support of Q
     generates (:func:`invert_in_group_algebra`).  The candidate comes on
     canonical counts over the lowest common denominator, as :func:`cyc_solve`

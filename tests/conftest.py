@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cotwist import exactlin
-from cotwist.correspondence import (Config, SymplecticConstruction, build_instance,
+from cotwist.correspondence import (Config, Instance, SymplecticConstruction, build_instance,
                                     full_report, prepare_instance)
 from cotwist.dual_algebras import build_A1_A2_star
-from cotwist.groups import build_elementary_abelian_symplectic, double_cosets
+from cotwist.groups import build_elementary_abelian_symplectic, build_semidirect, double_cosets
 from cotwist.twist import symplectic_twist
+
+import instances
 
 
 def make_config(p, gens, seed=0):
@@ -77,9 +79,7 @@ def p3_diag_report():
 def p3_gauge_diag_bundle(p3_pair):
     """Like ``p3_diag_bundle``, with the gauge-conjugated twist
     (u x u) J Delta0(u)^-1, u = (1 - zeta) e + zeta g, whose cells have two terms."""
-    from cotwist.correspondence import Instance
     from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
-    from cotwist.groups import Subgroup, build_semidirect
     from cotwist.twist import TwistAudit, make_twist
 
     H, sigma = p3_pair
@@ -92,47 +92,28 @@ def p3_gauge_diag_bundle(p3_pair):
     diag.counts[np.arange(m), np.arange(m)] = uinv.counts
     J = ga_mul(ga_mul(cyc_tensordot(u, u, axes=0), t0.J, mul), diag.scale_by(uinv.scale), mul)
     G, Hs = build_semidirect(H, 3, DIAG_12)
-    t = make_twist(Subgroup(H, np.arange(m)), J).rehome(Hs)
-    inst = Instance(G=G, H=Hs, t=t, audit=TwistAudit(), description={})
+    inst = Instance(G=G, H=Hs, t=make_twist(Hs, J), audit=TwistAudit(), description={})
     return inst, prepare_instance(inst), double_cosets(G, Hs)
 
 
-def wreath_table(h_mul):
-    """(H x H) x| C_2 on indices s*|H|^2 + a*|H| + b: (a, b, s)(c, d, t) =
-    (a + c', b + d', s + t), with (c', d') = (d, c) when s = 1."""
-    m = h_mul.shape[0]
-    s, rest = np.divmod(np.arange(2 * m * m), m * m)
-    a, b = np.divmod(rest, m)
-    swapped = s[:, None] == 1
-    c = np.where(swapped, b[None, :], a[None, :])
-    d = np.where(swapped, a[None, :], b[None, :])
-    return (s[:, None] ^ s[None, :]) * m * m + h_mul[a[:, None], c] * m + h_mul[b[:, None], d]
-
-
-@pytest.fixture(scope="session")
-def wreath_bundle(p3_pair):
-    """Instance, context, and double cosets for (Z/3)^2 wr C_2 with H the first
-    factor and its symplectic twist: the swap coset H 81 H has K_g = {e}."""
-    from cotwist.correspondence import Instance
-    from cotwist.groups import FiniteGroup, Subgroup
-    from cotwist.twist import TwistAudit
-
-    H, sigma = p3_pair
-    G = FiniteGroup(wreath_table(H.mul.astype(np.int64)), name="(Z/3)^2 wr C2")
-    Hs = Subgroup(G, 9 * np.arange(9))
-    inst = Instance(G=G, H=Hs, t=symplectic_twist(H, sigma).rehome(Hs), audit=TwistAudit(),
-                    description={})
-    return inst, prepare_instance(inst), double_cosets(G, Hs)
-
-
-@pytest.fixture(scope="session")
-def intermediate_bundle(tmp_path_factory):
-    """Instance, context, and double cosets for criterion 9's table instance
-    (``intermediate_instance``): the cosets at 27 and 54 have |K_g| = 3."""
-    from intermediate_instance import write_instance
-
-    inst = build_instance(write_instance(tmp_path_factory.mktemp("intermediate")))
+def instance_bundle(spec):
+    """Instance, context, and double cosets of an ``instances`` spec, built in-process."""
+    inst = instances.build_instance(*spec)
     return inst, prepare_instance(inst), double_cosets(inst.G, inst.H)
+
+
+@pytest.fixture(scope="session")
+def wreath_bundle():
+    """(Z/3)^2 wr C_2 with H the first factor and its symplectic twist
+    (``instances.WREATH``): the swap coset H 81 H has K_g = {e}."""
+    return instance_bundle(instances.WREATH)
+
+
+@pytest.fixture(scope="session")
+def intermediate_bundle():
+    """Criterion 9's instance (``instances.CRITERION_9``): the cosets at 27 and
+    54 have |K_g| = 3."""
+    return instance_bundle(instances.CRITERION_9)
 
 
 #: inputs of the reference-formula tests: bundle fixture -> coset representative

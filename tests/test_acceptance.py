@@ -29,8 +29,7 @@ from cotwist.projective import (multiplicity_law_holds, regular_trace_law,
 from cotwist.twist import (TwistData, make_twist, q_element_and_antipode_check,
                            save_twist_file, symplectic_twist,
                            triangular_structure, verify_twist_axioms)
-from intermediate_instance import write_instance as write_intermediate_instance
-from p2_instance import write_instance as write_p2_instance
+from instances import COMPOSITE, CRITERION_9, CRITERION_10, write_instance
 
 UNIPOTENT = [[[1, 1], [0, 1]]]
 DIAG_12 = [[[1, 0], [0, 2]]]
@@ -56,6 +55,8 @@ CRITERIA = {
     10: "the class decides: (Z/2)^6 x| C3 with two twists on H = (Z/2)^4, "
         "non-cyclic |K_g| = 4 on two cosets, [8] for one twist and "
         "[4, 4, 4, 4] for the other on all three routes",
+    11: "composite N = 4: (Z/4)^3 x| C3 with H = (Z/4)^2 through `cotwist spectrum "
+        "--config`, |K_g| = 4 on two cosets with [4, 4, 4, 4] on all three routes and ratio 4",
 }
 RESULTS: dict = {}
 
@@ -194,7 +195,8 @@ def test_criterion_3_seeded_sweep():
 
 
 @criterion(4)
-def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bundle, tmp_path):
+def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bundle,
+                                      intermediate_bundle):
     f_audits = 0
     for inst, ctx, zs in (p3_diag_bundle, p5_diag_bundle):
         audit = verify_twist_axioms(inst.t)
@@ -218,11 +220,7 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bun
 
     # F_g where K_g < H: the wreath swap coset (K_g = {e}) and a criterion-9
     # coset (|K_g| = 3)
-    inter = build_instance(write_intermediate_instance(tmp_path))
-    inter_ctx = prepare_instance(inter)
-    for (inst, ctx, zs), rep, k_size in ((wreath_bundle, 81, 1),
-                                         ((inter, inter_ctx, double_cosets(inter.G, inter.H)),
-                                          27, 3)):
+    for (inst, ctx, zs), rep, k_size in ((wreath_bundle, 81, 1), (intermediate_bundle, 27, 3)):
         (Z,) = [Z for Z in zs if Z.representative == rep]
         assert stabilizer_Kg(inst.G, inst.H, rep).order == k_size
         _, f_audit = f_g_map(ctx, Z, rep)
@@ -371,7 +369,7 @@ def test_criterion_8_degenerate_paths(tmp_path):
 
 @criterion(9)
 def test_criterion_9_intermediate_stabilizers(tmp_path):
-    config = write_intermediate_instance(tmp_path)
+    config = write_instance(tmp_path, *CRITERION_9)
     report = full_report(config)
     assert report.ok, report.failures
     assert report.totals["group_order"] == 81
@@ -401,7 +399,7 @@ def test_criterion_10_the_class_decides(tmp_path):
     for which, want in ((0, [8]), (1, [4, 4, 4, 4])):
         out = tmp_path / f"twist{which}"
         out.mkdir()
-        config = write_p2_instance(out, which)
+        config = write_instance(out, *CRITERION_10[which])
         report = full_report(config)
         assert report.ok, report.failures
         assert report.totals["group_order"] == 192
@@ -422,3 +420,23 @@ def test_criterion_10_the_class_decides(tmp_path):
             assert dims == want and multiplicity_law_holds(W)
         notes.append(str(want))
     return "reps 64 and 128: |K_g| = 4 = (Z/2)^2, ratio 4, " + " and ".join(notes)
+
+
+# ---------------------------------------------------------------------------
+# criterion 11: a composite cyclotomic order end to end
+
+
+@criterion(11)
+def test_criterion_11_composite_order(tmp_path):
+    write_instance(tmp_path, *COMPOSITE)
+    out = tmp_path / "report.json"
+    rc = cli_main(["spectrum", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["failures"] == [], report["failures"]  # the laws included
+    assert report["totals"]["group_order"] == 192 and report["totals"]["subgroup_order"] == 16
+    cosets = {c["rep"]: c for c in report["cosets"]}  # no failures: the routes agree on all
+    for g in (64, 128):  # gamma and gamma^2
+        c = cosets[g]
+        assert c["k_size"] == 4 and report["totals"]["subgroup_order"] // c["k_size"] == 4
+        assert c["dims_direct"] == c["dims_invariant"] == c["dims_predicted"] == [4, 4, 4, 4]
+    return f"{len(cosets)} cosets; reps 64 and 128: |K_g| = 4, ratio 4, [4, 4, 4, 4]"

@@ -13,9 +13,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cotwist import cli
+from cotwist import build_elementary_abelian, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,3 +89,16 @@ def test_workload_report_matches_reference(name, monkeypatch, tmp_path):
     for actual, base in pinned.items():
         report = report.replace(json.dumps(actual), json.dumps(base))
     assert report == (PERFBENCH / "reference" / f"{name}.json").read_text()
+
+
+def test_wreath_table_is_the_builders_semidirect_product(monkeypatch):
+    """``perfbench/wreath.py``'s hand-written (Z/3)^2 wr C2 table is, cell for
+    cell, ``instances.WREATH``'s (Z/3)^4 x| <swap> from ``build_semidirect``,
+    and its H = {9 a} is the builder's H."""
+    from instances import WREATH, build_parts
+
+    wreath = _load(monkeypatch, "wreath")
+    G, H, _ = build_parts(*WREATH)
+    h_group = build_elementary_abelian(wreath.P, 2)
+    assert np.array_equal(wreath.wreath_table(h_group.mul.astype(np.int64)), G.mul)
+    assert H.elements.tolist() == wreath.build()[1]

@@ -17,6 +17,7 @@ from cotwist.errors import CotwistError
 from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
 from cotwist.groups import build_elementary_abelian_symplectic
 from cotwist.twist import TwistData, save_twist_file, symplectic_twist
+from instances import CRITERION_10, DEGENERATE, WREATH, write_instance
 
 
 def run_cli(argv, capsys):
@@ -112,55 +113,46 @@ def test_table_config_spectrum(tmp_path, capsys):
     assert report["cosets"][0]["dims_direct"] == [1] * 9
 
 
-def write_wreath_config(wreath_bundle, p3_twist, tmp_path) -> str:
-    inst = wreath_bundle[0]
-    inst.G.to_file(tmp_path / "group.txt")
-    save_twist_file(tmp_path / "twist.txt", p3_twist)
-    cfg_file = tmp_path / "config.json"
-    cfg_file.write_text(json.dumps({"construction": {
-        "type": "table", "group_file": str(tmp_path / "group.txt"),
-        "subgroup": inst.H.elements.tolist(), "twist_file": str(tmp_path / "twist.txt")}}))
-    return str(cfg_file)
+def write_wreath_config(tmp_path) -> str:
+    write_instance(tmp_path, *WREATH)
+    return str(tmp_path / "config.json")
 
 
-def test_wreath_table_totals_line(wreath_bundle, p3_twist, tmp_path, capsys):
+def test_wreath_table_totals_line(tmp_path, capsys):
     """The table's last line counts the 10 double cosets of the wreath table
     and labels the sums of the coset sizes and of the squared block dimensions."""
-    cfg_file = write_wreath_config(wreath_bundle, p3_twist, tmp_path)
+    cfg_file = write_wreath_config(tmp_path)
     rc, _, stderr = run_cli(["spectrum", "--config", cfg_file,
                              "--out", str(tmp_path / "report.json")], capsys)
     assert rc == 0
     assert stderr.splitlines()[-1] == "totals: |G|=162 |H|=9 cosets=10 Σ|Z|=162 Σd²=162"
 
 
-def test_wreath_report_identical_under_jobs(wreath_bundle, p3_twist, tmp_path, capsys):
+def test_wreath_report_identical_under_jobs(tmp_path, capsys):
     """Three coset workers write the wreath report and table byte for byte as one does."""
-    cfg_file = write_wreath_config(wreath_bundle, p3_twist, tmp_path)
+    cfg_file = write_wreath_config(tmp_path)
     runs = [run_cli(["spectrum", "--config", cfg_file, "--jobs", jobs], capsys)
             for jobs in ("1", "3")]
     assert runs[0][0] == 0
     assert runs[0] == runs[1]
 
 
-def test_spectrum_gathers_no_dense_constants(wreath_bundle, p3_twist, tmp_path, capsys,
-                                             monkeypatch):
+def test_spectrum_gathers_no_dense_constants(tmp_path, capsys, monkeypatch):
     """With ``dual_algebras.gather_slice`` raising, ``spectrum`` on p = 5
     unipotent, the wreath table, p = 3 with n = 2 and criterion 10's second
     twist writes the report, the table and the exit code of an unpatched
     run, byte for byte: no CLI run gathers the n^3 constants of an algebra
     in slice form."""
     from cotwist import dual_algebras
-    from p2_instance import write_instance as write_p2_instance
 
     (tmp_path / "c10").mkdir()
-    c10 = write_p2_instance(tmp_path / "c10", 1).construction
-    (tmp_path / "c10" / "config.json").write_text(json.dumps({"construction": c10.describe()}))
+    write_instance(tmp_path / "c10", *CRITERION_10[1])
 
     def no_gather(S, perms):
         raise AssertionError(f"gather_slice called on {S.shape}")
 
     for argv in (["spectrum", "--p", "5", "--gamma", "1,1,0,1"],
-                 ["spectrum", "--config", write_wreath_config(wreath_bundle, p3_twist, tmp_path)],
+                 ["spectrum", "--config", write_wreath_config(tmp_path)],
                  ["spectrum", "--p", "3", "--n", "2"],
                  ["spectrum", "--config", str(tmp_path / "c10" / "config.json")]):
         plain = run_cli(argv, capsys)
@@ -305,6 +297,53 @@ def test_out_of_memory_coset_exits_1_with_report(monkeypatch, tmp_path, capsys):
                         lost)
     assert report["failures"][1:] == ["double cosets sum to 9 != |G| = 18"]
     assert lost in stderr
+
+
+@pytest.mark.parametrize("construction, patched", [
+    ("symplectic", "audit"), ("table", "audit"), ("symplectic", "triangularity")])
+def test_out_of_memory_exits_1_with_report(construction, patched, monkeypatch, tmp_path, capsys):
+    """An allocation that does not fit in the twist audit, on either
+    construction, or in the global checks fails the checks that read it by
+    name, as out of memory: the report is written and the exit code is 1."""
+    import cotwist.correspondence as correspondence
+    from cotwist import twist
+
+    text = "Unable to allocate 17.3 GiB for an array"
+
+    def exhausted(*args):
+        raise MemoryError(text)
+
+    source = (["--p", "3", "--gamma", "1,1,0,1"] if construction == "symplectic"
+              else ["--config", str(write_table_instance(tmp_path))])
+    if patched == "audit":  # the 2-cocycle contraction, whose outcome two more checks reuse
+        monkeypatch.setattr(twist, "_sides_agree", exhausted)
+        named = [f"twist axiom failed: {name} (out of memory: {text})" for name in (
+            "2-cocycle equation", "coassociativity of the first deformed coproduct",
+            "coassociativity of the second deformed coproduct")]
+        named.append("twist failed verification; remaining global checks skipped")
+    else:
+        monkeypatch.setattr(correspondence, "triangular_structure", exhausted)
+        named = [f"triangularity failed: out of memory: {text}"]
+    out = tmp_path / "report.json"
+    rc, _, stderr = run_cli(["spectrum", *source, "--out", str(out)], capsys)
+    report = json.loads(out.read_text())
+    assert rc == 1 and report["global_checks"]["twist_axioms"] is (patched != "audit")
+    assert report["failures"] == [*named, "coset analysis skipped: global checks failed"]
+    assert named[0] in stderr
+
+
+def test_degenerate_twist_at_composite_order_fails_minimality(tmp_path, capsys):
+    """J = zeta_4^(x.y' - y.x') / 16 on (Z/4)^2 is a twist, but R's form
+    2 (x.y' - y.x') is degenerate mod 4: the exact rank of R is 4, named, exit 1."""
+    write_instance(tmp_path, *DEGENERATE)
+    out = tmp_path / "report.json"
+    rc, _, stderr = run_cli(
+        ["spectrum", "--config", str(tmp_path / "config.json"), "--out", str(out)], capsys)
+    report = json.loads(out.read_text())
+    assert rc == 1 and report["global_checks"]["twist_axioms"] is True
+    assert report["failures"] == ["twist is not minimal: rank 4 != |H| = 16",
+                                  "coset analysis skipped: global checks failed"]
+    assert report["failures"][0] in stderr
 
 
 def test_h_without_characters_exits_2(monkeypatch, capsys):

@@ -17,6 +17,7 @@ from cotwist.exactlin import CycArray
 from cotwist.groups import (FiniteGroup, Subgroup, stabilizer_Kg)
 from cotwist.twist import assemble_twist, make_twist, save_twist_file
 from cyc_reference import add, equal, mul, values, zero
+from instances import WREATH, write_instance
 
 
 def test_f_matrix_shape_and_supports(p3_diag_bundle):
@@ -376,17 +377,13 @@ def test_trivial_subgroup_table_instance(tmp_path):
         assert c.size == 1 and c.k_size == 1
 
 
-def test_wreath_table_instance_swap_coset(tmp_path, wreath_bundle):
+def test_wreath_table_instance_swap_coset(tmp_path):
     """(Z/3)^2 wr C_2 with H the first factor, which is not normal.
 
     The swap coset H s H has |K_s| = 1 < |H| and all three routes give [9]
     (|H|/|K_s| = 9); the other nine double cosets are cosets of H.
     """
-    inst = wreath_bundle[0]
-    gf, tf = tmp_path / "group.txt", tmp_path / "twist.txt"
-    inst.G.to_file(gf)
-    save_twist_file(tf, inst.t)
-    rep = full_report(Config(TableConstruction(str(gf), [9 * a for a in range(9)], str(tf))))
+    rep = full_report(write_instance(tmp_path, *WREATH))
     assert rep.ok, rep.failures
     swap = [c for c in rep.cosets if c.rep == 81]
     assert len(swap) == 1 and swap[0].size == 81 and swap[0].k_size == 1

@@ -340,12 +340,12 @@ def test_ad_invariant_rejects_a_generic_matrix_on_s3():
 def test_ad_invariant_holds_for_every_shipped_twist(p3_gauge_diag_bundle, tmp_path):
     """The symplectic twists, the gauge-conjugated one and the criterion-9 table
     twist all take the one-slice builds."""
-    from intermediate_instance import write_instance
+    from instances import CRITERION_9, write_instance
 
     from cotwist.correspondence import build_instance
     from cotwist.twist import symplectic_twist
 
     twists = [symplectic_twist(*build_elementary_abelian_symplectic(p, 1)) for p in (3, 5, 7)]
-    twists += [p3_gauge_diag_bundle[0].t, build_instance(write_instance(tmp_path)).t]
+    twists += [p3_gauge_diag_bundle[0].t, build_instance(write_instance(tmp_path, *CRITERION_9)).t]
     for t in twists:
         assert ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv)

@@ -8,8 +8,8 @@ import pytest
 
 from cotwist.errors import CotwistError
 from cotwist.groups import (Bicharacter, FiniteGroup, Subgroup, _integer_det,
-                            build_elementary_abelian_symplectic, build_semidirect,
-                            double_cosets, stabilizer_Kg)
+                            build_elementary_abelian, build_elementary_abelian_symplectic,
+                            build_semidirect, double_cosets, stabilizer_Kg)
 
 
 def s3_table():
@@ -48,13 +48,8 @@ def test_conjugate_oracle():
 def test_elementary_abelian_symplectic_p3():
     H, sigma = build_elementary_abelian_symplectic(3, 1)
     assert H.order == 9
-    assert H.labels[0] == (0, 0)
-    # the Cayley table is coordinatewise addition of the vector labels
+    assert np.array_equal(H.mul, build_elementary_abelian(3, 2).mul)
     vecs = np.array(H.labels)
-    for a in range(9):
-        for b in range(9):
-            want = tuple((vecs[a] + vecs[b]) % 3)
-            assert H.labels[H.mul[a, b]] == want
     # sigma((x,y),(x',y')) has exponent x y' - y x'
     for a in range(9):
         for b in range(9):
@@ -216,18 +211,29 @@ def test_stabilizer_is_h_exactly_where_g_normalizes_h(wreath_bundle):
         assert kept == normalizing and len(cosets) - kept == (G is inst.G)
 
 
-def vector_group(p: int, dim: int) -> FiniteGroup:
-    """(Z/p)^dim with vector labels in lexicographic order, for any modulus p."""
-    vecs = np.array(list(itertools.product(range(p), repeat=dim)))
-    mul = ((vecs[:, None] + vecs[None]) % p) @ (p ** np.arange(dim - 1, -1, -1))
-    return FiniteGroup(mul, labels=[tuple(int(c) for c in v) for v in vecs])
+@pytest.mark.parametrize("n, dim", [(2, 1), (2, 6), (3, 4), (4, 3), (6, 2)])
+def test_elementary_abelian_is_coordinatewise_addition(n, dim):
+    """(Z/n)^dim for prime and composite n: the labels are the vectors in
+    lexicographic order, and a + b is the label of the coordinatewise sum mod n."""
+    V = build_elementary_abelian(n, dim)
+    vecs = list(itertools.product(range(n), repeat=dim))
+    assert V.labels == vecs and V.order == n ** dim
+    index = {v: i for i, v in enumerate(vecs)}
+    want = [[index[tuple((x + y) % n for x, y in zip(a, b))] for b in vecs] for a in vecs]
+    assert V.mul.tolist() == want
+
+
+def test_elementary_abelian_refusals():
+    for n, dim, message in ((1, 2, "n >= 2"), (3, 0, "dim >= 1"), (10, 5, "exceeds cap")):
+        with pytest.raises(CotwistError, match=message):
+            build_elementary_abelian(n, dim)
 
 
 def test_semidirect_invertibility_mod_composite():
     """Invertibility mod 4 is gcd(det over Z, 4) = 1: [[0, 1], [2, 0]] (det -2)
     is refused as singular, [[1, 1], [0, 1]] builds (Z/4)^2 x| C_4; the
     verdict matches a brute-force inverse search on all 256 2x2 matrices mod 4."""
-    V = vector_group(4, 2)
+    V = build_elementary_abelian(4, 2)
     with pytest.raises(CotwistError, match="singular"):
         build_semidirect(V, 4, [[[0, 1], [2, 0]]])
     G, H = build_semidirect(V, 4, [[[1, 1], [0, 1]]])
@@ -332,12 +338,10 @@ def test_generating_words_elementary_abelian(n):
     assert _generating_words_oracle(H).tolist() == [3 ** k for k in range(2 * n)]
 
 
-def test_generating_words_wreath_and_intermediate_tables(wreath_bundle):
-    from intermediate_instance import cayley_table
-
+def test_generating_words_wreath_and_intermediate_tables(wreath_bundle, intermediate_bundle):
     inst, _, _ = wreath_bundle
     assert len(_generating_words_oracle(inst.G)) >= 2
-    assert len(_generating_words_oracle(FiniteGroup(cayley_table()))) >= 2
+    assert len(_generating_words_oracle(intermediate_bundle[0].G)) >= 2
     assert len(_generating_words_oracle(inst.H.as_group)) == 2
 
 

@@ -450,8 +450,7 @@ def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
     neither one block nor commutative: [3, 3, 3] and [4, 4, 4, 4]."""
     import json
 
-    from intermediate_instance import write_instance as write_criterion_9
-    from p2_instance import write_instance as write_criterion_10
+    from instances import CRITERION_9, CRITERION_10, write_instance
 
     from cotwist import correspondence
     from cotwist.dual_algebras import SCAlgebra
@@ -475,17 +474,14 @@ def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
         return spectrum
 
     monkeypatch.setattr(correspondence, "wedderburn_dims", recording)
-    (tmp_path / "c9").mkdir()
-    (tmp_path / "c10").mkdir()
     runs = {"p=3": (["--p", "3", "--gamma", "1,1,0,1"], [1] * 9),
-            "criterion 9": (write_criterion_9(tmp_path / "c9"), [3, 3, 3]),
-            "criterion 10": (write_criterion_10(tmp_path / "c10", 1), [4, 4, 4, 4])}
+            "criterion 9": (CRITERION_9, [3, 3, 3]),
+            "criterion 10": (CRITERION_10[1], [4, 4, 4, 4])}
     for label, (source, general) in runs.items():
         if not isinstance(source, list):
-            config = tmp_path / label / "config.json"
-            config.parent.mkdir(exist_ok=True)
-            config.write_text(json.dumps({"construction": source.construction.describe()}))
-            source = ["--config", str(config)]
+            (tmp_path / label).mkdir()
+            write_instance(tmp_path / label, *source)
+            source = ["--config", str(tmp_path / label / "config.json")]
         out = tmp_path / f"{label}.json"
         splits.clear()
         assert cli_main(["spectrum", *source, "--out", str(out)]) == 0, label

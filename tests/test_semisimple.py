@@ -344,13 +344,9 @@ def test_noncentral_unit_refused_when_built(p3_diag_bundle):
 
 
 @pytest.fixture(scope="module")
-def intermediate_block(tmp_path_factory):
+def intermediate_block(intermediate_bundle):
     """A criterion-9 coset block (|K_g| = 3, dims [3, 3, 3])."""
-    from intermediate_instance import write_instance
-
-    from cotwist.correspondence import build_instance
-
-    inst = build_instance(write_instance(tmp_path_factory.mktemp("intermediate")))
+    inst, _, _ = intermediate_bundle
     z = next(z for z in double_cosets(inst.G, inst.H) if z.representative == 27)
     return build_block_algebra(inst.t, z)
 
@@ -614,16 +610,16 @@ def test_commutative_slice_algebras_split_without_a_gather(commutative_exact_alg
 
 
 @pytest.fixture(scope="module")
-def general_slice_algebras(intermediate_bundle, tmp_path_factory):
+def general_slice_algebras(intermediate_bundle):
     """The blocks and U_g at the cosets with |K_g| < |H| of criterion 9 (at
     27 and 54, [3, 3, 3]) and of criterion 10's second twist (at 64 and 128,
     [4, 4, 4, 4]), with the dims they split to: built in slice form, and
     neither one block nor commutative."""
-    from p2_instance import write_instance
+    from instances import CRITERION_10, build_instance
 
-    from cotwist.correspondence import build_instance, invariant_algebra_Ug, prepare_instance
+    from cotwist.correspondence import invariant_algebra_Ug, prepare_instance
 
-    inst = build_instance(write_instance(tmp_path_factory.mktemp("criterion-10"), 1))
+    inst = build_instance(*CRITERION_10[1])
     criterion_10 = inst, prepare_instance(inst), double_cosets(inst.G, inst.H)
     algebras = []
     for (inst, ctx, zs), reps, dims in ((intermediate_bundle, (27, 54), [3, 3, 3]),
@@ -767,6 +763,29 @@ def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, 
     assert center_basis(blk).eq(identity)
     assert wedderburn_dims(blk).dims == [1] * n
     assert formed == [] and mod_splits == [_modular_root(blk.product.order)[0]]
+
+
+def test_canonically_symmetric_scans_its_counts_once(monkeypatch):
+    """Both compares take the guard 2 max|c| G < 2**64 (G = 2 at N = 3) from
+    one scan of the counts, which their transpose shares.  Counts of 2**62 - 1
+    are decided both ways; 2**62 is refused by name, in the last row or not."""
+    from cotwist import exactlin
+
+    scans = []
+    for module in (exactlin, semisimple):
+        monkeypatch.setattr(module, "_largest", lambda c: scans.append(c.shape) or _largest(c))
+    q = (1 << 62) - 1
+    counts = np.zeros((3, 3, 3), dtype=np.int64)
+    counts[0, 2, 0], counts[2, 0] = q, [0, -q, -q]  # equal canonically: 1 = -zeta - zeta^2
+    assert semisimple._canonically_symmetric(CycArray(3, 1, counts))
+    counts[1, 0, 0] = q
+    assert not semisimple._canonically_symmetric(CycArray(3, 1, counts))
+    assert scans == [(3, 3, 3)] * 2
+    for row in (2, 1):
+        big = counts.copy()
+        big[row, 0, 0] = 1 << 62
+        with pytest.raises(CotwistError, match="canonical counts of a difference would overflow"):
+            semisimple._canonically_symmetric(CycArray(3, 1, big))
 
 
 def upper_triangular_t2():

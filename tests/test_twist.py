@@ -34,10 +34,16 @@ def test_symplectic_twist_entries(p3_pair, p3_twist):
     assert t.J.scale == Fraction(1, 9)
 
 
-def test_axiom_audit_names_and_results(p3_twist):
+def test_axiom_audit_names_and_results(p3_twist, p3_diag_bundle):
+    """Both constructions take the six named checks; the symplectic instance's
+    are run on H as a subgroup of G, with conj(J) the inverse."""
     audit = verify_twist_axioms(p3_twist)
     assert [name for name, _ in audit.checks] == AXIOM_NAMES
     assert audit.ok
+    inst = p3_diag_bundle[0]
+    assert inst.t.subgroup is inst.H and inst.H.parent is inst.G
+    assert inst.audit.checks == [(name, True) for name in AXIOM_NAMES]
+    assert inst.t.Jinv.eq(inst.t.J.conj())
 
 
 def test_jinv_is_exact_two_sided_inverse(p3_twist):
@@ -331,18 +337,6 @@ def test_square_dimension_rejects_nonsquare():
     t = make_twist(Subgroup(c3, np.arange(3)), J)
     with pytest.raises(CotwistError):
         square_dimension_check(t)
-
-
-def test_rehome(p3_twist, p3_pair):
-    H, _ = p3_pair
-    other = Subgroup(H, np.arange(9))
-    moved = p3_twist.rehome(other)
-    assert moved.verified and moved.J is p3_twist.J
-    from cotwist.groups import FiniteGroup
-
-    c9 = FiniteGroup((np.arange(9)[:, None] + np.arange(9)[None, :]) % 9)
-    with pytest.raises(CotwistError):
-        p3_twist.rehome(Subgroup(c9, np.arange(9)))
 
 
 def test_terms_are_the_fewest_counts_once_verified(p3_pair, p3_gauge_diag_bundle):
