@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, _largest, contract_counts, cyc_rank, cyc_tensordot, sum_counts
+from .exactlin import (CycArray, _largest, contract_counts, cyc_rank, cyc_tensordot,
+                       invert_in_group_algebra, sum_counts)
 from .groups import DoubleCoset, FiniteGroup
-from .twist import TwistData
+from .twist import TwistData, q_element_and_antipode_check
 
 
 class SCAlgebra:
@@ -404,8 +405,6 @@ def a2_to_a1op_iso(t: TwistData, A1: SCAlgebra, A2: SCAlgebra,
     (M(delta_x .2 delta_y) = M(delta_y) .1 M(delta_x)), and intertwines the
     translation actions (M rho2(h) = rho1(h) M).  Any failure raises.
     """
-    from .twist import _antipode_element
-
     t.require_verified()
     group = t.group
     m = group.order
@@ -413,9 +412,10 @@ def a2_to_a1op_iso(t: TwistData, A1: SCAlgebra, A2: SCAlgebra,
     mul = group.mul.astype(np.int64)
     inv = group.inv.astype(np.int64)
 
-    _, Qinv, anti_ok = _antipode_element(t)
+    Q, anti_ok = q_element_and_antipode_check(t)
     if not anti_ok:
         raise AuditError("antipode identity failed; anti-isomorphism unavailable")
+    Qinv = invert_in_group_algebra(Q, mul)
 
     M = CycArray.zeros((m, m), n)
     M.scale = Qinv.scale

@@ -15,7 +15,8 @@
   respectively, else in int64.  The gather is made inside, of the source
   cast once to that dtype, a slice of rows at a time, so no int64 gather is
   formed.  It serves the twist axiom audit, :func:`ga_mul`,
-  :func:`cyc_tensordot` (an identity index), the block build and U_g; a
+  :func:`cyc_tensordot` (no index: its operand is cast a slice at a time),
+  the block build and U_g; a
   fixed number of contracted results is then added by :func:`sum_counts`
   under its overflow bound.
 
@@ -261,19 +262,21 @@ class CycArray:
 KERNEL_CHUNK = 1 << 15
 
 
-def contract_counts(src: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
+def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """Exact contraction of a gather over Z[zeta_N]: out[r, c] = sum_k a[r, k] * b[k, c]
     with a[r, k] = src[at[r, k]].
 
     ``src`` is (M, N) and ``b`` (K, C, N) int64 counts, and ``at`` an (R, K)
-    index into the M cells of ``src``; the result is the (R, C, N) int64
+    index into the M cells of ``src``, or None when ``src`` is ``a`` itself,
+    (R, K, N); the result is the (R, C, N) int64
     counts out[r, c, j] = sum_k sum_i a[r, k, i] * b[k, c, (j - i) mod N],
     the exponent convolution mod N, count for count.  It is one matmul of
     ``a`` read as (R, K N) with the circulant expansion circ[(k, i), (c, j)]
-    = b[k, c, (j - i) mod N], of shape (K N, C N).  ``src`` is cast once to
-    the dtype of the matmul, and ``a`` is gathered from that copy in slices
-    of rows of about ``KERNEL_CHUNK`` result counts each, so no int64 gather
-    is formed and the float copies of ``a`` stay that small.
+    = b[k, c, (j - i) mod N], of shape (K N, C N).  ``a`` is taken in slices
+    of rows of about ``KERNEL_CHUNK`` result counts each: gathered from
+    ``src`` cast once to the dtype of the matmul, or, with no index, cast
+    from the slice of ``src`` it is.  So no int64 gather is formed, and with
+    no index ``src`` is copied no more than once, a slice at a time.
 
     Each result count is a sum of K N products of two counts, so every
     count, product and partial sum, in whatever order the matmul adds and
@@ -294,7 +297,7 @@ def contract_counts(src: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarra
     float tiers), and past 2**63 it raises CotwistError.  The result is the
     same int64 counts in every tier, count for count.
     """
-    rows, inner = at.shape
+    rows, inner = (src if at is None else at).shape[:2]
     n, cols = src.shape[-1], b.shape[1]
     bound = inner * n * _largest(src) * _largest(b)
     if 2 * bound < 1 << 24:
@@ -308,12 +311,16 @@ def contract_counts(src: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarra
     shift = (np.arange(n) - np.arange(n)[:, None]) % n             # [i, j] = j - i mod N
     circ = b.astype(dtype, copy=False)[:, :, shift].transpose(0, 2, 1, 3)  # [k, i, c, j]
     circ = circ.reshape(inner * n, cols * n)
-    src = src.astype(dtype, copy=False)
+    if at is not None:
+        src = src.astype(dtype, copy=False)
     out = np.empty((rows, cols * n), dtype=np.int64)
     step = max(1, KERNEL_CHUNK // max(1, cols * n))
     for lo in range(0, rows, step):
-        part = at[lo:lo + step]
-        out[lo:lo + step] = np.matmul(src.take(part, axis=0).reshape(len(part), inner * n), circ)
+        if at is None:
+            part = src[lo:lo + step].astype(dtype, copy=False)
+        else:
+            part = src.take(at[lo:lo + step], axis=0)
+        out[lo:lo + step] = np.matmul(part.reshape(len(part), inner * n), circ)
     return out.reshape(rows, cols, n)
 
 
@@ -338,9 +345,9 @@ def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
     free_b = [x for x in range(ndb) if x not in axes_b]
     rows, cols = ([x.shape[ax] for ax in free] for x, free in ((a, free_a), (b, free_b)))
     inner = math.prod(a.shape[x] for x in axes_a)
-    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(-1, a.order)
+    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(math.prod(rows), inner, a.order)
     cb = b.counts.transpose(axes_b + free_b + [ndb]).reshape(inner, math.prod(cols), b.order)
-    out = contract_counts(ca, np.arange(ca.shape[0]).reshape(math.prod(rows), inner), cb)
+    out = contract_counts(ca, None, cb)
     return CycArray(a.order, a.scale * b.scale, out.reshape(*rows, *cols, a.order))
 
 

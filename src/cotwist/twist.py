@@ -10,12 +10,21 @@ Delta0(x) = x x x is the unmodified coproduct.  Everything in this module is
 exact: coefficients are cyclotomic numbers and every identity is checked
 with zero tolerance.
 
+When H has its |H| characters into the N-th roots of unity and J's Fourier
+transform J-hat(chi, psi) = sum_ab J[a, b] chi(a) psi(b) is one scale times
+one root of unity in every cell, as for every shipped twist, each identity
+is audited pointwise on the exponent table of J-hat mod N (:class:`Fourier`):
+the transform is an injective algebra map C[H^k] -> Fun(H-hat^k), so each
+pointwise identity is equivalent to the one in C[H]^(x k).  Any other J is
+audited by contractions in C[H]^(x k).  The arguments are in README, "The
+twist audit, exactly".
+
 J^-1 is either supplied (the symplectic twist brings its closed form, the
-conjugate of J) or computed: first from the antipode element Q by one solve
-in C[H_Q], H_Q the subgroup the support of Q generates (an |H_Q| x |H_Q|
-system, at most |H| x |H|), and by the exact solve in C[H x H] only if that
-candidate fails.  Either way the axiom audit certifies it by one exact
-product.
+conjugate of J) or computed: pointwise, by the inverse transform of
+1 / J-hat; else from the antipode element Q by one solve in C[H_Q], H_Q the
+subgroup the support of Q generates (an |H_Q| x |H_Q| system, at most
+|H| x |H|), and by the exact solve in C[H x H] only if that candidate fails.
+Either way the axiom audit certifies it, pointwise or by one exact product.
 
 The deformed coproducts Delta1(x) = (x x x) J and Delta2(x) = J^-1 (x x x)
 are the coalgebra structures whose dual algebras downstream modules build.
@@ -42,7 +51,7 @@ from .exactlin import (
     invert_in_group_algebra,
     sum_counts,
 )
-from .groups import Bicharacter, FiniteGroup, Subgroup
+from .groups import Bicharacter, FiniteGroup, Subgroup, character_exponents
 from .scalars import format_cyclotomic, parse_cyclotomic
 
 
@@ -75,6 +84,12 @@ class TwistData:
     def pair_mul(self) -> np.ndarray:
         """Cayley table of H x H on flat indices h1 * |H| + h2."""
         return _pair_table(self.group.mul)
+
+    @cached_property
+    def fourier(self) -> Fourier | None:
+        """J's transform where it is single-term (:func:`_fourier`), else None;
+        formed once per audit, which reads it first."""
+        return _fourier(self)
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +127,29 @@ class TwistAudit:
 
 @dataclass
 class TriangularStructure:
-    """R = (J_21)^-1 J together with the minimality certificate."""
+    """The minimality certificate of R = (J_21)^-1 J: its rank, |H| exactly
+    when the twist is minimal."""
 
-    R: CycArray
     rank: int
     minimal: bool
+
+
+@dataclass(frozen=True)
+class Fourier:
+    """J-hat(chi, psi) = scale * zeta_N^exp[chi, psi] in every cell.
+
+    ``chars`` holds the certified characters E[chi, h] of H (row 0 the
+    trivial one), ``prod[chi, psi]`` the row of chi psi and ``dual[chi]``
+    that of chi-bar; ``exp`` is int16 while 4 N fits, so that the sums of
+    four exponents do.
+    """
+
+    order: int
+    chars: np.ndarray
+    prod: np.ndarray
+    dual: np.ndarray
+    exp: np.ndarray
+    scale: Fraction
 
 
 def _pair_table(mul: np.ndarray) -> np.ndarray:
@@ -187,6 +220,110 @@ def _accepted(t: TwistData, audit: TwistAudit) -> TwistData:
 
 
 # ---------------------------------------------------------------------------
+# the Fourier transform on H's characters
+
+
+def _transform(chars: np.ndarray, X: CycArray) -> CycArray:
+    """X-hat[chi, psi] = sum_ab X[a, b] chi(a) psi(b) = (F X F^T)[chi, psi],
+    F[chi, a] = zeta^chars[chi, a]: two exact contractions, O(|H|^3 N^2)."""
+    F = CycArray.from_exponents(X.order, chars)
+    return cyc_tensordot(cyc_tensordot(F, X, axes=([1], [0])), F, axes=([1], [1]))
+
+
+def _character_products(chars: np.ndarray, gens: list[int], order: int) -> np.ndarray:
+    """[chi, psi] -> the row of chi psi in ``chars``.
+
+    A character is fixed by its values on the generators, so rows are
+    matched on a key read off those, one generator at a time: key * N +
+    value, ranked after each step, so that it stays below |H|^2 + |H|.
+    """
+    m = len(chars)
+    key = np.zeros(m + m * m, dtype=np.int64)
+    for v in chars[:, gens].T:
+        value = np.concatenate([v, ((v[:, None] + v[None]) % order).ravel()])
+        key = np.unique(key * order + value, return_inverse=True)[1].reshape(-1)
+    rows = np.argsort(key[:m])
+    return rows[np.searchsorted(key[:m], key[m:], sorter=rows)].reshape(m, m)
+
+
+def _fourier(t: TwistData) -> Fourier | None:
+    """J-hat on the certified characters of H (:func:`character_exponents`)
+    when it is single-term, else None.
+
+    Single-term: every cell's fewest-term counts (:meth:`CycArray.fewest_counts`)
+    are one nonzero count c at some k, and c is the same in every cell once,
+    for even N, a negative c is folded into k + N/2 (zeta^(N/2) = -1).  Then
+    J-hat = scale * zeta^exp with scale = c * J.scale.  Each (c, k) pair is
+    canonical: c zeta^k = c' zeta^k' with c, c' rational makes zeta^(k - k')
+    = +-1, and -1 is zeta^(N/2) for even N and no N-th root for odd N.  None
+    also when H is not abelian, its exponent does not divide N, or the
+    transform's counts or arrays do not fit.
+    """
+    n = t.order
+    try:
+        chars = character_exponents(t.group, n)
+        hat = _transform(chars, t.J).fewest_counts()
+    except (CotwistError, MemoryError):
+        return None
+    if (np.count_nonzero(hat, axis=-1) != 1).any():
+        return None
+    exp = np.argmax(hat != 0, axis=-1)
+    coef = np.take_along_axis(hat, exp[..., None], axis=-1)[..., 0]
+    if n % 2 == 0:
+        exp = np.where(coef < 0, exp + n // 2, exp) % n
+        coef = np.abs(coef)
+    if (coef != coef.flat[0]).any():
+        return None
+    prod = _character_products(chars, t.group.generators, n)
+    return Fourier(order=n, chars=chars, prod=prod, dual=np.argmax(prod == 0, axis=1),
+                   exp=exp.astype(np.int16 if 4 * n < 1 << 15 else np.int64),
+                   scale=t.J.scale * int(coef.flat[0]))
+
+
+def _inverse_transform(f: Fourier) -> CycArray:
+    """The element whose transform is 1 / J-hat = zeta^-exp / scale, on
+    canonical counts over the lowest common denominator: X[a, b] =
+    |H|^-2 sum_{chi, psi} X-hat(chi, psi) chi-bar(a) psi-bar(b), as the
+    characters' orthogonality gives F-bar^T F = |H| I."""
+    m, n = len(f.chars), f.order
+    Fbar = CycArray.from_exponents(n, -f.chars)
+    hat = CycArray.from_exponents(n, -f.exp, 1 / f.scale)
+    X = cyc_tensordot(cyc_tensordot(Fbar, hat, axes=([0], [0])), Fbar, axes=([1], [0]))
+    return _over_common_denominator(X.scale_by(Fraction(1, m * m)))
+
+
+#: cells of the exponent sums the pointwise 2-cocycle check forms at once
+COCYCLE_CHUNK = 1 << 22
+
+
+def _cocycle_holds(f: Fourier) -> bool:
+    """J-hat(x, y) J-hat(xy, z) = J-hat(y, z) J-hat(x, yz) on every triple of
+    characters, a slice of x at a time.  Both sides carry scale^2, so only
+    the exponents are compared, mod N."""
+    e, prod = f.exp, f.prod
+    m = e.shape[0]
+    step = max(1, COCYCLE_CHUNK // (m * m))
+    for lo in range(0, m, step):
+        x = slice(lo, lo + step)
+        diff = e[x, :, None] + e[prod[x]] - e[None] - e[x][:, prod]  # [x, y, z]
+        if (diff % f.order).any():
+            return False
+    return True
+
+
+def _antipode_holds(f: Fourier) -> bool:
+    """(S x S)(J) = (Q x Q) J_21^-1 Delta0(Q^-1), pointwise:
+    J-hat(x-bar, y-bar) Q-hat(xy) = Q-hat(x) Q-hat(y) / J-hat(y, x), with
+    Q-hat(x) = J-hat(x-bar, x).  The left side carries scale^2 and the
+    right side scale, so the identity needs scale 1, and then the exponents
+    mod N."""
+    e, d = f.exp, f.dual
+    q = e[d, np.arange(len(d))]
+    diff = e[np.ix_(d, d)] + q[f.prod] - q[:, None] - q[None] + e.T
+    return f.scale == 1 and not (diff % f.order).any()
+
+
+# ---------------------------------------------------------------------------
 # exact axiom audits
 
 
@@ -244,24 +381,85 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     or whose arrays do not fit in memory, is not certified and is recorded as
     failed, the latter with an ``out of memory`` note.
 
-    The inverse is the supplied ``t.Jinv``, final as given, or, when there
-    is none, the first of two candidates that passes the one exact check
-    J . K = 1 x 1 (a one-sided inverse in C[H x H] is two-sided and unique):
-    the inverse read off the antipode element (:func:`_inverse_from_q`), or
-    the solution K of J K = 1 x 1 in C[H x H] when Q is singular, a count
-    would overflow int64, or the product check fails (J is not a twist).
-    The first is written like the solve's result, on canonical counts over
-    the lowest common denominator, so ``invertibility`` has the outcome it
-    would have with the solve alone.  ``t.Jinv`` is kept only if the check
-    passes, and ``t.verified`` is set to the audit's outcome.
+    Where J-hat is single-term (``t.fourier``), every check is pointwise
+    (:func:`_pointwise_audit`); else each is a contraction in C[H]^(x k)
+    (:func:`_contracted_audit`).  The choice is made from J and H alone.  The
+    inverse is the supplied ``t.Jinv``, final as given, or else computed;
+    ``t.Jinv`` is kept only if it is certified, and ``t.verified`` is set to
+    the audit's outcome.
+    """
+    supplied, t.Jinv = t.Jinv, None
+    for cached in ("fourier", "terms"):  # those of an earlier audit
+        t.__dict__.pop(cached, None)
+    audit = (_contracted_audit if t.fourier is None else _pointwise_audit)(t, supplied)
+    t.verified = audit.ok
+    return audit
+
+
+def _keep_inverse(t: TwistData, candidates, is_inverse) -> str:
+    """Set ``t.Jinv`` to the first candidate that ``is_inverse`` certifies;
+    returns the note of a candidate that ran out of memory, if any."""
+    note = ""
+    for candidate in candidates:
+        try:
+            jinv = candidate()
+            if is_inverse(jinv):
+                t.Jinv = jinv
+                break
+        except CotwistError:  # singular, or counts overflowing int64
+            pass
+        except MemoryError as exc:
+            note = f"out of memory: {exc}"
+    return note
+
+
+def _pointwise_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
+    """The six checks on J-hat = scale * zeta^exp (README, "The twist audit,
+    exactly").
+
+    The 2-cocycle equation is :func:`_cocycle_holds`; the counits are
+    J-hat(1, .) = 1 (left leg) and J-hat(., 1) = 1 (right leg).  No cell of
+    J-hat is 0, so J is invertible and J^-1 has the transform 1 / J-hat: the
+    candidate, supplied or the inverse transform of 1 / J-hat
+    (:func:`_inverse_transform`), is certified by its own transform, formed
+    as J-hat is, equal to 1 / J-hat.  H is abelian, so both coassociativity
+    laws are the 2-cocycle equation, for J-hat and for 1 / J-hat, and reuse
+    its outcome.
+    """
+    f, audit = t.fourier, TwistAudit()
+    cocycle = _certified(_cocycle_holds, f)
+    audit.record("2-cocycle equation", *cocycle)
+    audit.record("counit (left leg)", f.scale == 1 and not f.exp[0].any())
+    audit.record("counit (right leg)", f.scale == 1 and not f.exp[:, 0].any())
+    inverse = CycArray.from_exponents(f.order, -f.exp, 1 / f.scale)
+    note = _keep_inverse(t, [lambda: _inverse_transform(f) if supplied is None else supplied],
+                         lambda jinv: _transform(f.chars, jinv).eq(inverse))
+    invertible = t.Jinv is not None
+    audit.record("invertibility", invertible, note)
+    audit.record("coassociativity of the first deformed coproduct", *cocycle)
+    audit.record("coassociativity of the second deformed coproduct",
+                 *(cocycle if invertible else (False, "")))
+    return audit
+
+
+def _contracted_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
+    """The six checks by contractions in C[H]^(x k), for a J-hat that is not
+    single-term or an H without |H| characters into mu_N.
+
+    The inverse is the first of two candidates that passes the one exact
+    check J . K = 1 x 1 (a one-sided inverse in C[H x H] is two-sided and
+    unique): the inverse read off the antipode element
+    (:func:`_inverse_from_q`), or the solution K of J K = 1 x 1 in C[H x H]
+    when Q is singular, a count would overflow int64, or the product check
+    fails (J is not a twist).  The first is written like the solve's result,
+    on canonical counts over the lowest common denominator, so
+    ``invertibility`` has the outcome it would have with the solve alone.
 
     Coassociativity is checked at x = e only, which is equivalent.  The
     three identities are one :func:`_sides_agree` each, but the 2-cocycle
     outcome is reused for Delta1 when H is abelian and for Delta2 when the
-    certified inverse is exactly conj(J): a symplectic twist takes one
-    contraction, a general J three.  A reused outcome is judged on J's
-    counts, an overflow included.  The arguments are in README, "The twist
-    audit, exactly".
+    certified inverse is exactly conj(J).  A reused outcome is judged on J's
+    counts, an overflow included.
     """
     audit = TwistAudit()
     group = t.group
@@ -277,26 +475,13 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     audit.record("counit (right leg)", *_certified(_counit_ok, t.J, 1))
 
     unit = ga_identity(m * m, t.order).reshape(m, m)
-    supplied = t.Jinv
     if supplied is not None:
         candidates = [lambda: supplied]
     else:
         candidates = [lambda: _inverse_from_q(t.J, mul, inv),
                       lambda: invert_in_group_algebra(t.J.reshape(m * m),
                                                       t.pair_mul).reshape(m, m)]
-    t.Jinv = None
-    t.__dict__.pop("terms", None)  # the cached terms of an earlier audit
-    note = ""
-    for candidate in candidates:
-        try:
-            jinv = candidate()
-            if ga_mul(t.J, jinv, mul).eq(unit):
-                t.Jinv = jinv
-                break
-        except CotwistError:  # singular, or counts overflowing int64
-            pass
-        except MemoryError as exc:
-            note = f"out of memory: {exc}"
+    note = _keep_inverse(t, candidates, lambda jinv: ga_mul(t.J, jinv, mul).eq(unit))
     invertible = t.Jinv is not None
     audit.record("invertibility", invertible, note)
 
@@ -310,7 +495,6 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     else:
         second = _certified(_sides_agree, t.Jinv, right_shift)
     audit.record("coassociativity of the second deformed coproduct", *second)
-    t.verified = audit.ok
     return audit
 
 
@@ -319,49 +503,55 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
 
 
 def triangular_structure(t: TwistData) -> TriangularStructure:
-    """R = (J_21)^-1 J, its exact triangularity check and minimality rank.
+    """R = (J_21)^-1 J: its exact triangularity check and minimality rank.
 
     Triangularity (R_21 R = 1 x 1) is asserted; the rank of the coefficient
     matrix of R equals |H| exactly iff the twist is minimal.
 
     The identity itself follows from the certified J J^-1 = 1 x 1: R_21 =
     (J_21^-1 J)_21 = J^-1 J_21, so R_21 R = J^-1 J_21 J_21^-1 J = 1 x 1 in the
-    associative algebra C[H x H].  The product is still formed, as an exact
-    certificate of the R computed here, at the cost of one dense product, as
-    J J^-1 is.
+    associative algebra C[H x H].  It is still checked, as an exact
+    certificate of the R formed here.  Where J-hat is single-term, R-hat(x, y)
+    = J-hat(x, y) / J-hat(y, x) = zeta^(exp - exp^T), R_21 R = 1 x 1 is
+    R-hat(y, x) R-hat(x, y) = 1, and rank R = rank R-hat, as R-hat = F R F^T
+    with F invertible.  Else R and R_21 R are dense products in C[H x H].
     """
     t.require_verified()
-    m = t.size
-    mul = t.group.mul
-    R = ga_mul(_swap_legs(t.Jinv), t.J, mul)
-    if not ga_mul(_swap_legs(R), R, mul).eq(ga_identity(m * m, t.order).reshape(m, m)):
+    m, n, f = t.size, t.order, t.fourier
+    if f is None:
+        mul = t.group.mul
+        R = ga_mul(_swap_legs(t.Jinv), t.J, mul)
+        holds = ga_mul(_swap_legs(R), R, mul).eq(ga_identity(m * m, n).reshape(m, m))
+    else:
+        exp = (f.exp - f.exp.T) % n
+        R = CycArray.from_exponents(n, exp)
+        holds = not ((exp + exp.T) % n).any()
+    if not holds:
         raise AuditError("triangularity failed: R_21 R != 1 x 1")
     rank = cyc_rank(R)
-    return TriangularStructure(R=R, rank=rank, minimal=(rank == m))
+    return TriangularStructure(rank=rank, minimal=(rank == m))
 
 
 def q_element_and_antipode_check(t: TwistData):
     """The element Q = m (S x id)(J) and the exact antipode identity.
 
     Returns (Q, ok) where Q is the group-algebra element sum_ab J_ab a^-1 b
-    (asserted invertible) and ok records whether
-    (S x S)(J) = (Q x Q) (J_21)^-1 Delta0(Q^-1) holds exactly.
+    and ok records whether (S x S)(J) = (Q x Q) (J_21)^-1 Delta0(Q^-1) holds
+    exactly.  Where J-hat is single-term, Q-hat(x) = J-hat(x-bar, x) has no
+    zero, so Q is invertible, and the identity is :func:`_antipode_holds`.
+    Else Q^-1 comes from one solve, CotwistError when Q is singular, and the
+    right side is formed by dense products.
     """
-    Q, _, ok = _antipode_element(t)
-    return Q, ok
-
-
-def _antipode_element(t: TwistData):
-    """(Q, Q^-1, ok) as described in :func:`q_element_and_antipode_check`."""
     t.require_verified()
     mul = t.group.mul.astype(np.int64)
     inv = t.group.inv.astype(np.int64)
     Q = _q_element(t.J, mul, inv)
+    if t.fourier is not None:
+        return Q, _antipode_holds(t.fourier)
     Qinv = invert_in_group_algebra(Q, mul)
-    # (S x S)(J) against (Q x Q) . J21^-1 . Delta0(Q^-1)
     rhs = ga_mul(ga_mul(cyc_tensordot(Q, Q, axes=0), _swap_legs(t.Jinv), mul),
                  _coproduct(Qinv), mul)
-    return Q, Qinv, _antipode(t.J, inv).eq(rhs)
+    return Q, _antipode(t.J, inv).eq(rhs)
 
 
 def _q_element(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
@@ -390,24 +580,31 @@ def _coproduct(x: CycArray) -> CycArray:
     return out
 
 
+def _over_common_denominator(X: CycArray) -> CycArray:
+    """The same values on canonical counts over their lowest common
+    denominator, as :func:`cyc_solve` returns values; CotwistError when a
+    count would overflow int64."""
+    X = X.reduced()
+    num, den = X.scale.numerator, X.scale.denominator
+    if _largest(X.counts) * abs(num) >= 1 << 63:
+        raise CotwistError("exact values over their common denominator overflow int64 counts")
+    return CycArray(X.order, Fraction(1, den), X.counts * num)
+
+
 def _inverse_from_q(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
     """The candidate J^-1 = (Q^-1 x Q^-1) . (S x S)(J_21) . Delta0(Q).
 
     It is J^-1 when J is a twist (README, "The twist audit, exactly").  Q^-1
     comes from one |H_Q| x |H_Q| solve, H_Q the subgroup the support of Q
     generates (:func:`invert_in_group_algebra`).  The candidate comes on
-    canonical counts over the lowest common denominator, as :func:`cyc_solve`
-    returns values.  Raises CotwistError when Q is singular or a count would
-    overflow int64.
+    canonical counts over the lowest common denominator.  Raises CotwistError
+    when Q is singular or a count would overflow int64.
     """
     Q = _q_element(J, mul, inv)
     Qinv = invert_in_group_algebra(Q, mul)
-    cand = ga_mul(ga_mul(cyc_tensordot(Qinv, Qinv, axes=0), _antipode(_swap_legs(J), inv), mul),
-                  _coproduct(Q), mul).reduced()
-    num, den = cand.scale.numerator, cand.scale.denominator
-    if _largest(cand.counts) * abs(num) >= 1 << 63:
-        raise CotwistError("exact values over their common denominator overflow int64 counts")
-    return CycArray(J.order, Fraction(1, den), cand.counts * num)
+    return _over_common_denominator(
+        ga_mul(ga_mul(cyc_tensordot(Qinv, Qinv, axes=0), _antipode(_swap_legs(J), inv), mul),
+               _coproduct(Q), mul))
 
 
 def square_dimension_check(t: TwistData) -> int:

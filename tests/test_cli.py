@@ -315,8 +315,9 @@ def test_out_of_memory_exits_1_with_report(construction, patched, monkeypatch, t
 
     source = (["--p", "3", "--gamma", "1,1,0,1"] if construction == "symplectic"
               else ["--config", str(write_table_instance(tmp_path))])
-    if patched == "audit":  # the 2-cocycle contraction, whose outcome two more checks reuse
-        monkeypatch.setattr(twist, "_sides_agree", exhausted)
+    if patched == "audit":  # the 2-cocycle check, whose outcome two more checks reuse
+        monkeypatch.setattr(twist, "_cocycle_holds", exhausted)  # pointwise
+        monkeypatch.setattr(twist, "_sides_agree", exhausted)    # contracted
         named = [f"twist axiom failed: {name} (out of memory: {text})" for name in (
             "2-cocycle equation", "coassociativity of the first deformed coproduct",
             "coassociativity of the second deformed coproduct")]
@@ -330,6 +331,24 @@ def test_out_of_memory_exits_1_with_report(construction, patched, monkeypatch, t
     assert rc == 1 and report["global_checks"]["twist_axioms"] is (patched != "audit")
     assert report["failures"] == [*named, "coset analysis skipped: global checks failed"]
     assert named[0] in stderr
+
+
+def test_verify_p5_forms_no_dense_product(monkeypatch, tmp_path, capsys):
+    """verify on the symplectic p = 5 instance audits the twist and runs the
+    global checks pointwise: no contraction in C[H]^(x 3) (``_sides_agree``)
+    and no dense product in C[H x H] (``_dense_pair_mul``) runs."""
+    from cotwist import exactlin, twist
+
+    calls = []
+    for module, name in ((twist, "_sides_agree"), (exactlin, "_dense_pair_mul")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    out = tmp_path / "report.json"
+    rc, _, _ = run_cli(["verify", "--p", "5", "--gamma", "1,0,0,4", "--out", str(out)], capsys)
+    checks = json.loads(out.read_text())["global_checks"]
+    assert rc == 0 and checks["minimality_rank"] == 25 and checks["q_identity"]
+    assert calls == []
 
 
 def test_degenerate_twist_at_composite_order_fails_minimality(tmp_path, capsys):

@@ -22,6 +22,33 @@ def rand_cycarray(rng, shape, order, span=2):
     return CycArray(order, Fraction(1, int(rng.integers(1, 4))), counts)
 
 
+def test_tensordot_casts_its_operand_a_slice_at_a_time():
+    """cyc_tensordot hands ``contract_counts`` its operand with no index, so a
+    (729 * 729, 3) operand contracted with one column is cast to float32 once,
+    a slice at a time, and never also gathered: the peak stays near one
+    float32 copy of it, where a cast and a gather of it take two."""
+    import tracemalloc
+
+    a = CycArray(3, Fraction(1), np.ones((729, 729, 3), dtype=np.int64))
+    b = CycArray(3, Fraction(1), np.ones((729, 1, 3), dtype=np.int64))
+    one_copy = 729 * 729 * 3 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        out = cyc_tensordot(a, b, axes=([1], [0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(out.counts == 729 * 3)
+    assert peak < 1.25 * one_copy, peak / one_copy
+
+
+def test_tensordot_over_an_empty_axis_is_zero():
+    a = CycArray(3, Fraction(1), np.zeros((2, 0, 3), dtype=np.int64))
+    b = CycArray(3, Fraction(1), np.zeros((0, 4, 3), dtype=np.int64))
+    out = cyc_tensordot(a, b, axes=([1], [0]))
+    assert out.shape == (2, 4) and not out.counts.any()
+
+
 def test_round_trip_object_and_back():
     """Reference values, reduced mod Phi_N, encode the same array again."""
     rng = np.random.default_rng(3)

@@ -134,20 +134,23 @@ def contractions(monkeypatch):
     return calls
 
 
-def test_symplectic_audit_takes_one_contraction(p3_pair, contractions):
-    """H is abelian and J^-1 = conj(J): both coassociativity entries reuse the
-    2-cocycle contraction."""
+def test_symplectic_audit_takes_no_contraction(p3_pair, contractions):
+    """The symplectic twist's J-hat is one root of unity per cell, so its six
+    checks are pointwise and none contracts in C[H]^(x 3)."""
     t = symplectic_twist(*p3_pair)
     assert t.verified and t.Jinv.eq(t.J.conj())
-    assert len(contractions) == 1 and contractions[0] is t.J
+    assert t.fourier is not None and t.fourier.scale == 1
+    assert contractions == []
 
 
 def test_gauge_twist_audit_contracts_its_inverse(p3_gauge_diag_bundle, contractions):
-    """The gauge-transformed twist's J^-1 is not conj(J): coassociativity of
+    """The gauge-transformed twist's J-hat has cells of several terms, so it is
+    audited by contractions; its J^-1 is not conj(J): coassociativity of
     Delta2 is contracted on J^-1, and Delta1 still reuses the 2-cocycle one."""
     J = p3_gauge_diag_bundle[0].t.J
     t, audit = assemble_twist(p3_gauge_diag_bundle[0].t.subgroup, J)
     assert audit.ok and [name for name, _ in audit.checks] == AXIOM_NAMES
+    assert t.fourier is None
     assert not t.Jinv.eq(J.conj())
     assert len(contractions) == 2
     assert contractions[0] is J and contractions[1] is t.Jinv
@@ -162,7 +165,7 @@ def test_trivial_twist_on_nonabelian_group_contracts_delta1(contractions):
     J = CycArray.zeros((6, 6), 1)
     J.counts[0, 0, 0] = 1
     t, audit = assemble_twist(Subgroup(FiniteGroup(s3_mul()), np.arange(6)), J)
-    assert audit.ok and t.Jinv.eq(J.conj())
+    assert audit.ok and t.Jinv.eq(J.conj()) and t.fourier is None
     assert len(contractions) == 2 and all(X is J for X in contractions)
 
 
@@ -442,3 +445,120 @@ def test_gauge_transformed_twist_still_valid(p3_pair, p3_twist):
     assert tri.minimal
     _, ok = q_element_and_antipode_check(t2)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the pointwise route against the contracted route
+
+
+def _outcomes(subgroup, J, Jinv=None):
+    """The audited twist and every named outcome of its audit and, once it
+    passes, of its global checks."""
+    t, audit = assemble_twist(subgroup, J, Jinv)
+    out = {"checks": audit.checks, "Jinv": t.Jinv}
+    if t.verified:
+        tri = triangular_structure(t)
+        out["Q"], out["antipode"] = q_element_and_antipode_check(t)
+        out["rank"], out["minimal"] = tri.rank, tri.minimal
+    return t, out
+
+
+def _transform_corrupted(t, cell, by=1):
+    """The J whose J-hat is t's with the exponent of one cell moved ``by``."""
+    from dataclasses import replace
+
+    from cotwist import twist
+
+    f = t.fourier
+    exp = f.exp.astype(np.int64)
+    exp[cell] += by
+    return twist._inverse_transform(replace(f, exp=-exp % f.order, scale=1 / f.scale))
+
+
+def _equivalence_cases():
+    """(name, subgroup, J, Jinv, pointwise) for every shipped twist and for
+    corruptions; ``pointwise`` says whether J-hat is single-term."""
+    from instances import COMPOSITE, CRITERION_10, DEGENERATE, WREATH, build_parts
+
+    cases = []
+    for p in (3, 5):
+        H, sigma = build_elementary_abelian_symplectic(p, 1)
+        J = CycArray.from_exponents(p, sigma.exponents, Fraction(1, p * p))
+        cases.append((f"symplectic-p{p}", Subgroup(H, np.arange(p * p)), J, J.conj(), True))
+    for name, spec in (("wreath", WREATH), ("criterion10-first", CRITERION_10[0]),
+                       ("criterion10-second", CRITERION_10[1]),
+                       ("composite-N4", COMPOSITE), ("degenerate-N4", DEGENERATE)):
+        _, H, J = build_parts(*spec)
+        cases.append((name, H, J, None, True))
+    H, sigma = build_elementary_abelian_symplectic(3, 1)
+    sub, t = Subgroup(H, np.arange(9)), symplectic_twist(H, sigma)
+    for name, changes in (("rectangle", {(1, 2): 1, (3, 4): 1, (1, 4): -1, (3, 2): -1}),
+                          ("left-counit", {(1, 2): 1, (1, 3): -1}),
+                          ("right-counit", {(2, 1): 1, (3, 1): -1}), ("one-cell", {(1, 2): 1})):
+        cases.append((f"perturbed-{name}", sub, _perturbed(t.J, changes), None, False))
+    cases.append(("scaled", sub, t.J.scale_by(2), None, True))
+    cases.append(("wrong-inverse", sub, t.J, t.J.conj().scale_by(2), True))
+    for a, b in ((4, 7), (0, 5), (5, 0)):
+        cases.append((f"hat-cell-{a}-{b}", sub, _transform_corrupted(t, (a, b)), None, True))
+    return cases
+
+
+EQUIVALENCE_CASES = _equivalence_cases()
+
+
+@pytest.mark.parametrize("name, subgroup, J, Jinv, pointwise", EQUIVALENCE_CASES,
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_pointwise_route_gives_the_contracted_outcomes(name, subgroup, J, Jinv, pointwise,
+                                                       monkeypatch):
+    """Each shipped twist, and each corruption, gets the same named outcomes
+    whether its J-hat is read pointwise or its identities are contracted in
+    C[H]^(x k): the six checks, the certified J^-1, the rank of R, minimality,
+    Q and the antipode identity.  Every shipped twist takes the pointwise
+    route, at N = 2, 3, 4 and 5."""
+    from cotwist import twist
+
+    t, pointwise_out = _outcomes(subgroup, J, Jinv)
+    assert (t.fourier is not None) is pointwise
+    monkeypatch.setattr(twist, "_fourier", lambda t: None)
+    t, contracted_out = _outcomes(subgroup, J, Jinv)
+    assert t.fourier is None
+    for key, value in contracted_out.items():
+        other = pointwise_out[key]
+        if isinstance(value, CycArray):
+            assert np.array_equal(value.counts, other.counts) and value.scale == other.scale, key
+        else:
+            assert value == other, key
+
+
+@pytest.mark.parametrize("cell, failing", [
+    ((4, 7), ["2-cocycle equation", "coassociativity of the first deformed coproduct",
+              "coassociativity of the second deformed coproduct"]),
+    ((0, 5), ["2-cocycle equation", "counit (left leg)",
+              "coassociativity of the first deformed coproduct",
+              "coassociativity of the second deformed coproduct"]),
+    ((5, 0), ["2-cocycle equation", "counit (right leg)",
+              "coassociativity of the first deformed coproduct",
+              "coassociativity of the second deformed coproduct"]),
+])
+def test_moved_exponent_fails_pointwise_by_name(p3_pair, p3_twist, cell, failing, contractions):
+    """One cell of J-hat moved to another root of unity keeps J-hat
+    single-term: the pointwise checks name the failures, with no contraction."""
+    t, audit = assemble_twist(Subgroup(p3_pair[0], np.arange(9)),
+                              _transform_corrupted(p3_twist, cell))
+    assert t.fourier is not None and audit.failed == failing and contractions == []
+
+
+def test_character_products_are_pointwise_sums():
+    """The row of chi psi is the row E[chi] + E[psi] mod N and that of chi-bar
+    is -E[chi] mod N, on (Z/3)^2 and on Z/4 x Z/2 read at N = 4 and N = 8."""
+    from cotwist.groups import build_elementary_abelian, character_exponents
+    from cotwist.twist import _character_products
+
+    z4 = (np.arange(4)[:, None] + np.arange(4)) % 4
+    z2 = (np.arange(2)[:, None] + np.arange(2)) % 2
+    z4z2 = FiniteGroup((z4[:, None, :, None] * 2 + z2[None, :, None, :]).reshape(8, 8))
+    for group, order in ((build_elementary_abelian(3, 2), 3), (z4z2, 4), (z4z2, 8)):
+        E = character_exponents(group, order)
+        prod = _character_products(E, group.generators, order)
+        assert np.array_equal(E[prod], (E[:, None] + E[None]) % order)
+        assert np.array_equal(E[np.argmax(prod == 0, axis=1)], -E % order)
