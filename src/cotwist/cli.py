@@ -19,6 +19,7 @@ always goes to stderr so stdout stays machine-parseable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -169,7 +170,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=str, default=None, help="JSON report path ('-' = stdout)")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cotwist",
         description="Irreducible-spectrum cross-validation for duals of twisted group algebras")

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
+
 import numpy as np
 
 from .dual_algebras import SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra
@@ -30,9 +32,8 @@ from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelia
 from .projective import (class_dims, multiplicity_law_holds, regular_trace_law, tensor_class,
                          trace_vanishing_holds, translation_characters)
 from .semisimple import wedderburn_dims
-from .twist import (TwistAudit, TwistData, assemble_symplectic_twist, assemble_twist,
-                    load_twist_matrix, q_element_and_antipode_check, square_dimension_check,
-                    triangular_structure)
+from .twist import (TwistAudit, TwistData, assemble_twist, load_twist_matrix,
+                    q_element_and_antipode_check, square_dimension_check, triangular_structure)
 
 #: number of (a, a') translation pairs sampled by the F_g equivariance audit
 EQUIVARIANCE_SAMPLES = 20
@@ -106,7 +107,8 @@ def build_instance(config: Config) -> Instance:
     if isinstance(c, SymplecticConstruction):
         h_group, sigma = build_elementary_abelian_symplectic(c.p, c.n)
         G, H = build_semidirect(h_group, c.p, list(c.gamma_generators))
-        t, audit = assemble_symplectic_twist(H, sigma)  # H has h_group's local indices
+        J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, H.order))
+        t, audit = assemble_twist(H, J)  # H has h_group's local indices
     elif isinstance(c, TableConstruction):
         G = FiniteGroup.from_file(c.group_file)
         H = Subgroup(G, np.asarray(c.subgroup, dtype=np.int64))

@@ -497,3 +497,24 @@ def character_exponents(H: FiniteGroup, order: int) -> np.ndarray:
     E = H._characters[order] = E[hom]
     E.flags.writeable = False
     return E
+
+
+def character_products(E: np.ndarray, gens, order: int) -> np.ndarray:
+    """[chi, psi] -> the row of chi psi in the characters E[chi, h] mod N of
+    :func:`character_exponents`, ``gens`` the generators of H.
+
+    A character is fixed by its exponents at the generators, N / ord(s)
+    times a digit below ord(s), so chi psi is found by the mixed-radix key
+    of the digit sums, which no digit carries out of.
+    """
+    if not len(gens):  # H = {e}
+        return np.zeros((1, 1), dtype=np.int64)
+    step = np.gcd.reduce(E[:, gens], axis=0)                  # N / ord(s)
+    digits, radix = E[:, gens].T // step[:, None], order // step
+    index = np.empty(np.prod(radix), dtype=np.int64)          # key -> chi
+    index[np.ravel_multi_index(digits, radix)] = np.arange(len(E))
+    sums = 2 * radix - 1          # keys of digit sums: the sum of two characters' keys
+    by_sum = index[np.ravel_multi_index(np.indices(sums).reshape(len(gens), -1) % radix[:, None],
+                                        radix)]
+    keys = np.ravel_multi_index(digits, sums)
+    return by_sum[keys[:, None] + keys[None]]

@@ -31,7 +31,7 @@ from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
 from .exactlin import (KERNEL_CHUNK, CycArray, _largest, _modular_image, _modular_root,
                        _rank_mod, counts_equal, cyc_tensordot)
-from .groups import FiniteGroup, character_exponents, greedy_generators
+from .groups import FiniteGroup, character_exponents, character_products, greedy_generators
 
 #: exhaustive associativity above this dimension would be needlessly slow;
 #: larger algebras are audited on a fixed-seed sample of triples.
@@ -200,9 +200,8 @@ def _grading_characters(perms: np.ndarray, order: int) -> tuple[np.ndarray, np.n
     Q's table is symmetric, q_s o q_y = q_{Q[s, y]} for the generators s of
     the table and every y, and exp(Q) divides N.  Q is then an abelian
     group acting regularly by automorphisms, with identity r (README "Block
-    dimensions from the translation grading").  A character is fixed by its
-    exponents at the generators, N / ord(s) times a digit below ord(s), so
-    chi psi is found by the mixed-radix key of the digit sums.
+    dimensions from the translation grading"), and ``products`` is
+    :func:`character_products`.
     """
     n = len(perms)
     at = np.flatnonzero((perms == np.arange(n)).all(axis=1))
@@ -221,15 +220,7 @@ def _grading_characters(perms: np.ndarray, order: int) -> tuple[np.ndarray, np.n
         E = character_exponents(group, order)
     except CotwistError:  # the exponent of Q does not divide N
         return None
-    step = np.gcd.reduce(E[:, gens], axis=0)                  # N / ord(s)
-    digits, radix = E[:, gens].T // step[:, None], order // step
-    index = np.empty(np.prod(radix), dtype=np.int64)          # key -> chi
-    index[np.ravel_multi_index(digits, radix)] = np.arange(len(E))
-    sums = 2 * radix - 1          # keys of digit sums: the sum of two characters' keys
-    by_sum = index[np.ravel_multi_index(np.indices(sums).reshape(len(gens), -1) % radix[:, None],
-                                        radix)]
-    keys = np.ravel_multi_index(digits, sums)
-    return E[:, swap], by_sum[keys[:, None] + keys[None]]
+    return E[:, swap], character_products(E, gens, order)
 
 
 def _canonically_symmetric(mul: CycArray) -> bool:

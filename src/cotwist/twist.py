@@ -19,12 +19,13 @@ pointwise identity is equivalent to the one in C[H]^(x k).  Any other J is
 audited by contractions in C[H]^(x k).  The arguments are in README, "The
 twist audit, exactly".
 
-J^-1 is either supplied (the symplectic twist brings its closed form, the
-conjugate of J) or computed: pointwise, by the inverse transform of
-1 / J-hat; else from the antipode element Q by one solve in C[H_Q], H_Q the
-subgroup the support of Q generates (an |H_Q| x |H_Q| system, at most
-|H| x |H|), and by the exact solve in C[H x H] only if that candidate fails.
-Either way the axiom audit certifies it, pointwise or by one exact product.
+J^-1 is computed by the audit: pointwise, as J's adjoint J* / scale^2,
+J*[a, b] = conj(J[a^-1, b^-1]), whose transform is conj(J-hat) / scale^2
+= 1 / J-hat (for J = sigma / |H| it is conj(J)); else from the antipode
+element Q by one solve in C[H_Q], H_Q the subgroup the support of Q
+generates (an |H_Q| x |H_Q| system, at most |H| x |H|), and by the exact
+solve in C[H x H] only if that candidate fails.  Either way the axiom audit
+certifies it, pointwise or by one exact product.
 
 The deformed coproducts Delta1(x) = (x x x) J and Delta2(x) = J^-1 (x x x)
 are the coalgebra structures whose dual algebras downstream modules build.
@@ -51,7 +52,8 @@ from .exactlin import (
     invert_in_group_algebra,
     sum_counts,
 )
-from .groups import Bicharacter, FiniteGroup, Subgroup, character_exponents
+from .groups import (Bicharacter, FiniteGroup, Subgroup, character_exponents, character_products,
+                     greedy_generators)
 from .scalars import format_cyclotomic, parse_cyclotomic
 
 
@@ -60,15 +62,15 @@ class TwistData:
     """A twist on C[H]: the subgroup H, the matrix J and its inverse.
 
     ``J`` and ``Jinv`` are (|H|, |H|) exact cyclotomic arrays over H-local
-    indices (row = left tensor leg, column = right leg).  ``verified`` is set
-    only after :func:`verify_twist_axioms` passes, which also certifies
-    ``Jinv``; downstream constructions refuse unverified twists.
+    indices (row = left tensor leg, column = right leg).  ``Jinv`` and
+    ``verified`` are set only by :func:`verify_twist_axioms`, which computes
+    and certifies ``Jinv``; downstream constructions refuse unverified twists.
     """
 
     subgroup: Subgroup
     order: int
     J: CycArray
-    Jinv: CycArray | None = None
+    Jinv: CycArray | None = field(default=None, init=False)
     verified: bool = False
 
     @cached_property
@@ -170,35 +172,23 @@ def _swap_legs(X: CycArray) -> CycArray:
 
 
 def symplectic_twist(H: FiniteGroup, sigma: Bicharacter) -> TwistData:
-    """:func:`assemble_symplectic_twist` on all of H, raising AuditError on a failed check."""
-    return _accepted(*assemble_symplectic_twist(Subgroup(H, np.arange(H.order)), sigma))
+    """The minimal twist J_{ab} = sigma(a, b) / |H| of a symplectic
+    bicharacter on all of H, audited like any twist (:func:`make_twist`)."""
+    J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, H.order))
+    return make_twist(Subgroup(H, np.arange(H.order)), J)
 
 
-def assemble_symplectic_twist(subgroup: Subgroup, sigma: Bicharacter):
-    """Minimal twist J_{ab} = sigma(a, b) / |H| from a symplectic bicharacter.
-
-    ``sigma`` is indexed by the local indices of ``subgroup``.  Returns
-    (t, audit) as :func:`assemble_twist` does, by the same six checks.  The
-    inverse is supplied in closed form, conj(J), as sigma is nondegenerate
-    (Movshev 1993; README, "The twist audit, exactly"); the audit still
-    certifies it by its exact product, on the subgroup's own table.
-    """
-    J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, subgroup.order))
-    return assemble_twist(subgroup, J, J.conj())
-
-
-def assemble_twist(subgroup: Subgroup, J: CycArray, Jinv: CycArray | None = None):
+def assemble_twist(subgroup: Subgroup, J: CycArray):
     """Build a TwistData and audit it, without raising on axiom failure.
 
-    Returns (t, audit); ``t.verified`` mirrors ``audit.ok``.  A supplied
-    ``Jinv`` is the one inverse candidate (:func:`verify_twist_axioms`).
-    Inversion failure (a singular candidate) is folded into the audit rather
-    than raised, so callers can report exactly which axioms broke.
+    Returns (t, audit); ``t.verified`` mirrors ``audit.ok``.  Inversion
+    failure (a singular candidate) is folded into the audit rather than
+    raised, so callers can report exactly which axioms broke.
     """
     m = subgroup.order
     if J.shape != (m, m):
         raise CotwistError(f"twist matrix shape {J.shape} != ({m}, {m})")
-    t = TwistData(subgroup=subgroup, order=J.order, J=J, Jinv=Jinv)
+    t = TwistData(subgroup=subgroup, order=J.order, J=J)
     return t, verify_twist_axioms(t)
 
 
@@ -230,22 +220,6 @@ def _transform(chars: np.ndarray, X: CycArray) -> CycArray:
     return cyc_tensordot(cyc_tensordot(F, X, axes=([1], [0])), F, axes=([1], [1]))
 
 
-def _character_products(chars: np.ndarray, gens: list[int], order: int) -> np.ndarray:
-    """[chi, psi] -> the row of chi psi in ``chars``.
-
-    A character is fixed by its values on the generators, so rows are
-    matched on a key read off those, one generator at a time: key * N +
-    value, ranked after each step, so that it stays below |H|^2 + |H|.
-    """
-    m = len(chars)
-    key = np.zeros(m + m * m, dtype=np.int64)
-    for v in chars[:, gens].T:
-        value = np.concatenate([v, ((v[:, None] + v[None]) % order).ravel()])
-        key = np.unique(key * order + value, return_inverse=True)[1].reshape(-1)
-    rows = np.argsort(key[:m])
-    return rows[np.searchsorted(key[:m], key[m:], sorter=rows)].reshape(m, m)
-
-
 def _fourier(t: TwistData) -> Fourier | None:
     """J-hat on the certified characters of H (:func:`character_exponents`)
     when it is single-term, else None.
@@ -274,41 +248,30 @@ def _fourier(t: TwistData) -> Fourier | None:
         coef = np.abs(coef)
     if (coef != coef.flat[0]).any():
         return None
-    prod = _character_products(chars, t.group.generators, n)
+    prod = character_products(chars, t.group.generators, n)
     return Fourier(order=n, chars=chars, prod=prod, dual=np.argmax(prod == 0, axis=1),
                    exp=exp.astype(np.int16 if 4 * n < 1 << 15 else np.int64),
                    scale=t.J.scale * int(coef.flat[0]))
 
 
-def _inverse_transform(f: Fourier) -> CycArray:
-    """The element whose transform is 1 / J-hat = zeta^-exp / scale, on
-    canonical counts over the lowest common denominator: X[a, b] =
-    |H|^-2 sum_{chi, psi} X-hat(chi, psi) chi-bar(a) psi-bar(b), as the
-    characters' orthogonality gives F-bar^T F = |H| I."""
-    m, n = len(f.chars), f.order
-    Fbar = CycArray.from_exponents(n, -f.chars)
-    hat = CycArray.from_exponents(n, -f.exp, 1 / f.scale)
-    X = cyc_tensordot(cyc_tensordot(Fbar, hat, axes=([0], [0])), Fbar, axes=([1], [0]))
-    return _over_common_denominator(X.scale_by(Fraction(1, m * m)))
-
-
-#: cells of the exponent sums the pointwise 2-cocycle check forms at once
-COCYCLE_CHUNK = 1 << 22
+def _adjoint_inverse(t: TwistData, f: Fourier) -> CycArray:
+    """J* / scale^2, J*[a, b] = conj(J[a^-1, b^-1]), on canonical counts over
+    the lowest common denominator.  Its transform is conj(J-hat) / scale^2
+    = zeta^-exp / scale = 1 / J-hat, so it is J^-1 where J-hat is single-term."""
+    adjoint = _antipode(t.J, t.group.inv.astype(np.int64)).conj()
+    return _over_common_denominator(adjoint.scale_by(1 / (f.scale * f.scale)))
 
 
 def _cocycle_holds(f: Fourier) -> bool:
-    """J-hat(x, y) J-hat(xy, z) = J-hat(y, z) J-hat(x, yz) on every triple of
-    characters, a slice of x at a time.  Both sides carry scale^2, so only
-    the exponents are compared, mod N."""
-    e, prod = f.exp, f.prod
-    m = e.shape[0]
-    step = max(1, COCYCLE_CHUNK // (m * m))
-    for lo in range(0, m, step):
-        x = slice(lo, lo + step)
-        diff = e[x, :, None] + e[prod[x]] - e[None] - e[x][:, prod]  # [x, y, z]
-        if (diff % f.order).any():
-            return False
-    return True
+    """J-hat(s, y) J-hat(sy, z) = J-hat(y, z) J-hat(s, yz) for the generators
+    s of H-hat and every y, z; both sides carry scale^2, so only the
+    exponents are compared, mod N.  That is the equation on every triple:
+    it says (f_s f_y) f_z = f_s (f_y f_z) for f_x f_y = J-hat(x, y) f_xy; the
+    f_x that associate so form the left nucleus, a subalgebra, and no cell
+    of J-hat is 0, so every f_x is a multiple of a product of the f_s."""
+    s, e, prod = np.asarray(greedy_generators(f.prod), dtype=np.int64), f.exp, f.prod
+    diff = e[s][:, :, None] + e[prod[s]] - e[None] - e[s][:, prod]  # [s, y, z]
+    return not (diff % f.order).any()
 
 
 def _antipode_holds(f: Fourier) -> bool:
@@ -383,15 +346,14 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
 
     Where J-hat is single-term (``t.fourier``), every check is pointwise
     (:func:`_pointwise_audit`); else each is a contraction in C[H]^(x k)
-    (:func:`_contracted_audit`).  The choice is made from J and H alone.  The
-    inverse is the supplied ``t.Jinv``, final as given, or else computed;
-    ``t.Jinv`` is kept only if it is certified, and ``t.verified`` is set to
-    the audit's outcome.
+    (:func:`_contracted_audit`).  The choice is made from J and H alone.
+    ``t.Jinv`` is set to the computed inverse only if it is certified, and
+    ``t.verified`` to the audit's outcome.
     """
-    supplied, t.Jinv = t.Jinv, None
+    t.Jinv = None
     for cached in ("fourier", "terms"):  # those of an earlier audit
         t.__dict__.pop(cached, None)
-    audit = (_contracted_audit if t.fourier is None else _pointwise_audit)(t, supplied)
+    audit = (_contracted_audit if t.fourier is None else _pointwise_audit)(t)
     t.verified = audit.ok
     return audit
 
@@ -413,16 +375,17 @@ def _keep_inverse(t: TwistData, candidates, is_inverse) -> str:
     return note
 
 
-def _pointwise_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
+def _pointwise_audit(t: TwistData) -> TwistAudit:
     """The six checks on J-hat = scale * zeta^exp (README, "The twist audit,
     exactly").
 
     The 2-cocycle equation is :func:`_cocycle_holds`; the counits are
     J-hat(1, .) = 1 (left leg) and J-hat(., 1) = 1 (right leg).  No cell of
     J-hat is 0, so J is invertible and J^-1 has the transform 1 / J-hat: the
-    candidate, supplied or the inverse transform of 1 / J-hat
-    (:func:`_inverse_transform`), is certified by its own transform, formed
-    as J-hat is, equal to 1 / J-hat.  H is abelian, so both coassociativity
+    candidate, J's adjoint over scale^2 (:func:`_adjoint_inverse`), is
+    certified by its own transform, formed as J-hat is, equal to 1 / J-hat.
+    It is written like the contracted route's inverse, on canonical counts
+    over the lowest common denominator.  H is abelian, so both coassociativity
     laws are the 2-cocycle equation, for J-hat and for 1 / J-hat, and reuse
     its outcome.
     """
@@ -432,7 +395,7 @@ def _pointwise_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
     audit.record("counit (left leg)", f.scale == 1 and not f.exp[0].any())
     audit.record("counit (right leg)", f.scale == 1 and not f.exp[:, 0].any())
     inverse = CycArray.from_exponents(f.order, -f.exp, 1 / f.scale)
-    note = _keep_inverse(t, [lambda: _inverse_transform(f) if supplied is None else supplied],
+    note = _keep_inverse(t, [lambda: _adjoint_inverse(t, f)],
                          lambda jinv: _transform(f.chars, jinv).eq(inverse))
     invertible = t.Jinv is not None
     audit.record("invertibility", invertible, note)
@@ -442,7 +405,7 @@ def _pointwise_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
     return audit
 
 
-def _contracted_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
+def _contracted_audit(t: TwistData) -> TwistAudit:
     """The six checks by contractions in C[H]^(x k), for a J-hat that is not
     single-term or an H without |H| characters into mu_N.
 
@@ -475,12 +438,8 @@ def _contracted_audit(t: TwistData, supplied: CycArray | None) -> TwistAudit:
     audit.record("counit (right leg)", *_certified(_counit_ok, t.J, 1))
 
     unit = ga_identity(m * m, t.order).reshape(m, m)
-    if supplied is not None:
-        candidates = [lambda: supplied]
-    else:
-        candidates = [lambda: _inverse_from_q(t.J, mul, inv),
-                      lambda: invert_in_group_algebra(t.J.reshape(m * m),
-                                                      t.pair_mul).reshape(m, m)]
+    candidates = [lambda: _inverse_from_q(t.J, mul, inv),
+                  lambda: invert_in_group_algebra(t.J.reshape(m * m), t.pair_mul).reshape(m, m)]
     note = _keep_inverse(t, candidates, lambda jinv: ga_mul(t.J, jinv, mul).eq(unit))
     invertible = t.Jinv is not None
     audit.record("invertibility", invertible, note)

@@ -12,7 +12,7 @@ from cotwist.twist import (TwistData, assemble_twist, load_twist_matrix, make_tw
                            q_element_and_antipode_check, save_twist_file,
                            square_dimension_check, symplectic_twist,
                            triangular_structure, verify_twist_axioms, _sides_agree)
-from cyc_reference import add, equal, mul, values, zero
+from cyc_reference import add, cocycle_on_every_triple, equal, mul, values, zero
 
 AXIOM_NAMES = [
     "2-cocycle equation",
@@ -56,25 +56,26 @@ def test_jinv_is_exact_two_sided_inverse(p3_twist):
     assert ga_mul(jinv, j, t.pair_mul).eq(e)
 
 
-def test_closed_form_inverse_equals_general_solve(p3_pair, p3_twist):
-    """The supplied inverse conj(J) is the one the general solve finds.
+def test_closed_form_inverse_equals_general_solve(p3_twist):
+    """The adjoint inverse J* / scale^2 that the pointwise audit derives is
+    the one the general solve in C[H x H] finds, count for count, on the
+    symplectic twist (where it is conj(J)) and on the wreath table's twist,
+    audited on H inside G."""
+    from cotwist.exactlin import invert_in_group_algebra
+    from instances import WREATH, build_parts
 
-    The same J on an unlabeled clone of H (as a table group reads) comes with
-    no inverse, so the audit solves for it in C[H x H].
-    """
-    from cotwist.groups import FiniteGroup
-
-    H, sigma = p3_pair
-    assert p3_twist.Jinv.eq(p3_twist.J.conj())
-    bare = FiniteGroup(H.mul.copy())
-    J = CycArray.from_exponents(sigma.order, sigma.exponents, Fraction(1, 9))
-    t2, audit = assemble_twist(Subgroup(bare, np.arange(9)), J)
+    _, H, J = build_parts(*WREATH)
+    wreath, audit = assemble_twist(H, J)
     assert audit.ok
-    assert t2.Jinv.eq(p3_twist.Jinv)
+    for t in (p3_twist, wreath):
+        assert t.fourier is not None
+        general = invert_in_group_algebra(t.J.reshape(81), t.pair_mul).reshape(9, 9)
+        assert np.array_equal(t.Jinv.counts, general.counts) and t.Jinv.scale == general.scale
+    assert p3_twist.Jinv.eq(p3_twist.J.conj())
 
 
 def test_table_twist_inverse_from_q(p3_gauge_diag_bundle, solve_shapes):
-    """A twist with no supplied inverse is inverted through Q, not in C[H x H].
+    """A twist whose J-hat is not single-term is inverted through Q, not in C[H x H].
 
     The gauge-transformed twist has two-term cells.  Its Q has three cells,
     whose support generates a subgroup S of order 3, so the audit runs one
@@ -111,13 +112,15 @@ def test_invertible_non_twist_takes_general_solve(p3_pair, p3_twist, solve_shape
     assert ga_mul(J, t.Jinv, H.mul.astype(np.int64)).eq(unit)
 
 
-def test_wrong_supplied_inverse_fails_by_name(p3_pair, p3_twist):
-    """A supplied J^-1 is checked like a solved one, and dropped when wrong."""
-    H, _ = p3_pair
-    J = p3_twist.J
-    t = TwistData(subgroup=Subgroup(H, np.arange(9)), order=3, J=J,
-                  Jinv=J.conj().scale_by(2))
-    audit = verify_twist_axioms(t)
+def test_wrong_adjoint_inverse_fails_by_name(p3_pair, p3_twist, monkeypatch):
+    """The derived J^-1 is certified by its transform, not trusted: an adjoint
+    patched to twice its value fails, by name, and is dropped."""
+    from cotwist import twist
+
+    adjoint = twist._adjoint_inverse
+    monkeypatch.setattr(twist, "_adjoint_inverse", lambda t, f: adjoint(t, f).scale_by(2))
+    t, audit = assemble_twist(Subgroup(p3_pair[0], np.arange(9)), p3_twist.J)
+    assert t.fourier is not None
     assert audit.failed == ["invertibility",
                             "coassociativity of the second deformed coproduct"]
     assert not t.verified and t.Jinv is None
@@ -451,10 +454,10 @@ def test_gauge_transformed_twist_still_valid(p3_pair, p3_twist):
 # the pointwise route against the contracted route
 
 
-def _outcomes(subgroup, J, Jinv=None):
+def _outcomes(subgroup, J):
     """The audited twist and every named outcome of its audit and, once it
     passes, of its global checks."""
-    t, audit = assemble_twist(subgroup, J, Jinv)
+    t, audit = assemble_twist(subgroup, J)
     out = {"checks": audit.checks, "Jinv": t.Jinv}
     if t.verified:
         tri = triangular_structure(t)
@@ -463,20 +466,28 @@ def _outcomes(subgroup, J, Jinv=None):
     return t, out
 
 
+def _inverse_transform(chars, hat):
+    """X[a, b] = |H|^-2 sum_{chi, psi} X-hat(chi, psi) chi-bar(a) psi-bar(b) on
+    canonical counts over the lowest common denominator, as the characters'
+    orthogonality gives F-bar^T F = |H| I."""
+    from cotwist.twist import _over_common_denominator
+
+    m = len(chars)
+    Fbar = CycArray.from_exponents(hat.order, -chars)
+    X = cyc_tensordot(cyc_tensordot(Fbar, hat, axes=([0], [0])), Fbar, axes=([1], [0]))
+    return _over_common_denominator(X.scale_by(Fraction(1, m * m)))
+
+
 def _transform_corrupted(t, cell, by=1):
     """The J whose J-hat is t's with the exponent of one cell moved ``by``."""
-    from dataclasses import replace
-
-    from cotwist import twist
-
     f = t.fourier
     exp = f.exp.astype(np.int64)
     exp[cell] += by
-    return twist._inverse_transform(replace(f, exp=-exp % f.order, scale=1 / f.scale))
+    return _inverse_transform(f.chars, CycArray.from_exponents(f.order, exp % f.order, f.scale))
 
 
 def _equivalence_cases():
-    """(name, subgroup, J, Jinv, pointwise) for every shipped twist and for
+    """(name, subgroup, J, pointwise) for every shipped twist and for
     corruptions; ``pointwise`` says whether J-hat is single-term."""
     from instances import COMPOSITE, CRITERION_10, DEGENERATE, WREATH, build_parts
 
@@ -484,32 +495,30 @@ def _equivalence_cases():
     for p in (3, 5):
         H, sigma = build_elementary_abelian_symplectic(p, 1)
         J = CycArray.from_exponents(p, sigma.exponents, Fraction(1, p * p))
-        cases.append((f"symplectic-p{p}", Subgroup(H, np.arange(p * p)), J, J.conj(), True))
+        cases.append((f"symplectic-p{p}", Subgroup(H, np.arange(p * p)), J, True))
     for name, spec in (("wreath", WREATH), ("criterion10-first", CRITERION_10[0]),
                        ("criterion10-second", CRITERION_10[1]),
                        ("composite-N4", COMPOSITE), ("degenerate-N4", DEGENERATE)):
         _, H, J = build_parts(*spec)
-        cases.append((name, H, J, None, True))
+        cases.append((name, H, J, True))
     H, sigma = build_elementary_abelian_symplectic(3, 1)
     sub, t = Subgroup(H, np.arange(9)), symplectic_twist(H, sigma)
     for name, changes in (("rectangle", {(1, 2): 1, (3, 4): 1, (1, 4): -1, (3, 2): -1}),
                           ("left-counit", {(1, 2): 1, (1, 3): -1}),
                           ("right-counit", {(2, 1): 1, (3, 1): -1}), ("one-cell", {(1, 2): 1})):
-        cases.append((f"perturbed-{name}", sub, _perturbed(t.J, changes), None, False))
-    cases.append(("scaled", sub, t.J.scale_by(2), None, True))
-    cases.append(("wrong-inverse", sub, t.J, t.J.conj().scale_by(2), True))
+        cases.append((f"perturbed-{name}", sub, _perturbed(t.J, changes), False))
+    cases.append(("scaled", sub, t.J.scale_by(2), True))
     for a, b in ((4, 7), (0, 5), (5, 0)):
-        cases.append((f"hat-cell-{a}-{b}", sub, _transform_corrupted(t, (a, b)), None, True))
+        cases.append((f"hat-cell-{a}-{b}", sub, _transform_corrupted(t, (a, b)), True))
     return cases
 
 
 EQUIVALENCE_CASES = _equivalence_cases()
 
 
-@pytest.mark.parametrize("name, subgroup, J, Jinv, pointwise", EQUIVALENCE_CASES,
+@pytest.mark.parametrize("name, subgroup, J, pointwise", EQUIVALENCE_CASES,
                          ids=[case[0] for case in EQUIVALENCE_CASES])
-def test_pointwise_route_gives_the_contracted_outcomes(name, subgroup, J, Jinv, pointwise,
-                                                       monkeypatch):
+def test_pointwise_route_gives_the_contracted_outcomes(name, subgroup, J, pointwise, monkeypatch):
     """Each shipped twist, and each corruption, gets the same named outcomes
     whether its J-hat is read pointwise or its identities are contracted in
     C[H]^(x k): the six checks, the certified J^-1, the rank of R, minimality,
@@ -517,10 +526,10 @@ def test_pointwise_route_gives_the_contracted_outcomes(name, subgroup, J, Jinv, 
     route, at N = 2, 3, 4 and 5."""
     from cotwist import twist
 
-    t, pointwise_out = _outcomes(subgroup, J, Jinv)
+    t, pointwise_out = _outcomes(subgroup, J)
     assert (t.fourier is not None) is pointwise
     monkeypatch.setattr(twist, "_fourier", lambda t: None)
-    t, contracted_out = _outcomes(subgroup, J, Jinv)
+    t, contracted_out = _outcomes(subgroup, J)
     assert t.fourier is None
     for key, value in contracted_out.items():
         other = pointwise_out[key]
@@ -548,17 +557,68 @@ def test_moved_exponent_fails_pointwise_by_name(p3_pair, p3_twist, cell, failing
     assert t.fourier is not None and audit.failed == failing and contractions == []
 
 
+@pytest.mark.parametrize("n, dim", [(3, 2), (4, 2), (2, 4), (3, 3)])
+def test_cocycle_check_on_generators_is_the_full_check(n, dim):
+    """The 2-cocycle check on the generators of H-hat decides as the check on
+    every triple does: on bilinear tables plus coboundaries f(x) + f(y) -
+    f(xy), which pass, and on random tables, a cocycle with one cell moved at
+    a pair of non-generators, and, for each generator s, a cocycle plus
+    u(x K, y K), K the subgroup the other generators generate and u(K, .) = 0,
+    which fail at s alone."""
+    from cotwist.groups import (build_elementary_abelian, character_exponents,
+                                character_products, close_under_products, greedy_generators)
+    from cotwist.twist import Fourier, _cocycle_holds
+
+    group = build_elementary_abelian(n, dim)
+    E = character_exponents(group, n)
+    prod = character_products(E, group.generators, n)
+    m, rng, gens = len(E), np.random.default_rng(n * 10 + dim), greedy_generators(prod)
+    others = [x for x in range(1, m) if x not in gens]
+
+    def decide(exp):
+        f = Fourier(order=n, chars=E, prod=prod, dual=np.argmax(prod == 0, axis=1),
+                    exp=(exp % n).astype(np.int16), scale=Fraction(1))
+        full = cocycle_on_every_triple(exp, prod, n)
+        assert _cocycle_holds(f) is full
+        return full
+
+    for _ in range(3):
+        a, b = rng.integers(m, size=(2, 3))
+        bilinear = sum(np.outer(E[:, i], E[:, j]) for i, j in zip(a, b))
+        f = rng.integers(n, size=m)
+        cocycle = bilinear + f[:, None] + f[None] - f[prod]
+        assert decide(cocycle)
+        assert not decide(rng.integers(n, size=(m, m)))
+        moved = cocycle.copy()
+        moved[rng.choice(others), rng.choice(others)] += 1
+        assert not decide(moved)
+        for i in range(len(gens)):
+            K = np.arange(m) == 0
+            close_under_products(K, gens[:i] + gens[i + 1:], prod)
+            coset = np.unique(prod[:, K].min(axis=1), return_inverse=True)[1].ravel()  # K is 0
+            u = rng.integers(n, size=(coset.max() + 1,) * 2)
+            u[0], u[1:, 0] = 0, 1  # u(s, 0) - u(0, z) = 1: no cocycle
+            assert not decide(cocycle + u[np.ix_(coset, coset)])
+
+
 def test_character_products_are_pointwise_sums():
     """The row of chi psi is the row E[chi] + E[psi] mod N and that of chi-bar
-    is -E[chi] mod N, on (Z/3)^2 and on Z/4 x Z/2 read at N = 4 and N = 8."""
-    from cotwist.groups import build_elementary_abelian, character_exponents
-    from cotwist.twist import _character_products
+    is -E[chi] mod N: on (Z/n)^dim at N = n, for prime and composite n, on
+    (Z/2)^3 read at N = 4, on Z/4 x Z/2 read at N = 4 and N = 8, and on {e}.
+    Rows are compared at the generators, whose values fix a character."""
+    from cotwist.groups import build_elementary_abelian, character_exponents, character_products
 
     z4 = (np.arange(4)[:, None] + np.arange(4)) % 4
     z2 = (np.arange(2)[:, None] + np.arange(2)) % 2
     z4z2 = FiniteGroup((z4[:, None, :, None] * 2 + z2[None, :, None, :]).reshape(8, 8))
-    for group, order in ((build_elementary_abelian(3, 2), 3), (z4z2, 4), (z4z2, 8)):
+    cases = [(build_elementary_abelian(n, dim), n)
+             for n, dim in ((3, 2), (4, 2), (2, 4), (3, 3), (3, 6), (4, 3), (6, 2))]
+    cases += [(build_elementary_abelian(2, 3), 4), (z4z2, 4), (z4z2, 8),
+              (FiniteGroup(np.zeros((1, 1), dtype=np.int64)), 3)]
+    for group, order in cases:
         E = character_exponents(group, order)
-        prod = _character_products(E, group.generators, order)
-        assert np.array_equal(E[prod], (E[:, None] + E[None]) % order)
-        assert np.array_equal(E[np.argmax(prod == 0, axis=1)], -E % order)
+        gens = group.generators
+        prod = character_products(E, gens, order)
+        at = E[:, gens]
+        assert np.array_equal(at[prod], (at[:, None] + at[None]) % order)
+        assert np.array_equal(at[np.argmax(prod == 0, axis=1)], -at % order)
