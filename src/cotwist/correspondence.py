@@ -25,7 +25,7 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, contract_counts, sum_counts
+from .exactlin import CycArray, chunk_rows, contract_chunks, sum_counts
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, character_exponents, double_cosets, stabilizer_Kg,
                      stabilizer_local_indices)
@@ -176,24 +176,35 @@ def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, members: np.ndarray, partner: np.
     (h1, h2) = divmod(q, |H|), the pair (y1, y2) of orbit j gives
     mul2[h1, y1, x1] mul1[h2, y2, x2] at (x1, x2).  The A_2* leg acts
     freely, so orbit l holds at most one member (x1, partner[x1, l]) per x1,
-    and the row is R[(y2, l), y1] = sum_{x1} mul1[h2, y2, partner[x1, l]]
-    mul2[h1, y1, x1], one :func:`contract_counts` of a gather, then the
+    and the row is R[(l, y2), y1] = sum_{x1} mul1[h2, y2, partner[x1, l]]
+    mul2[h1, y1, x1], one contraction of a gather, then the
     :func:`sum_counts` over the members (y1, y2) of orbit j (``members[j]``).
     Both factors are read on their fewest-term counts, formed once per
-    algebra and row (:meth:`SCAlgebra.row_terms`).  The kernel gathers mul1
-    by one flat index along its x2 axis, and the members are one flat take,
-    summed over its first axis; the scale is mul2.scale * mul1.scale.
+    algebra and row (:meth:`SCAlgebra.row_terms`).  R is never formed whole:
+    with rows in (l, y2) order, :func:`contract_chunks` yields it a range of
+    l at a time, gathered from mul1 by that range's flat index along its x2
+    axis, and the members are one flat take of the range, summed over its
+    first axis into row[:, l-range]; the scale is mul2.scale * mul1.scale.
     """
     m, r, n = partner.shape[0], partner.shape[1], A2s.product.order
     h1, h2 = divmod(int(q), m)
     f2, f1 = A2s.row_terms(h1), A1s.row_terms(h2)
     f1 = np.concatenate([f1, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # column m is 0
-    at = (np.arange(m)[:, None, None] * (m + 1) + partner.T).reshape(m * r, m)  # [(y2, l), x1]
-    R = contract_counts(f1.reshape(-1, n), at, f2.transpose(1, 0, 2)).reshape(-1, n)
-    del at  # the index and the members' gather are never held at once
+    y2_at = np.arange(m)[:, None] * (m + 1)                                # [y2, 1]
     y1, y2 = np.divmod(members.T, m)                                       # [k, j]
-    return sum_counts(np.take(R, (y2 * (r * m) + y1)[:, :, None] + np.arange(r) * m, axis=0),
-                      axis=0)                                              # [k, j, l] summed
+    at_member = (y2 * m + y1)[:, :, None]                                  # [k, j, 1]
+
+    def at(lo, hi):  # [(l, y2), x1] for the orbits l of rows lo:hi
+        return (y2_at + partner.T[lo // m:hi // m, None]).reshape(-1, m)
+
+    row = np.empty((r, r, n), dtype=np.int64)
+    for lo, R in contract_chunks(f1.reshape(-1, n), at, f2.transpose(1, 0, 2), r * m,
+                                 group=m):                                 # [(l, y2), y1]
+        ls = len(R) // m
+        row[:, lo // m:lo // m + ls] = sum_counts(
+            np.take(R.reshape(-1, n), at_member + np.arange(ls) * (m * m), axis=0),
+            axis=0)                                                       # [k, j, l] summed
+    return row
 
 
 def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray,
@@ -203,18 +214,25 @@ def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray
     With (h2, h1) = reps[i], the translation is (p2, p1) -> (h2^-1 p2, p1 h1^-1)
     on the pair basis.  Raises AuditError unless, for every i, it sends each
     orbit's members into a single orbit, permutes the orbits, and sends
-    orbit i to the orbit of (e, e).
+    orbit i to the orbit of (e, e).  The representatives are taken a chunk
+    of :func:`chunk_rows` at a time, so the moved pairs and their orbit
+    labels are never formed for all of them at once.
     """
     m, r = H.order, len(reps)
     mul, inv = H.mul.astype(np.int64), H.inv.astype(np.int64)
     h2, h1 = np.divmod(reps, m)
-    moved = (mul[inv[h2]][:, :, None] * m + mul[:, inv[h1]].T[:, None, :]).reshape(r, m * m)
-    labels = orbit_id[moved][:, members]  # [i, j, k]
-    sigma = labels[:, :, 0]
-    if not (np.all(labels == sigma[:, :, None])
-            and np.all(np.sort(sigma, axis=1) == np.arange(r))
-            and np.all(np.diagonal(sigma) == orbit_id[0])):
-        raise AuditError("orbit transport: translations do not permute the pair orbits")
+    left, right = mul[inv[h2]] * m, mul[:, inv[h1]].T                   # [i, p2], [i, p1]
+    sigma = np.empty((r, r), dtype=np.int64)
+    step = chunk_rows(m * m)
+    for lo in range(0, r, step):
+        i = np.arange(lo, min(r, lo + step))
+        moved = (left[i][:, :, None] + right[i][:, None, :]).reshape(len(i), m * m)
+        labels = orbit_id[moved][:, members]  # [i, j, k]
+        sigma[i] = labels[:, :, 0]
+        if not (np.all(labels == sigma[i][:, :, None])
+                and np.all(np.sort(sigma[i], axis=1) == np.arange(r))
+                and np.all(sigma[i, i] == orbit_id[0])):
+            raise AuditError("orbit transport: translations do not permute the pair orbits")
     return sigma
 
 
@@ -269,9 +287,8 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     Hg = H.as_group
     if ad_invariant(Hg, A1s.take(0, 2)) and ad_invariant(Hg, A2s.take(0, 2)):
         sigma = _orbit_transport(orbit_id, members, reps, Hg)
-        row = _orbit_row(A2s, A1s, members, partner, 0)  # the row of (e, e)
-        return SCAlgebra.from_slice(CycArray(n, scale, row[sigma, sigma[:, [0]]]), sigma,
-                                    unit, name)
+        S = _orbit_row(A2s, A1s, members, partner, 0)[sigma, sigma[:, [0]]]  # row of (e, e)
+        return SCAlgebra.from_slice(CycArray(n, scale, S), sigma, unit, name)
     counts = np.stack([_orbit_row(A2s, A1s, members, partner, q) for q in reps])
     return SCAlgebra(CycArray(n, scale, counts), unit, name)
 

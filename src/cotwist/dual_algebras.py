@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, CotwistError
-from .exactlin import (CycArray, _largest, contract_counts, cyc_rank, cyc_tensordot,
+from .exactlin import (CycArray, _largest, contract_chunks, cyc_rank, cyc_tensordot,
                        invert_in_group_algebra, sum_counts)
 from .groups import DoubleCoset, FiniteGroup
 from .twist import TwistData, q_element_and_antipode_check
@@ -229,22 +229,26 @@ def _is_identity(side: CycArray) -> bool:
     if inv.denominator != 1 or abs(inv.numerator) >= 1 << 63:
         return False
     canon = side.canonical()
-    expected = np.zeros_like(canon)
-    expected[np.arange(len(canon)), np.arange(len(canon)), 0] = inv.numerator
-    return bool(np.array_equal(canon, expected))
+    diag = np.arange(len(canon))
+    on = canon[diag, diag]
+    canon[diag, diag] = 0
+    return bool(np.all(on[:, 0] == inv.numerator) and not on[:, 1:].any() and not canon.any())
 
 
-def _unit_sides(mul: CycArray, unit: CycArray, perms: np.ndarray | None = None) -> list:
-    """u e_j and e_j u as two CycArrays [j, x], formed as :func:`determine_unit` says."""
+def _unit_sides(mul: CycArray, unit: CycArray, perms: np.ndarray | None = None):
+    """u e_j and e_j u as two CycArrays [j, x], formed as :func:`determine_unit`
+    says, one at a time."""
     n = mul.shape[0]
     if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, mul.order).counts):
         if _largest(mul.counts) * n >= 1 << 63:
             raise CotwistError("the unit sums would overflow int64 counts")
         at = slice(None) if perms is None else perms.T
-        return [CycArray(mul.order, mul.scale, np.einsum(sides, mul.counts)[at])
-                for sides in ("ij...->j...", "ij...->i...")]
+        for sides in ("ij...->j...", "ij...->i..."):
+            yield CycArray(mul.order, mul.scale, np.einsum(sides, mul.counts)[at])
+        return
     dense = mul if perms is None else gather_slice(mul, perms)
-    return [cyc_tensordot(unit, dense, axes=([0], [axis])) for axis in (0, 1)]
+    for axis in (0, 1):
+        yield cyc_tensordot(unit, dense, axes=([0], [axis]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +312,33 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     counts of Jinv and J.  mul[a, b, x] = sum Jinv[s, t] J[c, d] over
     h_s x h_c = a and h_t x h_d = b.  For each t, d -> h_t x h_d is
     injective, so X[b, c, t] = J[c, d] at h_t x h_d = b (0 where no d is) is
-    a gather, Y[(b, c), s] = sum_t X[b, c, t] Jinv[s, t] is one
-    :func:`contract_counts` of that gather, and S[a, b] is the
-    :func:`sum_counts` of Y[b, c, s] over the |H|^2/|Z| pairs (s, c) with
-    h_s x h_c = a.  Raises AuditError unless every a has that many.  X is
-    never formed: the kernel gathers it from J by one flat index, and the
-    pairs are one take along Y's (c, s) axis, so the sum runs over whole rows.
+    a gather, Y[(b, c), s] = sum_t X[b, c, t] Jinv[s, t] is one contraction
+    of that gather, and S[a, b] is the :func:`sum_counts` of Y[b, c, s] over
+    the |H|^2/|Z| pairs (s, c) with h_s x h_c = a.  Raises AuditError unless
+    every a has that many.  Neither X nor Y is formed whole: with rows in
+    (b, c) order, :func:`contract_chunks` yields Y a range of b at a time,
+    gathered from J by that range's flat index, and the range's pairs are
+    one take along its (c, s) axis, summed into S[:, b-range].
     """
     m, n = j.shape[0], j.shape[-1]
     if np.any(np.bincount(shifts.ravel(), minlength=nz) * nz != m * m):
         raise AuditError("double coset is not one H x H orbit of its points")
-    d_at = np.full((m, nz), m)  # [t, b]: the d with h_t x h_d = b, m where none
-    d_at[np.arange(m)[:, None], shifts] = np.arange(m)
+    d_at = np.full((nz, m), m)  # [b, t]: the d with h_t x h_d = b, m where none
+    d_at[shifts.T, np.arange(m)] = np.arange(m)[:, None]
     j = np.concatenate([j, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # J[c, m] = 0
-    at = (np.arange(m)[:, None] * (m + 1) + d_at.T[:, None, :]).reshape(nz * m, m)  # [(b, c), t]
-    Y = contract_counts(j.reshape(-1, n), at, jinv.transpose(1, 0, 2)).reshape(nz, m * m, n)
-    del at  # the index and the pairs' gather are never held at once
+    c_at = np.arange(m)[:, None] * (m + 1)                                 # [c, 1]
     pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)    # [a, k]: c m + s
-    return sum_counts(np.take(Y, pairs.T, axis=1), axis=1).swapaxes(0, 1)  # [b, k, a] summed
+
+    def at(lo, hi):  # [(b, c), t] for the points b of rows lo:hi
+        return (c_at + d_at[lo // m:hi // m, None]).reshape(-1, m)
+
+    S = np.empty((nz, nz, n), dtype=np.int64)
+    for lo, Y in contract_chunks(j.reshape(-1, n), at, jinv.transpose(1, 0, 2), nz * m,
+                                 group=m):                                 # [(b, c), s]
+        Y = Y.reshape(-1, m * m, n)
+        S[:, lo // m:lo // m + len(Y)] = sum_counts(np.take(Y, pairs.T, axis=1),
+                                                    axis=1).swapaxes(0, 1)  # [b, k, a] summed
+    return S
 
 
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:

@@ -8,17 +8,18 @@
   exact.  Twist files are read straight into one and written from its
   canonical counts (``cotwist.twist``).
 
-* One product kernel, :func:`contract_counts`: sum_k src[at[r, k]] B[k, c],
-  the contraction of a gather of the source counts, as one matmul of the
-  gathered counts with the circulant expansion of B's, with BLAS in float32
-  or float64 while every partial sum is an integer below 2**23 or 2**52
-  respectively, else in int64.  The gather is made inside, of the source
-  cast once to that dtype, a slice of rows at a time, so no int64 gather is
-  formed.  It serves the twist axiom audit, :func:`ga_mul`,
-  :func:`cyc_tensordot` (no index: its operand is cast a slice at a time),
-  the block build and U_g; a
-  fixed number of contracted results is then added by :func:`sum_counts`
-  under its overflow bound.
+* One product kernel with one chunk loop, :func:`contract_chunks`:
+  sum_k src[at[r, k]] B[k, c], the contraction of a gather of the source
+  counts, as one matmul of the gathered counts with the circulant expansion
+  of B's, with BLAS in float32 or float64 while every partial sum is an
+  integer below 2**23 or 2**52 respectively, else in int64, yielded as int64
+  counts a chunk of rows at a time.  The gather is made inside, of the
+  source cast once to that dtype, chunk by chunk, so no int64 gather is
+  formed.  The block build and U_g sum each chunk down as it comes;
+  :func:`contract_counts`, its chunks concatenated, serves the twist axiom
+  audit, :func:`ga_mul` and :func:`cyc_tensordot` (no index: its operand is
+  cast a chunk at a time).  A fixed number of contracted results is then
+  added by :func:`sum_counts` under its overflow bound.
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -258,25 +259,46 @@ class CycArray:
         return (self.counts @ z) * float(self.scale)
 
 
-#: result counts of the contraction formed at once; bounds its float32 or float64 scratch
-KERNEL_CHUNK = 1 << 15
+#: result counts in one chunk of a contraction, 64 KiB of int64.  A chunk's
+#: gather (as wide as its result where K = C, as in the block and U_g
+#: builds), its matmul result, the int64 cast of that and a caller's take of
+#: it then each stay below 128 KiB, glibc malloc's initial mmap threshold, so
+#: they are served from the heap and reused, not mapped, faulted in and
+#: unmapped once per chunk.  A contraction whose operand b has more cells
+#: than this takes chunks of as many counts as b has cells (``contract_chunks``)
+KERNEL_CHUNK = 1 << 13
 
 
-def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """Exact contraction of a gather over Z[zeta_N]: out[r, c] = sum_k a[r, k] * b[k, c]
-    with a[r, k] = src[at[r, k]].
+def chunk_rows(width: int, group: int = 1, least: int = 0) -> int:
+    """Rows of ``width`` counts each in one chunk of about max(``KERNEL_CHUNK``,
+    ``least``) counts: a whole number of groups of ``group`` rows, at least
+    one group."""
+    return group * max(1, max(KERNEL_CHUNK, least) // max(1, group * width))
 
-    ``src`` is (M, N) and ``b`` (K, C, N) int64 counts, and ``at`` an (R, K)
-    index into the M cells of ``src``, or None when ``src`` is ``a`` itself,
-    (R, K, N); the result is the (R, C, N) int64
-    counts out[r, c, j] = sum_k sum_i a[r, k, i] * b[k, c, (j - i) mod N],
-    the exponent convolution mod N, count for count.  It is one matmul of
-    ``a`` read as (R, K N) with the circulant expansion circ[(k, i), (c, j)]
-    = b[k, c, (j - i) mod N], of shape (K N, C N).  ``a`` is taken in slices
-    of rows of about ``KERNEL_CHUNK`` result counts each: gathered from
-    ``src`` cast once to the dtype of the matmul, or, with no index, cast
-    from the slice of ``src`` it is.  So no int64 gather is formed, and with
-    no index ``src`` is copied no more than once, a slice at a time.
+
+def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 1):
+    """Exact contraction of a gather over Z[zeta_N], a chunk of rows at a time:
+    yields (lo, out[lo:hi]) for consecutive row ranges, where out[r, c] =
+    sum_k a[r, k] * b[k, c] with a[r, k] = src[at[r, k]].
+
+    ``src`` is (M, N) and ``b`` (K, C, N) int64 counts, and ``at`` a
+    function (lo, hi) -> rows lo:hi of an (R, K) index into the M cells of
+    ``src``, so no caller forms the whole index, or None when ``src`` is
+    ``a`` itself, (R, K, N).  Each chunk is the (hi - lo, C, N) int64 counts
+    out[r, c, j] = sum_k sum_i a[r, k, i] * b[k, c, (j - i) mod N], the
+    exponent convolution mod N, count for count, of a whole number of groups
+    of ``group`` rows and about max(``KERNEL_CHUNK``, K C) counts
+    (:func:`chunk_rows`).  It is one matmul of the chunk of ``a`` read as
+    (hi - lo, K N) with the circulant expansion circ[(k, i), (c, j)] =
+    b[k, c, (j - i) mod N], of shape (K N, C N), formed once per call, as the
+    dtype and the cast of ``src`` are.  The K C term keeps a wide
+    contraction's chunks at about K / N rows or more, so its circulant,
+    K C N**2 cells, is read about R N / K times at most, not once per few
+    rows, while a chunk holds no more than 1 / N**2 of it.  The chunk of
+    ``a`` is gathered from ``src`` cast once to the dtype of the matmul, or,
+    with no index, cast from the slice of ``src`` it is.  So no int64 gather
+    is formed, and with no index ``src`` is copied no more than once, a
+    slice at a time.
 
     Each result count is a sum of K N products of two counts, so every
     count, product and partial sum, in whatever order the matmul adds and
@@ -284,7 +306,8 @@ def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np
     K N max|a| max|b|.  Every count of ``a`` is a count of ``src``, so
     max|a| <= max|src|, and bound = K N max|src| max|b| bounds them all
     without reading the gather (an index that skips src's largest count
-    only leaves more to spare).  A float with a p-bit significand holds
+    only leaves more to spare); a chunk is a sub-block of the rows, so the
+    one bound holds for every chunk.  A float with a p-bit significand holds
     every integer of magnitude at most 2**p exactly, and a sum or product of
     two such floats whose exact value is such an integer is rounded to
     itself.  So the matmul is exact, for any BLAS thread count, in
@@ -294,11 +317,10 @@ def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np
     * int64, with no BLAS, while bound < 2**63, where no partial sum wraps;
 
     each tier taken as soon as its bound holds (a factor 2 to spare in the
-    float tiers), and past 2**63 it raises CotwistError.  The result is the
-    same int64 counts in every tier, count for count.
+    float tiers), and past 2**63 it raises CotwistError before the first
+    chunk.  Every tier yields the same int64 counts, count for count.
     """
-    rows, inner = (src if at is None else at).shape[:2]
-    n, cols = src.shape[-1], b.shape[1]
+    n, inner, cols = src.shape[-1], b.shape[0], b.shape[1]
     bound = inner * n * _largest(src) * _largest(b)
     if 2 * bound < 1 << 24:
         dtype = np.float32
@@ -313,15 +335,26 @@ def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np
     circ = circ.reshape(inner * n, cols * n)
     if at is not None:
         src = src.astype(dtype, copy=False)
-    out = np.empty((rows, cols * n), dtype=np.int64)
-    step = max(1, KERNEL_CHUNK // max(1, cols * n))
+    step = chunk_rows(cols * n, group, inner * cols)
     for lo in range(0, rows, step):
-        if at is None:
-            part = src[lo:lo + step].astype(dtype, copy=False)
-        else:
-            part = src.take(at[lo:lo + step], axis=0)
-        out[lo:lo + step] = np.matmul(part.reshape(len(part), inner * n), circ)
-    return out.reshape(rows, cols, n)
+        hi = min(rows, lo + step)
+        part = src[lo:hi].astype(dtype, copy=False) if at is None else src.take(at(lo, hi), axis=0)
+        out = np.matmul(part.reshape(hi - lo, inner * n), circ)
+        yield lo, out.astype(np.int64, copy=False).reshape(hi - lo, cols, n)
+
+
+def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """The (R, C, N) int64 counts of :func:`contract_chunks` with its chunks
+    concatenated: out[r, c] = sum_k src[at[r, k]] * b[k, c] for an (R, K)
+    index ``at``, or sum_k src[r, k] * b[k, c] for ``at`` None and ``src``
+    (R, K, N).  Raises CotwistError past the int64 bound.
+    """
+    rows = len(src if at is None else at)
+    out = np.empty((rows, b.shape[1], src.shape[-1]), dtype=np.int64)
+    index = None if at is None else (lambda lo, hi: at[lo:hi])
+    for lo, part in contract_chunks(src, index, b, rows):
+        out[lo:lo + len(part)] = part
+    return out
 
 
 def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:

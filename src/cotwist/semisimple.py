@@ -29,8 +29,8 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError, SeedRetryError
-from .exactlin import (KERNEL_CHUNK, CycArray, _largest, _modular_image, _modular_root,
-                       _rank_mod, counts_equal, cyc_tensordot)
+from .exactlin import (CycArray, _largest, _modular_image, _modular_root, _rank_mod,
+                       chunk_rows, counts_equal, cyc_tensordot)
 from .groups import FiniteGroup, character_exponents, character_products, greedy_generators
 
 #: exhaustive associativity above this dimension would be needlessly slow;
@@ -297,7 +297,7 @@ def _split_mod(A: SCAlgebra, ell: int, omega: int) -> list[int] | None:
     tau = (np.einsum("kjj->k", s) if perms is None
            else s[perms.T, np.diagonal(perms)].sum(axis=1)) % ell
     T = np.zeros((n, n), dtype=np.int64)
-    step = max(1, KERNEL_CHUNK // (n * n))
+    step = chunk_rows(n * n)
     for lo in range(0, n, step):
         block = _slab(s, perms, slice(lo, lo + step))                   # [k, i, j]
         T = (T + (block * tau[lo:lo + step, None, None] % ell).sum(axis=0)) % ell

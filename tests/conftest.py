@@ -116,6 +116,13 @@ def intermediate_bundle():
     return instance_bundle(instances.CRITERION_9)
 
 
+@pytest.fixture(scope="session")
+def composite_bundle():
+    """The composite N = 4 instance (``instances.COMPOSITE``): the cosets at 64
+    and 128 have |K_g| = 4."""
+    return instance_bundle(instances.COMPOSITE)
+
+
 #: inputs of the reference-formula tests: bundle fixture -> coset representative
 #: (None: the bundle's second coset); the wreath swap coset 81 has K_g = {e},
 #: criterion 9's coset 27 has |K_g| = 3

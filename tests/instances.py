@@ -18,13 +18,15 @@ writes the table route's ``group.txt``, ``twist.txt`` and ``config.json``.
 
 Run as ``PYTHONPATH=src:tests python3 tests/instances.py`` to build ``Z729``,
 run the global checks and all 22 cosets, and assert no failure,
-``Z729_DIMS`` on all three routes and a peak RSS under 1 GB.
+``Z729_DIMS`` on all three routes, a peak RSS under 1 GB, and ``tracemalloc``
+peaks under 64 MB for each block and U_g build of the widest cosets.
 """
 
 import json
 import resource
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -32,13 +34,18 @@ from pathlib import Path
 import numpy as np
 
 from cotwist import (Config, CycArray, Subgroup, TableConstruction, TwistData, assemble_twist,
-                     build_elementary_abelian, build_semidirect, double_cosets, save_twist_file)
-from cotwist.correspondence import Instance, _coset_pipeline, _global_checks, prepare_instance
+                     build_elementary_abelian, build_semidirect, double_cosets, save_twist_file,
+                     stabilizer_Kg)
+from cotwist.correspondence import (Instance, _coset_pipeline, _global_checks,
+                                    invariant_algebra_Ug, prepare_instance)
+from cotwist.dual_algebras import build_block_algebra
 
 #: x.y' - y.x' on coordinates (x, y), and the unipotent form
 SKEW, UNIPOTENT = np.array([[0, 1], [-1, 0]]), np.array([[1, 1], [0, 1]])
 #: the peak resident memory Z729 must stay under, in bytes
 RSS_LIMIT = 1 << 30
+#: the tracemalloc peak each block and U_g build of Z729's widest cosets must stay under
+BUILD_LIMIT = 64 << 20
 
 
 def shift(dim: int, by: int, scaled=None) -> np.ndarray:
@@ -102,6 +109,23 @@ def write_instance(out_dir: Path, n, dim, gamma, h_dim, M) -> Config:
     return config
 
 
+def build_peaks(ctx, z) -> tuple[int, int]:
+    """The ``tracemalloc`` peaks, in bytes, of coset ``z``'s block build and U_g build."""
+    inst, g = ctx.instance, z.representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    builds = [(build_block_algebra, inst.t, z),
+              (invariant_algebra_Ug, ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)]
+    peaks = []
+    for build, *args in builds:
+        tracemalloc.start()
+        try:
+            build(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[0], peaks[1]
+
+
 def main() -> int:
     start = time.perf_counter()
     instance = build_instance(*Z729)
@@ -109,11 +133,16 @@ def main() -> int:
     checks, failures = _global_checks(instance)
     assert not failures, failures
     ctx = prepare_instance(instance)
-    results = [_coset_pipeline(ctx, z) for z in double_cosets(instance.G, instance.H)]
+    cosets = double_cosets(instance.G, instance.H)
+    results = [_coset_pipeline(ctx, z) for z in cosets]
     done = time.perf_counter()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    widest = max(z.size for z in cosets)
+    peaks = [build_peaks(ctx, z) for z in cosets if z.size == widest]
+    block, ug = (max(p) / 2 ** 20 for p in zip(*peaks))
     print(f"|G| = {instance.G.order}: build {built - start:.1f} s, checks and "
-          f"{len(results)} cosets {done - built:.1f} s, peak RSS {rss / 2 ** 20:.0f} MB")
+          f"{len(results)} cosets {done - built:.1f} s, peak RSS {rss / 2 ** 20:.0f} MB; "
+          f"|Z| = {widest}: block and U_g build peaks {block:.0f} and {ug:.0f} MB")
     failures = [f for _, errs in results for f in errs]
     assert not failures, failures
     assert checks["twist_axioms"] and checks["triangularity"] and checks["q_identity"], checks
@@ -121,6 +150,7 @@ def main() -> int:
     assert all(a == b == c for a, b, c in routes), routes
     assert Counter(tuple(a) for a, _, _ in routes) == Z729_DIMS, routes
     assert rss < RSS_LIMIT, rss
+    assert all(max(p) < BUILD_LIMIT for p in peaks), peaks
     return 0
 
 

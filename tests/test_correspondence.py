@@ -177,8 +177,8 @@ def test_invariant_algebra_reference_formula(reference_case, both_modes):
 
 
 def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
-    """The |K_g|-term sums after the block's and U_g's contractions refuse, by
-    name, contraction counts of 2**62, whose sums could reach 2**63."""
+    """The |K_g|-term sums of each chunk of the block's and U_g's contractions
+    refuse, by name, contraction counts of 2**62, whose sums could reach 2**63."""
     import cotwist.correspondence as corr
     import cotwist.dual_algebras as duals
 
@@ -187,14 +187,73 @@ def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
     Kg = stabilizer_Kg(inst.G, inst.H, z.representative)
     assert Kg.order > 1
     for module in (duals, corr):
-        contract = module.contract_counts
-        monkeypatch.setattr(module, "contract_counts",
-                            lambda src, at, b, contract=contract:
-                            contract(src, at, b) * 0 + (1 << 62))
+        chunks = module.contract_chunks
+        monkeypatch.setattr(module, "contract_chunks",
+                            lambda *args, chunks=chunks, **kwargs:
+                            ((lo, part * 0 + (1 << 62)) for lo, part in chunks(*args, **kwargs)))
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
         build_block_algebra(inst.t, z)
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
         invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, z.representative, inst.H)
+
+
+@pytest.mark.parametrize("source", ["p3_diag_bundle", "wreath_bundle", "intermediate_bundle",
+                                    "composite_bundle"])
+def test_chunk_boundaries_change_nothing(source, both_modes, monkeypatch, request):
+    """Every coset's block and U_g are the same counts whether each chunk of
+    their contractions holds one row group (one point b of a block slice, one
+    orbit l of a U_g row) or every row, on the slice path and on the dense
+    path: the p=3 diag instance, the wreath table (K_g = {e}), criterion 9
+    (|K_g| = 3) and the composite N = 4 instance."""
+    import cotwist.correspondence as corr
+    import cotwist.dual_algebras as duals
+    from cotwist import exactlin
+
+    inst, ctx, zs = request.getfixturevalue(source)
+    calls = []  # [row groups, chunks yielded] per contraction
+    for module in (duals, corr):
+        def counted(src, at, b, rows, group=1, kernel=module.contract_chunks):
+            calls.append([rows // group, 0])
+            for chunk in kernel(src, at, b, rows, group):
+                calls[-1][1] += 1
+                yield chunk
+        monkeypatch.setattr(module, "contract_chunks", counted)
+
+    def builds():
+        out = []
+        for z in zs:
+            g = z.representative
+            Kg = stabilizer_Kg(inst.G, inst.H, g)
+            out += [build_block_algebra(inst.t, z),
+                    invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)]
+        return out
+
+    want = both_modes(builds)
+    for chunk, per_call in ((1, lambda groups: groups), (1 << 40, lambda groups: 1)):
+        monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+        calls.clear()
+        got = both_modes(builds)
+        assert calls and all(n == per_call(groups) for groups, n in calls), (chunk, calls)
+        for algebras, expected in zip(got, want):
+            for A, B in zip(algebras, expected):
+                assert A.product.scale == B.product.scale, A.name
+                assert np.array_equal(A.product.counts, B.product.counts), (chunk, A.name)
+                assert (A.perms is None) == (B.perms is None), A.name
+                assert A.perms is None or np.array_equal(A.perms, B.perms), A.name
+
+
+def test_p5_coset_builds_stay_under_one_mib():
+    """Each coset of ``spectrum --p 5 --gamma 1,1,0,1`` builds its block and its
+    U_g under a 1 MiB ``tracemalloc`` peak: no whole-coset product, gather
+    index or transport array is formed, only chunks of about KERNEL_CHUNK
+    counts and the slice itself."""
+    from cotwist.groups import double_cosets
+    from instances import build_peaks
+
+    inst = build_instance(Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]])))
+    ctx = prepare_instance(inst)
+    peaks = [build_peaks(ctx, z) for z in double_cosets(inst.G, inst.H)]
+    assert len(peaks) == 5 and all(max(p) < 1 << 20 for p in peaks), peaks
 
 
 def test_invariant_dimension_and_unit(p3_diag_bundle):

@@ -9,9 +9,9 @@ import pytest
 
 from cotwist import exactlin
 from cotwist.errors import CotwistError
-from cotwist.exactlin import (CycArray, canonical_counts, contract_counts, cyc_nullspace,
-                              cyc_rank, cyc_solve, cyc_tensordot, ga_identity, ga_mul,
-                              invert_in_group_algebra, sum_counts)
+from cotwist.exactlin import (CycArray, canonical_counts, contract_chunks, contract_counts,
+                              cyc_nullspace, cyc_rank, cyc_solve, cyc_tensordot, ga_identity,
+                              ga_mul, invert_in_group_algebra, sum_counts)
 from cotwist.scalars import _reduction_table, euler_phi
 from cotwist.twist import _sides_agree, load_twist_matrix
 from cyc_reference import add, canonical, embed, equal, ga_product, mul, values, zero
@@ -417,6 +417,37 @@ def test_gathered_contraction_matches_reference(largest, rest, dtype, spies, mon
     want = _raw_contraction(CycArray(order, Fraction(1), src[at]), b)
     for idx, value in np.ndenumerate(got):
         assert value == want[idx]
+
+
+@pytest.mark.parametrize("chunk, inner, group, sizes", [
+    (20, 3, 1, [2, 2, 2, 2, 2, 1]),   # 20 // (C N = 10): 2 rows a chunk
+    (20, 3, 3, [3, 3, 3, 2]),         # whole groups of 3 rows, at least one group
+    (4, 3, 1, [1] * 11),              # K C = 6 cells of b: 6 // 10, at least one row
+    (4, 10, 1, [2, 2, 2, 2, 2, 1]),   # K C = 20: 2 rows, where 4 counts would be 1
+    (4, 15, 1, [3, 3, 3, 2]),         # K C = 30: 3 rows
+])
+def test_chunks_hold_kernel_chunk_or_b_counts(chunk, inner, group, sizes, monkeypatch):
+    """A chunk is a whole number of row groups of about max(KERNEL_CHUNK, K C)
+    result counts, its index asked for a chunk at a time; the chunks,
+    concatenated, are ``contract_counts``'s result count for count."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    order, rows, cols = 5, 11, 2
+    rng = np.random.default_rng(inner + group)
+    src = rng.integers(-3, 4, size=(9, order))
+    at = rng.integers(0, 9, size=(rows, inner))
+    b = rng.integers(-3, 4, size=(inner, cols, order))
+    asked = []
+
+    def index(lo, hi):
+        asked.append((lo, hi))
+        return at[lo:hi]
+
+    chunks = list(contract_chunks(src, index, b, rows, group))
+    assert [len(part) for _, part in chunks] == sizes
+    assert asked == [(lo, lo + len(part)) for lo, part in chunks]
+    assert all(lo % group == 0 for lo, _ in chunks)
+    assert np.array_equal(np.concatenate([part for _, part in chunks]),
+                          contract_counts(src, at, b))
 
 
 def test_tensordot_keeps_raw_counts():
