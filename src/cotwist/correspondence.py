@@ -25,7 +25,7 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, ad_invariant, build_A1_A2_star, build_block_algebra
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, chunk_rows, contract_chunks, sum_counts
+from .exactlin import CycArray, chunk_rows, pair_sums
 from .groups import (DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                      build_semidirect, character_exponents, double_cosets, stabilizer_Kg,
                      stabilizer_local_indices)
@@ -165,7 +165,7 @@ def pair_orbits(perms: np.ndarray):
 # U_g: the invariant algebra (route b)
 
 
-def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, members: np.ndarray, partner: np.ndarray,
+def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, pairs: np.ndarray, partner: np.ndarray,
                q: int) -> np.ndarray:
     """Row o_q o_j of the orbit-sum structure constants, as counts [j, l, N].
 
@@ -175,36 +175,14 @@ def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, members: np.ndarray, partner: np.
     orbit l.  With mul2 and mul1 the constants of ``A2s`` and ``A1s`` and
     (h1, h2) = divmod(q, |H|), the pair (y1, y2) of orbit j gives
     mul2[h1, y1, x1] mul1[h2, y2, x2] at (x1, x2).  The A_2* leg acts
-    freely, so orbit l holds at most one member (x1, partner[x1, l]) per x1,
-    and the row is R[(l, y2), y1] = sum_{x1} mul1[h2, y2, partner[x1, l]]
-    mul2[h1, y1, x1], one contraction of a gather, then the
-    :func:`sum_counts` over the members (y1, y2) of orbit j (``members[j]``).
-    Both factors are read on their fewest-term counts, formed once per
-    algebra and row (:meth:`SCAlgebra.row_terms`).  R is never formed whole:
-    with rows in (l, y2) order, :func:`contract_chunks` yields it a range of
-    l at a time, gathered from mul1 by that range's flat index along its x2
-    axis, and the members are one flat take of the range, summed over its
-    first axis into row[:, l-range]; the scale is mul2.scale * mul1.scale.
+    freely, so orbit l holds at most one member (x1, partner[l, x1]) per x1,
+    and the row is the :func:`pair_sums` of mul2[h1] and mul1[h2] at
+    ``partner`` over the members y2 |H| + y1 of orbit j (``pairs[j]``), on
+    their fewest-term counts, formed once per algebra and row
+    (:meth:`SCAlgebra.row_terms`); the scale is mul2.scale * mul1.scale.
     """
-    m, r, n = partner.shape[0], partner.shape[1], A2s.product.order
-    h1, h2 = divmod(int(q), m)
-    f2, f1 = A2s.row_terms(h1), A1s.row_terms(h2)
-    f1 = np.concatenate([f1, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # column m is 0
-    y2_at = np.arange(m)[:, None] * (m + 1)                                # [y2, 1]
-    y1, y2 = np.divmod(members.T, m)                                       # [k, j]
-    at_member = (y2 * m + y1)[:, :, None]                                  # [k, j, 1]
-
-    def at(lo, hi):  # [(l, y2), x1] for the orbits l of rows lo:hi
-        return (y2_at + partner.T[lo // m:hi // m, None]).reshape(-1, m)
-
-    row = np.empty((r, r, n), dtype=np.int64)
-    for lo, R in contract_chunks(f1.reshape(-1, n), at, f2.transpose(1, 0, 2), r * m,
-                                 group=m):                                 # [(l, y2), y1]
-        ls = len(R) // m
-        row[:, lo // m:lo // m + ls] = sum_counts(
-            np.take(R.reshape(-1, n), at_member + np.arange(ls) * (m * m), axis=0),
-            axis=0)                                                       # [k, j, l] summed
-    return row
+    h1, h2 = divmod(int(q), A2s.dim)
+    return pair_sums(A2s.row_terms(h1), A1s.row_terms(h2), partner, pairs)
 
 
 def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray,
@@ -278,18 +256,19 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     r, n = len(reps), A2s.product.order
     members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
     x1, x2 = np.divmod(members, m)
-    partner = np.full((m, r), m)  # [x1, l]: the x2 with (x1, x2) in orbit l, m where none
-    partner[x1, np.arange(r)[:, None]] = x2
+    partner = np.full((r, m), m)  # [l, x1]: the x2 with (x1, x2) in orbit l, m where none
+    partner[np.arange(r)[:, None], x1] = x2
     if np.count_nonzero(partner < m) != members.size:
         raise AuditError("pair orbits: the A2* leg does not act freely")
+    pairs = x2 * m + x1  # [j, k]: the members of orbit j as y2 |H| + y1
     scale, name = A2s.product.scale * A1s.product.scale, f"invariants at g={g}"
     unit = CycArray.from_exponents(n, np.zeros(r, dtype=np.int64))
     Hg = H.as_group
     if ad_invariant(Hg, A1s.take(0, 2)) and ad_invariant(Hg, A2s.take(0, 2)):
         sigma = _orbit_transport(orbit_id, members, reps, Hg)
-        S = _orbit_row(A2s, A1s, members, partner, 0)[sigma, sigma[:, [0]]]  # row of (e, e)
+        S = _orbit_row(A2s, A1s, pairs, partner, 0)[sigma, sigma[:, [0]]]  # row of (e, e)
         return SCAlgebra.from_slice(CycArray(n, scale, S), sigma, unit, name)
-    counts = np.stack([_orbit_row(A2s, A1s, members, partner, q) for q in reps])
+    counts = np.stack([_orbit_row(A2s, A1s, pairs, partner, q) for q in reps])
     return SCAlgebra(CycArray(n, scale, counts), unit, name)
 
 

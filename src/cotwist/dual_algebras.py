@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, CotwistError
-from .exactlin import (CycArray, _largest, contract_chunks, cyc_rank, cyc_tensordot,
-                       invert_in_group_algebra, sum_counts)
+from .exactlin import (CycArray, _largest, cyc_rank, cyc_tensordot, invert_in_group_algebra,
+                       pair_sums)
 from .groups import DoubleCoset, FiniteGroup
 from .twist import TwistData, q_element_and_antipode_check
 
@@ -311,34 +311,18 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     ``shifts[s, c]`` is the coset index of h_s x h_c; ``jinv`` and ``j`` are
     counts of Jinv and J.  mul[a, b, x] = sum Jinv[s, t] J[c, d] over
     h_s x h_c = a and h_t x h_d = b.  For each t, d -> h_t x h_d is
-    injective, so X[b, c, t] = J[c, d] at h_t x h_d = b (0 where no d is) is
-    a gather, Y[(b, c), s] = sum_t X[b, c, t] Jinv[s, t] is one contraction
-    of that gather, and S[a, b] is the :func:`sum_counts` of Y[b, c, s] over
-    the |H|^2/|Z| pairs (s, c) with h_s x h_c = a.  Raises AuditError unless
-    every a has that many.  Neither X nor Y is formed whole: with rows in
-    (b, c) order, :func:`contract_chunks` yields Y a range of b at a time,
-    gathered from J by that range's flat index, and the range's pairs are
-    one take along its (c, s) axis, summed into S[:, b-range].
+    injective, so each (b, t) has at most one such d, d_at[b, t], and the
+    slice is the :func:`pair_sums` of Jinv and J at d_at over the |H|^2/|Z|
+    pairs (s, c) with h_s x h_c = a.  Raises AuditError unless every a has
+    that many.
     """
-    m, n = j.shape[0], j.shape[-1]
+    m = j.shape[0]
     if np.any(np.bincount(shifts.ravel(), minlength=nz) * nz != m * m):
         raise AuditError("double coset is not one H x H orbit of its points")
     d_at = np.full((nz, m), m)  # [b, t]: the d with h_t x h_d = b, m where none
     d_at[shifts.T, np.arange(m)] = np.arange(m)[:, None]
-    j = np.concatenate([j, np.zeros((m, 1, n), dtype=np.int64)], axis=1)  # J[c, m] = 0
-    c_at = np.arange(m)[:, None] * (m + 1)                                 # [c, 1]
-    pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)    # [a, k]: c m + s
-
-    def at(lo, hi):  # [(b, c), t] for the points b of rows lo:hi
-        return (c_at + d_at[lo // m:hi // m, None]).reshape(-1, m)
-
-    S = np.empty((nz, nz, n), dtype=np.int64)
-    for lo, Y in contract_chunks(j.reshape(-1, n), at, jinv.transpose(1, 0, 2), nz * m,
-                                 group=m):                                 # [(b, c), s]
-        Y = Y.reshape(-1, m * m, n)
-        S[:, lo // m:lo // m + len(Y)] = sum_counts(np.take(Y, pairs.T, axis=1),
-                                                    axis=1).swapaxes(0, 1)  # [b, k, a] summed
-    return S
+    pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)  # [a, k]: c m + s
+    return pair_sums(jinv, j, d_at, pairs)
 
 
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:

@@ -15,11 +15,12 @@
   integer below 2**23 or 2**52 respectively, else in int64, yielded as int64
   counts a chunk of rows at a time.  The gather is made inside, of the
   source cast once to that dtype, chunk by chunk, so no int64 gather is
-  formed.  The block build and U_g sum each chunk down as it comes;
+  formed.  :func:`pair_sums`, the sum over factorizations behind the block
+  slices, the U_g rows and the dense products in C[K x K], sums each chunk
+  down by :func:`sum_counts`, under its overflow bound, as it comes;
   :func:`contract_counts`, its chunks concatenated, serves the twist axiom
-  audit, :func:`ga_mul` and :func:`cyc_tensordot` (no index: its operand is
-  cast a chunk at a time).  A fixed number of contracted results is then
-  added by :func:`sum_counts` under its overflow bound.
+  audit, the sparse :func:`ga_mul` and :func:`cyc_tensordot` (no index: its
+  operand is cast a chunk at a time).
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -395,6 +396,43 @@ def sum_counts(counts: np.ndarray, axis: int) -> np.ndarray:
     return counts.sum(axis=axis)
 
 
+def pair_sums(first: np.ndarray, second: np.ndarray, partner: np.ndarray,
+              groups: np.ndarray) -> np.ndarray:
+    """The (G, B, N) int64 counts out[g, b] = sum over c S + s in groups[g] of
+    sum_t first[s, t] * second[c, partner[b, t]], over Z[zeta_N].
+
+    ``first`` is (S, T, N) and ``second`` (C, D, N) int64 counts, ``partner``
+    a (B, T) index whose entry D means "no term", and each row of ``groups``
+    lists k flat indices c S + s.  Second gets one zero column D, so a term
+    with no partner reads 0, and Y[(b, c), s] = sum_t second[c, partner[b,
+    t]] first[s, t] is one contraction of a gather, which
+    :func:`contract_chunks` yields a whole number of b-rows (groups of C rows)
+    at a time, gathered from second by that range's flat index.  Each chunk,
+    read as Y[b, (c, s)], is taken along its (c, s) axis at ``groups`` and its
+    k terms summed by :func:`sum_counts` into out[:, b-range], so neither the
+    gather nor Y is formed whole.  The contraction is exact under its own
+    bound, and each chunk's sums under k times the largest count of that
+    chunk, read off it: the a-priori k T N max|first| max|second| takes all
+    T N products of every term at their largest, and would refuse sums that
+    fit.
+    """
+    S, T, n = first.shape
+    C, D = second.shape[:2]
+    second = np.concatenate([second, np.zeros((C, 1, n), dtype=np.int64)], axis=1)
+    c_at = np.arange(C)[:, None] * (D + 1)  # [c, 1]
+
+    def at(lo, hi):  # [(b, c), t] for the b of rows lo:hi
+        return (c_at + partner[lo // C:hi // C, None]).reshape(-1, T)
+
+    out = np.empty((len(groups), len(partner), n), dtype=np.int64)
+    for lo, Y in contract_chunks(second.reshape(-1, n), at, first.transpose(1, 0, 2),
+                                 len(partner) * C, group=C):
+        Y = Y.reshape(-1, C * S, n)  # [b, (c, s)]
+        out[:, lo // C:lo // C + len(Y)] = sum_counts(np.take(Y, groups.T, axis=1),
+                                                      axis=1).swapaxes(0, 1)  # [b, k, g] summed
+    return out
+
+
 def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     """Product of two group-algebra elements given as CycArray vectors.
 
@@ -408,9 +446,11 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     v at the index [x, a], |K| |A| cells (|K|^2 |A| for pairs), and contracts
     it with u over A; for v's, (u v)[x] = sum_{b in B} u[x b^-1] v[b].  Two
     pair elements whose supports both exceed |K| cells, where that index
-    would pass |K|^3 cells, are multiplied by :func:`_dense_pair_mul`.  Either
-    way the counts are the sums of the products of the fewest-term counts,
-    count for count.
+    would pass |K|^3 cells, are the :func:`pair_sums` (u v)[x, y] = sum over
+    the pairs (a1^-1 x, a1) of sum_{a2} u[a1, a2] v[a1^-1 x, a2^-1 y], with
+    a^-1 y read off the ``argsort`` of the table's rows (K need not be
+    abelian).  Either way the counts are the sums of the products of the
+    fewest-term counts, count for count.
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
@@ -420,7 +460,9 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     su, sv = (np.flatnonzero(f.reshape(-1, n).any(axis=-1)) for f in (fu, fv))
     pair = len(u.shape) == 2
     if pair and min(su.size, sv.size) > m:
-        return CycArray(n, u.scale * v.scale, _dense_pair_mul(fu, fv, mul))
+        ldiv = np.argsort(mul, axis=1)  # [a, y]: a^-1 y
+        return CycArray(n, u.scale * v.scale,
+                        pair_sums(fu, fv, ldiv.T, ldiv.T * m + np.arange(m)))
     left = su.size <= sv.size
     support, small, other = (su, fu, fv) if left else (sv, fv, fu)
     # div[s, x]: the other factor's cell y with s y = x (left) or y s = x (right)
@@ -430,26 +472,6 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
     out = contract_counts(other.reshape(-1, n), at.reshape(-1, support.size),
                           small.reshape(-1, n)[support][:, None])
     return CycArray(n, u.scale * v.scale, out.reshape(fu.shape))
-
-
-def _dense_pair_mul(fu: np.ndarray, fv: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """Counts of u v in C[K x K] from (|K|, |K|, N) counts, by one contraction.
-
-    out[x, y] = sum_{a1, a2} u[a1, a2] v[a1^-1 x, a2^-1 y], where a^-1 y, the b
-    with a b = y, is read off the ``argsort`` of the Cayley table's rows (K
-    need not be abelian).  With V[(b1, y), a2] = v[b1, a2^-1 y], gathered
-    inside it, :func:`contract_counts` forms W[(b1, y), a1] = sum_{a2}
-    V[(b1, y), a2] u[a1, a2] under its own bound, and out[x, y] is the
-    :func:`sum_counts` over a1 of W[a1^-1 x, y, a1], bounded by |K| times the
-    largest count of W as formed.
-    """
-    m, n = fu.shape[0], fu.shape[-1]
-    ldiv = np.argsort(mul, axis=1)  # [a, y]: a^-1 y
-    b, y, a = np.ogrid[:m, :m, :m]
-    W = contract_counts(fv.reshape(m * m, n), (b * m + ldiv[a, y]).reshape(m * m, m),
-                        fu.transpose(1, 0, 2))                             # [(b1, y), a1]
-    a, x, y = np.ogrid[:m, :m, :m]
-    return sum_counts(W.reshape(m ** 3, n).take((ldiv[a, x] * m + y) * m + a, axis=0), axis=0)
 
 
 def ga_identity(size: int, order: int) -> CycArray:

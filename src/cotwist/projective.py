@@ -237,7 +237,7 @@ def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:
     L[y, c] = sum_u chi_s(Q[y, u]) S[u, c] and R[y, r] = sum_v S[r, v]
     chi_s(Q[y, v]): two contractions with S, and no n^3 constants.
     """
-    gens = act.group.generating_words[0]
+    gens = np.array(act.group.generators, dtype=np.int64)
     S, P, m, k = A.product, A.perms, A.dim, gens.size
     moved = act.perms[gens]  # [s, b] = alpha_s(b)
     if P is None:
@@ -328,7 +328,7 @@ def multiplicity_law_holds(W: TensorClass) -> bool:
     """
     B, n, mul = W.beta, W.order, W.group.mul
     bicharacter = all(np.array_equal(B[mul[:, s]], (B + B[s]) % n)
-                      for s in W.group.generating_words[0])
+                      for s in W.group.generators)
     alternating = not np.any(np.diagonal(B)) and not np.any((B + B.T) % n)
     r, d = _radical_root(B)
     return trace_vanishing_holds(W) and bicharacter and alternating and r * d * d == len(B)

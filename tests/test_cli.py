@@ -336,11 +336,11 @@ def test_out_of_memory_exits_1_with_report(construction, patched, monkeypatch, t
 def test_verify_p5_forms_no_dense_product(monkeypatch, tmp_path, capsys):
     """verify on the symplectic p = 5 instance audits the twist and runs the
     global checks pointwise: no contraction in C[H]^(x 3) (``_sides_agree``)
-    and no dense product in C[H x H] (``_dense_pair_mul``) runs."""
+    and no dense product in C[H x H], nor any other ``pair_sums``, runs."""
     from cotwist import exactlin, twist
 
     calls = []
-    for module, name in ((twist, "_sides_agree"), (exactlin, "_dense_pair_mul")):
+    for module, name in ((twist, "_sides_agree"), (exactlin, "pair_sums")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))

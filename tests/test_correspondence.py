@@ -179,18 +179,16 @@ def test_invariant_algebra_reference_formula(reference_case, both_modes):
 def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
     """The |K_g|-term sums of each chunk of the block's and U_g's contractions
     refuse, by name, contraction counts of 2**62, whose sums could reach 2**63."""
-    import cotwist.correspondence as corr
-    import cotwist.dual_algebras as duals
+    from cotwist import exactlin
 
     inst, ctx, zs = p3_diag_bundle
     z = zs[1]
     Kg = stabilizer_Kg(inst.G, inst.H, z.representative)
     assert Kg.order > 1
-    for module in (duals, corr):
-        chunks = module.contract_chunks
-        monkeypatch.setattr(module, "contract_chunks",
-                            lambda *args, chunks=chunks, **kwargs:
-                            ((lo, part * 0 + (1 << 62)) for lo, part in chunks(*args, **kwargs)))
+    chunks = exactlin.contract_chunks
+    monkeypatch.setattr(exactlin, "contract_chunks",
+                        lambda *args, **kwargs:
+                        ((lo, part * 0 + (1 << 62)) for lo, part in chunks(*args, **kwargs)))
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
         build_block_algebra(inst.t, z)
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
@@ -205,19 +203,18 @@ def test_chunk_boundaries_change_nothing(source, both_modes, monkeypatch, reques
     orbit l of a U_g row) or every row, on the slice path and on the dense
     path: the p=3 diag instance, the wreath table (K_g = {e}), criterion 9
     (|K_g| = 3) and the composite N = 4 instance."""
-    import cotwist.correspondence as corr
-    import cotwist.dual_algebras as duals
     from cotwist import exactlin
 
     inst, ctx, zs = request.getfixturevalue(source)
     calls = []  # [row groups, chunks yielded] per contraction
-    for module in (duals, corr):
-        def counted(src, at, b, rows, group=1, kernel=module.contract_chunks):
-            calls.append([rows // group, 0])
-            for chunk in kernel(src, at, b, rows, group):
-                calls[-1][1] += 1
-                yield chunk
-        monkeypatch.setattr(module, "contract_chunks", counted)
+
+    def counted(src, at, b, rows, group=1, kernel=exactlin.contract_chunks):
+        calls.append([rows // group, 0])
+        for chunk in kernel(src, at, b, rows, group):
+            calls[-1][1] += 1
+            yield chunk
+
+    monkeypatch.setattr(exactlin, "contract_chunks", counted)
 
     def builds():
         out = []

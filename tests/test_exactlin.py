@@ -11,7 +11,7 @@ from cotwist import exactlin
 from cotwist.errors import CotwistError
 from cotwist.exactlin import (CycArray, canonical_counts, contract_chunks, contract_counts,
                               cyc_nullspace, cyc_rank, cyc_solve, cyc_tensordot, ga_identity,
-                              ga_mul, invert_in_group_algebra, sum_counts)
+                              ga_mul, invert_in_group_algebra, pair_sums, sum_counts)
 from cotwist.scalars import _reduction_table, euler_phi
 from cotwist.twist import _sides_agree, load_twist_matrix
 from cyc_reference import add, canonical, embed, equal, ga_product, mul, values, zero
@@ -503,8 +503,8 @@ def test_dense_ga_mul_on_a_non_abelian_group(monkeypatch):
     u = rand_cycarray(rng, (m, m), order)
     v = rand_cycarray(rng, (m, m), order).scale_by(Fraction(3, 2))
     dense = []
-    kernel = exactlin._dense_pair_mul
-    monkeypatch.setattr(exactlin, "_dense_pair_mul", lambda *a: dense.append(1) or kernel(*a))
+    kernel = exactlin.pair_sums
+    monkeypatch.setattr(exactlin, "pair_sums", lambda *a: dense.append(1) or kernel(*a))
     got = ga_mul(u, v, table)
     assert dense == [1]
 
@@ -573,6 +573,109 @@ def test_dense_ga_mul_near_the_bound_is_exact():
     assert int(got.counts.max()) == 9 << 59
     for x in np.ndindex(3, 3):
         assert values(got)[x] == want[x]
+
+
+def _pair_sums_reference(first, second, partner, groups):
+    """out[g, b, (i + j) mod N] = sum over c S + s in groups[g], t and i, j of
+    first[s, t, i] second[c, partner[b, t], j], on Python ints in plain loops;
+    a partner D adds nothing."""
+    S, T, n = first.shape
+    D = second.shape[1]
+    out = np.zeros((len(groups), len(partner), n), dtype=object)
+    for g, b in np.ndindex(len(groups), len(partner)):
+        for cs in groups[g]:
+            c, s = divmod(int(cs), S)
+            for t in range(T):
+                d = partner[b, t]
+                if d < D:
+                    for i, j in np.ndindex(n, n):
+                        out[g, b, (i + j) % n] += int(first[s, t, i]) * int(second[c, d, j])
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, exactlin.KERNEL_CHUNK, 1 << 40])
+@pytest.mark.parametrize("order", [1, 3, 4, 6])
+def test_pair_sums_matches_the_python_int_reference(order, chunk, monkeypatch):
+    """Random signed counts, some partners "no term" (one b has none at all):
+    the Python-int sums count for count, with each chunk one row group of b,
+    the default chunks, and one chunk for every b."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    S, T, C, D, B = 3, 4, 5, 4, 6
+    rng = np.random.default_rng(order)
+    first = rng.integers(-9, 10, size=(S, T, order))
+    second = rng.integers(-9, 10, size=(C, D, order))
+    partner = rng.integers(0, D + 1, size=(B, T))
+    partner[0] = D
+    assert np.any(partner[1:] == D) and np.any(partner < D)
+    groups = rng.permutation(C * S).reshape(3, 5)
+    got = pair_sums(first, second, partner, groups)
+    assert got.dtype == np.int64
+    assert np.array_equal(got.astype(object), _pair_sums_reference(first, second, partner, groups))
+
+
+@pytest.mark.parametrize("signs", ["equal", "mixed"])
+@pytest.mark.parametrize("limit, dtype", [(24, np.float32), (53, np.float64), (63, np.int64)])
+def test_pair_sums_at_each_tier_edge(limit, dtype, signs, spies):
+    """All-max counts +-m, m the largest with 2 T N m**2 below 2**24 (float32)
+    or 2**53 (float64), or with the k-term sums k T N m**2 below 2**63
+    (int64): the tier is taken and the sums are the Python-int reference count
+    for count; with equal signs they reach k T N m**2.  For int64, m + 1 puts
+    those sums past 2**63 and is refused by name."""
+    S, T, C, k, order = 2, 3, 2, 2, 3
+    m = math.isqrt(((1 << limit) - 1) // ((k if limit == 63 else 2) * T * order))
+    rng = np.random.default_rng(limit)
+    partner = np.array([rng.permutation(T) for _ in range(2)])
+    groups = rng.permutation(C * S).reshape(-1, k)
+
+    def operands(m):
+        first = np.full((S, T, order), m, dtype=np.int64)
+        second = np.full((C, T, order), m, dtype=np.int64)
+        if signs == "mixed":
+            first *= rng.choice([-1, 1], size=first.shape)
+            second *= rng.choice([-1, 1], size=second.shape)
+        return first, second
+
+    first, second = operands(m)
+    got = pair_sums(first, second, partner, groups)
+    assert spies["matmul"].calls
+    assert all((x.dtype, y.dtype) == (dtype, dtype) for x, y in spies["matmul"].calls)
+    assert np.array_equal(got.astype(object), _pair_sums_reference(first, second, partner, groups))
+    if signs == "equal":
+        assert np.all(got == k * T * order * m * m)
+        if limit == 63:
+            with pytest.raises(CotwistError, match="an exact sum would overflow int64"):
+                pair_sums(*operands(m + 1), partner, groups)
+
+
+def _direct_product_table(table):
+    """The Cayley table of K x K, (g, h) at index g |K| + h."""
+    m = len(table)
+    return (table[:, None, :, None] * m + table[None, :, None, :]).reshape(m * m, m * m)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 40])
+@pytest.mark.parametrize("square, order", [(False, 6), (True, 1)], ids=["S3", "S3 x S3"])
+def test_dense_pair_products_are_pair_sums(square, order, chunk, monkeypatch):
+    """Dense products in C[K x K] for K = S3 and S3 x S3 go through one
+    pair_sums and equal, count for count, the Python-int sum of u[a1, a2]
+    v[b1, b2] at (a1 b1, a2 b2) over the fewest-term counts."""
+    table = _symmetric_group_3()
+    if square:
+        table = _direct_product_table(table)
+    m = len(table)
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
+    calls, kernel = [], exactlin.pair_sums
+    monkeypatch.setattr(exactlin, "pair_sums", lambda *a: calls.append(1) or kernel(*a))
+    rng = np.random.default_rng(m + order)
+    u, v = (rand_cycarray(rng, (m, m), order, span=9) for _ in range(2))
+    got = ga_mul(u, v, table)
+    assert calls == [1]
+    fu, fv = (x.fewest_counts().astype(object) for x in (u, v))
+    want = np.zeros_like(fu)
+    for a1, a2, i in zip(*np.nonzero(fu)):
+        want[np.ix_(table[a1], table[a2])] += fu[a1, a2, i] * np.roll(fv, i, axis=-1)
+    assert got.scale == u.scale * v.scale
+    assert np.array_equal(got.counts.astype(object), want)
 
 
 # -- rank / solve / nullspace -------------------------------------------------

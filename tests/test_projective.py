@@ -432,6 +432,22 @@ def test_class_laws_refuse_a_class_that_is_no_alternating_bicharacter(p3_pair, p
         class_dims(W)
 
 
+def test_coset_laws_build_no_words_for_k_g(intermediate_bundle, monkeypatch):
+    """The per-coset laws read the generators of K_g, not its words: after
+    criterion 9's coset pipeline, no K_g of order 3 has built them."""
+    import cotwist.correspondence as corr
+
+    inst, ctx, zs = intermediate_bundle
+    seen = []
+    stabilizer = corr.stabilizer_Kg
+    monkeypatch.setattr(corr, "stabilizer_Kg", lambda *a: seen.append(stabilizer(*a)) or seen[-1])
+    for z in zs:
+        assert not corr._coset_pipeline(ctx, z)[1]
+    proper = [Kg for Kg in seen if Kg.order == 3]
+    assert proper and all("as_group" in vars(Kg) for Kg in proper)
+    assert not any("generating_words" in vars(Kg.as_group) for Kg in proper)
+
+
 def test_trivial_group_projective():
     one = FiniteGroup(np.zeros((1, 1), dtype=np.int32))
     K = Subgroup(one, np.array([0]))
