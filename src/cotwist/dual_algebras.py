@@ -13,6 +13,7 @@ H-level duals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,52 +25,49 @@ from .twist import TwistData, q_element_and_antipode_check
 
 
 class SCAlgebra:
-    """A finite-dimensional algebra given by exact structure constants.
+    """A finite-dimensional algebra in slice form, with exact constants.
 
-    ``mul[i, j, k]`` is the coefficient of basis element k in e_i e_j, as a
-    CycArray; ``unit`` is the CycArray coefficient vector of the
-    multiplicative unit, verified exactly when the algebra is built
-    (:func:`determine_unit`).  Float ones are refused (CotwistError).
+    A slice S of shape (n, n), a CycArray, and basis permutations P of
+    shape (n, n), every row a permutation, give the structure constants
 
-    An algebra may instead be given in slice form (:meth:`from_slice`): a
-    slice S of shape (n, n) and basis permutations P of shape (n, n), every
-    row a permutation, with
+        mul[a, b, x] = S[P[x, a], P[x, b]],
 
-        mul[a, b, x] = S[P[x, a], P[x, b]].
+    the coefficient of basis element x in e_a e_b.  ``product`` is S and
+    ``perms`` is P; float constants are refused (CotwistError), and rows
+    that are no permutations (AuditError).  Every algebra here is the dual
+    of a counital coalgebra, whose unit is the counit: ``unit`` is the
+    all-ones vector, verified exactly when the algebra is built
+    (:func:`determine_unit`).
 
-    Then ``product`` is S and ``perms`` is P (None for a dense algebra), and
-    ``mul`` is gathered from them (:func:`gather_slice`) when it is first
-    read, then kept.  ``dim`` never gathers, and neither does :meth:`take`,
-    which reads one section of ``mul`` off the slice.  Everything the CLI
-    runs reads the slice: the unit check, the automorphism audit of
-    ``GroupAction.verify``, the translation characters and the regular
-    trace law of ``cotwist.projective``, the rows of U_g and the whole split
-    of ``cotwist.semisimple``.  Only the audits that no report runs read
-    ``mul``: ``f_g_map``, :func:`a2_to_a1op_iso` and
-    ``semisimple.algebra_audit``.  The fewest-term counts of a row of
-    ``mul`` are formed once per algebra (:meth:`row_terms`).
+    ``mul`` is gathered from the slice (:func:`gather_slice`) when it is
+    first read, then kept.  ``dim`` never gathers, and neither does
+    :meth:`take`, which reads one section of ``mul`` off the slice.
+    Everything the CLI runs reads the slice: the unit check, the
+    automorphism audit of ``GroupAction.verify``, the translation characters
+    and the regular trace law of ``cotwist.projective``, the row of U_g and
+    the whole split of ``cotwist.semisimple``.  Only the audits that no
+    report runs read ``mul``: ``f_g_map``, :func:`a2_to_a1op_iso` and
+    ``semisimple.algebra_audit``.  The fewest-term counts of the row e_0 e_j
+    are formed once per algebra (:attr:`row_terms`).
     """
 
-    def __init__(self, mul, unit, name: str = "", *, perms: np.ndarray | None = None):
-        if not isinstance(mul, CycArray) or not isinstance(unit, CycArray):
-            raise CotwistError(f"{name}: structure constants and unit must be exact, "
-                               f"got {type(mul).__name__} and {type(unit).__name__}")
-        self.product = mul
-        self.perms = perms
-        self.unit = unit
-        self.name = name
-        self._mul = mul if perms is None else None
-        self._row_terms: dict[int, np.ndarray] = {}
-        determine_unit(mul, unit, name, perms)
-
-    @classmethod
-    def from_slice(cls, S: CycArray, perms: np.ndarray, unit: CycArray,
-                   name: str = "") -> "SCAlgebra":
-        """The exact algebra mul[a, b, x] = S[perms[x, a], perms[x, b]]."""
+    def __init__(self, S: CycArray, perms: np.ndarray, name: str = ""):
+        if not isinstance(S, CycArray):
+            raise CotwistError(f"{name}: structure constants must be exact, "
+                               f"got {type(S).__name__}")
         n = S.shape[0]
         if not S.shape == perms.shape == (n, n) or np.any(np.sort(perms, axis=1) != np.arange(n)):
             raise AuditError(f"{name}: slice rows are not basis permutations")
-        return cls(S, unit, name, perms=perms)
+        self.product = S
+        self.perms = perms
+        self.name = name
+        self._mul = None
+        determine_unit(S, perms, name)
+
+    @property
+    def unit(self) -> CycArray:
+        """The counit, all ones on the basis: the algebra's verified unit."""
+        return CycArray.from_exponents(self.product.order, np.zeros(self.dim, dtype=np.int64))
 
     @property
     def mul(self) -> CycArray:
@@ -80,11 +78,9 @@ class SCAlgebra:
     def take(self, indices, axis: int) -> CycArray:
         """``mul.take(indices, axis)`` for one index or a 1-d array of them.
 
-        In slice form each cell is read as S[P[x, a], P[x, b]], by one flat
-        take from S, so only the section is formed.
+        Each cell is read as S[P[x, a], P[x, b]], by one flat take from S,
+        so only the section is formed.
         """
-        if self.perms is None:
-            return self.product.take(indices, axis)
         S, P, n = self.product, self.perms, self.dim
         ranges = [np.arange(n)] * 3
         ranges[axis] = np.atleast_1d(indices)
@@ -94,12 +90,10 @@ class SCAlgebra:
             counts = counts.squeeze(axis)
         return CycArray(S.order, S.scale, counts)
 
-    def row_terms(self, h: int) -> np.ndarray:
-        """``mul.take(h, 0).fewest_counts()``, the products e_h e_j, formed once per h."""
-        terms = self._row_terms.get(h)
-        if terms is None:
-            terms = self._row_terms[h] = self.take(h, 0).fewest_counts()
-        return terms
+    @cached_property
+    def row_terms(self) -> np.ndarray:
+        """``mul.take(0, 0).fewest_counts()``, the products e_0 e_j, formed once."""
+        return self.take(0, 0).fewest_counts()
 
     @property
     def dim(self) -> int:
@@ -147,12 +141,11 @@ class GroupAction:
         perms[s_1] o ... o perms[s_r]: the composition law extends along
         words, and automorphisms compose.
 
-        On an algebra in slice form (``SCAlgebra``) a generator's p is
-        certified by the index identity P[p[x], p[a]] = P[x, a], n^2
-        integers: then mul[p a, p b, p x] = S[P[p x, p a], P[p x, p b]] =
-        S[P[x, a], P[x, b]] = mul[a, b, x].  The identity is sufficient, not
-        necessary, so where it fails, and on a dense algebra, the canonical
-        constants are compared, mul[p, p, p] == mul.
+        A generator's p is certified by the index identity P[p[x], p[a]] =
+        P[x, a] on the slice form (``SCAlgebra``), n^2 integers: then
+        mul[p a, p b, p x] = S[P[p x, p a], P[p x, p b]] = S[P[x, a], P[x, b]]
+        = mul[a, b, x].  The identity is sufficient, not necessary, so where
+        it fails the canonical constants are compared, mul[p, p, p] == mul.
         """
         g = self.group
         m = g.order
@@ -171,7 +164,7 @@ class GroupAction:
         P, mc = algebra.perms, None
         for h in gens:
             p = self.perms[h]
-            if P is not None and np.array_equal(P[np.ix_(p, p)], P):
+            if np.array_equal(P[np.ix_(p, p)], P):
                 continue
             if mc is None:
                 mc = algebra.mul.canonical()
@@ -185,70 +178,32 @@ def _identity_matrix(n: int, order: int) -> CycArray:
     return out
 
 
-def _all_ones(n: int, order: int) -> CycArray:
-    out = CycArray.zeros((n,), order)
-    out.counts[:, 0] = 1
-    return out
+def determine_unit(S: CycArray, perms: np.ndarray, name: str) -> None:
+    """Verify exactly that the counit is the two-sided unit of the slice-form
+    algebra ``name`` (``SCAlgebra``); AuditError names the algebra otherwise.
 
-
-def determine_unit(mul: CycArray, unit: CycArray, name: str,
-                   perms: np.ndarray | None = None) -> None:
-    """Verify exactly that ``unit`` is the two-sided unit of the algebra ``name``.
-
-    Raises AuditError naming the algebra otherwise.  Every dual algebra here
-    is the dual of a counital coalgebra, whose unit is the counit: the
-    all-ones vector on the delta basis once the twist's counit axioms hold
-    (``require_verified``).  For that unit on its one-count representation
-    u e_j and e_j u are the plain sums of the counts over axis 0 and 1:
-    exact in int64 while n * max|count| < 2^63, which is checked
-    (CotwistError).  Any other unit is contracted by :func:`cyc_tensordot`.
-
-    With ``perms`` the algebra is in slice form (``SCAlgebra``) and ``mul``
-    is its slice S.  Every row of P being a permutation, sum_a mul[a, b, x]
-    = sum_r S[r, P[x, b]] and sum_b mul[a, b, x] = sum_c S[P[x, a], c]: the
-    column and row sums of S gathered at P^T, under the same bound.  Another
-    unit is contracted with the gathered constants.
-
-    Each side is compared with the identity at its own scale: its canonical
-    counts must be 0 off the diagonal and, on it, 1/scale at zeta^0 and 0
-    elsewhere (a side whose 1/scale is no integer is not the identity).
+    Every row of P being a permutation, the counit u gives u e_j at x the
+    sum sum_a mul[a, j, x] = sum_r S[r, P[x, j]], the column sum of S at
+    P[x, j], and e_j u the row sum at P[x, j].  As x runs, P[x, j] runs over
+    every cell, so u e_j = e_j exactly when the column-sum vector is e_r, 1
+    at one cell r and 0 elsewhere, and P[x, x] = r for every x; likewise
+    the row-sum vector.  Each is compared with e_r exactly (``CycArray.eq``).
+    Both sums are plain int64 sums of the counts, exact while
+    n * max|count| < 2^63, which is checked (CotwistError).
     """
+    n, r = len(perms), perms[0, 0]
+    e_r = CycArray.zeros((n,), S.order)
+    e_r.counts[r, 0] = 1
     try:
-        ok = all(_is_identity(side) for side in _unit_sides(mul, unit, perms))
+        if _largest(S.counts) * n >= 1 << 63:
+            raise CotwistError("the unit sums would overflow int64 counts")
+        ok = np.all(np.diagonal(perms) == r) and all(
+            CycArray(S.order, S.scale, np.einsum(sums, S.counts)).eq(e_r)
+            for sums in ("ij...->j...", "ij...->i..."))
     except CotwistError as exc:
         raise CotwistError(f"{name}: {exc}") from None
     if not ok:
         raise AuditError(f"{name}: the counit is not a two-sided unit")
-
-
-def _is_identity(side: CycArray) -> bool:
-    """Whether the (n, n) ``side`` is the identity matrix, read at its own scale."""
-    if not side.scale:
-        return False
-    inv = 1 / side.scale
-    if inv.denominator != 1 or abs(inv.numerator) >= 1 << 63:
-        return False
-    canon = side.canonical()
-    diag = np.arange(len(canon))
-    on = canon[diag, diag]
-    canon[diag, diag] = 0
-    return bool(np.all(on[:, 0] == inv.numerator) and not on[:, 1:].any() and not canon.any())
-
-
-def _unit_sides(mul: CycArray, unit: CycArray, perms: np.ndarray | None = None):
-    """u e_j and e_j u as two CycArrays [j, x], formed as :func:`determine_unit`
-    says, one at a time."""
-    n = mul.shape[0]
-    if unit.scale == 1 and np.array_equal(unit.counts, _all_ones(n, mul.order).counts):
-        if _largest(mul.counts) * n >= 1 << 63:
-            raise CotwistError("the unit sums would overflow int64 counts")
-        at = slice(None) if perms is None else perms.T
-        for sides in ("ij...->j...", "ij...->i..."):
-            yield CycArray(mul.order, mul.scale, np.einsum(sides, mul.counts)[at])
-        return
-    dense = mul if perms is None else gather_slice(mul, perms)
-    for axis in (0, 1):
-        yield cyc_tensordot(unit, dense, axes=([0], [axis]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +220,15 @@ def build_A1_A2_star(t: TwistData):
 
     rho1(h): delta_y -> delta_{h y} acts on A1 and rho2(h): delta_y ->
     delta_{y h^-1} acts on A2; both are verified to act freely by algebra
-    automorphisms.  Units are the counits (all-ones vectors).  Both are in
-    slice form (``SCAlgebra.from_slice``): the slice J with P[x, h] = x^-1 h,
-    and Jinv with P[x, h] = h x^-1.
+    automorphisms.  Units are the counits (all-ones vectors).  The slices
+    are J with P[x, h] = x^-1 h, and Jinv with P[x, h] = h x^-1.
     """
     t.require_verified()
     group = t.group
-    m, n = group.order, t.order
     mul = group.mul.astype(np.int64)
     inv = group.inv.astype(np.int64)
-    A1 = SCAlgebra.from_slice(t.J, mul[inv], _all_ones(m, n), name="A1*")
-    A2 = SCAlgebra.from_slice(t.Jinv, mul[:, inv].T, _all_ones(m, n), name="A2*")
+    A1 = SCAlgebra(t.J, mul[inv], name="A1*")
+    A2 = SCAlgebra(t.Jinv, mul[:, inv].T, name="A2*")
 
     rho1 = GroupAction(group, mul.copy(), name="left translation")
     rho2 = GroupAction(group, mul[:, inv].T.copy(), name="right translation")
@@ -339,51 +292,42 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     counts of J and Jinv.
 
     One slice fixes the block when J and Jinv are Ad(H)-invariant, which
-    ``ad_invariant`` certifies exactly.  Substituting s -> h s h^-1,
+    ``ad_invariant`` certifies exactly; it always holds for abelian H, and
+    AuditError names the block where it fails.  Substituting s -> h s h^-1,
     t -> h t h^-1, c -> h'^-1 c h', d -> h'^-1 d h' sends the terms at
     (a, b, x) one-to-one onto the terms at (h a h', h b h', h x h'), and
     invariance keeps their values, so mul[h a h', h b h', h x h'] =
     mul[a, b, x] for all h, h' in H.  The coset is a single H x H orbit, so
     with S the slice at the representative g, mul[a, b, x] =
     S[h^-1 a h'^-1, h^-1 b h'^-1], where x = h g h' is x's first
-    factorization.  The block is returned in slice form
-    (``SCAlgebra.from_slice``), S with back[x, a] = h^-1 a h'^-1, whose rows
-    are permutations because a -> h^-1 a h'^-1 is a bijection of the coset;
-    its dense constants are gathered only when ``mul`` is read.  Only the
-    |H|^2 shifts h_s g h_c are formed; that they cover the coset, each point
-    |H|^2/|Z| times, makes it the orbit H g H.  Without the certificate the
-    shifts and slices at every basis point are formed and stacked into a
-    dense block.  The unit is the restriction of the ambient counit (all-ones on
-    the coset).  J's and Jinv's counts are the twist's ``terms``, formed once
-    per twist; G's table is indexed as it is stored.
+    factorization.  The block is the ``SCAlgebra`` of S with back[x, a] =
+    h^-1 a h'^-1, whose rows are permutations because a -> h^-1 a h'^-1 is
+    a bijection of the coset.  Only the |H|^2 shifts h_s g h_c are formed;
+    that they cover the coset, each point |H|^2/|Z| times, makes it the
+    orbit H g H.  The unit is the restriction of the ambient counit
+    (all-ones on the coset).  J's and Jinv's counts are the twist's
+    ``terms``, formed once per twist; G's table is indexed as it is stored.
     """
     t.require_verified()
     G, hg = t.subgroup.parent, t.subgroup.elements.astype(np.int64)
     mulG = G.mul
+    name = f"block[{coset.representative}]"
+    if not (ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv)):
+        raise AuditError(f"{name}: J is not Ad(H)-invariant, so one slice does not fix it")
     z = coset.elements.astype(np.int64)
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
     loc_z[z] = np.arange(nz)
     j, jinv = t.terms
-    scale, unit = t.J.scale * t.Jinv.scale, _all_ones(nz, t.order)
-    name = f"block[{coset.representative}]"
-
-    def shifts_at(xs):  # [x, s, c] = coset-local index of (h_s x h_c)
-        shifts = loc_z[mulG[mulG[np.ix_(hg, xs)].T[:, :, None], hg[None, None, :]]]
-        if np.any(shifts < 0):
-            raise AuditError("double coset is not closed under H-translations")
-        return shifts
-
-    if ad_invariant(t.group, t.J) and ad_invariant(t.group, t.Jinv):
-        shifts = shifts_at([coset.representative])[0]  # _block_slice checks they cover the coset
-        S = _block_slice(jinv, j, shifts, nz)
-        # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
-        s, c = np.divmod(np.unique(shifts, return_index=True)[1], len(hg))
-        back = loc_z[mulG[mulG[G.inv[hg[s]][:, None], z[None, :]], G.inv[hg[c]][:, None]]]
-        return SCAlgebra.from_slice(CycArray(t.order, scale, S), back, unit, name)
-    shifts = shifts_at(z)
-    counts = np.stack([_block_slice(jinv, j, shifts[x], nz) for x in range(nz)], axis=2)
-    return SCAlgebra(CycArray(t.order, scale, counts), unit, name)
+    # [s, c] = coset-local index of h_s g h_c; _block_slice checks they cover the coset
+    shifts = loc_z[mulG[mulG[hg, coset.representative][:, None], hg[None, :]]]
+    if np.any(shifts < 0):
+        raise AuditError("double coset is not closed under H-translations")
+    S = _block_slice(jinv, j, shifts, nz)
+    # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
+    s, c = np.divmod(np.unique(shifts, return_index=True)[1], len(hg))
+    back = loc_z[mulG[mulG[G.inv[hg[s]][:, None], z[None, :]], G.inv[hg[c]][:, None]]]
+    return SCAlgebra(CycArray(t.order, t.J.scale * t.Jinv.scale, S), back, name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@
   counts a chunk of rows at a time.  The gather is made inside, of the
   source cast once to that dtype, chunk by chunk, so no int64 gather is
   formed.  :func:`pair_sums`, the sum over factorizations behind the block
-  slices, the U_g rows and the dense products in C[K x K], sums each chunk
+  slice, the U_g row and the dense products in C[K x K], sums each chunk
   down by :func:`sum_counts`, under its overflow bound, as it comes;
   :func:`contract_counts`, its chunks concatenated, serves the twist axiom
   audit, the sparse :func:`ga_mul` and :func:`cyc_tensordot` (no index: its

@@ -208,7 +208,7 @@ def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.
     the generators' along a's word, which implements alpha_a and so is the
     one character that does (README, "Route (c), exactly").
     The sections of the constants at delta_e and at each alpha_s(delta_e)
-    are read with :meth:`SCAlgebra.take`, off the slice in slice form.
+    are read off the slice with :meth:`SCAlgebra.take`.
     """
     gens, words, parent, via = act.group.generating_words
     order = A.product.order
@@ -231,8 +231,8 @@ def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:
 
     With left[b, y] and right[a, y] the coefficients of delta_y in
     chi_s delta_b and delta_a chi_s, the certificate is left[b, y] =
-    right[alpha_s(b), y].  In slice form (``SCAlgebra``), with mul[a, b, y]
-    = S[P[y, a], P[y, b]] and Q[y] the inverse permutation of P[y],
+    right[alpha_s(b), y].  With mul[a, b, y] = S[P[y, a], P[y, b]] on the
+    slice (``SCAlgebra``) and Q[y] the inverse permutation of P[y],
     left[b, y] = L[y, P[y, b]] and right[a, y] = R[y, P[y, a]] for
     L[y, c] = sum_u chi_s(Q[y, u]) S[u, c] and R[y, r] = sum_v S[r, v]
     chi_s(Q[y, v]): two contractions with S, and no n^3 constants.
@@ -240,18 +240,11 @@ def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:
     gens = np.array(act.group.generators, dtype=np.int64)
     S, P, m, k = A.product, A.perms, A.dim, gens.size
     moved = act.perms[gens]  # [s, b] = alpha_s(b)
-    if P is None:
-        chars = CycArray.from_exponents(S.order, X[gens])  # [s, h]
-        left = cyc_tensordot(S, chars, axes=([0], [1])).canonical()   # [b, y, s]: chi_s delta_b
-        right = cyc_tensordot(S, chars, axes=([1], [1])).canonical()  # [a, y, s]: delta_a chi_s
-        right = right[moved.T[:, None], np.arange(m)[:, None], np.arange(k)]
-        agree = np.all(left == right, axis=(0, 1, 3))
-    else:
-        chars = CycArray.from_exponents(S.order, X[gens][:, np.argsort(P, axis=1)])  # [s, y, u]
-        left = cyc_tensordot(chars, S, axes=([2], [0])).canonical()   # [s, y, c]: L
-        right = cyc_tensordot(chars, S, axes=([2], [1])).canonical()  # [s, y, r]: R
-        s, y = np.arange(k)[:, None, None], np.arange(m)[None, :, None]
-        agree = np.all(left[s, y, P] == right[s, y, P[y, moved[:, None, :]]], axis=(1, 2, 3))
+    chars = CycArray.from_exponents(S.order, X[gens][:, np.argsort(P, axis=1)])  # [s, y, u]
+    left = cyc_tensordot(chars, S, axes=([2], [0])).canonical()   # [s, y, c]: L
+    right = cyc_tensordot(chars, S, axes=([2], [1])).canonical()  # [s, y, r]: R
+    s, y = np.arange(k)[:, None, None], np.arange(m)[None, :, None]
+    agree = np.all(left[s, y, P] == right[s, y, P[y, moved[:, None, :]]], axis=(1, 2, 3))
     bad = gens[~agree]
     if bad.size:
         raise AuditError(f"{A.name}: the character of generator {bad[0]} fails its certificate")
@@ -262,13 +255,12 @@ def regular_trace_law(A: SCAlgebra, X: np.ndarray) -> np.ndarray:
 
     tr L_{chi_a} = sum_h chi_a(h) tau_h with tau_h = sum_x mul[h, x, x], one
     contraction for all a, must be |H| [a = e] with |H| = d^2; AuditError
-    names A otherwise.  tr T[a] = tr L_{chi_a} / d.  In slice form
-    (``SCAlgebra``) mul[h, x, x] = S[P[x, h], P[x, x]] is read off the slice.
+    names A otherwise.  tr T[a] = tr L_{chi_a} / d.  mul[h, x, x] =
+    S[P[x, h], P[x, x]] is read off the slice (``SCAlgebra``).
     """
     S, P, m = A.product, A.perms, A.dim
     d = math.isqrt(m)
-    diagonal = (S.counts[:, np.arange(m), np.arange(m)] if P is None     # [h, x]
-                else S.counts[P.T, np.diagonal(P)])
+    diagonal = S.counts[P.T, np.diagonal(P)]  # [h, x]
     tau = CycArray(S.order, S.scale, sum_counts(diagonal, axis=1))
     regular = CycArray.zeros((m,), S.order)
     regular.counts[0, 0] = m

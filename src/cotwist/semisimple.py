@@ -1,20 +1,18 @@
 """Wedderburn analysis of semisimple structure-constant algebras over C.
 
-Every algebra is exact (``SCAlgebra`` refuses float constants), and so is
-every block split: it is decided by certificates mod a prime l = 1 (mod N),
-with no eigenproblem, no tolerance and no seed.  :func:`wedderburn_dims`
-reads the center first (:func:`center_basis`):
+Every algebra is an exact slice (``SCAlgebra``), and every block split is
+exact: it is decided by certificates mod a prime l = 1 (mod N), with no
+eigenproblem, no tolerance and no seed.  :func:`wedderburn_dims` reads
+the center first (:func:`center_basis`):
 
-- counts canonically equal to their transpose make an algebra commutative:
+- a slice canonically equal to its transpose makes an algebra commutative:
   n blocks of 1 once the rank of its trace form mod l certifies that it is
   semisimple (:func:`_split_mod`);
-- an algebra in slice form (``SCAlgebra.from_slice``; every block and U_g
-  the CLI builds) is graded by the characters of the abelian group Q its
-  basis permutations form, f_chi f_psi = C[chi, psi] f_{chi psi}, so it is
-  a twisted group algebra of Q^: |R| blocks of sqrt(n / |R|), R the radical
-  of the commutator of C.  One product C = F^T S F mod l decides it, with
-  no elimination, and the n^3 constants are never gathered;
-- a dense noncommutative algebra is refused by name.
+- a noncommutative algebra is graded by the characters of the abelian group
+  Q its basis permutations form, f_chi f_psi = C[chi, psi] f_{chi psi}, so
+  it is a twisted group algebra of Q^: |R| blocks of sqrt(n / |R|), R the
+  radical of the commutator of C.  One product C = F^T S F mod l decides
+  it, with no elimination, and the n^3 constants are never gathered.
 
 :func:`split_simple`, a seeded float construction of the irreducible
 representation of a simple algebra, is library code that no report runs.
@@ -101,26 +99,21 @@ def algebra_audit(A: SCAlgebra) -> bool:
 def center_basis(A: SCAlgebra) -> CycArray:
     """Exact basis ``(r, n)`` of the center, decided by a certificate.
 
-    Counts canonically (:func:`counts_equal`) equal to their (1, 0)
-    transpose - on the last row first, then literally or on the
-    difference - make mul[i, j, k] = mul[j, i, k]: the identity basis.  In
-    slice form (``SCAlgebra``) S is compared: S[P[k, i], P[k, j]] is
-    symmetric in (i, j) exactly when S is, every row of P a permutation.
+    A slice S canonically (:func:`counts_equal`) equal to its transpose -
+    on the last row first, then literally or on the difference - makes
+    mul[i, j, k] = S[P[k, i], P[k, j]] symmetric in (i, j), every row of P
+    a permutation: the identity basis.
 
-    A noncommutative algebra in slice form is graded by the characters of
-    the translation group Q of its basis permutations
-    (:func:`_grading_characters`), and the graded certificate
-    (:func:`_graded_center`) returns the central lines f_chi = sum_x chi(x)
-    delta_x, chi in R, README "Block dimensions from the translation
-    grading".  A dense noncommutative algebra carries no grading, and
-    CotwistError names it, as it names a slice whose certificate fails.
+    A noncommutative algebra is graded by the characters of the translation
+    group Q of its basis permutations (:func:`_grading_characters`), and the
+    graded certificate (:func:`_graded_center`) returns the central lines
+    f_chi = sum_x chi(x) delta_x, chi in R, README "Block dimensions from
+    the translation grading".  CotwistError names a slice whose certificate
+    fails.
     """
     product, n = A.product, A.dim
     if _canonically_symmetric(product):
         return _identity_matrix(n, product.order)
-    if A.perms is None:
-        raise CotwistError(f"{A.name}: a dense noncommutative algebra has no translation "
-                           "grading to split it by")
     return CycArray.from_exponents(product.order, _graded_center(A))
 
 
@@ -273,33 +266,24 @@ def wedderburn_dims(A: SCAlgebra) -> WedderburnSpectrum:
 wedderburn_dims_retrying = wedderburn_dims
 
 
-def _slab(s: np.ndarray, perms: np.ndarray | None, ks) -> np.ndarray:
-    """The reduced constants [k, i, j] = mul[i, j, k] for the k in ``ks``:
-    from the slice S[P[k, i], P[k, j]] of an algebra in slice form
-    (``SCAlgebra``), else from the dense constants."""
-    if perms is None:
-        return s[:, :, ks].transpose(2, 0, 1)
-    return s[perms[ks, :, None], perms[ks, None, :]]
-
-
 def _split_mod(A: SCAlgebra, ell: int, omega: int) -> list[int] | None:
     """n blocks of 1 for a commutative A whose trace form has rank n mod l,
     as :func:`wedderburn_dims` says; None otherwise.
 
-    The product of A (its slice, in slice form) is reduced once and read
-    through :func:`_slab`, so no n^3 constants are gathered.  With
-    tau_k = tr L_{e_k} = sum_j mul[k, j, j], in slice form
-    sum_j S[P[j, k], P[j, j]], one pass over k in chunks of about
-    ``KERNEL_CHUNK`` cells sums T[i, j] = sum_k mul[i, j, k] tau_k.
+    The slice S of A is reduced once and read as mul[i, j, k] =
+    S[P[k, i], P[k, j]], so no n^3 constants are gathered.  With
+    tau_k = tr L_{e_k} = sum_j mul[k, j, j] = sum_j S[P[j, k], P[j, j]],
+    one pass over k in chunks of about ``KERNEL_CHUNK`` cells sums
+    T[i, j] = sum_k mul[i, j, k] tau_k.
     """
     n, perms = A.dim, A.perms
     s = _modular_image(A.product.counts, ell, omega)
-    tau = (np.einsum("kjj->k", s) if perms is None
-           else s[perms.T, np.diagonal(perms)].sum(axis=1)) % ell
+    tau = s[perms.T, np.diagonal(perms)].sum(axis=1) % ell
     T = np.zeros((n, n), dtype=np.int64)
     step = chunk_rows(n * n)
     for lo in range(0, n, step):
-        block = _slab(s, perms, slice(lo, lo + step))                   # [k, i, j]
+        ks = perms[lo:lo + step]
+        block = s[ks[:, :, None], ks[:, None, :]]                       # [k, i, j]
         T = (T + (block * tau[lo:lo + step, None, None] % ell).sum(axis=0)) % ell
     return [1] * n if _rank_mod(T, ell) == n else None
 

@@ -138,24 +138,6 @@ def reference_case(request):
     return inst, ctx, zs[1] if rep is None else next(z for z in zs if z.representative == rep)
 
 
-@pytest.fixture
-def both_modes(monkeypatch):
-    """``both_modes(build)``: ``build()`` with the Ad-invariance certificate,
-    then with it refused, which takes the per-point block and all-rows U_g builds."""
-    import cotwist.correspondence as corr
-    import cotwist.dual_algebras as duals
-
-    def run(build):
-        fast = build()
-        with monkeypatch.context() as patch:
-            for module in (duals, corr):
-                patch.setattr(module, "ad_invariant", lambda group, M: False)
-            slow = build()
-        return fast, slow
-
-    return run
-
-
 @pytest.fixture(scope="session")
 def p5_diag_bundle():
     inst = build_instance(make_config(5, DIAG_12))

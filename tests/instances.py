@@ -19,7 +19,7 @@ writes the table route's ``group.txt``, ``twist.txt`` and ``config.json``.
 Run as ``PYTHONPATH=src:tests python3 tests/instances.py`` to build ``Z729``,
 run the global checks and all 22 cosets, and assert no failure,
 ``Z729_DIMS`` on all three routes, a peak RSS under 1 GB, and ``tracemalloc``
-peaks under 64 MB for each block and U_g build of the widest cosets.
+peaks under 48 MB for each block and U_g build of the widest cosets.
 """
 
 import json
@@ -45,7 +45,7 @@ SKEW, UNIPOTENT = np.array([[0, 1], [-1, 0]]), np.array([[1, 1], [0, 1]])
 #: the peak resident memory Z729 must stay under, in bytes
 RSS_LIMIT = 1 << 30
 #: the tracemalloc peak each block and U_g build of Z729's widest cosets must stay under
-BUILD_LIMIT = 64 << 20
+BUILD_LIMIT = 48 << 20
 
 
 def shift(dim: int, by: int, scaled=None) -> np.ndarray:
@@ -109,14 +109,25 @@ def write_instance(out_dir: Path, n, dim, gamma, h_dim, M) -> Config:
     return config
 
 
+def coset_builds(ctx, z, g=None) -> list:
+    """Coset ``z``'s block build and its U_g build at ``g`` (z's representative
+    by default), as (build, *args) calls."""
+    inst = ctx.instance
+    g = z.representative if g is None else g
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    return [(build_block_algebra, inst.t, z),
+            (invariant_algebra_Ug, ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)]
+
+
+def coset_algebras(ctx, z, g=None) -> tuple:
+    """(block, U_g) of coset ``z`` at ``g``, the two algebras ``f_g_map`` compares."""
+    return tuple(build(*args) for build, *args in coset_builds(ctx, z, g))
+
+
 def build_peaks(ctx, z) -> tuple[int, int]:
     """The ``tracemalloc`` peaks, in bytes, of coset ``z``'s block build and U_g build."""
-    inst, g = ctx.instance, z.representative
-    Kg = stabilizer_Kg(inst.G, inst.H, g)
-    builds = [(build_block_algebra, inst.t, z),
-              (invariant_algebra_Ug, ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)]
     peaks = []
-    for build, *args in builds:
+    for build, *args in coset_builds(ctx, z):
         tracemalloc.start()
         try:
             build(*args)

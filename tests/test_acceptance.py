@@ -29,7 +29,7 @@ from cotwist.projective import (multiplicity_law_holds, regular_trace_law,
 from cotwist.twist import (TwistData, make_twist, q_element_and_antipode_check,
                            save_twist_file, symplectic_twist,
                            triangular_structure, verify_twist_axioms)
-from instances import COMPOSITE, CRITERION_9, CRITERION_10, write_instance
+from instances import COMPOSITE, CRITERION_9, CRITERION_10, coset_algebras, write_instance
 
 UNIPOTENT = [[[1, 1], [0, 1]]]
 DIAG_12 = [[[1, 0], [0, 2]]]
@@ -214,7 +214,7 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bun
         a2_to_a1op_iso(inst.t, ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2)
 
         for Z in zs:
-            _, f_audit = f_g_map(ctx, Z, Z.representative)
+            _, f_audit = f_g_map(ctx, Z, Z.representative, *coset_algebras(ctx, Z))
             assert f_audit.ok, f_audit.failed
             f_audits += 1
 
@@ -223,7 +223,7 @@ def test_criterion_4_exact_identities(p3_diag_bundle, p5_diag_bundle, wreath_bun
     for (inst, ctx, zs), rep, k_size in ((wreath_bundle, 81, 1), (intermediate_bundle, 27, 3)):
         (Z,) = [Z for Z in zs if Z.representative == rep]
         assert stabilizer_Kg(inst.G, inst.H, rep).order == k_size
-        _, f_audit = f_g_map(ctx, Z, rep)
+        _, f_audit = f_g_map(ctx, Z, rep, *coset_algebras(ctx, Z, rep))
         assert f_audit.ok, f_audit.failed
         f_audits += 1
     return f"p=3 and p=5, wreath and |K_g| = 3, {f_audits} comparison-map audits"

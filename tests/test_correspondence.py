@@ -17,14 +17,14 @@ from cotwist.exactlin import CycArray
 from cotwist.groups import (FiniteGroup, Subgroup, stabilizer_Kg)
 from cotwist.twist import assemble_twist, make_twist, save_twist_file
 from cyc_reference import add, equal, mul, values, zero
-from instances import WREATH, write_instance
+from instances import WREATH, coset_algebras, write_instance
 
 
 def test_f_matrix_shape_and_supports(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     for z in zs:
         g = z.representative
-        F, audit = f_g_map(ctx, z, g)
+        F, audit = f_g_map(ctx, z, g, *coset_algebras(ctx, z))
         assert audit.ok
         assert F.shape == (81, z.size)
         # each pair (h, h') factors exactly one element: one 1 per row
@@ -38,7 +38,7 @@ def test_f_image_equals_invariants(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     for z in zs:
         g = z.representative
-        F, _ = f_g_map(ctx, z, g)
+        F, _ = f_g_map(ctx, z, g, *coset_algebras(ctx, z))
         Kg = stabilizer_Kg(inst.G, inst.H, g)
         perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
         orbit_id, _ = pair_orbits(perms)
@@ -139,24 +139,21 @@ def test_invariant_algebra_float_oracle(p3_diag_bundle):
         assert np.max(np.abs(prod - expanded)) < 1e-9
 
 
-def test_invariant_algebra_reference_formula(reference_case, both_modes):
+def test_invariant_algebra_reference_formula(reference_case):
     """U_g[i, j, l] is the coefficient of the pair rep_l in o_i o_j, the product
     of two orbit sums in A2* (x) A1*, summed in the reference arithmetic from
-    A2*[h, h', x] = Jinv[h x^-1, h' x^-1] and A1*[h, h', x] = J[x^-1 h, x^-1 h'],
-    for the one-row build and for the all-rows build without the certificate.
+    A2*[h, h', x] = Jinv[h x^-1, h' x^-1] and A1*[h, h', x] = J[x^-1 h, x^-1 h'].
     Every row where U_g has at most 9 orbits; on the criterion-9 coset (27
     orbits) and the wreath swap coset (81 orbits) row 0 and two seeded rows."""
     inst, ctx, z = reference_case
     g = z.representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
     orbit_id, reps = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g))
-    fast, slow = both_modes(lambda: invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2,
-                                                         Kg, g, inst.H))
-    assert fast.perms is not None and slow.perms is None
+    U = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
     rows = np.arange(len(reps))
     if len(reps) > 9:
         rows = np.unique(np.concatenate([[0], np.random.default_rng(9).choice(len(reps), 2)]))
-    got = [values(U.mul.take(rows, 0)) for U in (fast, slow)]
+    got = values(U.mul.take(rows, 0))
     t = inst.t
     J, Jinv = values(t.J), values(t.Jinv)
     table, inv, m = t.group.mul, t.group.inv, inst.H.order
@@ -172,8 +169,7 @@ def test_invariant_algebra_reference_formula(reference_case, both_modes):
                         left = Jinv[table[a1, inv[u1]], table[b1, inv[u1]]]
                         right = J[table[inv[u2], a2], table[inv[u2], b2]]
                         want = add(want, mul(left, right))
-                for cells in got:
-                    assert equal(cells[k, j, l], want), (i, j, l)
+                assert equal(got[k, j, l], want), (i, j, l)
 
 
 def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
@@ -197,12 +193,12 @@ def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
 
 @pytest.mark.parametrize("source", ["p3_diag_bundle", "wreath_bundle", "intermediate_bundle",
                                     "composite_bundle"])
-def test_chunk_boundaries_change_nothing(source, both_modes, monkeypatch, request):
+def test_chunk_boundaries_change_nothing(source, monkeypatch, request):
     """Every coset's block and U_g are the same counts whether each chunk of
     their contractions holds one row group (one point b of a block slice, one
-    orbit l of a U_g row) or every row, on the slice path and on the dense
-    path: the p=3 diag instance, the wreath table (K_g = {e}), criterion 9
-    (|K_g| = 3) and the composite N = 4 instance."""
+    orbit l of a U_g row) or every row: the p=3 diag instance, the wreath
+    table (K_g = {e}), criterion 9 (|K_g| = 3) and the composite N = 4
+    instance."""
     from cotwist import exactlin
 
     inst, ctx, zs = request.getfixturevalue(source)
@@ -225,18 +221,16 @@ def test_chunk_boundaries_change_nothing(source, both_modes, monkeypatch, reques
                     invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)]
         return out
 
-    want = both_modes(builds)
+    want = builds()
     for chunk, per_call in ((1, lambda groups: groups), (1 << 40, lambda groups: 1)):
         monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
         calls.clear()
-        got = both_modes(builds)
+        got = builds()
         assert calls and all(n == per_call(groups) for groups, n in calls), (chunk, calls)
-        for algebras, expected in zip(got, want):
-            for A, B in zip(algebras, expected):
-                assert A.product.scale == B.product.scale, A.name
-                assert np.array_equal(A.product.counts, B.product.counts), (chunk, A.name)
-                assert (A.perms is None) == (B.perms is None), A.name
-                assert A.perms is None or np.array_equal(A.perms, B.perms), A.name
+        for A, B in zip(got, want):
+            assert A.product.scale == B.product.scale, A.name
+            assert np.array_equal(A.product.counts, B.product.counts), (chunk, A.name)
+            assert np.array_equal(A.perms, B.perms), A.name
 
 
 def test_p5_coset_builds_stay_under_one_mib():
@@ -340,7 +334,7 @@ def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
         assert not errs, errs
         assert spectrum.dims_direct == want
         # F_g audits across the multi-term paths
-        F, audit = f_g_map(ctx, z, z.representative)
+        F, audit = f_g_map(ctx, z, z.representative, *coset_algebras(ctx, z))
         assert audit.ok
 
 
@@ -471,20 +465,12 @@ def test_f_g_rejects_unverified_twist(p3_pair):
 
 def test_f_g_names_a_corrupted_block(monkeypatch, p3_diag_bundle):
     """One count added to the block's constants fails the isomorphism onto U_g."""
-    import cotwist.correspondence as corr
-
     inst, ctx, zs = p3_diag_bundle
-    build = corr.build_block_algebra
-
-    def corrupted(t, Z):
-        blk = build(t, Z)
-        blk.mul.counts[0, 0, 0, 0] += 1
-        return blk
-
-    monkeypatch.setattr(corr, "build_block_algebra", corrupted)
     for z in zs:
+        blk, Ug = coset_algebras(ctx, z)
+        blk.mul.counts[0, 0, 0, 0] += 1
         with pytest.raises(AuditError, match=r"homomorphism into A2\* \(x\) A1\*") as err:
-            f_g_map(ctx, z, z.representative)
+            f_g_map(ctx, z, z.representative, blk, Ug)
         assert "image" not in str(err.value)
 
 
@@ -504,10 +490,11 @@ def test_f_g_names_a_split_orbit_labelling(monkeypatch, p3_diag_bundle):
         orbit_id[[a, b]] = orbit_id[[b, a]]
         return orbit_id, reps
 
-    monkeypatch.setattr(corr, "pair_orbits", split)
     z = zs[1]  # K_g = H: one orbit of nine pairs per coset element
+    algebras = coset_algebras(ctx, z)
+    monkeypatch.setattr(corr, "pair_orbits", split)
     with pytest.raises(AuditError, match="image = K_g-invariants") as err:
-        f_g_map(ctx, z, z.representative)
+        f_g_map(ctx, z, z.representative, *algebras)
     assert "homomorphism" not in str(err.value)
 
 
@@ -526,7 +513,7 @@ def test_f_g_names_broken_equivariance(monkeypatch, p3_diag_bundle):
 
     monkeypatch.setattr(corr, "_enumerate_factorizations", shifted)
     with pytest.raises(AuditError, match="equivariance under translation") as err:
-        f_g_map(ctx, z, z.representative)
+        f_g_map(ctx, z, z.representative, *coset_algebras(ctx, z))
     assert "image" not in str(err.value) and "homomorphism" not in str(err.value)
 
 
@@ -534,21 +521,53 @@ def test_f_g_names_broken_equivariance(monkeypatch, p3_diag_bundle):
 # one slice per coset: the translation shortcut against the per-point builds
 
 
+def per_point_block(t, z) -> CycArray:
+    """A block's constants [a, b, x], the slice at every point x formed by
+    ``_block_slice`` from that point's shifts h_s x h_c: no translation."""
+    from cotwist.dual_algebras import _block_slice
+
+    G, hg, zs = t.subgroup.parent, t.subgroup.elements.astype(np.int64), z.elements
+    loc = np.full(G.order, -1)
+    loc[zs] = np.arange(len(zs))
+    j, jinv = t.terms
+    slices = [_block_slice(jinv, j, loc[G.mul[G.mul[hg, x][:, None], hg[None, :]]], len(zs))
+              for x in zs]
+    return CycArray(t.order, t.J.scale * t.Jinv.scale, np.stack(slices, axis=2))
+
+
+def all_rows_Ug(ctx, Kg, g) -> CycArray:
+    """U_g's constants [i, j, l], the row o_i o_j of every orbit i formed by
+    ``pair_sums`` from the rows h1 of A2* and h2 of A1*, (h1, h2) its
+    representative: no orbit transport."""
+    from cotwist.exactlin import pair_sums
+
+    H, A1s, A2s = ctx.instance.H, ctx.A1s, ctx.A2s
+    orbit_id, reps = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, H, Kg, g))
+    m, r = H.order, len(reps)
+    members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
+    x1, x2 = np.divmod(members, m)
+    partner = np.full((r, m), m)
+    partner[np.arange(r)[:, None], x1] = x2
+    rows = [pair_sums(A2s.take(h1, 0).fewest_counts(), A1s.take(h2, 0).fewest_counts(),
+                      partner, x2 * m + x1) for h1, h2 in (divmod(int(q), m) for q in reps)]
+    return CycArray(A2s.product.order, A2s.product.scale * A1s.product.scale, np.stack(rows))
+
+
 @pytest.mark.parametrize("source", ["p3_unipotent", "p3_diag_bundle", "p5_unipotent",
                                     "wreath_bundle", "intermediate"])
-def test_one_slice_equals_per_point_builds(source, both_modes, request):
-    """Refusing the certificate takes the per-point block loop and the all-rows
-    U_g loop; both give exactly the constants of the one-slice builds, on every
-    coset, including the wreath swap coset (K_g = {e}) and the criterion-9
-    cosets (|K_g| = 3).
+def test_one_slice_equals_per_point_builds(source, request):
+    """The block at every point and U_g at every row, formed here one point
+    and one row at a time (``per_point_block``, ``all_rows_Ug``), are
+    exactly the gathered constants of the one-slice builds, on every coset,
+    including the wreath swap coset (K_g = {e}) and the criterion-9 cosets
+    (|K_g| = 3).
 
-    The one-slice builds are in slice form: their gathered ``mul`` equals the
-    dense build count for count, and the unit sums and the commutativity
-    test read from the slice equal those of the dense constants.  The
-    translation group Q of the slice grades the dense constants as the
-    center certificate says: f_chi f_psi = C[chi, psi] f_{chi psi} with
+    The readers of the slice agree with these constants too: the sides
+    u e_j and e_j u at x are the column and row sums of S at P[x, j], which
+    the unit check reads, and the commutativity test gives the same answer.
+    The translation group Q of the slice grades them as the center
+    certificate says: f_chi f_psi = C[chi, psi] f_{chi psi} with
     C = F^T S F read from the slice (``semisimple.center_basis``)."""
-    from cotwist.dual_algebras import _unit_sides
     from cotwist.exactlin import canonical_counts, cyc_tensordot
     from cotwist.groups import double_cosets
     from cotwist.semisimple import _canonically_symmetric, _grading_characters
@@ -565,16 +584,14 @@ def test_one_slice_equals_per_point_builds(source, both_modes, request):
     for z in zs:
         g = z.representative
         Kg = stabilizer_Kg(inst.G, inst.H, g)
-        (blk, Ug), (blk_slow, Ug_slow) = both_modes(lambda: (
-            build_block_algebra(inst.t, z),
-            invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)))
-        for fast, slow in ((blk, blk_slow), (Ug, Ug_slow)):
-            assert fast.perms is not None and slow.perms is None, fast.name
-            assert np.array_equal(fast.mul.counts, slow.mul.counts), fast.name
-            assert fast.mul.scale == slow.mul.scale, fast.name
-            S, P, mul = fast.product, fast.perms, slow.mul
-            for side, dense in zip(_unit_sides(S, fast.unit, P), _unit_sides(mul, slow.unit)):
-                assert np.array_equal(side.counts, dense.counts), fast.name
+        blk, Ug = coset_algebras(ctx, z)
+        for fast, mul in ((blk, per_point_block(inst.t, z)), (Ug, all_rows_Ug(ctx, Kg, g))):
+            assert np.array_equal(fast.mul.counts, mul.counts), fast.name
+            assert fast.mul.scale == mul.scale, fast.name
+            S, P = fast.product, fast.perms
+            for sides, sums in (("ab...->b...", "ij...->j..."), ("ab...->a...", "ij...->i...")):
+                side = np.einsum(sides, mul.counts)                          # [j, x]
+                assert np.array_equal(side, np.einsum(sums, S.counts)[P.T]), fast.name
             assert _canonically_symmetric(S) == _canonically_symmetric(mul), fast.name
             E, _ = _grading_characters(P, S.order)
             F = CycArray.from_exponents(S.order, E)                                  # [chi, x]
@@ -590,10 +607,35 @@ def test_one_slice_equals_per_point_builds(source, both_modes, request):
                                   canonical_counts(graded, S.order)), fast.name
 
 
-def test_report_identical_without_the_certificate(both_modes):
-    config = Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]]))
-    fast, slow = both_modes(lambda: render_json(full_report(config)))
-    assert fast == slow
+def test_non_invariant_twist_is_refused_by_name(monkeypatch, p3_diag_bundle, tmp_path):
+    """With ``ad_invariant`` refusing every twist, the block and U_g builds
+    raise AuditError naming their algebra, and ``cotwist spectrum --p 3
+    --gamma 1,0,0,2`` records one named failure per coset, and no other,
+    and exits 1."""
+    import json
+
+    import cotwist.correspondence as corr
+    import cotwist.dual_algebras as duals
+    from cotwist.cli import main
+
+    for module in (duals, corr):
+        monkeypatch.setattr(module, "ad_invariant", lambda group, M: False)
+    inst, ctx, zs = p3_diag_bundle
+    z = zs[1]
+    g = z.representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    with pytest.raises(AuditError, match=re.escape(f"block[{g}]: J is not Ad(H)-invariant")):
+        build_block_algebra(inst.t, z)
+    refusal = re.escape(f"invariants at g={g}: J is not Ad(H)-invariant")
+    with pytest.raises(AuditError, match=refusal):
+        invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
+    out = tmp_path / "report.json"
+    assert main(["spectrum", "--p", "3", "--gamma", "1,0,0,2", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["cosets"] == []
+    assert report["failures"] == [
+        f"coset {c.representative}: block[{c.representative}]: J is not Ad(H)-invariant, "
+        "so one slice does not fix it" for c in zs]
 
 
 def test_tampered_orbit_labelling_fails_the_transport(monkeypatch, p3_diag_bundle):

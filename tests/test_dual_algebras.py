@@ -8,8 +8,8 @@ formulas, independently of the vectorized builders.
 import numpy as np
 import pytest
 
-from cotwist.dual_algebras import (a2_to_a1op_iso, ad_invariant, build_block_algebra,
-                                   determine_unit)
+from cotwist.dual_algebras import (SCAlgebra, a2_to_a1op_iso, ad_invariant, build_block_algebra,
+                                   gather_slice)
 from cotwist.errors import AuditError
 from cotwist.exactlin import CycArray
 from cotwist.groups import FiniteGroup, build_elementary_abelian_symplectic
@@ -114,24 +114,22 @@ def test_identity_coset_block_is_commutative_here(p3_diag_bundle):
     assert not blk.mul.eq(ctx.A1s.mul)
 
 
-def test_block_algebra_reference_formula(reference_case, both_modes):
+def test_block_algebra_reference_formula(reference_case):
     """Cells of a block against sum_{s,t} Jinv[s,t] J[x^-1 s^-1 a, x^-1 t^-1 b],
-    summed in the reference arithmetic (the gauge twist has two-term cells),
-    for the one-slice build and for the per-point build without the
-    certificate.  Every cell where |Z| <= 9; on the criterion-9 coset
-    (|Z| = 27) and the wreath swap coset (|Z| = 81) every (a, b) at the
-    representative and at two seeded x."""
+    summed in the reference arithmetic (the gauge twist has two-term cells).
+    Every cell where |Z| <= 9; on the criterion-9 coset (|Z| = 27) and the
+    wreath swap coset (|Z| = 81) every (a, b) at the representative and at
+    two seeded x."""
     inst, _, z = reference_case
     t, G = inst.t, inst.G
-    fast, slow = both_modes(lambda: build_block_algebra(t, z))
-    assert fast.perms is not None and slow.perms is None
+    blk = build_block_algebra(t, z)
     xs = np.arange(z.size)
     if z.size > 9:
         g = np.flatnonzero(z.elements == z.representative)
         xs = np.unique(np.concatenate([g, np.random.default_rng(8).choice(z.size, 2)]))
     J, Jinv = values(t.J), values(t.Jinv)
     loc = {int(h): i for i, h in enumerate(inst.H.elements)}
-    got = [values(blk.mul.take(xs, axis=2)) for blk in (fast, slow)]
+    got = values(blk.mul.take(xs, axis=2))
     for ia, a in enumerate(z.elements):
         for ib, b in enumerate(z.elements):
             for k, x in enumerate(z.elements[xs]):
@@ -145,8 +143,7 @@ def test_block_algebra_reference_formula(reference_case, both_modes):
                         d = loc.get(int(G.mul[xinv, G.mul[G.inv[ht], b]]))
                         if d is not None:
                             want = add(want, mul(Jinv[s, tt], J[c, d]))
-                for cells in got:
-                    assert equal(cells[ia, ib, k], want), (a, b, x)
+                assert equal(got[ia, ib, k], want), (a, b, x)
 
 
 def test_block_algebras_unital_associative(p3_diag_bundle):
@@ -157,14 +154,13 @@ def test_block_algebras_unital_associative(p3_diag_bundle):
 
 
 def test_row_terms_are_fewest_counts_formed_once(p3_duals, p3_gauge_diag_bundle):
-    """``A.row_terms(h)`` is ``A.mul.take(h, 0).fewest_counts()``, kept per
-    algebra: a second call returns the same array."""
+    """``A.row_terms`` is ``A.mul.take(0, 0).fewest_counts()``, kept per
+    algebra: a second read returns the same array."""
     ctx = p3_gauge_diag_bundle[1]
     for A in (*p3_duals[:2], ctx.A1s, ctx.A2s):
-        for h in range(A.dim):
-            row = A.row_terms(h)
-            assert np.array_equal(row, A.mul.take(h, 0).fewest_counts())
-            assert A.row_terms(h) is row
+        row = A.row_terms
+        assert np.array_equal(row, A.mul.take(0, 0).fewest_counts())
+        assert A.row_terms is row
 
 
 def no_gather(S, perms):
@@ -173,20 +169,17 @@ def no_gather(S, perms):
 
 def test_take_reads_sections_off_the_slice(p3_duals, p3_diag_bundle, monkeypatch):
     """``A.take(i, axis)`` equals ``A.mul.take(i, axis)`` count for count, for
-    one index and for an array of them on every axis, on A1*, A2* and a block
-    in slice form and on a dense algebra; in slice form it gathers nothing."""
+    one index and for an array of them on every axis, on A1*, A2* and a
+    block; it gathers nothing."""
     from cotwist import dual_algebras
-    from cotwist.dual_algebras import SCAlgebra
 
     inst, _, zs = p3_diag_bundle
-    blk = build_block_algebra(inst.t, zs[1])
-    algebras = [*p3_duals[:2], blk, SCAlgebra(blk.mul, blk.unit, "dense block")]
+    algebras = [*p3_duals[:2], build_block_algebra(inst.t, zs[1])]
     wanted = [[(i, axis, A.mul.take(i, axis)) for axis in range(3) for i in (0, 4, [2, 0, 7])]
               for A in algebras]
     monkeypatch.setattr(dual_algebras, "gather_slice", no_gather)
     for A, cases in zip(algebras, wanted):
-        if A.perms is not None:
-            A = SCAlgebra.from_slice(A.product, A.perms, A.unit, A.name)
+        A = SCAlgebra(A.product, A.perms, A.name)
         for i, axis, want in cases:
             got = A.take(i, axis)
             assert got.scale == want.scale and np.array_equal(got.counts, want.counts)
@@ -197,10 +190,10 @@ def test_index_certificate_refuses_a_non_automorphism(p3_duals, monkeypatch):
     delta_1 and delta_2 fails the index identity P[p, p] == P, so the dense
     compare decides, and refuses it by name."""
     from cotwist import dual_algebras
-    from cotwist.dual_algebras import GroupAction, SCAlgebra
+    from cotwist.dual_algebras import GroupAction
 
     A1, _, rho1, _ = p3_duals
-    fresh = SCAlgebra.from_slice(A1.product, A1.perms, A1.unit, A1.name)
+    fresh = SCAlgebra(A1.product, A1.perms, A1.name)
     gathers, gather = [], dual_algebras.gather_slice
     monkeypatch.setattr(dual_algebras, "gather_slice",
                         lambda S, perms: gathers.append(S.shape) or gather(S, perms))
@@ -217,14 +210,13 @@ def test_automorphism_off_the_index_identity_takes_the_dense_compare(p3_twist, p
     keeps P: verify passes through the dense compare, one gather.  The
     original P passes with ``gather_slice`` raising."""
     from cotwist import dual_algebras
-    from cotwist.dual_algebras import SCAlgebra
 
     A1, _, rho1, _ = p3_duals
     perms = A1.perms.copy()
     perms[0] = p3_twist.group.inv[perms[0]]
     p = rho1.perms[rho1.group.generators[0]]
     assert not np.array_equal(perms[np.ix_(p, p)], perms)
-    moved = SCAlgebra.from_slice(A1.product, perms, A1.unit, "A1* relabelled")
+    moved = SCAlgebra(A1.product, perms, "A1* relabelled")
     gathers, gather = [], dual_algebras.gather_slice
     monkeypatch.setattr(dual_algebras, "gather_slice",
                         lambda S, perms: gathers.append(S.shape) or gather(S, perms))
@@ -232,54 +224,52 @@ def test_automorphism_off_the_index_identity_takes_the_dense_compare(p3_twist, p
     assert gathers == [(9, 9)]
     assert np.array_equal(moved.mul.canonical(), A1.mul.canonical())
     monkeypatch.setattr(dual_algebras, "gather_slice", no_gather)
-    rho1.verify(SCAlgebra.from_slice(A1.product, A1.perms, A1.unit, A1.name))
+    rho1.verify(SCAlgebra(A1.product, A1.perms, A1.name))
 
 
 def test_determine_unit_rejects_wrong_candidate(p3_duals):
-    """The all-ones counit passes; any other candidate raises, naming the algebra."""
+    """A1*'s slice passes.  With two rows of its P swapped, P[x, x] is no
+    longer one cell, and with the group basis of C[Z/3] (unit e, in slice
+    form S[u, v] = [u + v = 0], P[x, a] = a + x) the column sums are all
+    ones, not one cell: each is refused, naming the algebra."""
     A1 = p3_duals[0]
-    determine_unit(A1.mul, A1.unit, "A1*")
-    wrong = CycArray.zeros((9,), 3)
-    wrong.counts[0, 0] = 1
-    with pytest.raises(AuditError, match=r"A1\*"):
-        determine_unit(A1.mul, wrong, "A1*")
+    SCAlgebra(A1.product, A1.perms, "A1*")
+    perms = A1.perms.copy()
+    perms[[1, 2]] = perms[[2, 1]]
+    with pytest.raises(AuditError, match=r"A1\*: the counit is not a two-sided unit"):
+        SCAlgebra(A1.product, perms, "A1*")
 
-    # C[Z/3] in its group basis: the unit is e, so the all-ones candidate fails
-    table = (np.arange(3)[:, None] + np.arange(3)[None, :]) % 3
-    mul = CycArray.zeros((3, 3, 3), 3)
-    mul.counts[np.arange(3)[:, None], np.arange(3)[None, :], table, 0] = 1
-    with pytest.raises(AuditError, match=r"C\[Z/3\]"):
-        determine_unit(mul, CycArray.from_exponents(3, np.zeros(3, dtype=np.int64)), "C[Z/3]")
+    z3 = np.arange(3)
+    S = CycArray.zeros((3, 3), 3)
+    S.counts[z3, -z3 % 3, 0] = 1
+    P = (z3[:, None] + z3[None, :]) % 3
+    assert np.array_equal(gather_slice(S, P).counts[..., 0], P[:, :, None] == z3)  # [a + b = x]
+    with pytest.raises(AuditError, match=r"C\[Z/3\]: the counit is not"):
+        SCAlgebra(S, P, "C[Z/3]")
 
 
 def test_determine_unit_sums_the_all_ones_counit(p3_duals, monkeypatch):
-    """The all-ones counit is checked by plain axis sums, with no exact
-    contraction; another representation of the same vector takes the
-    contraction and passes too; a one-sided unit and counts that could
+    """The counit is checked on the two sum vectors of the slice, with no
+    exact contraction and no gather; the same constants on doubled counts
+    and half the scale pass too; a one-sided unit and counts that could
     overflow the sums raise."""
-    from fractions import Fraction
-
     from cotwist import dual_algebras
     from cotwist.errors import CotwistError
 
     A1 = p3_duals[0]
-    contractions, contract = [], dual_algebras.cyc_tensordot
-    monkeypatch.setattr(dual_algebras, "cyc_tensordot",
-                        lambda a, b, axes: contractions.append(axes) or contract(a, b, axes))
-    determine_unit(A1.mul, A1.unit, "A1*")
-    assert contractions == []
-    doubled = CycArray(3, Fraction(1, 2), 2 * A1.unit.counts)
-    determine_unit(A1.mul, doubled, "A1*")
-    assert len(contractions) == 2
-    # e_0 e_j = e_j and e_1 e_j = 0: all-ones is a left unit, not a right one
-    left_only = CycArray.zeros((2, 2, 2), 3)
-    left_only.counts[0, [0, 1], [0, 1], 0] = 1
-    with pytest.raises(AuditError, match="left-unit"):
-        determine_unit(left_only, CycArray.from_exponents(3, np.zeros(2, dtype=np.int64)),
-                       "left-unit")
-    huge = CycArray(3, A1.mul.scale, A1.mul.counts * (1 << 60))
+    S = A1.product
+    for name in ("cyc_tensordot", "gather_slice"):
+        monkeypatch.setattr(dual_algebras, name, lambda *args, _name=name: pytest.fail(_name))
+    SCAlgebra(S, A1.perms, "A1*")
+    SCAlgebra(CycArray(3, S.scale / 2, 2 * S.counts), A1.perms, "A1*")
+    # column sums (1, 0), row sums (2, -1): the counit is a left unit, not a right one
+    left_only = CycArray.zeros((2, 2), 3)
+    left_only.counts[[0, 0, 1], [0, 1, 1], 0] = [1, 1, -1]
+    with pytest.raises(AuditError, match="left-unit: the counit is not"):
+        SCAlgebra(left_only, np.array([[0, 1], [1, 0]]), "left-unit")
+    huge = CycArray(3, S.scale, S.counts * (1 << 60))
     with pytest.raises(CotwistError, match=r"A1\*: the unit sums would overflow"):
-        determine_unit(huge, A1.unit, "A1*")
+        SCAlgebra(huge, A1.perms, "A1*")
 
 
 def test_a2_to_a1op_iso(p3_twist, p3_duals):
@@ -309,9 +299,10 @@ def test_iso_rejects_wrong_candidate(p3_twist, p3_duals):
     A1, A2, rho1, rho2 = p3_duals
     import cotwist.dual_algebras as da
 
-    # sabotage: transpose A2's product so reversal fails
-    bad_mul = CycArray(A2.mul.order, A2.mul.scale, np.swapaxes(A2.mul.counts, 0, 1))
-    bad = da.SCAlgebra(bad_mul, A2.unit, name="bad")
+    # sabotage: transpose A2's slice, so mul[a, b, x] becomes mul[b, a, x] and reversal fails
+    S = A2.product
+    bad = da.SCAlgebra(CycArray(S.order, S.scale, np.swapaxes(S.counts, 0, 1)), A2.perms, "bad")
+    assert bad.mul.eq(CycArray(S.order, S.scale, np.swapaxes(A2.mul.counts, 0, 1)))
     with pytest.raises(AuditError):
         a2_to_a1op_iso(p3_twist, A1, bad, rho1, rho2)
 

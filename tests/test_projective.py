@@ -13,6 +13,7 @@ from cotwist.cli import main as cli_main
 from cotwist.correspondence import predicted_spectrum
 from cotwist.dual_algebras import GroupAction, build_A1_A2_star
 from cotwist.errors import AuditError, CotwistError
+from cotwist.exactlin import CycArray, cyc_tensordot
 from cotwist.groups import (FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                             stabilizer_Kg, stabilizer_local_indices)
 from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
@@ -319,35 +320,55 @@ def test_corrupted_exponent_fails_the_regular_trace_law(p3_duals):
         regular_trace_law(A2, X)
 
 
+def dense_character_agreement(mul, X, gens, moved) -> np.ndarray:
+    """Per generator s, whether chi_s delta_b = delta_{alpha_s(b)} chi_s for
+    every b, contracted on the gathered constants ``mul`` [a, b, y]."""
+    k, m = len(gens), mul.shape[0]
+    chars = CycArray.from_exponents(mul.order, X[gens])             # [s, h]
+    left = cyc_tensordot(mul, chars, axes=([0], [1])).canonical()   # [b, y, s]: chi_s delta_b
+    right = cyc_tensordot(mul, chars, axes=([1], [1])).canonical()  # [a, y, s]: delta_a chi_s
+    right = right[moved.T[:, None], np.arange(m)[:, None], np.arange(k)]
+    return np.all(left == right, axis=(0, 1, 3))
+
+
 @pytest.mark.parametrize("bundle", ["p3_diag_bundle", "wreath_bundle", "intermediate_bundle"])
 def test_slice_readers_match_the_dense_readers(bundle, request, monkeypatch):
     """On A1* and A2* of p = 3, the wreath table and criterion 9's instance,
     the characters and traces read off the slice, with ``gather_slice``
-    raising, equal those read from the dense constants, and a flipped
-    exponent of each generator fails both certificates by name."""
+    raising, are those the gathered constants give: each character passes
+    its certificate contracted on ``mul``, and the regular trace law holds
+    for tau_h = sum_x mul[h, x, x].  A flipped exponent of each generator
+    fails both certificates, the slice's by name."""
     from cotwist import dual_algebras
     from cotwist.dual_algebras import SCAlgebra
 
     _, ctx, _ = request.getfixturevalue(bundle)
     pairs = ((ctx.A1s, ctx.rho1), (ctx.A2s, ctx.rho2))
-    dense = [SCAlgebra(A.mul, A.unit, A.name) for A, _ in pairs]
+    gathered = [A.mul for A, _ in pairs]
 
     def no_gather(S, perms):
         raise AssertionError(f"gather_slice called on {S.shape}")
 
     monkeypatch.setattr(dual_algebras, "gather_slice", no_gather)
-    for (A, rho), D, X, trace in zip(pairs, dense, ctx.chars, ctx.traces):
-        A = SCAlgebra.from_slice(A.product, A.perms, A.unit, A.name)
-        E = character_exponents(rho.group, A.product.order)
-        for B in (A, D):
-            assert np.array_equal(translation_characters(B, rho, E), X)
-            assert np.array_equal(regular_trace_law(B, X), trace)
-        for s in rho.group.generators:
+    for (A, rho), mul, X, trace in zip(pairs, gathered, ctx.chars, ctx.traces):
+        A = SCAlgebra(A.product, A.perms, A.name)
+        m, order = A.dim, A.product.order
+        gens = np.array(rho.group.generators)
+        moved = rho.perms[gens]
+        E = character_exponents(rho.group, order)
+        assert np.array_equal(translation_characters(A, rho, E), X)
+        assert dense_character_agreement(mul, X, gens, moved).all()
+        assert np.array_equal(regular_trace_law(A, X), trace)
+        tau = CycArray(order, mul.scale, mul.counts[:, np.arange(m), np.arange(m)].sum(axis=1))
+        regular = CycArray.zeros((m,), order)
+        regular.counts[0, 0] = m
+        assert cyc_tensordot(CycArray.from_exponents(order, X), tau, axes=1).eq(regular)
+        for i, s in enumerate(gens):
             bad = X.copy()
-            bad[s, 1] = (bad[s, 1] + 1) % A.product.order
-            for B in (A, D):
-                with pytest.raises(AuditError, match=f"character of generator {s} fails"):
-                    certify_characters(B, rho, bad)
+            bad[s, 1] = (bad[s, 1] + 1) % order
+            assert not dense_character_agreement(mul, bad, gens, moved)[i]
+            with pytest.raises(AuditError, match=f"character of generator {s} fails"):
+                certify_characters(A, rho, bad)
 
 
 def test_regular_trace_law(p3_pair, p3_duals):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cotwist import dual_algebras, semisimple
-from cotwist.dual_algebras import SCAlgebra, build_block_algebra
+from cotwist.dual_algebras import SCAlgebra, build_block_algebra, gather_slice
 from cotwist.errors import AuditError, CotwistError, SeedRetryError
 from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root,
                               canonical_counts, cyc_nullspace, cyc_tensordot)
@@ -23,39 +23,37 @@ from cotwist.semisimple import (_grading_characters, _grading_product, _split_mo
                                 split_simple_retrying, wedderburn_dims, with_seed_retries)
 
 
-def exact_algebra(counts, unit, order=1, name="test"):
-    """The algebra with integer constants counts[i, j, k] and integer unit over Q(zeta_order)."""
-    full = np.zeros((*np.shape(counts), order), dtype=np.int64)
-    full[..., 0] = counts
-    u = CycArray.zeros((len(unit),), order)
-    u.counts[:, 0] = unit
-    return SCAlgebra(CycArray(order, Fraction(1), full), u, name=name)
+def function_algebra(k, order=1):
+    """C[Z/k] in its basis of minimal idempotents, the dual of the trivial
+    twist on Z/k, over Q(zeta_order): the slice S = E_00 with P[x, a] =
+    a - x, so e_a e_b = [a = b] e_a."""
+    S = CycArray.zeros((k, k), order)
+    S.counts[0, 0, 0] = 1
+    return SCAlgebra(S, (np.arange(k)[None, :] - np.arange(k)[:, None]) % k, name=f"C[Z/{k}]")
 
 
-def matrix_units(n):
-    """Constants and unit of M_n in the matrix-unit basis E_ij, flat index i*n+j."""
-    d = n * n
-    mul = np.zeros((d, d, d), dtype=np.int64)
-    i, j, l = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    mul[i * n + j, j * n + l, i * n + l] = 1
-    return mul, np.eye(n, dtype=np.int64).ravel()
+def boolean_graded_algebra(C, order=2, name="graded"):
+    """The algebra f_chi f_psi = C[chi, psi] f_{chi xor psi} on Q^ = (Z/2)^k
+    for an integer (2^k, 2^k) matrix C, over Q(zeta_order), in slice form:
+    mul[a, b, x] = S[a xor x, b xor x] with S = F C F / 4^k for the
+    characters F[chi, x] = (-1)^(chi . x), since C = F S F.  The counit is
+    its unit exactly when C is 1 on the trivial character's row and column."""
+    n = len(C)
+    x = np.arange(n)
+    F = np.array([[(-1) ** bin(a & b).count("1") for b in x] for a in x])
+    counts = np.zeros((n, n, order), dtype=np.int64)
+    counts[..., 0] = F @ np.asarray(C) @ F
+    return SCAlgebra(CycArray(order, Fraction(1, n * n), counts), x[:, None] ^ x[None, :],
+                     name=name)
 
 
-def matrix_units_algebra(n):
-    return exact_algebra(*matrix_units(n), name=f"M_{n}")
-
-
-def group_algebra(table, order=1):
-    """C[K] for a Cayley table whose index 0 is the identity, over Q(zeta_order)."""
+def group_algebra_counts(table):
+    """Integer constants [a, b, ab] of C[K] for a Cayley table."""
     k = table.shape[0]
     mul = np.zeros((k, k, k), dtype=np.int64)
     a, b = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     mul[a, b, table] = 1
-    return exact_algebra(mul, np.eye(k, dtype=np.int64)[0], order, name="C[K]")
-
-
-def cyclic_table(k):
-    return ((np.arange(k)[:, None] + np.arange(k)[None, :]) % k).astype(np.int32)
+    return mul
 
 
 def permutation_table(perms):
@@ -66,13 +64,6 @@ def permutation_table(perms):
 
 def s3_mul():
     return permutation_table([(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
-
-
-def symmetric_table(k, even=False):
-    """S_k, or A_k, in lexicographic order: the identity first."""
-    perms = [p for p in itertools.permutations(range(k))
-             if not even or sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
-    return permutation_table(perms)
 
 
 def graded_matrix_algebra(n, copies=1):
@@ -86,18 +77,7 @@ def graded_matrix_algebra(n, copies=1):
     J = CycArray.from_exponents(n, q[:, None, 0] * (q[None, :, 0] + q[None, :, 1])
                                 + q[:, None, 1] * q[None, :, 1], Fraction(1, n * n))
     J.counts[(q[:, None, 2] != 0) | (q[None, :, 2] != 0)] = 0
-    return SCAlgebra.from_slice(J, perms, CycArray.from_exponents(n, np.zeros(len(q), int)),
-                                name=f"graded M_{n}^{copies}")
-
-
-def direct_sum_m1_m2():
-    """M_1 + M_2 as a block-diagonal exact algebra."""
-    mul1, unit1 = matrix_units(1)
-    mul2, unit2 = matrix_units(2)
-    mul = np.zeros((5, 5, 5), dtype=np.int64)
-    mul[:1, :1, :1] = mul1
-    mul[1:, 1:, 1:] = mul2
-    return exact_algebra(mul, np.concatenate([unit1, unit2]), name="M_1 + M_2")
+    return SCAlgebra(J, perms, name=f"graded M_{n}^{copies}")
 
 
 def count_calls(monkeypatch, *names):
@@ -119,24 +99,13 @@ def mod_splits(monkeypatch):
     return primes
 
 
-def refused_as_dense(A):
-    """The by-name refusal of a dense noncommutative algebra."""
-    return pytest.raises(CotwistError, match=re.escape(
-        f"{A.name}: a dense noncommutative algebra has no translation grading"))
-
-
 def test_matrix_algebra_dims(mod_splits):
-    """M_1 is commutative of dim 1: one block, from its trace form.  Dense
-    M_2 and M_3 carry no translation grading and are refused by name; built
-    in slice form as C_c[(Z/n)^2], the graded certificate splits them to
-    [n] with no split mod l."""
-    assert wedderburn_dims(matrix_units_algebra(1)).dims == [1]
+    """M_1 is commutative of dim 1: one block, from its trace form.  M_2 and
+    M_3, in slice form as C_c[(Z/n)^2], are split to [n] by the graded
+    certificate with no split mod l."""
+    assert wedderburn_dims(graded_matrix_algebra(1)).dims == [1]
     assert mod_splits == [_modular_root(1)[0]]
     for n in (2, 3):
-        A = matrix_units_algebra(n)
-        assert algebra_audit(A)
-        with refused_as_dense(A):
-            wedderburn_dims(A)
         graded = graded_matrix_algebra(n)
         assert algebra_audit(graded)
         assert wedderburn_dims(graded).dims == [n], graded.name
@@ -145,35 +114,14 @@ def test_matrix_algebra_dims(mod_splits):
 
 def test_cyclic_group_algebra_dims(mod_splits):
     for k in (2, 4, 5):
-        assert wedderburn_dims(group_algebra(cyclic_table(k), k)).dims == [1] * k
+        assert wedderburn_dims(function_algebra(k, k)).dims == [1] * k
     # commutative: n blocks of 1, the trace form certified at the first prime
     assert mod_splits == [_modular_root(k)[0] for k in (2, 4, 5)]
 
 
-def test_s3_group_algebra_dims(mod_splits):
-    """Dense C[S_3], [1, 1, 2] over C, carries no translation grading: refused by name."""
-    A = group_algebra(s3_mul())
-    with refused_as_dense(A):
-        wedderburn_dims(A)
-    assert mod_splits == []
-
-
-def test_s4_and_a4_group_algebra_dims(mod_splits):
-    """Dense C[S_4] and C[A_4] are refused by name, with no split mod l."""
-    for table in (symmetric_table(4), symmetric_table(4, even=True)):
-        A = group_algebra(table)
-        with refused_as_dense(A):
-            wedderburn_dims(A)
-    assert mod_splits == []
-
-
 def test_direct_sum_dims(mod_splits):
-    """Dense M_1 + M_2 is refused by name; M_2 + M_2 in slice form,
-    C_c[(Z/2)^2 x Z/2] with the trivial class on Z/2, has a two-dim graded
-    center, |R| = 2, and splits to [2, 2]."""
-    dense = direct_sum_m1_m2()
-    with refused_as_dense(dense):
-        wedderburn_dims(dense)
+    """M_2 + M_2 in slice form, C_c[(Z/2)^2 x Z/2] with the trivial class on
+    Z/2, has a two-dim graded center, |R| = 2, and splits to [2, 2]."""
     graded = graded_matrix_algebra(2, 2)
     assert algebra_audit(graded)
     assert center_basis(graded).shape == (2, 8)
@@ -194,10 +142,10 @@ def test_trace_forms_agree_with_both_certificates(p3_diag_bundle):
     """The trace form T has full rank mod l, as a semisimple algebra's must,
     on the algebras both certificates decide: the M_3 block (graded, one
     block), C[Z/5] and the commutative block (n blocks of 1).  Only the
-    commutative ones read their dims off T.  The blocks are in slice form."""
+    commutative ones read their dims off T."""
     inst, _, zs = p3_diag_bundle
     for A, dims in ((build_block_algebra(inst.t, zs[1]), [3]),
-                    (group_algebra(cyclic_table(5), 5), [1] * 5),
+                    (function_algebra(5, 5), [1] * 5),
                     (build_block_algebra(inst.t, zs[0]), [1] * 9)):
         assert center_basis(A).shape == (len(dims), A.dim), A.name
         assert _split_mod(A, *_modular_root(A.product.order)) == [1] * A.dim, A.name
@@ -219,18 +167,14 @@ def test_exact_center_of_block(p3_diag_bundle, mod_splits):
 def test_exact_center_of_s3_is_class_sums():
     """C[S3] over Q(zeta_3): its exact center, the nullspace of the
     commutator system, is the class sums, each 1 at its free column: {e},
-    the three transpositions, the two 3-cycles.  Neither full nor one line
-    of a grading, it is no certificate's: the dense algebra is refused by
-    name."""
-    A = group_algebra(s3_mul(), 3)
-    mul = A.mul.counts
+    the three transpositions, the two 3-cycles."""
+    mul = np.zeros((6, 6, 6, 3), dtype=np.int64)
+    mul[..., 0] = group_algebra_counts(s3_mul())
     commutators = (mul - mul.swapaxes(0, 1)).transpose(2, 1, 0, 3).reshape(36, 6, 3)  # [(k, j), i]
     center = cyc_nullspace(CycArray(3, Fraction(1), commutators))
     classes = CycArray.zeros((3, 6), 3)
     classes.counts[[0, 1, 1, 1, 2, 2], [0, 1, 2, 3, 4, 5], 0] = 1
     assert center.eq(classes)
-    with refused_as_dense(A):
-        center_basis(A)
 
 
 def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits, monkeypatch):
@@ -238,7 +182,7 @@ def test_exact_center_of_commutative_algebra_takes_no_solve(mod_splits, monkeypa
     and a split mod l that echelons only its trace form, no commutator system."""
     identity = CycArray.zeros((5, 5), 5)
     identity.counts[np.arange(5), np.arange(5), 0] = 1
-    A = group_algebra(cyclic_table(5), 5)
+    A = function_algebra(5, 5)
     assert center_basis(A).eq(identity)
     shapes, rank = [], semisimple._rank_mod
     monkeypatch.setattr(semisimple, "_rank_mod",
@@ -252,8 +196,7 @@ def test_commutative_block_center_forms_no_grading(p3_diag_bundle, monkeypatch):
     grading.  Its slice patched off commutativity in a checkerboard, which
     keeps every row and column sum and so the unit, forms the grading, whose
     2-cocycle check refutes associativity by name (the center certificate
-    alone would pass it as span(unit)); the same constants gathered into a
-    dense algebra carry no grading and are refused by name."""
+    alone would pass it as span(unit))."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[0])
     n = blk.dim
@@ -268,12 +211,9 @@ def test_commutative_block_center_forms_no_grading(p3_diag_bundle, monkeypatch):
 
     patched = blk.product.copy()
     patched.counts[[1, 1, 4, 4], [2, 3, 2, 3], 0] += [1, -1, -1, 1]
-    A = SCAlgebra.from_slice(patched, blk.perms, blk.unit, name="patched")
+    A = SCAlgebra(patched, blk.perms, name="patched")
     with pytest.raises(CotwistError, match="patched: the constants are not associative"):
         center_basis(A)
-    dense = SCAlgebra(A.mul, blk.unit, name="dense")
-    with refused_as_dense(dense):
-        center_basis(dense)
     assert contractions == [] and formed == ["_grading_characters"]
 
 
@@ -328,19 +268,6 @@ def test_grading_refuses_a_commutative_loop():
                      [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]])
     assert character_exponents(FiniteGroup(loop), 6).shape == (6, 6)
     assert _grading_characters(np.argsort(loop, axis=1), 6) is None
-
-
-def test_noncentral_unit_refused_when_built(p3_diag_bundle):
-    """The M_3 block with unit + e_0 as its unit: the center certificate,
-    which reads only the slice and P, still holds, so the unit check that
-    ``SCAlgebra`` runs when it is built is what refuses it, naming the algebra."""
-    inst, _, zs = p3_diag_bundle
-    blk = build_block_algebra(inst.t, zs[1])
-    bad = blk.unit.copy()
-    bad.counts[0, 0] += 1
-    assert center_basis(blk).shape == (1, blk.dim)
-    with pytest.raises(AuditError, match=re.escape(f"{blk.name}: the counit is not")):
-        SCAlgebra(blk.mul, bad, name=blk.name)
 
 
 @pytest.fixture(scope="module")
@@ -454,19 +381,21 @@ def test_simple_slice_algebras_split_without_a_gather(wreath_bundle, monkeypatch
 
 
 def test_corrupted_slice_count_fails_the_unit_check(wreath_bundle):
-    """One count of the slice S changed by 1 breaks a row sum of S, which the
-    unit check reads: the algebra is refused by name.  The sums it reads off
-    the slice are those of the gathered constants, count for count."""
-    from cotwist.dual_algebras import _unit_sides, gather_slice
+    """One count of the slice S changed by 1 breaks a row and a column sum of
+    S, which the unit check reads: the algebra is refused by name.  The sides
+    u e_j and e_j u of the gathered constants at x are those sums read at
+    P[x, j], count for count."""
+    from cotwist.dual_algebras import gather_slice
 
     for A in swap_algebras(wreath_bundle):
         bad = A.product.copy()
         bad.counts[5, 7, 0] += 1
-        dense = _unit_sides(gather_slice(bad, A.perms), A.unit)
-        for side, expected in zip(_unit_sides(bad, A.unit, A.perms), dense):
-            assert np.array_equal(side.counts, expected.counts), A.name
+        dense = gather_slice(bad, A.perms).counts
+        for sides, sums in (("ab...->b...", "ij...->j..."), ("ab...->a...", "ij...->i...")):
+            side = np.einsum(sides, dense)                          # [j, x]
+            assert np.array_equal(side, np.einsum(sums, bad.counts)[A.perms.T]), A.name
         with pytest.raises(AuditError, match=re.escape(f"{A.name}: the counit is not")):
-            SCAlgebra.from_slice(bad, A.perms, A.unit, name=A.name)
+            SCAlgebra(bad, A.perms, name=A.name)
 
 
 def test_slice_rows_must_be_permutations(wreath_bundle):
@@ -474,26 +403,25 @@ def test_slice_rows_must_be_permutations(wreath_bundle):
     perms = block.perms.copy()
     perms[3, 0] = perms[3, 1]
     with pytest.raises(AuditError, match="slice rows are not basis permutations"):
-        SCAlgebra.from_slice(block.product, perms, block.unit, name=block.name)
+        SCAlgebra(block.product, perms, name=block.name)
 
 
 def test_counts_past_the_float_bound_take_the_trace_forms(p3_diag_bundle, mod_splits):
     """Blocks on counts scaled by 2^40 (the same values), far past 2^53 in
-    any float64 product of the counts.  The commutative block, dense, takes
-    the trace form mod l, which reduces the counts first: n blocks of 1.
-    The M_3 block in slice form: the grading reduces the slice before its
-    float64 products, so it certifies span(unit) with no split mod l."""
+    any float64 product of the counts.  The commutative block takes the
+    trace form mod l, which reduces the counts first: n blocks of 1.  The
+    M_3 block: the grading reduces the slice before its float64 products,
+    so it certifies span(unit) with no split mod l."""
     inst, _, zs = p3_diag_bundle
     commutative = build_block_algebra(inst.t, zs[0])
-    mul = commutative.mul
-    scaled = CycArray(mul.order, mul.scale / (1 << 40), mul.counts << 40)
-    assert scaled.eq(mul)
-    assert wedderburn_dims(SCAlgebra(scaled, commutative.unit)).dims == [1] * 9
-    assert mod_splits == [_modular_root(mul.order)[0]]
+    S = commutative.product
+    scaled = CycArray(S.order, S.scale / (1 << 40), S.counts << 40)
+    assert scaled.eq(S)
+    assert wedderburn_dims(SCAlgebra(scaled, commutative.perms)).dims == [1] * 9
+    assert mod_splits == [_modular_root(S.order)[0]]
     blk = build_block_algebra(inst.t, zs[1])
     S = blk.product
-    sliced = SCAlgebra.from_slice(CycArray(S.order, S.scale / (1 << 40), S.counts << 40),
-                                  blk.perms, blk.unit)
+    sliced = SCAlgebra(CycArray(S.order, S.scale / (1 << 40), S.counts << 40), blk.perms)
     assert center_basis(sliced).eq(blk.unit.reshape(1, blk.dim))
     assert wedderburn_dims(sliced).dims == [3] and len(mod_splits) == 1
 
@@ -604,7 +532,7 @@ def test_commutative_slice_algebras_split_without_a_gather(commutative_exact_alg
     assert len(unipotent) == 10
     for A in unipotent:
         assert A.perms is not None and A.dim == 25
-        fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
+        fresh = SCAlgebra(A.product, A.perms, name=A.name)
         assert wedderburn_dims(fresh).dims == [1] * 25, A.name
     assert gathers == []
 
@@ -653,13 +581,13 @@ def test_split_reads_the_slice(general_slice_algebras, commutative_exact_algebra
     assert len(general_slice_algebras) == 8
     for A, dims in general_slice_algebras:
         assert A.perms is not None, A.name
-        fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
+        fresh = SCAlgebra(A.product, A.perms, name=A.name)
         assert center_basis(fresh).shape == (len(dims), A.dim), A.name
         assert wedderburn_dims(fresh).dims == dims, A.name
     assert mod_splits == []
 
     A = commutative_exact_algebras["p=5 unipotent U_g 0"]
-    fresh = SCAlgebra.from_slice(A.product, A.perms, A.unit, name=A.name)
+    fresh = SCAlgebra(A.product, A.perms, name=A.name)
     ranks = []
 
     def short(a, ell):  # the first prime's trace form loses a pivot
@@ -673,10 +601,9 @@ def test_split_reads_the_slice(general_slice_algebras, commutative_exact_algebra
 
 
 def dual_numbers():
-    """Exact C[x]/(x^2) on 1, x: commutative, not semisimple."""
-    counts = np.zeros((2, 2, 2), dtype=np.int64)
-    counts[[0, 0, 1], [0, 1, 0], [0, 1, 1]] = 1
-    return exact_algebra(counts, [1, 0], order=3, name="dual numbers")
+    """Exact C[x]/(x^2), graded by Z/2 with x = f_1: f_1 f_1 = 0, over
+    Q(zeta_3): commutative, not semisimple."""
+    return boolean_graded_algebra([[1, 1], [1, 0]], order=3, name="dual numbers")
 
 
 def test_dual_numbers_refused_without_certificate(mod_splits):
@@ -701,8 +628,7 @@ def test_degenerate_prime_moves_to_the_next(monkeypatch):
     A = graded_matrix_algebra(3)
     ell = grading_prime(A)[0]
     S = A.product
-    scaled = SCAlgebra.from_slice(CycArray(3, S.scale / ell, S.counts * ell), A.perms, A.unit,
-                                  name="scaled M_3")
+    scaled = SCAlgebra(CycArray(3, S.scale / ell, S.counts * ell), A.perms, name="scaled M_3")
     primes, product = [], semisimple._grading_product
     monkeypatch.setattr(semisimple, "_grading_product", lambda S, E, p, omega: (
         primes.append(p) or product(S, E, p, omega)))
@@ -725,26 +651,26 @@ def test_corrupted_count_of_a_split_block_is_refused(intermediate_block, monkeyp
     associativity by name, for each of the 27 * 3 corruptions.  The
     trace-form split that the graded certificate replaced assumed
     associativity and accepted 57 of them as [3, 3, 3]."""
-    S, perms, unit = intermediate_block.product, intermediate_block.perms, intermediate_block.unit
+    S, perms = intermediate_block.product, intermediate_block.perms
     bad = S.copy()
     bad.counts[0, 0, 0] += 1
     with pytest.raises(AuditError, match="corrupted: the counit is not"):
-        SCAlgebra.from_slice(bad, perms, unit, name="corrupted")
+        SCAlgebra(bad, perms, name="corrupted")
     monkeypatch.setattr(dual_algebras, "determine_unit", lambda *args: None)
     for i, k in itertools.product(range(S.shape[0]), range(S.order)):
         bad = S.copy()
         bad.counts[i, i, k] += 1
-        A = SCAlgebra.from_slice(bad, perms, unit, name=f"corrupted at {i}, {k}")
+        A = SCAlgebra(bad, perms, name=f"corrupted at {i}, {k}")
         with pytest.raises(CotwistError, match=re.escape(
                 f"{A.name}: the constants are not associative")):
             wedderburn_dims(A)
 
 
 def test_float_constants_refused_by_name():
-    mul, unit = matrix_units(2)
-    with pytest.raises(CotwistError, match="M_2: structure constants and unit must be exact, "
-                                           "got ndarray and ndarray"):
-        SCAlgebra(mul.astype(complex), unit.astype(complex), name="M_2")
+    A = graded_matrix_algebra(2)
+    with pytest.raises(CotwistError, match="M_2: structure constants must be exact, "
+                                           "got ndarray"):
+        SCAlgebra(A.product.embed(), A.perms, name="M_2")
 
 
 def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, mod_splits,
@@ -788,46 +714,48 @@ def test_canonically_symmetric_scans_its_counts_once(monkeypatch):
             semisimple._canonically_symmetric(CycArray(3, 1, big))
 
 
-def upper_triangular_t2():
-    """Exact T_2 on E11, E12, E22: dim 3, center the scalars, not semisimple."""
-    counts = np.zeros((3, 3, 3), dtype=np.int64)
-    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
-        counts[i, j, k] = 1
-    return exact_algebra(counts, [1, 0, 1], order=3, name="T2")
-
-
-def test_t2_one_dim_center_is_not_a_square(mod_splits):
-    """Dense T_2 (one-dim center, dimension 3, not semisimple) is
-    noncommutative and carries no grading: refused by name before any
-    center or split mod l.  A graded center of dimension |R| must have
-    |R| d^2 = n, condition (iii)."""
-    A = upper_triangular_t2()
+def test_exterior_algebra_refused_by_the_graded_certificate(mod_splits):
+    """The exterior algebra on two generators, graded by (Z/2)^2 (f_1 f_2 =
+    f_3 = -f_2 f_1, f_1^2 = f_2^2 = 0): noncommutative, associative and not
+    semisimple.  Its center is span(f_0, f_3), |R| = 2 with n / |R| = 2 no
+    square, and f_1 f_1 = 0 fails condition (i): refused by name at every
+    prime, with no split mod l."""
+    C = np.zeros((4, 4), dtype=np.int64)
+    C[0], C[:, 0], C[1, 2], C[2, 1] = 1, 1, 1, -1
+    A = boolean_graded_algebra(C, name="exterior")
     assert algebra_audit(A)
-    with refused_as_dense(A):
-        center_basis(A)
-    with refused_as_dense(A):
+    with pytest.raises(CotwistError, match=re.escape(
+            "exterior: the graded certificate fails mod 3 primes")):
         wedderburn_dims(A)
     assert mod_splits == []
 
 
 def test_doubled_unit_refused_when_built(p3_diag_bundle):
-    """2u is central but no unit, and is refused exactly when the algebra is
-    built; a unit doubled on counts and halved on scale is the same unit,
-    and the graded split takes it."""
+    """The M_3 block's slice halved: the counit is twice the unit, central
+    but no unit, and is refused exactly when the algebra is built; the
+    slice doubled on counts and halved on scale is the same algebra, and
+    the graded split takes it."""
     inst, _, zs = p3_diag_bundle
     blk = build_block_algebra(inst.t, zs[1])
+    S = blk.product
     with pytest.raises(AuditError, match=re.escape(f"{blk.name}: the counit is not")):
-        SCAlgebra(blk.mul, blk.unit.scale_by(2), name=blk.name)
-    same = CycArray(blk.unit.order, Fraction(1, 2), 2 * blk.unit.counts)
-    assert wedderburn_dims(SCAlgebra.from_slice(blk.product, blk.perms, same)).dims == [3]
+        SCAlgebra(S.scale_by(Fraction(1, 2)), blk.perms, name=blk.name)
+    same = CycArray(S.order, S.scale / 2, 2 * S.counts)
+    assert wedderburn_dims(SCAlgebra(same, blk.perms)).dims == [3]
 
 
 def test_idempotent_posing_as_unit_refused_when_built():
-    """Exact M_2 with the idempotent E11 posing as its unit: E11 E11 = E11,
-    but E11 e_j != e_j, and the algebra is refused when built."""
-    mul, _ = matrix_units(2)
-    with pytest.raises(AuditError, match=r"exact M_2: the counit is not"):
-        exact_algebra(mul, [1, 0, 0, 0], order=3, name="exact M_2")
+    """The slice E_01 on Z/2, P[x, a] = a xor x: its entries sum to 1, so the
+    counit u has u u = u, but its column sums sit at cell 1 and its row sums
+    at cell 0, so u e_j != e_j, and the algebra is refused when built."""
+    S = CycArray.zeros((2, 2), 3)
+    S.counts[0, 1, 0] = 1
+    P = np.array([[0, 1], [1, 0]])
+    u = CycArray.from_exponents(3, np.zeros(2, dtype=np.int64))
+    mul = gather_slice(S, P)
+    assert cyc_tensordot(u, cyc_tensordot(u, mul, axes=([0], [0])), axes=([0], [0])).eq(u)
+    with pytest.raises(AuditError, match=r"E_01: the counit is not"):
+        SCAlgebra(S, P, name="E_01")
 
 
 def test_swap_coset_takes_no_commutator_tensor(wreath_bundle, mod_splits, monkeypatch):
@@ -882,7 +810,7 @@ def test_split_simple_seeds_give_equivalent_reps(p3_diag_bundle):
 
 
 def test_split_simple_rejects_nonsimple():
-    A = group_algebra(cyclic_table(4))
+    A = function_algebra(4)
     with pytest.raises(CotwistError):
         split_simple_retrying(A, seed=0)
 
@@ -915,23 +843,16 @@ def test_with_seed_retries():
 
 
 def test_algebra_audit_rejects_nonassociative():
-    # unit laws hold, but (u1 u1) u1 = u0 while u1 (u1 u1) = 0
-    mul = np.zeros((3, 3, 3), dtype=np.int64)
-    for i in range(3):
-        mul[0, i, i] = 1
-        mul[i, 0, i] = 1
-    mul[1, 1, 2] = 1
-    mul[2, 1, 0] = 1
-    assert not algebra_audit(exact_algebra(mul, [1, 0, 0]))
+    """Graded by (Z/2)^2 with C = 1 but C[1, 2] = 2: the unit laws hold, but
+    (f_1 f_1) f_2 = f_2 while f_1 (f_1 f_2) = 2 f_2."""
+    C = np.ones((4, 4), dtype=np.int64)
+    C[1, 2] = 2
+    assert not algebra_audit(boolean_graded_algebra(C))
+    assert algebra_audit(boolean_graded_algebra(np.ones((4, 4), dtype=np.int64)))
 
 
 def test_algebra_audit_rejects_broken_unit():
-    """A unit that fails the unit laws never reaches the audit: the algebra
-    is refused by name when it is built."""
-    mul = np.zeros((2, 2, 2), dtype=np.int64)
-    mul[0, 0, 0] = 1
-    mul[0, 1, 1] = 1
-    mul[1, 0, 0] = 1  # u1 * unit = u0, wrong
-    mul[1, 1, 1] = 1
+    """A unit that fails the unit laws never reaches the audit: graded by Z/2
+    with f_1 f_0 = 2 f_1, the algebra is refused by name when it is built."""
     with pytest.raises(AuditError, match="broken: the counit is not a two-sided unit"):
-        exact_algebra(mul, [1, 0], name="broken")
+        boolean_graded_algebra([[1, 1], [2, 1]], name="broken")
