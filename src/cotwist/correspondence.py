@@ -122,42 +122,36 @@ def build_instance(config: Config) -> Instance:
 # the stabilizer action on pairs
 
 
-def pair_translation_perms(rho1, rho2, H: Subgroup, Kg: Subgroup, g: int) -> np.ndarray:
-    """Permutations of the pair basis delta_h (x) delta_h' under K_g.
+def pair_orbits(rho1, rho2, H: Subgroup, Kg: Subgroup, g: int):
+    """Orbits of K_g on the pair basis delta_h (x) delta_h': (orbit_id per
+    flat index q = h*|H| + h', minimal reps).
 
-    Row a (local to Kg) sends flat index q = h*|H| + h' to the index of
-    (h a^{-1}, (g^{-1} a g) h'): the right-translation action on the A_2*
-    leg tensored with the conjugated left-translation action on the A_1* leg.
-    Raises when conjugation by g throws a stabilizer element out of H.
+    a in K_g sends (h, h') to (h a^{-1}, (g^{-1} a g) h'): the
+    right-translation action on the A_2* leg tensored with the conjugated
+    left-translation action on the A_1* leg.  Every orbit has exactly |K_g|
+    points, or AuditError; orbits are numbered by ascending minimal
+    representative.  Raises when conjugation by g throws a stabilizer
+    element out of H.
+
+    The A_2* leg acts freely, so the least member of the orbit of (h, h') is
+    (t, (g^{-1} a g) h'), t the least point of h K_g and a the one element
+    with h a^{-1} = t.  That label is an image of its own pair.  A label
+    class of the wrong size is refused as a non-free action, a label that a
+    generator of K_g moves as a non-action.  Past both, the labels are
+    constant on orbits (rho1 and rho2 are certified actions), so each class
+    is the orbit of its label, and an orbit of |K_g| points has a trivial
+    stabilizer.  No |K_g| x |H|^2 table of images is formed.
     """
     a_loc, conj_loc = stabilizer_local_indices(H, Kg, g)
     m = H.order
-    p2 = rho2.perms[a_loc]
-    p1 = rho1.perms[conj_loc]
-    return (p2[:, :, None] * m + p1[:, None, :]).reshape(Kg.order, m * m)
-
-
-def pair_orbits(perms: np.ndarray):
-    """Orbits of the pair action: (orbit_id per flat index, minimal reps).
-
-    The action is free (the A_2* leg alone is), so every orbit has exactly
-    |K_g| elements; that is asserted.  Orbits are numbered by ascending
-    minimal representative.
-
-    Column q of ``perms`` lists the images a.q; sorted, two equal neighbours
-    mean the action is not free.  Let first[q] be the least image of q.  The
-    image sets partition the points exactly when every class of points with
-    the same first[q] has |K_g| points and first[a.q] = first[q]: then each
-    image set of |K_g| points lies in, hence is, the class of q.
-    """
-    k = perms.shape[0]
-    images = np.sort(perms, axis=0)
-    if np.any(images[1:] == images[:-1]):
+    p2, p1 = rho2.perms[a_loc], rho1.perms[conj_loc]  # [a, h]
+    least = (p2.min(0)[:, None] * m + p1[p2.argmin(0)]).ravel()
+    reps, orbit_id = np.unique(least, return_inverse=True)
+    if np.any(np.bincount(orbit_id) != Kg.order):
         raise AuditError("pair translation action is not free")
-    first = images[0]
-    reps, orbit_id = np.unique(first, return_inverse=True)
-    if np.any(np.bincount(orbit_id) != k) or np.any(first[perms] != first):
-        raise AuditError("pair orbits are not disjoint (action is not a group action)")
+    for s in Kg.as_group.generators:
+        if np.any(least[(p2[s][:, None] * m + p1[s]).ravel()] != least):
+            raise AuditError("pair orbits are not disjoint (action is not a group action)")
     return orbit_id.astype(np.int64, copy=False), reps.astype(np.int64, copy=False)
 
 
@@ -219,8 +213,8 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
 
     The stabilizer acts on the pair basis by right translation on the A_2*
     leg and conjugated left translation on the A_1* leg; invariants are
-    spanned by orbit sums.  Structure constants are exact; the dimension must
-    equal |H|^2 / |K_g| or AuditError is raised.
+    spanned by orbit sums.  Structure constants are exact; ``pair_orbits``
+    certifies every orbit to have |K_g| points, so the dimension is |H|^2 / |K_g|.
 
     One row fixes the constants when J and Jinv are Ad(H)-invariant, which
     ``ad_invariant`` certifies exactly on the slices of A_1* and A_2* at e
@@ -247,14 +241,8 @@ def invariant_algebra_Ug(A1s: SCAlgebra, A2s: SCAlgebra, rho1, rho2,
     name, Hg = f"invariants at g={g}", H.as_group
     if not (ad_invariant(Hg, A1s.take(0, 2)) and ad_invariant(Hg, A2s.take(0, 2))):
         raise AuditError(f"{name}: J is not Ad(H)-invariant, so one row does not fix it")
-    perms = pair_translation_perms(rho1, rho2, H, Kg, g)
-    orbit_id, reps = pair_orbits(perms)
-    m = H.order
-    expected, rem = divmod(m * m, Kg.order)
-    if rem != 0 or len(reps) != expected:
-        raise AuditError(
-            f"invariant algebra dimension {len(reps)} != |H|^2/|K_g| = {expected}")
-    r = len(reps)
+    orbit_id, reps = pair_orbits(rho1, rho2, H, Kg, g)
+    m, r = H.order, len(reps)
     members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
     x1, x2 = np.divmod(members, m)
     partner = np.full((r, m), m)  # [l, x1]: the x2 with (x1, x2) in orbit l, m where none
@@ -330,7 +318,7 @@ def f_g_map(ctx: InstanceContext, Z: DoubleCoset, g: int, blk: SCAlgebra, Ug: SC
         raise CotwistError(f"representative {g} is not in the double coset")
     F = _enumerate_factorizations(G, H, Z, g)
     Kg = stabilizer_Kg(G, H, g)
-    orbit_id, _ = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, H, Kg, g))
+    orbit_id, _ = pair_orbits(ctx.rho1, ctx.rho2, H, Kg, g)
     audit = TwistAudit()
     audit.record("image = K_g-invariants (columns are orbit indicators, bijectively)",
                  image_matches_invariants(F, orbit_id))

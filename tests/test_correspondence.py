@@ -1,6 +1,8 @@
 """The comparison map F_g, the invariant algebra, route agreement, reports."""
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +10,12 @@ import pytest
 from cotwist.correspondence import (Config, SymplecticConstruction, TableConstruction,
                                     build_instance, f_g_map, full_report,
                                     image_matches_invariants, invariant_algebra_Ug,
-                                    pair_orbits, pair_translation_perms,
-                                    predicted_spectrum, prepare_instance,
+                                    pair_orbits, predicted_spectrum, prepare_instance,
                                     render_json, render_table, report_to_dict)
 from cotwist.dual_algebras import build_block_algebra
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray
-from cotwist.groups import (FiniteGroup, Subgroup, stabilizer_Kg)
+from cotwist.groups import FiniteGroup, Subgroup, stabilizer_Kg, stabilizer_local_indices
 from cotwist.twist import assemble_twist, make_twist, save_twist_file
 from cyc_reference import add, equal, mul, values, zero
 from instances import WREATH, coset_algebras, write_instance
@@ -40,8 +41,7 @@ def test_f_image_equals_invariants(p3_diag_bundle):
         g = z.representative
         F, _ = f_g_map(ctx, z, g, *coset_algebras(ctx, z))
         Kg = stabilizer_Kg(inst.G, inst.H, g)
-        perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
-        orbit_id, _ = pair_orbits(perms)
+        orbit_id, _ = pair_orbits(ctx.rho1, ctx.rho2, inst.H, Kg, g)
         assert image_matches_invariants(F, orbit_id)
 
 
@@ -57,51 +57,81 @@ def test_image_matches_invariants_negative():
     assert not image_matches_invariants(F2, good)  # duplicate orbit
 
 
-def test_pair_orbits_free_and_sized(p3_diag_bundle):
-    inst, ctx, zs = p3_diag_bundle
-    g = zs[1].representative
-    Kg = stabilizer_Kg(inst.G, inst.H, g)
-    perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
-    orbit_id, reps = pair_orbits(perms)
-    assert len(reps) == 81 // Kg.order
-    counts = np.bincount(orbit_id)
-    assert np.all(counts == Kg.order)
-    # reps are minimal in their orbit and strictly increasing
-    for i, q in enumerate(reps):
-        members = np.nonzero(orbit_id == i)[0]
-        assert q == members.min()
-    assert np.all(np.diff(reps) > 0)
-    # against a loop over the points, on every coset
-    for z in zs:
-        Kg = stabilizer_Kg(inst.G, inst.H, z.representative)
-        perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, z.representative)
-        first = [min(perms[:, q]) for q in range(perms.shape[1])]
-        expected_reps = sorted(set(first))
-        orbit_id, reps = pair_orbits(perms)
-        assert reps.tolist() == expected_reps
-        assert orbit_id.tolist() == [expected_reps.index(f) for f in first]
+def all_images(ctx, H, Kg, g) -> np.ndarray:
+    """Every image a.q of the pair action as a |K_g| x |H|^2 table [a, q]:
+    (h, h') at q = h |H| + h' goes to (h a^-1, (g^-1 a g) h')."""
+    a_loc, conj_loc = stabilizer_local_indices(H, Kg, g)
+    m = H.order
+    p2, p1 = ctx.rho2.perms[a_loc], ctx.rho1.perms[conj_loc]
+    return (p2[:, :, None] * m + p1[:, None, :]).reshape(Kg.order, m * m)
+
+
+def test_pair_orbits_free_and_sized(request):
+    """On every coset of p3_diag, criterion 9, the wreath table (whose swap
+    coset has K_g = {e}, with no generators) and the composite instance, the
+    orbits are those of the table of all images: no point has two equal
+    images, the representatives are the least images in ascending order, each
+    point is labelled by the orbit of its least image, each orbit has |K_g|
+    points and every image keeps its point's label."""
+    for source in ("p3_diag_bundle", "intermediate_bundle", "wreath_bundle",
+                   "composite_bundle"):
+        inst, ctx, zs = request.getfixturevalue(source)
+        orders = set()
+        for z in zs:
+            g = z.representative
+            Kg = stabilizer_Kg(inst.G, inst.H, g)
+            images = all_images(ctx, inst.H, Kg, g)
+            sorted_images = np.sort(images, axis=0)
+            assert np.all(sorted_images[1:] > sorted_images[:-1])
+            first = sorted_images[0]
+            orbit_id, reps = pair_orbits(ctx.rho1, ctx.rho2, inst.H, Kg, g)
+            assert reps.tolist() == sorted(set(first.tolist()))
+            assert np.array_equal(reps[orbit_id], first)
+            assert np.all(np.bincount(orbit_id) == Kg.order)
+            assert np.all(orbit_id[images] == orbit_id)
+            orders.add(Kg.order)
+        assert source != "wreath_bundle" or 1 in orders
 
 
 def test_pair_orbits_refuse_corrupted_actions(p3_diag_bundle):
-    """One image repeated in a column is a non-free action; two images of one
-    row exchanged across two orbits leave every column free but the image
-    sets no partition.  Each is refused by name."""
+    """Each generator s of K_g made to act as the identity on one leg, in a
+    copy of that leg's GroupAction.  On the A2* leg, e and s then share every
+    image, so some labels merge into a class of the wrong size: the action is
+    not free.  On the A1* leg the A2* leg still acts freely and every class
+    keeps |K_g| points, but s moves labels: no group action.  Each is refused
+    by its own name."""
     inst, ctx, zs = p3_diag_bundle
     g = zs[1].representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
-    perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
-    orbit_id, reps = pair_orbits(perms)
-    repeated = perms.copy()
-    repeated[1, 5] = repeated[0, 5]
-    with pytest.raises(AuditError, match=re.escape("pair translation action is not free")):
-        pair_orbits(repeated)
-    q1, q2 = reps[0], reps[1]
-    exchanged = perms.copy()
-    exchanged[1, [q1, q2]] = exchanged[1, [q2, q1]]
-    assert orbit_id[exchanged[1, q1]] != orbit_id[q1]
-    with pytest.raises(AuditError, match=re.escape(
-            "pair orbits are not disjoint (action is not a group action)")):
-        pair_orbits(exchanged)
+    a_loc, conj_loc = stabilizer_local_indices(inst.H, Kg, g)
+
+    def without(rho, row):
+        perms = rho.perms.copy()
+        perms[row] = np.arange(perms.shape[1])
+        return dataclasses.replace(rho, perms=perms)
+
+    for s in Kg.as_group.generators:
+        with pytest.raises(AuditError, match=re.escape("pair translation action is not free")):
+            pair_orbits(ctx.rho1, without(ctx.rho2, a_loc[s]), inst.H, Kg, g)
+        with pytest.raises(AuditError, match=re.escape(
+                "pair orbits are not disjoint (action is not a group action)")):
+            pair_orbits(without(ctx.rho1, conj_loc[s]), ctx.rho2, inst.H, Kg, g)
+
+
+def test_pair_orbits_form_no_table_of_all_images():
+    """At |H| = |K_g| = 81 (``--p 3 --n 2``, coset 0) the orbits take less
+    memory than one |K_g| x |H|^2 int64 table of images, 4.25 MB."""
+    inst = build_instance(Config(SymplecticConstruction(p=3, n=2)))
+    ctx = prepare_instance(inst)
+    Kg = stabilizer_Kg(inst.G, inst.H, 0)
+    assert Kg.order == inst.H.order == 81
+    tracemalloc.start()
+    try:
+        pair_orbits(ctx.rho1, ctx.rho2, inst.H, Kg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Kg.order * inst.H.order ** 2 * 8, peak
 
 
 def test_invariant_algebra_float_oracle(p3_diag_bundle):
@@ -110,8 +140,7 @@ def test_invariant_algebra_float_oracle(p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     g = zs[1].representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
-    perms = pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g)
-    orbit_id, reps = pair_orbits(perms)
+    orbit_id, reps = pair_orbits(ctx.rho1, ctx.rho2, inst.H, Kg, g)
     Ug = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
 
     m = inst.H.order
@@ -148,7 +177,7 @@ def test_invariant_algebra_reference_formula(reference_case):
     inst, ctx, z = reference_case
     g = z.representative
     Kg = stabilizer_Kg(inst.G, inst.H, g)
-    orbit_id, reps = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, inst.H, Kg, g))
+    orbit_id, reps = pair_orbits(ctx.rho1, ctx.rho2, inst.H, Kg, g)
     U = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
     rows = np.arange(len(reps))
     if len(reps) > 9:
@@ -482,8 +511,8 @@ def test_f_g_names_a_split_orbit_labelling(monkeypatch, p3_diag_bundle):
     inst, ctx, zs = p3_diag_bundle
     orbits = corr.pair_orbits
 
-    def split(perms):
-        orbit_id, reps = orbits(perms)
+    def split(*args):
+        orbit_id, reps = orbits(*args)
         orbit_id = orbit_id.copy()
         # swap the second members of orbits 0 and 1: sizes and minima unchanged
         a, b = np.flatnonzero(orbit_id == 0)[1], np.flatnonzero(orbit_id == 1)[1]
@@ -542,7 +571,7 @@ def all_rows_Ug(ctx, Kg, g) -> CycArray:
     from cotwist.exactlin import pair_sums
 
     H, A1s, A2s = ctx.instance.H, ctx.A1s, ctx.A2s
-    orbit_id, reps = pair_orbits(pair_translation_perms(ctx.rho1, ctx.rho2, H, Kg, g))
+    orbit_id, reps = pair_orbits(ctx.rho1, ctx.rho2, H, Kg, g)
     m, r = H.order, len(reps)
     members = np.argsort(orbit_id, kind="stable").reshape(r, -1)  # [l, k]: orbit l
     x1, x2 = np.divmod(members, m)
@@ -639,16 +668,16 @@ def test_non_invariant_twist_is_refused_by_name(monkeypatch, p3_diag_bundle, tmp
 
 
 def test_tampered_orbit_labelling_fails_the_transport(monkeypatch, p3_diag_bundle):
-    """Two pairs swapped between orbits 0 and 1 leave every orbit its size, so
-    the dimension check passes; the one-row gather names the broken transport
-    instead of yielding wrong constants."""
+    """Two pairs swapped between orbits 0 and 1 after ``pair_orbits``
+    certified them leave every orbit its size; the one-row gather names the
+    broken transport instead of yielding wrong constants."""
     import cotwist.correspondence as corr
 
     inst, ctx, zs = p3_diag_bundle
     orbits = corr.pair_orbits
 
-    def tampered(perms):
-        orbit_id, reps = orbits(perms)
+    def tampered(*args):
+        orbit_id, reps = orbits(*args)
         orbit_id = orbit_id.copy()
         a, b = np.flatnonzero(orbit_id == 0)[1], np.flatnonzero(orbit_id == 1)[1]
         orbit_id[[a, b]] = orbit_id[[b, a]]
@@ -670,8 +699,8 @@ def test_orbit_labelling_with_a_repeated_a2_point_is_refused(monkeypatch, p3_dia
     inst, ctx, zs = p3_diag_bundle
     orbits, m = corr.pair_orbits, inst.H.order
 
-    def tampered(perms):
-        orbit_id, reps = orbits(perms)
+    def tampered(*args):
+        orbit_id, reps = orbits(*args)
         orbit_id = orbit_id.copy()
         a, c = np.flatnonzero(orbit_id == 0)[1:3]  # c stays in orbit 0
         b = next(q for q in np.flatnonzero(orbit_id == 1) if q // m == c // m)
