@@ -15,15 +15,13 @@ from .correspondence import (Config, CosetSpectrum, Report, SymplecticConstructi
                              render_table)
 from .dual_algebras import (GroupAction, SCAlgebra, a2_to_a1op_iso, build_A1_A2_star,
                             build_block_algebra)
-from .errors import AuditError, CotwistError, SeedRetryError
+from .errors import AuditError, CotwistError
 from .exactlin import CycArray, cyc_rank
 from .groups import (Bicharacter, DoubleCoset, FiniteGroup, Subgroup, build_elementary_abelian,
                      build_elementary_abelian_symplectic, build_semidirect,
                      character_exponents, double_cosets, stabilizer_Kg)
-from .projective import (ProjectiveRep, TensorClass, projective_rep_from_action,
-                         skolem_noether, tensor_class)
-from .semisimple import (WedderburnSpectrum, split_simple_retrying,
-                         wedderburn_dims_retrying)
+from .projective import TensorClass, tensor_class
+from .semisimple import WedderburnSpectrum, wedderburn_dims
 from .twist import (TriangularStructure, TwistAudit, TwistData, assemble_twist,
                     load_twist_matrix, make_twist, q_element_and_antipode_check,
                     save_twist_file, square_dimension_check, symplectic_twist,
@@ -33,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditError", "Bicharacter", "Config", "CosetSpectrum", "CotwistError",
-    "CycArray", "DoubleCoset", "FiniteGroup", "GroupAction",
-    "ProjectiveRep", "Report", "SCAlgebra", "SeedRetryError", "Subgroup",
+    "CycArray", "DoubleCoset", "FiniteGroup", "GroupAction", "Report", "SCAlgebra", "Subgroup",
     "SymplecticConstruction", "TableConstruction", "TensorClass", "TriangularStructure",
     "TwistAudit", "TwistData", "WedderburnSpectrum", "a2_to_a1op_iso",
     "assemble_twist", "build_A1_A2_star", "build_block_algebra",
@@ -42,9 +39,8 @@ __all__ = [
     "build_semidirect",
     "character_exponents", "cyc_rank", "double_cosets", "f_g_map",
     "full_report", "invariant_algebra_Ug", "load_twist_matrix", "make_twist",
-    "predicted_spectrum", "projective_rep_from_action",
-    "q_element_and_antipode_check", "render_json",
-    "render_table", "save_twist_file", "skolem_noether", "split_simple_retrying",
-    "square_dimension_check", "stabilizer_Kg", "symplectic_twist", "tensor_class",
-    "triangular_structure", "verify_twist_axioms", "wedderburn_dims_retrying",
+    "predicted_spectrum", "q_element_and_antipode_check", "render_json",
+    "render_table", "save_twist_file", "square_dimension_check", "stabilizer_Kg",
+    "symplectic_twist", "tensor_class", "triangular_structure", "verify_twist_axioms",
+    "wedderburn_dims",
 ]

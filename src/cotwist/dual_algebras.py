@@ -104,10 +104,6 @@ class SCAlgebra:
         """Always True; kept for the span recorder of ``perfbench/spans.py``."""
         return True
 
-    def mul_complex(self) -> np.ndarray:
-        """The constants embedded in C, for the float ``semisimple.split_simple``."""
-        return self.mul.embed()
-
 
 def gather_slice(S: CycArray, perms: np.ndarray) -> CycArray:
     """The dense constants mul[a, b, x] = S[perms[x, a], perms[x, b]], one a at a time."""

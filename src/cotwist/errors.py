@@ -6,12 +6,4 @@ class CotwistError(Exception):
 
 
 class AuditError(CotwistError):
-    """An exact or toleranced self-check failed."""
-
-
-class SeedRetryError(CotwistError):
-    """A randomized numeric step hit a degenerate configuration.
-
-    Retrying with a different seed is expected to succeed; callers that
-    need determinism should derive the retry seeds from the original one.
-    """
+    """An exact self-check failed."""

@@ -2,11 +2,11 @@
 
 Each translation alpha_a of A_1* or A_2* is inner, alpha_a(x) = u_a x u_a^-1,
 and a -> u_a is a projective representation of H whose class, pulled back to
-a stabilizer K_g, predicts a coset's spectrum.  For abelian H, u_a is one
-character chi_a of H, and the class is read exactly as an alternating
-bicharacter with exponents mod N (README, "Route (c), exactly").  The float
-route, Skolem-Noether intertwiners of a float split, is kept as library code
-(:func:`projective_rep_from_action`).
+a stabilizer K_g, predicts a coset's spectrum.  For abelian H with a minimal
+twist the class is a nondegenerate 2-cocycle on H^ (Movshev 1993), so u_a is
+one character chi_a of H, and the class is read exactly as an alternating
+bicharacter with exponents mod N (README, "Route (c), exactly").  No float
+step, tolerance or seed is involved.
 """
 
 from __future__ import annotations
@@ -22,180 +22,9 @@ from .exactlin import CycArray, cyc_tensordot, sum_counts
 from .groups import FiniteGroup, Subgroup, character_exponents, stabilizer_local_indices
 
 #: character_exponents lives in ``groups`` and is exported here too
-__all__ = ["ProjectiveRep", "TensorClass", "action_matrix", "certify_characters",
-           "character_exponents", "class_dims", "cocycle_identity_holds", "multiplicity_law_holds",
-           "projective_rep_from_action", "regular_trace_law", "skolem_noether", "tensor_class",
+__all__ = ["TensorClass", "certify_characters", "character_exponents", "class_dims",
+           "multiplicity_law_holds", "regular_trace_law", "tensor_class",
            "trace_vanishing_holds", "translation_characters"]
-
-#: residual tolerance for composite quantities (tensor products, traces)
-COMPOSITE_TOL = 1e-6
-#: cocycle identity tolerance
-COCYCLE_TOL = 1e-7
-
-
-@dataclass
-class ProjectiveRep:
-    """A projective representation with an explicit 2-cocycle.
-
-    ``T[a]`` is the n x n matrix of local group element a (T[0] = identity),
-    and ``c[a, b]`` is the nonzero scalar with T[a] T[b] = c(a,b) T[ab].
-    When the underlying splitting is compatible with a *-structure the
-    moduli |c| are all 1; in general they are an R+-valued coboundary away
-    from 1, which leaves every downstream spectrum unchanged.  ``group``
-    records which subgroup of the ambient group is represented; indices
-    into T and c are local (following group.elements order).
-    """
-
-    group: Subgroup
-    dim: int
-    T: np.ndarray
-    c: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.T.shape[0]
-
-    def validate(self, tol: float = COMPOSITE_TOL) -> None:
-        """Assert the gauge, the cocycle, and the defining relation.
-
-        The relation T[a] T[b] = c(a,b) T[ab] is the O(k^2 n^3) check; it runs
-        after the cheaper ones of :meth:`_validate_cocycle`.
-        """
-        self._validate_cocycle(tol)
-        prods = np.einsum("aij,bjk->abik", self.T, self.T)
-        target = self.c[:, :, None, None] * self.T[self.group.as_group.mul]
-        if np.max(np.abs(prods - target)) > tol * self.dim:
-            raise AuditError("T matrices do not satisfy the cocycle relation")
-
-    def _validate_cocycle(self, tol: float) -> None:
-        """Assert T[e] = I, bounded moduli |c| and the cocycle identity (O(k^3))."""
-        if not np.array_equal(self.T[0], np.eye(self.dim)):
-            raise AuditError("T[identity] is not the identity matrix")
-        moduli = np.abs(self.c)
-        if moduli.min() <= tol or moduli.max() >= 1.0 / tol:
-            raise AuditError("cocycle has vanishing or diverging values")
-        if not cocycle_identity_holds(self.group.as_group.mul, self.c, COCYCLE_TOL):
-            raise AuditError("cocycle identity fails")
-
-
-def cocycle_identity_holds(mul: np.ndarray, c: np.ndarray, tol: float = COCYCLE_TOL) -> bool:
-    """c(a,b) c(ab,d) = c(a,bd) c(b,d) for all a, b, d, within tol."""
-    lhs = c[:, :, None] * c[mul, :]          # c[a, b] * c[ab, d]
-    rhs = c[:, mul] * c[None, :, :]          # c[a, bd] * c[b, d]
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
-
-
-def action_matrix(perm: np.ndarray) -> np.ndarray:
-    """Permutation matrix of a basis permutation (delta_y -> delta_perm[y])."""
-    n = len(perm)
-    out = np.zeros((n, n))
-    out[perm, np.arange(n)] = 1.0
-    return out
-
-
-def _gauged(T: np.ndarray, tol: float) -> np.ndarray:
-    """T rescaled to Frobenius norm sqrt(n), then its first entry of magnitude
-    > tol in row-major order made positive real."""
-    T = T * (np.sqrt(T.shape[0]) / np.linalg.norm(T))
-    flat = T.ravel()
-    idx = np.nonzero(np.abs(flat) > tol)[0]
-    if idx.size == 0:
-        raise CotwistError("intertwiner is numerically zero")
-    phase = flat[idx[0]] / abs(flat[idx[0]])
-    return T * np.conj(phase)
-
-
-def skolem_noether(pi: np.ndarray, alpha: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """The matrix conjugating pi to pi∘alpha, in a reproducible gauge.
-
-    Solves T pi(x) = pi(alpha(x)) T over all basis elements x as a stacked
-    linear system; the solution space must be exactly one-dimensional (Schur)
-    or CotwistError is raised.  Gauge: Frobenius norm sqrt(n) and the first
-    entry of magnitude > tol in row-major order made positive real.  For
-    alpha = identity the identity matrix is returned directly.
-    """
-    dim, n, _ = pi.shape
-    alpha = np.asarray(alpha, dtype=complex)
-    if np.array_equal(alpha, np.eye(dim)):
-        return np.eye(n, dtype=complex)
-    pia = np.einsum("ky,kab->yab", alpha, pi)
-    eye = np.eye(n)
-    # row-major vec: vec(A T) = (A x I) vec T, vec(T B) = (I x B^T) vec T
-    blocks = np.einsum("xab,cd->xacbd", pia, eye) - np.einsum("ab,xdc->xacbd", eye, pi)
-    system = blocks.reshape(dim * n * n, n * n)
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    small = int(np.count_nonzero(svals < tol * scale * n))
-    if small != 1:
-        raise CotwistError(
-            f"intertwiner space has dimension {small}, expected 1 "
-            "(representation not irreducible or map not an automorphism)"
-        )
-    T = _gauged(vh[-1].conj().reshape(n, n), tol)
-    residual = np.max(np.abs(np.einsum("ab,xbc->xac", T, pi) - np.einsum("xab,bc->xac", pia, T)))
-    if residual > tol * n * 10:
-        raise CotwistError(f"intertwiner residual {residual:g} too large")
-    return T
-
-
-def projective_rep_from_action(A: SCAlgebra, act: GroupAction, pi: np.ndarray,
-                               subgroup: Subgroup | None = None,
-                               tol: float = 1e-8) -> ProjectiveRep:
-    """Projective representation induced by a free automorphism action.
-
-    Skolem-Noether is solved only for the generators s of
-    ``act.group.generating_words``.  T[identity] is the identity, and in
-    breadth-first order every other T[a] = T[parent[a]] T[s] along its word,
-    brought back to the gauge of :func:`skolem_noether`.  This is sound
-    because ``GroupAction.verify`` checks perms[a s] = perms[a] o perms[s]:
-    if T[a] and T[s] intertwine alpha_a and alpha_s, then
-
-        T[a] T[s] pi(x) = T[a] pi(alpha_s(x)) T[s] = pi(alpha_a(alpha_s(x))) T[a] T[s],
-
-    so T[a] T[s] intertwines alpha_a o alpha_s = alpha_{as}.  Schur's check
-    that the intertwiner space is one-dimensional is a property of pi: the
-    space for alpha_a is T[a] times the commutant of pi, so the generator
-    solves certify it for every a, and each T[a] equals the direct solve up
-    to rounding.  The intertwining residual |T[a] pi(x) - pi(alpha_a(x)) T[a]|
-    is still checked for every a and x, in one batched product against the
-    direct solve's bound 10 * tol * n, with pi(alpha_a(x)) gathered as
-    pi[perms[a][x]].
-
-    The 2-cocycle is read off from all T[a] T[b] against T[ab] at once, by a
-    least-squares scalar fit.  Its residual is the product law of the rep and
-    is checked once, against the tighter of the intertwiner bound 10 * tol
-    and COMPOSITE_TOL, times n; then the gauge, the moduli and the cocycle
-    identity are checked.  The raw scalars are kept as-is: when
-    pi is not unitary the moduli |c| need not equal 1, but they differ from a
-    unimodular cocycle only by an R+-valued coboundary, which never changes
-    the isomorphism class of the twisted algebra C_c[K].
-    """
-    k = act.group.order
-    n = pi.shape[1]
-    gens, order, parent, via = act.group.generating_words
-    gen_T = [skolem_noether(pi, action_matrix(act.perms[s]), tol) for s in gens]
-    T = np.empty((k, n, n), dtype=complex)
-    T[0] = np.eye(n)
-    for a in order[1:]:
-        T[a] = _gauged(T[parent[a]] @ gen_T[via[a]], tol)
-    residual = np.max(np.abs(T[:, None] @ pi - pi[act.perms] @ T[:, None]))
-    if residual > 10 * tol * n:
-        raise CotwistError(f"intertwiner residual {residual:g} too large")
-    prods = np.einsum("aij,bjk->abik", T, T)
-    tgt = T[act.group.mul]  # [a, b] -> T[ab]
-    c = (np.einsum("abij,abij->ab", tgt.conj(), prods)
-         / np.einsum("abij,abij->ab", tgt.conj(), tgt))
-    if np.max(np.abs(prods - c[:, :, None, None] * tgt)) > min(10 * tol, COMPOSITE_TOL) * n:
-        raise CotwistError("T[a] T[b] is not a scalar multiple of T[ab]")
-    if subgroup is None:
-        subgroup = Subgroup(act.group, np.arange(k))
-    rep = ProjectiveRep(group=subgroup, dim=n, T=T, c=c)
-    rep._validate_cocycle(COMPOSITE_TOL)
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# the exact route: characters of an abelian H
 
 
 def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.ndarray:
@@ -224,6 +53,11 @@ def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.
         X[a] = (X[parent[a]] + gen_X[via[a]]) % order
     certify_characters(A, act, X)
     return X
+
+
+# second binding of the unit implementing each translation: perfbench/spans.py LAYERS
+# times it under this name
+projective_rep_from_action = translation_characters
 
 
 def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:

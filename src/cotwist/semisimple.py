@@ -13,9 +13,6 @@ the center first (:func:`center_basis`):
   it is a twisted group algebra of Q^: |R| blocks of sqrt(n / |R|), R the
   radical of the commutator of C.  One product C = F^T S F mod l decides
   it, with no elimination, and the n^3 constants are never gathered.
-
-:func:`split_simple`, a seeded float construction of the irreducible
-representation of a simple algebra, is library code that no report runs.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
-from .errors import CotwistError, SeedRetryError
+from .errors import CotwistError
 from .exactlin import (CycArray, _largest, _modular_image, _modular_root, _rank_mod,
                        chunk_rows, counts_equal, cyc_tensordot)
 from .groups import FiniteGroup, character_exponents, character_products, greedy_generators
@@ -35,8 +32,6 @@ from .groups import FiniteGroup, character_exponents, character_products, greedy
 #: larger algebras are audited on a fixed-seed sample of triples.
 EXHAUSTIVE_AUDIT_DIM = 32
 _AUDIT_SAMPLES = 200
-_CLUSTER_GUARD = 10.0  # clusters separated by less than this multiple of the
-                       # merge threshold are treated as ambiguous
 #: primes l = 1 (mod N) a split mod l tries before it refuses an algebra
 SPLIT_PRIMES = 3
 
@@ -46,22 +41,6 @@ class WedderburnSpectrum:
     """Block dimensions of a semisimple algebra, ascending."""
 
     dims: list[int]
-
-
-def derived_seed(seed: int, attempt: int) -> int:
-    """Deterministic per-attempt reseeding for retryable random routines."""
-    return int(np.random.SeedSequence([seed & 0xFFFFFFFF, attempt]).generate_state(1)[0])
-
-
-def with_seed_retries(fn, seed: int, attempts: int = 10):
-    """Call fn(seed_k) with deterministically derived seeds until it succeeds."""
-    last = None
-    for attempt in range(attempts):
-        try:
-            return fn(seed if attempt == 0 else derived_seed(seed, attempt))
-        except SeedRetryError as exc:
-            last = exc
-    raise CotwistError(f"still failing after {attempts} seeds: {last}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +241,10 @@ def wedderburn_dims(A: SCAlgebra) -> WedderburnSpectrum:
                        "(non-semisimple input?)")
 
 
-# second binding of the one split: perfbench/spans.py LAYERS times it under this name
+# second bindings: perfbench/spans.py LAYERS times the one split, and the split of a
+# noncommutative algebra into blocks, under these names
 wedderburn_dims_retrying = wedderburn_dims
+split_simple_retrying = _graded_center
 
 
 def _split_mod(A: SCAlgebra, ell: int, omega: int) -> list[int] | None:
@@ -286,100 +267,3 @@ def _split_mod(A: SCAlgebra, ell: int, omega: int) -> list[int] | None:
         block = s[ks[:, :, None], ks[:, None, :]]                       # [k, i, j]
         T = (T + (block * tau[lo:lo + step, None, None] % ell).sum(axis=0)) % ell
     return [1] * n if _rank_mod(T, ell) == n else None
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue clustering
-
-
-def _cluster_values(vals: np.ndarray, delta: float):
-    """Connected components of the 'closer than delta' graph, with a gap guard.
-
-    Raises SeedRetryError when two distinct clusters come closer than
-    _CLUSTER_GUARD * delta (ambiguous separation).
-    """
-    m = len(vals)
-    dist = np.abs(vals[:, None] - vals[None, :])
-    adj = dist < delta
-    labels = np.full(m, -1, dtype=int)
-    current = 0
-    for i in range(m):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = current
-        while stack:
-            j = stack.pop()
-            for k in np.nonzero(adj[j])[0]:
-                if labels[k] < 0:
-                    labels[k] = current
-                    stack.append(k)
-        current += 1
-    if current > 1:
-        inter = dist[labels[:, None] != labels[None, :]]
-        if inter.size and inter.min() < _CLUSTER_GUARD * delta:
-            raise SeedRetryError("eigenvalue clusters are too close to separate")
-    return labels, current
-
-
-# ---------------------------------------------------------------------------
-# splitting a simple algebra
-
-
-def split_simple(A: SCAlgebra, seed: int, tol: float = 1e-8) -> np.ndarray:
-    """Irreducible representation of a simple algebra (dim = n*n, A = M_n).
-
-    Picks a seed-driven random element a, eigen-decomposes the
-    right-multiplication operator R_a, selects an eigenvalue cluster whose
-    eigenspace has dimension exactly n (a left submodule, as left and right
-    multiplications commute), and returns pi with pi[x] = the matrix of left
-    multiplication by basis element x on that submodule.  Asserts the
-    homomorphism residual, pi(unit) = identity, and that the flattened images
-    span all n x n matrices.  Raises SeedRetryError on degenerate draws.
-    """
-    dim = A.dim
-    n = int(round(np.sqrt(dim)))
-    if n * n != dim:
-        raise CotwistError(f"dimension {dim} is not a perfect square; algebra not simple")
-    mul = A.mul_complex()
-    unit = A.unit.embed()
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-    Ra = np.einsum("l,jlk->kj", a, mul)
-    vals, vecs = np.linalg.eig(Ra)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    labels, count = _cluster_values(vals, tol * scale)
-    sizes = np.bincount(labels, minlength=count)
-    candidates = [i for i in range(count) if sizes[i] == n]
-    if not candidates:
-        raise SeedRetryError("no eigenvalue cluster of multiplicity n (degenerate element)")
-    # deterministic choice: largest |eigenvalue| representative
-    reps = [np.max(np.abs(vals[labels == i])) for i in candidates]
-    chosen = candidates[int(np.argmax(reps))]
-
-    raw = vecs[:, labels == chosen]
-    B, Rq = np.linalg.qr(raw)
-    if np.min(np.abs(np.diag(Rq))) < tol * max(1.0, float(np.max(np.abs(Rq)))):
-        raise SeedRetryError("eigenspace basis is numerically degenerate")
-
-    LB = mul.transpose(0, 2, 1) @ B  # [x, k, l]: left multiplication by x, applied to B
-    pi = B.conj().T @ LB
-
-    invariance = LB - B @ pi
-    if np.max(np.abs(invariance)) > tol * dim:
-        raise SeedRetryError("selected eigenspace is not invariant to tolerance")
-
-    hom = pi[:, None] @ pi[None] - np.tensordot(mul, pi, axes=([2], [0]))  # [x, y, a, c]
-    if np.max(np.abs(hom)) > tol * dim:
-        raise SeedRetryError("homomorphism residual too large")
-    pi_unit = np.einsum("i,iab->ab", unit, pi)
-    if np.max(np.abs(pi_unit - np.eye(n))) > tol * dim:
-        raise SeedRetryError("unit does not map to the identity")
-    if np.linalg.matrix_rank(pi.reshape(dim, n * n), tol=1e-6) != dim:
-        raise SeedRetryError("representation images do not span the full matrix algebra")
-    return pi
-
-
-def split_simple_retrying(A: SCAlgebra, seed: int, tol: float = 1e-8) -> np.ndarray:
-    return with_seed_retries(lambda s: split_simple(A, s, tol), seed)

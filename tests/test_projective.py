@@ -1,14 +1,13 @@
-"""Projective representations from algebra actions: the exact route through
-characters of H (translation characters, the regular-trace law, the tensor
-class on K_g and its laws) and the float library route (intertwiners,
-cocycles), which cross-validates it."""
+"""Projective representations from algebra actions, read exactly through
+characters of H: translation characters, the regular-trace law, the tensor
+class on K_g and its laws.  A float split with Skolem-Noether intertwiners
+(``float_reference``) cross-validates the class."""
 
 import cmath
 
 import numpy as np
 import pytest
 
-from cotwist import projective, semisimple
 from cotwist.cli import main as cli_main
 from cotwist.correspondence import predicted_spectrum
 from cotwist.dual_algebras import GroupAction, build_A1_A2_star
@@ -16,211 +15,30 @@ from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray, cyc_tensordot
 from cotwist.groups import (FiniteGroup, Subgroup, build_elementary_abelian_symplectic,
                             stabilizer_Kg, stabilizer_local_indices)
-from cotwist.projective import (COMPOSITE_TOL, ProjectiveRep, action_matrix,
-                                certify_characters, character_exponents, class_dims,
-                                cocycle_identity_holds, multiplicity_law_holds,
-                                projective_rep_from_action, regular_trace_law,
-                                skolem_noether, tensor_class, trace_vanishing_holds,
-                                translation_characters)
-from cotwist.semisimple import split_simple_retrying
+from cotwist.projective import (certify_characters, character_exponents, class_dims,
+                                multiplicity_law_holds, regular_trace_law, tensor_class,
+                                trace_vanishing_holds, translation_characters)
 from cotwist.twist import symplectic_twist
+from float_reference import intertwiner, irreducible_rep
 
 
-def m2_identity_rep():
-    """pi for M_2 in the matrix-unit basis: pi(E_ij) = E_ij as 2x2 matrices."""
-    pi = np.zeros((4, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            pi[i * 2 + j, i, j] = 1.0
-    return pi
+def float_translations(A, rho, seed):
+    """T[a] implementing each translation alpha_a on a float split of A."""
+    pi = irreducible_rep(A, seed)
+    return np.stack([intertwiner(pi, perm) for perm in rho.perms])
 
 
-def conjugation_alpha(U):
-    """alpha matrix (on the matrix-unit basis) of x -> U x U^-1."""
-    Uinv = np.linalg.inv(U)
-    alpha = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[i, j] = 1.0
-            img = U @ E @ Uinv
-            for k in range(2):
-                for l in range(2):
-                    # alpha[target, source]: image coefficients in the basis
-                    alpha[k * 2 + l, i * 2 + j] = img[k, l]
-    return alpha
-
-
-def test_skolem_noether_recovers_conjugator():
-    pi = m2_identity_rep()
-    theta = 0.7
-    U = np.array([[cmath.exp(1j * theta), 0.3], [0.0, 1.0]], dtype=complex)
-    alpha = conjugation_alpha(U)
-    T = skolem_noether(pi, alpha)
-    # T must be proportional to U (both implement the same conjugation)
-    ratios = T[np.abs(U) > 1e-9] / U[np.abs(U) > 1e-9]
-    assert np.max(np.abs(ratios - ratios[0])) < 1e-8
-    # gauge: Frobenius norm sqrt(n), first big entry positive real
-    assert abs(np.linalg.norm(T) - np.sqrt(2)) < 1e-8
-    # intertwining property directly
-    lhs = np.einsum("ab,xbc->xac", T, pi)
-    pia = np.einsum("ky,kab->yab", alpha, pi)
-    rhs = np.einsum("xab,bc->xac", pia, T)
-    assert np.max(np.abs(lhs - rhs)) < 1e-7
-
-
-def test_skolem_noether_identity_fast_path():
-    pi = m2_identity_rep()
-    T = skolem_noether(pi, np.eye(4, dtype=complex))
-    assert np.array_equal(T, np.eye(2, dtype=complex))
-
-
-def test_skolem_noether_rejects_reducible():
-    # two scalar copies: intertwiner space of the swap has dimension 4
-    pi = np.stack([np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    with pytest.raises(CotwistError):
-        skolem_noether(pi, swap)
-
-
-def test_action_matrix():
-    perm = np.array([2, 0, 1])
-    M = action_matrix(perm)
-    v = np.array([1.0, 2.0, 3.0])
-    out = M @ v
-    expected = np.zeros(3)
-    expected[perm] = v
-    assert np.allclose(out, expected)
-
-
-def test_cocycle_identity_holds_detects_violation():
-    # on Z/2 every counital 2-cochain is a cocycle; Z/3 is the smallest
-    # cyclic group where a single off-value breaks the identity
-    table2 = ((np.arange(2)[:, None] + np.arange(2)[None, :]) % 2).astype(np.int64)
-    assert cocycle_identity_holds(table2, np.ones((2, 2), dtype=complex), 1e-12)
-    anything = np.ones((2, 2), dtype=complex)
-    anything[1, 1] = -1j
-    assert cocycle_identity_holds(table2, anything, 1e-12)
-
-    table3 = ((np.arange(3)[:, None] + np.arange(3)[None, :]) % 3).astype(np.int64)
-    bad = np.ones((3, 3), dtype=complex)
-    bad[1, 1] = 1j  # c(1,1) c(2,2) != c(1,0) c(1,2) at (a,b,d) = (1,1,2)
-    assert not cocycle_identity_holds(table3, bad, 1e-12)
-
-
-@pytest.fixture(scope="module")
-def p3_reps(p3_twist, p3_duals):
-    A1, A2, rho1, rho2 = p3_duals
-    pi1 = split_simple_retrying(A1, seed=11)
-    pi2 = split_simple_retrying(A2, seed=12)
-    sub = Subgroup(p3_twist.group, np.arange(9))
-    V1 = projective_rep_from_action(A1, rho1, pi1, sub)
-    V2 = projective_rep_from_action(A2, rho2, pi2, sub)
-    return V1, V2
-
-
-def test_projective_reps_validate(p3_reps):
-    V1, V2 = p3_reps
-    for V in (V1, V2):
-        assert V.dim == 3 and V.size == 9
-        V.validate()
-        assert np.max(np.abs(np.abs(V.c) - 1)) < 1e-9
-
-
-def test_cocycle_is_the_pairwise_fit(p3_reps):
-    """c[a, b] is the least-squares scalar of T[a] T[b] against T[ab]."""
-    for V in p3_reps:
-        mul = V.group.as_group.mul
-        for a in range(V.size):
-            for b in range(V.size):
-                tgt = V.T[mul[a, b]]
-                fit = np.vdot(tgt, V.T[a] @ V.T[b]) / np.vdot(tgt, tgt)
-                assert abs(V.c[a, b] - fit) < 1e-12
-
-
-def test_product_law_checked_on_extraction(monkeypatch, p3_twist, p3_duals):
-    """A word-built T[a] perturbed off the product law is refused by name.
-
-    Element 4 = 3 . 1 is no generator, so its T is the gauged word product,
-    perturbed here; the residual check, which covers every T[a] before the
-    product-law contraction, names it."""
-    import cotwist.projective as proj
-
-    A1, _, rho1, _ = p3_duals
-    pi1 = split_simple_retrying(A1, seed=11)
-    assert 4 not in rho1.group.generating_words[0]
-    direct = skolem_noether(pi1, action_matrix(rho1.perms[4]))
-    gauged = proj._gauged
-
-    def perturbed(T, tol):
-        T = gauged(T, tol)
-        if np.allclose(T, direct):
-            T = T.copy()
-            T[0, 0] += 1e-3
-        return T
-
-    monkeypatch.setattr(proj, "_gauged", perturbed)
-    with pytest.raises(CotwistError, match="intertwiner residual"):
-        projective_rep_from_action(A1, rho1, pi1, Subgroup(p3_twist.group, np.arange(9)))
+def commutator_defect(T, beta, order) -> float:
+    """max |T_i T_j - zeta_N^beta[i, j] T_j T_i|: zero or not whatever scale each T_i takes."""
+    ab, ba = T[:, None] @ T[None], T[None] @ T[:, None]  # [i, j]: T_i T_j, T_j T_i
+    zeta = cmath.exp(2j * cmath.pi / order)
+    return float(np.max(np.abs(ab - zeta ** beta[:, :, None, None] * ba)))
 
 
 @pytest.fixture(scope="module")
 def p5_duals():
     H, sigma = build_elementary_abelian_symplectic(5, 1)
     return build_A1_A2_star(symplectic_twist(H, sigma))
-
-
-@pytest.mark.parametrize("duals", ["p3_duals", "p5_duals"])
-def test_word_built_intertwiners_match_direct_solves(duals, request):
-    """Every T[a] from a word equals the direct Skolem-Noether solve for
-    alpha_a within the solve's own residual bound 10 * tol * n."""
-    A1, A2, rho1, rho2 = request.getfixturevalue(duals)
-    for A, rho, seed in ((A1, rho1, 11), (A2, rho2, 12)):
-        pi = split_simple_retrying(A, seed=seed)
-        V = projective_rep_from_action(A, rho, pi)
-        bound = 10 * 1e-8 * pi.shape[1]
-        for a in range(rho.group.order):
-            direct = skolem_noether(pi, action_matrix(rho.perms[a]))
-            assert np.max(np.abs(V.T[a] - direct)) <= bound
-
-
-@pytest.mark.parametrize("corruption", ["entry", "another element's solve"])
-def test_corrupted_generator_intertwiner_is_refused(corruption, monkeypatch, p3_duals):
-    """A wrong intertwiner for generator 3 spoils every word through it."""
-    import cotwist.projective as proj
-
-    A1, _, rho1, _ = p3_duals
-    pi1 = split_simple_retrying(A1, seed=11)
-    solve, generator = proj.skolem_noether, action_matrix(rho1.perms[3])
-
-    def corrupted(pi, alpha, tol):
-        if not np.array_equal(alpha, generator):
-            return solve(pi, alpha, tol)
-        if corruption == "entry":
-            T = solve(pi, alpha, tol).copy()
-            T[0, 0] += 1e-3
-            return T
-        return solve(pi, action_matrix(rho1.perms[6]), tol)
-
-    monkeypatch.setattr(proj, "skolem_noether", corrupted)
-    with pytest.raises(CotwistError, match="intertwiner residual|not a scalar multiple"):
-        projective_rep_from_action(A1, rho1, pi1)
-
-
-@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
-def test_skolem_noether_runs_once_per_generator(p, n, monkeypatch):
-    """(Z/p)^(2n) has 2n generators: 2n solves per action, not |H| - 1."""
-    import cotwist.projective as proj
-
-    H, sigma = build_elementary_abelian_symplectic(p, n)
-    A1, A2, rho1, rho2 = build_A1_A2_star(symplectic_twist(H, sigma))
-    calls, solve = [], proj.skolem_noether
-    monkeypatch.setattr(proj, "skolem_noether",
-                        lambda pi, alpha, tol: calls.append(1) or solve(pi, alpha, tol))
-    for A, rho, seed in ((A1, rho1, 1), (A2, rho2, 2)):
-        calls.clear()
-        projective_rep_from_action(A, rho, split_simple_retrying(A, seed=seed))
-        assert len(calls) == len(H.generating_words[0]) == 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +196,17 @@ def test_regular_trace_law(p3_pair, p3_duals):
         assert np.array_equal(t, [3] + [0] * 8)
 
 
-def test_cocycle_class_oracle(p3_pair, p3_duals, p3_reps):
+def test_cocycle_class_oracle(p3_pair, p3_duals):
     """The exact commutators are the symplectic pairing and its inverse, and
-    equal the gauge-invariant c(a, b)/c(b, a) of the float representations."""
+    are those of the intertwiners of a float split: T_a T_b = zeta^beta(a, b) T_b T_a."""
     H, sigma = p3_pair
+    A1, A2, rho1, rho2 = p3_duals
     (X1, X2), _, _ = p3_class_inputs(p3_pair, p3_duals)
     beta1, beta2 = -X1.T % 3, X2.T  # beta_1(a, b) = chi_b(a)^-1, beta_2(a, b) = chi_b(a)
     assert np.array_equal(beta1, sigma.exponents % 3)
     assert np.array_equal(beta2, -beta1 % 3)
-    zeta = cmath.exp(2j * cmath.pi / 3)
-    for beta, V in zip((beta1, beta2), p3_reps):
-        assert np.max(np.abs(V.c / V.c.T - zeta ** beta)) < 1e-8
+    for beta, A, rho, seed in ((beta1, A1, rho1, 11), (beta2, A2, rho2, 12)):
+        assert commutator_defect(float_translations(A, rho, seed), beta, 3) < 1e-8
 
 
 def test_pullback_at_identity_gives_plain_spectrum(p3_pair, p3_duals):
@@ -413,19 +231,17 @@ def test_pullback_on_nontrivial_coset(p3_diag_bundle):
 @pytest.mark.parametrize("bundle", ["p5_diag_bundle", "wreath_bundle"])
 def test_tensor_rep_is_the_kron_of_each_pair(bundle, request):
     """The exact commutator beta_W is that of T_W[a] = np.kron(T_2[a], T_1[a'])
-    built from the float representations, on every coset."""
+    built from the float intertwiners, on every coset."""
     inst, ctx, zs = request.getfixturevalue(bundle)
-    V1, V2 = (projective_rep_from_action(A, rho, split_simple_retrying(A, seed=seed), inst.H)
+    T1, T2 = (float_translations(A, rho, seed)
               for A, rho, seed in ((ctx.A1s, ctx.rho1, 11), (ctx.A2s, ctx.rho2, 12)))
-    zeta = cmath.exp(2j * cmath.pi / inst.t.order)
     for z in zs:
         g = z.representative
         Kg = stabilizer_Kg(inst.G, inst.H, g)
         _, W = predicted_spectrum(z, g, ctx, Kg)
         a_loc, conj_loc = stabilizer_local_indices(inst.H, Kg, g)
-        T = np.stack([np.kron(V2.T[a], V1.T[b]) for a, b in zip(a_loc, conj_loc)])
-        ab, ba = T[:, None] @ T[None], T[None] @ T[:, None]  # [i, j]: T_i T_j, T_j T_i
-        assert np.max(np.abs(ab - zeta ** W.beta[:, :, None, None] * ba)) < 1e-6
+        T = np.stack([np.kron(T2[a], T1[b]) for a, b in zip(a_loc, conj_loc)])
+        assert commutator_defect(T, W.beta, inst.t.order) < 1e-6
 
 
 def test_pullback_checks_the_tensor_cocycle(p3_pair, p3_duals):
@@ -481,16 +297,14 @@ def test_trivial_group_projective():
 def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
     """`cotwist spectrum` on p=3 `1,1,0,1`, on criterion 9's table and on
     criterion 10's second twist runs no float step: every ``np.linalg``
-    function and ``SCAlgebra.mul_complex`` raise when called, no
-    Skolem-Noether system is solved and no simple algebra is split in
-    floating point.  The two tables hold the blocks and U_g whose split is
-    neither one block nor commutative: [3, 3, 3] and [4, 4, 4, 4]."""
+    function raises when called.  The two tables hold the blocks and U_g
+    whose split is neither one block nor commutative: [3, 3, 3] and
+    [4, 4, 4, 4]."""
     import json
 
     from instances import CRITERION_9, CRITERION_10, write_instance
 
     from cotwist import correspondence
-    from cotwist.dual_algebras import SCAlgebra
 
     def forbidden(name):
         def raiser(*args, **kwargs):
@@ -500,9 +314,6 @@ def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
     for name in np.linalg.__all__:
         if not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, forbidden(f"np.linalg.{name}"))
-    monkeypatch.setattr(SCAlgebra, "mul_complex", forbidden("SCAlgebra.mul_complex"))
-    monkeypatch.setattr(projective, "skolem_noether", forbidden("skolem_noether"))
-    monkeypatch.setattr(semisimple, "split_simple_retrying", forbidden("split_simple_retrying"))
     splits, split = [], correspondence.wedderburn_dims
 
     def recording(A):
@@ -526,26 +337,3 @@ def test_spectrum_runs_no_float_projective_route(monkeypatch, tmp_path, capsys):
         assert general in splits, label
         assert any(c["dims_direct"] == c["dims_invariant"] == c["dims_predicted"] == general
                    for c in cosets), label
-
-
-def test_projective_rep_validate_catches_broken_cocycle(p3_reps):
-    V1, _ = p3_reps
-    broken = ProjectiveRep(group=V1.group, dim=V1.dim, T=V1.T.copy(),
-                           c=V1.c * np.exp(0.001j))
-    with pytest.raises(AuditError):
-        broken.validate()
-
-
-def test_projective_rep_validate_catches_corrupted_matrix(p3_reps):
-    """One T[a] perturbed, c left as it is: the gauge, the moduli and the
-    cocycle identity cannot see it, the product law fails it by name.  W
-    inherits its product law from V1 and V2 through this check."""
-    V1, _ = p3_reps
-    T = V1.T.copy()
-    T[4, 0, 0] += 1e-3
-    broken = ProjectiveRep(group=V1.group, dim=V1.dim, T=T, c=V1.c.copy())
-    broken._validate_cocycle(COMPOSITE_TOL)
-    with pytest.raises(AuditError, match="cocycle relation"):
-        broken.validate()
-
-

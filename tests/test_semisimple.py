@@ -1,7 +1,6 @@
 """Wedderburn decomposition on exact algebras with known spectra: the graded
 certificate of a slice-form algebra, the trace-form split of a commutative
-one and the refusals by name, plus the seeded float splitter of a simple
-algebra and its retry machinery."""
+one and the refusals by name."""
 
 import copy
 import itertools
@@ -14,13 +13,12 @@ import pytest
 
 from cotwist import dual_algebras, semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra, gather_slice
-from cotwist.errors import AuditError, CotwistError, SeedRetryError
+from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root,
                               canonical_counts, cyc_nullspace, cyc_tensordot)
 from cotwist.groups import FiniteGroup, character_exponents, double_cosets, stabilizer_Kg
 from cotwist.semisimple import (_grading_characters, _grading_product, _split_mod,
-                                algebra_audit, center_basis, derived_seed,
-                                split_simple_retrying, wedderburn_dims, with_seed_retries)
+                                algebra_audit, center_basis, wedderburn_dims)
 
 
 def function_algebra(k, order=1):
@@ -776,70 +774,6 @@ def test_wedderburn_exact_input(p3_diag_bundle):
     inst, _, zs = p3_diag_bundle
     blk0 = build_block_algebra(inst.t, zs[0])
     assert wedderburn_dims(blk0).dims == [1] * 9
-
-
-def test_split_simple_gives_matrix_rep(p3_diag_bundle):
-    inst, _, zs = p3_diag_bundle
-    blk = build_block_algebra(inst.t, zs[1])
-    pi = split_simple_retrying(blk, seed=0)
-    assert pi.shape == (9, 3, 3)
-    mulc = blk.mul_complex()
-    # homomorphism: pi(x) pi(y) = sum_z mul[x,y,z] pi(z)
-    lhs = np.einsum("xab,ybc->xyac", pi, pi)
-    rhs = np.einsum("xyz,zac->xyac", mulc, pi)
-    assert np.max(np.abs(lhs - rhs)) < 1e-7
-    # unit maps to the identity
-    ident = np.einsum("x,xab->ab", blk.unit.embed(), pi)
-    assert np.max(np.abs(ident - np.eye(3))) < 1e-8
-
-
-def test_split_simple_seeds_give_equivalent_reps(p3_diag_bundle):
-    """Two random splittings are intertwined by an invertible matrix."""
-    inst, _, zs = p3_diag_bundle
-    blk = build_block_algebra(inst.t, zs[1])
-    pa = split_simple_retrying(blk, seed=3)
-    pb = split_simple_retrying(blk, seed=40)
-    n = pa.shape[1]
-    # solve T pa(x) = pb(x) T for all x: stack the Sylvester systems
-    blocks = (np.einsum("xab,cd->xacbd", pb, np.eye(n))
-              - np.einsum("ab,xdc->xacbd", np.eye(n), pa))
-    system = blocks.reshape(pa.shape[0] * n * n, n * n)
-    svals = np.linalg.svd(system, compute_uv=False)
-    assert svals[-1] < 1e-8 * svals[0]          # an intertwiner exists
-    assert svals[-2] > 1e-4 * svals[0]          # and it is unique (irreducible)
-
-
-def test_split_simple_rejects_nonsimple():
-    A = function_algebra(4)
-    with pytest.raises(CotwistError):
-        split_simple_retrying(A, seed=0)
-
-
-def test_derived_seed_deterministic():
-    assert derived_seed(7, 3) == derived_seed(7, 3)
-    assert derived_seed(7, 3) != derived_seed(7, 4)
-    assert derived_seed(8, 3) != derived_seed(7, 3)
-
-
-def test_with_seed_retries():
-    calls = []
-
-    def flaky(seed):
-        calls.append(seed)
-        if len(calls) < 3:
-            raise SeedRetryError("degenerate")
-        return seed
-
-    out = with_seed_retries(flaky, 5)
-    assert out == calls[2]
-    assert calls[0] == 5
-    assert len(set(calls)) == 3
-
-    def hopeless(seed):
-        raise SeedRetryError("always")
-
-    with pytest.raises(CotwistError):
-        with_seed_retries(hopeless, 5)
 
 
 def test_algebra_audit_rejects_nonassociative():

@@ -1,12 +1,15 @@
 """The suite itself: no test module defines a test name twice, no module
-of the suite or the package imports a name it never reads, and no module of
-the package keeps a container at module level.
+of the suite or the package imports a name it never reads, no module of
+the package keeps a container at module level, and none reaches
+``numpy.linalg``.
 
 Python keeps only the last top-level ``def`` of a name, so an earlier test of
 the same name is silently never collected.  A module-level dict, list or set
 is shared by every run in the process: the benchmark runs many operations in
 one process, so a cache kept there would carry work from one into the next.
-Per-run caches live on per-run objects.
+Per-run caches live on per-run objects.  Every split and class the package
+reads is exact, so a float eigensolve or SVD in it is a route no certificate
+covers; the tests' float oracle lives in ``float_reference``.
 """
 
 import ast
@@ -84,4 +87,32 @@ def test_no_module_level_state():
         names = module_level_containers(ast.parse(path.read_text(), filename=str(path)))
         if names:
             found[path.name] = names
+    assert found == {}
+
+
+def linalg_uses(tree: ast.Module) -> list[str]:
+    """Imports of ``numpy.linalg`` or of a name from it, and reads of a ``.linalg`` attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if "linalg" in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) and (
+                "linalg" in (node.module or "").split(".")
+                or any(alias.name == "linalg" for alias in node.names)):
+            found.append(f"from {node.module} import")
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_package_runs_no_linalg():
+    sample = ("import numpy.linalg\nfrom numpy import linalg\nfrom numpy.linalg import svd\n"
+              "x = np.linalg.eig(a)\ny = np.dot(a, b)\n")
+    assert linalg_uses(ast.parse(sample)) == ["numpy.linalg", "from numpy import",
+                                              "from numpy.linalg import", "np.linalg"]
+    found = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        uses = linalg_uses(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            found[path.name] = uses
     assert found == {}
