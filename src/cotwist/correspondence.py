@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +85,6 @@ class TableConstruction:
 class Config:
     construction: object
     seed: int = 0
-    tol: float = 1e-8
     out: str = "-"
 
 
@@ -469,9 +468,11 @@ def _coset_pipeline(ctx: InstanceContext, Z: DoubleCoset):
 
 @dataclass
 class Report:
+    """The run's report; its fields, in order, are the JSON report's keys."""
+
     instance: dict
     seed: int
-    tol: float
+    tol: float = field(default=1e-8, init=False)  # fixed by the format; every check is exact
     global_checks: dict
     cosets: list
     failures: list
@@ -581,50 +582,20 @@ def full_report(config: Config, jobs: int = 1, global_only: bool = False) -> Rep
             failures.append(
                 f"double cosets sum to {totals['coset_size_total']} != |G| = {G.order}")
     return Report(instance=instance.description, seed=int(config.seed),
-                  tol=float(config.tol), global_checks=checks, cosets=cosets,
-                  failures=failures, totals=totals)
+                  global_checks=checks, cosets=cosets, failures=failures, totals=totals)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _fmt_float(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def report_to_dict(report: Report) -> dict:
-    return {
-        "instance": report.instance,
-        "seed": report.seed,
-        "tol": _fmt_float(report.tol),
-        "global_checks": {
-            "twist_axioms": bool(report.global_checks["twist_axioms"]),
-            "triangularity": bool(report.global_checks["triangularity"]),
-            "minimality_rank": int(report.global_checks["minimality_rank"]),
-            "q_identity": bool(report.global_checks["q_identity"]),
-            "square_dim": int(report.global_checks["square_dim"]),
-        },
-        "cosets": [
-            {
-                "rep": c.rep,
-                "size": c.size,
-                "k_size": c.k_size,
-                "dims_direct": list(c.dims_direct),
-                "dims_invariant": list(c.dims_invariant),
-                "dims_predicted": list(c.dims_predicted),
-                "kaplansky_ok": bool(c.kaplansky_ok),
-                "identities_ok": bool(c.identities_ok),
-            }
-            for c in report.cosets
-        ],
-        "failures": list(report.failures),
-        "totals": report.totals,
-    }
+def _fields(obj) -> dict:
+    """A dataclass's fields in order, one level (``asdict`` deep-copies every value)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(report, default=_fields, indent=2) + "\n"
 
 
 def render_table(report: Report) -> str:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import CotwistError
 from .groups import close_under_products
-from .scalars import _reduction_table, euler_phi, zeta_embeddings
+from .scalars import _is_prime, _reduction_table, euler_phi
 
 
 def _scale_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -183,9 +183,6 @@ class CycArray:
     def take(self, indices, axis=0) -> "CycArray":
         return CycArray(self.order, self.scale, np.take(self.counts, indices, axis=axis))
 
-    def copy(self) -> "CycArray":
-        return CycArray(self.order, self.scale, self.counts.copy())
-
     # -- exact structure -----------------------------------------------------
 
     def canonical(self) -> np.ndarray:
@@ -194,9 +191,6 @@ class CycArray:
 
     def zero_mask(self) -> np.ndarray:
         return ~np.any(self.canonical(), axis=-1)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.zero_mask()))
 
     def reduced(self) -> "CycArray":
         """The same values on canonical counts that share no common factor."""
@@ -253,11 +247,6 @@ class CycArray:
         """Exact equality of values, by :func:`counts_equal` on one common scale."""
         ca, cb, _ = self._aligned(other)
         return counts_equal(ca, cb, self.order)
-
-    def embed(self) -> np.ndarray:
-        """Complex float array of the values."""
-        z = zeta_embeddings(self.order)
-        return (self.counts @ z) * float(self.scale)
 
 
 #: result counts in one chunk of a contraction, 64 KiB of int64.  A chunk's
@@ -555,41 +544,6 @@ def _reduced_entries(a: np.ndarray, pivots: list[int], columns, order: int) -> C
     counts = np.zeros((*canon.shape[:2], order), dtype=np.int64)
     counts[..., :phi] = canon
     return CycArray(order, Fraction(1, common), counts)
-
-
-#: the least strong pseudoprime to every base in MILLER_RABIN_BASES
-MILLER_RABIN_LIMIT = 341_550_071_728_321
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17)
-
-
-def _is_prime(k: int) -> bool:
-    """Primality of ``k`` by Miller-Rabin on MILLER_RABIN_BASES.
-
-    A prime passes every base.  A composite k that passes them all is a
-    strong pseudoprime to each, and the least such is MILLER_RABIN_LIMIT, so
-    the answer is exact below it; at or above it, ValueError.
-    """
-    if k >= MILLER_RABIN_LIMIT:
-        raise ValueError(f"{k} is past the exact range of the Miller-Rabin bases")
-    if k < 2:
-        return False
-    for q in MILLER_RABIN_BASES:
-        if k % q == 0:
-            return k == q
-    d, r = k - 1, 0  # k - 1 = 2^r d with d odd
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in MILLER_RABIN_BASES:
-        x = pow(a, d, k)
-        if x in (1, k - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % k
-            if x == k - 1:
-                break
-        else:
-            return False  # a^d != 1 and no a^(2^j d), j < r, is -1: k is composite
-    return True
 
 
 @functools.cache

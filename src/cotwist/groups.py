@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AuditError, CotwistError
+from .scalars import _is_prime
 
 MAX_GROUP_ORDER = 10_000
 
@@ -284,12 +285,18 @@ def build_elementary_abelian_symplectic(p: int, n: int = 1):
     (x_1..x_n, y_1..y_n) over Z/pZ in lexicographic order.  The pairing of
     (x, y) and (x', y') is zeta_p^(x.y' - y.x').
 
-    Raises for non-prime or even p and for p^(2n) > 10**4.
+    Raises for non-prime or even p and for p^(2n) > 10**4.  The cap is
+    checked before primality, and a 2n past the cap's bit length (p >= 3)
+    before the power is formed, so a huge p or n is refused at once.
     """
-    if p < 3 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)) or p % 2 == 0:
+    if p < 3 or p % 2 == 0:
         raise CotwistError(f"p must be an odd prime, got {p}")
     if n < 1:
         raise CotwistError(f"n must be >= 1, got {n}")
+    if 2 * n > MAX_GROUP_ORDER.bit_length() or p ** (2 * n) > MAX_GROUP_ORDER:
+        raise CotwistError(f"group order {p}^{2 * n} exceeds cap {MAX_GROUP_ORDER}")
+    if not _is_prime(p):
+        raise CotwistError(f"p must be an odd prime, got {p}")
     group = build_elementary_abelian(p, 2 * n)
     vecs = np.array(group.labels, dtype=np.int64)
     x, y = vecs[:, :n], vecs[:, n:]

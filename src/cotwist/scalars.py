@@ -4,8 +4,8 @@ Exact values live in :class:`cotwist.exactlin.CycArray`, as integer counts
 on the powers zeta_N^k over one rational scale.  This module supplies what
 that representation needs: ``euler_phi``, the table that reduces each power
 x^j modulo the N-th cyclotomic polynomial Phi_N to its unique canonical
-coefficients on 1, zeta, ..., zeta^(phi(N)-1), the complex values of the
-roots, and the literal grammar of twist files.
+coefficients on 1, zeta, ..., zeta^(phi(N)-1), the literal grammar of twist
+files, and the package's one primality test, ``_is_prime``.
 
 Text form for one value: semicolon-separated terms ``a/b*E(N)^k`` with
 integer a, positive integer b, integer exponent k; ``0`` denotes zero.
@@ -37,6 +37,41 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+#: the least strong pseudoprime to every base in MILLER_RABIN_BASES
+MILLER_RABIN_LIMIT = 341_550_071_728_321
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _is_prime(k: int) -> bool:
+    """Primality of ``k`` by Miller-Rabin on MILLER_RABIN_BASES.
+
+    A prime passes every base.  A composite k that passes them all is a
+    strong pseudoprime to each, and the least such is MILLER_RABIN_LIMIT, so
+    the answer is exact below it; at or above it, ValueError.
+    """
+    if k >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{k} is past the exact range of the Miller-Rabin bases")
+    if k < 2:
+        return False
+    for q in MILLER_RABIN_BASES:
+        if k % q == 0:
+            return k == q
+    d, r = k - 1, 0  # k - 1 = 2^r d with d odd
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, k)
+        if x in (1, k - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
+            return False  # a^d != 1 and no a^(2^j d), j < r, is -1: k is composite
+    return True
 
 
 def _polydiv_int(num: list[int], den: list[int]) -> list[int]:
@@ -88,12 +123,6 @@ def _reduction_table(n: int) -> np.ndarray:
             for i in range(phi):
                 cur[i] -= top * cp[i]
     return rows
-
-
-@lru_cache(maxsize=None)
-def zeta_embeddings(n: int) -> np.ndarray:
-    """Complex values exp(2*pi*i*k/n) for k = 0..n-1."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 _TERM_RE = re.compile(

@@ -24,6 +24,16 @@ def values(arr) -> np.ndarray:
     return out
 
 
+def copied(arr):
+    """A CycArray with its own copy of ``arr``'s counts."""
+    return type(arr)(arr.order, arr.scale, arr.counts.copy())
+
+
+def is_zero(arr) -> bool:
+    """Every cell of a CycArray is zero, read off its canonical counts."""
+    return not arr.canonical().any()
+
+
 def zero(order: int) -> tuple:
     return (Fraction(0),) * order
 

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, report channels, config resolution."""
 
+import argparse
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cotwist
-from cotwist.cli import InputError, main, parse_gamma
+from cotwist.cli import InputError, main, make_parser, parse_gamma
 from cotwist.errors import CotwistError
 from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
 from cotwist.groups import build_elementary_abelian_symplectic
@@ -85,23 +86,6 @@ def test_verify_p7_global_checks(capsys):
     checks = json.loads(stdout)["global_checks"]
     assert checks["minimality_rank"] == 49
     assert checks["triangularity"] and checks["q_identity"]
-
-
-def test_example_defaults(capsys):
-    rc, stdout, _ = run_cli(["example"], capsys)
-    assert rc == 0
-    report = json.loads(stdout)
-    assert report["instance"]["p"] == 3
-    assert report["instance"]["gamma_generators"] == [[[1, 1], [0, 1]]]
-    assert report["totals"]["group_order"] == 27
-    assert [c["dims_direct"] for c in report["cosets"]] == [[1] * 9] * 3
-
-
-def test_example_overrides(capsys):
-    rc, stdout, _ = run_cli(["example", "--gamma", "1,0,0,2"], capsys)
-    assert rc == 0
-    report = json.loads(stdout)
-    assert [c["dims_direct"] for c in report["cosets"]] == [[1] * 9, [3]]
 
 
 def test_table_config_spectrum(tmp_path, capsys):
@@ -468,65 +452,24 @@ def test_config_missing_construction_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_bad_seed_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("COTWIST_SEED", "three")
-    rc, _, stderr = run_cli(["verify", "--p", "3", "--gamma", "1,1,0,1"], capsys)
-    assert rc == 2
-    assert "COTWIST_SEED" in stderr
+@pytest.mark.parametrize("text, message", [
+    ("5", "config file lacks a 'construction' object"),
+    ('"construction"', "config file lacks a 'construction' object"),
+    ('["construction"]', "config file lacks a 'construction' object"),
+    ("null", "config file lacks a 'construction' object"),
+    ('{"construction": 5}', "bad construction in config file: 'int' object has no attribute"),
+    ('{"construction": ["symplectic"]}', "bad construction in config file: 'list' object has no"),
+])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    rc, stdout, stderr = run_cli(["spectrum", "--config", str(cfg)], capsys)
+    assert rc == 2 and stdout == ""
+    assert message in stderr
 
 
 # ---------------------------------------------------------------------------
-# seed resolution precedence: flag > config file > environment > default
-
-
-def test_seed_from_env(monkeypatch, capsys):
-    monkeypatch.setenv("COTWIST_SEED", "7")
-    rc, stdout, _ = run_cli(["verify", "--p", "3", "--gamma", "1,1,0,1"], capsys)
-    assert rc == 0
-    assert json.loads(stdout)["seed"] == 7
-
-
-def test_seed_flag_beats_env(monkeypatch, capsys):
-    monkeypatch.setenv("COTWIST_SEED", "7")
-    rc, stdout, _ = run_cli(
-        ["verify", "--p", "3", "--gamma", "1,1,0,1", "--seed", "3"], capsys)
-    assert rc == 0
-    assert json.loads(stdout)["seed"] == 3
-
-
-def test_config_seed_beats_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COTWIST_SEED", "7")
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({
-        "construction": {"type": "symplectic", "p": 3,
-                         "gamma_generators": [[[1, 1], [0, 1]]]},
-        "seed": 5,
-    }))
-    rc, stdout, _ = run_cli(["verify", "--config", str(cfg)], capsys)
-    assert rc == 0
-    assert json.loads(stdout)["seed"] == 5
-
-
-def test_env_fills_config_without_seed(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COTWIST_SEED", "7")
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({
-        "construction": {"type": "symplectic", "p": 3,
-                         "gamma_generators": [[[1, 1], [0, 1]]]},
-    }))
-    rc, stdout, _ = run_cli(["verify", "--config", str(cfg)], capsys)
-    assert rc == 0
-    assert json.loads(stdout)["seed"] == 7
-
-
-def test_default_seed_is_zero(capsys):
-    rc, stdout, _ = run_cli(["verify", "--p", "3", "--gamma", "1,1,0,1"], capsys)
-    assert rc == 0
-    assert json.loads(stdout)["seed"] == 0
-
-
-# ---------------------------------------------------------------------------
-# a malformed seed or tolerance exits 2, naming where it came from
+# the seed: recorded in the report, settable by --seed only
 
 P3_UNIPOTENT = ["--p", "3", "--gamma", "1,1,0,1"]
 
@@ -539,59 +482,104 @@ def write_config(tmp_path, **fields):
     return str(cfg)
 
 
+def test_default_seed_is_zero(capsys):
+    rc, stdout, _ = run_cli(["verify", "--p", "3", "--gamma", "1,1,0,1"], capsys)
+    assert rc == 0
+    assert json.loads(stdout)["seed"] == 0
+
+
 def test_negative_seed_flag_exits_2(capsys):
     rc, stdout, stderr = run_cli(["spectrum", *P3_UNIPOTENT, "--seed", "-1"], capsys)
     assert rc == 2 and stdout == ""
     assert "--seed must be a nonnegative integer, got -1" in stderr
 
 
-@pytest.mark.parametrize("seed", [-5, "x", "5", 1.5, True])
-def test_malformed_config_seed_exits_2(tmp_path, capsys, seed):
-    rc, stdout, stderr = run_cli(["spectrum", "--config", write_config(tmp_path, seed=seed)],
-                                 capsys)
-    assert rc == 2 and stdout == ""
-    assert f"config file seed must be a nonnegative integer, got {seed!r}" in stderr
-
-
-def test_negative_seed_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("COTWIST_SEED", "-3")
-    rc, stdout, stderr = run_cli(["spectrum", *P3_UNIPOTENT], capsys)
-    assert rc == 2 and stdout == ""
-    assert "COTWIST_SEED must be a nonnegative integer, got -3" in stderr
+def test_seed_flag_beats_env(monkeypatch, capsys):
+    """COTWIST_SEED is not read: the report records ``--seed``."""
+    monkeypatch.setenv("COTWIST_SEED", "7")
+    rc, stdout, _ = run_cli(
+        ["verify", "--p", "3", "--gamma", "1,1,0,1", "--seed", "3"], capsys)
+    assert rc == 0
+    assert json.loads(stdout)["seed"] == 3
 
 
 @pytest.mark.parametrize("route", ["flags", "config"])
 def test_seed_flag_skips_malformed_env(tmp_path, monkeypatch, capsys, route):
-    """COTWIST_SEED is read only when no higher source gives a seed, so a
-    malformed one does not stop a run that has ``--seed``."""
+    """A malformed COTWIST_SEED stops no run: nothing reads it, so the report
+    records ``--seed``, or 0 without it."""
     monkeypatch.setenv("COTWIST_SEED", "x")
     instance = P3_UNIPOTENT if route == "flags" else ["--config", write_config(tmp_path)]
-    rc, stdout, stderr = run_cli(["verify", *instance, "--seed", "3"], capsys)
-    assert rc == 0, stderr
-    assert json.loads(stdout)["seed"] == 3
+    for extra, seed in (([], 0), (["--seed", "3"], 3)):
+        rc, stdout, stderr = run_cli(["verify", *instance, *extra], capsys)
+        assert rc == 0, stderr
+        assert json.loads(stdout)["seed"] == seed
+
+
+def test_parser_has_two_subcommands_and_seven_options():
+    parser = make_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subs.choices) == ["spectrum", "verify"]
+    for sub in subs.choices.values():
+        options = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        assert options == ["--p", "--n", "--gamma", "--config", "--seed", "--jobs", "--out"]
+
+
+def usage_error(argv, capsys) -> str:
+    """The stderr of a command line argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: cotwist" in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [["example"], ["example", *P3_UNIPOTENT]])
+def test_example_is_not_a_subcommand(argv, capsys):
+    assert "invalid choice: 'example'" in usage_error(argv, capsys)
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_malformed_tol_flag_exits_2(capsys, command, tol):
-    rc, stdout, stderr = run_cli([command, *P3_UNIPOTENT, "--tol", tol], capsys)
+    """There is no ``--tol``: any value of it is a usage error."""
+    assert "unrecognized arguments: --tol" in usage_error(
+        [command, *P3_UNIPOTENT, "--tol", tol], capsys)
+
+
+@pytest.mark.parametrize("seed", [-5, "x", "5", 1.5, True])
+def test_malformed_config_seed_exits_2(tmp_path, capsys, seed):
+    """A config file with a ``seed``, well-formed or not, is refused by name
+    rather than run with the key dropped."""
+    rc, stdout, stderr = run_cli(["spectrum", "--config", write_config(tmp_path, seed=seed)],
+                                 capsys)
     assert rc == 2 and stdout == ""
-    assert f"--tol must be a finite positive number, got {float(tol)!r}" in stderr
+    assert "config file has unknown key(s) 'seed'" in stderr
 
 
 @pytest.mark.parametrize("tol", ["abc", -1e-8, 0, True])
 def test_malformed_config_tol_exits_2(tmp_path, capsys, tol):
     rc, stdout, stderr = run_cli(["verify", "--config", write_config(tmp_path, tol=tol)], capsys)
     assert rc == 2 and stdout == ""
-    assert f"config file tol must be a finite positive number, got {tol!r}" in stderr
+    assert "config file has unknown key(s) 'tol'" in stderr
 
 
-def test_config_tol_and_seed_accepted(tmp_path, capsys):
-    rc, stdout, _ = run_cli(["verify", "--config", write_config(tmp_path, seed=4, tol=1e-6)],
-                            capsys)
-    assert rc == 0
-    report = json.loads(stdout)
-    assert (report["seed"], report["tol"]) == (4, 1e-6)
+@pytest.mark.parametrize("fields, named", [
+    ({"seed": 4, "tol": 1e-6, "out": "-"}, "'seed', 'tol'"),
+    ({"jobs": 2}, "'jobs'"),
+])
+def test_config_key_other_than_construction_and_out_exits_2(tmp_path, capsys, fields, named):
+    rc, stdout, stderr = run_cli(["verify", "--config", write_config(tmp_path, **fields)],
+                                 capsys)
+    assert rc == 2 and stdout == ""
+    assert f"config file has unknown key(s) {named}; " in stderr
+
+
+def test_config_out_is_read(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    rc, stdout, _ = run_cli(["verify", "--config", write_config(tmp_path, out=str(out))], capsys)
+    assert rc == 0 and stdout == ""
+    assert json.loads(out.read_text())["seed"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -648,12 +636,28 @@ def _child_env() -> dict:
 
 def test_subprocess_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "cotwist.cli", "example", "--out", "-"],
+        [sys.executable, "-m", "cotwist.cli", "spectrum", "--p", "3", "--gamma", "1,1,0,1",
+         "--out", "-"],
         capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["totals"]["group_order"] == 27
     assert "spectrum" in proc.stderr or "coset" in proc.stderr
+
+
+@pytest.mark.parametrize("instance, order", [
+    (["--p", "1000000000000000003"], "1000000000000000003^2"),
+    (["--p", "3", "--n", "1000000000"], "3^2000000000"),
+])
+def test_huge_prime_or_rank_exits_2_at_the_order_cap(instance, order):
+    """p^(2n) is checked against the order cap before p is tested for
+    primality, and 2n against the cap's bit length before p^(2n) is formed,
+    so a 19-digit p or a 10-digit n is refused at once."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotwist.cli", "verify", *instance],
+        capture_output=True, text=True, timeout=30, env=_child_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"error: group order {order} exceeds cap 10000" in proc.stderr
 
 
 def test_spectrum_imports_no_numpy_random(tmp_path):

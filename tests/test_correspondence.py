@@ -1,6 +1,7 @@
 """The comparison map F_g, the invariant algebra, route agreement, reports."""
 
 import dataclasses
+import json
 import re
 import tracemalloc
 
@@ -11,13 +12,14 @@ from cotwist.correspondence import (Config, SymplecticConstruction, TableConstru
                                     build_instance, f_g_map, full_report,
                                     image_matches_invariants, invariant_algebra_Ug,
                                     pair_orbits, predicted_spectrum, prepare_instance,
-                                    render_json, render_table, report_to_dict)
+                                    render_json, render_table)
 from cotwist.dual_algebras import build_block_algebra
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray
 from cotwist.groups import FiniteGroup, Subgroup, stabilizer_Kg, stabilizer_local_indices
 from cotwist.twist import assemble_twist, make_twist, save_twist_file
-from cyc_reference import add, equal, mul, values, zero
+from cyc_reference import add, copied, equal, mul, values, zero
+from float_reference import embedded
 from instances import WREATH, coset_algebras, write_instance
 
 
@@ -144,9 +146,9 @@ def test_invariant_algebra_float_oracle(p3_diag_bundle):
     Ug = invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
 
     m = inst.H.order
-    mul2 = ctx.A2s.mul.embed()          # (m, m, m)
-    mul1 = ctx.A1s.mul.embed()
-    ug = Ug.mul.embed()                 # (r, r, r)
+    mul2 = embedded(ctx.A2s.mul)        # (m, m, m)
+    mul1 = embedded(ctx.A1s.mul)
+    ug = embedded(Ug.mul)               # (r, r, r)
     r = len(reps)
 
     def orbit_sum_vec(i):
@@ -368,14 +370,17 @@ def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
 
 
 def test_report_json_shape(p3_diag_report):
-    d = report_to_dict(p3_diag_report)
+    text = render_json(p3_diag_report)
+    assert text.endswith("\n")
+    d = json.loads(text)
     assert list(d) == ["instance", "seed", "tol", "global_checks", "cosets",
                        "failures", "totals"]
+    assert d["tol"] == 1e-8
     assert d["global_checks"]["minimality_rank"] == 9
     assert d["global_checks"]["square_dim"] == 3
     assert d["failures"] == []
-    text = render_json(p3_diag_report)
-    assert text.endswith("\n")
+    assert list(d["cosets"][0]) == ["rep", "size", "k_size", "dims_direct", "dims_invariant",
+                                    "dims_predicted", "kaplansky_ok", "identities_ok"]
     table = render_table(p3_diag_report)
     assert "all checks passed" in table
     assert "[3]" in table
@@ -406,7 +411,7 @@ def test_corrupted_twist_report(tmp_path, p3_pair):
     from cotwist.twist import symplectic_twist
 
     t = symplectic_twist(H, sigma)
-    Jbad = t.J.copy()
+    Jbad = copied(t.J)
     Jbad.counts[1, 2, 0] += 1
     tb, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad)
     assert not audit.ok

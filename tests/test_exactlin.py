@@ -12,9 +12,11 @@ from cotwist.errors import CotwistError
 from cotwist.exactlin import (CycArray, canonical_counts, contract_chunks, contract_counts,
                               cyc_nullspace, cyc_rank, cyc_solve, cyc_tensordot, ga_identity,
                               ga_mul, invert_in_group_algebra, pair_sums, sum_counts)
-from cotwist.scalars import _reduction_table, euler_phi
+from cotwist.scalars import MILLER_RABIN_LIMIT, _is_prime, _reduction_table, euler_phi
 from cotwist.twist import _sides_agree, load_twist_matrix
-from cyc_reference import add, canonical, embed, equal, ga_product, mul, values, zero
+from cyc_reference import (add, canonical, embed, equal, ga_product, is_zero, mul, values,
+                           zero)
+from float_reference import embedded
 
 
 def rand_cycarray(rng, shape, order, span=2):
@@ -77,7 +79,7 @@ def test_tensordot_matches_object_matmul():
 def test_embed_matches_object_embed():
     rng = np.random.default_rng(13)
     a = rand_cycarray(rng, (2, 5), 4)
-    emb = a.embed()
+    emb = embedded(a)
     obj = values(a)
     for idx in np.ndindex(2, 5):
         assert abs(emb[idx] - embed(obj[idx])) < 1e-12
@@ -86,7 +88,7 @@ def test_embed_matches_object_embed():
 def test_canonical_kills_aliases():
     # zeta_3^0 + zeta_3^1 + zeta_3^2 = 0
     arr = CycArray(3, Fraction(1), np.array([[1, 1, 1]], dtype=np.int64))
-    assert arr.is_zero()
+    assert is_zero(arr)
     assert arr.eq(CycArray.zeros((1,), 3))
 
 
@@ -158,7 +160,7 @@ def test_canonical_counts_bound(order, growth):
 def test_conj_matches_embedding():
     rng = np.random.default_rng(17)
     a = rand_cycarray(rng, (4,), 5)
-    assert np.allclose(a.conj().embed(), np.conj(a.embed()))
+    assert np.allclose(embedded(a.conj()), np.conj(embedded(a)))
 
 
 def test_single_term_detection():
@@ -682,7 +684,7 @@ def test_dense_pair_products_are_pair_sums(square, order, chunk, monkeypatch):
 
 
 def _float_rank(arr: CycArray) -> int:
-    return int(np.linalg.matrix_rank(arr.embed(), tol=1e-9))
+    return int(np.linalg.matrix_rank(embedded(arr), tol=1e-9))
 
 
 
@@ -695,7 +697,7 @@ def test_is_prime_matches_trial_division():
     composite = ks < 2
     for d in range(2, math.isqrt(ks[-1]) + 1):
         composite |= (ks % d == 0) & (ks != d)
-    assert [exactlin._is_prime(int(k)) for k in ks] == (~composite).tolist()
+    assert [_is_prime(int(k)) for k in ks] == (~composite).tolist()
     small_primes = np.flatnonzero(~composite[:math.isqrt(1 << 31) + 1])
     for order in (1, 2, 3, 4, 5, 7, 12):
         ell, omega = exactlin._modular_root(order)
@@ -704,9 +706,9 @@ def test_is_prime_matches_trial_division():
         assert has_divisor.tolist() == [False] + [True] * (candidates.size - 1), order
         assert pow(omega, order, ell) == 1
         assert all(pow(omega, order // q, ell) != 1 for q in (2, 3, 5, 7) if order % q == 0)
-    assert exactlin.MILLER_RABIN_LIMIT == 10_670_053 * 32_010_157
+    assert MILLER_RABIN_LIMIT == 10_670_053 * 32_010_157
     with pytest.raises(ValueError, match="exact range"):
-        exactlin._is_prime(exactlin.MILLER_RABIN_LIMIT)
+        _is_prime(MILLER_RABIN_LIMIT)
 
 def test_rank_known_matrices():
     ident = CycArray.zeros((4, 4), 3)
@@ -858,7 +860,7 @@ def test_rank_nullspace_solve_exact_identities(order):
         rank = cyc_rank(mat)
         null = cyc_nullspace(mat)
         assert null.shape == (cols - rank, cols)  # rank + nullity = columns
-        assert cyc_tensordot(mat, null, axes=([1], [1])).is_zero()
+        assert is_zero(cyc_tensordot(mat, null, axes=([1], [1])))
         _assert_reduced_rows(null)
 
         x0 = rand_cycarray(rng, (cols,), order)
@@ -902,7 +904,7 @@ def test_solve_and_nullspace():
     sing = CycArray.from_exponents(3, np.array([[0, 1], [1, 2]]))  # [[1, z], [z, z^2]]
     null = cyc_nullspace(sing)
     assert null.shape == (1, 2)
-    assert cyc_tensordot(sing, null, axes=([1], [1])).is_zero()
+    assert is_zero(cyc_tensordot(sing, null, axes=([1], [1])))
     assert null.eq(CycArray(3, Fraction(1), np.array([[[0, -1, 0], [1, 0, 0]]])))  # [-z, 1]
     assert cyc_solve(sing, rhs.take([0, 1])) is None
 

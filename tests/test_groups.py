@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ def test_symplectic_rejects_bad_p():
     for p in (2, 4, 9, 1):
         with pytest.raises(CotwistError):
             build_elementary_abelian_symplectic(p, 1)
+
+
+@pytest.mark.parametrize("p, n, message", [
+    (101, 1, "group order 101^2 exceeds cap 10000"),
+    (10**18 + 1, 0, "n must be >= 1"),
+    (99, 1, "p must be an odd prime, got 99"),
+])
+def test_symplectic_refuses_before_the_power_and_the_primality_test(p, n, message):
+    """The order cap is checked after n and before p is tested for primality.
+    A huge p or n is refused at once, in a subprocess under a timeout:
+    ``test_cli.py::test_huge_prime_or_rank_exits_2_at_the_order_cap``."""
+    with pytest.raises(CotwistError, match=re.escape(message)):
+        build_elementary_abelian_symplectic(p, n)
 
 
 def test_bicharacter_refusals_by_name(p3_pair):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cotwist.exactlin import CycArray
-from cotwist.scalars import (_reduction_table, euler_phi, format_cyclotomic,
-                             parse_cyclotomic, zeta_embeddings)
+from cotwist.scalars import _reduction_table, euler_phi, format_cyclotomic, parse_cyclotomic
 from cyc_reference import add, embed, mul, sub, values
+from float_reference import embedded, zeta_embeddings
 
 
 def rand_coeffs(rng, order, span=3):
@@ -25,7 +25,7 @@ def test_euler_phi_table():
 
 def test_zeta_embeds_as_primitive_root():
     for order in (3, 4, 5, 12):
-        z = CycArray.from_exponents(order, np.array([1])).embed()[0]
+        z = embedded(CycArray.from_exponents(order, np.array([1])))[0]
         assert abs(z - cmath.exp(2j * cmath.pi / order)) < 1e-12
         assert abs(zeta_embeddings(order)[1] - z) < 1e-12
 
@@ -44,7 +44,8 @@ def test_ring_ops_match_complex_oracle(order):
     rng = np.random.default_rng(11 + order)
     counts = rng.integers(-3, 4, size=(2, 25, order)).astype(np.int64)
     a, b = CycArray(order, Fraction(1, 2), counts[0]), CycArray(order, Fraction(1), counts[1])
-    for x, y, ex, ey, cx in zip(values(a), values(b), a.embed(), b.embed(), a.conj().embed()):
+    for x, y, ex, ey, cx in zip(values(a), values(b), embedded(a), embedded(b),
+                                embedded(a.conj())):
         assert abs(embed(add(x, y)) - (ex + ey)) < 1e-10
         assert abs(embed(sub(x, y)) - (ex - ey)) < 1e-10
         assert abs(embed(mul(x, y)) - ex * ey) < 1e-10

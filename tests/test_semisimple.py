@@ -19,6 +19,8 @@ from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root,
 from cotwist.groups import FiniteGroup, character_exponents, double_cosets, stabilizer_Kg
 from cotwist.semisimple import (_grading_characters, _grading_product, _split_mod,
                                 algebra_audit, center_basis, wedderburn_dims)
+from cyc_reference import copied
+from float_reference import embedded
 
 
 def function_algebra(k, order=1):
@@ -207,7 +209,7 @@ def test_commutative_block_center_forms_no_grading(p3_diag_bundle, monkeypatch):
     assert center_basis(blk).eq(identity)
     assert contractions == [] and formed == []
 
-    patched = blk.product.copy()
+    patched = copied(blk.product)
     patched.counts[[1, 1, 4, 4], [2, 3, 2, 3], 0] += [1, -1, -1, 1]
     A = SCAlgebra(patched, blk.perms, name="patched")
     with pytest.raises(CotwistError, match="patched: the constants are not associative"):
@@ -386,7 +388,7 @@ def test_corrupted_slice_count_fails_the_unit_check(wreath_bundle):
     from cotwist.dual_algebras import gather_slice
 
     for A in swap_algebras(wreath_bundle):
-        bad = A.product.copy()
+        bad = copied(A.product)
         bad.counts[5, 7, 0] += 1
         dense = gather_slice(bad, A.perms).counts
         for sides, sums in (("ab...->b...", "ij...->j..."), ("ab...->a...", "ij...->i...")):
@@ -426,21 +428,19 @@ def test_counts_past_the_float_bound_take_the_trace_forms(p3_diag_bundle, mod_sp
 
 def test_one_dim_center_decided_exactly(simple_exact_algebras, mod_splits, monkeypatch):
     """An exact algebra whose center is span(unit) is one block of sqrt(n),
-    with no complex embedding of ``mul``, no eigenproblem, no split mod l
-    and no elimination: the p=3, p=7 and wreath one-block algebras are
+    with no eigenproblem, no split mod l and no elimination: the p=3, p=7 and wreath one-block algebras are
     decided by the translation grading with no ``_rank_mod`` call."""
     from cotwist import exactlin
 
-    embeds, eigs, echelons = [], [], []
-    embed, eig, rank = CycArray.embed, np.linalg.eig, exactlin._rank_mod
-    monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
+    eigs, echelons = [], []
+    eig, rank = np.linalg.eig, exactlin._rank_mod
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
     for module in (exactlin, semisimple):
         monkeypatch.setattr(module, "_rank_mod",
                             lambda a, ell: echelons.append(a.shape) or rank(a, ell))
     for name, A in simple_exact_algebras.items():
         assert wedderburn_dims(A).dims == [int(round(np.sqrt(A.dim)))], name
-    assert embeds == [] and eigs == [] and mod_splits == [] and echelons == []
+    assert eigs == [] and mod_splits == [] and echelons == []
 
 
 @pytest.fixture(scope="module")
@@ -472,15 +472,13 @@ def commutative_exact_algebras(p3_diag_bundle, p3_gauge_diag_bundle, wreath_bund
 def test_commutative_exact_algebras_split_exactly(commutative_exact_algebras, mod_splits,
                                                   monkeypatch):
     """A commutative exact algebra whose trace form is certified nondegenerate
-    is n blocks of 1, with no complex embedding of ``mul``, no eigenproblem
-    and one split mod l, at the first prime."""
-    embeds, eigs = [], []
-    embed, eig = CycArray.embed, np.linalg.eig
-    monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
+    is n blocks of 1, with no eigenproblem and one split mod l, at the first
+    prime."""
+    eigs, eig = [], np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
     for name, A in commutative_exact_algebras.items():
         assert wedderburn_dims(A).dims == [1] * A.dim, name
-    assert embeds == [] and eigs == []
+    assert eigs == []
     assert mod_splits == [_modular_root(A.product.order)[0]
                           for A in commutative_exact_algebras.values()]
 
@@ -650,13 +648,13 @@ def test_corrupted_count_of_a_split_block_is_refused(intermediate_block, monkeyp
     trace-form split that the graded certificate replaced assumed
     associativity and accepted 57 of them as [3, 3, 3]."""
     S, perms = intermediate_block.product, intermediate_block.perms
-    bad = S.copy()
+    bad = copied(S)
     bad.counts[0, 0, 0] += 1
     with pytest.raises(AuditError, match="corrupted: the counit is not"):
         SCAlgebra(bad, perms, name="corrupted")
     monkeypatch.setattr(dual_algebras, "determine_unit", lambda *args: None)
     for i, k in itertools.product(range(S.shape[0]), range(S.order)):
-        bad = S.copy()
+        bad = copied(S)
         bad.counts[i, i, k] += 1
         A = SCAlgebra(bad, perms, name=f"corrupted at {i}, {k}")
         with pytest.raises(CotwistError, match=re.escape(
@@ -668,7 +666,7 @@ def test_float_constants_refused_by_name():
     A = graded_matrix_algebra(2)
     with pytest.raises(CotwistError, match="M_2: structure constants must be exact, "
                                            "got ndarray"):
-        SCAlgebra(A.product.embed(), A.perms, name="M_2")
+        SCAlgebra(embedded(A.product), A.perms, name="M_2")
 
 
 def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, mod_splits,
@@ -757,17 +755,15 @@ def test_idempotent_posing_as_unit_refused_when_built():
 
 
 def test_swap_coset_takes_no_commutator_tensor(wreath_bundle, mod_splits, monkeypatch):
-    """On the wreath swap coset neither the block nor U_g is reduced mod l,
-    contracts ``mul`` in the center, or embeds ``mul``."""
+    """On the wreath swap coset neither the block nor U_g is reduced mod l or
+    contracts ``mul`` in the center."""
     contractions, contract = [], semisimple.cyc_tensordot
     monkeypatch.setattr(semisimple, "cyc_tensordot",
                         lambda a, b, axes: contractions.append((a.shape, b.shape))
                         or contract(a, b, axes))
-    embeds, embed = [], CycArray.embed
-    monkeypatch.setattr(CycArray, "embed", lambda self: embeds.append(self.shape) or embed(self))
     for A in swap_algebras(wreath_bundle):
         assert wedderburn_dims(A).dims == [9]
-    assert contractions == [] and embeds == [] and mod_splits == []
+    assert contractions == [] and mod_splits == []
 
 
 def test_wedderburn_exact_input(p3_diag_bundle):

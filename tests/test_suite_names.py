@@ -1,7 +1,7 @@
 """The suite itself: no test module defines a test name twice, no module
 of the suite or the package imports a name it never reads, no module of
 the package keeps a container at module level, and none reaches
-``numpy.linalg``.
+``numpy.linalg`` or forms a complex float.
 
 Python keeps only the last top-level ``def`` of a name, so an earlier test of
 the same name is silently never collected.  A module-level dict, list or set
@@ -9,7 +9,9 @@ is shared by every run in the process: the benchmark runs many operations in
 one process, so a cache kept there would carry work from one into the next.
 Per-run caches live on per-run objects.  Every split and class the package
 reads is exact, so a float eigensolve or SVD in it is a route no certificate
-covers; the tests' float oracle lives in ``float_reference``.
+covers, and a complex float is a value no exact check reads; the tests'
+float oracle and the complex values of a CycArray live in
+``float_reference``.
 """
 
 import ast
@@ -113,6 +115,25 @@ def test_package_runs_no_linalg():
     found = {}
     for path in sorted(SOURCES.glob("*.py")):
         uses = linalg_uses(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            found[path.name] = uses
+    assert found == {}
+
+
+def complex_uses(tree: ast.Module) -> list[str]:
+    """Imaginary literals, and names or attributes that start with ``complex``."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, complex)
+            or isinstance(node, ast.Name) and node.id.startswith("complex")
+            or isinstance(node, ast.Attribute) and node.attr.startswith("complex")]
+
+
+def test_package_forms_no_complex_float():
+    sample = "z = np.exp(2j * x)\nw = complex(1, 2)\nv = a.astype(np.complex128)\nu = 2.0\n"
+    assert sorted(complex_uses(ast.parse(sample))) == ["2j", "complex", "np.complex128"]
+    found = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        uses = complex_uses(ast.parse(path.read_text(), filename=str(path)))
         if uses:
             found[path.name] = uses
     assert found == {}

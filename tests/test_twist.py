@@ -12,7 +12,7 @@ from cotwist.twist import (TwistData, assemble_twist, load_twist_matrix, make_tw
                            q_element_and_antipode_check, save_twist_file,
                            square_dimension_check, symplectic_twist,
                            triangular_structure, verify_twist_axioms, _sides_agree)
-from cyc_reference import add, cocycle_on_every_triple, equal, mul, values, zero
+from cyc_reference import add, cocycle_on_every_triple, copied, equal, mul, values, zero
 
 AXIOM_NAMES = [
     "2-cocycle equation",
@@ -174,7 +174,7 @@ def test_trivial_twist_on_nonabelian_group_contracts_delta1(contractions):
 
 def test_corrupted_twist_names_cocycle_axiom(p3_pair, p3_twist):
     H, _ = p3_pair
-    Jbad = p3_twist.J.copy()
+    Jbad = copied(p3_twist.J)
     Jbad.counts[1, 2, 0] += 1
     t, audit = assemble_twist(Subgroup(H, np.arange(9)), Jbad)
     assert not t.verified and not audit.ok
@@ -187,7 +187,7 @@ def test_corrupted_twist_names_cocycle_axiom(p3_pair, p3_twist):
 
 
 def _perturbed(J: CycArray, changes) -> CycArray:
-    out = J.copy()
+    out = copied(J)
     for (a, b), delta in changes.items():
         out.counts[a, b, 0] += delta
     return out
@@ -271,7 +271,7 @@ def test_sides_agree_matches_reference_sums(source, p3_twist, p3_gauge_diag_bund
     inv = t.group.inv.astype(np.int64)
     right_shift, left_shift = table[:, inv].T, table[inv]
     for X, shift in ((t.J, right_shift), (t.J, left_shift), (t.Jinv, right_shift)):
-        rotated = X.copy()
+        rotated = copied(X)
         rotated.counts[1, 2] = np.roll(X.counts[1, 2], 1)
         for Y, holds in ((X, True), (rotated, False)):
             assert _reference_sides_agree(Y, shift) is holds
