@@ -68,7 +68,7 @@ def _construction_from_dict(raw: dict):
 
 def load_config(path: str) -> Config:
     """The Config a JSON config file describes; any key but ``construction``
-    and ``out`` is refused."""
+    and ``out`` is refused, and so is an ``out`` that is no string."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -81,11 +81,15 @@ def load_config(path: str) -> Config:
     if unknown:
         raise InputError(f"config file has unknown key(s) {', '.join(map(repr, unknown))}; "
                          "it may hold only 'construction' and 'out'")
+    out = raw.get("out", "-")
+    if not isinstance(out, str):
+        raise InputError(f"config file's 'out' must be a string (a path, or '-' for stdout), "
+                         f"got {json.dumps(out)}")
     try:
         construction = _construction_from_dict(raw["construction"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad construction in config file: {exc}") from None
-    return Config(construction=construction, out=str(raw.get("out", "-")))
+    return Config(construction=construction, out=out)
 
 
 def build_config(args) -> Config:

@@ -16,6 +16,7 @@ exactly that it is an isomorphism of the block onto U_g.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -598,6 +599,13 @@ def render_json(report: Report) -> str:
     return json.dumps(report, default=_fields, indent=2) + "\n"
 
 
+def _runs(dims: list) -> str:
+    """A dims list as its runs of equal entries, for the table: [1]×729 for
+    729 ones, [2] + [1]×4 for [2, 1, 1, 1, 1], [] for none."""
+    runs = [(d, len(list(run))) for d, run in itertools.groupby(dims)]
+    return " + ".join(f"[{d}]×{k}" if k > 1 else f"[{d}]" for d, k in runs) or "[]"
+
+
 def render_table(report: Report) -> str:
     lines = []
     inst = report.instance
@@ -625,8 +633,8 @@ def render_table(report: Report) -> str:
     for c in report.cosets:
         lines.append(
             f"{c.rep:>5} {c.size:>5} {c.k_size:>5} "
-            f"{str(c.dims_direct):>20} {str(c.dims_invariant):>20} "
-            f"{str(c.dims_predicted):>20} "
+            f"{_runs(c.dims_direct):>20} {_runs(c.dims_invariant):>20} "
+            f"{_runs(c.dims_predicted):>20} "
             f"{'ok' if c.kaplansky_ok else 'NO':>4} "
             f"{'ok' if c.identities_ok else 'NO':>4}")
     if report.failures:

@@ -12,15 +12,18 @@
   sum_k src[at[r, k]] B[k, c], the contraction of a gather of the source
   counts, as one matmul of the gathered counts with the circulant expansion
   of B's, with BLAS in float32 or float64 while every partial sum is an
-  integer below 2**23 or 2**52 respectively, else in int64, yielded as int64
-  counts a chunk of rows at a time.  The gather is made inside, of the
-  source cast once to that dtype, chunk by chunk, so no int64 gather is
+  integer below 2**23 or 2**52 respectively, else in int64, yielded in that
+  dtype, with the bound, a chunk of rows at a time; chunk rows are counted
+  in bytes of that dtype, 64 KiB a chunk.  The gather is made inside, of
+  the source cast once to that dtype, chunk by chunk, so no int64 gather is
   formed.  :func:`pair_sums`, the sum over factorizations behind the block
-  slice, the U_g row and the dense products in C[K x K], sums each chunk
-  down by :func:`sum_counts`, under its overflow bound, as it comes;
-  :func:`contract_counts`, its chunks concatenated, serves the twist axiom
-  audit, the sparse :func:`ga_mul` and :func:`cyc_tensordot` (no index: its
-  operand is cast a chunk at a time).
+  slice, the U_g row and the dense products in C[K x K], sums the k terms
+  of each chunk as it comes: in the chunk's float dtype while 2 k bound is
+  below that dtype's exact limit, casting only the sums to int64, else in
+  int64 by :func:`sum_counts`, under its overflow bound;
+  :func:`contract_counts`, each chunk written into one int64 array, serves
+  the twist axiom audit, the sparse :func:`ga_mul` and :func:`cyc_tensordot`
+  (no index: its operand is cast a chunk at a time).
 
 * Exact linear algebra on ``CycArray`` matrices: :func:`cyc_rank`,
   :func:`cyc_nullspace` (a reduced basis, as ``CycArray`` rows) and
@@ -249,46 +252,55 @@ class CycArray:
         return counts_equal(ca, cb, self.order)
 
 
-#: result counts in one chunk of a contraction, 64 KiB of int64.  A chunk's
-#: gather (as wide as its result where K = C, as in the block and U_g
-#: builds), its matmul result, the int64 cast of that and a caller's take of
-#: it then each stay below 128 KiB, glibc malloc's initial mmap threshold, so
-#: they are served from the heap and reused, not mapped, faulted in and
-#: unmapped once per chunk.  A contraction whose operand b has more cells
-#: than this takes chunks of as many counts as b has cells (``contract_chunks``)
+#: one chunk of a contraction holds the bytes of this many int64 counts, 64
+#: KiB, so twice as many counts in float32.  A chunk's gather (as wide as its
+#: result where K = C, as in the block and U_g builds), its matmul result and a
+#: caller's take of it, all held in the matmul's dtype, then each stay below
+#: 128 KiB, glibc malloc's initial mmap threshold, so they are served from the
+#: heap and reused, not mapped, faulted in and unmapped once per chunk.  A
+#: contraction whose operand b has more cells than this takes chunks of as
+#: many counts as b has cells (``contract_chunks``)
 KERNEL_CHUNK = 1 << 13
 
 
-def chunk_rows(width: int, group: int = 1, least: int = 0) -> int:
-    """Rows of ``width`` counts each in one chunk of about max(``KERNEL_CHUNK``,
-    ``least``) counts: a whole number of groups of ``group`` rows, at least
-    one group."""
-    return group * max(1, max(KERNEL_CHUNK, least) // max(1, group * width))
+def chunk_rows(width: int, group: int = 1, least: int = 0, itemsize: int = 8) -> int:
+    """Rows of ``width`` counts of ``itemsize`` bytes each in one chunk of
+    about max(the bytes of ``KERNEL_CHUNK`` int64 counts, ``least`` counts):
+    a whole number of groups of ``group`` rows, at least one group."""
+    budget = max(KERNEL_CHUNK * 8 // itemsize, least)
+    return group * max(1, budget // max(1, group * width))
+
+
+def _exact_limit(dtype) -> int:
+    """2**p for a float dtype with a p-bit significand, which holds every
+    integer of magnitude at most 2**p exactly."""
+    return 1 << np.finfo(dtype).nmant + 1
 
 
 def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 1):
     """Exact contraction of a gather over Z[zeta_N], a chunk of rows at a time:
-    yields (lo, out[lo:hi]) for consecutive row ranges, where out[r, c] =
-    sum_k a[r, k] * b[k, c] with a[r, k] = src[at[r, k]].
+    yields (lo, out[lo:hi], bound) for consecutive row ranges, where out[r, c] =
+    sum_k a[r, k] * b[k, c] with a[r, k] = src[at[r, k]], and bound is the
+    one bound on every count of out given below.
 
     ``src`` is (M, N) and ``b`` (K, C, N) int64 counts, and ``at`` a
     function (lo, hi) -> rows lo:hi of an (R, K) index into the M cells of
     ``src``, so no caller forms the whole index, or None when ``src`` is
-    ``a`` itself, (R, K, N).  Each chunk is the (hi - lo, C, N) int64 counts
+    ``a`` itself, (R, K, N).  Each chunk is the (hi - lo, C, N) counts
     out[r, c, j] = sum_k sum_i a[r, k, i] * b[k, c, (j - i) mod N], the
-    exponent convolution mod N, count for count, of a whole number of groups
-    of ``group`` rows and about max(``KERNEL_CHUNK``, K C) counts
-    (:func:`chunk_rows`).  It is one matmul of the chunk of ``a`` read as
-    (hi - lo, K N) with the circulant expansion circ[(k, i), (c, j)] =
-    b[k, c, (j - i) mod N], of shape (K N, C N), formed once per call, as the
-    dtype and the cast of ``src`` are.  The K C term keeps a wide
-    contraction's chunks at about K / N rows or more, so its circulant,
-    K C N**2 cells, is read about R N / K times at most, not once per few
-    rows, while a chunk holds no more than 1 / N**2 of it.  The chunk of
-    ``a`` is gathered from ``src`` cast once to the dtype of the matmul, or,
-    with no index, cast from the slice of ``src`` it is.  So no int64 gather
-    is formed, and with no index ``src`` is copied no more than once, a
-    slice at a time.
+    exponent convolution mod N, count for count, held in the dtype of the
+    matmul, of a whole number of groups of ``group`` rows and about
+    max(64 KiB of that dtype, K C counts) (:func:`chunk_rows`).  It is one
+    matmul of the chunk of ``a`` read as (hi - lo, K N) with the circulant
+    expansion circ[(k, i), (c, j)] = b[k, c, (j - i) mod N], of shape
+    (K N, C N), formed once per call, as the dtype and the cast of ``src``
+    are.  The K C term keeps a wide contraction's chunks at about K / N rows
+    or more, so its circulant, K C N**2 cells, is read about R N / K times at
+    most, not once per few rows, while a chunk holds no more than 1 / N**2
+    of it.  The chunk of ``a`` is gathered from ``src`` cast once to the
+    dtype of the matmul, or, with no index, cast from the slice of ``src``
+    it is.  So no int64 gather is formed, and with no index ``src`` is
+    copied no more than once, a slice at a time.
 
     Each result count is a sum of K N products of two counts, so every
     count, product and partial sum, in whatever order the matmul adds and
@@ -300,7 +312,8 @@ def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 
     one bound holds for every chunk.  A float with a p-bit significand holds
     every integer of magnitude at most 2**p exactly, and a sum or product of
     two such floats whose exact value is such an integer is rounded to
-    itself.  So the matmul is exact, for any BLAS thread count, in
+    itself (:func:`_exact_limit`).  So the matmul is exact, for any BLAS
+    thread count, in
 
     * float32 (p = 24) while 2 bound < 2**24, i.e. bound < 2**23;
     * float64 (p = 53) while 2 bound < 2**53, i.e. bound < 2**52;
@@ -308,13 +321,13 @@ def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 
 
     each tier taken as soon as its bound holds (a factor 2 to spare in the
     float tiers), and past 2**63 it raises CotwistError before the first
-    chunk.  Every tier yields the same int64 counts, count for count.
+    chunk.  Every tier yields the same integer counts, count for count.
     """
     n, inner, cols = src.shape[-1], b.shape[0], b.shape[1]
     bound = inner * n * _largest(src) * _largest(b)
-    if 2 * bound < 1 << 24:
+    if 2 * bound < _exact_limit(np.float32):
         dtype = np.float32
-    elif 2 * bound < 1 << 53:
+    elif 2 * bound < _exact_limit(np.float64):
         dtype = np.float64
     elif bound < 1 << 63:
         dtype = np.int64
@@ -325,24 +338,25 @@ def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 
     circ = circ.reshape(inner * n, cols * n)
     if at is not None:
         src = src.astype(dtype, copy=False)
-    step = chunk_rows(cols * n, group, inner * cols)
+    step = chunk_rows(cols * n, group, inner * cols, np.dtype(dtype).itemsize)
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
         part = src[lo:hi].astype(dtype, copy=False) if at is None else src.take(at(lo, hi), axis=0)
         out = np.matmul(part.reshape(hi - lo, inner * n), circ)
-        yield lo, out.astype(np.int64, copy=False).reshape(hi - lo, cols, n)
+        yield lo, out.reshape(hi - lo, cols, n), bound
 
 
 def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     """The (R, C, N) int64 counts of :func:`contract_chunks` with its chunks
-    concatenated: out[r, c] = sum_k src[at[r, k]] * b[k, c] for an (R, K)
-    index ``at``, or sum_k src[r, k] * b[k, c] for ``at`` None and ``src``
-    (R, K, N).  Raises CotwistError past the int64 bound.
+    written into one int64 array as they come: out[r, c] = sum_k src[at[r,
+    k]] * b[k, c] for an (R, K) index ``at``, or sum_k src[r, k] * b[k, c]
+    for ``at`` None and ``src`` (R, K, N).  Raises CotwistError past the
+    int64 bound.
     """
     rows = len(src if at is None else at)
     out = np.empty((rows, b.shape[1], src.shape[-1]), dtype=np.int64)
     index = None if at is None else (lambda lo, hi: at[lo:hi])
-    for lo, part in contract_chunks(src, index, b, rows):
+    for lo, part, _ in contract_chunks(src, index, b, rows):
         out[lo:lo + len(part)] = part
     return out
 
@@ -398,15 +412,23 @@ def pair_sums(first: np.ndarray, second: np.ndarray, partner: np.ndarray,
     :func:`contract_chunks` yields a whole number of b-rows (groups of C rows)
     at a time, gathered from second by that range's flat index.  Each chunk,
     read as Y[b, (c, s)], is taken along its (c, s) axis at ``groups`` and its
-    k terms summed by :func:`sum_counts` into out[:, b-range], so neither the
-    gather nor Y is formed whole.  The contraction is exact under its own
-    bound, and each chunk's sums under k times the largest count of that
-    chunk, read off it: the a-priori k T N max|first| max|second| takes all
-    T N products of every term at their largest, and would refuse sums that
-    fit.
+    k terms summed into out[:, b-range], so neither the gather nor Y is
+    formed whole.
+
+    Every count of Y is within the contraction's bound = T N max|first|
+    max|second|, so every partial sum of k of them is within k bound.  While
+    2 k bound is below the exact limit of the float dtype the chunk comes in
+    (:func:`_exact_limit`: 2**24 for float32, 2**53 for float64), the k terms
+    are summed in that dtype, each partial sum an integer held exactly, and
+    only the (G, b-range, N) sums are cast to int64, as they are written
+    into out.  Past it, or for an int64 chunk, the terms are cast to int64
+    and summed by :func:`sum_counts`, under k times the largest count of
+    that chunk, read off it: the a-priori k bound takes all T N products of
+    every term at their largest, and would refuse int64 sums that fit.
     """
     S, T, n = first.shape
     C, D = second.shape[:2]
+    k = groups.shape[1]
     second = np.concatenate([second, np.zeros((C, 1, n), dtype=np.int64)], axis=1)
     c_at = np.arange(C)[:, None] * (D + 1)  # [c, 1]
 
@@ -414,11 +436,14 @@ def pair_sums(first: np.ndarray, second: np.ndarray, partner: np.ndarray,
         return (c_at + partner[lo // C:hi // C, None]).reshape(-1, T)
 
     out = np.empty((len(groups), len(partner), n), dtype=np.int64)
-    for lo, Y in contract_chunks(second.reshape(-1, n), at, first.transpose(1, 0, 2),
-                                 len(partner) * C, group=C):
-        Y = Y.reshape(-1, C * S, n)  # [b, (c, s)]
-        out[:, lo // C:lo // C + len(Y)] = sum_counts(np.take(Y, groups.T, axis=1),
-                                                      axis=1).swapaxes(0, 1)  # [b, k, g] summed
+    for lo, Y, bound in contract_chunks(second.reshape(-1, n), at, first.transpose(1, 0, 2),
+                                        len(partner) * C, group=C):
+        terms = np.take(Y.reshape(-1, C * S, n), groups.T, axis=1)  # [b, k, g]
+        if Y.dtype != np.int64 and 2 * k * bound < _exact_limit(Y.dtype):
+            sums = terms.sum(axis=1)
+        else:
+            sums = sum_counts(terms.astype(np.int64, copy=False), axis=1)
+        out[:, lo // C:lo // C + len(sums)] = sums.swapaxes(0, 1)
     return out
 
 

@@ -5,8 +5,10 @@ and a -> u_a is a projective representation of H whose class, pulled back to
 a stabilizer K_g, predicts a coset's spectrum.  For abelian H with a minimal
 twist the class is a nondegenerate 2-cocycle on H^ (Movshev 1993), so u_a is
 one character chi_a of H, and the class is read exactly as an alternating
-bicharacter with exponents mod N (README, "Route (c), exactly").  No float
-step, tolerance or seed is involved.
+bicharacter with exponents mod N (README, "Route (c), exactly").  The
+search for each generator's character screens every character on sums of
+the constants over one index first, and compares only the kept ones in
+full.  No float step, tolerance or seed is involved.
 """
 
 from __future__ import annotations
@@ -30,29 +32,59 @@ __all__ = ["TensorClass", "certify_characters", "character_exponents", "class_di
 def translation_characters(A: SCAlgebra, act: GroupAction, E: np.ndarray) -> np.ndarray:
     """Exponent rows X[a] of the character chi_a with chi_a x = alpha_a(x) chi_a in A.
 
-    alpha_a is ``act.perms[a]`` and E the characters.  Each generator s keeps
-    the characters that pass at x = delta_e, by two contractions for all s at
-    once; exactly one must pass (AuditError otherwise), and it is certified at
-    every x (:func:`certify_characters`).  Every other chi_a is the product of
-    the generators' along a's word, which implements alpha_a and so is the
-    one character that does (README, "Route (c), exactly").
-    The sections of the constants at delta_e and at each alpha_s(delta_e)
-    are read off the slice with :meth:`SCAlgebra.take`.
+    alpha_a is ``act.perms[a]`` and E the characters.  Each generator s
+    keeps the one character that passes at x = delta_e
+    (:func:`_generator_characters`; AuditError unless exactly one does), and
+    it is certified at every x (:func:`certify_characters`).  Every other
+    chi_a is the product of the generators' along a's word, which implements
+    alpha_a and so is the one character that does (README, "Route (c),
+    exactly").
     """
     gens, words, parent, via = act.group.generating_words
     order = A.product.order
-    chars = CycArray.from_exponents(order, E)
-    at_e = cyc_tensordot(A.take(0, axis=1), chars, axes=([0], [1])).canonical()  # [y, chi]
-    moved = cyc_tensordot(A.take(act.perms[gens, 0], axis=0), chars, axes=([1], [1]))
-    match = np.all(moved.canonical() == at_e[None], axis=(1, 3))  # [s, chi]
-    if not np.all(match.sum(axis=1) == 1):
-        raise AuditError(f"{A.name}: not exactly one character implements each translation")
-    gen_X = E[match.argmax(axis=1)]
+    gen_X = _generator_characters(A, act.perms[gens, 0], E)
     X = np.zeros((act.group.order, E.shape[1]), dtype=np.int64)
     for a in words[1:]:
         X[a] = (X[parent[a]] + gen_X[via[a]]) % order
     certify_characters(A, act, X)
     return X
+
+
+def _generator_characters(A: SCAlgebra, moved_e: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Rows of E: for each generator s, with moved_e[s] = alpha_s(e), the one
+    character chi with chi delta_e = alpha_s(delta_e) chi; AuditError unless
+    exactly one passes for every s.
+
+    The coefficients of delta_y on the two sides are at_e[y, chi] = sum_a
+    mul[a, e, y] chi(a) and moved[s, y, chi] = sum_b mul[alpha_s(e), b, y]
+    chi(b), and chi passes when they agree at every y.  Both are first
+    summed over y with the weights y + 1 and compared for every character,
+    one contraction over H each; only the characters that agree there are
+    contracted at every y.  A character that passes at every y passes the
+    weighted sum, so the screen drops none that passes, and the kept ones
+    are compared exactly as before: the outcome is that of comparing every
+    character at every y, without the (generators, |H|, |H|) contraction.
+    A few single y would not screen: on the shipped instances each y drops
+    at most N - 1 of the |H| characters.  The sections of the constants at
+    delta_e and at each alpha_s(delta_e) are read off the slice with
+    :meth:`SCAlgebra.take`, and are dropped on return, before the
+    certificate forms its own.
+    """
+    order, m, k = A.product.order, A.dim, len(moved_e)
+    chars = CycArray.from_exponents(order, E)
+    sides = CycArray(order, A.product.scale, np.concatenate(  # [side, h, y]: at_e, then each s
+        [A.take(0, axis=1).counts[None], A.take(moved_e, axis=0).counts]))
+    weights = CycArray(order, 1, np.zeros((m, 1, order), dtype=np.int64))
+    weights.counts[:, 0, 0] = np.arange(1, m + 1)
+    screen = cyc_tensordot(chars, cyc_tensordot(sides, weights, axes=1),
+                           axes=([1], [1])).canonical()[:, :, 0]  # [chi, side]
+    s, chi = np.nonzero(np.all(screen[:, 1:] == screen[:, :1], axis=-1).T)  # kept, by s
+    exact = cyc_tensordot(sides, chars.take(chi), axes=([1], [1])).canonical()  # [side, y, kept]
+    kept = np.arange(chi.size)
+    passed = np.all(exact[s + 1, :, kept] == exact[0, :, kept], axis=(1, 2))
+    if np.any(np.bincount(s[passed], minlength=k) != 1):
+        raise AuditError(f"{A.name}: not exactly one character implements each translation")
+    return E[chi[passed]]
 
 
 # second binding of the unit implementing each translation: perfbench/spans.py LAYERS

@@ -582,6 +582,19 @@ def test_config_out_is_read(tmp_path, capsys):
     assert json.loads(out.read_text())["seed"] == 0
 
 
+@pytest.mark.parametrize("out, shown", [(None, "null"), (5, "5"), ([], "[]")])
+def test_config_out_that_is_no_string_exits_2(tmp_path, monkeypatch, capsys, out, shown):
+    """A config ``out`` of null, 5 or [] is refused by name, and no report
+    file is written (``str()`` of it would name one ``None`` or ``5``)."""
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, out=out)
+    rc, stdout, stderr = run_cli(["verify", "--config", config], capsys)
+    assert rc == 2 and stdout == ""
+    assert f"config file's 'out' must be a string (a path, or '-' for stdout), got {shown}" \
+        in stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [Path(config).name]
+
+
 # ---------------------------------------------------------------------------
 # determinism of the written artifact
 

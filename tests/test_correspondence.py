@@ -203,23 +203,34 @@ def test_invariant_algebra_reference_formula(reference_case):
                 assert equal(got[k, j, l], want), (i, j, l)
 
 
-def test_orbit_sums_overflow_is_named(monkeypatch, p3_diag_bundle):
-    """The |K_g|-term sums of each chunk of the block's and U_g's contractions
-    refuse, by name, contraction counts of 2**62, whose sums could reach 2**63."""
-    from cotwist import exactlin
+def test_orbit_sums_overflow_is_named(p3_diag_bundle):
+    """The k-term sums of the block's and U_g's contractions refuse, by name,
+    real operands whose k-term bound passes 2**63: at the coset of e (K_g =
+    H, k = 9 terms) the twist and the dual algebras with every count times
+    2**29 and the scale divided by it.  Each contraction count is within
+    T N 2**58 = 27 * 2**58 < 2**63, so the contraction runs in int64, but
+    9 such counts can pass 2**63, so the terms are summed in int64 under
+    the guard of ``sum_counts``, which refuses them."""
+    from cotwist.dual_algebras import SCAlgebra
+    from cotwist.twist import TwistData
 
     inst, ctx, zs = p3_diag_bundle
-    z = zs[1]
-    Kg = stabilizer_Kg(inst.G, inst.H, z.representative)
-    assert Kg.order > 1
-    chunks = exactlin.contract_chunks
-    monkeypatch.setattr(exactlin, "contract_chunks",
-                        lambda *args, **kwargs:
-                        ((lo, part * 0 + (1 << 62)) for lo, part in chunks(*args, **kwargs)))
+    z, big = zs[0], 1 << 29
+    g = z.representative
+    Kg = stabilizer_Kg(inst.G, inst.H, g)
+    assert Kg.order == inst.H.order == 9
+
+    def scaled(x: CycArray) -> CycArray:
+        return CycArray(x.order, x.scale / big, x.counts * big)
+
+    t = TwistData(inst.t.subgroup, inst.t.order, scaled(inst.t.J), verified=True)
+    t.Jinv = scaled(inst.t.Jinv)
+    A1s, A2s = (SCAlgebra(scaled(A.product), A.perms, A.name) for A in (ctx.A1s, ctx.A2s))
+    assert max(int(np.abs(x).max()) for x in t.terms + (A1s.row_terms, A2s.row_terms)) == big
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
-        build_block_algebra(inst.t, z)
+        build_block_algebra(t, z)
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
-        invariant_algebra_Ug(ctx.A1s, ctx.A2s, ctx.rho1, ctx.rho2, Kg, z.representative, inst.H)
+        invariant_algebra_Ug(A1s, A2s, ctx.rho1, ctx.rho2, Kg, g, inst.H)
 
 
 @pytest.mark.parametrize("source", ["p3_diag_bundle", "wreath_bundle", "intermediate_bundle",
@@ -276,6 +287,41 @@ def test_p5_coset_builds_stay_under_one_mib():
     ctx = prepare_instance(inst)
     peaks = [build_peaks(ctx, z) for z in double_cosets(inst.G, inst.H)]
     assert len(peaks) == 5 and all(max(p) < 1 << 20 for p in peaks), peaks
+
+
+def test_p5_coset_builds_sum_in_the_matmul_dtype(monkeypatch):
+    """Each coset of ``spectrum --p 5 --gamma 1,1,0,1`` builds its block and its
+    U_g with every chunk's k terms summed in the float32 of its matmul: no
+    ``sum_counts`` call, and no int64 cast of a chunk or of any array taken
+    from it; only the sums are cast, as they are written into the result."""
+    from cotwist import exactlin
+    from cotwist.groups import double_cosets
+    from instances import coset_builds
+
+    inst = build_instance(Config(SymplecticConstruction(5, 1, [[[1, 1], [0, 1]]])))
+    ctx = prepare_instance(inst)
+    products, casts, summed = [], [], []
+
+    class Recorded(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            casts.append(np.dtype(dtype))
+            return super().astype(dtype, *args, **kwargs)
+
+    def matmul(a, b, kernel=np.matmul):
+        products.append(a.dtype)
+        return kernel(a, b).view(Recorded)
+
+    def sum_counts(counts, axis, kernel=exactlin.sum_counts):
+        summed.append(counts.shape)
+        return kernel(counts, axis)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(exactlin, "sum_counts", sum_counts)
+    for z in double_cosets(inst.G, inst.H):
+        for build, *args in coset_builds(ctx, z):
+            build(*args)
+    assert len(products) >= 10 and set(products) == {np.dtype(np.float32)}
+    assert np.dtype(np.int64) not in casts and summed == []
 
 
 def test_invariant_dimension_and_unit(p3_diag_bundle):
@@ -383,7 +429,10 @@ def test_report_json_shape(p3_diag_report):
                                     "dims_predicted", "kaplansky_ok", "identities_ok"]
     table = render_table(p3_diag_report)
     assert "all checks passed" in table
-    assert "[3]" in table
+    rows = [line.split() for line in table.splitlines() if line.split()[:1] in (["0"], ["9"])]
+    assert rows == [["0", "9", "9"] + ["[1]×9"] * 3 + ["ok", "ok"],
+                    ["9", "9", "9"] + ["[3]"] * 3 + ["ok", "ok"]]
+    assert [c.dims_direct for c in p3_diag_report.cosets] == [[1] * 9, [3]]  # JSON: the lists
 
 
 def test_report_byte_determinism_and_seed_stability(p3_diag_report):

@@ -405,8 +405,9 @@ def test_gathered_contraction_matches_reference(largest, rest, dtype, spies, mon
     sums of the gathered values, count for count, in each tier.  The tier is
     read off the source, whose largest count sits at a cell the index skips:
     with every other count below 2**4 the gather alone would take float32,
-    the source takes float64.  7 rows at 2 rows a slice end on a short slice."""
-    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", 20)  # 20 // (C N = 10) = 2 rows a slice
+    the source takes float64.  7 rows at 2 rows a slice (4 in float32, whose
+    counts take half the bytes) end on a short slice."""
+    monkeypatch.setattr(exactlin, "KERNEL_CHUNK", 20)  # 20 // (C N = 10) = 2 rows of 8 bytes
     order, rows, inner, cols = 5, 7, 3, 2
     rng = np.random.default_rng(largest.bit_length() + rest.bit_length())
     src = rng.integers(-rest + 1, rest, size=(9, order))
@@ -414,7 +415,8 @@ def test_gathered_contraction_matches_reference(largest, rest, dtype, spies, mon
     at = rng.choice([0, 1, 2, 3, 5, 6, 7, 8], size=(rows, inner))
     b = rand_cycarray(rng, (inner, cols), order, span=rest)
     out = contract_counts(src, at, b.counts)
-    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)] * 4
+    slices = 2 if dtype == np.float32 else 4
+    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)] * slices
     got = values(CycArray(order, b.scale, out))
     want = _raw_contraction(CycArray(order, Fraction(1), src[at]), b)
     for idx, value in np.ndenumerate(got):
@@ -422,34 +424,43 @@ def test_gathered_contraction_matches_reference(largest, rest, dtype, spies, mon
 
 
 @pytest.mark.parametrize("chunk, inner, group, sizes", [
-    (20, 3, 1, [2, 2, 2, 2, 2, 1]),   # 20 // (C N = 10): 2 rows a chunk
-    (20, 3, 3, [3, 3, 3, 2]),         # whole groups of 3 rows, at least one group
-    (4, 3, 1, [1] * 11),              # K C = 6 cells of b: 6 // 10, at least one row
-    (4, 10, 1, [2, 2, 2, 2, 2, 1]),   # K C = 20: 2 rows, where 4 counts would be 1
-    (4, 15, 1, [3, 3, 3, 2]),         # K C = 30: 3 rows
+    # rows a chunk in float32, then in float64
+    (20, 3, 1, ([4, 4, 3], [2, 2, 2, 2, 2, 1])),   # 40 or 20 counts // (C N = 10)
+    (20, 3, 3, ([3, 3, 3, 2],) * 2),                # whole groups of 3 rows, at least one group
+    (4, 3, 1, ([1] * 11,) * 2),                     # K C = 6 cells of b: 8 or 6 // 10, one row
+    (4, 10, 1, ([2, 2, 2, 2, 2, 1],) * 2),          # K C = 20: 2 rows, where 8 counts would be 1
+    (4, 15, 1, ([3, 3, 3, 2],) * 2),                # K C = 30: 3 rows
 ])
 def test_chunks_hold_kernel_chunk_or_b_counts(chunk, inner, group, sizes, monkeypatch):
-    """A chunk is a whole number of row groups of about max(KERNEL_CHUNK, K C)
-    result counts, its index asked for a chunk at a time; the chunks,
-    concatenated, are ``contract_counts``'s result count for count."""
+    """A chunk is a whole number of row groups of about max(the bytes of
+    KERNEL_CHUNK int64 counts, K C counts) in the matmul's dtype, so twice
+    the rows in float32 as in float64, its index asked for a chunk at a
+    time; each chunk comes in that dtype with the contraction's bound, and
+    the chunks, concatenated, are ``contract_counts``'s int64 result count
+    for count."""
     monkeypatch.setattr(exactlin, "KERNEL_CHUNK", chunk)
     order, rows, cols = 5, 11, 2
     rng = np.random.default_rng(inner + group)
     src = rng.integers(-3, 4, size=(9, order))
     at = rng.integers(0, 9, size=(rows, inner))
     b = rng.integers(-3, 4, size=(inner, cols, order))
-    asked = []
+    b[0, 0, 0] = 3
+    for largest, dtype, want in zip((3, 1 << 40), (np.float32, np.float64), sizes):
+        src[0, 0] = largest
+        asked = []
 
-    def index(lo, hi):
-        asked.append((lo, hi))
-        return at[lo:hi]
+        def index(lo, hi):
+            asked.append((lo, hi))
+            return at[lo:hi]
 
-    chunks = list(contract_chunks(src, index, b, rows, group))
-    assert [len(part) for _, part in chunks] == sizes
-    assert asked == [(lo, lo + len(part)) for lo, part in chunks]
-    assert all(lo % group == 0 for lo, _ in chunks)
-    assert np.array_equal(np.concatenate([part for _, part in chunks]),
-                          contract_counts(src, at, b))
+        chunks = list(contract_chunks(src, index, b, rows, group))
+        assert [len(part) for _, part, _ in chunks] == want
+        assert asked == [(lo, lo + len(part)) for lo, part, _ in chunks]
+        assert all(lo % group == 0 for lo, _, _ in chunks)
+        assert {bound for _, _, bound in chunks} == {inner * order * largest * 3}
+        assert {part.dtype for _, part, _ in chunks} == {np.dtype(dtype)}
+        assert np.array_equal(np.concatenate([part for _, part, _ in chunks]),
+                              contract_counts(src, at, b))
 
 
 def test_tensordot_keeps_raw_counts():
@@ -647,6 +658,35 @@ def test_pair_sums_at_each_tier_edge(limit, dtype, signs, spies):
         if limit == 63:
             with pytest.raises(CotwistError, match="an exact sum would overflow int64"):
                 pair_sums(*operands(m + 1), partner, groups)
+
+
+@pytest.mark.parametrize("past", [False, True])
+@pytest.mark.parametrize("limit, dtype", [(24, np.float32), (53, np.float64)])
+def test_pair_sums_k_term_float_edge(limit, dtype, past, spies, monkeypatch):
+    """All-max counts m, m the largest with 2 k bound below 2**24 (float32) or
+    2**53 (float64), bound = T N m**2 the contraction's: the k terms are
+    summed in the matmul's dtype, with no ``sum_counts``; at m + 1, where 2 k
+    bound reaches the limit while the matmul keeps its dtype, each chunk's
+    terms are cast to int64 and summed by ``sum_counts``.  Either way the
+    sums are the Python-int reference count for count."""
+    S, T, C, k, order = 2, 3, 2, 2, 3
+    m = math.isqrt(((1 << limit) - 1) // (2 * k * T * order)) + past
+    bound = T * order * m * m
+    assert (2 * k * bound >= 1 << limit) == past
+    assert 2 * bound < 1 << limit  # the matmul keeps its dtype
+    summed, kernel = [], exactlin.sum_counts
+    monkeypatch.setattr(exactlin, "sum_counts",
+                        lambda counts, axis: summed.append(counts.dtype) or kernel(counts, axis))
+    rng = np.random.default_rng(limit + past)
+    partner = np.array([rng.permutation(T) for _ in range(2)])
+    groups = rng.permutation(C * S).reshape(-1, k)
+    first = np.full((S, T, order), m, dtype=np.int64)
+    second = np.full((C, T, order), m, dtype=np.int64)
+    got = pair_sums(first, second, partner, groups)
+    assert [(x.dtype, y.dtype) for x, y in spies["matmul"].calls] == [(dtype, dtype)]
+    assert summed == ([np.int64] if past else [])
+    assert got.dtype == np.int64 and np.all(got == k * bound)
+    assert np.array_equal(got.astype(object), _pair_sums_reference(first, second, partner, groups))
 
 
 def _direct_product_table(table):

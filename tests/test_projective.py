@@ -129,6 +129,42 @@ def test_translation_characters_certify_every_generator(p3_duals):
                                character_exponents(rho1.group, 3))
 
 
+def test_translation_characters_at_81_screen_then_search_the_kept():
+    """|H| = 81 (``--p 3 --n 2``): the characters are screened on sums over y
+    and only the kept ones searched at every y, so the ``tracemalloc`` peak
+    of ``translation_characters`` stays within 1.1 times that of the
+    certificate it ends with, where a search of every character at every y
+    for all four generators holds (4, 81, 81, 3) counts besides.  A
+    tampered translation fails the certificate, and a character list with
+    a generator's character twice, or without it, is refused, as not
+    exactly one character passes for it."""
+    import tracemalloc
+
+    H, sigma = build_elementary_abelian_symplectic(3, 2)
+    A1, _, rho1, _ = build_A1_A2_star(symplectic_twist(H, sigma))
+    E = character_exponents(rho1.group, 3)
+
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    X, search = peak(translation_characters, A1, rho1, E)
+    _, certificate = peak(certify_characters, A1, rho1, X)
+    assert search < 1.1 * certificate, (search, certificate)
+    s = int(rho1.group.generating_words[0][0])
+    perms = rho1.perms.copy()
+    perms[s, [1, 2]] = perms[s, [2, 1]]
+    with pytest.raises(AuditError, match=f"A1\\*: the character of generator {s} fails"):
+        translation_characters(A1, GroupAction(rho1.group, perms), E)
+    chi = np.flatnonzero(np.all(E == X[s], axis=1))
+    for tampered in (np.concatenate([E, E[chi]]), np.delete(E, chi, axis=0)):
+        with pytest.raises(AuditError, match="A1\\*: not exactly one character implements"):
+            translation_characters(A1, rho1, tampered)
+
+
 def test_corrupted_exponent_fails_the_regular_trace_law(p3_duals):
     _, A2, _, rho2 = p3_duals
     X = translation_characters(A2, rho2, character_exponents(rho2.group, 3))
