@@ -171,11 +171,11 @@ def _orbit_row(A2s: SCAlgebra, A1s: SCAlgebra, pairs: np.ndarray,
     mul1[e, y2, x2] at (x1, x2).  The A_2* leg acts freely, so orbit l holds
     at most one member (x1, partner[l, x1]) per x1, and the row is the
     :func:`pair_sums` of mul2[e] and mul1[e] at ``partner`` over the members
-    y2 |H| + y1 of orbit j (``pairs[j]``), on their fewest-term counts,
-    formed once per algebra (:attr:`SCAlgebra.row_terms`); the scale is
-    mul2.scale * mul1.scale.
+    y2 |H| + y1 of orbit j (``pairs[j]``), each read off its slice by
+    :meth:`SCAlgebra.take`; the scale is mul2.scale * mul1.scale.
     """
-    return pair_sums(A2s.row_terms, A1s.row_terms, partner, pairs)
+    return pair_sums(A2s.take(0, 0).counts, A1s.take(0, 0).counts, partner, pairs,
+                     A2s.product.order)
 
 
 def _orbit_transport(orbit_id: np.ndarray, members: np.ndarray, reps: np.ndarray,

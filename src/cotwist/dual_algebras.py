@@ -13,7 +13,6 @@ H-level duals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +46,7 @@ class SCAlgebra:
     and the regular trace law of ``cotwist.projective``, the row of U_g and
     the whole split of ``cotwist.semisimple``.  Only the audits that no
     report runs read ``mul``: ``f_g_map``, :func:`a2_to_a1op_iso` and
-    ``semisimple.algebra_audit``.  The fewest-term counts of the row e_0 e_j
-    are formed once per algebra (:attr:`row_terms`).
+    ``semisimple.algebra_audit``.
     """
 
     def __init__(self, S: CycArray, perms: np.ndarray, name: str = ""):
@@ -85,15 +83,10 @@ class SCAlgebra:
         ranges = [np.arange(n)] * 3
         ranges[axis] = np.atleast_1d(indices)
         a, b, x = np.ix_(*ranges)
-        counts = np.take(S.counts.reshape(n * n, S.order), P[x, a] * n + P[x, b], axis=0)
+        counts = np.take(S.counts.reshape(n * n, -1), P[x, a] * n + P[x, b], axis=0)
         if np.ndim(indices) == 0:
             counts = counts.squeeze(axis)
         return CycArray(S.order, S.scale, counts)
-
-    @cached_property
-    def row_terms(self) -> np.ndarray:
-        """``mul.take(0, 0).fewest_counts()``, the products e_0 e_j, formed once."""
-        return self.take(0, 0).fewest_counts()
 
     @property
     def dim(self) -> int:
@@ -109,7 +102,7 @@ def gather_slice(S: CycArray, perms: np.ndarray) -> CycArray:
     """The dense constants mul[a, b, x] = S[perms[x, a], perms[x, b]], one a at a time."""
     n = perms.shape[0]
     flat = S.counts.reshape(n * n, -1)
-    counts = np.empty((n, n, n, S.order), dtype=np.int64)
+    counts = np.empty((n, n, n, flat.shape[-1]), dtype=np.int64)
     for a in range(n):  # [x, b] -> S[perms[x, a], perms[x, b]]
         counts[a] = np.take(flat, perms[:, [a]] * n + perms, axis=0).swapaxes(0, 1)
     return CycArray(S.order, S.scale, counts)
@@ -141,7 +134,7 @@ class GroupAction:
         P[x, a] on the slice form (``SCAlgebra``), n^2 integers: then
         mul[p a, p b, p x] = S[P[p x, p a], P[p x, p b]] = S[P[x, a], P[x, b]]
         = mul[a, b, x].  The identity is sufficient, not necessary, so where
-        it fails the canonical constants are compared, mul[p, p, p] == mul.
+        it fails the constants are compared, mul[p, p, p] == mul.
         """
         g = self.group
         m = g.order
@@ -163,7 +156,7 @@ class GroupAction:
             if np.array_equal(P[np.ix_(p, p)], P):
                 continue
             if mc is None:
-                mc = algebra.mul.canonical()
+                mc = algebra.mul.counts
             if not np.array_equal(mc[np.ix_(p, p, p)], mc):
                 raise AuditError(f"basis permutation of element {h} is not an automorphism")
 
@@ -241,7 +234,7 @@ def ad_invariant(group: FiniteGroup, M: CycArray) -> bool:
     """Whether M[h a h^-1, h b h^-1] = M[a, b] exactly, for every h in ``group``.
 
     ``M`` is an element of C[H x H] as a (|H|, |H|) matrix on the group's
-    local indices.  Its canonical counts are compared under the conjugation
+    local indices.  Its counts are compared under the conjugation
     permutation of every element, so the answer is exact.  Every matrix on an
     abelian group passes, before any count is read.
     """
@@ -250,12 +243,13 @@ def ad_invariant(group: FiniteGroup, M: CycArray) -> bool:
     conj = conj[np.any(conj != np.arange(group.order), axis=1)]  # central h fix every M
     if not conj.size:
         return True
-    canon = M.canonical()
-    return bool(np.all(canon[conj[:, :, None], conj[:, None, :]] == canon))
+    counts = M.counts
+    return bool(np.all(counts[conj[:, :, None], conj[:, None, :]] == counts))
 
 
-def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -> np.ndarray:
-    """Counts [a, b, N] of a block's products at one basis point x.
+def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int,
+                 order: int) -> np.ndarray:
+    """Counts [a, b, phi] of a block's products at one basis point x.
 
     ``shifts[s, c]`` is the coset index of h_s x h_c; ``jinv`` and ``j`` are
     counts of Jinv and J.  mul[a, b, x] = sum Jinv[s, t] J[c, d] over
@@ -271,7 +265,7 @@ def _block_slice(jinv: np.ndarray, j: np.ndarray, shifts: np.ndarray, nz: int) -
     d_at = np.full((nz, m), m)  # [b, t]: the d with h_t x h_d = b, m where none
     d_at[shifts.T, np.arange(m)] = np.arange(m)[:, None]
     pairs = np.argsort(shifts.T.ravel(), kind="stable").reshape(nz, -1)  # [a, k]: c m + s
-    return pair_sums(jinv, j, d_at, pairs)
+    return pair_sums(jinv, j, d_at, pairs, order)
 
 
 def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
@@ -284,8 +278,8 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     product of deltas from distinct double cosets has no terms, so it
     vanishes by construction and each block is closed under the product.
     With a = h_s x h_c and b = h_t x h_d, mul[a, b, x] = sum Jinv[s, t]
-    J[c, d]; the slice at one x is :func:`_block_slice`, on the fewest-term
-    counts of J and Jinv.
+    J[c, d]; the slice at one x is :func:`_block_slice`, on the counts of J
+    and Jinv.
 
     One slice fixes the block when J and Jinv are Ad(H)-invariant, which
     ``ad_invariant`` certifies exactly; it always holds for abelian H, and
@@ -301,8 +295,7 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     a bijection of the coset.  Only the |H|^2 shifts h_s g h_c are formed;
     that they cover the coset, each point |H|^2/|Z| times, makes it the
     orbit H g H.  The unit is the restriction of the ambient counit
-    (all-ones on the coset).  J's and Jinv's counts are the twist's
-    ``terms``, formed once per twist; G's table is indexed as it is stored.
+    (all-ones on the coset).  G's table is indexed as it is stored.
     """
     t.require_verified()
     G, hg = t.subgroup.parent, t.subgroup.elements.astype(np.int64)
@@ -314,12 +307,11 @@ def build_block_algebra(t: TwistData, coset: DoubleCoset) -> SCAlgebra:
     nz = len(z)
     loc_z = np.full(G.order, -1, dtype=np.int64)
     loc_z[z] = np.arange(nz)
-    j, jinv = t.terms
     # [s, c] = coset-local index of h_s g h_c; _block_slice checks they cover the coset
     shifts = loc_z[mulG[mulG[hg, coset.representative][:, None], hg[None, :]]]
     if np.any(shifts < 0):
         raise AuditError("double coset is not closed under H-translations")
-    S = _block_slice(jinv, j, shifts, nz)
+    S = _block_slice(t.Jinv.counts, t.J.counts, shifts, nz, t.order)
     # back[x, a] = h^-1 a h'^-1 for the first factorization x = h g h', (h, h') = (h_s, h_c)
     s, c = np.divmod(np.unique(shifts, return_index=True)[1], len(hg))
     back = loc_z[mulG[mulG[G.inv[hg[s]][:, None], z[None, :]], G.inv[hg[c]][:, None]]]

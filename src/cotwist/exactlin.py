@@ -2,25 +2,28 @@
 
 * ``CycArray`` - the package's one exact representation of cyclotomic
   numbers: an array of them sharing one order N and one rational scale.  The
-  value at a cell is ``scale * sum_k counts[..., k] * zeta_N^k`` with integer
-  counts.  Canonicalization multiplies the counts by the integer reduction
-  matrix of Phi_N (``cotwist.scalars``), which makes equality and zero tests
-  exact.  Twist files are read straight into one and written from its
-  canonical counts (``cotwist.twist``).
+  value at a cell is ``scale * sum_l counts[..., l] * zeta_N^l`` with
+  integer counts on the canonical basis 1, zeta, ..., zeta^(phi(N)-1) of
+  Q(zeta_N), so the last axis is phi(N), and each value on one scale has one
+  set of counts: equality is array equality on a common scale and a zero is
+  a cell of zero counts.  Powers past phi(N) - 1 are reduced by the integer
+  reduction table of Phi_N (``cotwist.scalars``).  Twist files are read
+  straight into one and written from its counts (``cotwist.twist``).
 
 * One product kernel with one chunk loop, :func:`contract_chunks`:
   sum_k src[at[r, k]] B[k, c], the contraction of a gather of the source
-  counts, as one matmul of the gathered counts with the circulant expansion
-  of B's, with BLAS in float32 or float64 while every partial sum is an
-  integer below 2**23 or 2**52 respectively, else in int64, yielded in that
-  dtype, with the bound, a chunk of rows at a time; chunk rows are counted
-  in bytes of that dtype, 64 KiB a chunk.  The gather is made inside, of
-  the source cast once to that dtype, chunk by chunk, so no int64 gather is
-  formed.  :func:`pair_sums`, the sum over factorizations behind the block
-  slice, the U_g row and the dense products in C[K x K], sums the k terms
-  of each chunk as it comes: in the chunk's float dtype while 2 k bound is
-  below that dtype's exact limit, casting only the sums to int64, else in
-  int64 by :func:`sum_counts`, under its overflow bound;
+  counts, as one matmul of the gathered counts with the multiplication
+  matrix of B's, with BLAS in float32 or float64 while every partial sum is
+  an integer below 2**23 or 2**52 respectively, else in int64, yielded in
+  that dtype, with the bound, a chunk of rows at a time; chunk rows, operand
+  and result together, are counted in bytes of that dtype, 64 KiB a chunk.
+  The gather is made inside, of the source cast once to that dtype, chunk by
+  chunk, so no int64 gather is formed.  :func:`pair_sums`, the sum over
+  factorizations behind the block slice, the U_g row and the dense products
+  in C[K x K], sums the k terms of each chunk as it comes: in the chunk's
+  float dtype while 2 k bound is below that dtype's exact limit, casting
+  only the sums to int64, else in int64 by :func:`sum_counts`, under its
+  overflow bound;
   :func:`contract_counts`, each chunk written into one int64 array, serves
   the twist axiom audit, the sparse :func:`ga_mul` and :func:`cyc_tensordot`
   (no index: its operand is cast a chunk at a time).
@@ -65,93 +68,32 @@ def _scale_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
-def _mode_shifted(counts: np.ndarray) -> np.ndarray:
-    """Counts minus each cell's most frequent count (0 on a tie with 0); N = 1 as is.
-
-    Only a cell with fewer than N/2 zero counts can have another count occur
-    more often than 0, so only those cells are searched.  A shifted count is
-    within 2 max|count|; CotwistError is raised unless that is below 2**63.
-    """
-    n = counts.shape[-1]
-    busy = 2 * np.count_nonzero(counts, axis=-1) > n
-    if n == 1 or not busy.any():
-        return counts
-    c = counts[busy]
-    if 2 * _largest(c) >= 1 << 63:
-        raise CotwistError("fewest-term counts would overflow int64")
-    freq = np.stack([np.count_nonzero(c == c[:, k:k + 1], axis=-1) for k in range(n)], axis=-1)
-    best = freq.argmax(axis=-1)[:, None]
-    tie_with_zero = np.count_nonzero(c == 0, axis=-1)[:, None] >= \
-        np.take_along_axis(freq, best, axis=-1)
-    shifted = counts.copy()
-    shifted[busy] = c - np.where(tie_with_zero, 0, np.take_along_axis(c, best, axis=-1))
-    return shifted
-
-
 def _largest(counts: np.ndarray) -> int:
     """max |count|, as a Python int."""
     return max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
 
 
-@functools.cache
-def _canonical_growth(order: int) -> int:
-    """max_k sum_j |red[j, k]| of the reduction table: 2 for prime N."""
-    return int(np.abs(_reduction_table(order)).sum(axis=0).max())
-
-
-def _canonical(counts: np.ndarray, order: int) -> np.ndarray:
-    """:func:`canonical_counts` without its bound.  For prime N, one subtraction
-    per canonical count over all cells: a loop over the short last axis inside
-    numpy is 3-4 times slower for N = 3."""
-    red = _reduction_table(order)
-    if red.shape[1] != order - 1:
-        return counts @ red
-    out = np.empty((*counts.shape[:-1], order - 1), dtype=counts.dtype)
-    for k in range(order - 1):
-        np.subtract(counts[..., k], counts[..., -1], out=out[..., k])
-    return out
-
-
-def canonical_counts(counts: np.ndarray, order: int) -> np.ndarray:
-    """Counts on the canonical basis of Q(zeta_N); for prime N, where zeta^(N-1)
-    is minus the sum of the lower powers, the counts minus the last one.
-
-    Canonical count k is sum_j counts[j] red[j, k], so it and every partial
-    sum stay within max|count| times :func:`_canonical_growth`; CotwistError
-    is raised unless that is below 2**63, where no int64 count wraps.
-    """
-    if _largest(counts) * _canonical_growth(order) >= 1 << 63:
-        raise CotwistError("canonical counts would overflow int64")
-    return _canonical(counts, order)
-
-
-def counts_equal(a: np.ndarray, b: np.ndarray, order: int, bound: int | None = None) -> bool:
-    """Whether two count arrays on one scale hold the same values: the
-    canonical counts of their difference are 0.
-
-    Those are within G B, G = :func:`_canonical_growth`, for the ``bound``
-    B of |a - b| (by default max|a| + max|b|).  numpy's int64 arithmetic
-    wraps, so each is computed exactly mod 2**64, and while G B < 2**64 the
-    only multiple of 2**64 in that range is 0: a count is 0 exactly when its
-    int64 image is.  From 2**64 on CotwistError is raised.
-    """
-    if a.shape != b.shape:
-        return False
-    if bound is None:
-        bound = _largest(a) + _largest(b)
-    if bound * _canonical_growth(order) >= 1 << 64:
-        raise CotwistError("canonical counts of a difference would overflow int64")
-    return not _canonical(a - b, order).any()
+def _table_product(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``counts @ table`` on int64, the last axis of ``counts`` against the
+    rows of an integer table.  Every partial sum of an output count is
+    within max|count| times the table's largest absolute column sum;
+    CotwistError is raised unless that is below 2**63, where none wraps."""
+    if _largest(counts) * int(np.abs(table).sum(axis=0).max(initial=0)) >= 1 << 63:
+        raise CotwistError("a product with the reduction table would overflow int64 counts")
+    return counts @ table
 
 
 class CycArray:
-    """Exact cyclotomic array: ``value = scale * sum_k counts[..., k] zeta^k``."""
+    """Exact cyclotomic array: ``value = scale * sum_l counts[..., l] zeta^l``
+    on the canonical basis 1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N), so
+    each value on one scale has one set of counts."""
 
     __slots__ = ("order", "scale", "counts")
 
     def __init__(self, order: int, scale: Fraction, counts: np.ndarray):
-        if counts.shape[-1] != order:
-            raise ValueError(f"last axis must have length {order}")
+        phi = euler_phi(order)
+        if counts.shape[-1:] != (phi,):
+            raise ValueError(f"last axis must have length phi({order}) = {phi}")
         self.order = order
         self.scale = Fraction(scale)
         self.counts = counts
@@ -160,15 +102,12 @@ class CycArray:
 
     @classmethod
     def zeros(cls, shape, order: int) -> "CycArray":
-        return cls(order, Fraction(1), np.zeros((*shape, order), dtype=np.int64))
+        return cls(order, Fraction(1), np.zeros((*shape, euler_phi(order)), dtype=np.int64))
 
     @classmethod
     def from_exponents(cls, order: int, exponents: np.ndarray, scale=Fraction(1)) -> "CycArray":
         """One root of unity per cell: value = scale * zeta^exponents."""
-        exponents = np.asarray(exponents) % order
-        counts = np.zeros((*exponents.shape, order), dtype=np.int64)
-        np.put_along_axis(counts, exponents[..., None], 1, axis=-1)
-        return cls(order, Fraction(scale), counts)
+        return cls(order, Fraction(scale), _reduction_table(order)[np.asarray(exponents) % order])
 
     # -- shape plumbing ------------------------------------------------------
 
@@ -177,7 +116,7 @@ class CycArray:
         return self.counts.shape[:-1]
 
     def reshape(self, *shape) -> "CycArray":
-        return CycArray(self.order, self.scale, self.counts.reshape(*shape, self.order))
+        return CycArray(self.order, self.scale, self.counts.reshape(*shape, self.counts.shape[-1]))
 
     def transpose(self, axes) -> "CycArray":
         full = tuple(axes) + (self.counts.ndim - 1,)
@@ -188,41 +127,13 @@ class CycArray:
 
     # -- exact structure -----------------------------------------------------
 
-    def canonical(self) -> np.ndarray:
-        """Integer coefficients on the canonical basis (scale still applies)."""
-        return canonical_counts(self.counts, self.order)
-
     def zero_mask(self) -> np.ndarray:
-        return ~np.any(self.canonical(), axis=-1)
+        return ~np.any(self.counts, axis=-1)
 
     def reduced(self) -> "CycArray":
-        """The same values on canonical counts that share no common factor."""
-        canon = self.canonical()
-        g = int(np.gcd.reduce(canon.ravel())) or 1
-        counts = np.zeros_like(self.counts)
-        counts[..., :canon.shape[-1]] = canon // g
-        return CycArray(self.order, self.scale * g, counts)
-
-    def fewest_counts(self) -> np.ndarray:
-        """Counts of the same values with the fewest nonzeros per cell found.
-
-        For N > 1, sum_k zeta^k = 0, so subtracting one constant from all N
-        counts of a cell keeps its value: each cell is shifted by its most
-        frequent count, or by 0 on a tie with 0, so a cell with a single
-        nonzero count keeps it.  A product whose value is one root of unity
-        thus has one nonzero count, not N.  For composite N, where
-        Phi_N has other relations, a cell whose (shifted) canonical counts
-        have fewer nonzeros takes those.  N = 1 is never shifted.
-        """
-        counts = _mode_shifted(self.counts)
-        phi = euler_phi(self.order)
-        if phi < self.order - 1:  # composite N: for prime N, canonical is a shift
-            canon = np.zeros_like(counts)
-            canon[..., :phi] = self.canonical()
-            canon = _mode_shifted(canon)
-            fewer = np.count_nonzero(canon, axis=-1) < np.count_nonzero(counts, axis=-1)
-            counts = np.where(fewer[..., None], canon, counts)
-        return counts
+        """The same values on counts that share no common factor."""
+        g = int(np.gcd.reduce(self.counts.ravel())) or 1
+        return CycArray(self.order, self.scale * g, self.counts // g)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -242,24 +153,27 @@ class CycArray:
         return CycArray(self.order, self.scale * Fraction(q), self.counts)
 
     def conj(self) -> "CycArray":
-        """Complex conjugation: exponent k -> -k mod N."""
-        idx = (-np.arange(self.order)) % self.order
-        return CycArray(self.order, self.scale, self.counts[..., idx])
+        """Complex conjugation, zeta^l -> zeta^-l: one product with the rows
+        red[-l mod N] of the reduction table (:func:`_table_product`)."""
+        red = _reduction_table(self.order)
+        phi = red.shape[1]
+        return CycArray(self.order, self.scale,
+                        _table_product(self.counts, red[-np.arange(phi) % self.order]))
 
     def eq(self, other: "CycArray") -> bool:
-        """Exact equality of values, by :func:`counts_equal` on one common scale."""
+        """Exact equality of values: equal counts on one common scale."""
         ca, cb, _ = self._aligned(other)
-        return counts_equal(ca, cb, self.order)
+        return np.array_equal(ca, cb)
 
 
 #: one chunk of a contraction holds the bytes of this many int64 counts, 64
-#: KiB, so twice as many counts in float32.  A chunk's gather (as wide as its
-#: result where K = C, as in the block and U_g builds), its matmul result and a
-#: caller's take of it, all held in the matmul's dtype, then each stay below
-#: 128 KiB, glibc malloc's initial mmap threshold, so they are served from the
-#: heap and reused, not mapped, faulted in and unmapped once per chunk.  A
-#: contraction whose operand b has more cells than this takes chunks of as
-#: many counts as b has cells (``contract_chunks``)
+#: KiB, so twice as many counts in float32, counting both the operand and the
+#: result rows.  A chunk's gather, its matmul result and a caller's take of it,
+#: all held in the matmul's dtype, then each stay below 128 KiB, glibc
+#: malloc's initial mmap threshold, so they are served from the heap and
+#: reused, not mapped, faulted in and unmapped once per chunk.  A contraction
+#: whose operand b has more cells than this takes chunks of as many counts as
+#: b has cells (``contract_chunks``)
 KERNEL_CHUNK = 1 << 13
 
 
@@ -277,43 +191,56 @@ def _exact_limit(dtype) -> int:
     return 1 << np.finfo(dtype).nmant + 1
 
 
-def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 1):
+@functools.cache
+def _product_table(order: int) -> np.ndarray:
+    """[j, i, l]: canonical count l of zeta^(i + j), for i, j < phi(N), rows
+    of the reduction table, read-only like it."""
+    phi = euler_phi(order)
+    table = _reduction_table(order)[np.add.outer(np.arange(phi), np.arange(phi)) % order]
+    table.flags.writeable = False
+    return table
+
+
+def contract_chunks(src: np.ndarray, at, b: np.ndarray, order: int, rows: int, group: int = 1):
     """Exact contraction of a gather over Z[zeta_N], a chunk of rows at a time:
     yields (lo, out[lo:hi], bound) for consecutive row ranges, where out[r, c] =
     sum_k a[r, k] * b[k, c] with a[r, k] = src[at[r, k]], and bound is the
     one bound on every count of out given below.
 
-    ``src`` is (M, N) and ``b`` (K, C, N) int64 counts, and ``at`` a
-    function (lo, hi) -> rows lo:hi of an (R, K) index into the M cells of
-    ``src``, so no caller forms the whole index, or None when ``src`` is
-    ``a`` itself, (R, K, N).  Each chunk is the (hi - lo, C, N) counts
-    out[r, c, j] = sum_k sum_i a[r, k, i] * b[k, c, (j - i) mod N], the
-    exponent convolution mod N, count for count, held in the dtype of the
+    ``src`` is (M, phi) and ``b`` (K, C, phi) int64 canonical counts of
+    N = ``order``, and ``at`` a function (lo, hi) -> rows lo:hi of an (R, K)
+    index into the M cells of ``src``, so no caller forms the whole index, or
+    None when ``src`` is ``a`` itself, (R, K, phi).  Each chunk is the
+    (hi - lo, C, phi) canonical counts of out, held in the dtype of the
     matmul, of a whole number of groups of ``group`` rows and about
-    max(64 KiB of that dtype, K C counts) (:func:`chunk_rows`).  It is one
-    matmul of the chunk of ``a`` read as (hi - lo, K N) with the circulant
-    expansion circ[(k, i), (c, j)] = b[k, c, (j - i) mod N], of shape
-    (K N, C N), formed once per call, as the dtype and the cast of ``src``
-    are.  The K C term keeps a wide contraction's chunks at about K / N rows
-    or more, so its circulant, K C N**2 cells, is read about R N / K times at
-    most, not once per few rows, while a chunk holds no more than 1 / N**2
-    of it.  The chunk of ``a`` is gathered from ``src`` cast once to the
-    dtype of the matmul, or, with no index, cast from the slice of ``src``
-    it is.  So no int64 gather is formed, and with no index ``src`` is
-    copied no more than once, a slice at a time.
+    max(64 KiB of that dtype, K C counts) of operand and result rows
+    together, (K + C) phi counts a row (:func:`chunk_rows`).  It is one
+    matmul of the chunk of ``a`` read as (hi - lo, K phi) with the
+    multiplication matrix M[(k, i), (c, l)] = sum_j b[k, c, j] red[(i + j)
+    mod N, l], red the reduction table of Phi_N, so row (k, i) of M is
+    zeta^i b[k, c] on the canonical basis.  M, of shape (K phi, C phi), is
+    formed once per call by one int64 product of ``b`` with the (phi,
+    phi phi) table (:func:`_product_table`, :func:`_table_product`), then
+    cast to the dtype of the matmul, as ``src`` is.  The K C term keeps a
+    wide contraction's chunks at K C / ((K + C) phi) rows or more, K / (2
+    phi) where K = C, so M, K C phi**2 cells, is read about 2 R phi / K
+    times at most, not once per few rows.  The chunk of ``a`` is gathered
+    from ``src`` cast once to the dtype of the matmul, or, with no index,
+    cast from the slice of ``src`` it is.  So no int64 gather is formed, and
+    with no index ``src`` is copied no more than once, a slice at a time.
 
-    Each result count is a sum of K N products of two counts, so every
-    count, product and partial sum, in whatever order the matmul adds and
-    with or without a fused multiply-add, is an integer of magnitude at most
-    K N max|a| max|b|.  Every count of ``a`` is a count of ``src``, so
-    max|a| <= max|src|, and bound = K N max|src| max|b| bounds them all
-    without reading the gather (an index that skips src's largest count
-    only leaves more to spare); a chunk is a sub-block of the rows, so the
-    one bound holds for every chunk.  A float with a p-bit significand holds
-    every integer of magnitude at most 2**p exactly, and a sum or product of
-    two such floats whose exact value is such an integer is rounded to
-    itself (:func:`_exact_limit`).  So the matmul is exact, for any BLAS
-    thread count, in
+    Each result count is a sum of K phi products of a count of ``a`` and one
+    of M, so every count, product and partial sum, in whatever order the
+    matmul adds and with or without a fused multiply-add, is an integer of
+    magnitude at most K phi max|a| max|M|.  Every count of ``a`` is a count
+    of ``src``, so max|a| <= max|src|, and bound = K phi max|src| max|M|
+    bounds them all without reading the gather (an index that skips src's
+    largest count only leaves more to spare); a chunk is a sub-block of the
+    rows, so the one bound holds for every chunk.  A float with a p-bit
+    significand holds every integer of magnitude at most 2**p exactly, and
+    a sum or product of two such floats whose exact value is such an
+    integer is rounded to itself (:func:`_exact_limit`).  So the matmul is
+    exact, for any BLAS thread count, in
 
     * float32 (p = 24) while 2 bound < 2**24, i.e. bound < 2**23;
     * float64 (p = 53) while 2 bound < 2**53, i.e. bound < 2**52;
@@ -321,10 +248,12 @@ def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 
 
     each tier taken as soon as its bound holds (a factor 2 to spare in the
     float tiers), and past 2**63 it raises CotwistError before the first
-    chunk.  Every tier yields the same integer counts, count for count.
+    chunk, as M's product does past its own guard.  Every tier yields the
+    same integer counts, count for count.
     """
-    n, inner, cols = src.shape[-1], b.shape[0], b.shape[1]
-    bound = inner * n * _largest(src) * _largest(b)
+    phi, inner, cols = src.shape[-1], b.shape[0], b.shape[1]
+    mult = _table_product(b, _product_table(order).reshape(phi, phi * phi))  # [k, c, (i, l)]
+    bound = inner * phi * _largest(src) * _largest(mult)
     if 2 * bound < _exact_limit(np.float32):
         dtype = np.float32
     elif 2 * bound < _exact_limit(np.float64):
@@ -333,42 +262,41 @@ def contract_chunks(src: np.ndarray, at, b: np.ndarray, rows: int, group: int = 
         dtype = np.int64
     else:
         raise CotwistError("exact contraction would overflow int64 counts")
-    shift = (np.arange(n) - np.arange(n)[:, None]) % n             # [i, j] = j - i mod N
-    circ = b.astype(dtype, copy=False)[:, :, shift].transpose(0, 2, 1, 3)  # [k, i, c, j]
-    circ = circ.reshape(inner * n, cols * n)
+    mult = mult.astype(dtype, copy=False).reshape(inner, cols, phi, phi).transpose(0, 2, 1, 3)
+    mult = mult.reshape(inner * phi, cols * phi)
     if at is not None:
         src = src.astype(dtype, copy=False)
-    step = chunk_rows(cols * n, group, inner * cols, np.dtype(dtype).itemsize)
+    step = chunk_rows((inner + cols) * phi, group, inner * cols, np.dtype(dtype).itemsize)
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
         part = src[lo:hi].astype(dtype, copy=False) if at is None else src.take(at(lo, hi), axis=0)
-        out = np.matmul(part.reshape(hi - lo, inner * n), circ)
-        yield lo, out.reshape(hi - lo, cols, n), bound
+        out = np.matmul(part.reshape(hi - lo, inner * phi), mult)
+        yield lo, out.reshape(hi - lo, cols, phi), bound
 
 
-def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray) -> np.ndarray:
-    """The (R, C, N) int64 counts of :func:`contract_chunks` with its chunks
+def contract_counts(src: np.ndarray, at: np.ndarray | None, b: np.ndarray,
+                    order: int) -> np.ndarray:
+    """The (R, C, phi) int64 counts of :func:`contract_chunks` with its chunks
     written into one int64 array as they come: out[r, c] = sum_k src[at[r,
     k]] * b[k, c] for an (R, K) index ``at``, or sum_k src[r, k] * b[k, c]
-    for ``at`` None and ``src`` (R, K, N).  Raises CotwistError past the
+    for ``at`` None and ``src`` (R, K, phi).  Raises CotwistError past the
     int64 bound.
     """
     rows = len(src if at is None else at)
     out = np.empty((rows, b.shape[1], src.shape[-1]), dtype=np.int64)
     index = None if at is None else (lambda lo, hi: at[lo:hi])
-    for lo, part, _ in contract_chunks(src, index, b, rows):
+    for lo, part, _ in contract_chunks(src, index, b, order, rows):
         out[lo:lo + len(part)] = part
     return out
 
 
 def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
-    """Exact tensordot on the raw counts, by :func:`contract_counts`.
+    """Exact tensordot on the counts, by :func:`contract_counts`.
 
     ``axes`` is as for ``np.tensordot``.  The contracted axes of ``a`` go
     last and those of ``b`` first, so the product is one contraction of two
     count matrices.  Raises CotwistError when the int64 result counts could
-    overflow: each is a sum of at most (contracted length) * N products of
-    two counts.
+    overflow (:func:`contract_chunks`).
     """
     if a.order != b.order:
         raise ValueError("order mismatch")
@@ -382,10 +310,11 @@ def cyc_tensordot(a: CycArray, b: CycArray, axes) -> CycArray:
     free_b = [x for x in range(ndb) if x not in axes_b]
     rows, cols = ([x.shape[ax] for ax in free] for x, free in ((a, free_a), (b, free_b)))
     inner = math.prod(a.shape[x] for x in axes_a)
-    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(math.prod(rows), inner, a.order)
-    cb = b.counts.transpose(axes_b + free_b + [ndb]).reshape(inner, math.prod(cols), b.order)
-    out = contract_counts(ca, None, cb)
-    return CycArray(a.order, a.scale * b.scale, out.reshape(*rows, *cols, a.order))
+    phi = a.counts.shape[-1]
+    ca = a.counts.transpose(free_a + axes_a + [nda]).reshape(math.prod(rows), inner, phi)
+    cb = b.counts.transpose(axes_b + free_b + [ndb]).reshape(inner, math.prod(cols), phi)
+    out = contract_counts(ca, None, cb, a.order)
+    return CycArray(a.order, a.scale * b.scale, out.reshape(*rows, *cols, phi))
 
 
 def sum_counts(counts: np.ndarray, axis: int) -> np.ndarray:
@@ -400,45 +329,47 @@ def sum_counts(counts: np.ndarray, axis: int) -> np.ndarray:
 
 
 def pair_sums(first: np.ndarray, second: np.ndarray, partner: np.ndarray,
-              groups: np.ndarray) -> np.ndarray:
-    """The (G, B, N) int64 counts out[g, b] = sum over c S + s in groups[g] of
-    sum_t first[s, t] * second[c, partner[b, t]], over Z[zeta_N].
+              groups: np.ndarray, order: int) -> np.ndarray:
+    """The (G, B, phi) int64 counts out[g, b] = sum over c S + s in groups[g]
+    of sum_t first[s, t] * second[c, partner[b, t]], over Z[zeta_N], N =
+    ``order``.
 
-    ``first`` is (S, T, N) and ``second`` (C, D, N) int64 counts, ``partner``
-    a (B, T) index whose entry D means "no term", and each row of ``groups``
-    lists k flat indices c S + s.  Second gets one zero column D, so a term
-    with no partner reads 0, and Y[(b, c), s] = sum_t second[c, partner[b,
-    t]] first[s, t] is one contraction of a gather, which
-    :func:`contract_chunks` yields a whole number of b-rows (groups of C rows)
-    at a time, gathered from second by that range's flat index.  Each chunk,
-    read as Y[b, (c, s)], is taken along its (c, s) axis at ``groups`` and its
-    k terms summed into out[:, b-range], so neither the gather nor Y is
-    formed whole.
+    ``first`` is (S, T, phi) and ``second`` (C, D, phi) int64 canonical
+    counts, ``partner`` a (B, T) index whose entry D means "no term", and
+    each row of ``groups`` lists k flat indices c S + s.  Second gets one
+    zero column D, so a term with no partner reads 0, and Y[(b, c), s] =
+    sum_t second[c, partner[b, t]] first[s, t] is one contraction of a
+    gather, which :func:`contract_chunks` yields a whole number of b-rows
+    (groups of C rows) at a time, gathered from second by that range's flat
+    index.  Each chunk, read as Y[b, (c, s)], is taken along its (c, s) axis
+    at ``groups`` and its k terms summed into out[:, b-range], so neither
+    the gather nor Y is formed whole.
 
-    Every count of Y is within the contraction's bound = T N max|first|
-    max|second|, so every partial sum of k of them is within k bound.  While
-    2 k bound is below the exact limit of the float dtype the chunk comes in
-    (:func:`_exact_limit`: 2**24 for float32, 2**53 for float64), the k terms
-    are summed in that dtype, each partial sum an integer held exactly, and
-    only the (G, b-range, N) sums are cast to int64, as they are written
-    into out.  Past it, or for an int64 chunk, the terms are cast to int64
-    and summed by :func:`sum_counts`, under k times the largest count of
-    that chunk, read off it: the a-priori k bound takes all T N products of
-    every term at their largest, and would refuse int64 sums that fit.
+    Every count of Y is within the contraction's bound = T phi max|second|
+    max|M|, M the multiplication matrix of first, so every partial sum of k
+    of them is within k bound.  While 2 k bound is below the exact limit of
+    the float dtype the chunk comes in (:func:`_exact_limit`: 2**24 for
+    float32, 2**53 for float64), the k terms are summed in that dtype, each
+    partial sum an integer held exactly, and only the (G, b-range, phi) sums
+    are cast to int64, as they are written into out.  Past it, or for an
+    int64 chunk, the terms are cast to int64 and summed by
+    :func:`sum_counts`, under k times the largest count of that chunk, read
+    off it: the a-priori k bound takes all T phi products of every term at
+    their largest, and would refuse int64 sums that fit.
     """
-    S, T, n = first.shape
+    S, T, phi = first.shape
     C, D = second.shape[:2]
     k = groups.shape[1]
-    second = np.concatenate([second, np.zeros((C, 1, n), dtype=np.int64)], axis=1)
+    second = np.concatenate([second, np.zeros((C, 1, phi), dtype=np.int64)], axis=1)
     c_at = np.arange(C)[:, None] * (D + 1)  # [c, 1]
 
     def at(lo, hi):  # [(b, c), t] for the b of rows lo:hi
         return (c_at + partner[lo // C:hi // C, None]).reshape(-1, T)
 
-    out = np.empty((len(groups), len(partner), n), dtype=np.int64)
-    for lo, Y, bound in contract_chunks(second.reshape(-1, n), at, first.transpose(1, 0, 2),
-                                        len(partner) * C, group=C):
-        terms = np.take(Y.reshape(-1, C * S, n), groups.T, axis=1)  # [b, k, g]
+    out = np.empty((len(groups), len(partner), phi), dtype=np.int64)
+    for lo, Y, bound in contract_chunks(second.reshape(-1, phi), at, first.transpose(1, 0, 2),
+                                        order, len(partner) * C, group=C):
+        terms = np.take(Y.reshape(-1, C * S, phi), groups.T, axis=1)  # [b, k, g]
         if Y.dtype != np.int64 and 2 * k * bound < _exact_limit(Y.dtype):
             sums = terms.sum(axis=1)
         else:
@@ -452,40 +383,37 @@ def ga_mul(u: CycArray, v: CycArray, mul_table: np.ndarray) -> CycArray:
 
     ``u`` and ``v`` are indexed by the elements of a group K with Cayley
     table ``mul_table``, or, as (|K|, |K|) arrays, by the pairs of K x K,
-    whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  Both are
-    read on their fewest-term counts (:meth:`CycArray.fewest_counts`), and a
-    cell is in the support when those are nonzero, so raw counts of value 0
-    are not.  With A the smaller support, say u's, (u v)[x] = sum_{a in A}
-    u[a] v[a^-1 x] (leg-wise for pairs): one :func:`contract_counts` gathers
-    v at the index [x, a], |K| |A| cells (|K|^2 |A| for pairs), and contracts
-    it with u over A; for v's, (u v)[x] = sum_{b in B} u[x b^-1] v[b].  Two
-    pair elements whose supports both exceed |K| cells, where that index
-    would pass |K|^3 cells, are the :func:`pair_sums` (u v)[x, y] = sum over
-    the pairs (a1^-1 x, a1) of sum_{a2} u[a1, a2] v[a1^-1 x, a2^-1 y], with
-    a^-1 y read off the ``argsort`` of the table's rows (K need not be
-    abelian).  Either way the counts are the sums of the products of the
-    fewest-term counts, count for count.
+    whose product is leg-wise: (a1 x a2)(b1 x b2) = a1 b1 x a2 b2.  A cell
+    is in the support when its counts are nonzero.  With A the smaller
+    support, say u's, (u v)[x] = sum_{a in A} u[a] v[a^-1 x] (leg-wise for
+    pairs): one :func:`contract_counts` gathers v at the index [x, a], |K|
+    |A| cells (|K|^2 |A| for pairs), and contracts it with u over A; for
+    v's, (u v)[x] = sum_{b in B} u[x b^-1] v[b].  Two pair elements whose
+    supports both exceed |K| cells, where that index would pass |K|^3
+    cells, are the :func:`pair_sums` (u v)[x, y] = sum over the pairs
+    (a1^-1 x, a1) of sum_{a2} u[a1, a2] v[a1^-1 x, a2^-1 y], with a^-1 y
+    read off the ``argsort`` of the table's rows (K need not be abelian).
     """
     if u.order != v.order:
         raise ValueError("order mismatch")
     mul = np.asarray(mul_table, dtype=np.int64)
-    m, n = mul.shape[0], u.order
-    fu, fv = u.fewest_counts(), v.fewest_counts()
-    su, sv = (np.flatnonzero(f.reshape(-1, n).any(axis=-1)) for f in (fu, fv))
+    m, n, phi = mul.shape[0], u.order, u.counts.shape[-1]
+    cu, cv = u.counts, v.counts
+    su, sv = (np.flatnonzero(c.reshape(-1, phi).any(axis=-1)) for c in (cu, cv))
     pair = len(u.shape) == 2
     if pair and min(su.size, sv.size) > m:
         ldiv = np.argsort(mul, axis=1)  # [a, y]: a^-1 y
         return CycArray(n, u.scale * v.scale,
-                        pair_sums(fu, fv, ldiv.T, ldiv.T * m + np.arange(m)))
+                        pair_sums(cu, cv, ldiv.T, ldiv.T * m + np.arange(m), n))
     left = su.size <= sv.size
-    support, small, other = (su, fu, fv) if left else (sv, fv, fu)
+    support, small, other = (su, cu, cv) if left else (sv, cv, cu)
     # div[s, x]: the other factor's cell y with s y = x (left) or y s = x (right)
     div = np.argsort(mul, axis=1) if left else np.argsort(mul, axis=0).T
     legs = [div[leg].T for leg in np.unravel_index(support, u.shape)]  # [x, k] per leg
     at = legs[0][:, None] * m + legs[1][None] if pair else legs[0]
-    out = contract_counts(other.reshape(-1, n), at.reshape(-1, support.size),
-                          small.reshape(-1, n)[support][:, None])
-    return CycArray(n, u.scale * v.scale, out.reshape(fu.shape))
+    out = contract_counts(other.reshape(-1, phi), at.reshape(-1, support.size),
+                          small.reshape(-1, phi)[support][:, None], n)
+    return CycArray(n, u.scale * v.scale, out.reshape(cu.shape))
 
 
 def ga_identity(size: int, order: int) -> CycArray:
@@ -514,11 +442,10 @@ def _rref(mat: CycArray) -> tuple[np.ndarray, list[int]]:
     """
     if len(mat.shape) != 2:
         raise ValueError("need a 2-d matrix")
-    n, phi = mat.order, euler_phi(mat.order)
+    phi = euler_phi(mat.order)
     rows, cols = mat.shape
-    # shift[s, k, j]: coefficient j of zeta^(s + k), the block of a count at s
-    shift = _reduction_table(n)[np.add.outer(np.arange(n), np.arange(phi)) % n]
-    a = np.tensordot(mat.counts.astype(object), shift, axes=1)
+    # [s, k, j]: coefficient j of zeta^(s + k), the block of a count at s
+    a = np.tensordot(mat.counts.astype(object), _product_table(mat.order), axes=1)
     a = a.transpose(0, 3, 1, 2).reshape(rows * phi, cols * phi)
     a = a[(a != 0).any(axis=1)]
     a //= np.gcd.reduce(a, axis=1)[:, None]
@@ -566,9 +493,7 @@ def _reduced_entries(a: np.ndarray, pivots: list[int], columns, order: int) -> C
     if canon.size and int(np.abs(canon).max()) >= 1 << 63:
         raise CotwistError(
             f"exact values over the common denominator {common} overflow int64 counts")
-    counts = np.zeros((*canon.shape[:2], order), dtype=np.int64)
-    counts[..., :phi] = canon
-    return CycArray(order, Fraction(1, common), counts)
+    return CycArray(order, Fraction(1, common), canon.astype(np.int64))
 
 
 @functools.cache
@@ -656,7 +581,7 @@ def cyc_nullspace(mat: CycArray) -> CycArray:
     red, pivots = _rref(mat)
     free = [c for c in range(cols) if c not in pivots]
     coeffs = _reduced_entries(red, pivots, free, mat.order)
-    counts = np.zeros((len(free), cols, mat.order), dtype=np.int64)
+    counts = np.zeros((len(free), cols, euler_phi(mat.order)), dtype=np.int64)
     counts[np.arange(len(free)), free, 0] = coeffs.scale.denominator  # 1 on scale 1/den
     counts[:, pivots] = -coeffs.counts.transpose(1, 0, 2)
     return CycArray(mat.order, coeffs.scale, counts)

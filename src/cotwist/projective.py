@@ -20,7 +20,7 @@ import numpy as np
 
 from .dual_algebras import GroupAction, SCAlgebra
 from .errors import AuditError, CotwistError
-from .exactlin import CycArray, cyc_tensordot, sum_counts
+from .exactlin import CycArray, chunk_rows, cyc_tensordot, sum_counts
 from .groups import FiniteGroup, Subgroup, character_exponents, stabilizer_local_indices
 
 #: character_exponents lives in ``groups`` and is exported here too
@@ -74,12 +74,12 @@ def _generator_characters(A: SCAlgebra, moved_e: np.ndarray, E: np.ndarray) -> n
     chars = CycArray.from_exponents(order, E)
     sides = CycArray(order, A.product.scale, np.concatenate(  # [side, h, y]: at_e, then each s
         [A.take(0, axis=1).counts[None], A.take(moved_e, axis=0).counts]))
-    weights = CycArray(order, 1, np.zeros((m, 1, order), dtype=np.int64))
+    weights = CycArray.zeros((m, 1), order)
     weights.counts[:, 0, 0] = np.arange(1, m + 1)
     screen = cyc_tensordot(chars, cyc_tensordot(sides, weights, axes=1),
-                           axes=([1], [1])).canonical()[:, :, 0]  # [chi, side]
+                           axes=([1], [1])).counts[:, :, 0]  # [chi, side]
     s, chi = np.nonzero(np.all(screen[:, 1:] == screen[:, :1], axis=-1).T)  # kept, by s
-    exact = cyc_tensordot(sides, chars.take(chi), axes=([1], [1])).canonical()  # [side, y, kept]
+    exact = cyc_tensordot(sides, chars.take(chi), axes=([1], [1])).counts  # [side, y, kept]
     kept = np.arange(chi.size)
     passed = np.all(exact[s + 1, :, kept] == exact[0, :, kept], axis=(1, 2))
     if np.any(np.bincount(s[passed], minlength=k) != 1):
@@ -101,19 +101,28 @@ def certify_characters(A: SCAlgebra, act: GroupAction, X: np.ndarray) -> None:
     slice (``SCAlgebra``) and Q[y] the inverse permutation of P[y],
     left[b, y] = L[y, P[y, b]] and right[a, y] = R[y, P[y, a]] for
     L[y, c] = sum_u chi_s(Q[y, u]) S[u, c] and R[y, r] = sum_v S[r, v]
-    chi_s(Q[y, v]): two contractions with S, and no n^3 constants.
+    chi_s(Q[y, v]): two contractions with S, and no n^3 constants.  The
+    generators go a block at a time, as many as :func:`chunk_rows` fits of
+    n^2 phi counts each, so the characters chi_s(Q[y, u]) and both
+    contractions are held for one block only: every generator at once at
+    p = 5, one at a time from |H| = 81 on.
     """
     gens = np.array(act.group.generators, dtype=np.int64)
-    S, P, m, k = A.product, A.perms, A.dim, gens.size
-    moved = act.perms[gens]  # [s, b] = alpha_s(b)
-    chars = CycArray.from_exponents(S.order, X[gens][:, np.argsort(P, axis=1)])  # [s, y, u]
-    left = cyc_tensordot(chars, S, axes=([2], [0])).canonical()   # [s, y, c]: L
-    right = cyc_tensordot(chars, S, axes=([2], [1])).canonical()  # [s, y, r]: R
-    s, y = np.arange(k)[:, None, None], np.arange(m)[None, :, None]
-    agree = np.all(left[s, y, P] == right[s, y, P[y, moved[:, None, :]]], axis=(1, 2, 3))
-    bad = gens[~agree]
-    if bad.size:
-        raise AuditError(f"{A.name}: the character of generator {bad[0]} fails its certificate")
+    S, P, m = A.product, A.perms, A.dim
+    inverse = np.argsort(P, axis=1)  # Q
+    y = np.arange(m)[None, :, None]
+    step = chunk_rows(m * m * S.counts.shape[-1])
+    for lo in range(0, gens.size, step):
+        block = gens[lo:lo + step]
+        moved = act.perms[block]  # [s, b] = alpha_s(b)
+        chars = CycArray.from_exponents(S.order, X[block][:, inverse])  # [s, y, u]
+        left = cyc_tensordot(chars, S, axes=([2], [0])).counts   # [s, y, c]: L
+        right = cyc_tensordot(chars, S, axes=([2], [1])).counts  # [s, y, r]: R
+        s = np.arange(block.size)[:, None, None]
+        agree = np.all(left[s, y, P] == right[s, y, P[y, moved[:, None, :]]], axis=(1, 2, 3))
+        bad = block[~agree]
+        if bad.size:
+            raise AuditError(f"{A.name}: the character of generator {bad[0]} fails its certificate")
 
 
 def regular_trace_law(A: SCAlgebra, X: np.ndarray) -> np.ndarray:

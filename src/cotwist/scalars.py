@@ -1,11 +1,12 @@
 """The cyclotomic field Q(zeta_N): its reduction table and the text form of values.
 
 Exact values live in :class:`cotwist.exactlin.CycArray`, as integer counts
-on the powers zeta_N^k over one rational scale.  This module supplies what
-that representation needs: ``euler_phi``, the table that reduces each power
-x^j modulo the N-th cyclotomic polynomial Phi_N to its unique canonical
-coefficients on 1, zeta, ..., zeta^(phi(N)-1), the literal grammar of twist
-files, and the package's one primality test, ``_is_prime``.
+on the canonical basis 1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N) over one
+rational scale.  This module supplies what that representation needs:
+``euler_phi``, the table that reduces each power x^j modulo the N-th
+cyclotomic polynomial Phi_N to its unique canonical coefficients, the
+literal grammar of twist files, and the package's one primality test,
+``_is_prime``.
 
 Text form for one value: semicolon-separated terms ``a/b*E(N)^k`` with
 integer a, positive integer b, integer exponent k; ``0`` denotes zero.
@@ -108,7 +109,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_table(n: int) -> np.ndarray:
-    # Row j (0 <= j < n) is x^j reduced mod Phi_n, as phi(n) integers.
+    # Row j (0 <= j < n) is x^j reduced mod Phi_n, as phi(n) integers; read-only,
+    # as every caller shares it.
     phi = euler_phi(n)
     cp = cyclotomic_polynomial(n)
     rows = np.zeros((n, phi), dtype=np.int64)
@@ -122,6 +124,7 @@ def _reduction_table(n: int) -> np.ndarray:
         if top:
             for i in range(phi):
                 cur[i] -= top * cp[i]
+    rows.flags.writeable = False
     return rows
 
 

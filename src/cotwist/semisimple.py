@@ -24,8 +24,8 @@ import numpy as np
 
 from .dual_algebras import SCAlgebra, _identity_matrix
 from .errors import CotwistError
-from .exactlin import (CycArray, _largest, _modular_image, _modular_root, _rank_mod,
-                       chunk_rows, counts_equal, cyc_tensordot)
+from .exactlin import (CycArray, _modular_image, _modular_root, _rank_mod, chunk_rows,
+                       cyc_tensordot)
 from .groups import FiniteGroup, character_exponents, character_products, greedy_generators
 
 #: exhaustive associativity above this dimension would be needlessly slow;
@@ -78,10 +78,9 @@ def algebra_audit(A: SCAlgebra) -> bool:
 def center_basis(A: SCAlgebra) -> CycArray:
     """Exact basis ``(r, n)`` of the center, decided by a certificate.
 
-    A slice S canonically (:func:`counts_equal`) equal to its transpose -
-    on the last row first, then literally or on the difference - makes
-    mul[i, j, k] = S[P[k, i], P[k, j]] symmetric in (i, j), every row of P
-    a permutation: the identity basis.
+    A slice S equal to its transpose, count for count, makes mul[i, j, k] =
+    S[P[k, i], P[k, j]] symmetric in (i, j), every row of P a permutation:
+    the identity basis.
 
     A noncommutative algebra is graded by the characters of the translation
     group Q of its basis permutations (:func:`_grading_characters`), and the
@@ -196,16 +195,9 @@ def _grading_characters(perms: np.ndarray, order: int) -> tuple[np.ndarray, np.n
 
 
 def _canonically_symmetric(mul: CycArray) -> bool:
-    """Whether mul[i, j, ...] = mul[j, i, ...] exactly: canonical counts
-    compared on the last row first, then literally or on the difference.
-    Not row 0: a group algebra's identity row, and the row of a slice's own
-    point, are symmetric even when the algebra is not.  Both compares take
-    the one bound 2 max|c| of the overflow guard: the transpose holds the
-    same counts."""
-    c, ct, order = mul.counts, mul.counts.swapaxes(0, 1), mul.order
-    bound = 2 * _largest(c)
-    return counts_equal(c[-1], ct[-1], order, bound) and (
-        np.array_equal(c, ct) or counts_equal(c, ct, order, bound))
+    """Whether mul[i, j, ...] = mul[j, i, ...] exactly: the canonical counts
+    equal their transpose."""
+    return np.array_equal(mul.counts, mul.counts.swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .exactlin import (
 )
 from .groups import (Bicharacter, FiniteGroup, Subgroup, character_exponents, character_products,
                      greedy_generators)
-from .scalars import format_cyclotomic, parse_cyclotomic
+from .scalars import _reduction_table, format_cyclotomic, parse_cyclotomic
 
 
 @dataclass
@@ -92,16 +92,6 @@ class TwistData:
         """J's transform where it is single-term (:func:`_fourier`), else None;
         formed once per audit, which reads it first."""
         return _fourier(self)
-
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(J.fewest_counts(), Jinv.fewest_counts()), formed once per twist.
-
-        Read only after the axiom audit, which certifies ``Jinv``
-        (CotwistError before it); the block builds of every coset read them.
-        """
-        self.require_verified()
-        return self.J.fewest_counts(), self.Jinv.fewest_counts()
 
     def require_verified(self) -> None:
         if not self.verified:
@@ -224,10 +214,11 @@ def _fourier(t: TwistData) -> Fourier | None:
     """J-hat on the certified characters of H (:func:`character_exponents`)
     when it is single-term, else None.
 
-    Single-term: every cell's fewest-term counts (:meth:`CycArray.fewest_counts`)
-    are one nonzero count c at some k, and c is the same in every cell once,
-    for even N, a negative c is folded into k + N/2 (zeta^(N/2) = -1).  Then
-    J-hat = scale * zeta^exp with scale = c * J.scale.  Each (c, k) pair is
+    Single-term: every cell's counts v are c red[k] for an integer c != 0
+    and one of the N roots of unity zeta^k, red[k] its canonical counts
+    (:func:`_single_terms`), and c is the same in every cell once, for even
+    N, a negative c is folded into k + N/2 (zeta^(N/2) = -1).  Then J-hat =
+    scale * zeta^exp with scale = c * J.scale.  Each (c, k) pair is
     canonical: c zeta^k = c' zeta^k' with c, c' rational makes zeta^(k - k')
     = +-1, and -1 is zeta^(N/2) for even N and no N-th root for odd N.  None
     also when H is not abelian, its exponent does not divide N, or the
@@ -236,13 +227,12 @@ def _fourier(t: TwistData) -> Fourier | None:
     n = t.order
     try:
         chars = character_exponents(t.group, n)
-        hat = _transform(chars, t.J).fewest_counts()
+        single = _single_terms(_transform(chars, t.J).counts, n)
     except (CotwistError, MemoryError):
+        single = None
+    if single is None:
         return None
-    if (np.count_nonzero(hat, axis=-1) != 1).any():
-        return None
-    exp = np.argmax(hat != 0, axis=-1)
-    coef = np.take_along_axis(hat, exp[..., None], axis=-1)[..., 0]
+    exp, coef = single
     if n % 2 == 0:
         exp = np.where(coef < 0, exp + n // 2, exp) % n
         coef = np.abs(coef)
@@ -252,6 +242,31 @@ def _fourier(t: TwistData) -> Fourier | None:
     return Fourier(order=n, chars=chars, prod=prod, dual=np.argmax(prod == 0, axis=1),
                    exp=exp.astype(np.int16 if 4 * n < 1 << 15 else np.int64),
                    scale=t.J.scale * int(coef.flat[0]))
+
+
+def _single_terms(counts: np.ndarray, order: int):
+    """(exp, coef) with counts = coef red[exp] in every cell, coef a nonzero
+    integer and zeta^exp one of the N roots of unity, red the reduction
+    table; None unless every cell matches one.
+
+    Cell v matches zeta^k when v = c red[k] for c = v[p] / red[k, p], p the
+    first nonzero of red[k], an integer; for even N, c zeta^k = -c
+    zeta^(k + N/2) matches twice, and either match is kept.  CotwistError
+    unless max|v| max|red| < 2**63, where no product c red[k] wraps.
+    """
+    red = _reduction_table(order)
+    v = counts.reshape(-1, counts.shape[-1])
+    if _largest(v) * _largest(red) >= 1 << 63:
+        raise CotwistError("the single-term match would overflow int64 counts")
+    exp, coef = np.full(len(v), -1), np.zeros(len(v), dtype=np.int64)
+    for k, row in enumerate(red):
+        p = np.flatnonzero(row)[0]
+        c, rest = np.divmod(v[:, p], row[p])
+        hit = (c != 0) & (rest == 0) & np.all(v == c[:, None] * row, axis=-1)
+        exp[hit], coef[hit] = k, c[hit]
+    if (exp < 0).any():
+        return None
+    return exp.reshape(counts.shape[:-1]), coef.reshape(counts.shape[:-1])
 
 
 def _adjoint_inverse(t: TwistData, f: Fourier) -> CycArray:
@@ -304,19 +319,18 @@ def _sides_agree(X: CycArray, shift: np.ndarray) -> bool:
     Both sides contract one gathered matrix A[(u, v), a] = X[a.u, a.v]:
     left[(u, v), w] = sum_a A[(u, v), a] X[a, w] and right[u, v, w] =
     sum_a A[(v, w), a] X^T[a, u].  So one :func:`contract_counts` of A,
-    gathered inside it, with [X | X^T] gives both, on the fewest-term counts
-    (:meth:`CycArray.fewest_counts`); the sides agree when the canonical
-    counts of their difference are 0 (:meth:`CycArray.eq`).
+    gathered inside it, with [X | X^T] gives both, on one scale, so the
+    sides agree when their canonical counts are equal.
     """
-    m, n = X.shape[0], X.order
-    counts = X.fewest_counts()
+    m, counts = X.shape[0], X.counts
+    phi = counts.shape[-1]
     u, v, a = np.ogrid[:m, :m, :m]
     at = (shift[a, u] * m + shift[a, v]).reshape(m * m, m)              # [(u, v), a]
     pair = np.concatenate([counts, counts.transpose(1, 0, 2)], axis=1)  # [X | X^T]
-    both = contract_counts(counts.reshape(m * m, n), at, pair)
-    left = both[:, :m].reshape(m, m, m, n)
-    right = both[:, m:].reshape(m, m, m, n).transpose(2, 0, 1, 3)  # [v, w, u] -> [u, v, w]
-    return CycArray(n, X.scale, left).eq(CycArray(n, X.scale, right))
+    both = contract_counts(counts.reshape(m * m, phi), at, pair, X.order)
+    left = both[:, :m].reshape(m, m, m, phi)
+    right = both[:, m:].reshape(m, m, m, phi).transpose(2, 0, 1, 3)  # [v, w, u] -> [u, v, w]
+    return np.array_equal(left, right)
 
 
 def _certified(check, *args) -> tuple[bool, str]:
@@ -351,8 +365,7 @@ def verify_twist_axioms(t: TwistData) -> TwistAudit:
     ``t.verified`` to the audit's outcome.
     """
     t.Jinv = None
-    for cached in ("fourier", "terms"):  # those of an earlier audit
-        t.__dict__.pop(cached, None)
+    t.__dict__.pop("fourier", None)  # that of an earlier audit
     audit = (_contracted_audit if t.fourier is None else _pointwise_audit)(t)
     t.verified = audit.ok
     return audit
@@ -517,12 +530,12 @@ def _q_element(J: CycArray, mul: np.ndarray, inv: np.ndarray) -> CycArray:
     """Q = m (S x id)(J) = sum_ab J_ab a^-1 b in C[H].  Each cell adds the m
     counts of the pairs with a^-1 b at it; CotwistError is raised unless
     m max|count| < 2**63."""
-    m, n = J.shape[0], J.order
+    m, phi = J.shape[0], J.counts.shape[-1]
     if m * _largest(J.counts) >= 1 << 63:
         raise CotwistError("the sums of Q would overflow int64 counts")
-    q_counts = np.zeros((m, n), dtype=np.int64)
-    np.add.at(q_counts, mul[inv].ravel(), J.counts.reshape(m * m, n))  # at a^-1 b
-    return CycArray(n, J.scale, q_counts)
+    q_counts = np.zeros((m, phi), dtype=np.int64)
+    np.add.at(q_counts, mul[inv].ravel(), J.counts.reshape(m * m, phi))  # at a^-1 b
+    return CycArray(J.order, J.scale, q_counts)
 
 
 def _antipode(X: CycArray, inv: np.ndarray) -> CycArray:
@@ -582,10 +595,10 @@ def square_dimension_check(t: TwistData) -> int:
 def save_twist_file(path, t: TwistData) -> None:
     """Write ``N dim`` header then dim^2 cyclotomic literals row-major.
 
-    Each literal lists the nonzero canonical coefficients of its cell
-    (``J.canonical()`` times ``J.scale``), so equal twists give equal files.
+    Each literal lists the nonzero canonical coefficients of its cell (its
+    counts times ``J.scale``), so equal twists give equal files.
     """
-    canon = t.J.canonical()
+    canon = t.J.counts
     m = t.size
     with open(path, "w") as fh:
         fh.write(f"{t.order} {m}\n")
@@ -622,6 +635,5 @@ def load_twist_matrix(path) -> CycArray:
     if max(abs(x) for cell in canon for x in cell) >= 1 << 63:
         raise CotwistError(f"twist file {path}: exact values over the common "
                            f"denominator {den} overflow int64 counts")
-    counts = np.zeros((dim * dim, order), dtype=np.int64)
-    counts[:, :len(canon[0])] = canon
-    return CycArray(order, Fraction(1, den), counts.reshape(dim, dim, order))
+    counts = np.array(canon, dtype=np.int64).reshape(dim, dim, -1)
+    return CycArray(order, Fraction(1, den), counts)

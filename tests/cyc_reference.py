@@ -1,11 +1,13 @@
 """Reference cyclotomic arithmetic for the tests, apart from the package kernels.
 
 A value of Q(zeta_N) is a tuple of N Fractions, the coefficients of a
-polynomial in zeta modulo x^N - 1.  Sums add coefficient-wise and products
-are cyclic convolutions.  That form is not unique (1 + zeta + zeta^2 = 0 for
-N = 3), so values are compared after reduction modulo Phi_N, where it is.
-Products are formed in plain loops; nothing here calls the package's product
-kernel ``contract_counts``.
+polynomial in zeta modulo x^N - 1; a CycArray's phi(N) canonical counts are
+read as such a tuple padded with zeros.  Sums add coefficient-wise and
+products are cyclic convolutions.  That form is not unique (1 + zeta +
+zeta^2 = 0 for N = 3), so values are compared after reduction modulo Phi_N,
+where it is.  Products are formed in plain loops; nothing here calls the
+package's product kernel ``contract_counts``.  Raw counts on the N powers of
+zeta, as tests write them, become a CycArray through :func:`on_powers`.
 """
 
 import cmath
@@ -13,14 +15,26 @@ from fractions import Fraction
 
 import numpy as np
 
+from cotwist.exactlin import CycArray
 from cotwist.scalars import _reduction_table
 
 
+def on_powers(order: int, scale, counts):
+    """The CycArray of ``scale * sum_k counts[..., k] zeta^k`` for counts on
+    the N powers of zeta: counts @ red, the reduction table, on Python
+    integers, so a count past int64 raises instead of wrapping."""
+    red = _reduction_table(order).astype(object)
+    canon = np.asarray(counts, dtype=object) @ red
+    return CycArray(order, Fraction(scale), canon.astype(np.int64))
+
+
 def values(arr) -> np.ndarray:
-    """The cells of a CycArray as an object array of reference values."""
+    """The cells of a CycArray as an object array of reference values, its
+    phi(N) canonical counts padded to N coefficients."""
+    pad = (Fraction(0),) * (arr.order - arr.counts.shape[-1])
     out = np.empty(arr.shape, dtype=object)
     for idx in np.ndindex(*arr.shape):
-        out[idx] = tuple(arr.scale * int(c) for c in arr.counts[idx])
+        out[idx] = tuple(arr.scale * int(c) for c in arr.counts[idx]) + pad
     return out
 
 
@@ -30,8 +44,8 @@ def copied(arr):
 
 
 def is_zero(arr) -> bool:
-    """Every cell of a CycArray is zero, read off its canonical counts."""
-    return not arr.canonical().any()
+    """Every cell of a CycArray is zero: its canonical counts are."""
+    return not arr.counts.any()
 
 
 def zero(order: int) -> tuple:
@@ -60,8 +74,8 @@ def mul(a, b) -> tuple:
 def ga_product(u, v, table) -> np.ndarray:
     """u v in C[K] for a Cayley table of K, or leg-wise in C[K x K] for
     (|K|, |K|) arrays, as raw coefficient tuples: the plain sums of the
-    products of the fewest-term counts of both factors, count for count."""
-    fu, fv = (values(type(x)(x.order, x.scale, x.fewest_counts())) for x in (u, v))
+    products of the counts of both factors, count for count."""
+    fu, fv = values(u), values(v)
     out = np.empty(u.shape, dtype=object)
     for x in np.ndindex(*u.shape):
         out[x] = zero(u.order)

@@ -19,8 +19,9 @@ def zeta_embeddings(n: int) -> np.ndarray:
 
 
 def embedded(arr) -> np.ndarray:
-    """The complex float array of a CycArray's values."""
-    return (arr.counts @ zeta_embeddings(arr.order)) * float(arr.scale)
+    """The complex float array of a CycArray's values, its counts on the
+    first phi(N) powers of zeta."""
+    return (arr.counts @ zeta_embeddings(arr.order)[:arr.counts.shape[-1]]) * float(arr.scale)
 
 
 def irreducible_rep(A, seed: int) -> np.ndarray:

@@ -78,6 +78,9 @@ Z729_DIMS = Counter({(27,): 2, (9,) * 9: 2, (9,): 9, (1,) * 81: 9})
 COMPOSITE = (4, 3, shift(3, 1), 2, UNIPOTENT)
 #: a twist at N = 4 that is not minimal: R's form 2 (x.y' - y.x') is degenerate mod 4
 DEGENERATE = (4, 3, shift(3, 1), 2, SKEW)
+#: composite N = 6 with two prime factors: (Z/6)^3 x| C3, H = (Z/6)^2; |K_g| = 6 and
+#: [6] x 6 at 216 and 432
+N6 = (6, 3, shift(3, 1), 2, UNIPOTENT)
 
 
 def build_parts(n, dim, gamma, h_dim, M):

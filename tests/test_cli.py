@@ -18,7 +18,7 @@ from cotwist.errors import CotwistError
 from cotwist.exactlin import CycArray, cyc_tensordot, ga_mul, invert_in_group_algebra
 from cotwist.groups import build_elementary_abelian_symplectic
 from cotwist.twist import TwistData, save_twist_file, symplectic_twist
-from instances import CRITERION_10, DEGENERATE, WREATH, write_instance
+from instances import CRITERION_10, DEGENERATE, N6, WREATH, write_instance
 
 
 def run_cli(argv, capsys):
@@ -348,6 +348,25 @@ def test_degenerate_twist_at_composite_order_fails_minimality(tmp_path, capsys):
     assert report["failures"] == ["twist is not minimal: rank 4 != |H| = 16",
                                   "coset analysis skipped: global checks failed"]
     assert report["failures"][0] in stderr
+
+
+def test_composite_order_with_two_prime_factors_end_to_end(tmp_path, capsys):
+    """N = 6 = 2 * 3 (``instances.N6``): (Z/6)^3 x| C3 with H = (Z/6)^2 and
+    a twist whose values lie in Q(zeta_6), of dimension phi(6) = 2, through
+    ``cotwist spectrum --config``: exit 0, [1] x 36 on the cosets 0-5 with
+    K_g = H, and |K_g| = 6 with [6] x 6 on all three routes at 216 and 432."""
+    write_instance(tmp_path, *N6)
+    out = tmp_path / "report.json"
+    rc, _, _ = run_cli(
+        ["spectrum", "--config", str(tmp_path / "config.json"), "--out", str(out)], capsys)
+    report = json.loads(out.read_text())
+    assert rc == 0 and report["failures"] == [], report["failures"]
+    cosets = {c["rep"]: c for c in report["cosets"]}
+    routes = ("dims_direct", "dims_invariant", "dims_predicted")
+    for g in range(6):
+        assert cosets[g]["k_size"] == 36 and all(cosets[g][r] == [1] * 36 for r in routes)
+    for g in (216, 432):
+        assert cosets[g]["k_size"] == 6 and all(cosets[g][r] == [6] * 6 for r in routes)
 
 
 def test_h_without_characters_exits_2(monkeypatch, capsys):

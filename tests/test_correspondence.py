@@ -17,7 +17,7 @@ from cotwist.dual_algebras import build_block_algebra
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray
 from cotwist.groups import FiniteGroup, Subgroup, stabilizer_Kg, stabilizer_local_indices
-from cotwist.twist import assemble_twist, make_twist, save_twist_file
+from cotwist.twist import _single_terms, assemble_twist, make_twist, save_twist_file
 from cyc_reference import add, copied, equal, mul, values, zero
 from float_reference import embedded
 from instances import WREATH, coset_algebras, write_instance
@@ -208,7 +208,7 @@ def test_orbit_sums_overflow_is_named(p3_diag_bundle):
     real operands whose k-term bound passes 2**63: at the coset of e (K_g =
     H, k = 9 terms) the twist and the dual algebras with every count times
     2**29 and the scale divided by it.  Each contraction count is within
-    T N 2**58 = 27 * 2**58 < 2**63, so the contraction runs in int64, but
+    T phi 2**58 = 18 * 2**58 < 2**63, so the contraction runs in int64, but
     9 such counts can pass 2**63, so the terms are summed in int64 under
     the guard of ``sum_counts``, which refuses them."""
     from cotwist.dual_algebras import SCAlgebra
@@ -226,7 +226,8 @@ def test_orbit_sums_overflow_is_named(p3_diag_bundle):
     t = TwistData(inst.t.subgroup, inst.t.order, scaled(inst.t.J), verified=True)
     t.Jinv = scaled(inst.t.Jinv)
     A1s, A2s = (SCAlgebra(scaled(A.product), A.perms, A.name) for A in (ctx.A1s, ctx.A2s))
-    assert max(int(np.abs(x).max()) for x in t.terms + (A1s.row_terms, A2s.row_terms)) == big
+    rows = (A1s.take(0, 0).counts, A2s.take(0, 0).counts)
+    assert max(int(np.abs(x).max()) for x in (t.J.counts, t.Jinv.counts, *rows)) == big
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
         build_block_algebra(t, z)
     with pytest.raises(CotwistError, match="exact sum would overflow int64"):
@@ -246,9 +247,9 @@ def test_chunk_boundaries_change_nothing(source, monkeypatch, request):
     inst, ctx, zs = request.getfixturevalue(source)
     calls = []  # [row groups, chunks yielded] per contraction
 
-    def counted(src, at, b, rows, group=1, kernel=exactlin.contract_chunks):
+    def counted(src, at, b, order, rows, group=1, kernel=exactlin.contract_chunks):
         calls.append([rows // group, 0])
-        for chunk in kernel(src, at, b, rows, group):
+        for chunk in kernel(src, at, b, order, rows, group):
             calls[-1][1] += 1
             yield chunk
 
@@ -404,7 +405,7 @@ def test_gauge_twist_multi_term_full_pipeline(p3_gauge_diag_bundle):
     from cotwist.correspondence import _coset_pipeline
 
     inst, ctx, zs = p3_gauge_diag_bundle
-    assert np.count_nonzero(inst.t.J.fewest_counts(), axis=-1).max() > 1
+    assert _single_terms(inst.t.J.counts, inst.t.order) is None
     expected = [[1] * 9, [3]]
     for z, want in zip(zs, expected):
         spectrum, errs = _coset_pipeline(ctx, z)
@@ -612,8 +613,8 @@ def per_point_block(t, z) -> CycArray:
     G, hg, zs = t.subgroup.parent, t.subgroup.elements.astype(np.int64), z.elements
     loc = np.full(G.order, -1)
     loc[zs] = np.arange(len(zs))
-    j, jinv = t.terms
-    slices = [_block_slice(jinv, j, loc[G.mul[G.mul[hg, x][:, None], hg[None, :]]], len(zs))
+    slices = [_block_slice(t.Jinv.counts, t.J.counts,
+                           loc[G.mul[G.mul[hg, x][:, None], hg[None, :]]], len(zs), t.order)
               for x in zs]
     return CycArray(t.order, t.J.scale * t.Jinv.scale, np.stack(slices, axis=2))
 
@@ -631,8 +632,8 @@ def all_rows_Ug(ctx, Kg, g) -> CycArray:
     x1, x2 = np.divmod(members, m)
     partner = np.full((r, m), m)
     partner[np.arange(r)[:, None], x1] = x2
-    rows = [pair_sums(A2s.take(h1, 0).fewest_counts(), A1s.take(h2, 0).fewest_counts(),
-                      partner, x2 * m + x1) for h1, h2 in (divmod(int(q), m) for q in reps)]
+    rows = [pair_sums(A2s.take(h1, 0).counts, A1s.take(h2, 0).counts, partner, x2 * m + x1,
+                      A2s.product.order) for h1, h2 in (divmod(int(q), m) for q in reps)]
     return CycArray(A2s.product.order, A2s.product.scale * A1s.product.scale, np.stack(rows))
 
 
@@ -651,8 +652,9 @@ def test_one_slice_equals_per_point_builds(source, request):
     The translation group Q of the slice grades them as the center
     certificate says: f_chi f_psi = C[chi, psi] f_{chi psi} with
     C = F^T S F read from the slice (``semisimple.center_basis``)."""
-    from cotwist.exactlin import canonical_counts, cyc_tensordot
+    from cotwist.exactlin import cyc_tensordot
     from cotwist.groups import double_cosets
+    from cotwist.scalars import _reduction_table
     from cotwist.semisimple import _canonically_symmetric, _grading_characters
 
     configs = {"p3_unipotent": lambda: Config(SymplecticConstruction(3, 1, [[[1, 1], [0, 1]]])),
@@ -681,13 +683,14 @@ def test_one_slice_equals_per_point_builds(source, request):
             C = cyc_tensordot(cyc_tensordot(F, S, axes=([1], [0])), F, axes=([1], [1]))
             prod = cyc_tensordot(F, cyc_tensordot(F, mul, axes=([1], [0])), axes=([1], [1]))
             # prod[psi, chi] = f_chi f_psi = C[chi, psi] f_{chi psi}: its value at delta_0
-            # times (chi psi)(x), a shift of the counts by the exponent
+            # times (chi psi)(x) = zeta^e, count l of it moved to the counts of zeta^(l + e)
             at_0 = CycArray(S.order, prod.scale, prod.counts[:, :, 0].swapaxes(0, 1))
             assert at_0.eq(C), fast.name
-            shift = (np.arange(S.order) - (E[:, None, :] + E[None, :, :])[..., None]) % S.order
-            graded = np.take_along_axis(prod.counts[:, :, :1], shift, axis=-1)
-            assert np.array_equal(canonical_counts(prod.counts, S.order),
-                                  canonical_counts(graded, S.order)), fast.name
+            e = E[:, None, :] + E[None, :, :]                                     # [psi, chi, x]
+            moved = _reduction_table(S.order)[(e[..., None] + np.arange(S.counts.shape[-1]))
+                                              % S.order]                    # [psi, chi, x, l, m]
+            graded = np.einsum("pcl,pcxlm->pcxm", prod.counts[:, :, 0], moved)
+            assert np.array_equal(prod.counts, graded), fast.name
 
 
 def test_non_invariant_twist_is_refused_by_name(monkeypatch, p3_diag_bundle, tmp_path):

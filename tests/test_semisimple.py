@@ -14,9 +14,10 @@ import pytest
 from cotwist import dual_algebras, semisimple
 from cotwist.dual_algebras import SCAlgebra, build_block_algebra, gather_slice
 from cotwist.errors import AuditError, CotwistError
-from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root,
-                              canonical_counts, cyc_nullspace, cyc_tensordot)
+from cotwist.exactlin import (CycArray, _largest, _modular_image, _modular_root, cyc_nullspace,
+                              cyc_tensordot)
 from cotwist.groups import FiniteGroup, character_exponents, double_cosets, stabilizer_Kg
+from cotwist.scalars import _reduction_table, euler_phi
 from cotwist.semisimple import (_grading_characters, _grading_product, _split_mod,
                                 algebra_audit, center_basis, wedderburn_dims)
 from cyc_reference import copied
@@ -41,7 +42,7 @@ def boolean_graded_algebra(C, order=2, name="graded"):
     n = len(C)
     x = np.arange(n)
     F = np.array([[(-1) ** bin(a & b).count("1") for b in x] for a in x])
-    counts = np.zeros((n, n, order), dtype=np.int64)
+    counts = np.zeros((n, n, euler_phi(order)), dtype=np.int64)
     counts[..., 0] = F @ np.asarray(C) @ F
     return SCAlgebra(CycArray(order, Fraction(1, n * n), counts), x[:, None] ^ x[None, :],
                      name=name)
@@ -168,9 +169,9 @@ def test_exact_center_of_s3_is_class_sums():
     """C[S3] over Q(zeta_3): its exact center, the nullspace of the
     commutator system, is the class sums, each 1 at its free column: {e},
     the three transpositions, the two 3-cycles."""
-    mul = np.zeros((6, 6, 6, 3), dtype=np.int64)
+    mul = np.zeros((6, 6, 6, 2), dtype=np.int64)
     mul[..., 0] = group_algebra_counts(s3_mul())
-    commutators = (mul - mul.swapaxes(0, 1)).transpose(2, 1, 0, 3).reshape(36, 6, 3)  # [(k, j), i]
+    commutators = (mul - mul.swapaxes(0, 1)).transpose(2, 1, 0, 3).reshape(36, 6, 2)  # [(k, j), i]
     center = cyc_nullspace(CycArray(3, Fraction(1), commutators))
     classes = CycArray.zeros((3, 6), 3)
     classes.counts[[0, 1, 1, 1, 2, 2], [0, 1, 2, 3, 4, 5], 0] = 1
@@ -326,7 +327,7 @@ def grading_prime(A):
 
 def central_characters(C):
     """The characters whose row of C - C^T is exactly zero."""
-    diff = canonical_counts(C.counts - C.counts.swapaxes(0, 1), C.order)
+    diff = C.counts - C.counts.swapaxes(0, 1)
     return np.flatnonzero(~diff.any(axis=(1, 2)))
 
 
@@ -655,7 +656,7 @@ def test_corrupted_count_of_a_split_block_is_refused(intermediate_block, monkeyp
     monkeypatch.setattr(dual_algebras, "determine_unit", lambda *args: None)
     for i, k in itertools.product(range(S.shape[0]), range(S.order)):
         bad = copied(S)
-        bad.counts[i, i, k] += 1
+        bad.counts[i, i] += _reduction_table(S.order)[k]  # zeta^k
         A = SCAlgebra(bad, perms, name=f"corrupted at {i}, {k}")
         with pytest.raises(CotwistError, match=re.escape(
                 f"{A.name}: the constants are not associative")):
@@ -671,13 +672,13 @@ def test_float_constants_refused_by_name():
 
 def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, mod_splits,
                                                          monkeypatch):
-    """The gauge-transformed p=3 H-coset block has counts that are symmetric
-    only canonically: its center is the identity basis with no certificate
-    attempt, and it is split as a commutative algebra."""
+    """The gauge-transformed p=3 H-coset block, built from a multi-term twist,
+    has symmetric canonical counts: its center is the identity basis with no
+    certificate attempt, and it is split as a commutative algebra."""
     inst, _, zs = p3_gauge_diag_bundle
     blk = build_block_algebra(inst.t, zs[0])
     counts = blk.mul.counts
-    assert not np.array_equal(counts, counts.transpose(1, 0, 2, 3))
+    assert np.array_equal(counts, counts.transpose(1, 0, 2, 3))
     n = blk.dim
     identity = CycArray.zeros((n, n), blk.mul.order)
     identity.counts[np.arange(n), np.arange(n), 0] = 1
@@ -688,26 +689,22 @@ def test_canonically_symmetric_counts_take_no_certificate(p3_gauge_diag_bundle, 
 
 
 def test_canonically_symmetric_scans_its_counts_once(monkeypatch):
-    """Both compares take the guard 2 max|c| G < 2**64 (G = 2 at N = 3) from
-    one scan of the counts, which their transpose shares.  Counts of 2**62 - 1
-    are decided both ways; 2**62 is refused by name, in the last row or not."""
+    """One compare of the canonical counts with their transpose decides, with
+    no bound to read off them: counts at the int64 edge are decided both
+    ways, in the last row or not."""
     from cotwist import exactlin
 
     scans = []
-    for module in (exactlin, semisimple):
-        monkeypatch.setattr(module, "_largest", lambda c: scans.append(c.shape) or _largest(c))
-    q = (1 << 62) - 1
-    counts = np.zeros((3, 3, 3), dtype=np.int64)
-    counts[0, 2, 0], counts[2, 0] = q, [0, -q, -q]  # equal canonically: 1 = -zeta - zeta^2
+    monkeypatch.setattr(exactlin, "_largest", lambda c: scans.append(c.shape) or _largest(c))
+    top = (1 << 63) - 1
+    counts = np.zeros((3, 3, 2), dtype=np.int64)
+    counts[0, 2], counts[2, 0] = [-top, top], [-top, top]
     assert semisimple._canonically_symmetric(CycArray(3, 1, counts))
-    counts[1, 0, 0] = q
-    assert not semisimple._canonically_symmetric(CycArray(3, 1, counts))
-    assert scans == [(3, 3, 3)] * 2
     for row in (2, 1):
-        big = counts.copy()
-        big[row, 0, 0] = 1 << 62
-        with pytest.raises(CotwistError, match="canonical counts of a difference would overflow"):
-            semisimple._canonically_symmetric(CycArray(3, 1, big))
+        bumped = counts.copy()
+        bumped[row, 0, 1] = -top
+        assert not semisimple._canonically_symmetric(CycArray(3, 1, bumped))
+    assert scans == []
 
 
 def test_exterior_algebra_refused_by_the_graded_certificate(mod_splits):

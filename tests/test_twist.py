@@ -8,10 +8,12 @@ import pytest
 from cotwist.errors import AuditError, CotwistError
 from cotwist.exactlin import CycArray, cyc_tensordot, ga_identity, ga_mul
 from cotwist.groups import FiniteGroup, Subgroup, build_elementary_abelian_symplectic
-from cotwist.twist import (TwistData, assemble_twist, load_twist_matrix, make_twist,
+from cotwist.twist import (assemble_twist, load_twist_matrix, make_twist,
                            q_element_and_antipode_check, save_twist_file,
                            square_dimension_check, symplectic_twist,
-                           triangular_structure, verify_twist_axioms, _sides_agree)
+                           triangular_structure, verify_twist_axioms, _sides_agree,
+                           _single_terms)
+from cotwist.scalars import _reduction_table
 from cyc_reference import add, cocycle_on_every_triple, copied, equal, mul, values, zero
 
 AXIOM_NAMES = [
@@ -28,9 +30,8 @@ def test_symplectic_twist_entries(p3_pair, p3_twist):
     H, sigma = p3_pair
     t = p3_twist
     assert t.verified
-    # one root of unity per cell: a single count 1, at the bicharacter's exponent
-    assert np.array_equal(t.J.fewest_counts(),
-                          CycArray.from_exponents(3, sigma.exponents).counts)
+    # one root of unity per cell: the canonical counts of zeta^sigma(a, b)
+    assert np.array_equal(t.J.counts, CycArray.from_exponents(3, sigma.exponents).counts)
     assert t.J.scale == Fraction(1, 9)
 
 
@@ -225,14 +226,15 @@ def test_counit_corruption_fails_only_the_counits(p3_pair, p3_twist):
 
 
 def test_counit_past_int64_is_a_failed_check():
-    """On H = {e}, J = -2**63 + (2**63 - 1)(zeta + zeta^2) = 1 - 2**64 is not
-    the counit 1, but its canonical counts wrap in int64 to those of 1.  The
-    int64 guards refuse such counts, and the audit records failed checks,
-    not passes."""
-    top = (1 << 63) - 1
-    J = CycArray(3, Fraction(1), np.array([[[-top - 1, top, top]]], dtype=np.int64))
-    trivial = Subgroup(FiniteGroup(np.zeros((1, 1), dtype=np.int64)), np.arange(1))
-    t, audit = assemble_twist(trivial, J)
+    """On H = Z/2 = {e, s}, J[e, e] = -2**63 and J[s, e] = 1 - 2**63: the
+    left leg's sum at e, 1 - 2**64, is not the counit's 1, but it wraps in
+    int64 to 1.  The int64 guard refuses such sums, and the audit records
+    failed checks, not passes."""
+    J = CycArray.zeros((2, 2), 3)
+    J.counts[:, 0, 0] = [-(1 << 63), 1 - (1 << 63)]
+    assert J.counts[:, :, 0].sum(axis=0).tolist() == [1, 0]  # the wrapped sums
+    z2 = Subgroup(FiniteGroup(np.array([[0, 1], [1, 0]])), np.arange(2))
+    t, audit = assemble_twist(z2, J)
     assert not t.verified
     assert {"counit (left leg)", "counit (right leg)"} <= set(audit.failed)
 
@@ -257,8 +259,8 @@ def test_sides_agree_matches_reference_sums(source, p3_twist, p3_gauge_diag_bund
     """The three audits of _sides_agree against reference double sums, on the
     p=3 twist as built, as the wreath table instance reads it from its twist
     file (canonical counts over a common denominator) and gauge-transformed
-    (two-term cells): each passes, and fails once one cell's exponent of its X
-    is rotated."""
+    (multi-term cells): each passes, and fails once one cell of its X is
+    multiplied by zeta."""
     if source == "symplectic":
         t = p3_twist
     elif source == "file":
@@ -270,9 +272,10 @@ def test_sides_agree_matches_reference_sums(source, p3_twist, p3_gauge_diag_bund
     table = t.group.mul.astype(np.int64)
     inv = t.group.inv.astype(np.int64)
     right_shift, left_shift = table[:, inv].T, table[inv]
+    times_zeta = _reduction_table(t.order)[1:t.J.counts.shape[-1] + 1]  # zeta^(l + 1), by l
     for X, shift in ((t.J, right_shift), (t.J, left_shift), (t.Jinv, right_shift)):
         rotated = copied(X)
-        rotated.counts[1, 2] = np.roll(X.counts[1, 2], 1)
+        rotated.counts[1, 2] = X.counts[1, 2] @ times_zeta
         for Y, holds in ((X, True), (rotated, False)):
             assert _reference_sides_agree(Y, shift) is holds
             assert _sides_agree(Y, shift) is holds
@@ -345,25 +348,6 @@ def test_square_dimension_rejects_nonsquare():
         square_dimension_check(t)
 
 
-def test_terms_are_the_fewest_counts_once_verified(p3_pair, p3_gauge_diag_bundle):
-    """``t.terms`` is (J.fewest_counts(), Jinv.fewest_counts()) count for count,
-    formed once per audit; an unverified twist refuses it, and a new audit
-    drops the terms of the last one."""
-    H, sigma = p3_pair
-    symplectic, gauge = symplectic_twist(H, sigma), p3_gauge_diag_bundle[0].t
-    for t in (symplectic, gauge):
-        j, jinv = t.terms
-        assert np.array_equal(j, t.J.fewest_counts())
-        assert np.array_equal(jinv, t.Jinv.fewest_counts())
-        assert t.terms[0] is j and t.terms[1] is jinv
-    t = TwistData(subgroup=gauge.subgroup, order=3, J=gauge.J)
-    with pytest.raises(CotwistError, match="has not passed the axiom audit"):
-        t.terms
-    assert verify_twist_axioms(t).ok and np.array_equal(t.terms[0], gauge.terms[0])
-    t.J, t.Jinv = symplectic.J, None
-    assert verify_twist_axioms(t).ok and np.array_equal(t.terms[0], symplectic.terms[0])
-
-
 def test_twist_file_round_trip(tmp_path, p3_twist):
     path = tmp_path / "twist.txt"
     save_twist_file(path, p3_twist)
@@ -401,7 +385,7 @@ def test_twist_file_loads_noncanonical_literals(tmp_path):
                     "-1/3*E(3)^-1;0/5*E(3)^0\n0\n")
     J = load_twist_matrix(path)
     assert J.order == 3 and J.scale == Fraction(1, 3)
-    assert J.counts.tolist() == [[[-3, -3, 0], [0, 3, 0]], [[1, 1, 0], [0, 0, 0]]]
+    assert J.counts.tolist() == [[[-3, -3], [0, 3]], [[1, 1], [0, 0]]]
 
 
 def test_twist_file_rejects_malformed(tmp_path):
@@ -442,8 +426,7 @@ def test_gauge_transformed_twist_still_valid(p3_pair, p3_twist):
     jp = ga_mul(ga_mul(uu, t.J.reshape(m * m), t.pair_mul), diag, t.pair_mul)
     t2 = make_twist(Subgroup(H, np.arange(m)), jp.reshape(m, m))
     assert t2.verified
-    assert np.count_nonzero(t2.J.fewest_counts(), axis=-1).max() > 1, \
-        "gauge transform should be multi-term"
+    assert _single_terms(t2.J.counts, n) is None, "gauge transform should be multi-term"
     tri = triangular_structure(t2)
     assert tri.minimal
     _, ok = q_element_and_antipode_check(t2)
